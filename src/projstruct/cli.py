@@ -244,6 +244,18 @@ def _cmd_geodesic(args):
     return 1
 
 
+def _working_order(text):
+    """argparse type of ``--order``: an integer of at least 2."""
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if order < 2:
+        raise argparse.ArgumentTypeError(
+            "the working order must be at least 2, got %d" % order)
+    return order
+
+
 def _utc_stamp():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -309,7 +321,7 @@ def _build_parser():
     cmd = sub.add_parser("verify-paper",
                          help="run the verification catalog")
     cmd.add_argument("--case", help="one case id (default: all cases)")
-    cmd.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    cmd.add_argument("--order", type=_working_order, default=DEFAULT_ORDER,
                      help="working jet order (default %(default)s)")
     cmd.add_argument("--json", action="store_true",
                      help="machine-readable output")

@@ -5,6 +5,11 @@ class ProjstructError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+def _ensure(cond, what):
+    if not cond:
+        raise ProjstructError("internal invariant failed: " + what)
+
+
 # --- series arithmetic ---------------------------------------------------
 
 class NonUnitDivisor(ProjstructError):

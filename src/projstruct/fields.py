@@ -16,16 +16,11 @@ formula transcription.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ProjstructError
+from .errors import _ensure
 from .jets import Jet2
 from .linalg import nullspace, rank, solve_affine
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure
-
-
-def _ensure(cond, what):
-    if not cond:
-        raise ProjstructError("internal invariant failed: " + what)
 
 
 @dataclass(frozen=True)

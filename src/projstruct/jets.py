@@ -23,9 +23,22 @@ Coefficients are ``fractions.Fraction`` in ordinary use.  All arithmetic
 is written against a minimal protocol (ring ops, equality with 0, an
 optional ``is_unit`` attribute), so the same code runs unchanged over
 the dual rationals of :mod:`projstruct.duals`.
+
+The product is the hot spot of the package.  It visits only the pairs of
+terms whose degrees sum to at most the result's ``eff``: the factor
+with fewer terms is sorted by total degree once, and each term of the
+other takes the prefix of it that fits.  When both factors have rational coefficients
+(``int`` or ``Fraction``, anything with ``numerator``/``denominator``),
+each is written as integer numerators over the lcm of its denominators,
+as FLINT's ``fmpq_poly`` does; the loop then sums plain ``int`` products
+and builds one reduced ``Fraction`` per output term.  Other coefficient
+types, such as dual rationals, go through the same loop with their own
+values.  A one-term factor is a shifted scale of the other and needs
+neither.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import (
@@ -39,10 +52,21 @@ DEFAULT_ORDER = 12
 
 
 def _is_unit(c):
+    """Is the coefficient invertible?  Its own ``is_unit`` if it has one."""
     u = getattr(c, "is_unit", None)
     if u is not None:
         return u
     return c != 0
+
+
+def _numerators(coeffs):
+    """Integer numerators over the lcm of the denominators, and that lcm.
+
+    Raises AttributeError for coefficients that are not rational.
+    """
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in coeffs.items()}, den
 
 
 def as_coeff(value):
@@ -74,6 +98,13 @@ class Jet2:
         self.order = order
         self.eff = eff
         self.coeffs = clean
+
+    @classmethod
+    def _of(cls, coeffs, order, eff):
+        """A jet from coefficients already clean: nonzero, of degree <= eff."""
+        jet = object.__new__(cls)
+        jet.order, jet.eff, jet.coeffs = order, eff, coeffs
+        return jet
 
     # -- constructors ---------------------------------------------------
 
@@ -116,9 +147,6 @@ class Jet2:
 
     def is_x_only(self):
         return all(j == 0 for (_, j) in self.coeffs)
-
-    def is_y_only(self):
-        return all(i == 0 for (i, _) in self.coeffs)
 
     def _val_bound(self):
         # least total degree at which this jet can be nonzero
@@ -186,16 +214,48 @@ class Jet2:
         eff = min(order,
                   self.eff + other._val_bound(),
                   other.eff + self._val_bound())
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > eff:
-                    continue
-                k = (i, j)
-                p = c1 * c2
-                out[k] = out[k] + p if k in out else p
-        return Jet2(out, order, eff)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return Jet2._of({}, order, eff)
+        if len(b) == 1:
+            # a shifted scale of the other factor
+            ((i0, j0), c0), = b.items()
+            lim = eff - i0 - j0
+            out = {}
+            for (i, j), c in a.items():
+                if i + j <= lim:
+                    p = c * c0
+                    if not p == 0:
+                        out[(i + i0, j + j0)] = p
+            return Jet2._of(out, order, eff)
+        try:
+            (a, da), (b, db) = _numerators(a), _numerators(b)
+            den = da * db
+        except AttributeError:  # not rational: multiply the values as they are
+            den = None
+        # Key (i, j) packs to i*m + j, which is additive on every kept
+        # product since its j stays below m.  The smaller factor is
+        # sorted by degree, so each term of the other takes a prefix of it.
+        m = eff + 1
+        keys = sorted(b, key=sum)
+        degrees = [i + j for (i, j) in keys]
+        right = [(i * m + j, b[(i, j)]) for (i, j) in keys]
+        acc = {}
+        for (i, j), c1 in a.items():
+            k1 = i * m + j
+            for k2, c2 in right[:bisect_right(degrees, eff - i - j)]:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += c1 * c2
+                else:
+                    acc[k] = c1 * c2
+        if den is None:
+            out = {divmod(k, m): c for k, c in acc.items() if not c == 0}
+        else:
+            out = {divmod(k, m): Fraction(n, den) for k, n in acc.items() if n}
+        return Jet2._of(out, order, eff)
 
     def __rmul__(self, other):
         return self.scale(as_coeff(other))
@@ -302,16 +362,6 @@ class Jet2:
         order = self.order if order is None else min(order, self.order)
         eff = self.eff if eff is None else min(eff, self.eff)
         return Jet2(self.coeffs, order, min(eff, order))
-
-    def as_exact(self, order):
-        """Re-declare this jet as an exact polynomial at a new order.
-
-        Only valid when the caller knows the germ is the stored
-        polynomial on the nose (monomials, explicitly constructed
-        polynomial data); it resets ``eff`` to ``order``.
-        """
-        return Jet2(self.coeffs, order, order)
-
 
 # -- composition ------------------------------------------------------------
 

@@ -53,11 +53,8 @@ def _reduce(rows, ncols):
     return pivots
 
 
-def nullspace(rows, ncols):
-    """Basis of {v : M v = 0} as lists of Fractions (one per free column)."""
-    mat = [_int_row(row) for row in rows]
-    mat = [row for row in mat if any(row)]
-    pivots = _reduce(mat, ncols)
+def _free_basis(mat, pivots, ncols):
+    """One kernel vector per non-pivot column of a reduced matrix."""
     pivot_cols = {c for (_, c) in pivots}
     basis = []
     for fc in range(ncols):
@@ -69,6 +66,14 @@ def nullspace(rows, ncols):
             vec[c] = Fraction(-mat[r][fc], mat[r][c])
         basis.append(vec)
     return basis
+
+
+def nullspace(rows, ncols):
+    """Basis of {v : M v = 0} as lists of Fractions (one per free column)."""
+    mat = [_int_row(row) for row in rows]
+    mat = [row for row in mat if any(row)]
+    pivots = _reduce(mat, ncols)
+    return _free_basis(mat, pivots, ncols)
 
 
 def solve_affine(rows, rhs):
@@ -84,24 +89,12 @@ def solve_affine(rows, rhs):
     mat = [_int_row(list(row) + [b]) for row, b in zip(rows, rhs)]
     mat = [row for row in mat if any(row)]
     pivots = _reduce(mat, ncols + 1)
-    pivot_cols = set()
-    for (r, c) in pivots:
-        if c == ncols:
-            return False, None, []
-        pivot_cols.add(c)
+    if any(c == ncols for (_, c) in pivots):
+        return False, None, []
     particular = [Fraction(0)] * ncols
     for (r, c) in pivots:
         particular[c] = Fraction(mat[r][ncols], mat[r][c])
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for (r, c) in pivots:
-            vec[c] = Fraction(-mat[r][fc], mat[r][c])
-        basis.append(vec)
-    return True, particular, basis
+    return True, particular, _free_basis(mat, pivots, ncols)
 
 
 def rank(rows, ncols=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
-from .jets import Jet2
+from .jets import Jet2, _is_unit
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure, eval_along, swap_axes
 
@@ -33,13 +33,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
-
-def _is_unit(c):
-    u = getattr(c, "is_unit", None)
-    if u is not None:
-        return u
-    return c != 0
 
 
 @dataclass(frozen=True)

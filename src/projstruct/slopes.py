@@ -57,15 +57,6 @@ class SlopePoly:
     def scale(self, jet_or_scalar):
         return SlopePoly([c * jet_or_scalar for c in self.coeffs])
 
-    def eval(self, p0):
-        """Evaluate at an exact slope value (Fraction)."""
-        acc = Jet2.zero(self.coeffs[0].order)
-        power = 1
-        for c in self.coeffs:
-            acc = acc + c.scale(power)
-            power = power * p0
-        return acc
-
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 

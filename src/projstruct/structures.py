@@ -17,22 +17,11 @@ from .errors import (
     DegenerateJacobian,
     NotInNormalForm,
     NotInvertible,
-    ProjstructError,
+    _ensure,
 )
-from .jets import Jet2, comp_inverse, compose1, exp_series, substitute
+from .jets import (Jet2, _is_unit, comp_inverse, compose1, exp_series,
+                   substitute)
 from .slopes import SlopePoly
-
-
-def _ensure(cond, what):
-    if not cond:
-        raise ProjstructError("internal invariant failed: " + what)
-
-
-def _is_unit(c):
-    u = getattr(c, "is_unit", None)
-    if u is not None:
-        return u
-    return c != 0
 
 
 @dataclass(frozen=True)
@@ -110,9 +99,6 @@ class DiffeoGerm:
     @classmethod
     def identity(cls, order):
         return cls(Jet2.variable("x", order), Jet2.variable("y", order))
-
-    def jacobian(self):
-        return (self.u.d_dx() * self.v.d_dy() - self.u.d_dy() * self.v.d_dx())
 
     def compose(self, inner):
         """self after inner: (self . inner)(q) = self(inner(q))."""

@@ -235,6 +235,12 @@ def test_usage_errors_exit_2(write, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_verify_paper_rejects_orders_below_two(order, capsys):
+    assert dispatch(["verify-paper", "--order", order]) == 2
+    assert "at least 2" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     assert "verify-paper" in capsys.readouterr().out

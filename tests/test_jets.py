@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projstruct.duals import EPS, DualRational, as_dual
@@ -96,6 +96,70 @@ def test_ring_axioms(u, v, w):
     assert (u * v).agree(v * u)
     assert ((u * v) * w).agree(u * (v * w))
     assert (u * (v + w)).agree(u * v + u * w)
+
+
+# Denominators are pairwise coprime (or 1), so the lcm of a factor's
+# denominators is their full product.
+_coprime_fractions = st.builds(Fraction, st.integers(-30, 30),
+                               st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+
+
+@st.composite
+def product_factors(draw):
+    """Jets of any order/eff, sparse or dense, over int or Fraction."""
+    order = draw(st.integers(0, 7))
+    eff = draw(st.integers(-1, order))
+    keys = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    if draw(st.booleans()):
+        chosen = keys
+    else:
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+    values = st.integers(-9, 9) if draw(st.booleans()) else _coprime_fractions
+    return Jet2({k: draw(values) for k in chosen}, order, eff)
+
+
+def _reference_product(u, v):
+    """(order, eff, coeffs) of u*v by the plain double loop over Fractions."""
+    def val_bound(w):
+        return min((i + j for (i, j) in w.coeffs), default=w.eff + 1)
+    order = min(u.order, v.order)
+    eff = min(order, u.eff + val_bound(v), v.eff + val_bound(u))
+    out = {}
+    for (i1, j1), c1 in u.coeffs.items():
+        for (i2, j2), c2 in v.coeffs.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return order, eff, {k: c for k, c in out.items()
+                        if k[0] + k[1] <= eff and c != 0}
+
+
+@settings(deadline=None)
+@given(product_factors(), product_factors())
+@example(Jet2({(0, 0): 1, (1, 0): 1}, 3), Jet2({(0, 0): 1, (1, 0): -1}, 3))
+def test_product_matches_the_reference_double_loop(u, v):
+    w = u * v
+    assert (w.order, w.eff, w.coeffs) == _reference_product(u, v)
+    for (i, j), c in w.coeffs.items():
+        assert i + j <= w.eff
+        assert c != 0
+
+
+def test_product_over_dual_coefficients():
+    # (U + eps U')(V + eps V') = UV + eps (U V' + U' V); the eps^2 term
+    # at x y cancels and must not be stored
+    u = Jet2({(0, 0): 1 + EPS, (0, 1): EPS, (1, 0): DualRational(2, -1)}, 4)
+    v = Jet2({(0, 0): DualRational(2), (1, 0): EPS, (2, 1): DualRational(-1, 3)}, 4)
+    assert (u * v).coeffs == {
+        (0, 0): DualRational(2, 2),
+        (0, 1): DualRational(0, 2),
+        (1, 0): DualRational(4, -1),
+        (2, 0): DualRational(0, 2),
+        (2, 1): DualRational(-1, 2),
+        (2, 2): DualRational(0, -1),
+        (3, 1): DualRational(-2, 7),
+    }
+    assert (u * v).coeffs == (v * u).coeffs
+    assert (Jet2({(0, 1): EPS}, 4) * Jet2({(1, 0): EPS}, 4)).coeffs == {}
 
 
 @given(jets(unit_constant=True))
