@@ -52,7 +52,7 @@ from .pencils import (
     structure_from_pencil,
 )
 from .reports import CaseReport, CheckResult, render_json, render_text
-from .verify import (
+from .cases import (
     CASES,
     affine_family_checks,
     alpha_ode_solve,

@@ -1,4 +1,4 @@
-"""Catalog of verified normal forms, symmetry algebras and flat pencils.
+"""The verification registry: its catalog entries and ``run_case``/``run_all``.
 
 Every entry re-derives, from scratch and in exact rational arithmetic,
 the computational content of one catalog statement: that the listed
@@ -6,25 +6,28 @@ vector fields are symmetries, that their bracket tables close, that the
 stabilized symmetry dimensions match, that each pencil of foliations
 induces the stated cubic equation (with its members geodesic and the
 pencil parameter a first integral), and that the squared first-order
-flatness identities hold after normalization.
+flatness identities hold after normalization.  The flat pencils are
+rows of one table, ``_PENCILS``.
 
 Statements that fail mechanically are reported with the
 ``paper-inconsistent`` verdict together with the computed value — never
 silently corrected; measurements carrying no asserted expectation use
 ``recorded``.  Case ids (``thm31.*``, ``thm41.*``, ``sec3.aff``,
 ``remark.*``) are the stable vocabulary of the ``verify-paper``
-command.
+command; rendering lives in :mod:`projstruct.reports`.
 
 Working-order note: dimension counts and invariant-structure solves
 need jets of a minimum order to cut their linear systems (8 and 9
-respectively); runners build those jets at ``max(order, floor)`` so
-that verdicts do not depend on the requested report order.
+respectively); :func:`_dim_structure` and ``exotic_sl2_check`` build
+those jets at ``max(order, floor)`` (the ``sec3.aff`` exponential member
+three orders higher) so that verdicts do not depend on the report order.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InadmissibleParameters, NonSquareConstant, PreconditionViolated
+from .errors import (InadmissibleParameters, NonSquareConstant,
+                     PreconditionViolated, UnknownCase)
 from .expressions import expand
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
@@ -33,8 +36,9 @@ from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
                       structure_from_pencil)
-from .reports import (INCONSISTENT, CheckResult, failed, leading_term, passed,
-                      recorded, slope_leading_term, zero_check)
+from .reports import (INCONSISTENT, CaseReport, CheckResult, failed,
+                      leading_term, passed, recorded, slope_leading_term,
+                      zero_check)
 from .structures import (DiffeoGerm, ProjectiveStructure, c_star_action,
                          geodesic_solve, is_linearizable, liouville,
                          normalize_D1, pullback, swap_axes)
@@ -46,21 +50,25 @@ _INV_FLOOR = 9
 
 # --- small builders --------------------------------------------------------
 
-def _jet(text, env, order):
-    return expand(text, env, order)
-
-
 def _frac(env, key):
     return Fraction(env[key])
 
 
 def _structure(order, env, a, b, c, d):
-    return ProjectiveStructure(_jet(a, env, order), _jet(b, env, order),
-                               _jet(c, env, order), _jet(d, env, order))
+    return ProjectiveStructure(expand(a, env, order), expand(b, env, order),
+                               expand(c, env, order), expand(d, env, order))
+
+
+def _dim_structure(order, env, *texts):
+    return _structure(max(order, _DIM_FLOOR), env, *texts)
 
 
 def _field(order, a, b, env=None):
     return VectorField(expand(a, env, order), expand(b, env, order))
+
+
+def _nodal_cubic(a, b):
+    return 27 * a ** 2 + 4 * b ** 3 - 12 * b ** 2 + 9 * b - 2
 
 
 # --- shared check builders --------------------------------------------------
@@ -156,7 +164,7 @@ def _lie_factor_check(name, field, pen, row0, rowi):
     return passed(name, "; ".join(parts))
 
 
-def _pencil_battery(pen, want, order, symmetries):
+def _pencil_battery(pen, want, symmetries):
     """Checks shared by every pencil entry.
 
     ``symmetries`` lists (name, field, (row0, row_inf)) where
@@ -187,7 +195,7 @@ def _pencil_battery(pen, want, order, symmetries):
         checks.append(_lie_factor_check("pencil-symmetry:%s" % name,
                                         field, pen, row0, rowi))
         checks.append(_symmetry_check("symmetry:%s" % name, field, st))
-    return st, checks
+    return checks
 
 
 # --- standalone verification ops ---------------------------------------------
@@ -199,9 +207,7 @@ def cubic_curve_residual(gamma):
     value is identically zero in gamma (a degree-6 identity).
     """
     g = Fraction(gamma)
-    a = g * (2 * g * g - 1)
-    b = 2 - 3 * g * g
-    return 27 * a ** 2 + 4 * b ** 3 - 12 * b ** 2 + 9 * b - 2
+    return _nodal_cubic(g * (2 * g * g - 1), 2 - 3 * g * g)
 
 
 def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
@@ -256,8 +262,10 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     (symmetry e^{cy}(alpha d_dx + beta d_dy)); and the C-unit variant
     (alpha0 e^{-x}, 0, e^x, 0) with symmetry -d_dx + (y + c) d_dy.
     """
+    why = _adm_sec3_aff(env, order)
+    if why:
+        raise InadmissibleParameters(why)
     checks = []
-    w = max(order, _DIM_FLOOR)
     X = _field(order, "0", "1")
 
     stab = ("gamma0 * (1 + x)^(-3/2)", "delta0 * (1 + x)^(-1)", "0", "1")
@@ -269,16 +277,10 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
         "v = 2(1+x) d_dx + (y + beta0) d_dy"))
     checks.append(_bracket_check("stabilized:bracket:[d_dy,v]=d_dy", X, v, X))
     checks.append(_dim_check("stabilized:symmetry-dimension",
-                             _structure(w, env, *stab), 2))
+                             _dim_structure(order, env, *stab), 2))
 
     c = _frac(env, "c")
-    if c == 0:
-        raise InadmissibleParameters("c = 0 collapses the exponential symmetry")
     a_jet3 = (1, _frac(env, "a1"), _frac(env, "a2"), _frac(env, "a3"))
-    if a_jet3[2] == c ** 4:
-        raise InadmissibleParameters(
-            "alpha''(0) = c^4 makes B(0) + c^2 = 0, excluded by the "
-            "nondegeneracy hypothesis")
 
     def exponential_member(n):
         al = alpha_ode_solve(c, a_jet3, n)
@@ -328,7 +330,8 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     # A = (a''' - c^4 a')/(4 c^3 a) spends three effective orders on the
     # third derivative, so the dimension count needs jets three higher.
     checks.append(_dim_check("exponential:symmetry-dimension",
-                             exponential_member(w + 3)[1], 2))
+                             exponential_member(max(order, _DIM_FLOOR) + 3)[1],
+                             2))
 
     expc = ("ib_alpha0 * exp(-x)", "0", "exp(x)", "0")
     stb = _structure(order, env, *expc)
@@ -338,7 +341,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_symmetry_check("exp-C:symmetry:d_dy", X, stb))
     checks.append(_bracket_check("exp-C:bracket:[d_dy,v]=d_dy", X, vb, X))
     checks.append(_dim_check("exp-C:symmetry-dimension",
-                             _structure(w, env, *expc), 2))
+                             _dim_structure(order, env, *expc), 2))
     return checks
 
 
@@ -385,15 +388,15 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
     root is reconstructed and checked against the generating function.
     The C-unit family is flattened outright and its pencil rebuilt.
     """
+    why = _adm_remark_flat(env, order)
+    if why:
+        raise InadmissibleParameters(why)
     checks = []
     zero, one = Jet2.zero(order), Jet2.constant(1, order)
     two = Jet2.constant(2, order)
     yvar = Jet2.variable("y", order)
 
-    g = _jet("g", {"g": env["g1"]}, order)
-    if g.constant_term == 0:
-        raise InadmissibleParameters(
-            "g(0) = 0 makes the induced D-slot vanish at the origin")
+    g = expand("g", {"g": env["g1"]}, order)
     ey = exp_series(yvar)
     pen = Pencil(Foliation(ey, g * ey), Foliation(zero, one))
     nf, germ = normalize_D1(structure_from_pencil(pen))
@@ -439,7 +442,7 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
             "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")
             if ok else failed("ia1:root-reconstruction"))
 
-    g2 = _jet("g", {"g": env["g2"]}, order)
+    g2 = expand("g", {"g": env["g2"]}, order)
     pen2 = Pencil(Foliation(-one, -(g2 + yvar)), Foliation(zero, one))
     nf2, _ = normalize_D1(structure_from_pencil(pen2))
     A2, B2 = nf2.A, nf2.B
@@ -466,7 +469,7 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
                       if ok else failed("ia2:root-reconstruction",
                                         leading_term(root2 - gp)))
 
-    ab = _jet("a", {"a": env["a_ib"]}, order)
+    ab = expand("a", {"a": env["a_ib"]}, order)
     stc = ProjectiveStructure(ab, zero, exp_series(Jet2.variable("x", order)),
                               zero)
     flat = pullback(ib_flattening_germ(stc), stc)
@@ -544,8 +547,8 @@ def _run_thm31_ia(env, order):
     texts = ("A", "B", "0", "1")
     st = _structure(order, env, *texts)
     checks = [_symmetry_check("symmetry:d_dy", _field(order, "0", "1"), st)]
-    ap = _jet("A", env, order).d_dx()
-    bp = _jet("B", env, order).d_dx()
+    ap = expand("A", env, order).d_dx()
+    bp = expand("B", env, order).d_dx()
     checks.append(_liouville_check("liouville-map", st,
                                    ap.scale(-3), bp.scale(-3),
                                    "(L1, L2) = (-3A', -3B')"))
@@ -556,14 +559,13 @@ def _run_thm31_ia(env, order):
             "scaling-action:lambda=%s" % lam, pullback(germ, st),
             c_star_action(lam, st),
             "pullback along (lam^2 x, lam y) realizes the weighted scaling"))
-    checks.append(_dim_check(
-        "symmetry-dimension",
-        _structure(max(order, _DIM_FLOOR), env, *texts), 1))
+    checks.append(_dim_check("symmetry-dimension",
+                             _dim_structure(order, env, *texts), 1))
     return checks
 
 
 def _adm_thm31_ib(env, order):
-    prod = _jet("A", env, order) * _jet("exp(x)", None, order)
+    prod = expand("A", env, order) * expand("exp(x)", None, order)
     if prod.d_dx().is_zero():
         return ("A e^x is constant, so the structure gains a second "
                 "symmetry (exponential family)")
@@ -573,8 +575,8 @@ def _adm_thm31_ib(env, order):
 def _run_thm31_ib(env, order):
     texts = ("A", "0", "exp(x)", "0")
     st = _structure(order, env, *texts)
-    ex = _jet("exp(x)", None, order)
-    e2x = _jet("exp(2*x)", None, order)
+    ex = expand("exp(x)", None, order)
+    e2x = expand("exp(2*x)", None, order)
     checks = [_symmetry_check("symmetry:d_dy", _field(order, "0", "1"), st)]
     checks.append(_liouville_check(
         "liouville-computed", st, -ex, e2x.scale(2),
@@ -587,9 +589,8 @@ def _run_thm31_ib(env, order):
     checks.append(passed("not-linearizable",
                          "the pair never vanishes, so no member is flat")
                   if not is_linearizable(st) else failed("not-linearizable"))
-    checks.append(_dim_check(
-        "symmetry-dimension",
-        _structure(max(order, _DIM_FLOOR), env, *texts), 1))
+    checks.append(_dim_check("symmetry-dimension",
+                             _dim_structure(order, env, *texts), 1))
     return checks
 
 
@@ -611,14 +612,14 @@ def _run_thm31_iia(env, order):
               _symmetry_check("symmetry:d_dx+y*d_dy", Y, st),
               _bracket_check("bracket:[X,Y]=X", X, Y, X)]
     a, b = _frac(env, "alpha"), _frac(env, "beta")
-    value = 27 * a * a + 4 * b ** 3 - 12 * b * b + 9 * b - 2
+    value = _nodal_cubic(a, b)
     on_curve = value == 0
     checks.append(recorded(
         "cubic-locus",
         "27 a^2 + 4 b^3 - 12 b^2 + 9 b - 2 = %s%s"
         % (value, "; the member lies on the nodal curve and carries a "
                   "flat pencil" if on_curve else "")))
-    stw = _structure(max(order, _DIM_FLOOR), env, *texts)
+    stw = _dim_structure(order, env, *texts)
     if on_curve:
         dims = symmetry_dim(stw)
         checks.append(recorded(
@@ -638,7 +639,7 @@ def _run_thm31_iib(env, order):
             _symmetry_check("symmetry:d_dx+y*d_dy", Y, st),
             _bracket_check("bracket:[X,Y]=X", X, Y, X),
             _dim_check("symmetry-dimension",
-                       _structure(max(order, _DIM_FLOOR), env, *texts), 2)]
+                       _dim_structure(order, env, *texts), 2)]
 
 
 _MODEL_TEXTS = ("0", "1/2", "0", "exp(-2*x)")
@@ -656,8 +657,7 @@ def _run_thm31_iii(env, order):
             _bracket_check("bracket:[X,Z]=Y", X, Z, Y),
             _bracket_check("bracket:[Y,Z]=Z", Y, Z, Z),
             _dim_check("symmetry-dimension",
-                       _structure(max(order, _DIM_FLOOR), None,
-                                  *_MODEL_TEXTS), 3)]
+                       _dim_structure(order, None, *_MODEL_TEXTS), 3)]
 
 
 _SL3 = (
@@ -689,42 +689,7 @@ def _run_thm31_iv(env, order):
                   if got == 8 else failed("fields-independent", str(got)))
     checks.append(_dim_check(
         "symmetry-dimension",
-        _structure(max(order, _DIM_FLOOR), None, "0", "0", "0", "0"), 8))
-    return checks
-
-
-def _run_thm41_ia1(env, order):
-    g = _jet("g", {"g": env["g"]}, order)
-    zero, one = Jet2.zero(order), Jet2.constant(1, order)
-    ey = exp_series(Jet2.variable("y", order))
-    pen = Pencil(Foliation(ey, g * ey), Foliation(zero, one))
-    want = ProjectiveStructure(zero, zero, one + g.d_dx(), g)
-    syms = [("d_dy", _field(order, "0", "1"),
-             ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
-    return checks
-
-
-def _run_thm41_ia2(env, order):
-    g = _jet("g", {"g": env["g"]}, order)
-    zero, one = Jet2.zero(order), Jet2.constant(1, order)
-    pen = Pencil(Foliation(-one, -(g + Jet2.variable("y", order))),
-                 Foliation(zero, one))
-    want = ProjectiveStructure(zero, zero, g.d_dx(), one)
-    syms = [("d_dy", _field(order, "0", "1"),
-             ((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(0))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
-    return checks
-
-
-def _run_thm41_ib(env, order):
-    g = _jet("g", {"g": env["g"]}, order)
-    zero, one = Jet2.zero(order), Jet2.constant(1, order)
-    pen = Pencil(Foliation(one, g), Foliation(zero, one))
-    want = ProjectiveStructure(zero, zero, g.d_dx(), zero)
-    syms = [("d_dy", _field(order, "0", "1"),
-             ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
+        _dim_structure(order, None, "0", "0", "0", "0"), 8))
     return checks
 
 
@@ -748,29 +713,14 @@ def _adm_thm41_iia(env, order):
     return None
 
 
-def _run_thm41_iia(env, order):
+def _thm41_iia_extra(env, order):
     gm = _frac(env, "gamma")
-    e = {"gamma": env["gamma"]}
-    one = Jet2.constant(1, order)
-    pen = Pencil(
-        Foliation(_jet("exp(x) * (gamma*y + (2*gamma^2 - 1)*exp(x))", e, order),
-                  _jet("-(y + 2*gamma*exp(x))", e, order)),
-        Foliation(_jet("-gamma*exp(x)", e, order), one))
-    want = _structure(order, e, "gamma*(2*gamma^2 - 1)*exp(x)",
-                      "2 - 3*gamma^2", "0", "exp(-2*x)")
-    X, Y = _field(order, "0", "1"), _field(order, "1", "y")
-    syms = [("d_dy", X, ((Fraction(0), Fraction(-1)),
-                         (Fraction(0), Fraction(0)))),
-            ("d_dx+y*d_dy", Y, ((Fraction(2), Fraction(0)),
-                                (Fraction(0), Fraction(1))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
     value = cubic_curve_residual(gm)
-    checks.append(passed("cubic-point",
-                         "(a, b) = (%s, %s) lies on the nodal curve"
-                         % (gm * (2 * gm * gm - 1), 2 - 3 * gm * gm))
-                  if value == 0 else failed("cubic-point", str(value)))
-    checks.append(_cubic_identity_check())
-    return checks
+    return [passed("cubic-point",
+                   "(a, b) = (%s, %s) lies on the nodal curve"
+                   % (gm * (2 * gm * gm - 1), 2 - 3 * gm * gm))
+            if value == 0 else failed("cubic-point", str(value)),
+            _cubic_identity_check()]
 
 
 def _adm_thm41_iib1(env, order):
@@ -780,46 +730,99 @@ def _adm_thm41_iib1(env, order):
     return None
 
 
-def _run_thm41_iib1(env, order):
-    lam = _frac(env, "lam")
-    e = {"lam": env["lam"]}
-    one = Jet2.constant(1, order)
-    pen = Pencil(
-        Foliation(_jet("-((1 - lam)/2) * exp((1 + lam)*x)", e, order),
-                  _jet("exp(lam*x)", e, order)),
-        Foliation(_jet("-((1 + lam)/2) * exp(x)", e, order), one))
-    want = _structure(order, e, "((1 - lam^2)/4) * exp(x)", "0",
-                      "exp(-x)", "0")
-    X, Y = _field(order, "0", "1"), _field(order, "1", "y")
-    syms = [("d_dy", X, ((Fraction(0), Fraction(0)),
-                         (Fraction(0), Fraction(0)))),
-            ("d_dx+y*d_dy", Y, ((1 + lam, Fraction(0)),
-                                (Fraction(0), Fraction(1))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
-    return checks
+def _thm41_iv_extra(env, order):
+    pen0 = Pencil.from_jets(*(expand(text, None, order)
+                              for text in ("-exp(2*x)", "-y", "0", "1")))
+    want0 = _structure(order, None, "0", "2", "0", "exp(-2*x)")
+    return [_structure_check(
+                "gamma-zero-pencil", structure_from_pencil(pen0), want0,
+                "the gamma = 0 exponential pencil induces the excluded "
+                "(0, 2) member"),
+            passed("excluded-member-flat",
+                   "(0, 2, 0, e^{-2x}) has a vanishing obstruction pair")
+            if is_linearizable(want0) else failed("excluded-member-flat")]
 
 
-def _run_thm41_iib2(env, order):
-    one = Jet2.constant(1, order)
-    pen = Pencil(
-        Foliation(_jet("(1 - x/2) * exp(x)", None, order),
-                  Jet2.variable("x", order)),
-        Foliation(_jet("-exp(x)/2", None, order), one))
-    want = _structure(order, None, "exp(x)/4", "0", "exp(-x)", "0")
-    X, Y = _field(order, "0", "1"), _field(order, "1", "y")
-    syms = [("d_dy", X, ((Fraction(0), Fraction(0)),
-                         (Fraction(0), Fraction(0)))),
-            ("d_dx+y*d_dy", Y, ((Fraction(1), Fraction(1)),
-                                (Fraction(0), Fraction(1))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
-    return checks
+_PENCIL_FIELDS = {"d_dy": ("0", "1"), "d_dx+y*d_dy": ("1", "y")}
+
+
+@dataclass(frozen=True)
+class _PencilEntry:
+    """One flat-pencil case as data; calling it runs the case.
+
+    Pencil ``forms`` (P0, Q0, Pinf, Qinf), induced ``quadruple`` and
+    Lie-factor rows are expression text in the sample's environment; a
+    quadruple slot needing g' is a function of the expanded ``g``.
+    ``extra`` gives the checks that follow :func:`_pencil_battery`.
+    """
+
+    forms: tuple
+    quadruple: tuple
+    symmetries: tuple
+    extra: object = lambda env, order: []
+
+    def __call__(self, env, order):
+        def jet(slot):
+            if callable(slot):
+                return slot(expand("g", env, order))
+            return expand(slot, env, order)
+
+        def row(texts):
+            return tuple(expand(t, env, order).constant_term for t in texts)
+
+        syms = [(name, _field(order, *_PENCIL_FIELDS[name]), (row(r0), row(ri)))
+                for name, r0, ri in self.symmetries]
+        pen = Pencil.from_jets(*map(jet, self.forms))
+        want = ProjectiveStructure(*map(jet, self.quadruple))
+        return _pencil_battery(pen, want, syms) + self.extra(env, order)
+
+
+_ZERO_ROW = ("0", "0")
+
+_PENCILS = {
+    "thm41.i.a.1": _PencilEntry(
+        ("exp(y)", "g*exp(y)", "0", "1"),
+        ("0", "0", lambda g: 1 + g.d_dx(), "g"),
+        (("d_dy", ("1", "0"), _ZERO_ROW),)),
+    "thm41.i.a.2": _PencilEntry(
+        ("-1", "-(g + y)", "0", "1"),
+        ("0", "0", lambda g: g.d_dx(), "1"),
+        (("d_dy", ("0", "-1"), _ZERO_ROW),)),
+    "thm41.i.b": _PencilEntry(
+        ("1", "g", "0", "1"),
+        ("0", "0", lambda g: g.d_dx(), "0"),
+        (("d_dy", _ZERO_ROW, _ZERO_ROW),)),
+    "thm41.ii.a": _PencilEntry(
+        ("exp(x) * (gamma*y + (2*gamma^2 - 1)*exp(x))",
+         "-(y + 2*gamma*exp(x))", "-gamma*exp(x)", "1"),
+        ("gamma*(2*gamma^2 - 1)*exp(x)", "2 - 3*gamma^2", "0", "exp(-2*x)"),
+        (("d_dy", ("0", "-1"), _ZERO_ROW),
+         ("d_dx+y*d_dy", ("2", "0"), ("0", "1"))),
+        _thm41_iia_extra),
+    "thm41.ii.b.1": _PencilEntry(
+        ("-((1 - lam)/2) * exp((1 + lam)*x)", "exp(lam*x)",
+         "-((1 + lam)/2) * exp(x)", "1"),
+        ("((1 - lam^2)/4) * exp(x)", "0", "exp(-x)", "0"),
+        (("d_dy", _ZERO_ROW, _ZERO_ROW),
+         ("d_dx+y*d_dy", ("1 + lam", "0"), ("0", "1")))),
+    "thm41.ii.b.2": _PencilEntry(
+        ("(1 - x/2) * exp(x)", "x", "-exp(x)/2", "1"),
+        ("exp(x)/4", "0", "exp(-x)", "0"),
+        (("d_dy", _ZERO_ROW, _ZERO_ROW),
+         ("d_dx+y*d_dy", ("1", "1"), ("0", "1")))),
+    "thm41.iv": _PencilEntry(
+        ("1", "0", "0", "1"),
+        ("0", "0", "0", "0"),
+        (("d_dy", _ZERO_ROW, _ZERO_ROW),
+         ("d_dx+y*d_dy", _ZERO_ROW, ("0", "1"))),
+        _thm41_iv_extra),
+}
 
 
 def _run_thm41_iii(env, order):
     st = _structure(order, None, *_MODEL_TEXTS)
-    a0, b0 = Fraction(0), Fraction(1, 2)
-    value = 27 * a0 ** 2 + 4 * b0 ** 3 - 12 * b0 ** 2 + 9 * b0 - 2
-    checks = [
+    value = _nodal_cubic(Fraction(0), Fraction(1, 2))
+    return [
         passed("cubic-point",
                "the limit values (a, b) = (0, 1/2) satisfy the nodal "
                "cubic equation")
@@ -835,35 +838,8 @@ def _run_thm41_iii(env, order):
                  "rational root; the member is reached only through the "
                  "limit values (0, 1/2) on the nodal curve"),
         _dim_check("symmetry-dimension",
-                   _structure(max(order, _DIM_FLOOR), None, *_MODEL_TEXTS),
-                   3),
+                   _dim_structure(order, None, *_MODEL_TEXTS), 3),
     ]
-    return checks
-
-
-def _run_thm41_iv(env, order):
-    zero, one = Jet2.zero(order), Jet2.constant(1, order)
-    pen = Pencil(Foliation(one, zero), Foliation(zero, one))
-    want = ProjectiveStructure(zero, zero, zero, zero)
-    X, Y = _field(order, "0", "1"), _field(order, "1", "y")
-    syms = [("d_dy", X, ((Fraction(0), Fraction(0)),
-                         (Fraction(0), Fraction(0)))),
-            ("d_dx+y*d_dy", Y, ((Fraction(0), Fraction(0)),
-                                (Fraction(0), Fraction(1))))]
-    _, checks = _pencil_battery(pen, want, order, syms)
-    pen0 = Pencil(Foliation(_jet("-exp(2*x)", None, order),
-                            -Jet2.variable("y", order)),
-                  Foliation(zero, one))
-    want0 = _structure(order, None, "0", "2", "0", "exp(-2*x)")
-    checks.append(_structure_check(
-        "gamma-zero-pencil", structure_from_pencil(pen0), want0,
-        "the gamma = 0 exponential pencil induces the excluded "
-        "(0, 2) member"))
-    checks.append(passed(
-        "excluded-member-flat",
-        "(0, 2, 0, e^{-2x}) has a vanishing obstruction pair")
-        if is_linearizable(want0) else failed("excluded-member-flat"))
-    return checks
 
 
 def _adm_sec3_aff(env, order):
@@ -877,13 +853,9 @@ def _adm_sec3_aff(env, order):
 
 
 def _adm_remark_flat(env, order):
-    if _jet("g", {"g": env["g1"]}, order).constant_term == 0:
+    if expand("g", {"g": env["g1"]}, order).constant_term == 0:
         return "g(0) = 0 makes the induced D-slot vanish at the origin"
     return None
-
-
-def _run_sec3_aff(env, order):
-    return affine_family_checks(env, order)
 
 
 def _run_remark_exotic(env, order):
@@ -914,19 +886,14 @@ def _run_remark_pi0(env, order):
     pair = liouville(st)
     checks.append(passed("not-linearizable", "the obstruction pair is nonzero")
                   if not pair.is_zero() else failed("not-linearizable"))
-    checks.append(_dim_check(
-        "symmetry-dimension",
-        _structure(max(order, _DIM_FLOOR), None, *_PI0_TEXTS), 3))
+    checks.append(_dim_check("symmetry-dimension",
+                             _dim_structure(order, None, *_PI0_TEXTS), 3))
     shifted = ("-(y + 1)^3", "3*x*(y + 1)^2", "-3*x^2*(y + 1)", "x^3")
     checks.append(_dim_check(
         "symmetry-dimension-shifted",
-        _structure(max(order, _DIM_FLOOR), None, *shifted), 3,
+        _dim_structure(order, None, *shifted), 3,
         "recentered at (0, 1), away from the singular point"))
     return checks
-
-
-def _run_remark_flat(env, order):
-    return flat_criteria_checks(env, order)
 
 
 # --- the registry ------------------------------------------------------------
@@ -992,33 +959,33 @@ _RECORDS = (
         "thm41.i.a.1",
         "pencil e^y(dx + g dy), dy inducing (0, 0, 1 + g', g)",
         ({"g": "1"}, {"g": "1 + x"}, {"g": "2 - x/2 + x^2"}),
-        _run_thm41_ia1),
+        _PENCILS["thm41.i.a.1"]),
     CaseRecord(
         "thm41.i.a.2",
         "pencil -(dx + (g + y) dy), dy inducing (0, 0, g', 1)",
         ({"g": "x"}, {"g": "1 + x"}, {"g": "x^2/2 - x"}),
-        _run_thm41_ia2),
+        _PENCILS["thm41.i.a.2"]),
     CaseRecord(
         "thm41.i.b",
         "pencil dx + g dy, dy inducing (0, 0, g', 0)",
         ({"g": "x^2"}, {"g": "x"}, {"g": "1 + x"}),
-        _run_thm41_ib),
+        _PENCILS["thm41.i.b"]),
     CaseRecord(
         "thm41.ii.a",
         "exponential pencil over the nodal cubic "
         "27 a^2 + 4 b^3 - 12 b^2 + 9 b - 2 = 0",
         ({"gamma": "1"}, {"gamma": "1/2"}, {"gamma": "-2"}),
-        _run_thm41_iia, _adm_thm41_iia),
+        _PENCILS["thm41.ii.a"], _adm_thm41_iia),
     CaseRecord(
         "thm41.ii.b.1",
         "exponential pencil pair with weight parameter lam (lam != 0)",
         ({"lam": "3"}, {"lam": "1"}, {"lam": "-1/2"}),
-        _run_thm41_iib1, _adm_thm41_iib1),
+        _PENCILS["thm41.ii.b.1"], _adm_thm41_iib1),
     CaseRecord(
         "thm41.ii.b.2",
         "resonant pencil whose z = 0 member passes through the vertical "
         "direction",
-        ({},), _run_thm41_iib2),
+        ({},), _PENCILS["thm41.ii.b.2"]),
     CaseRecord(
         "thm41.iii",
         "three-symmetry model: on the nodal cubic, but with no rational "
@@ -1028,7 +995,7 @@ _RECORDS = (
         "thm41.iv",
         "coordinate pencil dx, dy for the trivial structure; gamma = 0 "
         "limit of the exponential pencils",
-        ({},), _run_thm41_iv),
+        ({},), _PENCILS["thm41.iv"]),
     CaseRecord(
         "sec3.aff",
         "two-parameter families with a two-dimensional affine symmetry "
@@ -1042,7 +1009,7 @@ _RECORDS = (
          {"gamma0": "1/2", "delta0": "1/3", "beta0": "-1", "c": "-1",
           "a1": "0", "a2": "3", "a3": "1", "ib_alpha0": "1/3",
           "ib_c": "-1"}),
-        _run_sec3_aff, _adm_sec3_aff),
+        affine_family_checks, _adm_sec3_aff),
     CaseRecord(
         "remark.exotic-sl2",
         "twisted sl2 triples preserve only flat structures",
@@ -1061,7 +1028,57 @@ _RECORDS = (
         ({"g1": "1", "g2": "x", "a_ib": "x"},
          {"g1": "1 + x", "g2": "x^2/2 - x", "a_ib": "1 - x/3"},
          {"g1": "2 - x/2 + x^2", "g2": "1 + x", "a_ib": "x^2/2"}),
-        _run_remark_flat, _adm_remark_flat),
+        flat_criteria_checks, _adm_remark_flat),
 )
 
 CASES = {record.id: record for record in _RECORDS}
+
+
+# --- the driver --------------------------------------------------------------
+
+def list_cases():
+    """(id, title, parameter names) for every case, sorted by id."""
+    return [(cid, CASES[cid].title, tuple(sorted(CASES[cid].samples[0])))
+            for cid in sorted(CASES)]
+
+
+def run_case(case_id, params=None, order=DEFAULT_ORDER):
+    """Reports for one case.
+
+    Without ``params`` every sanctioned sample runs; with ``params``
+    the given values (strings, rationals or expression text) are merged
+    over the default sample and that single environment runs.
+    Inadmissible parameter values raise
+    :class:`~projstruct.errors.InadmissibleParameters`.
+    """
+    record = CASES.get(case_id)
+    if record is None:
+        raise UnknownCase("unknown case id %r; known ids: %s"
+                          % (case_id, ", ".join(sorted(CASES))))
+    if params is None:
+        envs = [dict(sample) for sample in record.samples]
+    else:
+        env = dict(record.samples[0])
+        unknown = sorted(set(params) - set(env))
+        if unknown:
+            raise InadmissibleParameters(
+                "%s does not take parameter(s) %s; it takes %s"
+                % (case_id, ", ".join(unknown),
+                   ", ".join(sorted(env)) or "none"))
+        env.update({key: str(value) for key, value in params.items()})
+        envs = [env]
+    reports = []
+    for env in envs:
+        record.check_admissible(env, order)
+        checks = record.runner(env, order)
+        reports.append(CaseReport(case_id, record.title, dict(env), order,
+                                  tuple(checks)))
+    return reports
+
+
+def run_all(order=DEFAULT_ORDER):
+    """Reports for every case at every sanctioned sample, ordered by id."""
+    reports = []
+    for case_id in sorted(CASES):
+        reports.extend(run_case(case_id, None, order))
+    return reports

@@ -39,6 +39,7 @@ from fractions import Fraction
 
 import configparser
 
+from .cases import run_all, run_case
 from .errors import ProjstructError, UnknownCase
 from .expressions import expand
 from .fields import VectorField, is_symmetry, residual, symmetry_dim
@@ -48,7 +49,6 @@ from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
 from .reports import FAIL, render_json, render_text
 from .structures import (ProjectiveStructure, apply_x_reparam, apply_y_shift,
                          apply_y_scale, is_linearizable, liouville)
-from .verify import run_all, run_case
 
 
 class DocumentError(ProjstructError):
@@ -91,8 +91,8 @@ def load_document(path):
             order = int(text)
         except ValueError:
             raise DocumentError("order must be an integer, got %r" % text)
-        if order < 1:
-            raise DocumentError("order must be positive, got %d" % order)
+        if order < 2:
+            raise DocumentError("order must be at least 2, got %d" % order)
 
     params = {}
     if parser.has_section("params"):

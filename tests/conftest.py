@@ -13,7 +13,7 @@ PROP_ORDER = 6
 @pytest.fixture(scope="session")
 def reports12():
     """One shared full verification run at the default working order."""
-    from projstruct.verify import run_all
+    from projstruct import run_all
 
     return run_all(order=12)
 

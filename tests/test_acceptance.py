@@ -42,7 +42,7 @@ from projstruct.structures import (
     normalize_D1,
     pullback,
 )
-from projstruct.verify import alpha_ode_solve, cubic_curve_residual, exotic_sl2_check
+from projstruct import alpha_ode_solve, cubic_curve_residual, exotic_sl2_check
 
 SEED = 20260815
 

@@ -94,6 +94,18 @@ def test_load_document_rejects_incomplete_sections(write):
         load_document(write("[params]\nt = one\n"))
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+@pytest.mark.parametrize("command", ["invariants", "linearizable"])
+def test_document_orders_below_two_exit_3(write, capsys, command, order):
+    # y'' = x has L1 = -3, which an order-1 window cannot see
+    doc = ("[global]\norder = %s\n\n[structure]\nA = \"x\"\nD = \"1\"\n"
+           % order)
+    assert dispatch([command, write(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order must be at least 2, got %s" % order in captured.err
+
+
 def test_document_values_may_be_quoted_or_bare(write):
     quoted = load_document(write('[structure]\nA = "x + 1"\n'))
     bare = load_document(write("[structure]\nA = x + 1\n", "bare.ini"))

@@ -6,8 +6,10 @@ operations (cubic locus, alpha-ODE solver, flattening germ, exotic
 algebra scan).
 """
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from projstruct.errors import (
 from projstruct.expressions import expand
 from projstruct.reports import FAIL, INCONSISTENT, PASS, RECORDED, render_json
 from projstruct.structures import ProjectiveStructure, pullback
-from projstruct.verify import (
+from projstruct import (
     CASES,
     alpha_ode_solve,
     affine_family_checks,
@@ -144,6 +146,15 @@ def test_verdicts_are_independent_of_working_order(reports12):
     assert low == high
 
 
+def test_full_run_json_matches_the_pinned_digest(reports12):
+    # the benchmark pins sha256 of `projstruct verify-paper --json`
+    pinned = (Path(__file__).resolve().parents[1] / "bench"
+              / "registry_expected.json")
+    want = json.loads(pinned.read_text(encoding="utf-8"))["digest"]
+    got = hashlib.sha256(render_json(reports12).encode("utf-8")).hexdigest()
+    assert got == want
+
+
 def test_render_json_is_deterministic_and_schema_stable():
     reports = run_all(order=6)
     text = render_json(reports)
@@ -212,6 +223,19 @@ def test_affine_family_checks_rejects_degenerate_parameters():
     resonant["a2"] = str(Fraction(base["c"]) ** 4)
     with pytest.raises(InadmissibleParameters):
         affine_family_checks(resonant, order=8)
+
+
+def test_standalone_checks_refuse_with_the_registry_messages():
+    for case_id, checks, params in (
+            ("sec3.aff", affine_family_checks, {"c": "0"}),
+            ("sec3.aff", affine_family_checks, {"c": "1", "a2": "1"}),
+            ("remark.flat", flat_criteria_checks, {"g1": "x"})):
+        env = dict(CASES[case_id].samples[0], **params)
+        with pytest.raises(InadmissibleParameters) as direct:
+            checks(env, order=6)
+        with pytest.raises(InadmissibleParameters) as registry:
+            run_case(case_id, params, order=6)
+        assert str(registry.value) == "%s: %s" % (case_id, direct.value)
 
 
 def test_flat_criteria_checks_rejects_non_unit_leading_slope():
