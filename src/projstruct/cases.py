@@ -394,11 +394,10 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
     checks = []
     zero, one = Jet2.zero(order), Jet2.constant(1, order)
     two = Jet2.constant(2, order)
-    yvar = Jet2.variable("y", order)
 
-    g = expand("g", {"g": env["g1"]}, order)
-    ey = exp_series(yvar)
-    pen = Pencil(Foliation(ey, g * ey), Foliation(zero, one))
+    env1 = {"g": env["g1"]}
+    g = expand("g", env1, order)
+    pen = _PENCILS["thm41.i.a.1"].pencil(env1, order)
     nf, germ = normalize_D1(structure_from_pencil(pen))
     A, B = nf.A, nf.B
     u = compose1(g.d_dx(), germ.u)
@@ -442,8 +441,9 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
             "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")
             if ok else failed("ia1:root-reconstruction"))
 
-    g2 = expand("g", {"g": env["g2"]}, order)
-    pen2 = Pencil(Foliation(-one, -(g2 + yvar)), Foliation(zero, one))
+    env2 = {"g": env["g2"]}
+    g2 = expand("g", env2, order)
+    pen2 = _PENCILS["thm41.i.a.2"].pencil(env2, order)
     nf2, _ = normalize_D1(structure_from_pencil(pen2))
     A2, B2 = nf2.A, nf2.B
     gp = g2.d_dx()
@@ -761,6 +761,9 @@ class _PencilEntry:
     symmetries: tuple
     extra: object = lambda env, order: []
 
+    def pencil(self, env, order):
+        return Pencil.from_jets(*(expand(t, env, order) for t in self.forms))
+
     def __call__(self, env, order):
         def jet(slot):
             if callable(slot):
@@ -772,9 +775,9 @@ class _PencilEntry:
 
         syms = [(name, _field(order, *_PENCIL_FIELDS[name]), (row(r0), row(ri)))
                 for name, r0, ri in self.symmetries]
-        pen = Pencil.from_jets(*map(jet, self.forms))
         want = ProjectiveStructure(*map(jet, self.quadruple))
-        return _pencil_battery(pen, want, syms) + self.extra(env, order)
+        return (_pencil_battery(self.pencil(env, order), want, syms)
+                + self.extra(env, order))
 
 
 _ZERO_ROW = ("0", "0")

@@ -42,7 +42,7 @@ import configparser
 from .cases import run_all, run_case
 from .errors import ProjstructError, UnknownCase
 from .expressions import expand
-from .fields import VectorField, is_symmetry, residual, symmetry_dim
+from .fields import VectorField, residual, symmetry_dim
 from .jets import DEFAULT_ORDER, format_jet
 from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
     structure_from_pencil
@@ -177,11 +177,13 @@ def _cmd_symcheck(args):
     if field is None:
         raise DocumentError("no [field %s] section in %s"
                             % (args.field, args.file))
-    if is_symmetry(field, st):
-        print("symmetry: the determining equations vanish at order %d"
-              % doc.order)
-        return 0
     res = residual(field, st)
+    if res.is_zero():
+        # report the degree the zero rests on, not just the working order
+        print("symmetry: the determining equations vanish through degree %d"
+              " (working order %d)"
+              % (min(c.eff for c in res.coeffs), doc.order))
+        return 0
     k = next(k for k in range(res.degree + 1) if not res.coeff(k).is_zero())
     print("not a symmetry: p^%d determining equation has residual %s"
           % (k, format_jet(res.coeff(k))))

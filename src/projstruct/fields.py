@@ -15,10 +15,11 @@ formula transcription.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, perm
 
 from .errors import _ensure
 from .jets import Jet2
-from .linalg import nullspace, rank, solve_affine
+from .linalg import _int_row, nullspace, rank, solve_affine
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure
 
@@ -130,8 +131,11 @@ class SymmetryDimensions:
     """Dimension of the symmetry algebra seen through 2-jets of fields.
 
     Polynomial candidate fields of degree <= n are solved for at two
-    consecutive orders; when both orders agree the count has stabilized
-    (all structures analyzed here stabilize by the default orders).
+    consecutive orders, from one integer system built once for the
+    higher order: the lower-order system is its leading block, and the
+    kernel of that block is extended by one degree.  When both orders
+    agree the count has stabilized (all structures analyzed here
+    stabilize by the default orders).
     """
 
     low_order: int
@@ -149,39 +153,115 @@ class SymmetryDimensions:
 
 
 def symmetry_dim(st, order=7):
-    """Projected symmetry-space dimensions at ``order`` and ``order + 1``."""
-    dims = [_symmetry_dim_at(st, n) for n in (order, order + 1)]
-    return SymmetryDimensions(order, order + 1, dims[0], dims[1])
+    """Projected symmetry-space dimensions at ``order`` and ``order + 1``.
 
-
-def _symmetry_dim_at(st, n):
-    if st.order < n or st.eff < n:
-        raise ValueError("structure jets too short for order %d" % n)
-    sp = _StructureParts(st.truncated(n))
-    monos = _monomials(n)
-    columns = []
-    row_monos = _monomials(n - 2)
-    for slot in range(2):
-        for (i, j) in monos:
-            m = Jet2.monomial(i, j, 1, n)
-            field = VectorField(m if slot == 0 else Jet2.zero(n),
-                                m if slot == 1 else Jet2.zero(n))
-            res = _FieldParts(field).full(sp)
-            col = []
-            for k in range(4):
-                jet = res.coeff(k)
-                for (p, q) in row_monos:
-                    col.append(jet.coeff(p, q))
-            columns.append(col)
-    rows = [[col[r] for col in columns] for r in range(len(columns[0]))]
-    basis = nullspace(rows, len(columns))
-    if not basis:
-        return 0
+    One integer system is built, for the fields of degree <= n + 1 where
+    n = ``order``.  A field of degree d reaches only residual rows of
+    degree d - 2 or more, so the rows of degree <= n - 2 and the fields
+    of degree <= n form a leading block: the order-n system.  Its kernel
+    K gives ``dim_low``; the order-(n + 1) kernel is then the set of
+    (K c, w) with X K c + Y w = 0, where X and Y are the rows of degree
+    n - 1 on the old and the new fields, so a second, small solve
+    extends K to give ``dim_high``.
+    """
+    n = order
+    for m in (n, n + 1):
+        if st.order < m or st.eff < m:
+            raise ValueError("structure jets too short for order %d" % m)
+    columns = _monomial_columns(st, n + 1)[1]
+    low_keys = [key for key in columns if key[1] + key[2] <= n]
+    old = [columns[key] for key in low_keys]
+    new = [col for (_, i, j), col in columns.items() if i + j > n]
+    jet2 = [c for c, (_, i, j) in enumerate(low_keys) if i + j <= 2]
+    kernel = [_int_row(v) for v in nullspace(_rows(old, range(n - 1)),
+                                             len(old))]
+    if not kernel:
+        return SymmetryDimensions(n, n + 1, 0, 0)
     # project solutions onto 2-jet coordinates of the field components
-    proj_idx = [k for k, (i, j) in enumerate(monos) if i + j <= 2]
-    proj_idx += [len(monos) + k for k, (i, j) in enumerate(monos) if i + j <= 2]
-    projected = [[vec[k] for k in proj_idx] for vec in basis]
-    return rank(projected, len(proj_idx))
+    proj = [[v[c] for c in jet2] for v in kernel]
+    # [X K | Y] on the unknowns (c, w): the new fields reach no lower row
+    ext = []
+    for x, y in zip(_rows(old, [n - 1]), _rows(new, [n - 1])):
+        nz = [(c, e) for c, e in enumerate(x) if e]
+        ext.append([sum(e * v[c] for c, e in nz) for v in kernel] + y)
+    high = [[sum(s * p[t] for s, p in zip(sol, proj))
+             for t in range(len(jet2))]
+            for sol in nullspace(ext, len(kernel) + len(new))]
+    return SymmetryDimensions(n, n + 1, rank(proj, len(jet2)),
+                              rank(high, len(jet2)))
+
+
+def _rows(columns, degrees):
+    """Matrix rows of the residual coefficients of the given degrees."""
+    return [[col.get((k, p, d - p), 0) for col in columns]
+            for d in degrees for k in range(4) for p in range(d + 1)]
+
+
+# The residual of a monomial field in closed form.  An entry
+# (k, source, c, dx, dy) of _MONOMIAL_TERMS[slot] says: when component
+# ``slot`` of the field is m = x^i y^j and the other is zero, slot k of the
+# residual contains c * (d/dx)^dx (d/dy)^dy m * source, where source is a
+# coefficient of the structure, its x- or y-derivative, or "1".  This
+# expands _FieldParts(field).full(_StructureParts(st)):
+#   a = m:  R0 = a A_x + 2 a_x A
+#           R1 = a B_x + a_x B + 3 a_y A + a_xx
+#           R2 = a C_x + 2 a_y B + 2 a_xy
+#           R3 = a D_x - a_x D + a_y C + a_yy
+#   b = m:  R0 = b A_y + b_x B - b_y A - b_xx
+#           R1 = b B_y + 2 b_x C - 2 b_xy
+#           R2 = b C_y + 3 b_x D + b_y C - b_yy
+#           R3 = b D_y + 2 b_y D
+_MONOMIAL_TERMS = (
+    ((0, "Ax", 1, 0, 0), (0, "A", 2, 1, 0),
+     (1, "Bx", 1, 0, 0), (1, "B", 1, 1, 0), (1, "A", 3, 0, 1),
+     (1, "1", 1, 2, 0),
+     (2, "Cx", 1, 0, 0), (2, "B", 2, 0, 1), (2, "1", 2, 1, 1),
+     (3, "Dx", 1, 0, 0), (3, "D", -1, 1, 0), (3, "C", 1, 0, 1),
+     (3, "1", 1, 0, 2)),
+    ((0, "Ay", 1, 0, 0), (0, "B", 1, 1, 0), (0, "A", -1, 0, 1),
+     (0, "1", -1, 2, 0),
+     (1, "By", 1, 0, 0), (1, "C", 2, 1, 0), (1, "1", -2, 1, 1),
+     (2, "Cy", 1, 0, 0), (2, "D", 3, 1, 0), (2, "C", 1, 0, 1),
+     (2, "1", -1, 0, 2),
+     (3, "Dy", 1, 0, 0), (3, "D", 2, 0, 1)),
+)
+
+
+def _monomial_columns(st, order):
+    """The determining equations of the fields of degree <= ``order``.
+
+    Returns ``(L, columns)``.  ``columns[slot, i, j]`` is the field whose
+    component ``slot`` (0 for a, 1 for b) is x^i y^j; it maps (k, p, q)
+    with p + q <= order - 2 to L times the x^p y^q coefficient of slot k
+    of its residual, where L is the lcm of the denominators of the
+    structure coefficients used.  Columns come by descending degree.
+    """
+    top = order - 2
+    used = [{k: c for k, c in f.coeffs.items() if sum(k) <= top + 1}
+            for f in st]
+    L = lcm(*(c.denominator for f in used for c in f.values()))
+    src = {"1": {(0, 0): L}}
+    for name, f in zip("ABCD", used):
+        f = {k: c.numerator * (L // c.denominator) for k, c in f.items()}
+        src[name] = {k: v for k, v in f.items() if sum(k) <= top}
+        src[name + "x"] = {(i - 1, j): i * v for (i, j), v in f.items() if i}
+        src[name + "y"] = {(i, j - 1): j * v for (i, j), v in f.items() if j}
+    columns = {}
+    for (i, j) in reversed(_monomials(order)):
+        for slot, terms in enumerate(_MONOMIAL_TERMS):
+            col = {}
+            for k, name, c, dx, dy in terms:
+                w = c * perm(i, dx) * perm(j, dy)
+                if not w:
+                    continue
+                si, sj = i - dx, j - dy
+                lim = top - si - sj
+                for (p, q), v in src[name].items():
+                    if p + q <= lim:
+                        key = (k, p + si, q + sj)
+                        col[key] = col.get(key, 0) + w * v
+            columns[slot, i, j] = col
+    return L, columns
 
 
 @dataclass(frozen=True)

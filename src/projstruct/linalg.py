@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Fraction-free Gauss-Jordan elimination on integer rows (each rational
-row is first scaled by the lcm of its denominators, and rows are divided
-by their gcd after every update, which keeps entries small).  Sizes here
-are a few hundred rows/columns at most, so asymptotics do not matter;
-exactness and predictability do.
+Entries may be ``int`` or ``Fraction``; anything with ``numerator`` and
+``denominator``.  Fraction-free Gauss-Jordan elimination runs on integer
+rows (each row is first scaled by the lcm of its denominators, and rows
+are divided by their gcd after every update, which keeps entries small).
+Sizes here are a few hundred rows/columns at most, so asymptotics do not
+matter; exactness and predictability do.
+
+Pivots are taken column by column, so the column order is the caller's
+lever: it decides which columns become free (one kernel vector each)
+and how much the entries grow on the way.
 """
 
 from fractions import Fraction
@@ -12,14 +17,11 @@ from math import gcd, lcm
 
 
 def _int_row(row):
-    denom = lcm(*(Fraction(v).denominator for v in row)) if row else 1
-    out = [int(Fraction(v) * denom) for v in row]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+    """The row scaled to coprime integers (entries ``int`` or ``Fraction``)."""
+    denom = lcm(*(v.denominator for v in row))
+    out = [v.numerator * (denom // v.denominator) for v in row]
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
 
 
 def _reduce(rows, ncols):
@@ -41,9 +43,7 @@ def _reduce(rows, ncols):
                 continue
             bv = rows[i][c]
             row = [pv * a - bv * b for a, b in zip(rows[i], piv)]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
+            g = gcd(*row)
             rows[i] = [v // g for v in row] if g > 1 else row
         if pv < 0:
             rows[r] = [-v for v in piv]

@@ -148,6 +148,16 @@ def test_symcheck_accepts_a_symmetry(write, capsys):
     assert "symmetry" in capsys.readouterr().out
 
 
+def test_symcheck_reports_the_degree_the_zero_rests_on(write, capsys):
+    # the residual takes two derivatives of the field, so at working
+    # order 6 its coefficients are known through degree 4 only
+    doc = TRIVIAL_DOC.replace("order = 10", "order = 6")
+    assert dispatch(["symcheck", write(doc), "--field", "VERT"]) == 0
+    assert capsys.readouterr().out == (
+        "symmetry: the determining equations vanish through degree 4"
+        " (working order 6)\n")
+
+
 def test_symcheck_rejects_a_non_symmetry(write, capsys):
     assert dispatch(["symcheck", write(TRIVIAL_DOC), "--field", "TILT"]) == 1
     out = capsys.readouterr().out

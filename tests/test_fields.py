@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from projstruct.duals import DualRational, as_dual
 from projstruct.expressions import expand
 from projstruct.fields import (
     VectorField,
+    _monomial_columns,
     invariant_structures,
     is_symmetry,
     lie_bracket,
@@ -14,6 +16,7 @@ from projstruct.fields import (
     symmetry_dim,
 )
 from projstruct.jets import Jet2
+from projstruct.linalg import nullspace, rank
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
 from conftest import PROP_ORDER, jets, structures
@@ -150,6 +153,88 @@ def test_generic_normal_form_keeps_one_symmetry():
     report = symmetry_dim(stq, order=6)
     assert report.stabilized
     assert report.value == 1
+
+
+def monomial_field(slot, i, j, order):
+    m, z = Jet2.monomial(i, j, 1, order), Jet2.zero(order)
+    return VectorField(m, z) if slot == 0 else VectorField(z, m)
+
+
+def reference_dim(stq, n):
+    """The order-n count solved on its own, column by column from
+    ``residual``: the polynomial fields of degree <= n, the residual
+    coefficients of degree <= n - 2, the kernel projected to 2-jets."""
+    monos = [(i, d - i) for d in range(n + 1) for i in range(d, -1, -1)]
+    keys = [(k, p, d - p) for k in range(4) for d in range(n - 1)
+            for p in range(d + 1)]
+    columns = []
+    for slot in range(2):
+        for (i, j) in monos:
+            res = residual(monomial_field(slot, i, j, n), stq.truncated(n))
+            columns.append([res.coeff(k).coeff(p, q) for k, p, q in keys])
+    basis = nullspace([list(row) for row in zip(*columns)], len(columns))
+    proj = [c for c, (i, j) in enumerate(monos + monos) if i + j <= 2]
+    return rank([[v[c] for c in proj] for v in basis], len(proj))
+
+
+@hs.composite
+def order_and_structure(draw):
+    n = draw(hs.integers(2, 6))
+    return n, ProjectiveStructure(*(draw(jets(order=n + 1, max_terms=5))
+                                    for _ in range(4)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(order_and_structure())
+def test_symmetry_dim_matches_per_order_solves(case):
+    n, stq = case
+    report = symmetry_dim(stq, order=n)
+    assert (report.low_order, report.high_order) == (n, n + 1)
+    assert report.dim_low == reference_dim(stq, n)
+    assert report.dim_high == reference_dim(stq, n + 1)
+
+
+@pytest.mark.parametrize("texts,n,dims", [
+    (("0", "0", "0", "0"), 6, (8, 8)),
+    (("x", "0", "0", "1"), 4, (6, 2)),
+    (("0", "0", "exp(-x)", "0"), 6, (2, 2)),
+    (("x^2", "y", "0", "1"), 5, (4, 0)),
+    (("x^2", "y", "0", "1"), 6, (0, 0)),
+])
+def test_symmetry_dim_matches_per_order_solves_on_examples(texts, n, dims):
+    stq = S(*texts)
+    report = symmetry_dim(stq, order=n)
+    assert (report.dim_low, report.dim_high) == dims
+    assert dims == (reference_dim(stq, n), reference_dim(stq, n + 1))
+
+
+def test_symmetry_dim_refuses_short_jets_order_first():
+    with pytest.raises(ValueError, match="too short for order 8$"):
+        symmetry_dim(S("x", "0", "0", "1", order=7))
+    with pytest.raises(ValueError, match="too short for order 7$"):
+        symmetry_dim(S("x", "0", "0", "1", order=6))
+    # the window counts, not only the nominal order
+    short = S("x", "0", "0", "1", order=9).map(lambda f: f.truncated(eff=7))
+    with pytest.raises(ValueError, match="too short for order 8$"):
+        symmetry_dim(short)
+
+
+@settings(deadline=None, max_examples=30)
+@given(structures(max_terms=4), hs.integers(2, PROP_ORDER))
+def test_closed_form_columns_are_scaled_residuals(stq, order):
+    scale, columns = _monomial_columns(stq, order)
+    assert len(columns) == (order + 1) * (order + 2)
+    degrees = [i + j for (_, i, j) in columns]
+    assert degrees == sorted(degrees, reverse=True)
+    for (slot, i, j), col in columns.items():
+        res = residual(monomial_field(slot, i, j, stq.order), stq)
+        for k in range(4):
+            for d in range(order - 1):
+                for p in range(d + 1):
+                    got = col.get((k, p, d - p), 0)
+                    assert isinstance(got, int)
+                    assert Fraction(got, scale) == res.coeff(k).coeff(p, d - p)
+        assert all(p + q <= order - 2 for (_, p, q) in col)
 
 
 # --- invariant structures -----------------------------------------------------------
