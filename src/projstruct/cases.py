@@ -41,7 +41,7 @@ from .reports import (INCONSISTENT, CaseReport, CheckResult, failed,
                       zero_check)
 from .structures import (DiffeoGerm, ProjectiveStructure, c_star_action,
                          geodesic_solve, is_linearizable, liouville,
-                         normalize_D1, pullback, swap_axes)
+                         normalize_D1, pullback)
 
 # Minimum jet orders for the two linear-algebra solves (see module note).
 _DIM_FLOOR = 8
@@ -126,12 +126,6 @@ _SLOPE_CANDIDATES = (Fraction(1, 5), Fraction(1, 2), Fraction(2),
                      Fraction(-1, 3), Fraction(3))
 
 
-def _member_residual(fol, st):
-    if fol.is_vertical_at_origin():
-        return foliation_residual(fol.swapped(), swap_axes(st))
-    return foliation_residual(fol, st)
-
-
 def _first_integral_check(pen, st):
     # The geodesic through the origin keeps every substitution exact at
     # jet level (a nonzero base point would shift truncated series).
@@ -184,7 +178,7 @@ def _pencil_battery(pen, want, symmetries):
         "the pencil induces the listed coefficient quadruple"))
     bad = [z for z in _MEMBER_SAMPLES if not is_geodesic(member(pen, z), st)]
     if bad:
-        res = _member_residual(member(pen, bad[0]), st)
+        res = foliation_residual(member(pen, bad[0]), st)
         checks.append(failed("members-geodesic", slope_leading_term(res),
                              "failing members z in {%s}"
                              % ", ".join(str(z) for z in bad)))
@@ -227,13 +221,7 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
     al = base
     for _ in range(order + 2):
-        d1 = al.d_dx()
-        d2 = d1.d_dx()
-        d3 = d2.d_dx()
-        partial = ((al * d2 - d1 * d1).scale(c ** 4)
-                   - (al * d3 - d1 * d2).scale(3 * c * c)
-                   + d1 * d3 - (d2 * d2).scale(3))
-        d4 = -(partial / al.scale(2))
+        d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
         nxt = base + (d4.integrate_x().integrate_x()
                       .integrate_x().integrate_x())
         if nxt == al:
@@ -242,15 +230,20 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
     return al
 
 
-def _alpha_ode_residual(c, al):
-    c = Fraction(c)
+def _alpha_ode_lower(c, al):
+    """The left side of the quartic alpha-ODE without its 2 a a'''' term."""
     d1 = al.d_dx()
     d2 = d1.d_dx()
     d3 = d2.d_dx()
-    d4 = d3.d_dx()
     return ((al * d2 - d1 * d1).scale(c ** 4)
             - (al * d3 - d1 * d2).scale(3 * c * c)
-            + (al * d4).scale(2) + d1 * d3 - (d2 * d2).scale(3))
+            + d1 * d3 - (d2 * d2).scale(3))
+
+
+def _alpha_ode_residual(c, al):
+    c = Fraction(c)
+    d4 = al.d_dx().d_dx().d_dx().d_dx()
+    return _alpha_ode_lower(c, al) + (al * d4).scale(2)
 
 
 def affine_family_checks(env, order=DEFAULT_ORDER):

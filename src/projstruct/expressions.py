@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnboundParameter, UnsupportedExponent
-from .jets import Jet2, exp_series, sqrt_series
+from .jets import DEFAULT_ORDER, Jet2, exp_series, sqrt_series
 
 
 # --- syntax trees -----------------------------------------------------------
@@ -274,7 +274,6 @@ def expand(e, env=None, order=None):
     syntax trees.  Function-valued parameters are expanded recursively;
     reference cycles raise :class:`UnboundParameter`.
     """
-    from .jets import DEFAULT_ORDER
     order = DEFAULT_ORDER if order is None else order
     if isinstance(e, str):
         e = parse(e)

@@ -11,6 +11,11 @@ Sign convention: ``residual(v, st)`` equals the first-order part of
 coefficient.  The dual-number pullback is the oracle for this in the
 tests, so the convention is pinned mechanically rather than by a
 formula transcription.
+
+Both exact linear solves read their integer equations from one closed
+form of the residual's terms, which are bilinear in (field, structure):
+``symmetry_dim`` solves for polynomial fields, ``invariant_structures``
+for polynomial structures.  ``residual`` is the oracle for that table.
 """
 
 from dataclasses import dataclass
@@ -58,57 +63,28 @@ def lie_bracket(v, w):
                        v.apply(w.b) - w.apply(v.b))
 
 
-class _StructureParts:
-    """Slope data of a structure reused across many residual evaluations."""
-
-    __slots__ = ("f", "fx", "fy", "fp")
-
-    def __init__(self, st):
-        self.f = st.slope_poly()
-        self.fx = self.f.map(lambda c: c.d_dx())
-        self.fy = self.f.map(lambda c: c.d_dy())
-        self.fp = SlopePoly([st.B, 2 * st.C, 3 * st.D])
-
-
-class _FieldParts:
-    """Derivatives of a field reused across many residual evaluations."""
-
-    __slots__ = ("a", "b", "eta", "lead", "inhom")
-
-    def __init__(self, field):
-        a, b = field.a, field.b
-        ax, ay = a.d_dx(), a.d_dy()
-        bx, by = b.d_dx(), b.d_dy()
-        self.a = a
-        self.b = b
-        # first prolongation of the flow acting on the slope
-        self.eta = SlopePoly([bx, by - ax, -ay])
-        # variation of the denominator weight
-        self.lead = SlopePoly([by - 2 * ax, -3 * ay])
-        # second prolongation: the structure-independent part
-        self.inhom = SlopePoly([bx.d_dx(),
-                                2 * bx.d_dy() - ax.d_dx(),
-                                by.d_dy() - 2 * ax.d_dy(),
-                                -ay.d_dy()])
-
-    def linear_part(self, sp):
-        """The terms of the residual that depend on the structure."""
-        out = (sp.fx.scale(self.a) + sp.fy.scale(self.b)
-               + self.eta * sp.fp - self.lead * sp.f)
-        _ensure(out.coeff(4).is_zero(), "slope degree 4 cancels")
-        return SlopePoly([out.coeff(k) for k in range(4)])
-
-    def full(self, sp):
-        return self.linear_part(sp) - self.inhom
-
-
 def residual(field, st):
     """Lie derivative of the structure along the field, as a slope cubic.
 
     Zero (to the effective order) exactly when ``field`` is an
     infinitesimal symmetry of ``st``.
     """
-    return _FieldParts(field).full(_StructureParts(st))
+    a, b = field.a, field.b
+    ax, ay = a.d_dx(), a.d_dy()
+    bx, by = b.d_dx(), b.d_dy()
+    f = st.slope_poly()
+    # first prolongation of the flow acting on the slope
+    eta = SlopePoly([bx, by - ax, -ay])
+    # variation of the denominator weight
+    lead = SlopePoly([by - 2 * ax, -3 * ay])
+    out = (f.map(lambda c: c.d_dx()).scale(a)
+           + f.map(lambda c: c.d_dy()).scale(b)
+           + eta * SlopePoly([st.B, 2 * st.C, 3 * st.D]) - lead * f)
+    _ensure(out.coeff(4).is_zero(), "slope degree 4 cancels")
+    # second prolongation: the structure-independent part
+    inhom = SlopePoly([bx.d_dx(), 2 * bx.d_dy() - ax.d_dx(),
+                       by.d_dy() - 2 * ax.d_dy(), -ay.d_dy()])
+    return SlopePoly([out.coeff(k) for k in range(4)]) - inhom
 
 
 def is_symmetry(field, st):
@@ -197,17 +173,19 @@ def _rows(columns, degrees):
             for d in degrees for k in range(4) for p in range(d + 1)]
 
 
-# The residual of a monomial field in closed form.  An entry
-# (k, source, c, dx, dy) of _MONOMIAL_TERMS[slot] says: when component
-# ``slot`` of the field is m = x^i y^j and the other is zero, slot k of the
-# residual contains c * (d/dx)^dx (d/dy)^dy m * source, where source is a
-# coefficient of the structure, its x- or y-derivative, or "1".  This
-# expands _FieldParts(field).full(_StructureParts(st)):
-#   a = m:  R0 = a A_x + 2 a_x A
+# The residual in closed form: an entry (k, source, c, dx, dy) of
+# _MONOMIAL_TERMS[slot] is the term c * (d/dx)^dx (d/dy)^dy g * source in
+# slot k, where g is field component ``slot`` (0 for a, 1 for b) and
+# source is a structure coefficient, its x- or y-derivative, or "1".
+# Read for symmetry_dim, g = x^i y^j is the unknown; read for
+# invariant_structures, the field is known, the unknown is x^i y^j in one
+# structure slot, and minus the "1" terms (the residual of the zero
+# structure) is the right-hand side.  The table expands residual(field, st):
+#   a = g:  R0 = a A_x + 2 a_x A
 #           R1 = a B_x + a_x B + 3 a_y A + a_xx
 #           R2 = a C_x + 2 a_y B + 2 a_xy
 #           R3 = a D_x - a_x D + a_y C + a_yy
-#   b = m:  R0 = b A_y + b_x B - b_y A - b_xx
+#   b = g:  R0 = b A_y + b_x B - b_y A - b_xx
 #           R1 = b B_y + 2 b_x C - 2 b_xy
 #           R2 = b C_y + 3 b_x D + b_y C - b_yy
 #           R3 = b D_y + 2 b_y D
@@ -226,6 +204,50 @@ _MONOMIAL_TERMS = (
      (3, "Dy", 1, 0, 0), (3, "D", 2, 0, 1)),
 )
 
+# The same terms with both factors spelled alike: (k, c, f, fdx, fdy, s,
+# sdx, sdy) is c times (d/dx)^fdx (d/dy)^fdy of field component f times
+# (d/dx)^sdx (d/dy)^sdy of structure slot s, where slot 4 is the source "1".
+_TERMS = tuple((k, c, f, dx, dy, "ABCD1".index(name[0]),
+                int(name[1:] == "x"), int(name[1:] == "y"))
+               for f, terms in enumerate(_MONOMIAL_TERMS)
+               for k, name, c, dx, dy in terms)
+
+
+def _column(terms, top):
+    """One integer column: the sum over ``terms`` (k, c, i, j, dx, dy,
+    known) of c * (d/dx)^dx (d/dy)^dy x^i y^j * known in slot k of the
+    residual, where x^i y^j is the unknown and ``known`` maps (p, q) to
+    integers.  Keyed (k, p, q), through degree p + q <= ``top``.
+    """
+    col = {}
+    for k, c, i, j, dx, dy, known in terms:
+        w = c * perm(i, dx) * perm(j, dy)
+        if not w:
+            continue
+        si, sj = i - dx, j - dy
+        lim = top - si - sj
+        for (p, q), v in known.items():
+            if p + q <= lim:
+                key = (k, p + si, q + sj)
+                col[key] = col.get(key, 0) + w * v
+    return col
+
+
+def _derivatives(jets, top):
+    """``(L, d)``: ``d[s, dx, dy]`` is L (d/dx)^dx (d/dy)^dy ``jets[s]``
+    as an integer dict, for dx + dy <= 2, from the terms of degree
+    <= ``top``; L is the lcm of their denominators."""
+    used = [{k: c for k, c in f.coeffs.items() if sum(k) <= top}
+            for f in jets]
+    L = lcm(*(c.denominator for f in used for c in f.values()))
+    d = {}
+    for s, f in enumerate(used):
+        f = {k: c.numerator * (L // c.denominator) for k, c in f.items()}
+        for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            d[s, dx, dy] = {(i - dx, j - dy): perm(i, dx) * perm(j, dy) * v
+                            for (i, j), v in f.items() if i >= dx and j >= dy}
+    return L, d
+
 
 def _monomial_columns(st, order):
     """The determining equations of the fields of degree <= ``order``.
@@ -236,32 +258,33 @@ def _monomial_columns(st, order):
     of its residual, where L is the lcm of the denominators of the
     structure coefficients used.  Columns come by descending degree.
     """
-    top = order - 2
-    used = [{k: c for k, c in f.coeffs.items() if sum(k) <= top + 1}
-            for f in st]
-    L = lcm(*(c.denominator for f in used for c in f.values()))
-    src = {"1": {(0, 0): L}}
-    for name, f in zip("ABCD", used):
-        f = {k: c.numerator * (L // c.denominator) for k, c in f.items()}
-        src[name] = {k: v for k, v in f.items() if sum(k) <= top}
-        src[name + "x"] = {(i - 1, j): i * v for (i, j), v in f.items() if i}
-        src[name + "y"] = {(i, j - 1): j * v for (i, j), v in f.items() if j}
+    L, known = _derivatives(st, order - 1)
+    known[4, 0, 0] = {(0, 0): L}
     columns = {}
     for (i, j) in reversed(_monomials(order)):
-        for slot, terms in enumerate(_MONOMIAL_TERMS):
-            col = {}
-            for k, name, c, dx, dy in terms:
-                w = c * perm(i, dx) * perm(j, dy)
-                if not w:
-                    continue
-                si, sj = i - dx, j - dy
-                lim = top - si - sj
-                for (p, q), v in src[name].items():
-                    if p + q <= lim:
-                        key = (k, p + si, q + sj)
-                        col[key] = col.get(key, 0) + w * v
-            columns[slot, i, j] = col
+        for slot in range(2):
+            columns[slot, i, j] = _column(
+                [(k, c, i, j, fdx, fdy, known[s, sdx, sdy])
+                 for k, c, f, fdx, fdy, s, sdx, sdy in _TERMS if f == slot],
+                order - 2)
     return L, columns
+
+
+def _structure_columns(field, degree):
+    """The equations ``field`` puts on the structures of degree <= ``degree``.
+
+    Returns ``(L, columns)``: for each unknown x^i y^j in a structure
+    slot (slot by slot, then ``_monomials(degree)``) the residual's part
+    linear in it, and last the residual of the zero structure.  Each maps
+    (k, p, q) with p + q <= degree - 1 to L times that coefficient, L the
+    lcm of the denominators of the field coefficients used.
+    """
+    L, known = _derivatives((field.a, field.b), degree + 1)
+    unknowns = [(s, i, j) for s in range(4) for (i, j) in _monomials(degree)]
+    return L, [_column([(k, c, i, j, sdx, sdy, known[f, fdx, fdy])
+                        for k, c, f, fdx, fdy, s, sdx, sdy in _TERMS
+                        if s == slot], degree - 1)
+               for slot, i, j in unknowns + [(4, 0, 0)]]
 
 
 @dataclass(frozen=True)
@@ -304,17 +327,12 @@ def _vectorize(st, degree):
     return out
 
 
-def _devectorize(vec, degree, order):
+def _devectorize(vec, degree):
     monos = _monomials(degree)
-    jets = []
-    for s in range(4):
-        terms = {}
-        for k, (i, j) in enumerate(monos):
-            c = vec[s * len(monos) + k]
-            if c:
-                terms[(i, j)] = c
-        jets.append(Jet2.from_terms(terms, order))
-    return ProjectiveStructure(*jets)
+    return ProjectiveStructure(*(
+        Jet2.from_terms({m: vec[s * len(monos) + n]
+                         for n, m in enumerate(monos)}, degree)
+        for s in range(4)))
 
 
 def invariant_structures(fields, degree):
@@ -324,44 +342,24 @@ def invariant_structures(fields, degree):
     The residual is affine in the structure; equating its coefficients
     to zero through total degree ``degree - 1`` gives an exact affine
     system.  Field jets must carry at least ``degree + 3`` orders so
-    every equated coefficient is trustworthy.
+    every equated coefficient is trustworthy.  The equations are the
+    integer columns of ``_structure_columns``, one per field, with the
+    residual of the zero structure, negated, as the right-hand side.
     """
     if not fields:
         raise ValueError("need at least one field")
     work = min(f.order for f in fields)
     if work < degree + 3:
         raise ValueError("field jets too short: need order >= %d" % (degree + 3))
-    parts = [_FieldParts(f) for f in fields]
-    monos = _monomials(degree)
-    row_monos = _monomials(degree - 1)
-    ncols = 4 * len(monos)
     rows = []
     rhs = []
-    zero_st = ProjectiveStructure.zero(work)
-    for part in parts:
-        # the inhomogeneous term: residual(v, 0) = -inhom
-        base_cols = []
-        for slot in range(4):
-            for (i, j) in monos:
-                basis_st = _basis_structure(slot, i, j, work)
-                base_cols.append(part.linear_part(_StructureParts(basis_st)))
-        for k in range(4):
-            inhom_jet = part.inhom.coeff(k)
-            for (p, q) in row_monos:
-                row = []
-                for col in base_cols:
-                    row.append(Fraction(col.coeff(k).coeff(p, q)))
-                rows.append(row)
-                rhs.append(Fraction(inhom_jet.coeff(p, q)))
+    for field in fields:
+        for row in _rows(_structure_columns(field, degree)[1], range(degree)):
+            rows.append(row[:-1])
+            rhs.append(-row[-1])
     consistent, particular, basis = solve_affine(rows, rhs)
     if not consistent:
         return InvariantStructures(False, degree, None, ())
-    part_st = _devectorize(particular, degree, degree)
-    basis_sts = tuple(_devectorize(v, degree, degree) for v in basis)
+    part_st = _devectorize(particular, degree)
+    basis_sts = tuple(_devectorize(v, degree) for v in basis)
     return InvariantStructures(True, degree, part_st, basis_sts)
-
-
-def _basis_structure(slot, i, j, order):
-    jets = [Jet2.zero(order)] * 4
-    jets[slot] = Jet2.monomial(i, j, 1, order)
-    return ProjectiveStructure(*jets)

@@ -75,20 +75,19 @@ def foliation_residual(fol, st):
 
     Zero iff every leaf of the foliation is a geodesic of ``st``.
     Computed for the slope field s = -P/Q as s_x + s s_y - f(x, y, s).
+    A foliation vertical at the origin is handled by exchanging the two
+    coordinate axes, which maps geodesics to geodesics: the residual is
+    then that of ``fol.swapped()`` against ``swap_axes(st)``.
     """
+    if fol.is_vertical_at_origin():
+        return foliation_residual(fol.swapped(), swap_axes(st))
     s = slope(fol)
     rhs = st.A + st.B * s + st.C * s ** 2 + st.D * s ** 3
     return s.d_dx() + s * s.d_dy() - rhs
 
 
 def is_geodesic(fol, st):
-    """Are all leaves of the foliation geodesics of the structure?
-
-    Vertical-at-origin foliations are handled by exchanging the two
-    coordinate axes, which maps geodesics to geodesics.
-    """
-    if fol.is_vertical_at_origin():
-        return is_geodesic(fol.swapped(), swap_axes(st))
+    """Are all leaves of the foliation geodesics of the structure?"""
     return foliation_residual(fol, st).is_zero()
 
 

@@ -353,9 +353,7 @@ def geodesic_solve(st, y0, p0, order=None):
     base = Jet2.constant(y0, order) + x.scale(p0)
     y = base
     for _ in range(order + 2):
-        yp = y.d_dx()
-        rhs = (eval_along(stn.A, y) + eval_along(stn.B, y) * yp
-               + eval_along(stn.C, y) * yp ** 2 + eval_along(stn.D, y) * yp ** 3)
+        rhs = _rhs_along(stn, y)
         ny = base + rhs.integrate_x().integrate_x()
         if ny == y:
             break
@@ -365,7 +363,12 @@ def geodesic_solve(st, y0, p0, order=None):
 
 def geodesic_residual(st, curve):
     """y'' - (A + B y' + C y'^2 + D y'^3) along the curve; zero for geodesics."""
+    return curve.d_dx().d_dx() - _rhs_along(st, curve)
+
+
+def _rhs_along(st, curve):
+    """A + B y' + C y'^2 + D y'^3 along the curve."""
     yp = curve.d_dx()
-    rhs = (eval_along(st.A, curve) + eval_along(st.B, curve) * yp
-           + eval_along(st.C, curve) * yp ** 2 + eval_along(st.D, curve) * yp ** 3)
-    return yp.d_dx() - rhs
+    return (eval_along(st.A, curve) + eval_along(st.B, curve) * yp
+            + eval_along(st.C, curve) * yp ** 2
+            + eval_along(st.D, curve) * yp ** 3)

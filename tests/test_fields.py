@@ -7,8 +7,10 @@ from hypothesis import strategies as hs
 from projstruct.duals import DualRational, as_dual
 from projstruct.expressions import expand
 from projstruct.fields import (
+    InvariantStructures,
     VectorField,
     _monomial_columns,
+    _structure_columns,
     invariant_structures,
     is_symmetry,
     lie_bracket,
@@ -16,7 +18,7 @@ from projstruct.fields import (
     symmetry_dim,
 )
 from projstruct.jets import Jet2
-from projstruct.linalg import nullspace, rank
+from projstruct.linalg import nullspace, rank, solve_affine
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
 from conftest import PROP_ORDER, jets, structures
@@ -263,3 +265,80 @@ def test_structures_preserved_by_affine_pair():
     assert sol.contains(S("0", "0", "exp(-x)", "0", order=7))
     assert sol.contains(S("0", "0", "0", "exp(-2*x)", order=7))
     assert not sol.contains(S("0", "x", "0", "0", order=7))
+
+
+def monomial_structure(slot, i, j, order):
+    jets = [Jet2.zero(order)] * 4
+    jets[slot] = Jet2.monomial(i, j, 1, order)
+    return ProjectiveStructure(*jets)
+
+
+def structure_monomials(degree):
+    return [(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(jets(max_terms=4), jets(max_terms=4), hs.integers(1, PROP_ORDER - 3))
+def test_structure_columns_are_scaled_residuals(a, b, degree):
+    field = VectorField(a, b)
+    scale, columns = _structure_columns(field, degree)
+    monos = structure_monomials(degree)
+    assert len(columns) == 4 * len(monos) + 1
+    base = residual(field, ProjectiveStructure.zero(a.order))
+    # the unknowns slot by slot, then the residual of the zero structure,
+    # whose negation is the right-hand side of invariant_structures
+    wants = [residual(field, monomial_structure(slot, i, j, a.order)) - base
+             for slot in range(4) for (i, j) in monos] + [base]
+    for col, want in zip(columns, wants):
+        assert all(p + q <= degree - 1 for (_, p, q) in col)
+        for k in range(4):
+            for (p, q) in structure_monomials(degree - 1):
+                got = col.get((k, p, q), 0)
+                assert isinstance(got, int)
+                assert Fraction(got, scale) == want.coeff(k).coeff(p, q)
+
+
+def reference_invariant_structures(fields, degree):
+    """The affine system built one basis structure at a time from
+    ``residual``."""
+    order = min(f.order for f in fields)
+    monos = structure_monomials(degree)
+    rows, rhs = [], []
+    for field in fields:
+        base = residual(field, ProjectiveStructure.zero(order))
+        cols = [residual(field, monomial_structure(slot, i, j, order)) - base
+                for slot in range(4) for (i, j) in monos]
+        for k in range(4):
+            for (p, q) in structure_monomials(degree - 1):
+                rows.append([col.coeff(k).coeff(p, q) for col in cols])
+                rhs.append(-base.coeff(k).coeff(p, q))
+    consistent, particular, basis = solve_affine(rows, rhs)
+    if not consistent:
+        return InvariantStructures(False, degree, None, ())
+
+    def structure(vec):
+        return ProjectiveStructure(*(
+            Jet2.from_terms({m: vec[s * len(monos) + n]
+                             for n, m in enumerate(monos)}, degree)
+            for s in range(4)))
+
+    return InvariantStructures(True, degree, structure(particular),
+                               tuple(structure(v) for v in basis))
+
+
+@hs.composite
+def fields_and_degree(draw):
+    degree = draw(hs.integers(1, 4))
+    order = degree + 3
+    fields = [VectorField(draw(jets(order=order, max_terms=3)),
+                          draw(jets(order=order, max_terms=3)))
+              for _ in range(draw(hs.integers(1, 3)))]
+    return fields, degree
+
+
+@settings(deadline=None, max_examples=25)
+@given(fields_and_degree())
+def test_invariant_structures_matches_the_per_basis_reference(case):
+    fields, degree = case
+    assert (invariant_structures(fields, degree)
+            == reference_invariant_structures(fields, degree))

@@ -19,9 +19,10 @@ from projstruct.pencils import (
     slope,
     structure_from_pencil,
 )
-from projstruct.structures import ProjectiveStructure, geodesic_solve
+from projstruct.structures import (ProjectiveStructure, geodesic_solve,
+                                   swap_axes)
 
-from conftest import PROP_ORDER, jets, small_fractions
+from conftest import PROP_ORDER, jets, small_fractions, structures
 
 N = 10
 
@@ -72,6 +73,17 @@ def test_vertical_lines_are_geodesics_via_the_swap():
     assert fol.is_vertical_at_origin()
     assert is_geodesic(fol, S("0", "0", "0", "0"))
     assert not is_geodesic(fol, S("0", "0", "0", "x"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(jets(unit_constant=True, max_terms=2),
+       jets(zero_constant=True, max_terms=2), structures(max_terms=2))
+def test_vertical_foliation_residual_is_the_swapped_one(p, q, stq):
+    fol = Foliation(p, q)
+    assert fol.is_vertical_at_origin()
+    res = foliation_residual(fol, stq)
+    assert res.agree(foliation_residual(fol.swapped(), swap_axes(stq)))
+    assert is_geodesic(fol, stq) == res.is_zero()
 
 
 def test_parabolas_fail_against_the_trivial_structure():

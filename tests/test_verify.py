@@ -9,7 +9,6 @@ algebra scan).
 import hashlib
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +18,8 @@ from projstruct.errors import (
     UnknownCase,
 )
 from projstruct.expressions import expand
-from projstruct.reports import FAIL, INCONSISTENT, PASS, RECORDED, render_json
+from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
+                                render_json, render_text)
 from projstruct.structures import ProjectiveStructure, pullback
 from projstruct import (
     CASES,
@@ -146,13 +146,36 @@ def test_verdicts_are_independent_of_working_order(reports12):
     assert low == high
 
 
-def test_full_run_json_matches_the_pinned_digest(reports12):
-    # the benchmark pins sha256 of `projstruct verify-paper --json`
-    pinned = (Path(__file__).resolve().parents[1] / "bench"
-              / "registry_expected.json")
-    want = json.loads(pinned.read_text(encoding="utf-8"))["digest"]
-    got = hashlib.sha256(render_json(reports12).encode("utf-8")).hexdigest()
-    assert got == want
+# sha256 of `projstruct verify-paper [--json] --order N`; the order-12
+# --json value is also the benchmark's pinned registry digest
+PINNED_DIGESTS = [
+    ("json", 12,
+     "0f584240e9b65719c65c1d3f7667339441b4eabbce2cc53d520f6ff65a2eea91"),
+    ("text", 12,
+     "52bfdf2f66838b4b075f2275b43fa34e092954b86679049dc7387678d343121d"),
+    ("json", 6,
+     "997c89a16e153c4ff7e88d9d954ae45c6b8426b699c21982c9412d87215fd23b"),
+    ("text", 6,
+     "2188ad9e7fe8281d3973138935807c37deaf7205da0e1755440605509952265e"),
+    ("json", 3,
+     "ae321ccd00da1cceff5d58a609779ea8d299e3f8ba76d5e62e472adf09f3b9eb"),
+    ("text", 3,
+     "4f9b4ed2b0581cf962165a58b20d2efc2be06ba0fd006f54485c54a10070642b"),
+]
+
+
+@pytest.fixture(scope="module")
+def reports_by_order(reports12):
+    return {12: reports12, 6: run_all(order=6), 3: run_all(order=3)}
+
+
+@pytest.mark.parametrize("form,order,digest", PINNED_DIGESTS,
+                         ids=["%s-%d" % (f, o) for f, o, _ in PINNED_DIGESTS])
+def test_full_run_json_matches_the_pinned_digest(reports_by_order, form,
+                                                 order, digest):
+    render = render_json if form == "json" else render_text
+    text = render(reports_by_order[order])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_render_json_is_deterministic_and_schema_stable():
