@@ -31,7 +31,8 @@ from .errors import (InadmissibleParameters, NonSquareConstant,
 from .expressions import expand
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
-from .jets import DEFAULT_ORDER, Jet2, compose1, exp_series, sqrt_series
+from .jets import (DEFAULT_ORDER, Jet2, _picard, compose1, exp_series,
+                   sqrt_series)
 from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
@@ -211,7 +212,8 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
             + 2 a a'''' + a' a''' - 3 a''^2 = 0
 
     with prescribed 3-jet ``jet3 = (a(0), a'(0), a''(0), a'''(0))``;
-    a(0) must be a unit.  Picard iteration on the integrated form.
+    a(0) must be a unit.  Picard iteration on the integrated form; each
+    pass fixes one more Taylor coefficient (see ``jets._picard``).
     """
     c = Fraction(c)
     a0, a1, a2, a3 = (Fraction(v) for v in jet3)
@@ -219,15 +221,13 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
         raise PreconditionViolated("alpha(0) must be a unit")
     base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
-    al = base
-    for _ in range(order + 2):
+
+    def step(al):
         d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
-        nxt = base + (d4.integrate_x().integrate_x()
-                      .integrate_x().integrate_x())
-        if nxt == al:
-            break
-        al = nxt
-    return al
+        return base.truncated(al.order) + (d4.integrate_x().integrate_x()
+                                           .integrate_x().integrate_x())
+
+    return _picard(step, base, 4, "alpha solves its Picard pass")
 
 
 def _alpha_ode_lower(c, al):
@@ -346,24 +346,26 @@ def ib_flattening_germ(st):
         psi''' = (3/2) psi''^2/psi' + psi' psi'' (C'/C) o psi
                  - 2 (A C) o psi * psi'^3
 
-    (Picard iteration from psi = x); the subsequent y-shift removes the
-    B-slot, leaving a structure of the form (0, 0, C2(x), 0).
+    (Picard iteration from psi = x, one more Taylor coefficient a pass;
+    see ``jets._picard``); the subsequent y-shift removes the B-slot,
+    leaving a structure of the form (0, 0, C2(x), 0).
     """
     order = st.order
-    x = Jet2.variable("x", order)
     q = st.C.d_dx() / st.C
     m = st.A * st.C
-    psi = x
-    for _ in range(order + 2):
+
+    def step(psi):
+        t = psi.order
         d1 = psi.d_dx()
         d2 = d1.d_dx()
         rhs = ((d2 * d2 / d1).scale(Fraction(3, 2))
-               + d1 * d2 * compose1(q, psi)
-               - (compose1(m, psi) * d1 ** 3).scale(2))
-        nxt = x + rhs.integrate_x().integrate_x().integrate_x()
-        if nxt == psi:
-            break
-        psi = nxt
+               + d1 * d2 * compose1(q.truncated(t), psi)
+               - (compose1(m.truncated(t), psi) * d1 ** 3).scale(2))
+        return (Jet2.variable("x", t)
+                + rhs.integrate_x().integrate_x().integrate_x())
+
+    psi = _picard(step, Jet2.variable("x", order), 3,
+                  "psi solves its Picard pass")
     c1 = compose1(st.C, psi)
     b1 = psi.d_dx().d_dx() / psi.d_dx()
     phi = (-b1 / c1.scale(2)).integrate_x()

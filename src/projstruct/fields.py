@@ -341,16 +341,17 @@ def invariant_structures(fields, degree):
 
     The residual is affine in the structure; equating its coefficients
     to zero through total degree ``degree - 1`` gives an exact affine
-    system.  Field jets must carry at least ``degree + 3`` orders so
-    every equated coefficient is trustworthy.  The equations are the
-    integer columns of ``_structure_columns``, one per field, with the
-    residual of the zero structure, negated, as the right-hand side.
+    system.  Field jets must be known (``order`` and ``eff``) through
+    degree ``degree + 3`` so every equated coefficient is trustworthy.
+    The equations are the integer columns of ``_structure_columns``, one
+    per field, with the residual of the zero structure, negated, as the
+    right-hand side.
     """
     if not fields:
         raise ValueError("need at least one field")
-    work = min(f.order for f in fields)
-    if work < degree + 3:
-        raise ValueError("field jets too short: need order >= %d" % (degree + 3))
+    if min(min(f.a.eff, f.b.eff) for f in fields) < degree + 3:  # eff <= order
+        raise ValueError("field jets too short: need order and eff >= %d"
+                         % (degree + 3))
     rows = []
     rhs = []
     for field in fields:

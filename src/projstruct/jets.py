@@ -16,8 +16,7 @@ bound.  Two bounds are tracked:
 Equality of germs is therefore always a statement "up to the common
 effective order"; use :meth:`Jet2.agree` / :meth:`Jet2.is_zero` for
 mathematical comparisons.  ``==`` is strict structural equality (same
-order, same eff, same coefficients) and is mainly useful in tests and
-fixed-point loops.
+order, same eff, same coefficients) and is mainly useful in tests.
 
 Coefficients are ``fractions.Fraction`` in ordinary use.  All arithmetic
 is written against a minimal protocol (ring ops, equality with 0, an
@@ -35,9 +34,27 @@ and builds one reduced ``Fraction`` per output term.  Other coefficient
 types, such as dual rationals, go through the same loop with their own
 values.  A one-term factor is a shifted scale of the other and needs
 neither.
+
+The series kernels end by construction; none iterates to a fixed point
+under a cap.  A coefficient of degree d of ``inverse``, ``sqrt_series``
+and ``exp_series`` depends only on coefficients of lower degree, so one
+pass by total degree fixes each once (``_graded_solve``):
+
+- ``inverse``: z_k = -(1/u_0) sum_e u_e z_(k-e), on integer numerators;
+- ``sqrt_series``: r_k = (u_k - sum r_p r_q) / (2 r_0), p, q nonconstant;
+- ``exp_series``: d f_k = sum_e deg(e) u_e f_(k-e), from the Euler
+  operator x d/dx + y d/dy, on integer numerators.
+
+``comp_inverse`` is Newton reversion, doubling the precision each pass.
+Series solutions of ODEs climb a staircase of Picard passes
+(``_picard``): pass t runs at truncation t and fixes the degree-t
+coefficient, and a last pass at full order must return its input.  See
+R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
+power series", J. ACM 25 (1978).
 """
 
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -46,6 +63,7 @@ from .errors import (
     NonUnitDivisor,
     NonZeroConstantTerm,
     NotInvertible,
+    _ensure,
 )
 
 DEFAULT_ORDER = 12
@@ -67,6 +85,39 @@ def _numerators(coeffs):
     den = math.lcm(*[c.denominator for c in coeffs.values()])
     return {k: c.numerator * (den // c.denominator)
             for k, c in coeffs.items()}, den
+
+
+def _graded_solve(tail, first, eff, divide=None):
+    """Coefficients w of degree <= eff with w_0 = first and, at degree d > 0,
+    w_k = sum_e tail_e w_(k-e), or ``divide(that sum, d)`` when given.
+
+    ``tail`` has no constant term, so w_k depends only on terms of lower
+    degree: one pass by total degree, in which each finished term pushes
+    its products with the tail onto the keys above it, fixes every
+    coefficient once.  Keys pack as in ``Jet2.__mul__``.
+    """
+    m = eff + 1
+    keys = sorted(tail, key=sum)
+    degrees = [i + j for (i, j) in keys]
+    right = [(i * m + j, tail[(i, j)]) for (i, j) in keys]
+    acc = {0: first}
+    out = {}
+    for d in range(m):
+        pushes = right[:bisect_right(degrees, eff - d)]
+        for i in range(d + 1):
+            k = i * m + d - i
+            w = acc.pop(k, 0)
+            if w == 0:
+                continue
+            if divide is not None and d:
+                w = divide(w, d)
+            out[(i, d - i)] = w
+            for ke, t in pushes:
+                if k + ke in acc:
+                    acc[k + ke] += t * w
+                else:
+                    acc[k + ke] = t * w
+    return out
 
 
 def as_coeff(value):
@@ -277,23 +328,33 @@ class Jet2:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self):
-        """Multiplicative inverse; requires a unit constant term."""
+        """Multiplicative inverse; requires a unit constant term.
+
+        With u = U/den (integer numerators) and c = U_00, the integers
+        Z_k = c^(d+1) (1/U)_k at degree d obey Z_0 = 1 and
+        Z_k = -sum_e c^(deg e - 1) U_e Z_(k-e); then (1/u)_k = den Z_k / c^(d+1).
+        """
         c0 = self.constant_term
         if not _is_unit(c0):
             raise NonUnitDivisor("constant term %r is not invertible" % (c0,))
-        z = Jet2.constant(1 / c0, self.order, self.eff)
-        # Newton iteration z <- z*(2 - u*z) doubles correct digits
-        for _ in range(max(1, self.order.bit_length() + 2)):
-            nz = z * (2 - self * z)
-            if nz == z:
-                break
-            z = nz
-        return z
+        order, eff = self.order, self.eff
+        try:
+            num, den = _numerators(self.coeffs)
+        except AttributeError:  # not rational: the same recurrence on the values
+            inv = 1 / c0
+            tail = {k: -(c * inv) for k, c in self.coeffs.items() if k != (0, 0)}
+            return Jet2._of(_graded_solve(tail, inv, eff), order, eff)
+        c = num.pop((0, 0))
+        scaled = _graded_solve({(i, j): -n * c ** (i + j - 1)
+                                for (i, j), n in num.items()}, 1, eff)
+        return Jet2._of({(i, j): Fraction(den * n, c ** (i + j + 1))
+                         for (i, j), n in scaled.items()}, order, eff)
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
@@ -376,6 +437,16 @@ def substitute(f, u, v):
     ``f``, so coefficients at the top known degree of ``f`` are no
     longer trustworthy.
     """
+    return _substitute_all((f,), u, v)[0]
+
+
+def _substitute_all(fs, u, v):
+    """[substitute(f, u, v) for f in fs], for jets f of one order.
+
+    The powers of u and v, and each product u^i v^j, are built once and
+    shared by every f that has a term x^i y^j.
+    """
+    fs = tuple(fs)
     drift = 0
     for g in (u, v):
         c = g.constant_term
@@ -384,19 +455,52 @@ def substitute(f, u, v):
                 "substitution point %r is not infinitesimal" % (c,))
         if not c == 0:
             drift = 1
-    order = min(f.order, u.order, v.order)
-    eff = min(f.eff, u.eff, v.eff, order) - drift
-    acc = Jet2.zero(order)
-    max_i = max((i for (i, _) in f.coeffs), default=0)
-    max_j = max((j for (_, j) in f.coeffs), default=0)
-    upow = _powers(u.truncated(order), max_i, order)
-    vpow = _powers(v.truncated(order), max_j, order)
-    for (i, j) in sorted(f.coeffs):
-        if i >= len(upow) or j >= len(vpow):
-            continue  # that power is exactly zero to full order
-        term = upow[i] * vpow[j]
-        acc = acc + term.scale(f.coeffs[(i, j)])
-    return Jet2(acc.coeffs, order, min(acc.eff, eff))
+    order = min(u.order, v.order, *(f.order for f in fs))
+    upow = _powers(u.truncated(order),
+                   max((i for f in fs for (i, _) in f.coeffs), default=0), order)
+    vpow = _powers(v.truncated(order),
+                   max((j for f in fs for (_, j) in f.coeffs), default=0), order)
+    products = {}   # (i, j) -> (u^i v^j, its numerators and their lcm)
+    out = []
+    for f in fs:
+        acc_eff = order
+        parts = []
+        for (i, j), c in f.coeffs.items():
+            if i >= len(upow) or j >= len(vpow):
+                continue  # that power is exactly zero to full order
+            if (i, j) not in products:
+                term = upow[i] * vpow[j]
+                try:
+                    products[(i, j)] = (term,) + _numerators(term.coeffs)
+                except AttributeError:
+                    products[(i, j)] = (term, None, None)
+            term, num, den = products[(i, j)]
+            acc_eff = min(acc_eff, term.eff)
+            parts.append((c, term.coeffs, num, den))
+        eff = min(f.eff, u.eff, v.eff, order) - drift
+        out.append(Jet2(_linear_combination(parts), order, min(acc_eff, eff)))
+    return out
+
+
+def _linear_combination(parts):
+    """sum c * t over (c, t, numerators of t, their lcm) as one coefficient dict.
+
+    Over the rationals the sum runs on integers over one common
+    denominator, with one reduced Fraction per output term.
+    """
+    acc = {}
+    if all(num is not None and hasattr(c, "denominator")
+           for c, _, num, _ in parts):
+        den = math.lcm(*[c.denominator * d for c, _, _, d in parts])
+        for c, _, num, d in parts:
+            s = c.numerator * (den // (c.denominator * d))
+            for k, n in num.items():
+                acc[k] = acc[k] + s * n if k in acc else s * n
+        return {k: Fraction(n, den) for k, n in acc.items() if n}
+    for c, coeffs, _, _ in parts:
+        for k, t in coeffs.items():
+            acc[k] = acc[k] + c * t if k in acc else c * t
+    return acc
 
 
 def _powers(g, top, order):
@@ -416,7 +520,12 @@ def compose1(f, g):
 
 
 def comp_inverse(u):
-    """Compositional inverse of a univariate jet u = c1*x + O(x^2)."""
+    """Compositional inverse of a univariate jet u = c1*x + O(x^2).
+
+    Newton reversion v <- v - (u o v - x) / (u' o v): a v right through
+    degree p gives one right through degree 2p + 1, so each pass runs at
+    the next precision of 1, 3, 7, ... up to ``u.eff``.
+    """
     if not u.is_x_only():
         raise NotInvertible("compositional inverse needs an x-only jet")
     if not u.constant_term == 0:
@@ -424,33 +533,64 @@ def comp_inverse(u):
     u1 = u.coeff(1, 0)
     if not _is_unit(u1):
         raise NotInvertible("linear coefficient %r is not invertible" % (u1,))
-    order = u.order
+    order, eff = u.order, u.eff
     x = Jet2.variable("x", order)
-    tail = u - x.scale(u1)  # valuation >= 2
-    inv1 = 1 / u1
-    v = x.scale(inv1)
-    for _ in range(order + 2):
-        nv = (x - compose1(tail, v)).scale(inv1)
-        if nv == v:
-            break
-        v = nv
+    zero = Jet2.zero(order)
+    du = u.d_dx()
+    v = Jet2._of({(1, 0): 1 / as_coeff(u1)}, order, 1)
+    p = 1
+    while p < eff:
+        p = min(eff, 2 * p + 1)
+        w = Jet2(v.coeffs, order, p)
+        uw, dw = _substitute_all((u.truncated(eff=p), du.truncated(eff=p)),
+                                 w, zero)
+        v = w - (uw - x) / dw
     return v
+
+
+def _picard(step, y, first, what):
+    """The fixed point of a Picard pass ``step``, climbing one degree a pass.
+
+    ``step`` takes an iterate right through degree t - 1, where t is its
+    order, and returns one of order t right through degree t.  The passes
+    run at truncations first, first + 1, ..., ``y.order``, so each costs
+    only what its degree needs; one more pass at full order must return
+    its input (``what`` names that check).
+    """
+    order = y.order
+    for t in range(min(first, order), order + 1):
+        y = step(Jet2(y.coeffs, t, y.eff))
+    _ensure(step(y) == y, what)
+    return y
 
 
 # -- analytic series ----------------------------------------------------------
 
 def exp_series(u):
-    """exp(u) for a jet with zero constant term."""
+    """exp(u) for a jet with zero constant term.
+
+    f = exp(u) solves E f = f E u for the Euler operator
+    E = x d/dx + y d/dy; at degree d that reads d f_k = sum_e deg(e) u_e f_(k-e).
+    """
     if not u.constant_term == 0:
         raise NonZeroConstantTerm("exp needs a vanishing constant term")
-    acc = Jet2.constant(1, u.order)
-    term = Jet2.constant(1, u.order)
-    for k in range(1, u.order + 1):
-        term = (term * u).scale(Fraction(1, k))
-        if term.is_zero() and term.eff == u.order:
-            break
-        acc = acc + term
-    return Jet2(acc.coeffs, u.order, min(acc.eff, u.eff))
+    eff = u.eff
+    try:
+        num, den = _numerators(u.coeffs)
+    except AttributeError:  # not rational: the same recurrence on the values
+        tail = {(i, j): (i + j) * c for (i, j), c in u.coeffs.items()}
+        return Jet2._of(_graded_solve(tail, Fraction(1), eff, operator.truediv),
+                        u.order, eff)
+    # With u = U/den, g_k = den^d f_k are the coefficients of exp(V) for
+    # V(x, y) = U(den x, den y)/den, which has integer coefficients, so
+    # d! g_k is an integer and so is h_k = eff! g_k: the division by d
+    # in d h_k = sum_e deg(e) V_e h_(k-e) is exact.
+    top = math.factorial(max(eff, 0))
+    tail = {(i, j): (i + j) * n * den ** (i + j - 1)
+            for (i, j), n in num.items()}
+    scaled = _graded_solve(tail, top, eff, operator.floordiv)
+    return Jet2._of({(i, j): Fraction(n, top * den ** (i + j))
+                     for (i, j), n in scaled.items()}, u.order, eff)
 
 
 def _rational_sqrt(c):
@@ -464,7 +604,12 @@ def _rational_sqrt(c):
 
 
 def sqrt_series(u):
-    """The square root with sqrt(c0) > 0; c0 must be a nonzero rational square."""
+    """The square root with sqrt(c0) > 0; c0 must be a nonzero rational square.
+
+    One pass by total degree: r_k = (u_k - sum r_p r_q) / (2 r_0), the sum
+    over p + q = k with p, q nonconstant.  Each finished r_k pushes its
+    products with the terms before it onto the keys above.
+    """
     c0 = u.constant_term
     if c0 == 0:
         if u.is_zero():
@@ -475,13 +620,26 @@ def sqrt_series(u):
     r0 = _rational_sqrt(c0)
     if r0 is None:
         raise NonSquareConstant("%s is not a rational square" % (c0,))
-    r = Jet2.constant(r0, u.order, u.eff)
-    for _ in range(max(1, u.order.bit_length() + 2)):
-        nr = (r + u / r).scale(Fraction(1, 2))
-        if nr == r:
-            break
-        r = nr
-    return r
+    eff = u.eff
+    m = eff + 1
+    half = 1 / (2 * r0)
+    out = {(0, 0): r0}
+    done, degrees = [], []   # finished nonconstant terms, by degree
+    acc = {}
+    for d in range(1, m):
+        for i in range(d + 1):
+            k = i * m + d - i
+            r = (u.coeff(i, d - i) - acc.pop(k, 0)) * half
+            if r == 0:
+                continue
+            out[(i, d - i)] = r
+            for kq, rq in done[:bisect_right(degrees, eff - d)]:
+                acc[k + kq] = acc.get(k + kq, 0) + 2 * r * rq
+            if 2 * d <= eff:
+                acc[2 * k] = acc.get(2 * k, 0) + r * r
+            done.append((k, r))
+            degrees.append(d)
+    return Jet2._of(out, u.order, eff)
 
 
 # -- printing -----------------------------------------------------------------

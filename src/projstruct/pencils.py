@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import DegenerateWedge, VerticalAtOrigin
 from .jets import Jet2, _is_unit
 from .slopes import SlopePoly
-from .structures import ProjectiveStructure, eval_along, swap_axes
+from .structures import ProjectiveStructure, _all_along, swap_axes
 
 
 class _Infinity:
@@ -154,10 +154,10 @@ def member_value_along(pencil, curve):
     omega_inf pairing does not vanish.
     """
     yp = curve.d_dx()
-    r = (eval_along(pencil.omega0.P, curve)
-         + eval_along(pencil.omega0.Q, curve) * yp)
-    s = (eval_along(pencil.omega_inf.P, curve)
-         + eval_along(pencil.omega_inf.Q, curve) * yp)
+    p0, q0, pi, qi = _all_along((pencil.omega0.P, pencil.omega0.Q,
+                                 pencil.omega_inf.P, pencil.omega_inf.Q), curve)
+    r = p0 + q0 * yp
+    s = pi + qi * yp
     return -r / s
 
 

@@ -19,8 +19,8 @@ from .errors import (
     NotInvertible,
     _ensure,
 )
-from .jets import (Jet2, _is_unit, comp_inverse, compose1, exp_series,
-                   substitute)
+from .jets import (Jet2, _is_unit, _picard, _substitute_all, comp_inverse,
+                   compose1, exp_series)
 from .slopes import SlopePoly
 
 
@@ -102,8 +102,7 @@ class DiffeoGerm:
 
     def compose(self, inner):
         """self after inner: (self . inner)(q) = self(inner(q))."""
-        return DiffeoGerm(substitute(self.u, inner.u, inner.v),
-                          substitute(self.v, inner.u, inner.v))
+        return DiffeoGerm(*_substitute_all((self.u, self.v), inner.u, inner.v))
 
 
 def pullback(germ, st):
@@ -125,17 +124,13 @@ def pullback(germ, st):
     jac = ux * vy - uy * vx
     if not _is_unit(jac.constant_term):
         raise DegenerateJacobian("Jacobian vanishes at the origin")
-
-    def through(f):
-        return substitute(f, u, v)
-
+    a, b, c, d = _substitute_all(st, u, v)
     dn2 = dn * dn
     dn3 = dn2 * dn
     nn2 = nn * nn
     nn3 = nn2 * nn
-    total = (dn3.scale(through(st.A)) + (nn * dn2).scale(through(st.B))
-             + (nn2 * dn).scale(through(st.C)) + nn3.scale(through(st.D))
-             - (p2 * dn - nn * q2))
+    total = (dn3.scale(a) + (nn * dn2).scale(b) + (nn2 * dn).scale(c)
+             + nn3.scale(d) - (p2 * dn - nn * q2))
     _ensure(total.degree <= 3, "pullback stays cubic in the slope")
     jinv = jac.inverse()
     return ProjectiveStructure(*(total.coeff(k) * jinv for k in range(4)))
@@ -156,15 +151,9 @@ def apply_x_reparam(st, psi):
     if not _is_unit(dps.constant_term):
         raise NotInvertible("reparametrization slope vanishes at 0")
     y = Jet2.variable("y", psi.order)
-
-    def through(f):
-        return substitute(f, psi, y)
-
-    a = through(st.A) * dps * dps
-    b = through(st.B) * dps + dps.d_dx() / dps
-    c = through(st.C)
-    d = through(st.D) / dps
-    return ProjectiveStructure(a, b, c, d)
+    ta, tb, tc, td = _substitute_all(st, psi, y)
+    return ProjectiveStructure(ta * dps * dps, tb * dps + dps.d_dx() / dps,
+                               tc, td / dps)
 
 
 def apply_y_shift(st, phi):
@@ -174,11 +163,7 @@ def apply_y_shift(st, phi):
     x = Jet2.variable("x", phi.order)
     y = Jet2.variable("y", phi.order)
     dph = phi.d_dx()
-
-    def through(f):
-        return substitute(f, x, y + phi)
-
-    ta, tb, tc, td = (through(f) for f in st)
+    ta, tb, tc, td = _substitute_all(st, x, y + phi)
     a = ta + tb * dph + tc * dph ** 2 + td * dph ** 3 - dph.d_dx()
     b = tb + 2 * tc * dph + 3 * td * dph ** 2
     c = tc + 3 * td * dph
@@ -193,12 +178,8 @@ def apply_y_scale(st, a0):
         raise DegenerateJacobian("scale factor must be nonzero")
     x = Jet2.variable("x", st.order)
     y = Jet2.variable("y", st.order)
-
-    def through(f):
-        return substitute(f, x, y.scale(a0))
-
-    return ProjectiveStructure(through(st.A) / a0, through(st.B),
-                               through(st.C) * a0, through(st.D) * a0 ** 2)
+    ta, tb, tc, td = _substitute_all(st, x, y.scale(a0))
+    return ProjectiveStructure(ta / a0, tb, tc * a0, td * a0 ** 2)
 
 
 def swap_axes(st):
@@ -333,32 +314,38 @@ def eval_along(f, curve):
     ``curve`` is an x-only jet; its constant term is the exact starting
     height, handled by polynomial recentering (see ``Jet2.shift_y``).
     """
+    return _all_along((f,), curve)[0]
+
+
+def _all_along(fs, curve):
+    """[eval_along(f, curve) for f in fs], for jets f of one order."""
     y0 = curve.constant_term
-    recentred = f.shift_y(y0)
-    x = Jet2.variable("x", min(f.order, curve.order))
-    return substitute(recentred, x, curve - Jet2.constant(y0, curve.order))
+    x = Jet2.variable("x", min(fs[0].order, curve.order))
+    return _substitute_all((f.shift_y(y0) for f in fs), x,
+                           curve - Jet2.constant(y0, curve.order))
 
 
 def geodesic_solve(st, y0, p0, order=None):
     """The geodesic through (0, y0) with slope p0, as an x-only jet.
 
     Picard iteration on y = y0 + p0 x + integral^2 of the right-hand
-    side; each pass fixes at least one more Taylor coefficient.
+    side; each pass fixes one more Taylor coefficient, so pass t runs at
+    truncation t (see ``jets._picard``).  The passes solve for y - y0
+    against the structure recentred at height y0 once, because
+    recentring a truncated structure would change its low terms.
     """
-    order = st.order if order is None else order
-    stn = st.truncated(order)
+    order = st.order if order is None else min(order, st.order)
     y0 = Fraction(y0)
-    p0 = Fraction(p0)
-    x = Jet2.variable("x", order)
-    base = Jet2.constant(y0, order) + x.scale(p0)
-    y = base
-    for _ in range(order + 2):
-        rhs = _rhs_along(stn, y)
-        ny = base + rhs.integrate_x().integrate_x()
-        if ny == y:
-            break
-        y = ny
-    return y
+    recentred = st.truncated(order).map(lambda f: f.shift_y(y0))
+    base = Jet2.variable("x", order).scale(Fraction(p0))
+
+    def step(y):
+        t = y.order
+        rhs = _rhs_along(recentred.truncated(t), y)
+        return base.truncated(t) + rhs.integrate_x().integrate_x()
+
+    return (_picard(step, base, 2, "the geodesic solves its Picard pass")
+            + Jet2.constant(y0, order))
 
 
 def geodesic_residual(st, curve):
@@ -369,6 +356,5 @@ def geodesic_residual(st, curve):
 def _rhs_along(st, curve):
     """A + B y' + C y'^2 + D y'^3 along the curve."""
     yp = curve.d_dx()
-    return (eval_along(st.A, curve) + eval_along(st.B, curve) * yp
-            + eval_along(st.C, curve) * yp ** 2
-            + eval_along(st.D, curve) * yp ** 3)
+    a, b, c, d = _all_along(tuple(st), curve)
+    return a + b * yp + c * yp ** 2 + d * yp ** 3

@@ -267,6 +267,18 @@ def test_structures_preserved_by_affine_pair():
     assert not sol.contains(S("0", "x", "0", "0", order=7))
 
 
+def test_invariant_structures_refuses_a_short_window():
+    # the nominal order suffices (7 = degree + 3), but coefficients past
+    # eff = 2 would be read as zero and give a wrong, confident space
+    v = VectorField(jexp("1 + x^3", order=7), Jet2.variable("y", 7))
+    assert invariant_structures([v], degree=4).consistent
+    short = VectorField(v.a.truncated(eff=2), v.b.truncated(eff=2))
+    with pytest.raises(ValueError, match="too short"):
+        invariant_structures([short], degree=4)
+    with pytest.raises(ValueError, match="too short"):
+        invariant_structures([v, short], degree=4)
+
+
 def monomial_structure(slot, i, j, order):
     jets = [Jet2.zero(order)] * 4
     jets[slot] = Jet2.monomial(i, j, 1, order)

@@ -174,6 +174,15 @@ def test_pow_matches_repeated_product(u, v):
     assert ((u + v) ** 2).agree(u * u + 2 * u * v + v * v)
 
 
+@settings(deadline=None)
+@given(product_factors())
+def test_pow_is_the_repeated_product(u):
+    power = Jet2.constant(1, u.order)
+    for n in range(6):
+        assert u ** n == power
+        power = power * u
+
+
 # --- calculus -------------------------------------------------------------
 
 
