@@ -104,14 +104,9 @@ def _monomials(degree):
 
 @dataclass(frozen=True)
 class SymmetryDimensions:
-    """Dimension of the symmetry algebra seen through 2-jets of fields.
-
-    Polynomial candidate fields of degree <= n are solved for at two
-    consecutive orders, from one integer system built once for the
-    higher order: the lower-order system is its leading block, and the
-    kernel of that block is extended by one degree.  When both orders
-    agree the count has stabilized (all structures analyzed here
-    stabilize by the default orders).
+    """Dimension of the symmetry algebra seen through 2-jets of fields,
+    at two consecutive orders.  When both agree the count has stabilized
+    (all structures analyzed here stabilize by the default orders).
     """
 
     low_order: int
@@ -131,40 +126,37 @@ class SymmetryDimensions:
 def symmetry_dim(st, order=7):
     """Projected symmetry-space dimensions at ``order`` and ``order + 1``.
 
-    One integer system is built, for the fields of degree <= n + 1 where
-    n = ``order``.  A field of degree d reaches only residual rows of
-    degree d - 2 or more, so the rows of degree <= n - 2 and the fields
-    of degree <= n form a leading block: the order-n system.  Its kernel
-    K gives ``dim_low``; the order-(n + 1) kernel is then the set of
-    (K c, w) with X K c + Y w = 0, where X and Y are the rows of degree
-    n - 1 on the old and the new fields, so a second, small solve
-    extends K to give ``dim_high``.
+    The order-m system has the polynomial fields of degree <= m as
+    unknowns and the residual rows of degree <= m - 2.  A field of
+    degree e reaches only rows of degree e - 2 or more, so the kernel
+    K grows one row degree d at a time: the fields of degree d + 2 (all
+    of degree <= 2 at d = 0) join as w, and (K c, w) with X K c + Y w = 0
+    on the rows of degree d, where X and Y are those rows on the old
+    and the new fields.  The first twelve unknowns are the 2-jet fields.
     """
     n = order
+    if n < 2:
+        raise ValueError("symmetry_dim needs order >= 2, got %d" % n)
     for m in (n, n + 1):
         if st.order < m or st.eff < m:
             raise ValueError("structure jets too short for order %d" % m)
     columns = _monomial_columns(st, n + 1)[1]
-    low_keys = [key for key in columns if key[1] + key[2] <= n]
-    old = [columns[key] for key in low_keys]
-    new = [col for (_, i, j), col in columns.items() if i + j > n]
-    jet2 = [c for c, (_, i, j) in enumerate(low_keys) if i + j <= 2]
-    kernel = [_int_row(v) for v in nullspace(_rows(old, range(n - 1)),
-                                             len(old))]
-    if not kernel:
-        return SymmetryDimensions(n, n + 1, 0, 0)
-    # project solutions onto 2-jet coordinates of the field components
-    proj = [[v[c] for c in jet2] for v in kernel]
-    # [X K | Y] on the unknowns (c, w): the new fields reach no lower row
-    ext = []
-    for x, y in zip(_rows(old, [n - 1]), _rows(new, [n - 1])):
-        nz = [(c, e) for c, e in enumerate(x) if e]
-        ext.append([sum(e * v[c] for c, e in nz) for v in kernel] + y)
-    high = [[sum(s * p[t] for s, p in zip(sol, proj))
-             for t in range(len(jet2))]
-            for sol in nullspace(ext, len(kernel) + len(new))]
-    return SymmetryDimensions(n, n + 1, rank(proj, len(jet2)),
-                              rank(high, len(jet2)))
+    seen, kernel, dims = [], [], []
+    for d in range(n):
+        new = [col for (_, i, j), col in columns.items()
+               if max(i + j, 2) == d + 2]
+        ext = []
+        for x, y in zip(_rows(seen, [d]), _rows(new, [d])):
+            nz = [(c, e) for c, e in enumerate(x) if e]
+            ext.append([sum(e * v[c] for c, e in nz) for v in kernel] + y)
+        kernel = [_int_row([sum(a * v[c] for a, v in zip(s, kernel))
+                            for c in range(len(seen))] + s[len(kernel):])
+                  for s in map(_int_row,
+                               nullspace(ext, len(kernel) + len(new)))]
+        seen += new
+        if d >= n - 2:
+            dims.append(rank([v[:12] for v in kernel], 12))
+    return SymmetryDimensions(n, n + 1, *dims)
 
 
 def _rows(columns, degrees):

@@ -82,7 +82,8 @@ def foliation_residual(fol, st):
     if fol.is_vertical_at_origin():
         return foliation_residual(fol.swapped(), swap_axes(st))
     s = slope(fol)
-    rhs = st.A + st.B * s + st.C * s ** 2 + st.D * s ** 3
+    s2 = s * s
+    rhs = st.A + st.B * s + st.C * s2 + st.D * (s2 * s)
     return s.d_dx() + s * s.d_dy() - rhs
 
 

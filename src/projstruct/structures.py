@@ -163,9 +163,10 @@ def apply_y_shift(st, phi):
     x = Jet2.variable("x", phi.order)
     y = Jet2.variable("y", phi.order)
     dph = phi.d_dx()
+    dph2 = dph * dph
     ta, tb, tc, td = _substitute_all(st, x, y + phi)
-    a = ta + tb * dph + tc * dph ** 2 + td * dph ** 3 - dph.d_dx()
-    b = tb + 2 * tc * dph + 3 * td * dph ** 2
+    a = ta + tb * dph + tc * dph2 + td * (dph2 * dph) - dph.d_dx()
+    b = tb + 2 * tc * dph + 3 * td * dph2
     c = tc + 3 * td * dph
     d = td
     return ProjectiveStructure(a, b, c, d)
@@ -356,5 +357,6 @@ def geodesic_residual(st, curve):
 def _rhs_along(st, curve):
     """A + B y' + C y'^2 + D y'^3 along the curve."""
     yp = curve.d_dx()
+    yp2 = yp * yp
     a, b, c, d = _all_along(tuple(st), curve)
-    return a + b * yp + c * yp ** 2 + d * yp ** 3
+    return a + b * yp + c * yp2 + d * (yp2 * yp)

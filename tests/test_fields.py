@@ -221,6 +221,28 @@ def test_symmetry_dim_refuses_short_jets_order_first():
         symmetry_dim(short)
 
 
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_symmetry_dim_rejects_orders_below_two(order):
+    # A = x, D = 1 has a 1-dimensional algebra; below order 2 there is no
+    # residual row to count it with
+    with pytest.raises(ValueError, match="order >= 2, got %d$" % order):
+        symmetry_dim(S("x", "0", "0", "1"), order)
+
+
+def test_symmetry_dim_grows_the_kernel_in_small_systems(monkeypatch):
+    heights = []
+
+    def recording(rows, ncols):
+        heights.append(len(rows))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr("projstruct.fields.nullspace", recording)
+    report = symmetry_dim(S("x", "0", "0", "1"), 7)
+    assert (report.dim_low, report.dim_high) == (1, 1)
+    # one solve per residual degree d, on its 4 (d + 1) <= 4 * 7 rows
+    assert heights == [4 * (d + 1) for d in range(7)]
+
+
 @settings(deadline=None, max_examples=30)
 @given(structures(max_terms=4), hs.integers(2, PROP_ORDER))
 def test_closed_form_columns_are_scaled_residuals(stq, order):
