@@ -6,8 +6,15 @@ vector fields are symmetries, that their bracket tables close, that the
 stabilized symmetry dimensions match, that each pencil of foliations
 induces the stated cubic equation (with its members geodesic and the
 pencil parameter a first integral), and that the squared first-order
-flatness identities hold after normalization.  The flat pencils are
-rows of one table, ``_PENCILS``.
+flatness identities hold after normalization.
+
+Cases that share a shape are data rows of ``_RECORDS``: a
+``_PencilEntry`` holds a flat pencil, an ``_AlgebraEntry`` a structure
+with its named symmetry fields, bracket table and symmetry dimension.
+Every field is named once, with its formula, in ``_FIELDS``.  What
+differs between cases stays code: each row's ``extra`` checks, and the
+batteries ``affine_family_checks``, ``flat_criteria_checks`` and
+``exotic_sl2_check``.
 
 Statements that fail mechanically are reported with the
 ``paper-inconsistent`` verdict together with the computed value — never
@@ -18,9 +25,10 @@ command; rendering lives in :mod:`projstruct.reports`.
 
 Working-order note: dimension counts and invariant-structure solves
 need jets of a minimum order to cut their linear systems (8 and 9
-respectively); :func:`_dim_structure` and ``exotic_sl2_check`` build
-those jets at ``max(order, floor)`` (the ``sec3.aff`` exponential member
-three orders higher) so that verdicts do not depend on the report order.
+respectively); :func:`_dim_structure` (for every dimension check) and
+``exotic_sl2_check`` build those jets at ``max(order, floor)`` (the
+``sec3.aff`` exponential member three orders higher) so that verdicts do
+not depend on the report order.
 """
 
 from dataclasses import dataclass
@@ -40,9 +48,9 @@ from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
 from .reports import (INCONSISTENT, CaseReport, CheckResult, failed,
                       leading_term, passed, recorded, slope_leading_term,
                       zero_check)
-from .structures import (DiffeoGerm, ProjectiveStructure, c_star_action,
-                         geodesic_solve, is_linearizable, liouville,
-                         normalize_D1, pullback)
+from .structures import (DiffeoGerm, LiouvillePair, ProjectiveStructure,
+                         c_star_action, geodesic_solve, is_linearizable,
+                         liouville, normalize_D1, pullback)
 
 # Minimum jet orders for the two linear-algebra solves (see module note).
 _DIM_FLOOR = 8
@@ -81,30 +89,18 @@ def _symmetry_check(name, field, st, detail=""):
     return failed(name, slope_leading_term(res), detail)
 
 
-def _bracket_check(name, left, right, want):
-    got = lie_bracket(left, right)
-    da, db = got.a - want.a, got.b - want.b
-    if da.is_zero() and db.is_zero():
-        return passed(name)
-    bad = db if da.is_zero() else da
-    return failed(name, leading_term(bad))
+def _agree_check(name, got, want, detail="", slots="ABCD"):
+    """Pass when ``got`` and ``want`` agree in each named jet slot.
 
-
-def _structure_check(name, got, want, detail=""):
-    for label, g, w in zip("ABCD", got, want):
-        diff = g - w
+    A failure reports the leading term of the first slot that differs,
+    and names that slot when there is no ``detail``.  The default slots
+    are a structure's; a field has "ab", a Liouville pair ("L1", "L2").
+    """
+    for slot in slots:
+        diff = getattr(got, slot) - getattr(want, slot)
         if not diff.is_zero():
             return failed(name, leading_term(diff),
-                          detail or ("%s-slot differs" % label))
-    return passed(name, detail)
-
-
-def _liouville_check(name, st, want_l1, want_l2, detail=""):
-    pair = liouville(st)
-    for got, want in ((pair.L1, want_l1), (pair.L2, want_l2)):
-        diff = got - want
-        if not diff.is_zero():
-            return failed(name, leading_term(diff), detail)
+                          detail or ("%s-slot differs" % slot))
     return passed(name, detail)
 
 
@@ -174,7 +170,7 @@ def _pencil_battery(pen, want, symmetries):
     else:
         checks.append(failed("wedge-unit", leading_term(wedge)))
     st = structure_from_pencil(pen)
-    checks.append(_structure_check(
+    checks.append(_agree_check(
         "derived-structure", st, want,
         "the pencil induces the listed coefficient quadruple"))
     bad = [z for z in _MEMBER_SAMPLES if not is_geodesic(member(pen, z), st)]
@@ -259,7 +255,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     if why:
         raise InadmissibleParameters(why)
     checks = []
-    X = _field(order, "0", "1")
+    X = _field(order, *_FIELDS["d_dy"])
 
     stab = ("gamma0 * (1 + x)^(-3/2)", "delta0 * (1 + x)^(-1)", "0", "1")
     st = _structure(order, env, *stab)
@@ -268,7 +264,8 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_symmetry_check(
         "stabilized:symmetry:v", v, st,
         "v = 2(1+x) d_dx + (y + beta0) d_dy"))
-    checks.append(_bracket_check("stabilized:bracket:[d_dy,v]=d_dy", X, v, X))
+    checks.append(_agree_check("stabilized:bracket:[d_dy,v]=d_dy",
+                               lie_bracket(X, v), X, slots="ab"))
     checks.append(_dim_check("stabilized:symmetry-dimension",
                              _dim_structure(order, env, *stab), 2))
 
@@ -299,8 +296,8 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
         "v = e^{cy}(alpha d_dx + beta d_dy), beta = (alpha' - c^2 alpha)/(2c)"))
     checks.append(_symmetry_check("exponential:symmetry:d_dy", X, pi))
     cv = VectorField(vexp.a.scale(c), vexp.b.scale(c))
-    checks.append(_bracket_check("exponential:bracket:[d_dy,v]=c*v",
-                                 X, vexp, cv))
+    checks.append(_agree_check("exponential:bracket:[d_dy,v]=c*v",
+                               lie_bracket(X, vexp), cv, slots="ab"))
     A, B = pi.A, pi.B
     Bp = B.d_dx()
     denom = B + Jet2.constant(c * c, order)
@@ -332,7 +329,8 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_symmetry_check("exp-C:symmetry:v", vb, stb,
                                   "v = -d_dx + (y + ib_c) d_dy"))
     checks.append(_symmetry_check("exp-C:symmetry:d_dy", X, stb))
-    checks.append(_bracket_check("exp-C:bracket:[d_dy,v]=d_dy", X, vb, X))
+    checks.append(_agree_check("exp-C:bracket:[d_dy,v]=d_dy",
+                               lie_bracket(X, vb), X, slots="ab"))
     checks.append(_dim_check("exp-C:symmetry-dimension",
                              _dim_structure(order, env, *expc), 2))
     return checks
@@ -392,7 +390,7 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
 
     env1 = {"g": env["g1"]}
     g = expand("g", env1, order)
-    pen = _PENCILS["thm41.i.a.1"].pencil(env1, order)
+    pen = CASES["thm41.i.a.1"].runner.pencil(env1, order)
     nf, germ = normalize_D1(structure_from_pencil(pen))
     A, B = nf.A, nf.B
     u = compose1(g.d_dx(), germ.u)
@@ -438,7 +436,7 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
 
     env2 = {"g": env["g2"]}
     g2 = expand("g", env2, order)
-    pen2 = _PENCILS["thm41.i.a.2"].pencil(env2, order)
+    pen2 = CASES["thm41.i.a.2"].runner.pencil(env2, order)
     nf2, _ = normalize_D1(structure_from_pencil(pen2))
     A2, B2 = nf2.A, nf2.B
     gp = g2.d_dx()
@@ -474,7 +472,7 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
         "the psi''' equation and a y-shift empty the A, B, D slots")
         if off is None else failed("ib:reduction-to-C-only", leading_term(off)))
     pen3 = Pencil(Foliation(one, flat.C.integrate_x()), Foliation(zero, one))
-    checks.append(_structure_check(
+    checks.append(_agree_check(
         "ib:pencil-roundtrip", structure_from_pencil(pen3), flat,
         "the pencil dx + (int C) dy, dy regenerates the flattened structure"))
     return checks
@@ -493,13 +491,13 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
     c1, c2 = Fraction(c1), Fraction(c2)
     w = max(order, _INV_FLOOR)
     env = {"c1": c1, "c2": c2}
-    X = _field(w, "0", "1")
-    Y = _field(w, "1", "y")
+    X = _field(w, *_FIELDS["d_dy"])
+    Y = _field(w, *_FIELDS["d_dx+y*d_dy"])
     Z = _field(w, "y + c1 * exp(x)", "y^2/2 + c2 * exp(2*x)", env)
     checks = [
-        _bracket_check("bracket:[X,Y]=X", X, Y, X),
-        _bracket_check("bracket:[X,Z]=Y", X, Z, Y),
-        _bracket_check("bracket:[Y,Z]=Z", Y, Z, Z),
+        _agree_check("bracket:[X,Y]=X", lie_bracket(X, Y), X, slots="ab"),
+        _agree_check("bracket:[X,Z]=Y", lie_bracket(X, Z), Y, slots="ab"),
+        _agree_check("bracket:[Y,Z]=Z", lie_bracket(Y, Z), Z, slots="ab"),
     ]
     inv = invariant_structures([X, Y, Z], degree=6)
     if not inv.consistent:
@@ -536,26 +534,117 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
     return checks
 
 
-# --- case runners ------------------------------------------------------------
+# --- the catalogue rows ----------------------------------------------------
 
-def _run_thm31_ia(env, order):
-    texts = ("A", "B", "0", "1")
-    st = _structure(order, env, *texts)
-    checks = [_symmetry_check("symmetry:d_dy", _field(order, "0", "1"), st)]
-    ap = expand("A", env, order).d_dx()
-    bp = expand("B", env, order).d_dx()
-    checks.append(_liouville_check("liouville-map", st,
-                                   ap.scale(-3), bp.scale(-3),
-                                   "(L1, L2) = (-3A', -3B')"))
+# Every named symmetry field: check name -> (d/dx, d/dy) coefficients.
+_FIELDS = {
+    "d_dx": ("1", "0"),
+    "d_dy": ("0", "1"),
+    "x*d_dx": ("x", "0"),
+    "y*d_dx": ("y", "0"),
+    "x*d_dy": ("0", "x"),
+    "y*d_dy": ("0", "y"),
+    "x*(x*d_dx+y*d_dy)": ("x^2", "x*y"),
+    "y*(x*d_dx+y*d_dy)": ("x*y", "y^2"),
+    "d_dx+y*d_dy": ("1", "y"),
+    "y*d_dx+y^2/2*d_dy": ("y", "y^2/2"),
+    "-x/2*d_dx+y/2*d_dy": ("-x/2", "y/2"),
+    "-y/2*d_dx": ("-y/2", "0"),
+}
+
+
+def _no_extra(*_):
+    return []
+
+
+@dataclass(frozen=True)
+class _AlgebraEntry:
+    """One symmetry-algebra case as data; calling it runs the case.
+
+    The structure ``quadruple`` is expression text in the sample's
+    environment; ``fields`` names its symmetries in ``_FIELDS``, and each
+    ``brackets`` row (label, i, j, k) states [F_i, F_j] = F_k.  Then come
+    ``extra(env, order, st, fields, wide)``, where ``wide`` is the
+    structure at the dimension floor, and last the check that the
+    symmetry dimension is ``dim`` (None: ``extra`` states it).
+    """
+
+    quadruple: tuple
+    fields: tuple
+    brackets: tuple = ()
+    dim: object = None
+    extra: object = _no_extra
+
+    def __call__(self, env, order):
+        st = _structure(order, env, *self.quadruple)
+        wide = _dim_structure(order, env, *self.quadruple)
+        fields = [_field(order, *_FIELDS[name]) for name in self.fields]
+        checks = [_symmetry_check("symmetry:" + name, field, st)
+                  for name, field in zip(self.fields, fields)]
+        checks += [_agree_check("bracket:" + label,
+                                lie_bracket(fields[i], fields[j]), fields[k],
+                                slots="ab")
+                   for label, i, j, k in self.brackets]
+        checks += self.extra(env, order, st, fields, wide)
+        if self.dim is not None:
+            checks.append(_dim_check("symmetry-dimension", wide, self.dim))
+        return checks
+
+
+@dataclass(frozen=True)
+class _PencilEntry:
+    """One flat-pencil case as data; calling it runs the case.
+
+    Pencil ``forms`` (P0, Q0, Pinf, Qinf), induced ``quadruple`` and
+    Lie-factor rows are expression text in the sample's environment; a
+    quadruple slot needing g' is a function of the expanded ``g``.
+    ``symmetries`` rows (name, row0, row_inf) name their field in
+    ``_FIELDS``; ``extra`` gives the checks that follow
+    :func:`_pencil_battery`.
+    """
+
+    forms: tuple
+    quadruple: tuple
+    symmetries: tuple
+    extra: object = _no_extra
+
+    def pencil(self, env, order):
+        return Pencil.from_jets(*(expand(t, env, order) for t in self.forms))
+
+    def __call__(self, env, order):
+        def jet(slot):
+            if callable(slot):
+                return slot(expand("g", env, order))
+            return expand(slot, env, order)
+
+        def row(texts):
+            return tuple(expand(t, env, order).constant_term for t in texts)
+
+        syms = [(name, _field(order, *_FIELDS[name]), (row(r0), row(ri)))
+                for name, r0, ri in self.symmetries]
+        want = ProjectiveStructure(*map(jet, self.quadruple))
+        return (_pencil_battery(self.pencil(env, order), want, syms)
+                + self.extra(env, order))
+
+
+_SL2_BRACKETS = (("[X,Y]=X", 0, 1, 0), ("[X,Z]=Y", 0, 2, 1),
+                 ("[Y,Z]=Z", 1, 2, 2))
+_ZERO_ROW = ("0", "0")
+
+
+# --- what differs between rows ---------------------------------------------
+
+def _thm31_ia_extra(env, order, st, fields, wide):
+    want = LiouvillePair(st.A.d_dx().scale(-3), st.B.d_dx().scale(-3))
+    checks = [_agree_check("liouville-map", liouville(st), want,
+                           "(L1, L2) = (-3A', -3B')", ("L1", "L2"))]
     for lam in (Fraction(2), Fraction(1, 3)):
         germ = DiffeoGerm(Jet2.variable("x", order).scale(lam * lam),
                           Jet2.variable("y", order).scale(lam))
-        checks.append(_structure_check(
+        checks.append(_agree_check(
             "scaling-action:lambda=%s" % lam, pullback(germ, st),
             c_star_action(lam, st),
             "pullback along (lam^2 x, lam y) realizes the weighted scaling"))
-    checks.append(_dim_check("symmetry-dimension",
-                             _dim_structure(order, env, *texts), 1))
     return checks
 
 
@@ -567,26 +656,21 @@ def _adm_thm31_ib(env, order):
     return None
 
 
-def _run_thm31_ib(env, order):
-    texts = ("A", "0", "exp(x)", "0")
-    st = _structure(order, env, *texts)
-    ex = expand("exp(x)", None, order)
-    e2x = expand("exp(2*x)", None, order)
-    checks = [_symmetry_check("symmetry:d_dy", _field(order, "0", "1"), st)]
-    checks.append(_liouville_check(
-        "liouville-computed", st, -ex, e2x.scale(2),
-        "the computed pair is (-e^x, 2 e^{2x}) for every A"))
+def _thm31_ib_extra(env, order, st, fields, wide):
     pair = liouville(st)
-    checks.append(CheckResult(
-        "liouville-as-displayed", INCONSISTENT, leading_term(pair.L1),
-        "displayed pairs (0, 2 e^{2x}) and (-e^{-x}, -2 e^{-2x}) disagree "
-        "with each other and with the computed (-e^x, 2 e^{2x})"))
-    checks.append(passed("not-linearizable",
-                         "the pair never vanishes, so no member is flat")
-                  if not is_linearizable(st) else failed("not-linearizable"))
-    checks.append(_dim_check("symmetry-dimension",
-                             _dim_structure(order, env, *texts), 1))
-    return checks
+    want = LiouvillePair(-st.C, expand("exp(2*x)", None, order).scale(2))
+    return [
+        _agree_check("liouville-computed", pair, want,
+                     "the computed pair is (-e^x, 2 e^{2x}) for every A",
+                     ("L1", "L2")),
+        CheckResult(
+            "liouville-as-displayed", INCONSISTENT, leading_term(pair.L1),
+            "displayed pairs (0, 2 e^{2x}) and (-e^{-x}, -2 e^{-2x}) "
+            "disagree with each other and with the computed "
+            "(-e^x, 2 e^{2x})"),
+        passed("not-linearizable",
+               "the pair never vanishes, so no member is flat")
+        if not pair.is_zero() else failed("not-linearizable")]
 
 
 def _adm_thm31_iia(env, order):
@@ -599,93 +683,34 @@ def _adm_thm31_iia(env, order):
     return None
 
 
-def _run_thm31_iia(env, order):
-    texts = ("alpha * exp(x)", "beta", "0", "exp(-2*x)")
-    st = _structure(order, env, *texts)
-    X, Y = _field(order, "0", "1"), _field(order, "1", "y")
-    checks = [_symmetry_check("symmetry:d_dy", X, st),
-              _symmetry_check("symmetry:d_dx+y*d_dy", Y, st),
-              _bracket_check("bracket:[X,Y]=X", X, Y, X)]
-    a, b = _frac(env, "alpha"), _frac(env, "beta")
-    value = _nodal_cubic(a, b)
+def _thm31_iia_extra(env, order, st, fields, wide):
+    value = _nodal_cubic(_frac(env, "alpha"), _frac(env, "beta"))
     on_curve = value == 0
-    checks.append(recorded(
+    checks = [recorded(
         "cubic-locus",
         "27 a^2 + 4 b^3 - 12 b^2 + 9 b - 2 = %s%s"
         % (value, "; the member lies on the nodal curve and carries a "
-                  "flat pencil" if on_curve else "")))
-    stw = _dim_structure(order, env, *texts)
+                  "flat pencil" if on_curve else ""))]
     if on_curve:
-        dims = symmetry_dim(stw)
+        dims = symmetry_dim(wide)
         checks.append(recorded(
             "symmetry-dimension",
             "measured %s/%s on the nodal curve (recorded, not asserted)"
             % (dims.dim_low, dims.dim_high)))
     else:
-        checks.append(_dim_check("symmetry-dimension", stw, 2))
+        checks.append(_dim_check("symmetry-dimension", wide, 2))
     return checks
 
-
-def _run_thm31_iib(env, order):
-    texts = ("alpha * exp(x)", "0", "exp(-x)", "0")
-    st = _structure(order, env, *texts)
-    X, Y = _field(order, "0", "1"), _field(order, "1", "y")
-    return [_symmetry_check("symmetry:d_dy", X, st),
-            _symmetry_check("symmetry:d_dx+y*d_dy", Y, st),
-            _bracket_check("bracket:[X,Y]=X", X, Y, X),
-            _dim_check("symmetry-dimension",
-                       _dim_structure(order, env, *texts), 2)]
-
-
-_MODEL_TEXTS = ("0", "1/2", "0", "exp(-2*x)")
-
-
-def _run_thm31_iii(env, order):
-    st = _structure(order, None, *_MODEL_TEXTS)
-    X = _field(order, "0", "1")
-    Y = _field(order, "1", "y")
-    Z = _field(order, "y", "y^2/2")
-    return [_symmetry_check("symmetry:d_dy", X, st),
-            _symmetry_check("symmetry:d_dx+y*d_dy", Y, st),
-            _symmetry_check("symmetry:y*d_dx+y^2/2*d_dy", Z, st),
-            _bracket_check("bracket:[X,Y]=X", X, Y, X),
-            _bracket_check("bracket:[X,Z]=Y", X, Z, Y),
-            _bracket_check("bracket:[Y,Z]=Z", Y, Z, Z),
-            _dim_check("symmetry-dimension",
-                       _dim_structure(order, None, *_MODEL_TEXTS), 3)]
-
-
-_SL3 = (
-    ("d_dx", "1", "0"),
-    ("d_dy", "0", "1"),
-    ("x*d_dx", "x", "0"),
-    ("y*d_dx", "y", "0"),
-    ("x*d_dy", "0", "x"),
-    ("y*d_dy", "0", "y"),
-    ("x*(x*d_dx+y*d_dy)", "x^2", "x*y"),
-    ("y*(x*d_dx+y*d_dy)", "x*y", "y^2"),
-)
 
 _JET2_MONOS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _run_thm31_iv(env, order):
-    st = _structure(order, None, "0", "0", "0", "0")
-    checks = []
-    rows = []
-    for name, a, b in _SL3:
-        f = _field(order, a, b)
-        checks.append(_symmetry_check("symmetry:%s" % name, f, st))
-        rows.append([f.a.coeff(i, j) for (i, j) in _JET2_MONOS]
-                    + [f.b.coeff(i, j) for (i, j) in _JET2_MONOS])
+def _thm31_iv_extra(env, order, st, fields, wide):
+    rows = [[part.coeff(i, j) for part in (f.a, f.b) for (i, j) in _JET2_MONOS]
+            for f in fields]
     got = rank(rows, 2 * len(_JET2_MONOS))
-    checks.append(passed("fields-independent",
-                         "the eight 2-jets have rank 8")
-                  if got == 8 else failed("fields-independent", str(got)))
-    checks.append(_dim_check(
-        "symmetry-dimension",
-        _dim_structure(order, None, "0", "0", "0", "0"), 8))
-    return checks
+    return [passed("fields-independent", "the eight 2-jets have rank 8")
+            if got == 8 else failed("fields-independent", str(got))]
 
 
 _CUBIC_POINTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -725,119 +750,36 @@ def _adm_thm41_iib1(env, order):
     return None
 
 
+def _thm41_iii_extra(env, order, st, fields, wide):
+    value = _nodal_cubic(Fraction(0), Fraction(1, 2))
+    family = CASES["thm31.ii.a"].runner.quadruple
+    return [
+        passed("cubic-point",
+               "the limit values (a, b) = (0, 1/2) satisfy the nodal "
+               "cubic equation")
+        if value == 0 else failed("cubic-point", str(value)),
+        _agree_check(
+            "limit-structure", st,
+            _structure(order, {"alpha": "0", "beta": "1/2"}, *family),
+            "the exponential-family expressions at (0, 1/2) give the "
+            "three-symmetry model"),
+        recorded("no-rational-pencil",
+                 "the curve parameter solves 2 gamma^2 = 1, which has no "
+                 "rational root; the member is reached only through the "
+                 "limit values (0, 1/2) on the nodal curve")]
+
+
 def _thm41_iv_extra(env, order):
     pen0 = Pencil.from_jets(*(expand(text, None, order)
                               for text in ("-exp(2*x)", "-y", "0", "1")))
     want0 = _structure(order, None, "0", "2", "0", "exp(-2*x)")
-    return [_structure_check(
+    return [_agree_check(
                 "gamma-zero-pencil", structure_from_pencil(pen0), want0,
                 "the gamma = 0 exponential pencil induces the excluded "
                 "(0, 2) member"),
             passed("excluded-member-flat",
                    "(0, 2, 0, e^{-2x}) has a vanishing obstruction pair")
             if is_linearizable(want0) else failed("excluded-member-flat")]
-
-
-_PENCIL_FIELDS = {"d_dy": ("0", "1"), "d_dx+y*d_dy": ("1", "y")}
-
-
-@dataclass(frozen=True)
-class _PencilEntry:
-    """One flat-pencil case as data; calling it runs the case.
-
-    Pencil ``forms`` (P0, Q0, Pinf, Qinf), induced ``quadruple`` and
-    Lie-factor rows are expression text in the sample's environment; a
-    quadruple slot needing g' is a function of the expanded ``g``.
-    ``extra`` gives the checks that follow :func:`_pencil_battery`.
-    """
-
-    forms: tuple
-    quadruple: tuple
-    symmetries: tuple
-    extra: object = lambda env, order: []
-
-    def pencil(self, env, order):
-        return Pencil.from_jets(*(expand(t, env, order) for t in self.forms))
-
-    def __call__(self, env, order):
-        def jet(slot):
-            if callable(slot):
-                return slot(expand("g", env, order))
-            return expand(slot, env, order)
-
-        def row(texts):
-            return tuple(expand(t, env, order).constant_term for t in texts)
-
-        syms = [(name, _field(order, *_PENCIL_FIELDS[name]), (row(r0), row(ri)))
-                for name, r0, ri in self.symmetries]
-        want = ProjectiveStructure(*map(jet, self.quadruple))
-        return (_pencil_battery(self.pencil(env, order), want, syms)
-                + self.extra(env, order))
-
-
-_ZERO_ROW = ("0", "0")
-
-_PENCILS = {
-    "thm41.i.a.1": _PencilEntry(
-        ("exp(y)", "g*exp(y)", "0", "1"),
-        ("0", "0", lambda g: 1 + g.d_dx(), "g"),
-        (("d_dy", ("1", "0"), _ZERO_ROW),)),
-    "thm41.i.a.2": _PencilEntry(
-        ("-1", "-(g + y)", "0", "1"),
-        ("0", "0", lambda g: g.d_dx(), "1"),
-        (("d_dy", ("0", "-1"), _ZERO_ROW),)),
-    "thm41.i.b": _PencilEntry(
-        ("1", "g", "0", "1"),
-        ("0", "0", lambda g: g.d_dx(), "0"),
-        (("d_dy", _ZERO_ROW, _ZERO_ROW),)),
-    "thm41.ii.a": _PencilEntry(
-        ("exp(x) * (gamma*y + (2*gamma^2 - 1)*exp(x))",
-         "-(y + 2*gamma*exp(x))", "-gamma*exp(x)", "1"),
-        ("gamma*(2*gamma^2 - 1)*exp(x)", "2 - 3*gamma^2", "0", "exp(-2*x)"),
-        (("d_dy", ("0", "-1"), _ZERO_ROW),
-         ("d_dx+y*d_dy", ("2", "0"), ("0", "1"))),
-        _thm41_iia_extra),
-    "thm41.ii.b.1": _PencilEntry(
-        ("-((1 - lam)/2) * exp((1 + lam)*x)", "exp(lam*x)",
-         "-((1 + lam)/2) * exp(x)", "1"),
-        ("((1 - lam^2)/4) * exp(x)", "0", "exp(-x)", "0"),
-        (("d_dy", _ZERO_ROW, _ZERO_ROW),
-         ("d_dx+y*d_dy", ("1 + lam", "0"), ("0", "1")))),
-    "thm41.ii.b.2": _PencilEntry(
-        ("(1 - x/2) * exp(x)", "x", "-exp(x)/2", "1"),
-        ("exp(x)/4", "0", "exp(-x)", "0"),
-        (("d_dy", _ZERO_ROW, _ZERO_ROW),
-         ("d_dx+y*d_dy", ("1", "1"), ("0", "1")))),
-    "thm41.iv": _PencilEntry(
-        ("1", "0", "0", "1"),
-        ("0", "0", "0", "0"),
-        (("d_dy", _ZERO_ROW, _ZERO_ROW),
-         ("d_dx+y*d_dy", _ZERO_ROW, ("0", "1"))),
-        _thm41_iv_extra),
-}
-
-
-def _run_thm41_iii(env, order):
-    st = _structure(order, None, *_MODEL_TEXTS)
-    value = _nodal_cubic(Fraction(0), Fraction(1, 2))
-    return [
-        passed("cubic-point",
-               "the limit values (a, b) = (0, 1/2) satisfy the nodal "
-               "cubic equation")
-        if value == 0 else failed("cubic-point", str(value)),
-        _structure_check(
-            "limit-structure", st,
-            _structure(order, {"alpha": "0", "beta": "1/2"},
-                       "alpha * exp(x)", "beta", "0", "exp(-2*x)"),
-            "the exponential-family expressions at (0, 1/2) give the "
-            "three-symmetry model"),
-        recorded("no-rational-pencil",
-                 "the curve parameter solves 2 gamma^2 = 1, which has no "
-                 "rational root; the member is reached only through the "
-                 "limit values (0, 1/2) on the nodal curve"),
-        _dim_check("symmetry-dimension",
-                   _dim_structure(order, None, *_MODEL_TEXTS), 3),
-    ]
 
 
 def _adm_sec3_aff(env, order):
@@ -860,38 +802,20 @@ def _run_remark_exotic(env, order):
     return exotic_sl2_check(env["c1"], env["c2"], order)
 
 
-_PI0_TEXTS = ("-y^3", "3*x*y^2", "-3*x^2*y", "x^3")
-
-
-def _run_remark_pi0(env, order):
-    st = _structure(order, None, *_PI0_TEXTS)
-    T1 = _field(order, "0", "x")
-    T2 = _field(order, "-x/2", "y/2")
-    T3 = _field(order, "-y/2", "0")
-    checks = [
-        _symmetry_check("symmetry:x*d_dy", T1, st),
-        _symmetry_check("symmetry:-x/2*d_dx+y/2*d_dy", T2, st),
-        _symmetry_check("symmetry:-y/2*d_dx", T3, st),
-        _bracket_check("bracket:[T1,T2]=T1", T1, T2, T1),
-        _bracket_check("bracket:[T1,T3]=T2", T1, T3, T2),
-        _bracket_check("bracket:[T2,T3]=T3", T2, T3, T3),
-    ]
+def _remark_pi0_extra(env, order, st, fields, wide):
     vanish = all(f.a.constant_term == 0 and f.b.constant_term == 0
-                 for f in (T1, T2, T3))
-    checks.append(passed("algebra-singular-at-origin",
-                         "all three fields vanish at the origin")
-                  if vanish else failed("algebra-singular-at-origin"))
-    pair = liouville(st)
-    checks.append(passed("not-linearizable", "the obstruction pair is nonzero")
-                  if not pair.is_zero() else failed("not-linearizable"))
-    checks.append(_dim_check("symmetry-dimension",
-                             _dim_structure(order, None, *_PI0_TEXTS), 3))
+                 for f in fields)
     shifted = ("-(y + 1)^3", "3*x*(y + 1)^2", "-3*x^2*(y + 1)", "x^3")
-    checks.append(_dim_check(
-        "symmetry-dimension-shifted",
-        _dim_structure(order, None, *shifted), 3,
-        "recentered at (0, 1), away from the singular point"))
-    return checks
+    return [
+        passed("algebra-singular-at-origin",
+               "all three fields vanish at the origin")
+        if vanish else failed("algebra-singular-at-origin"),
+        passed("not-linearizable", "the obstruction pair is nonzero")
+        if not is_linearizable(st) else failed("not-linearizable"),
+        _dim_check("symmetry-dimension", wide, 3),
+        _dim_check("symmetry-dimension-shifted",
+                   _dim_structure(order, None, *shifted), 3,
+                   "recentered at (0, 1), away from the singular point")]
 
 
 # --- the registry ------------------------------------------------------------
@@ -926,12 +850,15 @@ _RECORDS = (
         ({"A": "x", "B": "0"},
          {"A": "1 + x", "B": "x^2"},
          {"A": "x - x^2/2", "B": "1/3 + x"}),
-        _run_thm31_ia),
+        _AlgebraEntry(("A", "B", "0", "1"), ("d_dy",), (), 1,
+                      _thm31_ia_extra)),
     CaseRecord(
         "thm31.i.b",
         "normal form (A(x), 0, e^x, 0): one symmetry, never flat",
         ({"A": "x"}, {"A": "1 - x/3"}, {"A": "x^2/2"}),
-        _run_thm31_ib, _adm_thm31_ib),
+        _AlgebraEntry(("A", "0", "exp(x)", "0"), ("d_dy",), (), 1,
+                      _thm31_ib_extra),
+        _adm_thm31_ib),
     CaseRecord(
         "thm31.ii.a",
         "normal form (a e^x, b, 0, e^{-2x}): affine symmetry pair",
@@ -939,61 +866,102 @@ _RECORDS = (
          {"alpha": "2", "beta": "-1"},
          {"alpha": "-1/2", "beta": "1/3"},
          {"alpha": "1", "beta": "-1"}),
-        _run_thm31_iia, _adm_thm31_iia),
+        _AlgebraEntry(("alpha * exp(x)", "beta", "0", "exp(-2*x)"),
+                      ("d_dy", "d_dx+y*d_dy"), _SL2_BRACKETS[:1], None,
+                      _thm31_iia_extra),
+        _adm_thm31_iia),
     CaseRecord(
         "thm31.ii.b",
         "normal form (a e^x, 0, e^{-x}, 0): affine symmetry pair",
         ({"alpha": "1"}, {"alpha": "-2"}, {"alpha": "1/3"}),
-        _run_thm31_iib),
+        _AlgebraEntry(("alpha * exp(x)", "0", "exp(-x)", "0"),
+                      ("d_dy", "d_dx+y*d_dy"), _SL2_BRACKETS[:1], 2)),
     CaseRecord(
         "thm31.iii",
         "homogeneous model (0, 1/2, 0, e^{-2x}): three-dimensional algebra",
-        ({},), _run_thm31_iii),
+        ({},),
+        _AlgebraEntry(("0", "1/2", "0", "exp(-2*x)"),
+                      ("d_dy", "d_dx+y*d_dy", "y*d_dx+y^2/2*d_dy"),
+                      _SL2_BRACKETS, 3)),
     CaseRecord(
         "thm31.iv",
         "trivial equation y'' = 0: full eight-dimensional algebra",
-        ({},), _run_thm31_iv),
+        ({},),
+        _AlgebraEntry(("0", "0", "0", "0"),
+                      ("d_dx", "d_dy", "x*d_dx", "y*d_dx", "x*d_dy", "y*d_dy",
+                       "x*(x*d_dx+y*d_dy)", "y*(x*d_dx+y*d_dy)"),
+                      (), 8, _thm31_iv_extra)),
     CaseRecord(
         "thm41.i.a.1",
         "pencil e^y(dx + g dy), dy inducing (0, 0, 1 + g', g)",
         ({"g": "1"}, {"g": "1 + x"}, {"g": "2 - x/2 + x^2"}),
-        _PENCILS["thm41.i.a.1"]),
+        _PencilEntry(("exp(y)", "g*exp(y)", "0", "1"),
+                     ("0", "0", lambda g: 1 + g.d_dx(), "g"),
+                     (("d_dy", ("1", "0"), _ZERO_ROW),))),
     CaseRecord(
         "thm41.i.a.2",
         "pencil -(dx + (g + y) dy), dy inducing (0, 0, g', 1)",
         ({"g": "x"}, {"g": "1 + x"}, {"g": "x^2/2 - x"}),
-        _PENCILS["thm41.i.a.2"]),
+        _PencilEntry(("-1", "-(g + y)", "0", "1"),
+                     ("0", "0", lambda g: g.d_dx(), "1"),
+                     (("d_dy", ("0", "-1"), _ZERO_ROW),))),
     CaseRecord(
         "thm41.i.b",
         "pencil dx + g dy, dy inducing (0, 0, g', 0)",
         ({"g": "x^2"}, {"g": "x"}, {"g": "1 + x"}),
-        _PENCILS["thm41.i.b"]),
+        _PencilEntry(("1", "g", "0", "1"),
+                     ("0", "0", lambda g: g.d_dx(), "0"),
+                     (("d_dy", _ZERO_ROW, _ZERO_ROW),))),
     CaseRecord(
         "thm41.ii.a",
         "exponential pencil over the nodal cubic "
         "27 a^2 + 4 b^3 - 12 b^2 + 9 b - 2 = 0",
         ({"gamma": "1"}, {"gamma": "1/2"}, {"gamma": "-2"}),
-        _PENCILS["thm41.ii.a"], _adm_thm41_iia),
+        _PencilEntry(
+            ("exp(x) * (gamma*y + (2*gamma^2 - 1)*exp(x))",
+             "-(y + 2*gamma*exp(x))", "-gamma*exp(x)", "1"),
+            ("gamma*(2*gamma^2 - 1)*exp(x)", "2 - 3*gamma^2", "0",
+             "exp(-2*x)"),
+            (("d_dy", ("0", "-1"), _ZERO_ROW),
+             ("d_dx+y*d_dy", ("2", "0"), ("0", "1"))),
+            _thm41_iia_extra),
+        _adm_thm41_iia),
     CaseRecord(
         "thm41.ii.b.1",
         "exponential pencil pair with weight parameter lam (lam != 0)",
         ({"lam": "3"}, {"lam": "1"}, {"lam": "-1/2"}),
-        _PENCILS["thm41.ii.b.1"], _adm_thm41_iib1),
+        _PencilEntry(
+            ("-((1 - lam)/2) * exp((1 + lam)*x)", "exp(lam*x)",
+             "-((1 + lam)/2) * exp(x)", "1"),
+            ("((1 - lam^2)/4) * exp(x)", "0", "exp(-x)", "0"),
+            (("d_dy", _ZERO_ROW, _ZERO_ROW),
+             ("d_dx+y*d_dy", ("1 + lam", "0"), ("0", "1")))),
+        _adm_thm41_iib1),
     CaseRecord(
         "thm41.ii.b.2",
         "resonant pencil whose z = 0 member passes through the vertical "
         "direction",
-        ({},), _PENCILS["thm41.ii.b.2"]),
+        ({},),
+        _PencilEntry(("(1 - x/2) * exp(x)", "x", "-exp(x)/2", "1"),
+                     ("exp(x)/4", "0", "exp(-x)", "0"),
+                     (("d_dy", _ZERO_ROW, _ZERO_ROW),
+                      ("d_dx+y*d_dy", ("1", "1"), ("0", "1"))))),
     CaseRecord(
         "thm41.iii",
         "three-symmetry model: on the nodal cubic, but with no rational "
         "pencil",
-        ({},), _run_thm41_iii),
+        ({},),
+        _AlgebraEntry(("0", "1/2", "0", "exp(-2*x)"), (), (), 3,
+                      _thm41_iii_extra)),
     CaseRecord(
         "thm41.iv",
         "coordinate pencil dx, dy for the trivial structure; gamma = 0 "
         "limit of the exponential pencils",
-        ({},), _PENCILS["thm41.iv"]),
+        ({},),
+        _PencilEntry(("1", "0", "0", "1"), ("0", "0", "0", "0"),
+                     (("d_dy", _ZERO_ROW, _ZERO_ROW),
+                      ("d_dx+y*d_dy", _ZERO_ROW, ("0", "1"))),
+                     _thm41_iv_extra)),
     CaseRecord(
         "sec3.aff",
         "two-parameter families with a two-dimensional affine symmetry "
@@ -1018,7 +986,12 @@ _RECORDS = (
         "remark.pi0",
         "cubic equation y'' = (x y' - y)^3: three symmetries, all "
         "vanishing at the origin",
-        ({},), _run_remark_pi0),
+        ({},),
+        _AlgebraEntry(("-y^3", "3*x*y^2", "-3*x^2*y", "x^3"),
+                      ("x*d_dy", "-x/2*d_dx+y/2*d_dy", "-y/2*d_dx"),
+                      (("[T1,T2]=T1", 0, 1, 0), ("[T1,T3]=T2", 0, 2, 1),
+                       ("[T2,T3]=T3", 1, 2, 2)),
+                      None, _remark_pi0_extra)),
     CaseRecord(
         "remark.flat",
         "squared flatness criteria and root reconstructions after "
@@ -1028,6 +1001,7 @@ _RECORDS = (
          {"g1": "2 - x/2 + x^2", "g2": "1 + x", "a_ib": "x^2/2"}),
         flat_criteria_checks, _adm_remark_flat),
 )
+
 
 CASES = {record.id: record for record in _RECORDS}
 

@@ -304,11 +304,8 @@ class InvariantStructures:
         target = _vectorize(st, self.degree)
         part = _vectorize(self.particular, self.degree)
         delta = [t - p for t, p in zip(target, part)]
-        base = [list(v) for v in self.basis_vectors()]
+        base = [_vectorize(b, self.degree) for b in self.basis]
         return rank(base + [delta]) == rank(base) if base else not any(delta)
-
-    def basis_vectors(self):
-        return [_vectorize(b, self.degree) for b in self.basis]
 
 
 def _vectorize(st, degree):

@@ -41,9 +41,6 @@ class SlopePoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return SlopePoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
-    def __neg__(self):
-        return SlopePoly([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, SlopePoly):
             order = min(c.order for c in self.coeffs + other.coeffs)
@@ -59,10 +56,6 @@ class SlopePoly:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
-
-    def agree(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k).agree(other.coeff(k)) for k in range(n))
 
     def __repr__(self):
         return "SlopePoly(%r)" % (self.coeffs,)

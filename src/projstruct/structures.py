@@ -63,11 +63,6 @@ class ProjectiveStructure:
         return SlopePoly(list(self))
 
     @classmethod
-    def from_terms(cls, a, b, c, d, order):
-        return cls(Jet2.from_terms(a, order), Jet2.from_terms(b, order),
-                   Jet2.from_terms(c, order), Jet2.from_terms(d, order))
-
-    @classmethod
     def zero(cls, order):
         z = Jet2.zero(order)
         return cls(z, z, z, z)

@@ -21,6 +21,8 @@ from projstruct.expressions import expand
 from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
                                 render_json, render_text)
 from projstruct.structures import ProjectiveStructure, pullback
+from projstruct import cases
+from projstruct.cases import _FIELDS, _AlgebraEntry, _PencilEntry
 from projstruct import (
     CASES,
     alpha_ode_solve,
@@ -74,6 +76,40 @@ def test_list_cases_is_sorted_and_matches_registry():
     for cid, title, names in listed:
         assert title == CASES[cid].title
         assert names == tuple(sorted(CASES[cid].samples[0]))
+
+
+def test_catalogue_rows_are_consistent():
+    # list_cases reports samples[0]'s names and run_case merges over it,
+    # so every sample binds the same names; every field is used by a row.
+    used = set()
+    for record in CASES.values():
+        names = set(record.samples[0])
+        assert all(set(sample) == names for sample in record.samples), \
+            record.id
+        if isinstance(record.runner, _AlgebraEntry):
+            used.update(record.runner.fields)
+        elif isinstance(record.runner, _PencilEntry):
+            used.update(name for name, _, _ in record.runner.symmetries)
+    assert used == set(_FIELDS)
+
+
+def test_registry_calls_the_module_bindings_of_its_solvers(monkeypatch):
+    # The benchmark's tracer rebinds these module globals; a row that held
+    # the function objects from import time would hide its calls.
+    calls = {"symmetry_dim": 0, "residual": 0}
+
+    def counting(name):
+        original = getattr(cases, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cases, name, counting(name))
+    run_case("thm31.iii", order=8)
+    assert calls == {"symmetry_dim": 1, "residual": 3}
 
 
 # --- run_case dispatch --------------------------------------------------------
