@@ -68,7 +68,11 @@ def _structure(order, env, a, b, c, d):
                                expand(c, env, order), expand(d, env, order))
 
 
-def _dim_structure(order, env, *texts):
+def _dim_structure(order, env, *texts, st=None):
+    """The structure at the dimension floor; ``st``, the same texts
+    expanded at ``order``, is reused when ``order`` is already there."""
+    if st is not None and order >= _DIM_FLOOR:
+        return st
     return _structure(max(order, _DIM_FLOOR), env, *texts)
 
 
@@ -267,7 +271,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_agree_check("stabilized:bracket:[d_dy,v]=d_dy",
                                lie_bracket(X, v), X, slots="ab"))
     checks.append(_dim_check("stabilized:symmetry-dimension",
-                             _dim_structure(order, env, *stab), 2))
+                             _dim_structure(order, env, *stab, st=st), 2))
 
     c = _frac(env, "c")
     a_jet3 = (1, _frac(env, "a1"), _frac(env, "a2"), _frac(env, "a3"))
@@ -332,7 +336,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_agree_check("exp-C:bracket:[d_dy,v]=d_dy",
                                lie_bracket(X, vb), X, slots="ab"))
     checks.append(_dim_check("exp-C:symmetry-dimension",
-                             _dim_structure(order, env, *expc), 2))
+                             _dim_structure(order, env, *expc, st=stb), 2))
     return checks
 
 
@@ -577,7 +581,7 @@ class _AlgebraEntry:
 
     def __call__(self, env, order):
         st = _structure(order, env, *self.quadruple)
-        wide = _dim_structure(order, env, *self.quadruple)
+        wide = _dim_structure(order, env, *self.quadruple, st=st)
         fields = [_field(order, *_FIELDS[name]) for name in self.fields]
         checks = [_symmetry_check("symmetry:" + name, field, st)
                   for name, field in zip(self.fields, fields)]

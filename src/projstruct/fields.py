@@ -20,7 +20,7 @@ for polynomial structures.  ``residual`` is the oracle for that table.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, lcm, perm
 
 from .errors import _ensure
 from .jets import Jet2
@@ -140,15 +140,25 @@ def symmetry_dim(st, order=7):
     for m in (n, n + 1):
         if st.order < m or st.eff < m:
             raise ValueError("structure jets too short for order %d" % m)
-    columns = _monomial_columns(st, n + 1)[1]
+    # Each column is split by residual degree once, so step d reads
+    # only the entries of degree d.
+    columns = {key: _by_degree(col, n)
+               for key, col in _monomial_columns(st, n + 1)[1].items()}
     seen, kernel, dims = [], [], []
     for d in range(n):
         new = [col for (_, i, j), col in columns.items()
                if max(i + j, 2) == d + 2]
-        ext = []
-        for x, y in zip(_rows(seen, [d]), _rows(new, [d])):
-            nz = [(c, e) for c, e in enumerate(x) if e]
-            ext.append([sum(e * v[c] for c, e in nz) for v in kernel] + y)
+        height = 4 * (d + 1)
+        x = [[] for _ in range(height)]     # sparse rows on the seen fields
+        for c, col in enumerate(seen):
+            for r, e in col[d]:
+                x[r].append((c, e))
+        y = [[0] * len(new) for _ in range(height)]
+        for c, col in enumerate(new):
+            for r, e in col[d]:
+                y[r][c] = e
+        ext = [[sum(e * v[c] for c, e in xr) for v in kernel] + yr
+               for xr, yr in zip(x, y)]
         kernel = [_int_row([sum(a * v[c] for a, v in zip(s, kernel))
                             for c in range(len(seen))] + s[len(kernel):])
                   for s in map(_int_row,
@@ -157,6 +167,16 @@ def symmetry_dim(st, order=7):
         if d >= n - 2:
             dims.append(rank([v[:12] for v in kernel], 12))
     return SymmetryDimensions(n, n + 1, *dims)
+
+
+def _by_degree(col, degrees):
+    """The nonzero entries of a column, one list per residual degree
+    d < ``degrees``, as (row, value) in the row order of ``_rows``."""
+    out = [[] for _ in range(degrees)]
+    for (k, p, q), e in col.items():
+        if e:
+            out[p + q].append((k * (p + q + 1) + p, e))
+    return out
 
 
 def _rows(columns, degrees):
@@ -229,12 +249,15 @@ def _derivatives(jets, top):
     """``(L, d)``: ``d[s, dx, dy]`` is L (d/dx)^dx (d/dy)^dy ``jets[s]``
     as an integer dict, for dx + dy <= 2, from the terms of degree
     <= ``top``; L is the lcm of their denominators."""
-    used = [{k: c for k, c in f.coeffs.items() if sum(k) <= top}
-            for f in jets]
-    L = lcm(*(c.denominator for f in used for c in f.values()))
+    used = []
+    for f in jets:
+        num = {(i, j): n for (i, j), n in f._num.items() if i + j <= top}
+        g = gcd(f._den, *num.values())   # the content of the kept terms
+        used.append((num, g, f._den // g))
+    L = lcm(*(den for _, _, den in used))
     d = {}
-    for s, f in enumerate(used):
-        f = {k: c.numerator * (L // c.denominator) for k, c in f.items()}
+    for s, (num, g, den) in enumerate(used):
+        f = {k: n // g * (L // den) for k, n in num.items()}
         for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
             d[s, dx, dy] = {(i - dx, j - dy): perm(i, dx) * perm(j, dy) * v
                             for (i, j), v in f.items() if i >= dx and j >= dy}

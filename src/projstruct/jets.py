@@ -1,7 +1,7 @@
 """Truncated bivariate power series ("2-jets") with exact coefficients.
 
-A :class:`Jet2` stores Taylor coefficients of a germ at the origin as a
-dict ``{(i, j): c}`` for the monomial ``x^i y^j``, up to a total-degree
+A :class:`Jet2` holds the Taylor coefficients of a germ at the origin,
+the coefficient of x^i y^j under the key ``(i, j)``, up to a total-degree
 bound.  Two bounds are tracked:
 
 ``order``
@@ -18,32 +18,42 @@ effective order"; use :meth:`Jet2.agree` / :meth:`Jet2.is_zero` for
 mathematical comparisons.  ``==`` is strict structural equality (same
 order, same eff, same coefficients) and is mainly useful in tests.
 
-Coefficients are ``fractions.Fraction`` in ordinary use.  All arithmetic
-is written against a minimal protocol (ring ops, equality with 0, an
-optional ``is_unit`` attribute), so the same code runs unchanged over
-the dual rationals of :mod:`projstruct.duals`.
+A jet with rational coefficients (``int`` or ``Fraction``, anything with
+``numerator``/``denominator``) is stored as integer numerators over one
+denominator, as FLINT's ``fmpq_poly`` does: ``_num`` maps (i, j) to a
+nonzero ``int``, with no key of degree above ``eff``, and ``_den`` is an
+``int > 0`` with gcd(_den, *_num.values()) == 1.  That form is canonical,
+so ``==`` and ``hash`` read it directly.  Every rational operation works
+on the integers and ends with one content gcd; none builds a ``Fraction``
+per term.  ``coeffs``, the read-only mapping ``{(i, j): Fraction}``, is
+built on first use and cached, and ``coeff`` returns a ``Fraction`` (0
+when the term is absent).
+
+Coefficients of any other type, such as the dual rationals of
+:mod:`projstruct.duals`, take the value path: ``_den`` is None and
+``_num`` holds the values themselves.  The same loops run on them against
+a minimal protocol (ring ops, equality with 0, an optional ``is_unit``
+attribute).  An operation with one rational and one value-path operand
+reads the rational one through ``coeffs``, never its numerators.
 
 The product is the hot spot of the package.  It visits only the pairs of
 terms whose degrees sum to at most the result's ``eff``: the factor
 with fewer terms is sorted by total degree once, and each term of the
-other takes the prefix of it that fits.  When both factors have rational coefficients
-(``int`` or ``Fraction``, anything with ``numerator``/``denominator``),
-each is written as integer numerators over the lcm of its denominators,
-as FLINT's ``fmpq_poly`` does; the loop then sums plain ``int`` products
-and builds one reduced ``Fraction`` per output term.  Other coefficient
-types, such as dual rationals, go through the same loop with their own
-values.  A one-term factor is a shifted scale of the other and needs
-neither.
+other takes the prefix of it that fits.  Over the rationals it sums
+plain ``int`` products over the product of the two denominators.  A
+one-term factor is a shifted scale of the other.
 
 The series kernels end by construction; none iterates to a fixed point
 under a cap.  A coefficient of degree d of ``inverse``, ``sqrt_series``
 and ``exp_series`` depends only on coefficients of lower degree, so one
 pass by total degree fixes each once (``_graded_solve``):
 
-- ``inverse``: z_k = -(1/u_0) sum_e u_e z_(k-e), on integer numerators;
-- ``sqrt_series``: r_k = (u_k - sum r_p r_q) / (2 r_0), p, q nonconstant;
+- ``inverse``: z_k = -(1/u_0) sum_e u_e z_(k-e), on integer numerators,
+  over the one denominator c^(eff+1), c the constant numerator;
+- ``sqrt_series``: r_k = (u_k - sum r_p r_q) / (2 r_0), p, q nonconstant,
+  on ``Fraction`` values;
 - ``exp_series``: d f_k = sum_e deg(e) u_e f_(k-e), from the Euler
-  operator x d/dx + y d/dy, on integer numerators.
+  operator x d/dx + y d/dy, on integer numerators over eff! den^eff.
 
 ``comp_inverse`` is Newton reversion, doubling the precision each pass.
 Series solutions of ODEs climb a staircase of Picard passes
@@ -77,14 +87,20 @@ def _is_unit(c):
     return c != 0
 
 
-def _numerators(coeffs):
-    """Integer numerators over the lcm of the denominators, and that lcm.
+def _canonical(num, den):
+    """``(num, den)`` with the content gcd divided out and ``den > 0``.
 
-    Raises AttributeError for coefficients that are not rational.
+    ``num`` must hold no zeros.  Value-path coefficients (``den`` None)
+    pass as they are, except that an empty jet is always rational.
     """
-    den = math.lcm(*[c.denominator for c in coeffs.values()])
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in coeffs.items()}, den
+    if den is None:
+        return (num, None) if num else ({}, 1)
+    g = math.gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return {k: n // g for k, n in num.items()}, den // g
 
 
 def _graded_solve(tail, first, eff, divide=None):
@@ -121,11 +137,10 @@ def _graded_solve(tail, first, eff, divide=None):
 
 
 def as_coeff(value):
-    """Coerce a scalar into a usable coefficient (Fraction by default)."""
-    if isinstance(value, Fraction):
+    """Coerce a scalar into a usable coefficient: ``int`` and ``Fraction``
+    as they are, text parsed to a ``Fraction``."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     if hasattr(value, "is_unit"):  # dual rationals and friends
@@ -134,28 +149,41 @@ def as_coeff(value):
 
 
 class Jet2:
-    __slots__ = ("order", "eff", "coeffs")
+    __slots__ = ("order", "eff", "_num", "_den", "_coeffs")
 
     def __init__(self, coeffs, order, eff=None):
         if order < 0:
             raise ValueError("jet order must be >= 0")
         eff = order if eff is None else min(eff, order)
-        if eff < -1:
-            eff = -1
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if i + j <= eff and not c == 0:
-                clean[(i, j)] = c
-        self.order = order
-        self.eff = eff
-        self.coeffs = clean
+        eff = max(eff, -1)
+        clean = {(i, j): c for (i, j), c in coeffs.items()
+                 if i + j <= eff and not c == 0}
+        try:
+            den = math.lcm(*[c.denominator for c in clean.values()])
+        except AttributeError:  # not rational: keep the values, ints exact
+            clean = {k: Fraction(c) if isinstance(c, int) else c
+                     for k, c in clean.items()}
+            den = None
+        else:
+            clean = {k: c.numerator * (den // c.denominator)
+                     for k, c in clean.items()}
+        self.order, self.eff, self._coeffs = order, eff, None
+        self._num, self._den = _canonical(clean, den)
 
     @classmethod
-    def _of(cls, coeffs, order, eff):
-        """A jet from coefficients already clean: nonzero, of degree <= eff."""
+    def _new(cls, num, den, order, eff):
+        """A jet of ``num`` over ``den`` (values when ``den`` is None);
+        ``num`` is nonzero and of degree <= ``eff``."""
         jet = object.__new__(cls)
-        jet.order, jet.eff, jet.coeffs = order, eff, coeffs
+        jet.order, jet.eff, jet._coeffs = order, eff, None
+        jet._num, jet._den = _canonical(num, den)
         return jet
+
+    def _window(self, order, eff):
+        """The same terms read at ``order`` and ``eff``; either may rise."""
+        eff = max(min(eff, order), -1)
+        return Jet2._new({(i, j): c for (i, j), c in self._num.items()
+                          if i + j <= eff}, self._den, order, eff)
 
     # -- constructors ---------------------------------------------------
 
@@ -170,9 +198,9 @@ class Jet2:
     @classmethod
     def variable(cls, name, order):
         if name == "x":
-            return cls({(1, 0): Fraction(1)}, order)
+            return cls({(1, 0): 1}, order)
         if name == "y":
-            return cls({(0, 1): Fraction(1)}, order)
+            return cls({(0, 1): 1}, order)
         raise ValueError("unknown variable %r" % (name,))
 
     @classmethod
@@ -185,8 +213,22 @@ class Jet2:
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """``{(i, j): coefficient}``, read-only: ``Fraction``s for a
+        rational jet, built on first use and cached."""
+        if self._den is None:
+            return self._num
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = {k: Fraction(n, den) for k, n in self._num.items()}
+        return self._coeffs
+
     def coeff(self, i, j):
-        return self.coeffs.get((i, j), 0)
+        c = self._num.get((i, j), 0)
+        if self._den is None or not c:
+            return c
+        return Fraction(c, self._den)
 
     @property
     def constant_term(self):
@@ -194,35 +236,38 @@ class Jet2:
 
     def is_zero(self):
         """True when every known coefficient vanishes."""
-        return not self.coeffs
+        return not self._num
 
     def is_x_only(self):
-        return all(j == 0 for (_, j) in self.coeffs)
+        return all(j == 0 for (_, j) in self._num)
 
     def _val_bound(self):
         # least total degree at which this jet can be nonzero
-        if self.coeffs:
-            return min(i + j for (i, j) in self.coeffs)
-        return self.eff + 1
+        return min(map(sum, self._num), default=self.eff + 1)
 
     def agree(self, other):
         """Coefficientwise equality up to the common effective order."""
         other = self._lift(other)
         e = min(self.eff, other.eff)
-        keys = set(self.coeffs) | set(other.coeffs)
-        for (i, j) in keys:
-            if i + j <= e and not self.coeff(i, j) == other.coeff(i, j):
-                return False
-        return True
+        a, b = self._num, other._num
+        keys = [(i, j) for (i, j) in a.keys() | b.keys() if i + j <= e]
+        if self._den is None or other._den is None:
+            return all(self.coeff(i, j) == other.coeff(i, j) for (i, j) in keys)
+        da, db = self._den, other._den
+        return all(a.get(k, 0) * db == b.get(k, 0) * da for k in keys)
 
     def __eq__(self, other):
         if not isinstance(other, Jet2):
             return NotImplemented
-        return (self.order == other.order and self.eff == other.eff
-                and self.coeffs == other.coeffs)
+        if self.order != other.order or self.eff != other.eff:
+            return False
+        if self._den is None or other._den is None:
+            return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.order, self.eff, frozenset(self.coeffs.items())))
+        return hash((self.order, self.eff, self._den,
+                     frozenset(self._num.items())))
 
     def __repr__(self):
         return "Jet2(%s; order=%d, eff=%d)" % (
@@ -233,7 +278,7 @@ class Jet2:
     def _lift(self, other):
         if isinstance(other, Jet2):
             return other
-        return Jet2.constant(as_coeff(other), self.order)
+        return Jet2.constant(other, self.order)
 
     # -- ring operations ----------------------------------------------------
 
@@ -241,16 +286,25 @@ class Jet2:
         other = self._lift(other)
         order = min(self.order, other.order)
         eff = min(self.eff, other.eff)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return Jet2(out, order, eff)
+        da, db = self._den, other._den
+        if da is None or db is None:
+            out = dict(self.coeffs)
+            for k, c in other.coeffs.items():
+                out[k] = out[k] + c if k in out else c
+            return Jet2(out, order, eff)
+        den = math.lcm(da, db)
+        sa, sb = den // da, den // db
+        out = {k: n * sa for k, n in self._num.items()}
+        for k, n in other._num.items():
+            out[k] = out[k] + n * sb if k in out else n * sb
+        return Jet2._new({(i, j): n for (i, j), n in out.items()
+                          if n and i + j <= eff}, den, order, eff)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2({k: -c for k, c in self.coeffs.items()},
-                    self.order, self.eff)
+        return Jet2._new({k: -c for k, c in self._num.items()}, self._den,
+                         self.order, self.eff)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -260,16 +314,19 @@ class Jet2:
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return self.scale(as_coeff(other))
+            return self.scale(other)
         order = min(self.order, other.order)
         eff = min(order,
                   self.eff + other._val_bound(),
                   other.eff + self._val_bound())
-        a, b = self.coeffs, other.coeffs
+        if self._den is None or other._den is None:
+            a, b, den = self.coeffs, other.coeffs, None
+        else:
+            a, b, den = self._num, other._num, self._den * other._den
         if len(a) < len(b):
             a, b = b, a
         if not b:
-            return Jet2._of({}, order, eff)
+            return Jet2._new({}, 1, order, eff)
         if len(b) == 1:
             # a shifted scale of the other factor
             ((i0, j0), c0), = b.items()
@@ -280,12 +337,7 @@ class Jet2:
                     p = c * c0
                     if not p == 0:
                         out[(i + i0, j + j0)] = p
-            return Jet2._of(out, order, eff)
-        try:
-            (a, da), (b, db) = _numerators(a), _numerators(b)
-            den = da * db
-        except AttributeError:  # not rational: multiply the values as they are
-            den = None
+            return Jet2._new(out, den, order, eff)
         # Key (i, j) packs to i*m + j, which is additive on every kept
         # product since its j stays below m.  The smaller factor is
         # sorted by degree, so each term of the other takes a prefix of it.
@@ -302,16 +354,19 @@ class Jet2:
                     acc[k] += c1 * c2
                 else:
                     acc[k] = c1 * c2
-        if den is None:
-            out = {divmod(k, m): c for k, c in acc.items() if not c == 0}
-        else:
-            out = {divmod(k, m): Fraction(n, den) for k, n in acc.items() if n}
-        return Jet2._of(out, order, eff)
+        return Jet2._new({divmod(k, m): c for k, c in acc.items()
+                          if not c == 0}, den, order, eff)
 
     def __rmul__(self, other):
-        return self.scale(as_coeff(other))
+        return self.scale(other)
 
     def scale(self, c):
+        if self._den is not None and isinstance(c, (int, Fraction)):
+            if not c:
+                return Jet2.zero(self.order, self.eff)
+            n = c.numerator
+            return Jet2._new({k: n * v for k, v in self._num.items()},
+                             self._den * c.denominator, self.order, self.eff)
         c = as_coeff(c)
         if c == 0:
             return Jet2.zero(self.order, self.eff)
@@ -338,23 +393,24 @@ class Jet2:
 
         With u = U/den (integer numerators) and c = U_00, the integers
         Z_k = c^(d+1) (1/U)_k at degree d obey Z_0 = 1 and
-        Z_k = -sum_e c^(deg e - 1) U_e Z_(k-e); then (1/u)_k = den Z_k / c^(d+1).
+        Z_k = -sum_e c^(deg e - 1) U_e Z_(k-e); then (1/u)_k = den Z_k / c^(d+1),
+        which is den Z_k c^(eff-d) over the one denominator c^(eff+1).
         """
-        c0 = self.constant_term
-        if not _is_unit(c0):
-            raise NonUnitDivisor("constant term %r is not invertible" % (c0,))
+        c = self._num.get((0, 0), 0)
+        if not _is_unit(c):
+            raise NonUnitDivisor("constant term %r is not invertible" % (c,))
         order, eff = self.order, self.eff
-        try:
-            num, den = _numerators(self.coeffs)
-        except AttributeError:  # not rational: the same recurrence on the values
-            inv = 1 / c0
-            tail = {k: -(c * inv) for k, c in self.coeffs.items() if k != (0, 0)}
-            return Jet2._of(_graded_solve(tail, inv, eff), order, eff)
-        c = num.pop((0, 0))
+        if self._den is None:  # not rational: the same recurrence on the values
+            inv = 1 / c
+            tail = {k: -(v * inv) for k, v in self._num.items() if k != (0, 0)}
+            return Jet2._new(_graded_solve(tail, inv, eff), None, order, eff)
         scaled = _graded_solve({(i, j): -n * c ** (i + j - 1)
-                                for (i, j), n in num.items()}, 1, eff)
-        return Jet2._of({(i, j): Fraction(den * n, c ** (i + j + 1))
-                         for (i, j), n in scaled.items()}, order, eff)
+                                for (i, j), n in self._num.items() if i + j},
+                               1, eff)
+        den = self._den
+        return Jet2._new({(i, j): den * n * c ** (eff - i - j)
+                          for (i, j), n in scaled.items()}, c ** (eff + 1),
+                         order, eff)
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
@@ -362,42 +418,38 @@ class Jet2:
         c = as_coeff(other)
         if not _is_unit(c):
             raise NonUnitDivisor("scalar %r is not invertible" % (c,))
-        return self.scale(1 / c)
+        return self.scale(Fraction(1) / c)
 
     def __rtruediv__(self, other):
-        return self.inverse().scale(as_coeff(other))
+        return self.inverse().scale(other)
 
     # -- calculus -----------------------------------------------------------
 
     def d_dx(self):
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i > 0:
-                out[(i - 1, j)] = i * c
-        return Jet2(out, self.order, self.eff - 1)
+        return Jet2._new({(i - 1, j): i * c for (i, j), c in self._num.items()
+                          if i > 0}, self._den, self.order, max(self.eff - 1, -1))
 
     def d_dy(self):
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if j > 0:
-                out[(i, j - 1)] = j * c
-        return Jet2(out, self.order, self.eff - 1)
+        return Jet2._new({(i, j - 1): j * c for (i, j), c in self._num.items()
+                          if j > 0}, self._den, self.order, max(self.eff - 1, -1))
 
     def integrate_x(self):
         """Antiderivative in x vanishing on x = 0."""
         eff = min(self.eff + 1, self.order)
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i + j + 1 <= eff:
-                out[(i + 1, j)] = c * Fraction(1, i + 1)
-        return Jet2(out, self.order, eff)
+        kept = [(i, j, c) for (i, j), c in self._num.items() if i + j + 1 <= eff]
+        if self._den is None:
+            return Jet2._new({(i + 1, j): c * Fraction(1, i + 1)
+                              for i, j, c in kept}, None, self.order, eff)
+        top = math.lcm(*[i + 1 for i, _, _ in kept])
+        return Jet2._new({(i + 1, j): n * (top // (i + 1)) for i, j, n in kept},
+                         self._den * top, self.order, eff)
 
     # -- reshaping ----------------------------------------------------------
 
     def swap_vars(self):
         """The jet of F(y, x)."""
-        return Jet2({(j, i): c for (i, j), c in self.coeffs.items()},
-                    self.order, self.eff)
+        return Jet2._new({(j, i): c for (i, j), c in self._num.items()},
+                         self._den, self.order, self.eff)
 
     def shift_y(self, y0):
         """Recenter in y: the jet of F(x, y + y0).
@@ -422,7 +474,7 @@ class Jet2:
         """A copy with lowered bounds (never raises either bound)."""
         order = self.order if order is None else min(order, self.order)
         eff = self.eff if eff is None else min(eff, self.eff)
-        return Jet2(self.coeffs, order, min(eff, order))
+        return self._window(order, eff)
 
 # -- composition ------------------------------------------------------------
 
@@ -457,50 +509,49 @@ def _substitute_all(fs, u, v):
             drift = 1
     order = min(u.order, v.order, *(f.order for f in fs))
     upow = _powers(u.truncated(order),
-                   max((i for f in fs for (i, _) in f.coeffs), default=0), order)
+                   max((i for f in fs for (i, _) in f._num), default=0), order)
     vpow = _powers(v.truncated(order),
-                   max((j for f in fs for (_, j) in f.coeffs), default=0), order)
-    products = {}   # (i, j) -> (u^i v^j, its numerators and their lcm)
+                   max((j for f in fs for (_, j) in f._num), default=0), order)
+    products = {}   # (i, j) -> u^i v^j
     out = []
     for f in fs:
         acc_eff = order
         parts = []
-        for (i, j), c in f.coeffs.items():
+        for (i, j) in f._num:
             if i >= len(upow) or j >= len(vpow):
                 continue  # that power is exactly zero to full order
             if (i, j) not in products:
-                term = upow[i] * vpow[j]
-                try:
-                    products[(i, j)] = (term,) + _numerators(term.coeffs)
-                except AttributeError:
-                    products[(i, j)] = (term, None, None)
-            term, num, den = products[(i, j)]
+                products[(i, j)] = upow[i] * vpow[j]
+            term = products[(i, j)]
             acc_eff = min(acc_eff, term.eff)
-            parts.append((c, term.coeffs, num, den))
-        eff = min(f.eff, u.eff, v.eff, order) - drift
-        out.append(Jet2(_linear_combination(parts), order, min(acc_eff, eff)))
+            parts.append(((i, j), term))
+        eff = max(min(acc_eff, min(f.eff, u.eff, v.eff, order) - drift), -1)
+        acc, den = _linear_combination(f, parts)
+        out.append(Jet2._new({(i, j): c for (i, j), c in acc.items()
+                              if i + j <= eff and not c == 0}, den, order, eff))
     return out
 
 
-def _linear_combination(parts):
-    """sum c * t over (c, t, numerators of t, their lcm) as one coefficient dict.
+def _linear_combination(f, parts):
+    """sum f_k * t over (k, t) in ``parts``, as (numerators, denominator).
 
-    Over the rationals the sum runs on integers over one common
-    denominator, with one reduced Fraction per output term.
+    When f and every t are rational the sum runs on integers over f's
+    denominator times the lcm of the t's; otherwise it runs on the values
+    and the denominator is None.
     """
     acc = {}
-    if all(num is not None and hasattr(c, "denominator")
-           for c, _, num, _ in parts):
-        den = math.lcm(*[c.denominator * d for c, _, _, d in parts])
-        for c, _, num, d in parts:
-            s = c.numerator * (den // (c.denominator * d))
-            for k, n in num.items():
-                acc[k] = acc[k] + s * n if k in acc else s * n
-        return {k: Fraction(n, den) for k, n in acc.items() if n}
-    for c, coeffs, _, _ in parts:
-        for k, t in coeffs.items():
-            acc[k] = acc[k] + c * t if k in acc else c * t
-    return acc
+    if f._den is not None and all(t._den is not None for _, t in parts):
+        den = math.lcm(*[t._den for _, t in parts])
+        for k, t in parts:
+            s = f._num[k] * (den // t._den)
+            for key, n in t._num.items():
+                acc[key] = acc[key] + s * n if key in acc else s * n
+        return acc, f._den * den
+    for k, t in parts:
+        c = f.coeffs[k]
+        for key, v in t.coeffs.items():
+            acc[key] = acc[key] + c * v if key in acc else c * v
+    return acc, None
 
 
 def _powers(g, top, order):
@@ -537,11 +588,11 @@ def comp_inverse(u):
     x = Jet2.variable("x", order)
     zero = Jet2.zero(order)
     du = u.d_dx()
-    v = Jet2._of({(1, 0): 1 / as_coeff(u1)}, order, 1)
+    v = Jet2({(1, 0): 1 / u1}, order, 1)
     p = 1
     while p < eff:
         p = min(eff, 2 * p + 1)
-        w = Jet2(v.coeffs, order, p)
+        w = v._window(order, p)
         uw, dw = _substitute_all((u.truncated(eff=p), du.truncated(eff=p)),
                                  w, zero)
         v = w - (uw - x) / dw
@@ -559,7 +610,7 @@ def _picard(step, y, first, what):
     """
     order = y.order
     for t in range(min(first, order), order + 1):
-        y = step(Jet2(y.coeffs, t, y.eff))
+        y = step(y._window(t, y.eff))
     _ensure(step(y) == y, what)
     return y
 
@@ -572,25 +623,25 @@ def exp_series(u):
     f = exp(u) solves E f = f E u for the Euler operator
     E = x d/dx + y d/dy; at degree d that reads d f_k = sum_e deg(e) u_e f_(k-e).
     """
-    if not u.constant_term == 0:
+    if (0, 0) in u._num:
         raise NonZeroConstantTerm("exp needs a vanishing constant term")
     eff = u.eff
-    try:
-        num, den = _numerators(u.coeffs)
-    except AttributeError:  # not rational: the same recurrence on the values
-        tail = {(i, j): (i + j) * c for (i, j), c in u.coeffs.items()}
-        return Jet2._of(_graded_solve(tail, Fraction(1), eff, operator.truediv),
-                        u.order, eff)
+    if u._den is None:  # not rational: the same recurrence on the values
+        tail = {(i, j): (i + j) * c for (i, j), c in u._num.items()}
+        return Jet2._new(_graded_solve(tail, Fraction(1), eff, operator.truediv),
+                         None, u.order, eff)
     # With u = U/den, g_k = den^d f_k are the coefficients of exp(V) for
     # V(x, y) = U(den x, den y)/den, which has integer coefficients, so
     # d! g_k is an integer and so is h_k = eff! g_k: the division by d
-    # in d h_k = sum_e deg(e) V_e h_(k-e) is exact.
-    top = math.factorial(max(eff, 0))
+    # in d h_k = sum_e deg(e) V_e h_(k-e) is exact.  Then f_k is
+    # h_k den^(eff-d) over the one denominator eff! den^eff.
+    top, den = math.factorial(max(eff, 0)), u._den
     tail = {(i, j): (i + j) * n * den ** (i + j - 1)
-            for (i, j), n in num.items()}
+            for (i, j), n in u._num.items()}
     scaled = _graded_solve(tail, top, eff, operator.floordiv)
-    return Jet2._of({(i, j): Fraction(n, top * den ** (i + j))
-                     for (i, j), n in scaled.items()}, u.order, eff)
+    return Jet2._new({(i, j): n * den ** (eff - i - j)
+                      for (i, j), n in scaled.items()},
+                     top * den ** max(eff, 0), u.order, eff)
 
 
 def _rational_sqrt(c):
@@ -639,7 +690,7 @@ def sqrt_series(u):
                 acc[2 * k] = acc.get(2 * k, 0) + r * r
             done.append((k, r))
             degrees.append(d)
-    return Jet2._of(out, u.order, eff)
+    return Jet2(out, u.order, eff)
 
 
 # -- printing -----------------------------------------------------------------

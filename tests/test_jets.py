@@ -1,3 +1,6 @@
+import cProfile
+import math
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -160,6 +163,164 @@ def test_product_over_dual_coefficients():
     }
     assert (u * v).coeffs == (v * u).coeffs
     assert (Jet2({(0, 1): EPS}, 4) * Jet2({(1, 0): EPS}, 4)).coeffs == {}
+
+
+# --- the stored form ----------------------------------------------------------
+
+
+def assert_canonical(w):
+    """Integer numerators over one positive denominator, content 1, no
+    zero term and no term above eff."""
+    assert isinstance(w._den, int) and w._den > 0
+    assert math.gcd(w._den, *w._num.values()) == 1
+    for (i, j), n in w._num.items():
+        assert isinstance(n, int) and n != 0 and i + j <= w.eff
+
+
+def _clean(coeffs, eff):
+    return {(i, j): c for (i, j), c in coeffs.items() if i + j <= eff and c != 0}
+
+
+def _ref_sum(u, v, sign):
+    out = {k: Fraction(c) for k, c in u.coeffs.items()}
+    for k, c in v.coeffs.items():
+        out[k] = out.get(k, 0) + sign * c
+    return _clean(out, min(u.eff, v.eff))
+
+
+def _ref_mul(a, b, top):
+    """Product of two coefficient dicts through degree ``top``."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + j1 + i2 + j2 <= top:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c1 * c2
+    return _clean(out, top)
+
+
+def _ref_inverse(u):
+    """z_k = -(sum over e != 0 of u_e z_(k-e)) / u_0, degree by degree."""
+    c0 = u.coeffs[(0, 0)]
+    z = {}
+    for d in range(u.eff + 1):
+        for i in range(d + 1):
+            s = sum(c * z.get((i - a, d - i - b), 0)
+                    for (a, b), c in u.coeffs.items() if (a, b) != (0, 0))
+            z[(i, d - i)] = (1 if d == 0 else -s) / c0
+    return _clean(z, u.eff)
+
+
+def _ref_exp(u):
+    """The power sum of exp(u) for u without constant term."""
+    out = term = {(0, 0): Fraction(1)}
+    for k in range(1, u.eff + 1):
+        term = {key: c / k for key, c in _ref_mul(term, u.coeffs, u.eff).items()}
+        out = {key: out.get(key, 0) + term.get(key, 0) for key in out.keys() | term}
+    return _clean(out, u.eff)
+
+
+def _ref_substitute(f, u, v, top):
+    """sum f_ij u^i v^j through degree ``top``."""
+    out = {}
+    for (i, j), c in f.coeffs.items():
+        t = {(0, 0): Fraction(1)}
+        for g in [u] * i + [v] * j:
+            t = _ref_mul(t, g.coeffs, top)
+        for k, x in t.items():
+            out[k] = out.get(k, 0) + c * x
+    return _clean(out, top)
+
+
+@settings(deadline=None, max_examples=60)
+@given(product_factors(), product_factors(), _coprime_fractions,
+       st.integers(-1, 7))
+def test_rational_storage_is_canonical_after_every_operation(u, v, c, top):
+    p, q = (w - Jet2.constant(w.coeff(0, 0), w.order) for w in (u, v))
+    unit = u if u.coeff(0, 0) else u + 1
+    cs = u.coeffs
+    cases = [
+        (u + v, _ref_sum(u, v, 1)),
+        (u - v, _ref_sum(u, v, -1)),
+        (u * v, _reference_product(u, v)[2]),
+        (u.scale(c), _clean({k: c * x for k, x in cs.items()}, u.eff)),
+        (u.scale(-6), _clean({k: -6 * x for k, x in cs.items()}, u.eff)),
+        (u.d_dx(), {(i - 1, j): i * x for (i, j), x in cs.items() if i}),
+        (u.d_dy(), {(i, j - 1): j * x for (i, j), x in cs.items() if j}),
+        (u.integrate_x(), _clean({(i + 1, j): x / (i + 1) for (i, j), x in cs.items()},
+                                 min(u.eff + 1, u.order))),
+        (u.truncated(eff=top), _clean(cs, min(top, u.eff))),
+        (exp_series(p), _ref_exp(p)),
+    ]
+    if unit.eff >= 0:
+        cases.append((unit.inverse(), _ref_inverse(unit)))
+    w = substitute(u, p, q)
+    cases.append((w, _ref_substitute(u, p, q, w.eff)))
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == want
+
+
+def test_equal_jets_hash_alike_however_built():
+    y = Jet2.variable("y", 5)
+    from_ints = Jet2({(0, 0): 2, (2, 0): -2, (0, 1): 6}, 5)
+    from_fractions = Jet2.from_terms(
+        {(0, 0): Fraction(4, 2), (2, 0): Fraction(-2), (0, 1): Fraction(18, 3)}, 5)
+    as_product = (Jet2({(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 3)}, 5)
+                  * Jet2({(0, 0): 6, (1, 0): -6}, 5) + y.scale(6))
+    as_scale = Jet2.from_terms({(0, 0): Fraction(1, 2), (2, 0): Fraction(-1, 2),
+                                (0, 1): Fraction(3, 2)}, 5).scale(4)
+    built = [from_ints, from_fractions, as_product, as_scale]
+    assert all(w == from_ints for w in built)
+    assert len({hash(w) for w in built}) == 1
+    assert from_ints._den == 1 and from_ints.coeffs[(0, 1)] == 6
+
+
+def _all_dual(u):
+    return Jet2({k: DualRational(c) for k, c in u.coeffs.items()}, u.order, u.eff)
+
+
+def test_mixed_rational_and_dual_operands_read_values():
+    r = J({(0, 0): Fraction(1, 2), (1, 0): Fraction(-2, 3), (0, 2): 3}, 6)
+    d = Jet2({(0, 0): 1 + EPS, (0, 1): DualRational(Fraction(1, 5), -2),
+              (2, 0): EPS}, 6, 5)
+    one = Jet2({(1, 1): DualRational(2, 1)}, 6)
+    x = Jet2.variable("x", 6) + EPS
+    y = Jet2.variable("y", 6)
+    rd = _all_dual(r)
+    for got, want in [(r * d, rd * d), (d * r, d * rd), (r * one, rd * one),
+                      (r + d, rd + d), (d - r, d - rd), (r.scale(EPS), rd.scale(EPS)),
+                      (substitute(r, x, y), substitute(rd, x, y)),
+                      (substitute(d, r - Fraction(1, 2), y),
+                       substitute(d, rd - Fraction(1, 2), y))]:
+        assert (got.order, got.eff) == (want.order, want.eff)
+        assert got.coeffs == want.coeffs
+    assert (r * d).coeff(0, 0) == DualRational(Fraction(1, 2), Fraction(1, 2))
+
+
+def test_empty_and_one_term_factors():
+    u = Jet2({(0, 0): Fraction(1, 2), (1, 1): 3, (2, 0): Fraction(-2, 3)}, 6, 5)
+    for f in (Jet2.zero(6), Jet2.zero(6, 2), Jet2.monomial(1, 0, Fraction(-3, 4), 6),
+              Jet2.monomial(0, 0, 6, 6, 4)):
+        for a, b in ((u, f), (f, u)):
+            w = a * b
+            assert (w.order, w.eff, w.coeffs) == _reference_product(a, b)
+            assert_canonical(w)
+
+
+def test_rational_operations_build_no_fraction():
+    keys = [(i, j) for i in range(7) for j in range(7 - i)]
+    u = Jet2({k: Fraction(n % 7 - 3, n % 5 + 1) for n, k in enumerate(keys)}, 6)
+    v = Jet2({k: Fraction(n % 4 - 1, n % 3 + 2) for n, k in enumerate(keys)}, 6, 5)
+    p, q = (w - Jet2.constant(w.coeff(0, 0), 6) for w in (u, v))
+    m, c = Jet2.monomial(1, 1, Fraction(2, 3), 6), Fraction(-5, 7)
+    profile = cProfile.Profile()
+    profile.enable()
+    (u + v, u - v, 3 + u, u * v, u * m, u.scale(c), 2 * u, u.inverse(),
+     u.d_dx(), u.integrate_x(), substitute(u, p, q), exp_series(p))
+    profile.disable()
+    assert [f for f in pstats.Stats(profile).stats
+            if f[0].endswith("fractions.py") and f[2] == "__new__"] == []
 
 
 @given(jets(unit_constant=True))
@@ -358,6 +519,13 @@ def test_sqrt_rejects_non_squares():
         sqrt_series(X)
     with pytest.raises(NonSquareConstant):
         sqrt_series(Jet2.constant(-1, 8))
+
+
+def test_sqrt_series_of_integer_coefficients():
+    # the constant of a jet built from ints reads as a rational square
+    r = sqrt_series(Jet2({(0, 0): 4, (1, 0): 4}, 6))
+    assert r == sqrt_series(Jet2.from_terms({(0, 0): 4, (1, 0): 4}, 6))
+    assert (r.coeff(0, 0), r.coeff(1, 0), r.coeff(2, 0)) == (2, 1, Fraction(-1, 4))
 
 
 @given(jets(zero_constant=True), st.sampled_from([1, 4, Fraction(9, 4), Fraction(1, 16)]))
