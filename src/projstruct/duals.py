@@ -104,7 +104,8 @@ class DualRational:
         return self.re == other.re and self.ep == other.ep
 
     def __hash__(self):
-        return hash((self.re, self.ep))
+        # equal to its real part when ep == 0, so it must hash alike
+        return hash(self.re) if self.ep == 0 else hash((self.re, self.ep))
 
     def __bool__(self):
         return self.re != 0 or self.ep != 0

@@ -171,18 +171,13 @@ def symmetry_dim(st, order=7):
 
 def _by_degree(col, degrees):
     """The nonzero entries of a column, one list per residual degree
-    d < ``degrees``, as (row, value) in the row order of ``_rows``."""
+    d < ``degrees``, as (row, value): at degree d the entry (k, p, d - p)
+    sits in row k (d + 1) + p."""
     out = [[] for _ in range(degrees)]
     for (k, p, q), e in col.items():
         if e:
             out[p + q].append((k * (p + q + 1) + p, e))
     return out
-
-
-def _rows(columns, degrees):
-    """Matrix rows of the residual coefficients of the given degrees."""
-    return [[col.get((k, p, d - p), 0) for col in columns]
-            for d in degrees for k in range(4) for p in range(d + 1)]
 
 
 # The residual in closed form: an entry (k, source, c, dx, dy) of
@@ -367,7 +362,14 @@ def invariant_structures(fields, degree):
     rows = []
     rhs = []
     for field in fields:
-        for row in _rows(_structure_columns(field, degree)[1], range(degree)):
+        columns = _structure_columns(field, degree)[1]
+        # the rows of degree d start at 4 (1 + 2 + ... + d) = 2 d (d + 1)
+        block = [[0] * len(columns) for _ in range(2 * degree * (degree + 1))]
+        for c, col in enumerate(columns):
+            for d, entries in enumerate(_by_degree(col, degree)):
+                for r, e in entries:
+                    block[2 * d * (d + 1) + r][c] = e
+        for row in block:
             rows.append(row[:-1])
             rhs.append(-row[-1])
     consistent, particular, basis = solve_affine(rows, rhs)

@@ -34,7 +34,9 @@ Coefficients of any other type, such as the dual rationals of
 ``_num`` holds the values themselves.  The same loops run on them against
 a minimal protocol (ring ops, equality with 0, an optional ``is_unit``
 attribute).  An operation with one rational and one value-path operand
-reads the rational one through ``coeffs``, never its numerators.
+reads the rational one through ``coeffs``, never its numerators.  A
+value-path jet whose values all have a zero eps-part equals the rational
+jet of their real parts, and hashes as that jet does.
 
 The product is the hot spot of the package.  It visits only the pairs of
 terms whose degrees sum to at most the result's ``eff``: the factor
@@ -266,8 +268,13 @@ class Jet2:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.order, self.eff, self._den,
-                     frozenset(self._num.items())))
+        num, den = self._num, self._den
+        if den is None and all(getattr(v, "ep", 0) == 0 for v in num.values()):
+            # equal to the rational jet of the real parts: hash that one
+            rational = Jet2({k: getattr(v, "re", v) for k, v in num.items()},
+                            self.order, self.eff)
+            num, den = rational._num, rational._den
+        return hash((self.order, self.eff, den, frozenset(num.items())))
 
     def __repr__(self):
         return "Jet2(%s; order=%d, eff=%d)" % (

@@ -7,6 +7,22 @@ structure is *flat* when its geodesics are exactly the leaves of the
 members of such a pencil; :func:`structure_from_pencil` produces the
 unique cubic equation with that property, and the z-value of a
 geodesic (:func:`member_value_along`) is its first integral.
+
+:func:`foliation_residual` is the residual s_x + s s_y - f(s) of the
+slope field s = -P/Q, and the source of every failure detail.
+:func:`is_geodesic` decides its vanishing without an inverse: Q is a
+unit at the origin (after exchanging the axes for a vertical member),
+so it tests the Q^3-cleared numerator
+
+    N = P (P_y Q - P Q_y) - Q (P_x Q - P Q_x)
+        - (((A Q - B P) Q + C P^2) Q - D P^3),
+
+which multiplies the structure only by P and Q.  N answers only where
+its window covers the residual's.  With e the least ``eff`` of P, Q and
+A..D, a term of N below degree e means "not geodesic" (the residual is
+known through degree e - 1), an empty N with ``eff >= P.eff - 1`` means
+"geodesic" (the residual is known no further), and otherwise the
+residual itself decides.
 """
 
 from dataclasses import dataclass
@@ -70,6 +86,14 @@ def slope(fol):
     return -fol.P / fol.Q
 
 
+def _upright(fol, st):
+    """``(fol, st)``, with the axes exchanged when ``fol`` is vertical at
+    the origin; exchanging them maps geodesics to geodesics."""
+    if fol.is_vertical_at_origin():
+        return fol.swapped(), swap_axes(st)
+    return fol, st
+
+
 def foliation_residual(fol, st):
     """Second-order residual of the leaves against a structure.
 
@@ -79,16 +103,43 @@ def foliation_residual(fol, st):
     coordinate axes, which maps geodesics to geodesics: the residual is
     then that of ``fol.swapped()`` against ``swap_axes(st)``.
     """
-    if fol.is_vertical_at_origin():
-        return foliation_residual(fol.swapped(), swap_axes(st))
+    fol, st = _upright(fol, st)
     s = slope(fol)
     s2 = s * s
     rhs = st.A + st.B * s + st.C * s2 + st.D * (s2 * s)
     return s.d_dx() + s * s.d_dy() - rhs
 
 
+def _cleared_residual(fol, st):
+    """Q^3 times ``foliation_residual(fol, st)`` for a foliation that is
+    not vertical at the origin: the numerator
+
+    N = P (P_y Q - P Q_y) - Q (P_x Q - P Q_x)
+        - (((A Q - B P) Q + C P^2) Q - D P^3),
+
+    evaluated as Q (P (P_y + B Q - C P) - Q (P_x + A Q))
+    + P (Q Q_x - P (Q_y - D P)), which multiplies each structure slot
+    once, by P or Q.
+    """
+    p, q, (a, b, c, d) = fol.P, fol.Q, st
+    return (q * (p * (p.d_dy() + b * q - c * p) - q * (p.d_dx() + a * q))
+            + p * (q * q.d_dx() - p * (q.d_dy() - d * p)))
+
+
 def is_geodesic(fol, st):
-    """Are all leaves of the foliation geodesics of the structure?"""
+    """Are all leaves of the foliation geodesics of the structure?
+
+    Tested on N = Q^3 times the residual (``_cleared_residual``) under
+    the window rule of the module note; ``foliation_residual`` decides
+    what N cannot.
+    """
+    fol, st = _upright(fol, st)
+    num = _cleared_residual(fol, st)
+    if num.is_zero():
+        if num.eff >= fol.P.eff - 1:
+            return True
+    elif num._val_bound() < min(f.eff for f in (fol.P, fol.Q, *st)):
+        return False
     return foliation_residual(fol, st).is_zero()
 
 

@@ -276,6 +276,18 @@ def test_equal_jets_hash_alike_however_built():
     assert from_ints._den == 1 and from_ints.coeffs[(0, 1)] == 6
 
 
+def test_real_dual_jets_hash_as_their_rational_form():
+    dual = Jet2({(0, 0): DualRational(1)}, 3)
+    assert dual == Jet2.constant(1, 3)
+    assert hash(dual) == hash(Jet2.constant(1, 3))
+    assert len({dual, Jet2.constant(1, 3)}) == 1
+    half = Jet2({(0, 0): DualRational(Fraction(1, 2)), (1, 1): Fraction(-3, 4)}, 5)
+    assert hash(half) == hash(J({(0, 0): Fraction(1, 2), (1, 1): Fraction(-3, 4)}, 5))
+    for c in (1, Fraction(-2, 3)):
+        assert DualRational(c) == c and hash(DualRational(c)) == hash(c)
+    assert Jet2({(0, 0): 1 + EPS}, 3) != Jet2.constant(1, 3)
+
+
 def _all_dual(u):
     return Jet2({k: DualRational(c) for k, c in u.coeffs.items()}, u.order, u.eff)
 

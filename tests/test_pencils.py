@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from projstruct.errors import DegenerateWedge, VerticalAtOrigin
 from projstruct.expressions import expand
 from projstruct.fields import VectorField
 from projstruct.jets import Jet2
+from projstruct import pencils
 from projstruct.pencils import (
     INF,
     Foliation,
@@ -18,11 +20,14 @@ from projstruct.pencils import (
     member_value_along,
     slope,
     structure_from_pencil,
+    _cleared_residual,
+    _upright,
 )
 from projstruct.structures import (ProjectiveStructure, geodesic_solve,
                                    swap_axes)
 
-from conftest import PROP_ORDER, jets, small_fractions, structures
+from conftest import (PROP_ORDER, jets, nonzero_fractions, small_fractions,
+                      structures)
 
 N = 10
 
@@ -183,6 +188,73 @@ def test_pencil_members_solve_the_pencil_structure(p0, q1, pi, z):
     stq = structure_from_pencil(pen)
     assert is_geodesic(member(pen, z), stq)
     assert is_geodesic(member(pen, INF), stq)
+
+
+# --- the cleared numerator ---------------------------------------------------
+
+
+def _window(eff, jet):
+    return jet if eff is None else jet.truncated(eff=eff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p0=jets(zero_constant=True, max_degree=2),
+       q0=jets(zero_constant=True, max_degree=2),
+       pi=jets(zero_constant=True, max_degree=2),
+       qi=jets(zero_constant=True, max_degree=2),
+       c0=nonzero_fractions, ci=nonzero_fractions,
+       z=hs.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), INF]),
+       bend=hs.one_of(hs.none(), structures(max_terms=2)),
+       windows=hs.one_of(hs.none(), hs.lists(
+           hs.one_of(hs.none(), hs.integers(PROP_ORDER - 3, PROP_ORDER)),
+           min_size=6, max_size=6)))
+def test_cleared_numerator_decides_like_the_residual(p0, q0, pi, qi, c0, ci,
+                                                     z, bend, windows):
+    # omega_0 is vertical at the origin, so the member z = 0 is too;
+    # windows cut P, Q, A, B, C, D to the listed eff (None: uncut)
+    one = Jet2.constant(1, PROP_ORDER)
+    pen = Pencil(Foliation(one.scale(c0) + p0, q0),
+                 Foliation(pi, one.scale(ci) + qi))
+    stq = structure_from_pencil(pen)
+    if bend is not None:
+        stq = ProjectiveStructure(*(a + b for a, b in zip(stq, bend)))
+    fol = member(pen, z)
+    assert fol.is_vertical_at_origin() == (z == 0)
+    if windows is not None:
+        fol = Foliation(_window(windows[0], fol.P), _window(windows[1], fol.Q))
+        stq = ProjectiveStructure(*map(_window, windows[2:], stq))
+    res = foliation_residual(fol, stq)
+    assert is_geodesic(fol, stq) == res.is_zero()
+    if bend is None:
+        assert res.is_zero()
+    if windows is None:
+        assert _cleared_residual(*_upright(fol, stq)).eff == res.eff
+
+
+def test_dense_members_are_tested_without_an_inverse(monkeypatch):
+    order = 16
+
+    def dense(const):   # every monomial of degree <= 3
+        return Jet2.from_terms({(i, j): Fraction(i - 2 * j + 1, 1 + i + j)
+                                for i in range(4) for j in range(4 - i)
+                                if i + j} | {(0, 0): const}, order)
+
+    pen = Pencil.from_jets(dense(1), dense(0), dense(0), dense(1))
+    stq = structure_from_pencil(pen)
+    calls = {"inverse": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Jet2, "inverse", counting("inverse", Jet2.inverse))
+    monkeypatch.setattr(pencils, "foliation_residual",
+                        counting("residual", foliation_residual))
+    for z in (INF, Fraction(-3, 4)):
+        assert is_geodesic(member(pen, z), stq)
+    assert calls == {"inverse": 0, "residual": 0}
 
 
 # --- Lie derivatives of forms -------------------------------------------------
