@@ -180,7 +180,7 @@ def _pencil_battery(pen, want, symmetries):
     bad = [z for z in _MEMBER_SAMPLES if not is_geodesic(member(pen, z), st)]
     if bad:
         res = foliation_residual(member(pen, bad[0]), st)
-        checks.append(failed("members-geodesic", slope_leading_term(res),
+        checks.append(failed("members-geodesic", leading_term(res),
                              "failing members z in {%s}"
                              % ", ".join(str(z) for z in bad)))
     else:

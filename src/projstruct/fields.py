@@ -16,6 +16,8 @@ Both exact linear solves read their integer equations from one closed
 form of the residual's terms, which are bilinear in (field, structure):
 ``symmetry_dim`` solves for polynomial fields, ``invariant_structures``
 for polynomial structures.  ``residual`` is the oracle for that table.
+Both systems are graded by residual degree, and ``_graded_kernel``
+solves each of them one degree at a time.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from math import gcd, lcm, perm
 
 from .errors import _ensure
 from .jets import Jet2
-from .linalg import _int_row, nullspace, rank, solve_affine
+from .linalg import _int_row, _reduce, nullspace, rank, solve_affine
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure
 
@@ -95,11 +97,8 @@ def is_symmetry(field, st):
 
 
 def _monomials(degree):
-    out = []
-    for total in range(degree + 1):
-        for i in range(total, -1, -1):
-            out.append((i, total - i))
-    return out
+    return [(i, total - i) for total in range(degree + 1)
+            for i in range(total, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,9 @@ def symmetry_dim(st, order=7):
 
     The order-m system has the polynomial fields of degree <= m as
     unknowns and the residual rows of degree <= m - 2.  A field of
-    degree e reaches only rows of degree e - 2 or more, so the kernel
-    K grows one row degree d at a time: the fields of degree d + 2 (all
-    of degree <= 2 at d = 0) join as w, and (K c, w) with X K c + Y w = 0
-    on the rows of degree d, where X and Y are those rows on the old
-    and the new fields.  The first twelve unknowns are the 2-jet fields.
+    degree e reaches only rows of degree e - 2 or more, so it joins
+    ``_graded_kernel`` at step max(e - 2, 0).  The first twelve unknowns
+    are the 2-jet fields.
     """
     n = order
     if n < 2:
@@ -140,43 +137,62 @@ def symmetry_dim(st, order=7):
     for m in (n, n + 1):
         if st.order < m or st.eff < m:
             raise ValueError("structure jets too short for order %d" % m)
-    # Each column is split by residual degree once, so step d reads
-    # only the entries of degree d.
-    columns = {key: _by_degree(col, n)
-               for key, col in _monomial_columns(st, n + 1)[1].items()}
-    seen, kernel, dims = [], [], []
-    for d in range(n):
-        new = [col for (_, i, j), col in columns.items()
-               if max(i + j, 2) == d + 2]
-        height = 4 * (d + 1)
-        x = [[] for _ in range(height)]     # sparse rows on the seen fields
-        for c, col in enumerate(seen):
-            for r, e in col[d]:
-                x[r].append((c, e))
-        y = [[0] * len(new) for _ in range(height)]
-        for c, col in enumerate(new):
-            for r, e in col[d]:
-                y[r][c] = e
-        ext = [[sum(e * v[c] for c, e in xr) for v in kernel] + yr
-               for xr, yr in zip(x, y)]
-        kernel = [_int_row([sum(a * v[c] for a, v in zip(s, kernel))
-                            for c in range(len(seen))] + s[len(kernel):])
-                  for s in map(_int_row,
-                               nullspace(ext, len(kernel) + len(new)))]
-        seen += new
-        if d >= n - 2:
-            dims.append(rank([v[:12] for v in kernel], 12))
+    columns = _monomial_columns(st, n + 1)[1]
+    steps = [[_by_degree([col], n) for (_, i, j), col in columns.items()
+              if max(i + j, 2) == d + 2] for d in range(n)]
+    dims = [rank([v[:12] for v in kernel], 12)
+            for d, kernel in enumerate(_graded_kernel(steps)) if d >= n - 2]
     return SymmetryDimensions(n, n + 1, *dims)
 
 
-def _by_degree(col, degrees):
-    """The nonzero entries of a column, one list per residual degree
-    d < ``degrees``, as (row, value): at degree d the entry (k, p, d - p)
-    sits in row k (d + 1) + p."""
+def _graded_kernel(steps, blocks=1, one=None):
+    """Solve a graded integer system one row degree d at a time.
+
+    ``steps[d]`` lists the columns (``_by_degree`` over ``blocks``
+    blocks) that join at step d and vanish below it.  With X and Y the
+    rows of degree d on the joined and the new columns, the kernel K
+    grows to the (K c, w) with X K c + Y w = 0: ``nullspace`` on
+    [X K | Y].  A constant column ``one`` joins first, as a particular
+    solution p = (1) kept before K: ``solve_affine([X K | Y], -X p)``
+    then grows both.  Yields the joined-order integer vectors after each
+    step, or [] once a step is inconsistent.
+    """
+    seen, basis = ([], []) if one is None else ([one], [[1]])
+    for d, new in enumerate(steps):
+        ext = [[0] * (len(basis) + len(new))
+               for _ in range(4 * (d + 1) * blocks)]
+        for c, col in enumerate(seen):
+            for r, e in col[d]:
+                ext[r][:len(basis)] = [a + e * v[c]
+                                       for a, v in zip(ext[r], basis)]
+        for k, col in enumerate(new, len(basis)):
+            for r, e in col[d]:
+                ext[r][k] = e
+        if one is None:
+            sols = nullspace(ext, len(basis) + len(new))
+        else:
+            consistent, p, sols = solve_affine([row[1:] for row in ext],
+                                               [-row[0] for row in ext])
+            if not consistent:
+                yield []
+                return
+            sols = [[1] + p] + [[0] + s for s in sols]
+        basis = [_int_row([sum(a * v[c] for a, v in zip(s, basis))
+                           for c in range(len(seen))] + s[len(basis):])
+                 for s in map(_int_row, sols)]
+        seen += new
+        yield basis
+
+
+def _by_degree(cols, degrees):
+    """The nonzero entries of columns stacked in blocks, one list per
+    residual degree d < ``degrees``, as (row, value): at degree d the
+    entry (k, p, d - p) of ``cols[f]`` sits in row (4 f + k) (d + 1) + p."""
     out = [[] for _ in range(degrees)]
-    for (k, p, q), e in col.items():
-        if e:
-            out[p + q].append((k * (p + q + 1) + p, e))
+    for f, col in enumerate(cols):
+        for (k, p, q), e in col.items():
+            if e:
+                out[p + q].append(((4 * f + k) * (p + q + 1) + p, e))
     return out
 
 
@@ -327,19 +343,13 @@ class InvariantStructures:
 
 
 def _vectorize(st, degree):
-    out = []
-    for f in st:
-        for (i, j) in _monomials(degree):
-            out.append(Fraction(f.coeff(i, j)))
-    return out
+    return [Fraction(f.coeff(i, j)) for f in st for i, j in _monomials(degree)]
 
 
 def _devectorize(vec, degree):
     monos = _monomials(degree)
-    return ProjectiveStructure(*(
-        Jet2.from_terms({m: vec[s * len(monos) + n]
-                         for n, m in enumerate(monos)}, degree)
-        for s in range(4)))
+    return ProjectiveStructure(*(Jet2.from_terms(
+        dict(zip(monos, vec[s * len(monos):])), degree) for s in range(4)))
 
 
 def invariant_structures(fields, degree):
@@ -351,30 +361,30 @@ def invariant_structures(fields, degree):
     system.  Field jets must be known (``order`` and ``eff``) through
     degree ``degree + 3`` so every equated coefficient is trustworthy.
     The equations are the integer columns of ``_structure_columns``, one
-    per field, with the residual of the zero structure, negated, as the
-    right-hand side.
+    block per field, with the residual of the zero structure as the
+    constant column.  A structure monomial of degree e reaches only rows
+    of degree e - 1 or more: it joins ``_graded_kernel`` at step
+    max(e - 1, 0).
     """
     if not fields:
         raise ValueError("need at least one field")
     if min(min(f.a.eff, f.b.eff) for f in fields) < degree + 3:  # eff <= order
         raise ValueError("field jets too short: need order and eff >= %d"
                          % (degree + 3))
-    rows = []
-    rhs = []
-    for field in fields:
-        columns = _structure_columns(field, degree)[1]
-        # the rows of degree d start at 4 (1 + 2 + ... + d) = 2 d (d + 1)
-        block = [[0] * len(columns) for _ in range(2 * degree * (degree + 1))]
-        for c, col in enumerate(columns):
-            for d, entries in enumerate(_by_degree(col, degree)):
-                for r, e in entries:
-                    block[2 * d * (d + 1) + r][c] = e
-        for row in block:
-            rows.append(row[:-1])
-            rhs.append(-row[-1])
-    consistent, particular, basis = solve_affine(rows, rhs)
-    if not consistent:
+    joins = [max(i + j - 1, 0) for i, j in _monomials(degree)] * 4
+    n = len(joins)
+    cols = [_by_degree(per_field, degree) for per_field in
+            zip(*(_structure_columns(f, degree)[1] for f in fields))]
+    by_join = sorted(range(n), key=joins.__getitem__)
+    *_, basis = _graded_kernel([[cols[c] for c in by_join if joins[c] == d]
+                                for d in range(degree)], len(fields), cols[n])
+    if not basis:
         return InvariantStructures(False, degree, None, ())
-    part_st = _devectorize(particular, degree)
-    basis_sts = tuple(_devectorize(v, degree) for v in basis)
-    return InvariantStructures(True, degree, part_st, basis_sts)
+    # Reduced in reversed column order, the pivots are the constant column
+    # and the free columns of solve_affine on the whole system, so this
+    # gives its particular solution (zero on the free columns) and basis.
+    rev = sorted(range(n + 1), key=([n] + by_join).__getitem__, reverse=True)
+    rows = [[v[k] for k in rev] for v in basis]
+    sts = [_devectorize([Fraction(e, rows[r][c]) for e in rows[r][:0:-1]],
+                        degree) for r, c in reversed(_reduce(rows, n + 1))]
+    return InvariantStructures(True, degree, sts[-1], tuple(sts[:-1]))

@@ -376,3 +376,59 @@ def test_invariant_structures_matches_the_per_basis_reference(case):
     fields, degree = case
     assert (invariant_structures(fields, degree)
             == reference_invariant_structures(fields, degree))
+
+
+def sl2_triple(c1, c2, order=9):
+    """The sl2 triple of ``remark.exotic-sl2``; (0, 0) is untwisted."""
+    return [F("0", "1", order), F("1", "y", order),
+            F("y + %s * exp(x)" % c1, "y^2/2 + %s * exp(2*x)" % c2, order)]
+
+
+def one_shot_invariant_structures(fields, degree):
+    """Every field's ``_structure_columns`` rows stacked into one
+    ``solve_affine``, the whole system at once."""
+    monos = structure_monomials(degree)
+    rows, rhs = [], []
+    for field in fields:
+        columns = _structure_columns(field, degree)[1]
+        for k in range(4):
+            for (p, q) in structure_monomials(degree - 1):
+                row = [col.get((k, p, q), 0) for col in columns]
+                rows.append(row[:-1])
+                rhs.append(-row[-1])
+    consistent, particular, basis = solve_affine(rows, rhs)
+    if not consistent:
+        return InvariantStructures(False, degree, None, ())
+
+    def structure(vec):
+        return ProjectiveStructure(*(
+            Jet2.from_terms(dict(zip(monos, vec[s * len(monos):])), degree)
+            for s in range(4)))
+
+    return InvariantStructures(True, degree, structure(particular),
+                               tuple(structure(v) for v in basis))
+
+
+@pytest.mark.parametrize("c1,c2,dim", [(0, 0, 1), (1, 1, 0)])
+def test_graded_invariant_structures_equal_the_one_shot_solve(c1, c2, dim):
+    fields = sl2_triple(c1, c2)
+    got = invariant_structures(fields, 6)
+    assert got.dimension == dim
+    assert got == one_shot_invariant_structures(fields, 6)
+
+
+def test_invariant_structures_solves_one_degree_at_a_time(monkeypatch):
+    heights = []
+
+    def recording(solve):
+        def wrapper(rows, *args):
+            heights.append(len(rows))
+            return solve(rows, *args)
+        return wrapper
+
+    monkeypatch.setattr("projstruct.fields.solve_affine",
+                        recording(solve_affine))
+    monkeypatch.setattr("projstruct.fields.nullspace", recording(nullspace))
+    assert invariant_structures(sl2_triple(0, 0), 6).dimension == 1
+    # one solve per residual degree d, on the 4 (d + 1) rows of each field
+    assert heights == [12 * (d + 1) for d in range(6)]

@@ -18,10 +18,11 @@ from projstruct.errors import (
     UnknownCase,
 )
 from projstruct.expressions import expand
+from projstruct.jets import Jet2
 from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
                                 render_json, render_text)
 from projstruct.structures import ProjectiveStructure, pullback
-from projstruct import cases
+from projstruct import cases, fields
 from projstruct.cases import _FIELDS, _AlgebraEntry, _PencilEntry
 from projstruct import (
     CASES,
@@ -93,23 +94,40 @@ def test_catalogue_rows_are_consistent():
     assert used == set(_FIELDS)
 
 
-def test_registry_calls_the_module_bindings_of_its_solvers(monkeypatch):
-    # The benchmark's tracer rebinds these module globals; a row that held
-    # the function objects from import time would hide its calls.
-    calls = {"symmetry_dim": 0, "residual": 0}
+def count_calls(monkeypatch, module, names):
+    """Count the calls made through ``module``'s binding of each name."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
-        original = getattr(cases, name)
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cases, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
+def test_registry_calls_the_module_bindings_of_its_solvers(monkeypatch):
+    # The benchmark's tracer rebinds these module globals; a row that held
+    # the function objects from import time would hide its calls.
+    calls = count_calls(monkeypatch, cases, ("symmetry_dim", "residual"))
     run_case("thm31.iii", order=8)
     assert calls == {"symmetry_dim": 1, "residual": 3}
+
+
+def test_registry_reaches_both_linear_solvers_through_fields(monkeypatch):
+    # The same holds one level down: the twisted sl2 triple is the only
+    # registry input that reaches fields.solve_affine (one call per
+    # residual degree), and symmetry_dim reaches fields.nullspace.
+    calls = count_calls(monkeypatch, fields, ("solve_affine", "nullspace"))
+    run_case("remark.exotic-sl2", {"c1": "1", "c2": "0"}, 8)
+    assert calls == {"solve_affine": 6, "nullspace": 0}
+    run_case("thm31.iii", order=8)
+    assert calls == {"solve_affine": 6, "nullspace": 7}
 
 
 # --- run_case dispatch --------------------------------------------------------
@@ -359,3 +377,37 @@ def test_exotic_scan_twisted_realizations_admit_no_new_structure():
         byname = {c.name: c for c in exotic_sl2_check(c1, c2, order=9)}
         assert byname["invariant-dimension"].verdict == PASS
         assert byname["unique-structure-linearizable"].verdict == PASS
+
+
+def members_geodesic_check(case_id="thm41.iv", order=8):
+    [report] = run_case(case_id, order=order)
+    return next(c for c in report.checks if c.name == "members-geodesic")
+
+
+def test_members_geodesic_failure_reports_the_residual_leading_term(
+        monkeypatch):
+    is_geodesic = cases.is_geodesic
+    seen = []
+
+    def reject_the_second_member(fol, st):
+        seen.append(fol)
+        return len(seen) != 2 and is_geodesic(fol, st)
+
+    monkeypatch.setattr(cases, "is_geodesic", reject_the_second_member)
+    check = members_geodesic_check()
+    # the member z = 1 is geodesic after all, so its residual is zero
+    assert (check.verdict, check.residual_leading_term) == (FAIL, "0")
+    assert check.detail == "failing members z in {1}"
+
+    # bending A by y^2 changes every member's residual by -y^2
+    monkeypatch.setattr(cases, "is_geodesic", is_geodesic)
+    from_pencil = cases.structure_from_pencil
+
+    def bent(pen):
+        st = from_pencil(pen)
+        return ProjectiveStructure(st.A + Jet2.monomial(0, 2, 1, st.A.order),
+                                   st.B, st.C, st.D)
+
+    monkeypatch.setattr(cases, "structure_from_pencil", bent)
+    check = members_geodesic_check()
+    assert (check.verdict, check.residual_leading_term) == (FAIL, "-1 * y^2")
