@@ -16,13 +16,15 @@ Both exact linear solves read their integer equations from one closed
 form of the residual's terms, which are bilinear in (field, structure):
 ``symmetry_dim`` solves for polynomial fields, ``invariant_structures``
 for polynomial structures.  ``residual`` is the oracle for that table.
-Both systems are graded by residual degree, and ``_graded_kernel``
-solves each of them one degree at a time.
+``_graded_kernel`` solves both one residual degree at a time, and past
+degree 0 ``symmetry_dim`` only the compatibility rows of a constant symbol.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, perm
+from operator import mul
 
 from .errors import _ensure
 from .jets import Jet2
@@ -126,10 +128,10 @@ def symmetry_dim(st, order=7):
     """Projected symmetry-space dimensions at ``order`` and ``order + 1``.
 
     The order-m system has the polynomial fields of degree <= m as
-    unknowns and the residual rows of degree <= m - 2.  A field of
-    degree e reaches only rows of degree e - 2 or more, so it joins
-    ``_graded_kernel`` at step max(e - 2, 0).  The first twelve unknowns
-    are the 2-jet fields.
+    unknowns (the twelve 2-jet fields first) and the residual rows of degree
+    <= m - 2.  A field of degree e joins ``_graded_kernel`` at step
+    max(e - 2, 0), past step 0 through L S_d (``_symbol``) alone, so only
+    the 2 d - 2 compatibility rows C_d X K are solved there.
     """
     n = order
     if n < 2:
@@ -137,25 +139,25 @@ def symmetry_dim(st, order=7):
     for m in (n, n + 1):
         if st.order < m or st.eff < m:
             raise ValueError("structure jets too short for order %d" % m)
-    columns = _monomial_columns(st, n + 1)[1]
+    L, columns = _monomial_columns(st, n + 1)
     steps = [[_by_degree([col], n) for (_, i, j), col in columns.items()
               if max(i + j, 2) == d + 2] for d in range(n)]
-    dims = [rank([v[:12] for v in kernel], 12)
-            for d, kernel in enumerate(_graded_kernel(steps)) if d >= n - 2]
+    dims = [rank([v[:12] for v in K], 12)
+            for d, K in enumerate(_graded_kernel(steps, L=L)) if d >= n - 2]
     return SymmetryDimensions(n, n + 1, *dims)
 
 
-def _graded_kernel(steps, blocks=1, one=None):
+def _graded_kernel(steps, blocks=1, one=None, L=1):
     """Solve a graded integer system one row degree d at a time.
 
     ``steps[d]`` lists the columns (``_by_degree`` over ``blocks``
     blocks) that join at step d and vanish below it.  With X and Y the
     rows of degree d on the joined and the new columns, the kernel K
-    grows to the (K c, w) with X K c + Y w = 0: ``nullspace`` on
-    [X K | Y].  A constant column ``one`` joins first, as a particular
-    solution p = (1) kept before K: ``solve_affine([X K | Y], -X p)``
-    then grows both.  Yields the joined-order integer vectors after each
-    step, or [] once a step is inconsistent.
+    grows to the (K c, w) with X K c + Y w = 0: ``nullspace`` on [X K | Y],
+    or on C_d X K past step 0 without ``one`` (Y = L S_d, P L w = -W_d X K c).
+    A constant column ``one`` joins first as the particular solution p = (1),
+    and ``solve_affine([X K | Y], -X p)`` grows both.  Yields each step's
+    joined-order integer vectors, or [] once a step is inconsistent.
     """
     seen, basis = ([], []) if one is None else ([one], [[1]])
     for d, new in enumerate(steps):
@@ -168,7 +170,14 @@ def _graded_kernel(steps, blocks=1, one=None):
         for k, col in enumerate(new, len(basis)):
             for r, e in col[d]:
                 ext[r][k] = e
-        if one is None:
+        if one is None and d:
+            P, E = _symbol(d)
+            ER = [[sum(t) for t in zip(*([v * e for e in ext[r][:len(basis)]]
+                                         for r, v in row))] for row in E]
+            cs = map(_int_row, nullspace(ER[len(new):], len(basis)))
+            sols = [[P * L * e for e in c]
+                    + [-sum(map(mul, w, c)) for w in ER[:len(new)]] for c in cs]
+        elif one is None:
             sols = nullspace(ext, len(basis) + len(new))
         else:
             consistent, p, sols = solve_affine([row[1:] for row in ext],
@@ -177,11 +186,28 @@ def _graded_kernel(steps, blocks=1, one=None):
                 yield []
                 return
             sols = [[1] + p] + [[0] + s for s in sols]
-        basis = [_int_row([sum(a * v[c] for a, v in zip(s, basis))
-                           for c in range(len(seen))] + s[len(basis):])
-                 for s in map(_int_row, sols)]
+        basis = [_int_row([sum(c) for c in zip([0] * len(seen), *(
+            [a * e for e in v] for a, v in zip(s, basis) if a))]
+            + s[len(basis):]) for s in map(_int_row, sols)]
         seen += new
         yield basis
+
+
+@lru_cache(maxsize=None)
+def _symbol(d):
+    """``(P, E)``: W S_d = P I on the first 2 (d + 3) sparse (row, value)
+    rows of E, C S_d = 0 on the rest, for S_d the "1" terms of ``_TERMS``
+    from x^i y^(d + 2 - i) in component f (column 2 i + f) to degree d."""
+    n, m, h = 2 * (d + 3), 4 * (d + 1), d + 1
+    rows = [[0] * n + [int(r == c) for c in range(m)] for r in range(m)]
+    for k, c, f, dx, dy, *_ in (t for t in _TERMS if t[5] == 4):
+        for i in range(dx, h + 2 - dy):
+            e = c * perm(i, dx) * perm(h + 1 - i, dy)
+            rows[k * h + i - dx][2 * i + f] = e
+    _reduce(rows, n + m)   # S_d is injective: rows[c][c] pivots column c < n
+    P = lcm(*(rows[c][c] for c in range(n)))
+    return P, [[(k, v * P // row[c] if c < n else v) for k, v in
+                enumerate(row[n:]) if v] for c, row in enumerate(rows)]
 
 
 def _by_degree(cols, degrees):
@@ -366,6 +392,9 @@ def invariant_structures(fields, degree):
     of degree e - 1 or more: it joins ``_graded_kernel`` at step
     max(e - 1, 0).
     """
+    if degree < 1:
+        raise ValueError("invariant_structures needs degree >= 1, got %d"
+                         % degree)
     if not fields:
         raise ValueError("need at least one field")
     if min(min(f.a.eff, f.b.eff) for f in fields) < degree + 3:  # eff <= order

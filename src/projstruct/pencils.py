@@ -20,9 +20,9 @@ so it tests the Q^3-cleared numerator
 which multiplies the structure only by P and Q.  N answers only where
 its window covers the residual's.  With e the least ``eff`` of P, Q and
 A..D, a term of N below degree e means "not geodesic" (the residual is
-known through degree e - 1), an empty N with ``eff >= P.eff - 1`` means
-"geodesic" (the residual is known no further), and otherwise the
-residual itself decides.
+known through degree e - 1), an empty N with ``eff >= U`` means "geodesic"
+(U = min(min(P.eff, Q.eff + val P) - 1, A.eff) bounds the residual's
+``eff`` by the ``Jet2`` rules), and otherwise the residual decides.
 """
 
 from dataclasses import dataclass
@@ -134,11 +134,12 @@ def is_geodesic(fol, st):
     what N cannot.
     """
     fol, st = _upright(fol, st)
+    p, q = fol.P, fol.Q
     num = _cleared_residual(fol, st)
     if num.is_zero():
-        if num.eff >= fol.P.eff - 1:
+        if num.eff >= min(min(p.eff, q.eff + p._val_bound()) - 1, st.A.eff):
             return True
-    elif num._val_bound() < min(f.eff for f in (fol.P, fol.Q, *st)):
+    elif num._val_bound() < min(f.eff for f in (p, q, *st)):
         return False
     return foliation_residual(fol, st).is_zero()
 

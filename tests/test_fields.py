@@ -11,6 +11,7 @@ from projstruct.fields import (
     VectorField,
     _monomial_columns,
     _structure_columns,
+    _symbol,
     invariant_structures,
     is_symmetry,
     lie_bracket,
@@ -239,8 +240,33 @@ def test_symmetry_dim_grows_the_kernel_in_small_systems(monkeypatch):
     monkeypatch.setattr("projstruct.fields.nullspace", recording)
     report = symmetry_dim(S("x", "0", "0", "1"), 7)
     assert (report.dim_low, report.dim_high) == (1, 1)
-    # one solve per residual degree d, on its 4 (d + 1) <= 4 * 7 rows
-    assert heights == [4 * (d + 1) for d in range(7)]
+    # one solve per residual degree d: the 4 rows of degree 0, then the
+    # 2 d - 2 compatibility rows of the constant symbol S_d
+    assert heights == [4, 0, 2, 4, 6, 8, 10]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_constant_symbol_is_injective_with_its_cokernel(d):
+    # S_d, column by column from ``residual``: the fields of degree d + 2
+    # against the zero structure, read at residual degree d
+    flat = ProjectiveStructure.zero(d + 2)
+    cols = [residual(monomial_field(f, i, d + 2 - i, d + 2), flat)
+            for i in range(d + 3) for f in range(2)]
+    symbol = [[col.coeff(k).coeff(p, d - p) for col in cols]
+              for k in range(4) for p in range(d + 1)]
+    n = 2 * (d + 3)
+    assert rank(symbol, n) == n
+    scale, rows = _symbol(d)
+
+    def times_symbol(terms):
+        return [sum(v * symbol[r][j] for r, v in terms) for j in range(n)]
+
+    # W_d is the first n rows over ``scale``, C_d the rest
+    left, coker = rows[:n], rows[n:]
+    assert len(coker) == 2 * d - 2
+    assert all(times_symbol(row) == [0] * n for row in coker)
+    assert [times_symbol(row) for row in left] \
+        == [[scale * (i == j) for j in range(n)] for i in range(n)]
 
 
 @settings(deadline=None, max_examples=30)
@@ -287,6 +313,13 @@ def test_structures_preserved_by_affine_pair():
     assert sol.contains(S("0", "0", "exp(-x)", "0", order=7))
     assert sol.contains(S("0", "0", "0", "exp(-2*x)", order=7))
     assert not sol.contains(S("0", "x", "0", "0", order=7))
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_invariant_structures_rejects_degrees_below_one(degree):
+    dy = VectorField(Jet2.zero(5), Jet2.constant(1, 5))
+    with pytest.raises(ValueError, match="degree >= 1, got %d$" % degree):
+        invariant_structures([dy], degree)
 
 
 def test_invariant_structures_refuses_a_short_window():

@@ -231,6 +231,54 @@ def test_cleared_numerator_decides_like_the_residual(p0, q0, pi, qi, c0, ci,
         assert _cleared_residual(*_upright(fol, stq)).eff == res.eff
 
 
+@hs.composite
+def short_structure_windows(draw):
+    """A pencil member and its structure, optionally bent, with P and Q
+    cut to random windows and every structure slot cut below P's."""
+    order = PROP_ORDER
+    one = Jet2.constant(1, order)
+    p0, q0, pi, qi = (draw(jets(zero_constant=True, max_degree=2))
+                      for _ in range(4))
+    c0, ci = draw(nonzero_fractions), draw(nonzero_fractions)
+    pen = Pencil(Foliation(one.scale(c0) + p0, q0),
+                 Foliation(pi, one.scale(ci) + qi))
+    stq = structure_from_pencil(pen)
+    bend = draw(hs.one_of(hs.none(), structures(max_terms=2)))
+    if bend is not None:
+        stq = ProjectiveStructure(*(a + b for a, b in zip(stq, bend)))
+    fol = member(pen, draw(hs.sampled_from([0, 1, Fraction(-1, 2), INF])))
+    pe, qe = (draw(hs.integers(order - 3, order)) for _ in range(2))
+    return (Foliation(fol.P.truncated(eff=pe), fol.Q.truncated(eff=qe)),
+            ProjectiveStructure(*(f.truncated(eff=pe - draw(hs.integers(1, 3)))
+                                  for f in stq)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_structure_windows())
+def test_short_structure_windows_keep_the_residual_within_its_bound(case):
+    fol, stq = case
+    res = foliation_residual(fol, stq)
+    up, (a, *_) = _upright(fol, stq)
+    bound = min(min(up.P.eff, up.Q.eff + up.P._val_bound()) - 1, a.eff)
+    assert bound >= res.eff
+    assert is_geodesic(fol, stq) == res.is_zero()
+
+
+def test_a_short_structure_window_needs_no_residual(monkeypatch):
+    # horizontal leaves against y'' = 0 known through degree 2: N = -A Q^3
+    # is empty through degree 2, and the residual -A is known no further
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return foliation_residual(*args)
+
+    monkeypatch.setattr(pencils, "foliation_residual", counting)
+    stq = S("0", "0", "0", "0").map(lambda f: f.truncated(eff=2))
+    assert is_geodesic(F("0", "1"), stq)
+    assert calls == []
+
+
 def test_dense_members_are_tested_without_an_inverse(monkeypatch):
     order = 16
 
