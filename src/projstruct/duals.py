@@ -1,12 +1,13 @@
 """Dual rationals Q[eps]/(eps^2).
 
-`DualRational(re, ep)` models `re + ep*eps` with `eps^2 = 0`.  The jet
-arithmetic in :mod:`projstruct.jets` is written against a small
-coefficient protocol (ring ops, comparison with 0, ``is_unit``), so jets
-over dual rationals come for free.  They are used as a first-order
-oracle: pulling a structure back along ``id + eps*v`` and reading off
-the eps-part differentiates through the full nonlinear transformation
-law without any symbolic machinery.
+`DualRational(re, ep)` models `re + ep*eps` with `eps^2 = 0`.  A jet
+over dual rationals is stored in the one form of :mod:`projstruct.jets`,
+its values as numerators over the denominator 1, and the same integer
+loops run on them through a small coefficient protocol (ring ops,
+comparison with 0, ``is_unit``).  Dual jets are a first-order oracle:
+pulling a structure back along ``id + eps*v`` and reading off the
+eps-part differentiates through the full nonlinear transformation law
+without any symbolic machinery.
 """
 
 from fractions import Fraction

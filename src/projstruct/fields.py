@@ -358,7 +358,13 @@ class InvariantStructures:
         return len(self.basis) if self.consistent else None
 
     def contains(self, st):
-        """Is the degree-truncation of ``st`` in the affine space?"""
+        """Is the degree-truncation of ``st`` in the affine space?
+
+        ``st`` must be known through ``degree``: a coefficient above its
+        ``eff`` is unknown, not zero."""
+        if st.eff < self.degree:
+            raise ValueError("structure jets too short: need eff >= %d"
+                             % self.degree)
         if not self.consistent:
             return False
         target = _vectorize(st, self.degree)

@@ -18,25 +18,24 @@ effective order"; use :meth:`Jet2.agree` / :meth:`Jet2.is_zero` for
 mathematical comparisons.  ``==`` is strict structural equality (same
 order, same eff, same coefficients) and is mainly useful in tests.
 
-A jet with rational coefficients (``int`` or ``Fraction``, anything with
-``numerator``/``denominator``) is stored as integer numerators over one
-denominator, as FLINT's ``fmpq_poly`` does: ``_num`` maps (i, j) to a
-nonzero ``int``, with no key of degree above ``eff``, and ``_den`` is an
-``int > 0`` with gcd(_den, *_num.values()) == 1.  That form is canonical,
-so ``==`` and ``hash`` read it directly.  Every rational operation works
-on the integers and ends with one content gcd; none builds a ``Fraction``
-per term.  ``coeffs``, the read-only mapping ``{(i, j): Fraction}``, is
-built on first use and cached, and ``coeff`` returns a ``Fraction`` (0
-when the term is absent).
+Every jet is stored in one form, as FLINT's ``fmpq_poly`` is: ``_num``
+maps (i, j) to a nonzero numerator, with no key of degree above ``eff``,
+over one denominator ``_den``, an ``int > 0``.  Rational coefficients
+(``int`` or ``Fraction``, anything with ``numerator``/``denominator``)
+become ``int`` numerators with gcd(_den, *_num.values()) == 1.  That form
+is canonical, so ``==`` and ``hash`` read it directly.  Every operation
+works on the numerators and ends with one content gcd; none builds a
+``Fraction`` per term.  ``coeffs``, the read-only mapping ``{(i, j):
+Fraction}``, is built on first use and cached, and ``coeff`` returns a
+``Fraction`` (0 when the term is absent).
 
-Coefficients of any other type, such as the dual rationals of
-:mod:`projstruct.duals`, take the value path: ``_den`` is None and
-``_num`` holds the values themselves.  The same loops run on them against
-a minimal protocol (ring ops, equality with 0, an optional ``is_unit``
-attribute).  An operation with one rational and one value-path operand
-reads the rational one through ``coeffs``, never its numerators.  A
-value-path jet whose values all have a zero eps-part equals the rational
-jet of their real parts, and hashes as that jet does.
+Any other coefficients, such as the dual rationals of
+:mod:`projstruct.duals`, are kept as numerators over 1, and ``coeffs``
+reads them as they are.  The integer recurrences hold over Q[eps] once
+the denominator is 1, so the same loops run on them against a minimal
+protocol (ring ops, equality with 0, an optional ``is_unit`` attribute).
+A dual jet whose values all have a zero eps-part equals the rational jet
+of their real parts, and hashes as that jet does.
 
 The product is the hot spot of the package.  It visits only the pairs of
 terms whose degrees sum to at most the result's ``eff``: the factor
@@ -66,7 +65,6 @@ power series", J. ACM 25 (1978).
 """
 
 import math
-import operator
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -90,14 +88,25 @@ def _is_unit(c):
 
 
 def _canonical(num, den):
-    """``(num, den)`` with the content gcd divided out and ``den > 0``.
+    """The stored form of ``num`` over ``den``; ``num`` holds no zeros.
 
-    ``num`` must hold no zeros.  Value-path coefficients (``den`` None)
-    pass as they are, except that an empty jet is always rational.
+    Integer numerators lose their content gcd, and ``den`` is made > 0.
+    Any other values are divided by ``den`` (a unit, but not always an
+    ``int``).  If they are then all rational, they become integers over
+    their lcm; otherwise, as for dual rationals, they stay over 1.
     """
-    if den is None:
-        return (num, None) if num else ({}, 1)
-    g = math.gcd(den, *num.values())
+    try:
+        g = math.gcd(den, *num.values())
+    except TypeError:  # not all integers
+        if den != 1:
+            inv = Fraction(1) / den
+            num = {k: v * inv for k, v in num.items()}
+        try:
+            den = math.lcm(*[v.denominator for v in num.values()])
+        except AttributeError:
+            return num, 1
+        return {k: v.numerator * (den // v.denominator)
+                for k, v in num.items()}, den
     if den < 0:
         g = -g
     if g == 1:
@@ -160,22 +169,13 @@ class Jet2:
         eff = max(eff, -1)
         clean = {(i, j): c for (i, j), c in coeffs.items()
                  if i + j <= eff and not c == 0}
-        try:
-            den = math.lcm(*[c.denominator for c in clean.values()])
-        except AttributeError:  # not rational: keep the values, ints exact
-            clean = {k: Fraction(c) if isinstance(c, int) else c
-                     for k, c in clean.items()}
-            den = None
-        else:
-            clean = {k: c.numerator * (den // c.denominator)
-                     for k, c in clean.items()}
         self.order, self.eff, self._coeffs = order, eff, None
-        self._num, self._den = _canonical(clean, den)
+        self._num, self._den = _canonical(clean, 1)
 
     @classmethod
     def _new(cls, num, den, order, eff):
-        """A jet of ``num`` over ``den`` (values when ``den`` is None);
-        ``num`` is nonzero and of degree <= ``eff``."""
+        """The jet ``num``/``den``, put in the stored form by ``_canonical``;
+        ``num`` holds no zeros and no key of degree above ``eff``."""
         jet = object.__new__(cls)
         jet.order, jet.eff, jet._coeffs = order, eff, None
         jet._num, jet._den = _canonical(num, den)
@@ -217,20 +217,18 @@ class Jet2:
 
     @property
     def coeffs(self):
-        """``{(i, j): coefficient}``, read-only: ``Fraction``s for a
-        rational jet, built on first use and cached."""
-        if self._den is None:
-            return self._num
+        """``{(i, j): coefficient}``, read-only, built on first use and
+        cached: ``Fraction``s for integer numerators, other values as
+        stored (their denominator is 1)."""
         if self._coeffs is None:
             den = self._den
-            self._coeffs = {k: Fraction(n, den) for k, n in self._num.items()}
+            self._coeffs = {k: Fraction(n, den) if type(n) is int else n
+                            for k, n in self._num.items()}
         return self._coeffs
 
     def coeff(self, i, j):
         c = self._num.get((i, j), 0)
-        if self._den is None or not c:
-            return c
-        return Fraction(c, self._den)
+        return Fraction(c, self._den) if c and type(c) is int else c
 
     @property
     def constant_term(self):
@@ -253,8 +251,6 @@ class Jet2:
         e = min(self.eff, other.eff)
         a, b = self._num, other._num
         keys = [(i, j) for (i, j) in a.keys() | b.keys() if i + j <= e]
-        if self._den is None or other._den is None:
-            return all(self.coeff(i, j) == other.coeff(i, j) for (i, j) in keys)
         da, db = self._den, other._den
         return all(a.get(k, 0) * db == b.get(k, 0) * da for k in keys)
 
@@ -263,17 +259,20 @@ class Jet2:
             return NotImplemented
         if self.order != other.order or self.eff != other.eff:
             return False
-        if self._den is None or other._den is None:
-            return self.coeffs == other.coeffs
-        return self._den == other._den and self._num == other._num
+        a, b, da, db = self._num, other._num, self._den, other._den
+        if da == db:
+            return a == b
+        # a dual jet (over 1) can equal a rational one
+        return a.keys() == b.keys() and all(a[k] * db == b[k] * da for k in a)
 
     def __hash__(self):
         num, den = self._num, self._den
-        if den is None and all(getattr(v, "ep", 0) == 0 for v in num.values()):
-            # equal to the rational jet of the real parts: hash that one
-            rational = Jet2({k: getattr(v, "re", v) for k, v in num.items()},
-                            self.order, self.eff)
-            num, den = rational._num, rational._den
+        if any(type(n) is not int for n in num.values()):
+            # hash as the rational jet of the real parts, which this jet
+            # equals when every eps-part is zero
+            real = Jet2({k: getattr(v, "re", v) for k, v in num.items()},
+                        self.order, self.eff)
+            num, den = real._num, real._den
         return hash((self.order, self.eff, den, frozenset(num.items())))
 
     def __repr__(self):
@@ -294,11 +293,6 @@ class Jet2:
         order = min(self.order, other.order)
         eff = min(self.eff, other.eff)
         da, db = self._den, other._den
-        if da is None or db is None:
-            out = dict(self.coeffs)
-            for k, c in other.coeffs.items():
-                out[k] = out[k] + c if k in out else c
-            return Jet2(out, order, eff)
         den = math.lcm(da, db)
         sa, sb = den // da, den // db
         out = {k: n * sa for k, n in self._num.items()}
@@ -326,10 +320,7 @@ class Jet2:
         eff = min(order,
                   self.eff + other._val_bound(),
                   other.eff + self._val_bound())
-        if self._den is None or other._den is None:
-            a, b, den = self.coeffs, other.coeffs, None
-        else:
-            a, b, den = self._num, other._num, self._den * other._den
+        a, b, den = self._num, other._num, self._den * other._den
         if len(a) < len(b):
             a, b = b, a
         if not b:
@@ -368,17 +359,13 @@ class Jet2:
         return self.scale(other)
 
     def scale(self, c):
-        if self._den is not None and isinstance(c, (int, Fraction)):
-            if not c:
-                return Jet2.zero(self.order, self.eff)
-            n = c.numerator
-            return Jet2._new({k: n * v for k, v in self._num.items()},
-                             self._den * c.denominator, self.order, self.eff)
-        c = as_coeff(c)
-        if c == 0:
+        n, d = ((c.numerator, c.denominator) if isinstance(c, (int, Fraction))
+                else (as_coeff(c), 1))
+        if n == 0:
             return Jet2.zero(self.order, self.eff)
-        return Jet2({k: c * v for k, v in self.coeffs.items()},
-                    self.order, self.eff)
+        # over the dual numbers n * v can vanish: eps * eps == 0
+        return Jet2._new({k: p for k, v in self._num.items() if (p := n * v)},
+                         self._den * d, self.order, self.eff)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -402,15 +389,13 @@ class Jet2:
         Z_k = c^(d+1) (1/U)_k at degree d obey Z_0 = 1 and
         Z_k = -sum_e c^(deg e - 1) U_e Z_(k-e); then (1/u)_k = den Z_k / c^(d+1),
         which is den Z_k c^(eff-d) over the one denominator c^(eff+1).
+        Over the dual numbers c is a dual unit, and ``_canonical`` divides
+        by that denominator.
         """
         c = self._num.get((0, 0), 0)
         if not _is_unit(c):
             raise NonUnitDivisor("constant term %r is not invertible" % (c,))
         order, eff = self.order, self.eff
-        if self._den is None:  # not rational: the same recurrence on the values
-            inv = 1 / c
-            tail = {k: -(v * inv) for k, v in self._num.items() if k != (0, 0)}
-            return Jet2._new(_graded_solve(tail, inv, eff), None, order, eff)
         scaled = _graded_solve({(i, j): -n * c ** (i + j - 1)
                                 for (i, j), n in self._num.items() if i + j},
                                1, eff)
@@ -444,9 +429,6 @@ class Jet2:
         """Antiderivative in x vanishing on x = 0."""
         eff = min(self.eff + 1, self.order)
         kept = [(i, j, c) for (i, j), c in self._num.items() if i + j + 1 <= eff]
-        if self._den is None:
-            return Jet2._new({(i + 1, j): c * Fraction(1, i + 1)
-                              for i, j, c in kept}, None, self.order, eff)
         top = math.lcm(*[i + 1 for i, _, _ in kept])
         return Jet2._new({(i + 1, j): n * (top // (i + 1)) for i, j, n in kept},
                          self._den * top, self.order, eff)
@@ -540,25 +522,15 @@ def _substitute_all(fs, u, v):
 
 
 def _linear_combination(f, parts):
-    """sum f_k * t over (k, t) in ``parts``, as (numerators, denominator).
-
-    When f and every t are rational the sum runs on integers over f's
-    denominator times the lcm of the t's; otherwise it runs on the values
-    and the denominator is None.
-    """
+    """sum f_k * t over (k, t) in ``parts``, as (numerators, denominator):
+    the numerators sum over f's denominator times the lcm of the t's."""
     acc = {}
-    if f._den is not None and all(t._den is not None for _, t in parts):
-        den = math.lcm(*[t._den for _, t in parts])
-        for k, t in parts:
-            s = f._num[k] * (den // t._den)
-            for key, n in t._num.items():
-                acc[key] = acc[key] + s * n if key in acc else s * n
-        return acc, f._den * den
+    den = math.lcm(*[t._den for _, t in parts])
     for k, t in parts:
-        c = f.coeffs[k]
-        for key, v in t.coeffs.items():
-            acc[key] = acc[key] + c * v if key in acc else c * v
-    return acc, None
+        s = f._num[k] * (den // t._den)
+        for key, n in t._num.items():
+            acc[key] = acc[key] + s * n if key in acc else s * n
+    return acc, f._den * den
 
 
 def _powers(g, top, order):
@@ -633,19 +605,18 @@ def exp_series(u):
     if (0, 0) in u._num:
         raise NonZeroConstantTerm("exp needs a vanishing constant term")
     eff = u.eff
-    if u._den is None:  # not rational: the same recurrence on the values
-        tail = {(i, j): (i + j) * c for (i, j), c in u._num.items()}
-        return Jet2._new(_graded_solve(tail, Fraction(1), eff, operator.truediv),
-                         None, u.order, eff)
     # With u = U/den, g_k = den^d f_k are the coefficients of exp(V) for
     # V(x, y) = U(den x, den y)/den, which has integer coefficients, so
     # d! g_k is an integer and so is h_k = eff! g_k: the division by d
     # in d h_k = sum_e deg(e) V_e h_(k-e) is exact.  Then f_k is
-    # h_k den^(eff-d) over the one denominator eff! den^eff.
+    # h_k den^(eff-d) over the one denominator eff! den^eff.  Over the
+    # dual numbers den is 1, and an ``int`` h_k comes from ``int`` terms
+    # of V alone, so it divides exactly too.
     top, den = math.factorial(max(eff, 0)), u._den
     tail = {(i, j): (i + j) * n * den ** (i + j - 1)
             for (i, j), n in u._num.items()}
-    scaled = _graded_solve(tail, top, eff, operator.floordiv)
+    scaled = _graded_solve(tail, top, eff,
+                           lambda w, d: w // d if type(w) is int else w / d)
     return Jet2._new({(i, j): n * den ** (eff - i - j)
                       for (i, j), n in scaled.items()},
                      top * den ** max(eff, 0), u.order, eff)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from projstruct.duals import DualRational
 from projstruct.jets import Jet2
 
 # Property tests run at a modest order: the order-N algebra exercises the
@@ -46,6 +47,16 @@ def jets(draw, order=PROP_ORDER, max_terms=4, x_only=False, zero_constant=False,
     if unit_constant:
         coeffs[(0, 0)] = draw(nonzero_fractions)
     return Jet2.from_terms(coeffs, order)
+
+
+@st.composite
+def dual_jets(draw, order=PROP_ORDER, **kwargs):
+    """A rational jet from ``jets`` plus a random eps-part, at a random eff."""
+    re = draw(jets(order=order, **kwargs))
+    ep = draw(jets(order=order, **kwargs))
+    return Jet2({k: DualRational(re.coeff(*k), ep.coeff(*k))
+                 for k in re.coeffs.keys() | ep.coeffs.keys()},
+                order, draw(st.integers(-1, order)))
 
 
 def univariate_germs(order=PROP_ORDER):

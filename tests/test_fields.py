@@ -450,6 +450,19 @@ def test_graded_invariant_structures_equal_the_one_shot_solve(c1, c2, dim):
     assert got == one_shot_invariant_structures(fields, 6)
 
 
+def test_contains_refuses_a_structure_known_below_the_degree():
+    # the model (0, 1/2, 0, e^{-2x}) lies in the family; its terms above
+    # eff = 3 are unknown, so the degree-6 test cannot read them as zero
+    inv = invariant_structures(sl2_triple(0, 0), 6)
+    model = S("0", "1/2", "0", "exp(-2*x)", 9)
+    assert inv.contains(model)
+    assert inv.contains(model.truncated(eff=6))
+    for short in (model.truncated(eff=3), model.truncated(order=3),
+                  model.truncated(eff=5)):
+        with pytest.raises(ValueError, match="need eff >= 6$"):
+            inv.contains(short)
+
+
 def test_invariant_structures_solves_one_degree_at_a_time(monkeypatch):
     heights = []
 

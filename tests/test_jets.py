@@ -24,7 +24,7 @@ from projstruct.jets import (
     substitute,
 )
 
-from conftest import jets, small_fractions, univariate_germs
+from conftest import dual_jets, jets, small_fractions, univariate_germs
 
 
 def J(terms, order=8, eff=None):
@@ -182,7 +182,7 @@ def _clean(coeffs, eff):
 
 
 def _ref_sum(u, v, sign):
-    out = {k: Fraction(c) for k, c in u.coeffs.items()}
+    out = dict(u.coeffs)
     for k, c in v.coeffs.items():
         out[k] = out.get(k, 0) + sign * c
     return _clean(out, min(u.eff, v.eff))
@@ -258,6 +258,51 @@ def test_rational_storage_is_canonical_after_every_operation(u, v, c, top):
     cases.append((w, _ref_substitute(u, p, q, w.eff)))
     for got, want in cases:
         assert_canonical(got)
+        assert got.coeffs == want
+
+
+def assert_stored_form(w):
+    """Canonical when every numerator is an int; values (here duals) are
+    numerators over 1, with no zero term and no term above eff."""
+    if all(type(n) is int for n in w._num.values()):
+        assert_canonical(w)
+        return
+    assert w._den == 1
+    for (i, j), n in w._num.items():
+        assert n != 0 and i + j <= w.eff
+
+
+@settings(deadline=None, max_examples=60)
+@given(dual_jets(), dual_jets(), dual_jets(zero_constant=True),
+       dual_jets(zero_constant=True), _coprime_fractions, small_fractions,
+       st.integers(-1, 7))
+def test_dual_jets_keep_the_one_stored_form(u, v, p, q, c, e, top):
+    d = DualRational(c, e)
+    cs = u.coeffs
+    unit = u - u.coeff(0, 0) + DualRational(1, e)
+    p = p + e * EPS   # an infinitesimal base point costs one order
+    uv = u * v
+    cases = [
+        (u + v, _ref_sum(u, v, 1)),
+        (u - v, _ref_sum(u, v, -1)),
+        (uv, _ref_mul(u.coeffs, v.coeffs, uv.eff)),
+        (u.scale(-6), _clean({k: -6 * x for k, x in cs.items()}, u.eff)),
+        (u.scale(c), _clean({k: c * x for k, x in cs.items()}, u.eff)),
+        (u.scale(d), _clean({k: d * x for k, x in cs.items()}, u.eff)),
+        (u.d_dx(), {(i - 1, j): i * x for (i, j), x in cs.items() if i}),
+        (u.d_dy(), {(i, j - 1): j * x for (i, j), x in cs.items() if j}),
+        (u.integrate_x(), _clean({(i + 1, j): x / (i + 1) for (i, j), x in cs.items()},
+                                 min(u.eff + 1, u.order))),
+        (u.truncated(eff=top), _clean(cs, min(top, u.eff))),
+        (exp_series(q), _ref_exp(q)),
+    ]
+    if unit.eff >= 0:
+        cases.append((unit.inverse(), _ref_inverse(unit)))
+    w = substitute(u, p, q)
+    assert w.eff == max(min(u.eff, p.eff, q.eff) - (e != 0), -1)
+    cases.append((w, _ref_substitute(u, p, q, w.eff)))
+    for got, want in cases:
+        assert_stored_form(got)
         assert got.coeffs == want
 
 
