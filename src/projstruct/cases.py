@@ -1025,8 +1025,12 @@ def run_case(case_id, params=None, order=DEFAULT_ORDER):
     the given values (strings, rationals or expression text) are merged
     over the default sample and that single environment runs.
     Inadmissible parameter values raise
-    :class:`~projstruct.errors.InadmissibleParameters`.
+    :class:`~projstruct.errors.InadmissibleParameters`, and a working
+    order below 2 raises ``ValueError`` before any case runs.
     """
+    if order < 2:
+        raise ValueError("the working order must be at least 2, got %d"
+                         % order)
     record = CASES.get(case_id)
     if record is None:
         raise UnknownCase("unknown case id %r; known ids: %s"

@@ -232,8 +232,17 @@ class _Parser:
 
 
 def parse(text):
-    """Parse expression text into a syntax tree."""
-    return _Parser(text).parse()
+    """Parse expression text into a syntax tree.
+
+    Text nested deeper than the interpreter's recursion limit allows
+    raises :class:`ExprSyntaxError` at the last token read.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply",
+                              parser.tokens[parser.pos - 1][2]) from None
 
 
 # --- printing ----------------------------------------------------------------------
@@ -272,13 +281,18 @@ def expand(e, env=None, order=None):
 
     ``env`` maps parameter names to Fractions, ints, expression text, or
     syntax trees.  Function-valued parameters are expanded recursively;
-    reference cycles raise :class:`UnboundParameter`.
+    reference cycles raise :class:`UnboundParameter`, and a tree nested
+    too deeply to expand raises :class:`ExprSyntaxError` (at offset 0).
     """
     order = DEFAULT_ORDER if order is None else order
     if isinstance(e, str):
         e = parse(e)
     env = {} if env is None else env
-    return _expand(e, env, order, frozenset())
+    try:
+        return _expand(e, env, order, frozenset())
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply to expand",
+                              0) from None
 
 
 def _expand(e, env, order, active):

@@ -24,10 +24,10 @@ over one denominator ``_den``, an ``int > 0``.  Rational coefficients
 (``int`` or ``Fraction``, anything with ``numerator``/``denominator``)
 become ``int`` numerators with gcd(_den, *_num.values()) == 1.  That form
 is canonical, so ``==`` and ``hash`` read it directly.  Every operation
-works on the numerators and ends with one content gcd; none builds a
-``Fraction`` per term.  ``coeffs``, the read-only mapping ``{(i, j):
-Fraction}``, is built on first use and cached, and ``coeff`` returns a
-``Fraction`` (0 when the term is absent).
+works on the numerators and ends with one content gcd; only ``shift_y``
+(run for y0 != 0 alone) builds a ``Fraction`` per term.  ``coeffs``, the
+read-only mapping ``{(i, j): Fraction}``, is built on first use and
+cached, and ``coeff`` returns a ``Fraction`` (0 when the term is absent).
 
 Any other coefficients, such as the dual rationals of
 :mod:`projstruct.duals`, are kept as numerators over 1, and ``coeffs``
@@ -45,16 +45,17 @@ plain ``int`` products over the product of the two denominators.  A
 one-term factor is a shifted scale of the other.
 
 The series kernels end by construction; none iterates to a fixed point
-under a cap.  A coefficient of degree d of ``inverse``, ``sqrt_series``
-and ``exp_series`` depends only on coefficients of lower degree, so one
-pass by total degree fixes each once (``_graded_solve``):
+under a cap.  A coefficient of degree d of ``inverse`` and of the Euler
+solve depends only on coefficients of lower degree, so one pass by total
+degree fixes each once (``_graded_solve``):
 
 - ``inverse``: z_k = -(1/u_0) sum_e u_e z_(k-e), on integer numerators,
   over the one denominator c^(eff+1), c the constant numerator;
-- ``sqrt_series``: r_k = (u_k - sum r_p r_q) / (2 r_0), p, q nonconstant,
-  on ``Fraction`` values;
-- ``exp_series``: d f_k = sum_e deg(e) u_e f_(k-e), from the Euler
-  operator x d/dx + y d/dy, on integer numerators over eff! den^eff.
+- ``_euler_solve(g)``: the f with f_0 = 1 and E f = f g, for the Euler
+  operator E = x d/dx + y d/dy; at degree d, d f_k = sum_e g_e f_(k-e),
+  on integer numerators over eff! den^eff.  ``exp_series(u)`` is the
+  solve of E u, and ``sqrt_series(u)`` is r_0 times the solve of
+  (E u)/(2u).
 
 ``comp_inverse`` is Newton reversion, doubling the precision each pass.
 Series solutions of ODEs climb a staircase of Picard passes
@@ -596,30 +597,39 @@ def _picard(step, y, first, what):
 
 # -- analytic series ----------------------------------------------------------
 
-def exp_series(u):
-    """exp(u) for a jet with zero constant term.
+def _euler(u):
+    """E u = x u_x + y u_y: each term times its degree, in the same window."""
+    return Jet2._new({(i, j): (i + j) * n for (i, j), n in u._num.items()},
+                     u._den, u.order, u.eff)
 
-    f = exp(u) solves E f = f E u for the Euler operator
-    E = x d/dx + y d/dy; at degree d that reads d f_k = sum_e deg(e) u_e f_(k-e).
+
+def _euler_solve(g):
+    """The f with f_0 = 1 and E f = f g, for a jet g with no constant term.
+
+    At degree d that reads d f_k = sum_e g_e f_(k-e).  With g = G/den
+    (integer numerators), d! den^d f_k is an integer by induction on d, so
+    h_k = eff! den^d f_k is too, and the division by d in
+    d h_k = sum_e G_e den^(deg e - 1) h_(k-e) is exact.  Then f_k is
+    h_k den^(eff-d) over the one denominator eff! den^eff.  Over the dual
+    numbers den is 1, and an ``int`` h_k comes from ``int`` terms of G
+    alone, so it divides exactly too.
     """
-    if (0, 0) in u._num:
-        raise NonZeroConstantTerm("exp needs a vanishing constant term")
-    eff = u.eff
-    # With u = U/den, g_k = den^d f_k are the coefficients of exp(V) for
-    # V(x, y) = U(den x, den y)/den, which has integer coefficients, so
-    # d! g_k is an integer and so is h_k = eff! g_k: the division by d
-    # in d h_k = sum_e deg(e) V_e h_(k-e) is exact.  Then f_k is
-    # h_k den^(eff-d) over the one denominator eff! den^eff.  Over the
-    # dual numbers den is 1, and an ``int`` h_k comes from ``int`` terms
-    # of V alone, so it divides exactly too.
-    top, den = math.factorial(max(eff, 0)), u._den
-    tail = {(i, j): (i + j) * n * den ** (i + j - 1)
-            for (i, j), n in u._num.items()}
+    eff, den = g.eff, g._den
+    top = math.factorial(max(eff, 0))
+    tail = {(i, j): n * den ** (i + j - 1) for (i, j), n in g._num.items()}
     scaled = _graded_solve(tail, top, eff,
                            lambda w, d: w // d if type(w) is int else w / d)
     return Jet2._new({(i, j): n * den ** (eff - i - j)
                       for (i, j), n in scaled.items()},
-                     top * den ** max(eff, 0), u.order, eff)
+                     top * den ** max(eff, 0), g.order, eff)
+
+
+def exp_series(u):
+    """exp(u) for a jet with zero constant term: f = exp(u) solves
+    E f = f E u for the Euler operator E = x d/dx + y d/dy."""
+    if (0, 0) in u._num:
+        raise NonZeroConstantTerm("exp needs a vanishing constant term")
+    return _euler_solve(_euler(u))
 
 
 def _rational_sqrt(c):
@@ -635,9 +645,8 @@ def _rational_sqrt(c):
 def sqrt_series(u):
     """The square root with sqrt(c0) > 0; c0 must be a nonzero rational square.
 
-    One pass by total degree: r_k = (u_k - sum r_p r_q) / (2 r_0), the sum
-    over p + q = k with p, q nonconstant.  Each finished r_k pushes its
-    products with the terms before it onto the keys above.
+    r = sqrt(u) solves E r = r (E u)/(2u), and (E u)/(2u) has no constant
+    term, so r / r0 is the Euler solve of (E u)/(2u).
     """
     c0 = u.constant_term
     if c0 == 0:
@@ -649,26 +658,7 @@ def sqrt_series(u):
     r0 = _rational_sqrt(c0)
     if r0 is None:
         raise NonSquareConstant("%s is not a rational square" % (c0,))
-    eff = u.eff
-    m = eff + 1
-    half = 1 / (2 * r0)
-    out = {(0, 0): r0}
-    done, degrees = [], []   # finished nonconstant terms, by degree
-    acc = {}
-    for d in range(1, m):
-        for i in range(d + 1):
-            k = i * m + d - i
-            r = (u.coeff(i, d - i) - acc.pop(k, 0)) * half
-            if r == 0:
-                continue
-            out[(i, d - i)] = r
-            for kq, rq in done[:bisect_right(degrees, eff - d)]:
-                acc[k + kq] = acc.get(k + kq, 0) + 2 * r * rq
-            if 2 * d <= eff:
-                acc[2 * k] = acc.get(2 * k, 0) + r * r
-            done.append((k, r))
-            degrees.append(d)
-    return Jet2(out, u.order, eff)
+    return _euler_solve((_euler(u) / u).scale(Fraction(1, 2))).scale(r0)
 
 
 # -- printing -----------------------------------------------------------------

@@ -246,6 +246,15 @@ def test_malformed_expression_reports_offset(write, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["(" * 300 + "x" + ")" * 300,
+                                  "-" * 1200 + "x"],
+                         ids=["parentheses", "unary-minus"])
+def test_deeply_nested_expression_is_a_parse_error(write, capsys, text):
+    assert dispatch(["invariants",
+                     write('[structure]\nA = "%s"\n' % text)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_parse_error(tmp_path, capsys):
     assert dispatch(["invariants", str(tmp_path / "absent.ini")]) == 3
 

@@ -77,6 +77,17 @@ def test_syntax_errors_carry_offsets():
         parse("(x")
 
 
+def test_nesting_past_the_recursion_limit_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse("(" * 300 + "x" + ")" * 300)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        expand("-" * 1200 + "x")
+    # a left-deep sum parses in a loop but expands by recursion
+    with pytest.raises(ExprSyntaxError, match="too deeply to expand"):
+        expand("+".join(["x"] * 3000), order=2)
+    assert expand("(" * 100 + "x" + ")" * 100, order=2) == expand("x", order=2)
+
+
 def test_constant_division_by_zero_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("1/0")

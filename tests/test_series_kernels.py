@@ -181,6 +181,15 @@ def test_sqrt_series_matches_newton(u):
     assert sqrt_series(u) == reference_sqrt(u)
 
 
+def test_sqrt_series_over_duals_matches_newton():
+    u = Jet2({(0, 0): Fraction(9, 4), (1, 0): DualRational(1, 2), (0, 1): EPS,
+              (1, 1): DualRational(Fraction(-1, 3), 1)}, 6, 5)
+    r = sqrt_series(u)
+    assert r == reference_sqrt(u)
+    assert (r * r).agree(u)
+    assert r._den == 1
+
+
 @settings(deadline=None, max_examples=50)
 @given(exp_arguments())
 def test_exp_series_matches_the_power_sum(u):

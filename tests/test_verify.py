@@ -139,6 +139,17 @@ def test_run_case_unknown_id_lists_known_ids():
     assert "thm31.i.a" in str(err.value)
 
 
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_run_case_and_run_all_reject_orders_below_two(order):
+    message = "must be at least 2, got %d" % order
+    with pytest.raises(ValueError, match=message):
+        run_case("thm31.iv", None, order)
+    with pytest.raises(ValueError, match=message):
+        run_case("thm31.iii", None, order)
+    with pytest.raises(ValueError, match=message):
+        run_all(order)
+
+
 def test_run_case_rejects_unknown_parameter_names():
     with pytest.raises(InadmissibleParameters):
         run_case("thm31.ii.a", {"omega": "1"}, order=6)
