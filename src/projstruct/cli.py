@@ -52,7 +52,7 @@ from .structures import (ProjectiveStructure, apply_x_reparam, apply_y_shift,
 
 
 class DocumentError(ProjstructError):
-    """Input document is missing a section/key or holds a bad value."""
+    """An input document or flag is missing a section/key or holds a bad value."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,15 @@ class InputDocument:
     fields: dict               # name -> VectorField
     pencil: object             # Pencil or None
     params: dict               # name -> rational text
+
+
+def _rational(text, name):
+    """``text`` as a Fraction; a bad value is a DocumentError naming ``name``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError("%s must be a rational p/q, got %r"
+                            % (name, text)) from None
 
 
 def _unquote(text):
@@ -98,11 +107,7 @@ def load_document(path):
     if parser.has_section("params"):
         for key, value in parser.items("params"):
             value = _unquote(value)
-            try:
-                Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise DocumentError(
-                    "[params] %s must be a rational p/q, got %r" % (key, value))
+            _rational(value, "[params] " + key)
             params[key] = value
 
     env = dict(params)
@@ -220,7 +225,7 @@ def _cmd_pullback(args):
         st = apply_y_shift(st, expand(_unquote(args.phi), doc.params,
                                       doc.order))
     if args.scale is not None:
-        st = apply_y_scale(st, Fraction(args.scale))
+        st = apply_y_scale(st, _rational(args.scale, "--scale"))
     _print_structure(st)
     return 0
 
@@ -235,7 +240,7 @@ def _cmd_geodesic(args):
     doc = load_document(args.file)
     pen = _require(doc, "pencil", "pencil")
     text = args.z.strip().lower()
-    z = INF if text in ("inf", "infinity") else Fraction(args.z)
+    z = INF if text in ("inf", "infinity") else _rational(args.z, "--z")
     st = doc.structure
     if st is None:
         st = structure_from_pencil(pen)

@@ -20,10 +20,16 @@ root, so the base's constant term must be a rational square.
 at a chosen order.  Environment values may themselves be expressions
 (function-valued parameters), which are expanded recursively.
 
-:func:`to_text` prints a fully parenthesized form that parses back to
-the same tree.
+Trees are made of :class:`Lit`, :class:`Var`, :class:`Param`, :class:`Neg`,
+:class:`Chain` (one whole run of ``+ -`` or of ``* /``, as read), :class:`Pow`
+and :class:`Call`.  So a tree is as deep as its text is nested, whatever the
+length of its sums and products: only nesting meets the recursion limit, and
+:func:`parse` rejects it.  :func:`to_text` prints one pair of parentheses per
+chain and around each negative or non-integer literal; ``parse(to_text(e))``
+rebuilds ``e``.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,10 +60,11 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*", "/"
-    left: object
-    right: object
+class Chain:
+    """``first op1 x1 op2 x2 ...``, evaluated left to right; the ops are
+    all from ``+ -`` or all from ``* /``."""
+    first: object
+    rest: tuple  # ((op, operand), ...)
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,10 @@ class Call:
 
 FUNCTIONS = ("exp", "sqrt")
 COORDS = ("x", "y")
+_SUM = ("+", "-")
+_PRODUCT = ("*", "/")
+_APPLY = {"+": operator.add, "-": operator.sub,
+          "*": operator.mul, "/": operator.truediv}
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -133,38 +144,29 @@ class _Parser:
         return tok
 
     def parse(self):
-        e = self.expr()
+        e = self.chain(_SUM)
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError("unexpected %r" % tok[1], tok[2])
         return e
 
-    def expr(self):
-        left = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
-            left = BinOp(op, left, right)
-        return left
-
-    def term(self):
-        left = self.unary()
-        while self.peek()[0] in ("*", "/"):
+    def chain(self, ops):
+        """A run of ``_SUM`` ops over products, or of ``_PRODUCT`` ops over
+        unary operands; a product's leading literals fold into one ``Lit``
+        (``1/2``, ``-2/3``; ``2*3*x`` starts with 6)."""
+        first = self.chain(_PRODUCT) if ops is _SUM else self.unary()
+        rest = []
+        while self.peek()[0] in ops:
             op, _, offset = self.advance()
-            right = self.unary()
-            left = self._fold_div(op, left, right, offset)
-        return left
-
-    @staticmethod
-    def _fold_div(op, left, right, offset):
-        # keep rational literals like 1/2 or -2/3 as single constants
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            if op == "/":
-                if right.value == 0:
+            right = self.chain(_PRODUCT) if ops is _SUM else self.unary()
+            if ops is _PRODUCT and not rest and isinstance(first, Lit) \
+                    and isinstance(right, Lit):
+                if op == "/" and right.value == 0:
                     raise ExprSyntaxError("division by zero in constant", offset)
-                return Lit(left.value / right.value)
-            return Lit(left.value * right.value)
-        return BinOp(op, left, right)
+                first = Lit(_APPLY[op](first.value, right.value))
+            else:
+                rest.append((op, right))
+        return Chain(first, tuple(rest)) if rest else first
 
     def unary(self):
         if self.peek()[0] == "-":
@@ -216,7 +218,7 @@ class _Parser:
         if kind == "ident":
             if text in FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg = self.chain(_SUM)
                 self.expect(")")
                 return Call(text, arg)
             if self.peek()[0] == "(":
@@ -225,7 +227,7 @@ class _Parser:
                 return Var(text)
             return Param(text)
         if kind == "(":
-            e = self.expr()
+            e = self.chain(_SUM)
             self.expect(")")
             return e
         raise ExprSyntaxError("expected a value, found %r" % (text or "end of input"), offset)
@@ -248,26 +250,24 @@ def parse(text):
 # --- printing ----------------------------------------------------------------------
 
 
-def _exponent_text(q):
-    if q.denominator == 1 and q >= 0:
-        return str(q.numerator)
-    if q.denominator == 1:
-        return "(%d)" % q.numerator
-    return "(%d/%d)" % (q.numerator, q.denominator)
+def _rational_text(q):
+    """``q`` as an atom: bare if a nonnegative integer, else in parentheses."""
+    return str(q) if q.denominator == 1 and q >= 0 else "(%s)" % q
 
 
 def to_text(e):
     """Fully parenthesized form; ``parse(to_text(e))`` rebuilds ``e``."""
     if isinstance(e, Lit):
-        return str(e.value)
+        return _rational_text(e.value)
     if isinstance(e, Var) or isinstance(e, Param):
         return e.name
     if isinstance(e, Neg):
         return "(-%s)" % to_text(e.arg)
-    if isinstance(e, BinOp):
-        return "(%s %s %s)" % (to_text(e.left), e.op, to_text(e.right))
+    if isinstance(e, Chain):
+        return "(%s)" % " ".join([to_text(e.first)] + [
+            "%s %s" % (op, to_text(x)) for op, x in e.rest])
     if isinstance(e, Pow):
-        return "%s^%s" % (to_text(e.base), _exponent_text(e.exponent))
+        return "%s^%s" % (to_text(e.base), _rational_text(e.exponent))
     if isinstance(e, Call):
         return "%s(%s)" % (e.func, to_text(e.arg))
     raise TypeError("not an expression: %r" % (e,))
@@ -313,16 +313,11 @@ def _expand(e, env, order, active):
         return _expand(value, env, order, active | {e.name})
     if isinstance(e, Neg):
         return -_expand(e.arg, env, order, active)
-    if isinstance(e, BinOp):
-        left = _expand(e.left, env, order, active)
-        right = _expand(e.right, env, order, active)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        return left / right
+    if isinstance(e, Chain):
+        acc = _expand(e.first, env, order, active)
+        for op, x in e.rest:
+            acc = _APPLY[op](acc, _expand(x, env, order, active))
+        return acc
     if isinstance(e, Pow):
         base = _expand(e.base, env, order, active)
         num, den = e.exponent.numerator, e.exponent.denominator
@@ -355,9 +350,10 @@ def _collect_params(e, out):
         out.add(e.name)
     elif isinstance(e, Neg):
         _collect_params(e.arg, out)
-    elif isinstance(e, BinOp):
-        _collect_params(e.left, out)
-        _collect_params(e.right, out)
+    elif isinstance(e, Chain):
+        _collect_params(e.first, out)
+        for _, x in e.rest:
+            _collect_params(x, out)
     elif isinstance(e, Pow):
         _collect_params(e.base, out)
     elif isinstance(e, Call):

@@ -228,6 +228,15 @@ def test_geodesic_rejects_a_bad_member_label(write, capsys):
     assert dispatch(["geodesic", write(PENCIL_DOC), "--z", "sideways"]) == 3
 
 
+@pytest.mark.parametrize("command,flag", [("geodesic", "--z"),
+                                          ("pullback", "--scale")])
+def test_rational_flags_name_themselves(write, capsys, command, flag):
+    doc = PENCIL_DOC + "\n[structure]\nA = \"x\"\n"
+    assert dispatch([command, write(doc), flag, "1/0"]) == 3
+    assert capsys.readouterr().err == \
+        "error: %s must be a rational p/q, got '1/0'\n" % flag
+
+
 # --- parameters and failure taxonomy --------------------------------------------
 
 
@@ -253,6 +262,13 @@ def test_deeply_nested_expression_is_a_parse_error(write, capsys, text):
     assert dispatch(["invariants",
                      write('[structure]\nA = "%s"\n' % text)]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_a_long_flat_sum_or_product_is_not_nesting(write, capsys):
+    doc = '[structure]\nA = "%s"\nC = "%s"\nD = "1"\n' % (
+        "+".join(["x"] * 10 ** 4), "*".join(["x"] * 10 ** 4))
+    assert dispatch(["invariants", write(doc)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["L1 = -30000", "L2 = 0"]
 
 
 def test_missing_file_is_a_parse_error(tmp_path, capsys):

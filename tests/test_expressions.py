@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projstruct.errors import ExprSyntaxError, UnboundParameter, UnsupportedExponent
+from projstruct.errors import (ExprSyntaxError, ProjstructError, UnboundParameter,
+                               UnsupportedExponent)
 from projstruct.expressions import (
-    BinOp,
     Call,
+    Chain,
     Lit,
     Neg,
     Param,
@@ -30,8 +31,8 @@ def ex(text, env=None, order=8):
 
 def test_precedence():
     e = parse("1 + 2*x^2")
-    assert e == BinOp("+", Lit(Fraction(1)), BinOp("*", Lit(Fraction(2)),
-                                                   Pow(Var("x"), Fraction(2))))
+    assert e == Chain(Lit(Fraction(1)), (
+        ("+", Chain(Lit(Fraction(2)), (("*", Pow(Var("x"), Fraction(2))),))),))
 
 
 def test_unary_minus_binds_looser_than_power():
@@ -41,7 +42,7 @@ def test_unary_minus_binds_looser_than_power():
 
 def test_left_associativity():
     e = parse("1 - 2 - x")
-    assert e == BinOp("-", BinOp("-", Lit(Fraction(1)), Lit(Fraction(2))), Var("x"))
+    assert e == Chain(Lit(Fraction(1)), (("-", Lit(Fraction(2))), ("-", Var("x"))))
     assert ex("1 - 2 - x").coeff(0, 0) == -1
 
 
@@ -52,15 +53,15 @@ def test_rational_literals_fold():
 
 def test_call_and_params():
     e = parse("exp(-2*x) * alpha")
-    assert isinstance(e, BinOp)
-    assert isinstance(e.left, Call)
-    assert e.right == Param("alpha")
+    assert isinstance(e, Chain)
+    assert isinstance(e.first, Call)
+    assert e.rest == (("*", Param("alpha")),)
     assert parameters_of("a*x + b/c") == {"a", "b", "c"}
 
 
 def test_fractional_exponent_literal():
     e = parse("(1+x)^(-3/2)")
-    assert e == Pow(BinOp("+", Lit(Fraction(1)), Var("x")), Fraction(-3, 2))
+    assert e == Pow(Chain(Lit(Fraction(1)), (("+", Var("x")),)), Fraction(-3, 2))
 
 
 def test_syntax_errors_carry_offsets():
@@ -82,9 +83,8 @@ def test_nesting_past_the_recursion_limit_is_a_syntax_error():
         parse("(" * 300 + "x" + ")" * 300)
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         expand("-" * 1200 + "x")
-    # a left-deep sum parses in a loop but expands by recursion
-    with pytest.raises(ExprSyntaxError, match="too deeply to expand"):
-        expand("+".join(["x"] * 3000), order=2)
+    # a flat sum is one node, however long
+    assert expand("+".join(["x"] * 3000), order=2) == 3000 * expand("x", order=2)
     assert expand("(" * 100 + "x" + ")" * 100, order=2) == expand("x", order=2)
 
 
@@ -100,6 +100,8 @@ CORPUS = [
     "x", "y", "1/2", "-2/3", "x + y", "x - -y", "2*x^2 - y^3/3",
     "exp(-2*x)", "sqrt(1 + x)", "(1+x)^(-3/2)", "a*exp(x) + b",
     "-(x + y)^2", "1 + x*y - x^2*y^2/4", "exp(x)^2 * exp(-2*x)",
+    # literals that need their own parentheses when printed
+    "x / (2/3)", "(-2)^2", "(2/3)^2", "x * (1/2)", "(-1)^3*x",
 ]
 
 
@@ -107,6 +109,64 @@ CORPUS = [
 def test_to_text_round_trip(text):
     tree = parse(text)
     assert parse(to_text(tree)) == tree
+
+
+def test_a_chain_prints_one_pair_of_parentheses():
+    assert to_text(parse("a + b - c")) == "(a + b - c)"
+    assert to_text(parse("(a + b) - c")) == "((a + b) - c)"
+    assert to_text(parse("2*3*x/y")) == "(6 * x / y)"
+    assert to_text(parse("-2/3 + x^(-3/2)")) == "((-2/3) + x^(-3/2))"
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_a_flat_chain_of_any_length_is_one_node(op):
+    text = op.join(["1"] + ["a"] * 10 ** 4)
+    tree = parse(text)
+    assert isinstance(tree, Chain) and len(tree.rest) == 10 ** 4
+    assert parse(to_text(tree)) == tree
+    assert parameters_of(tree) == {"a"}
+    value = {"+": 1 + 10 ** 4, "-": 1 - 10 ** 4, "*": 1, "/": 1}[op]
+    assert expand(tree, {"a": 1}, order=2) == expand(str(value), order=2)
+
+
+# --- generated chains ----------------------------------------------------------
+
+_FRACTIONS = st.tuples(st.integers(1, 12), st.integers(1, 12)).map("%d/%d".__mod__)
+_LEAVES = st.one_of(st.sampled_from(["x", "y"]), st.integers(1, 12).map(str),
+                    _FRACTIONS, _FRACTIONS.map("({})".format),
+                    _FRACTIONS.map("(-{})".format))
+_EXPONENTS = st.sampled_from(
+    ["0", "2", "3", "-1", "(1/2)", "(-1/2)", "(3/2)", "(-3/2)", "(-2)"])
+
+
+def _extend(inner):
+    """Chains of 1-40 operands, unary minus, parentheses and powers."""
+    def chain(operands):
+        ops = st.lists(st.sampled_from("+-*/"), min_size=len(operands) - 1,
+                       max_size=len(operands) - 1)
+        return ops.map(lambda ops: operands[0] + "".join(
+            " %s %s" % pair for pair in zip(ops, operands[1:])))
+    return st.one_of(st.lists(inner, min_size=1, max_size=40).flatmap(chain),
+                     inner.map("-{}".format), inner.map("({})".format),
+                     st.tuples(inner, _EXPONENTS).map("%s^%s".__mod__))
+
+
+expression_texts = st.recursive(_LEAVES, _extend, max_leaves=60)
+
+
+@settings(deadline=None, max_examples=150)
+@given(expression_texts)
+def test_printed_text_parses_and_expands_like_the_original(text):
+    tree = parse(text)
+    printed = to_text(tree)
+    assert parse(printed) == tree
+    outcomes = []
+    for source in (text, printed):
+        try:
+            outcomes.append(expand(source, order=4))
+        except (ProjstructError, ArithmeticError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 # --- expansion ----------------------------------------------------------------

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from projstruct import cases
 from projstruct.duals import DualRational, as_dual
 from projstruct.expressions import expand
 from projstruct.fields import (
     InvariantStructures,
     VectorField,
+    _by_degree,
+    _graded_kernel,
     _monomial_columns,
     _structure_columns,
     _symbol,
@@ -243,6 +246,39 @@ def test_symmetry_dim_grows_the_kernel_in_small_systems(monkeypatch):
     # one solve per residual degree d: the 4 rows of degree 0, then the
     # 2 d - 2 compatibility rows of the constant symbol S_d
     assert heights == [4, 0, 2, 4, 6, 8, 10]
+
+
+def assert_two_jets_fix_every_kernel(stq, n):
+    # the steps of symmetry_dim(stq, n): each kernel vector is fixed by its
+    # 2-jet part (the first twelve entries), so the rank that symmetry_dim
+    # reports is the kernel's size
+    L, columns = _monomial_columns(stq, n + 1)
+    steps = [[_by_degree([col], n) for (_, i, j), col in columns.items()
+              if max(i + j, 2) == d + 2] for d in range(n)]
+    kernels = list(_graded_kernel(steps, L=L))
+    assert len(kernels) == n
+    for K in kernels:
+        assert rank([v[:12] for v in K], 12) == len(K)
+
+
+@settings(deadline=None, max_examples=25)
+@given(order_and_structure())
+def test_two_jets_fix_every_kernel_step(case):
+    assert_two_jets_fix_every_kernel(case[1], case[0])
+
+
+def test_two_jets_fix_every_kernel_step_of_the_registry(monkeypatch):
+    calls = []
+
+    def recording(stq, order=7):
+        calls.append((stq, order))
+        return symmetry_dim(stq, order)
+
+    monkeypatch.setattr(cases, "symmetry_dim", recording)
+    cases.run_all(order=8)
+    assert calls
+    for stq, n in calls:
+        assert_two_jets_fix_every_kernel(stq, n)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
