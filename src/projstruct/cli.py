@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 
 import configparser
 
@@ -48,7 +49,7 @@ from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
     structure_from_pencil
 from .reports import FAIL, render_json, render_text
 from .structures import (ProjectiveStructure, apply_x_reparam, apply_y_shift,
-                         apply_y_scale, is_linearizable, liouville)
+                         apply_y_scale, liouville)
 
 
 class DocumentError(ProjstructError):
@@ -164,11 +165,11 @@ def _cmd_invariants(args):
 
 
 def _cmd_linearizable(args):
-    st = _require(load_document(args.file), "structure", "structure")
-    if is_linearizable(st):
+    pair = liouville(_require(load_document(args.file), "structure",
+                              "structure"))
+    if pair.is_zero():
         print("linearizable: both Liouville invariants vanish")
         return 0
-    pair = liouville(st)
     witness = "L1" if not pair.L1.is_zero() else "L2"
     print("not linearizable: %s = %s" % (witness,
                                          format_jet(getattr(pair, witness))))
@@ -281,6 +282,7 @@ def _cmd_verify(args):
 
 # --- parser and dispatch ------------------------------------------------------
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="projstruct",
@@ -340,10 +342,16 @@ def _build_parser():
 
 
 def dispatch(argv):
-    """Run one invocation; returns the process exit code."""
-    parser = _build_parser()
+    """Run one invocation; returns the process exit code.
+
+    The argparse tree is built on the first call and reused after that
+    (``parse_args`` returns a fresh namespace and reads ``sys.stdout`` and
+    ``sys.stderr`` only when it prints).  The ``_cmd_*`` handlers are bound
+    when the tree is built, so patching one later has no effect until
+    ``_build_parser.cache_clear()``.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

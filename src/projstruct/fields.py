@@ -164,9 +164,11 @@ def _graded_kernel(steps, blocks=1, one=None, L=1):
         ext = [[0] * (len(basis) + len(new))
                for _ in range(4 * (d + 1) * blocks)]
         for c, col in enumerate(seen):
+            nonzero = [(b, v[c]) for b, v in enumerate(basis) if v[c]]
             for r, e in col[d]:
-                ext[r][:len(basis)] = [a + e * v[c]
-                                       for a, v in zip(ext[r], basis)]
+                row = ext[r]
+                for b, w in nonzero:
+                    row[b] += e * w
         for k, col in enumerate(new, len(basis)):
             for r, e in col[d]:
                 ext[r][k] = e

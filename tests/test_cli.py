@@ -7,9 +7,13 @@ byte-determinism of the JSON report mode.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from projstruct import cli, structures
 from projstruct.cli import DocumentError, dispatch, load_document
 
 TRIVIAL_DOC = """\
@@ -133,6 +137,24 @@ def test_linearizable_positive(write, capsys):
     doc = '[structure]\nA = "x"\nB = "1 - x"\nC = "5"\n'
     assert dispatch(["linearizable", write(doc)]) == 0
     assert "linearizable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc,code", [
+    (TRIVIAL_DOC, 1), ('[structure]\nA = "x"\nB = "1 - x"\nC = "5"\n', 0)],
+    ids=["negative", "positive"])
+def test_linearizable_computes_one_liouville_pair(write, capsys, monkeypatch,
+                                                  doc, code):
+    calls, liouville = [], structures.liouville
+
+    def counting(st):
+        calls.append(st)
+        return liouville(st)
+
+    for module in (cli, structures):
+        monkeypatch.setattr(module, "liouville", counting)
+    assert dispatch(["linearizable", write(doc)]) == code
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_invariants_requires_a_structure_section(write, capsys):
@@ -330,3 +352,55 @@ def test_verify_paper_timestamps_wrap_the_payload(capsys):
 def test_verify_paper_inconsistent_findings_still_exit_zero(capsys):
     assert dispatch(["verify-paper", "--case", "thm31.i.b", "--order", "8"]) == 0
     assert "paper-inconsistent" in capsys.readouterr().out
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def _dispatch_sequence(path, capsys, before_each=lambda: None):
+    """Exit code, stdout and stderr of every call in a fixed mix of
+    subcommands, usage errors and ``--help``."""
+    runs = []
+    for argv in (["invariants", path],
+                 ["frobnicate"],
+                 ["symcheck", path, "--field", "VERT"],
+                 ["symcheck", path],
+                 ["geodesic", path, "--z", "inf"],
+                 ["verify-paper", "--order", "1"],
+                 ["pullback", path, "--scale", "2"],
+                 ["linearizable", path],
+                 ["geodesic", path, "--z", "1/0"],
+                 ["symdim", path],
+                 ["--help"],
+                 ["verify-paper", "--case", "thm31.iii", "--order", "4"]):
+        before_each()
+        code = dispatch(argv)
+        runs.append((argv, code) + tuple(capsys.readouterr()))
+    return runs
+
+
+def test_reused_parser_matches_fresh_parsers(write, capsys):
+    path = write(PENCIL_DOC + '\n[structure]\nA = "x"\nD = "1"\n\n'
+                 '[field VERT]\na = "0"\nb = "1"\n')
+    cli._build_parser.cache_clear()
+    reused = _dispatch_sequence(path, capsys)
+    fresh = _dispatch_sequence(path, capsys, cli._build_parser.cache_clear)
+    assert reused == fresh
+    assert [run[1] for run in reused] == [0, 2, 0, 2, 1, 2, 0, 1, 3, 0, 0, 0]
+    assert all(run[3] for run in reused if run[1] in (2, 3))
+
+
+def test_the_parser_is_built_once_and_not_at_import(write, capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert dispatch(["invariants", write(TRIVIAL_DOC)]) == 0
+        assert dispatch(["frobnicate"]) == 2
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import projstruct.cli as cli; "
+             "print(cli._build_parser.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0\n"
