@@ -279,10 +279,9 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     def exponential_member(n):
         al = alpha_ode_solve(c, a_jet3, n)
         d1 = al.d_dx()
-        inv_al = al.inverse()
-        A = ((d1.d_dx().d_dx() - d1.scale(c ** 4)) * inv_al
+        A = ((d1.d_dx().d_dx() - d1.scale(c ** 4)) / al
              ).scale(Fraction(1, 4) / c ** 3)
-        B = (-(d1.d_dx().scale(3) + al.scale(c ** 4)) * inv_al
+        B = (-(d1.d_dx().scale(3) + al.scale(c ** 4)) / al
              ).scale(Fraction(1, 4) / c ** 2)
         pi = ProjectiveStructure(A, B, Jet2.zero(n), Jet2.constant(1, n))
         return al, pi

@@ -33,7 +33,8 @@ Any other coefficients, such as the dual rationals of
 :mod:`projstruct.duals`, are kept as numerators over 1, and ``coeffs``
 reads them as they are.  The integer recurrences hold over Q[eps] once
 the denominator is 1, so the same loops run on them against a minimal
-protocol (ring ops, equality with 0, an optional ``is_unit`` attribute).
+protocol (ring ops, equality with 0 and a truth value that is false only
+at 0, an optional ``is_unit`` attribute).
 A dual jet whose values all have a zero eps-part equals the rational jet
 of their real parts, and hashes as that jet does.
 
@@ -41,16 +42,22 @@ The product is the hot spot of the package.  It visits only the pairs of
 terms whose degrees sum to at most the result's ``eff``: the factor
 with fewer terms is sorted by total degree once, and each term of the
 other takes the prefix of it that fits.  Over the rationals it sums
-plain ``int`` products over the product of the two denominators.  A
-one-term factor is a shifted scale of the other.
+plain ``int`` products over the product of the two denominators, into a
+flat list over the result's exponent box: h rows by w columns, where h
+and w exceed the largest x- and y-exponent a kept product can have.  The
+box is never sized by the working order, so a product of two short jets
+costs the same at order 400 as at order 20.  A one-term factor is a
+shifted scale of the other.
 
 The series kernels end by construction; none iterates to a fixed point
-under a cap.  A coefficient of degree d of ``inverse`` and of the Euler
+under a cap.  A coefficient of degree d of a quotient and of the Euler
 solve depends only on coefficients of lower degree, so one pass by total
 degree fixes each once (``_graded_solve``):
 
-- ``inverse``: z_k = -(1/u_0) sum_e u_e z_(k-e), on integer numerators,
-  over the one denominator c^(eff+1), c the constant numerator;
+- ``a / b``: q_k = (a_k - sum_(e != 0) b_e q_(k-e)) / b_0, on integer
+  numerators over the one denominator da c^(eff+1), c the constant
+  numerator of b, with no inverse jet and no product; ``inverse`` is
+  ``1 / b``;
 - ``_euler_solve(g)``: the f with f_0 = 1 and E f = f g, for the Euler
   operator E = x d/dx + y d/dy; at degree d, d f_k = sum_e g_e f_(k-e),
   on integer numerators over eff! den^eff.  ``exp_series(u)`` is the
@@ -68,6 +75,7 @@ power series", J. ACM 25 (1978).
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     NonSquareConstant,
@@ -78,6 +86,8 @@ from .errors import (
 )
 
 DEFAULT_ORDER = 12
+
+_j = itemgetter(1)   # the y-exponent of a key (i, j)
 
 
 def _is_unit(c):
@@ -115,36 +125,39 @@ def _canonical(num, den):
     return {k: n // g for k, n in num.items()}, den // g
 
 
-def _graded_solve(tail, first, eff, divide=None):
-    """Coefficients w of degree <= eff with w_0 = first and, at degree d > 0,
-    w_k = sum_e tail_e w_(k-e), or ``divide(that sum, d)`` when given.
+def _graded_solve(tail, start, eff, divide=None):
+    """Coefficients w of degree <= eff with w_k = start_k + sum_e tail_e
+    w_(k-e), or at degree d > 0 ``divide(that sum, d)`` when given.
 
     ``tail`` has no constant term, so w_k depends only on terms of lower
     degree: one pass by total degree, in which each finished term pushes
     its products with the tail onto the keys above it, fixes every
-    coefficient once.  Keys pack as in ``Jet2.__mul__``.
+    coefficient once.  Key (i, j) packs to i*m + j in a flat list of all
+    (eff + 1)^2 keys, which the pass visits anyway.  ``start`` holds no
+    key of degree above ``eff`` unless the window is empty (eff = -1).
     """
+    if eff < 0:
+        return {}
     m = eff + 1
     keys = sorted(tail, key=sum)
     degrees = [i + j for (i, j) in keys]
     right = [(i * m + j, tail[(i, j)]) for (i, j) in keys]
-    acc = {0: first}
+    acc = [0] * (m * m)
+    for (i, j), s in start.items():
+        acc[i * m + j] = s
     out = {}
     for d in range(m):
         pushes = right[:bisect_right(degrees, eff - d)]
         for i in range(d + 1):
             k = i * m + d - i
-            w = acc.pop(k, 0)
+            w = acc[k]
             if w == 0:
                 continue
             if divide is not None and d:
                 w = divide(w, d)
             out[(i, d - i)] = w
             for ke, t in pushes:
-                if k + ke in acc:
-                    acc[k + ke] += t * w
-                else:
-                    acc[k + ke] = t * w
+                acc[k + ke] += t * w
     return out
 
 
@@ -337,24 +350,23 @@ class Jet2:
                     if not p == 0:
                         out[(i + i0, j + j0)] = p
             return Jet2._new(out, den, order, eff)
-        # Key (i, j) packs to i*m + j, which is additive on every kept
-        # product since its j stays below m.  The smaller factor is
+        # The sums go into a flat list over the result's exponent box, h
+        # rows by w columns, never sized by the working order.  Key (i, j)
+        # packs to i*w + j, which is additive on every kept product since
+        # its i stays below h and its j below w.  The smaller factor is
         # sorted by degree, so each term of the other takes a prefix of it.
-        m = eff + 1
+        h = min(eff, max(a)[0] + max(b)[0]) + 1
+        w = min(eff, max(map(_j, a)) + max(map(_j, b))) + 1
         keys = sorted(b, key=sum)
         degrees = [i + j for (i, j) in keys]
-        right = [(i * m + j, b[(i, j)]) for (i, j) in keys]
-        acc = {}
+        right = [(i * w + j, b[(i, j)]) for (i, j) in keys]
+        acc = [0] * (h * w)
         for (i, j), c1 in a.items():
-            k1 = i * m + j
+            k1 = i * w + j
             for k2, c2 in right[:bisect_right(degrees, eff - i - j)]:
-                k = k1 + k2
-                if k in acc:
-                    acc[k] += c1 * c2
-                else:
-                    acc[k] = c1 * c2
-        return Jet2._new({divmod(k, m): c for k, c in acc.items()
-                          if not c == 0}, den, order, eff)
+                acc[k1 + k2] += c1 * c2
+        return Jet2._new({divmod(k, w): c for k, c in enumerate(acc) if c},
+                         den, order, eff)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -384,34 +396,43 @@ class Jet2:
         return out
 
     def inverse(self):
-        """Multiplicative inverse; requires a unit constant term.
-
-        With u = U/den (integer numerators) and c = U_00, the integers
-        Z_k = c^(d+1) (1/U)_k at degree d obey Z_0 = 1 and
-        Z_k = -sum_e c^(deg e - 1) U_e Z_(k-e); then (1/u)_k = den Z_k / c^(d+1),
-        which is den Z_k c^(eff-d) over the one denominator c^(eff+1).
-        Over the dual numbers c is a dual unit, and ``_canonical`` divides
-        by that denominator.
-        """
-        c = self._num.get((0, 0), 0)
-        if not _is_unit(c):
-            raise NonUnitDivisor("constant term %r is not invertible" % (c,))
-        order, eff = self.order, self.eff
-        scaled = _graded_solve({(i, j): -n * c ** (i + j - 1)
-                                for (i, j), n in self._num.items() if i + j},
-                               1, eff)
-        den = self._den
-        return Jet2._new({(i, j): den * n * c ** (eff - i - j)
-                          for (i, j), n in scaled.items()}, c ** (eff + 1),
-                         order, eff)
+        """Multiplicative inverse, the quotient 1 / self; requires a unit
+        constant term."""
+        return Jet2.constant(1, self.order) / self
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.inverse()
-        c = as_coeff(other)
+        """self / other; a jet divisor needs a unit constant term.
+
+        One graded pass, with no inverse and no product.  With a = A/da,
+        b = B/db (integer numerators) and c = B_00, the integers
+        Z_k = c^(d+1) (A/B)_k at degree d obey
+        Z_k = c^d A_k - sum_e c^(deg e - 1) B_e Z_(k-e); then (a/b)_k is
+        db Z_k c^(eff-d) over the one denominator da c^(eff+1).  Over the
+        dual numbers c is a dual unit, and ``_canonical`` divides by that
+        denominator.  The window is the one a * (1/b) has.
+        """
+        if not isinstance(other, Jet2):
+            c = as_coeff(other)
+            if not _is_unit(c):
+                raise NonUnitDivisor("scalar %r is not invertible" % (c,))
+            return self.scale(Fraction(1) / c)
+        c = other._num.get((0, 0), 0)
         if not _is_unit(c):
-            raise NonUnitDivisor("scalar %r is not invertible" % (c,))
-        return self.scale(Fraction(1) / c)
+            raise NonUnitDivisor("constant term %r is not invertible" % (c,))
+        order = min(self.order, other.order)
+        eff = min(order, self.eff, other.eff + self._val_bound())
+        cpow = [1]
+        for _ in range(eff + 1):
+            cpow.append(cpow[-1] * c)
+        tail = {(i, j): -n * cpow[i + j - 1]
+                for (i, j), n in other._num.items() if 0 < i + j <= eff}
+        start = {(i, j): n * cpow[i + j]
+                 for (i, j), n in self._num.items() if i + j <= eff}
+        scaled = _graded_solve(tail, start, eff)
+        db = other._den
+        return Jet2._new({(i, j): db * n * cpow[eff - i - j]
+                          for (i, j), n in scaled.items()},
+                         self._den * cpow[eff + 1], order, eff)
 
     def __rtruediv__(self, other):
         return self.inverse().scale(other)
@@ -617,7 +638,7 @@ def _euler_solve(g):
     eff, den = g.eff, g._den
     top = math.factorial(max(eff, 0))
     tail = {(i, j): n * den ** (i + j - 1) for (i, j), n in g._num.items()}
-    scaled = _graded_solve(tail, top, eff,
+    scaled = _graded_solve(tail, {(0, 0): top}, eff,
                            lambda w, d: w // d if type(w) is int else w / d)
     return Jet2._new({(i, j): n * den ** (eff - i - j)
                       for (i, j), n in scaled.items()},

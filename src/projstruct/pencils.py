@@ -195,8 +195,8 @@ def structure_from_pencil(pencil):
     dr = SlopePoly([p0.d_dx(), q0.d_dx() + p0.d_dy(), q0.d_dy()])
     ds = SlopePoly([pi.d_dx(), qi.d_dx() + pi.d_dy(), qi.d_dy()])
     top = dr * s - r * ds
-    winv = pencil.wedge().inverse()
-    return ProjectiveStructure(*(top.coeff(k) * winv for k in range(4)))
+    wedge = pencil.wedge()
+    return ProjectiveStructure(*(top.coeff(k) / wedge for k in range(4)))
 
 
 def member_value_along(pencil, curve):

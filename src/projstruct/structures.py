@@ -127,8 +127,7 @@ def pullback(germ, st):
     total = (dn3.scale(a) + (nn * dn2).scale(b) + (nn2 * dn).scale(c)
              + nn3.scale(d) - (p2 * dn - nn * q2))
     _ensure(total.degree <= 3, "pullback stays cubic in the slope")
-    jinv = jac.inverse()
-    return ProjectiveStructure(*(total.coeff(k) * jinv for k in range(4)))
+    return ProjectiveStructure(*(total.coeff(k) / jac for k in range(4)))
 
 
 # --- closed-form transformation laws ---------------------------------------

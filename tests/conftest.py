@@ -110,3 +110,19 @@ def structures(order=PROP_ORDER, x_only=False, max_terms=3):
             draw(jets(order=order, x_only=x_only, max_terms=max_terms)),
             draw(jets(order=order, x_only=x_only, max_terms=max_terms)))
     return build()
+
+
+@st.composite
+def dense_jets(draw, orders=(16, 20), unit_constant=False):
+    """Every monomial up to a random top degree at a high order, over
+    x and y, x alone or y alone (the products' one-column and one-row
+    exponent boxes)."""
+    order = draw(st.sampled_from(orders))
+    top = draw(st.integers(0, order))
+    shape = draw(st.sampled_from(["xy", "x", "y"]))
+    keys = [(i, j) for (i, j) in _keys(order, max_degree=top)
+            if (shape != "x" or not j) and (shape != "y" or not i)]
+    coeffs = {k: draw(small_fractions) for k in keys}
+    if unit_constant:
+        coeffs[(0, 0)] = draw(nonzero_fractions)
+    return Jet2.from_terms(coeffs, order)

@@ -1,6 +1,7 @@
 import cProfile
 import math
 import pstats
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,14 @@ from projstruct.jets import (
     substitute,
 )
 
-from conftest import dual_jets, jets, small_fractions, univariate_germs
+from conftest import (
+    PROP_ORDER,
+    dense_jets,
+    dual_jets,
+    jets,
+    small_fractions,
+    univariate_germs,
+)
 
 
 def J(terms, order=8, eff=None):
@@ -384,6 +392,86 @@ def test_rational_operations_build_no_fraction():
 def test_inverse_is_two_sided(u):
     assert (u * u.inverse()).agree(Jet2.constant(1, u.order))
     assert (u.inverse() * u).agree(Jet2.constant(1, u.order))
+
+
+# --- quotients -----------------------------------------------------------------
+
+
+def _val_bound(u):
+    return min((i + j for (i, j) in u.coeffs), default=u.eff + 1)
+
+
+def _ref_quotient(a, b):
+    """(order, eff, coeffs) of a / b: the reference inverse of b times a,
+    in the window a * (1/b) has."""
+    order = min(a.order, b.order)
+    eff = min(order, a.eff, b.eff + _val_bound(a))
+    return order, eff, _ref_mul(a.coeffs, _ref_inverse(b), eff)
+
+
+def _rational_or_dual(**kwargs):
+    return st.one_of(jets(**kwargs), dual_jets(**kwargs))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_rational_or_dual(), _rational_or_dual(unit_constant=True),
+       st.integers(-1, PROP_ORDER), st.integers(-1, PROP_ORDER))
+@example(Jet2.zero(6), Jet2.from_terms({(0, 0): 2, (1, 0): 1}, 6), 6, 6)
+@example(Jet2.from_terms({(2, 1): 3, (3, 0): Fraction(1, 2)}, 6),
+         Jet2.from_terms({(0, 0): -3, (0, 1): 1}, 6), 6, 2)
+@example(Jet2.variable("x", 6), Jet2.constant(1, 6), 6, -1)
+def test_quotient_window_and_values(a, b, ea, eb):
+    a, b = a.truncated(eff=ea), b.truncated(eff=eb)
+    if b.eff < 0:
+        # an empty divisor has no unit constant term
+        with pytest.raises(NonUnitDivisor) as err:
+            a / b
+        assert str(err.value) == "constant term 0 is not invertible"
+        return
+    q = a / b
+    assert (q.order, q.eff, q.coeffs) == _ref_quotient(a, b)
+    assert_stored_form(q)
+    assert q == a * b.inverse()
+    assert b.inverse() == Jet2.constant(1, b.order) / b
+
+
+def test_non_unit_divisors_keep_their_message():
+    for divisor, shown in [(X, "0"), (X + EPS, "DualRational(0, 1)")]:
+        for dividend in (1 + X, Jet2.zero(8)):
+            with pytest.raises(NonUnitDivisor) as err:
+                dividend / divisor
+            assert str(err.value) == "constant term %s is not invertible" % shown
+        with pytest.raises(NonUnitDivisor) as err:
+            divisor.inverse()
+        assert str(err.value) == "constant term %s is not invertible" % shown
+
+
+@settings(deadline=None, max_examples=30)
+@given(dense_jets(), dense_jets())
+def test_dense_high_order_products_match_the_reference(u, v):
+    w = u * v
+    assert (w.order, w.eff, w.coeffs) == _reference_product(u, v)
+    assert_canonical(w)
+
+
+@settings(deadline=None, max_examples=20)
+@given(dense_jets(), dense_jets(unit_constant=True))
+def test_dense_high_order_quotients_match_the_reference(a, b):
+    q = a / b
+    assert (q.order, q.eff, q.coeffs) == _ref_quotient(a, b)
+    assert_canonical(q)
+
+
+def test_a_short_product_does_not_pay_for_the_working_order():
+    # the sums of a product live in its exponent box, never in a list
+    # sized by the working order: two 3-term jets cost about as much at
+    # order 400 as at order 20
+    def best(order):
+        u = Jet2({(0, 0): 1, (1, 0): 2, (0, 1): 3}, order)
+        return min(timeit.repeat(lambda: u * u, number=2000, repeat=5))
+    assert best(400) / best(20) < 5
+    p = Jet2.from_terms({(0, 0): 1, (5, 0): 1}, 400)
+    assert (p * p).coeffs == _ref_mul(p.coeffs, p.coeffs, 400)
 
 
 @given(jets(), jets())
