@@ -16,15 +16,22 @@ Both exact linear solves read their integer equations from one closed
 form of the residual's terms, which are bilinear in (field, structure):
 ``symmetry_dim`` solves for polynomial fields, ``invariant_structures``
 for polynomial structures.  ``residual`` is the oracle for that table.
-``_graded_kernel`` solves both one residual degree at a time, and past
-degree 0 ``symmetry_dim`` only the compatibility rows of a constant symbol.
+Its structure-free part, each unknown's terms, is cached per order next
+to the constant symbol S_d and built on first use, so a call pays only
+for the terms of its own structure or fields.
+``_graded_kernel`` solves both one residual degree at a time on primitive
+integer vectors, and past degree 0 ``symmetry_dim`` only the
+compatibility rows of S_d.
 """
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
 from operator import mul
+from types import MappingProxyType
 
 from .errors import _ensure
 from .jets import Jet2
@@ -139,9 +146,10 @@ def symmetry_dim(st, order=7):
     for m in (n, n + 1):
         if st.order < m or st.eff < m:
             raise ValueError("structure jets too short for order %d" % m)
-    L, columns = _monomial_columns(st, n + 1)
-    steps = [[_by_degree([col], n) for (_, i, j), col in columns.items()
-              if max(i + j, 2) == d + 2] for d in range(n)]
+    (L,), columns = _columns(0, n + 1, [(*st, Jet2.constant(1, n + 1))])
+    steps = [[] for _ in range(n)]
+    for (_, i, j), col in zip(_plan(0, n + 1)[0], columns):
+        steps[max(i + j - 2, 0)].append(col)
     dims = [rank([v[:12] for v in K], 12)
             for d, K in enumerate(_graded_kernel(steps, L=L)) if d >= n - 2]
     return SymmetryDimensions(n, n + 1, *dims)
@@ -150,49 +158,65 @@ def symmetry_dim(st, order=7):
 def _graded_kernel(steps, blocks=1, one=None, L=1):
     """Solve a graded integer system one row degree d at a time.
 
-    ``steps[d]`` lists the columns (``_by_degree`` over ``blocks``
-    blocks) that join at step d and vanish below it.  With X and Y the
-    rows of degree d on the joined and the new columns, the kernel K
-    grows to the (K c, w) with X K c + Y w = 0: ``nullspace`` on [X K | Y],
-    or on C_d X K past step 0 without ``one`` (Y = L S_d, P L w = -W_d X K c).
-    A constant column ``one`` joins first as the particular solution p = (1),
-    and ``solve_affine([X K | Y], -X p)`` grows both.  Yields each step's
-    joined-order integer vectors, or [] once a step is inconsistent.
+    ``steps[d]`` lists the ``_columns`` (of ``blocks`` blocks) that join
+    at step d.  With X and Y the rows of degree d on the joined and the new
+    columns, the kernel K grows to the (K c, w) with X K c + Y w = 0:
+    ``nullspace`` on [X K | Y], or on C_d X K past step 0 without ``one``
+    (Y = L S_d, P L w = -W_d X K c).  A constant column ``one`` joins first
+    as p = (1), and ``solve_affine([X K | Y], -X p)`` grows both.  Yields
+    each step's primitive integer vectors, or [] once one is inconsistent.
     """
     seen, basis = ([], []) if one is None else ([one], [[1]])
     for d, new in enumerate(steps):
-        ext = [[0] * (len(basis) + len(new))
+        nb, symbol = len(basis), one is None and d
+        ext = [[0] * (nb if symbol else nb + len(new))
                for _ in range(4 * (d + 1) * blocks)]
-        for c, col in enumerate(seen):
-            nonzero = [(b, v[c]) for b, v in enumerate(basis) if v[c]]
-            for r, e in col[d]:
-                row = ext[r]
-                for b, w in nonzero:
-                    row[b] += e * w
-        for k, col in enumerate(new, len(basis)):
-            for r, e in col[d]:
-                ext[r][k] = e
-        if one is None and d:
+        for col, coeffs in zip(seen, zip(*basis)):
+            if col[d]:
+                nonzero = [(b, w) for b, w in enumerate(coeffs) if w]
+                for r, e in col[d].items():
+                    row = ext[r]
+                    for b, w in nonzero:
+                        row[b] += e * w
+        if symbol:
             P, E = _symbol(d)
-            ER = [[sum(t) for t in zip(*([v * e for e in ext[r][:len(basis)]]
-                                         for r, v in row))] for row in E]
-            cs = map(_int_row, nullspace(ER[len(new):], len(basis)))
-            sols = [[P * L * e for e in c]
-                    + [-sum(map(mul, w, c)) for w in ER[:len(new)]] for c in cs]
-        elif one is None:
-            sols = nullspace(ext, len(basis) + len(new))
+            live = {r for r, row in enumerate(ext) if any(row)}
+            ER = [[sum(t) for t in zip([0] * nb, *(
+                [v * e for e in ext[r]] for r, v in row if r in live))]
+                for row in E] if live else [[0] * nb] * len(E)
+            sols = [[P * L * e for e in c] + (
+                [-sum(map(mul, w, c)) for w in ER[:len(new)]] if live
+                else [0] * len(new))
+                for c in map(_int_row, nullspace(ER[len(new):], nb))]
         else:
-            consistent, p, sols = solve_affine([row[1:] for row in ext],
-                                               [-row[0] for row in ext])
-            if not consistent:
-                yield []
-                return
-            sols = [[1] + p] + [[0] + s for s in sols]
-        basis = [_int_row([sum(c) for c in zip([0] * len(seen), *(
-            [a * e for e in v] for a, v in zip(s, basis) if a))]
-            + s[len(basis):]) for s in map(_int_row, sols)]
+            for k, col in enumerate(new, nb):
+                for r, e in col[d].items():
+                    ext[r][k] = e
+            if one is None:
+                sols = nullspace(ext, nb + len(new))
+            else:
+                consistent, p, sols = solve_affine([row[1:] for row in ext],
+                                                   [-row[0] for row in ext])
+                if not consistent:
+                    yield []
+                    return
+                sols = [[1] + p] + [[0] + s for s in sols]
+        basis = [_grow(s, basis, len(seen)) for s in sols]
         seen += new
         yield basis
+
+
+def _grow(s, basis, width):
+    """The primitive integer vector along sum_b s_b basis_b (``width``
+    long), then s past the basis; a unit s reuses its basis vector."""
+    nb, nz = len(basis), [b for b, a in enumerate(s) if a]
+    if len(nz) == 1 and nz[0] < nb:
+        v = basis[nz[0]]
+        return ((v if s[nz[0]] > 0 else [-e for e in v])
+                + [0] * (len(s) - nb))
+    s = _int_row(s)
+    return _int_row([sum(c) for c in zip([0] * width, *(
+        [a * e for e in v] for a, v in zip(s, basis) if a))] + s[nb:])
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +226,7 @@ def _symbol(d):
     from x^i y^(d + 2 - i) in component f (column 2 i + f) to degree d."""
     n, m, h = 2 * (d + 3), 4 * (d + 1), d + 1
     rows = [[0] * n + [int(r == c) for c in range(m)] for r in range(m)]
-    for k, c, f, dx, dy, *_ in (t for t in _TERMS if t[5] == 4):
+    for k, c, (f, dx, dy), _ in (t for t in _TERMS if t[3][0] == 4):
         for i in range(dx, h + 2 - dy):
             e = c * perm(i, dx) * perm(h + 1 - i, dy)
             rows[k * h + i - dx][2 * i + f] = e
@@ -212,133 +236,106 @@ def _symbol(d):
                 enumerate(row[n:]) if v] for c, row in enumerate(rows)]
 
 
-def _by_degree(cols, degrees):
-    """The nonzero entries of columns stacked in blocks, one list per
-    residual degree d < ``degrees``, as (row, value): at degree d the
-    entry (k, p, d - p) of ``cols[f]`` sits in row (4 f + k) (d + 1) + p."""
-    out = [[] for _ in range(degrees)]
-    for f, col in enumerate(cols):
-        for (k, p, q), e in col.items():
-            if e:
-                out[p + q].append(((4 * f + k) * (p + q + 1) + p, e))
-    return out
-
-
-# The residual in closed form: an entry (k, source, c, dx, dy) of
-# _MONOMIAL_TERMS[slot] is the term c * (d/dx)^dx (d/dy)^dy g * source in
-# slot k, where g is field component ``slot`` (0 for a, 1 for b) and
-# source is a structure coefficient, its x- or y-derivative, or "1".
-# Read for symmetry_dim, g = x^i y^j is the unknown; read for
+# The residual in closed form: slot k of residual(field, st) is the sum of
+# _RESIDUAL[0][k] and _RESIDUAL[1][k], bilinear in the field components a,
+# b and the structure coefficients A..D, or "1" where none is written.
+# Read for symmetry_dim, x^i y^j in a or b is the unknown; read for
 # invariant_structures, the field is known, the unknown is x^i y^j in one
 # structure slot, and minus the "1" terms (the residual of the zero
-# structure) is the right-hand side.  The table expands residual(field, st):
-#   a = g:  R0 = a A_x + 2 a_x A
-#           R1 = a B_x + a_x B + 3 a_y A + a_xx
-#           R2 = a C_x + 2 a_y B + 2 a_xy
-#           R3 = a D_x - a_x D + a_y C + a_yy
-#   b = g:  R0 = b A_y + b_x B - b_y A - b_xx
-#           R1 = b B_y + 2 b_x C - 2 b_xy
-#           R2 = b C_y + 3 b_x D + b_y C - b_yy
-#           R3 = b D_y + 2 b_y D
-_MONOMIAL_TERMS = (
-    ((0, "Ax", 1, 0, 0), (0, "A", 2, 1, 0),
-     (1, "Bx", 1, 0, 0), (1, "B", 1, 1, 0), (1, "A", 3, 0, 1),
-     (1, "1", 1, 2, 0),
-     (2, "Cx", 1, 0, 0), (2, "B", 2, 0, 1), (2, "1", 2, 1, 1),
-     (3, "Dx", 1, 0, 0), (3, "D", -1, 1, 0), (3, "C", 1, 0, 1),
-     (3, "1", 1, 0, 2)),
-    ((0, "Ay", 1, 0, 0), (0, "B", 1, 1, 0), (0, "A", -1, 0, 1),
-     (0, "1", -1, 2, 0),
-     (1, "By", 1, 0, 0), (1, "C", 2, 1, 0), (1, "1", -2, 1, 1),
-     (2, "Cy", 1, 0, 0), (2, "D", 3, 1, 0), (2, "C", 1, 0, 1),
-     (2, "1", -1, 0, 2),
-     (3, "Dy", 1, 0, 0), (3, "D", 2, 0, 1)),
-)
+# structure) is the right-hand side.
+_RESIDUAL = (
+    ("a A_x + 2 a_x A", "a B_x + a_x B + 3 a_y A + a_xx",
+     "a C_x + 2 a_y B + 2 a_xy", "a D_x - a_x D + a_y C + a_yy"),
+    ("b A_y + b_x B - b_y A - b_xx", "b B_y + 2 b_x C - 2 b_xy",
+     "b C_y + 3 b_x D + b_y C - b_yy", "b D_y + 2 b_y D"))
 
-# The same terms with both factors spelled alike: (k, c, f, fdx, fdy, s,
-# sdx, sdy) is c times (d/dx)^fdx (d/dy)^fdy of field component f times
-# (d/dx)^sdx (d/dy)^sdy of structure slot s, where slot 4 is the source "1".
-_TERMS = tuple((k, c, f, dx, dy, "ABCD1".index(name[0]),
-                int(name[1:] == "x"), int(name[1:] == "y"))
-               for f, terms in enumerate(_MONOMIAL_TERMS)
-               for k, name, c, dx, dy in terms)
+# The same terms as (k, c, (f, fdx, fdy), (s, sdx, sdy)): c times
+# (d/dx)^fdx (d/dy)^fdy of field component f times (d/dx)^sdx (d/dy)^sdy
+# of structure slot s, where slot 4 is the source "1".
+_TERMS = tuple(
+    (k, int(sign + (c or "1")), (f, fd.count("x"), fd.count("y")),
+     ("ABCD1".index(s or "1"), sd.count("x"), sd.count("y")))
+    for f, slots in enumerate(_RESIDUAL) for k, text in enumerate(slots)
+    for sign, c, fd, s, sd in re.findall(
+        r"([+-]?) ?(\d*) ?[ab]_?(\w*) ?([A-D]?)_?(\w*)", text))
 
 
-def _column(terms, top):
-    """One integer column: the sum over ``terms`` (k, c, i, j, dx, dy,
-    known) of c * (d/dx)^dx (d/dy)^dy x^i y^j * known in slot k of the
-    residual, where x^i y^j is the unknown and ``known`` maps (p, q) to
-    integers.  Keyed (k, p, q), through degree p + q <= ``top``.
+@lru_cache(maxsize=None)
+def _plan(side, order):
+    """The structure-free part of a determining system, built once.
+
+    The unknowns are x^i y^j through degree ``order`` in the factor
+    ``side`` of ``_TERMS``: a field component (0, by descending degree) or
+    a structure slot (1, slot by slot, then the "1" of the zero structure).
+    Returns them as (slot, i, j) and, per known factor, the terms (column,
+    k, w, si, si + sj) of nonzero w = c (i)_dx (j)_dy: w x^si y^sj times
+    that factor in slot k, through row degree order - 2 + side.
     """
-    col = {}
-    for k, c, i, j, dx, dy, known in terms:
-        w = c * perm(i, dx) * perm(j, dy)
-        if not w:
-            continue
-        si, sj = i - dx, j - dy
-        lim = top - si - sj
-        for (p, q), v in known.items():
-            if p + q <= lim:
-                key = (k, p + si, q + sj)
-                col[key] = col.get(key, 0) + w * v
-    return col
+    top = order - 2 + side
+    if side:
+        unknowns = [(s, i, j) for s in range(4)
+                    for i, j in _monomials(order)] + [(4, 0, 0)]
+    else:
+        unknowns = [(f, i, j) for i, j in reversed(_monomials(order))
+                    for f in range(2)]
+    terms = {}
+    for col, (u, i, j) in enumerate(unknowns):
+        for k, c, *parts in _TERMS:
+            (slot, dx, dy), known = parts[side], parts[1 - side]
+            w = c * perm(i, dx) * perm(j, dy)
+            if slot == u and w and i + j - dx - dy <= top:
+                terms.setdefault(known, []).append(
+                    (col, k, w, i - dx, i + j - dx - dy))
+    return tuple(unknowns), tuple((kn, tuple(t)) for kn, t in terms.items())
 
 
-def _derivatives(jets, top):
-    """``(L, d)``: ``d[s, dx, dy]`` is L (d/dx)^dx (d/dy)^dy ``jets[s]``
-    as an integer dict, for dx + dy <= 2, from the terms of degree
-    <= ``top``; L is the lcm of their denominators."""
-    used = []
-    for f in jets:
-        num = {(i, j): n for (i, j), n in f._num.items() if i + j <= top}
-        g = gcd(f._den, *num.values())   # the content of the kept terms
-        used.append((num, g, f._den // g))
-    L = lcm(*(den for _, _, den in used))
-    d = {}
-    for s, (num, g, den) in enumerate(used):
-        f = {k: n // g * (L // den) for k, n in num.items()}
-        for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-            d[s, dx, dy] = {(i - dx, j - dy): perm(i, dx) * perm(j, dy) * v
-                            for (i, j), v in f.items() if i >= dx and j >= dy}
-    return L, d
+_EMPTY = MappingProxyType({})   # the part of a degree a column misses
 
 
-def _monomial_columns(st, order):
-    """The determining equations of the fields of degree <= ``order``.
-
-    Returns ``(L, columns)``.  ``columns[slot, i, j]`` is the field whose
-    component ``slot`` (0 for a, 1 for b) is x^i y^j; it maps (k, p, q)
-    with p + q <= order - 2 to L times the x^p y^q coefficient of slot k
-    of its residual, where L is the lcm of the denominators of the
-    structure coefficients used.  Columns come by descending degree.
+def _columns(side, order, blocks):
+    """The columns of ``_plan(side, order)``, a block of rows per tuple of
+    known jets in ``blocks``.  Returns ``(scales, columns)``: per block the
+    lcm L of the denominators of its terms of degree <= order - 1 + 2 side,
+    and per unknown a list over row degree d <= top = order - 2 + side of
+    {row: value}, no value zero, with L times the x^p y^(d - p) coefficient
+    of residual slot k of block f in row (4 f + k) (d + 1) + p.  Each known
+    derivative is sorted by degree once; a term takes the prefix that fits.
     """
-    L, known = _derivatives(st, order - 1)
-    known[4, 0, 0] = {(0, 0): L}
-    columns = {}
-    for (i, j) in reversed(_monomials(order)):
-        for slot in range(2):
-            columns[slot, i, j] = _column(
-                [(k, c, i, j, fdx, fdy, known[s, sdx, sdy])
-                 for k, c, f, fdx, fdy, s, sdx, sdy in _TERMS if f == slot],
-                order - 2)
-    return L, columns
-
-
-def _structure_columns(field, degree):
-    """The equations ``field`` puts on the structures of degree <= ``degree``.
-
-    Returns ``(L, columns)``: for each unknown x^i y^j in a structure
-    slot (slot by slot, then ``_monomials(degree)``) the residual's part
-    linear in it, and last the residual of the zero structure.  Each maps
-    (k, p, q) with p + q <= degree - 1 to L times that coefficient, L the
-    lcm of the denominators of the field coefficients used.
-    """
-    L, known = _derivatives((field.a, field.b), degree + 1)
-    unknowns = [(s, i, j) for s in range(4) for (i, j) in _monomials(degree)]
-    return L, [_column([(k, c, i, j, sdx, sdy, known[f, fdx, fdy])
-                        for k, c, f, fdx, fdy, s, sdx, sdy in _TERMS
-                        if s == slot], degree - 1)
-               for slot, i, j in unknowns + [(4, 0, 0)]]
+    unknowns, plan = _plan(side, order)
+    top = order - 2 + side
+    columns = [[_EMPTY] * (top + 1) for _ in unknowns]
+    scales, made = [], []
+    for f, jets in enumerate(blocks):
+        kept = [{(i, j): n for (i, j), n in jet._num.items()
+                 if i + j <= top + 1 + side} for jet in jets]
+        L = lcm(*(jet._den // gcd(jet._den, *num.values())  # less the content
+                  for jet, num in zip(jets, kept)))
+        scales.append(L)
+        for (s, dx, dy), terms in plan:
+            by_degree, den = {}, jets[s]._den
+            for (i, j), n in kept[s].items():
+                if i >= dx and j >= dy:
+                    by_degree.setdefault(i + j - dx - dy, []).append(
+                        (i - dx, perm(i, dx) * perm(j, dy) * n * L // den))
+            if not by_degree:
+                continue
+            degrees = sorted(by_degree)
+            groups = [(t, by_degree[t]) for t in degrees]
+            for c, k, w, si, sh in terms:
+                col, k = columns[c], 4 * f + k
+                for t, group in groups[:bisect_right(degrees, top - sh)]:
+                    part = col[t + sh]
+                    if part is _EMPTY:
+                        part = col[t + sh] = {}
+                        made.append(part)
+                    base = k * (t + sh + 1) + si
+                    for p, v in group:
+                        part[base + p] = part.get(base + p, 0) + w * v
+    for part in made:
+        if not all(part.values()):
+            for r in [r for r, e in part.items() if not e]:
+                del part[r]
+    return scales, columns
 
 
 @dataclass(frozen=True)
@@ -394,11 +391,10 @@ def invariant_structures(fields, degree):
     to zero through total degree ``degree - 1`` gives an exact affine
     system.  Field jets must be known (``order`` and ``eff``) through
     degree ``degree + 3`` so every equated coefficient is trustworthy.
-    The equations are the integer columns of ``_structure_columns``, one
-    block per field, with the residual of the zero structure as the
-    constant column.  A structure monomial of degree e reaches only rows
-    of degree e - 1 or more: it joins ``_graded_kernel`` at step
-    max(e - 1, 0).
+    The equations are the integer ``_columns``, one block per field, with
+    the residual of the zero structure as the constant column.  A structure
+    monomial of degree e reaches only rows of degree e - 1 or more: it
+    joins ``_graded_kernel`` at step max(e - 1, 0).
     """
     if degree < 1:
         raise ValueError("invariant_structures needs degree >= 1, got %d"
@@ -410,8 +406,7 @@ def invariant_structures(fields, degree):
                          % (degree + 3))
     joins = [max(i + j - 1, 0) for i, j in _monomials(degree)] * 4
     n = len(joins)
-    cols = [_by_degree(per_field, degree) for per_field in
-            zip(*(_structure_columns(f, degree)[1] for f in fields))]
+    cols = _columns(1, degree, [(f.a, f.b) for f in fields])[1]
     by_join = sorted(range(n), key=joins.__getitem__)
     *_, basis = _graded_kernel([[cols[c] for c in by_join if joins[c] == d]
                                 for d in range(degree)], len(fields), cols[n])

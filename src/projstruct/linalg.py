@@ -2,8 +2,9 @@
 
 Entries may be ``int`` or ``Fraction``; anything with ``numerator`` and
 ``denominator``.  Fraction-free Gauss-Jordan elimination runs on integer
-rows (each row is first scaled by the lcm of its denominators, and rows
-are divided by their gcd after every update, which keeps entries small).
+rows (a row is first scaled by the lcm of its denominators, an integer
+row divided by its gcd alone, and rows are divided by their gcd after
+every update, which keeps entries small).
 The callers solve graded systems one degree at a time, so every system is
 small: in the registry the largest has 72 rows and 30 columns, right-hand
 side included.  Asymptotics do not matter; exactness and predictability do.
@@ -19,10 +20,13 @@ from math import gcd, lcm
 
 def _int_row(row):
     """The row scaled to coprime integers (entries ``int`` or ``Fraction``)."""
-    denom = lcm(*(v.denominator for v in row))
-    out = [v.numerator * (denom // v.denominator) for v in row]
-    g = gcd(*out)
-    return [v // g for v in out] if g > 1 else out
+    try:
+        g = gcd(*row)
+    except TypeError:  # not all integers
+        denom = lcm(*(v.denominator for v in row))
+        row = [v.numerator * (denom // v.denominator) for v in row]
+        g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _reduce(rows, ncols):

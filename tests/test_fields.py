@@ -1,19 +1,23 @@
 from fractions import Fraction
 
+import os
+import subprocess
+import sys
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from projstruct import cases
+from projstruct import cases, linalg
 from projstruct.duals import DualRational, as_dual
 from projstruct.expressions import expand
 from projstruct.fields import (
     InvariantStructures,
     VectorField,
-    _by_degree,
+    _columns,
     _graded_kernel,
-    _monomial_columns,
-    _structure_columns,
+    _plan,
     _symbol,
     invariant_structures,
     is_symmetry,
@@ -248,13 +252,31 @@ def test_symmetry_dim_grows_the_kernel_in_small_systems(monkeypatch):
     assert heights == [4, 0, 2, 4, 6, 8, 10]
 
 
-def assert_two_jets_fix_every_kernel(stq, n):
-    # the steps of symmetry_dim(stq, n): each kernel vector is fixed by its
-    # 2-jet part (the first twelve entries), so the rank that symmetry_dim
-    # reports is the kernel's size
-    L, columns = _monomial_columns(stq, n + 1)
-    steps = [[_by_degree([col], n) for (_, i, j), col in columns.items()
+def monomial_columns(stq, order):
+    """``(L, columns)``: the ``_columns`` of the fields of degree <= order,
+    keyed by (slot, i, j) in plan order, as ``symmetry_dim`` builds them."""
+    (L,), columns = _columns(0, order, [(*stq, Jet2.constant(1, order))])
+    return L, dict(zip(_plan(0, order)[0], columns))
+
+
+def entry(col, k, p, q):
+    """The x^p y^q coefficient of slot k in a one-block ``_columns``
+    column."""
+    return col[p + q].get(k * (p + q + 1) + p, 0)
+
+
+def symmetry_steps(stq, n):
+    # the steps of symmetry_dim(stq, n), built as it builds them
+    L, columns = monomial_columns(stq, n + 1)
+    steps = [[col for (_, i, j), col in columns.items()
               if max(i + j, 2) == d + 2] for d in range(n)]
+    return L, steps
+
+
+def assert_two_jets_fix_every_kernel(stq, n):
+    # each kernel vector is fixed by its 2-jet part (the first twelve
+    # entries), so the rank that symmetry_dim reports is the kernel's size
+    L, steps = symmetry_steps(stq, n)
     kernels = list(_graded_kernel(steps, L=L))
     assert len(kernels) == n
     for K in kernels:
@@ -279,6 +301,90 @@ def test_two_jets_fix_every_kernel_step_of_the_registry(monkeypatch):
     assert calls
     for stq, n in calls:
         assert_two_jets_fix_every_kernel(stq, n)
+
+
+def assert_primitive_steps(steps, kernels, one=None):
+    # no column keeps a zero entry, and every step's kernel vectors are
+    # integers with no common factor
+    for col in [one or []] + [col for step in steps for col in step]:
+        assert all(e != 0 for part in col for e in part.values())
+    for K in kernels:
+        for v in K:
+            assert all(type(e) is int for e in v) and gcd(*v) == 1
+
+
+@settings(deadline=None, max_examples=25)
+@given(order_and_structure())
+def test_graded_kernel_steps_are_primitive_integer_vectors(case):
+    n, stq = case
+    L, steps = symmetry_steps(stq, n)
+    assert_primitive_steps(steps, _graded_kernel(steps, L=L))
+
+
+def test_graded_kernel_steps_of_the_registry_are_primitive(monkeypatch):
+    solves = []
+
+    def checking(steps, blocks=1, one=None, L=1):
+        solves.append(one is not None)
+        kernels = list(_graded_kernel(steps, blocks, one, L))
+        assert_primitive_steps(steps, kernels, one)
+        yield from kernels
+
+    monkeypatch.setattr("projstruct.fields._graded_kernel", checking)
+    cases.run_all(order=12)
+    # the 27 symmetry_dim and the 4 invariant_structures calls of a pass
+    assert (solves.count(False), solves.count(True)) == (27, 4)
+
+
+def tuples_all_the_way(obj):
+    return not isinstance(obj, (list, dict, set)) and (
+        not isinstance(obj, tuple) or all(map(tuples_all_the_way, obj)))
+
+
+def test_the_plan_is_built_on_first_use_once_per_order():
+    src = os.path.dirname(os.path.dirname(cases.__file__))
+    probe = ("import projstruct, projstruct.cli; "
+             "print(projstruct.fields._plan.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0\n"
+    _plan.cache_clear()
+    assert symmetry_dim(S("x", "0", "0", "1"), 6).value == 1
+    assert symmetry_dim(S("0", "0", "exp(-x)", "0"), 6).value == 2
+    assert _plan.cache_info().currsize == 1
+    # a later call reads the same plan, which no caller can change
+    assert tuples_all_the_way(_plan(0, 7))
+    assert tuples_all_the_way(_plan(1, 6))
+
+
+def test_a_registry_pass_keeps_its_solve_traffic(monkeypatch):
+    # the linalg calls and cells (rows x columns) of one run_all(order=12),
+    # counted on every module binding as bench/tracer.py counts them, so a
+    # change to how the systems are built cannot move work into or out of
+    # the solvers unseen
+    traffic = {}
+
+    def counting(name):
+        solve = getattr(linalg, name)
+
+        def wrapper(rows, *args):
+            ncols = args[0] if args and name != "solve_affine" else None
+            if rows and ncols is None:
+                ncols = len(rows[0])
+            calls, cells = traffic.get(name, (0, 0))
+            traffic[name] = (calls + 1, cells + len(rows) * (ncols or 0))
+            return solve(rows, *args)
+        return wrapper
+
+    for module in (sys.modules["projstruct.fields"], cases):
+        for key, value in list(vars(module).items()):
+            for name in ("nullspace", "rank", "solve_affine"):
+                if value is getattr(linalg, name):
+                    monkeypatch.setattr(module, key, counting(name))
+    cases.run_all(order=12)
+    assert traffic == {"nullspace": (189, 3824), "rank": (57, 1824),
+                       "solve_affine": (24, 21936)}
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -308,7 +414,7 @@ def test_constant_symbol_is_injective_with_its_cokernel(d):
 @settings(deadline=None, max_examples=30)
 @given(structures(max_terms=4), hs.integers(2, PROP_ORDER))
 def test_closed_form_columns_are_scaled_residuals(stq, order):
-    scale, columns = _monomial_columns(stq, order)
+    scale, columns = monomial_columns(stq, order)
     assert len(columns) == (order + 1) * (order + 2)
     degrees = [i + j for (_, i, j) in columns]
     assert degrees == sorted(degrees, reverse=True)
@@ -317,10 +423,13 @@ def test_closed_form_columns_are_scaled_residuals(stq, order):
         for k in range(4):
             for d in range(order - 1):
                 for p in range(d + 1):
-                    got = col.get((k, p, d - p), 0)
+                    got = entry(col, k, p, d - p)
                     assert isinstance(got, int)
                     assert Fraction(got, scale) == res.coeff(k).coeff(p, d - p)
-        assert all(p + q <= order - 2 for (_, p, q) in col)
+        # through degree order - 2, each degree d on its 4 (d + 1) rows
+        assert len(col) == order - 1
+        assert all(0 <= r < 4 * (d + 1) for d, part in enumerate(col)
+                   for r in part)
 
 
 # --- invariant structures -----------------------------------------------------------
@@ -384,7 +493,7 @@ def structure_monomials(degree):
 @given(jets(max_terms=4), jets(max_terms=4), hs.integers(1, PROP_ORDER - 3))
 def test_structure_columns_are_scaled_residuals(a, b, degree):
     field = VectorField(a, b)
-    scale, columns = _structure_columns(field, degree)
+    (scale,), columns = _columns(1, degree, [(a, b)])
     monos = structure_monomials(degree)
     assert len(columns) == 4 * len(monos) + 1
     base = residual(field, ProjectiveStructure.zero(a.order))
@@ -393,10 +502,12 @@ def test_structure_columns_are_scaled_residuals(a, b, degree):
     wants = [residual(field, monomial_structure(slot, i, j, a.order)) - base
              for slot in range(4) for (i, j) in monos] + [base]
     for col, want in zip(columns, wants):
-        assert all(p + q <= degree - 1 for (_, p, q) in col)
+        assert len(col) == degree
+        assert all(0 <= r < 4 * (d + 1) for d, part in enumerate(col)
+                   for r in part)
         for k in range(4):
             for (p, q) in structure_monomials(degree - 1):
-                got = col.get((k, p, q), 0)
+                got = entry(col, k, p, q)
                 assert isinstance(got, int)
                 assert Fraction(got, scale) == want.coeff(k).coeff(p, q)
 
@@ -454,15 +565,15 @@ def sl2_triple(c1, c2, order=9):
 
 
 def one_shot_invariant_structures(fields, degree):
-    """Every field's ``_structure_columns`` rows stacked into one
-    ``solve_affine``, the whole system at once."""
+    """Every field's ``_columns`` rows stacked into one ``solve_affine``,
+    the whole system at once."""
     monos = structure_monomials(degree)
     rows, rhs = [], []
     for field in fields:
-        columns = _structure_columns(field, degree)[1]
+        columns = _columns(1, degree, [(field.a, field.b)])[1]
         for k in range(4):
             for (p, q) in structure_monomials(degree - 1):
-                row = [col.get((k, p, q), 0) for col in columns]
+                row = [entry(col, k, p, q) for col in columns]
                 rows.append(row[:-1])
                 rhs.append(-row[-1])
     consistent, particular, basis = solve_affine(rows, rhs)
