@@ -31,15 +31,16 @@ respectively); :func:`_dim_structure` (for every dimension check) and
 not depend on the report order.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InadmissibleParameters, NonSquareConstant,
-                     PreconditionViolated, UnknownCase)
+                     PreconditionViolated, UnknownCase, _ensure)
 from .expressions import expand
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
-from .jets import (DEFAULT_ORDER, Jet2, _picard, compose1, exp_series,
+from .jets import (DEFAULT_ORDER, Jet2, _cauchy, compose1, exp_series,
                    sqrt_series)
 from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
@@ -212,22 +213,60 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
             + 2 a a'''' + a' a''' - 3 a''^2 = 0
 
     with prescribed 3-jet ``jet3 = (a(0), a'(0), a''(0), a'''(0))``;
-    a(0) must be a unit.  Picard iteration on the integrated form; each
-    pass fixes one more Taylor coefficient (see ``jets._picard``).
+    a(0) must be a unit.  The coefficients are solved online (J. van der
+    Hoeven, J. Symbolic Comput. 34 (2002)), degree by degree on the
+    integer Taylor data of the rescaled ODE (``_alpha_coeffs``), and one
+    Picard pass of the integrated form,
+    a = (3-jet) + integral^4 of -lower(a)/(2a), at full order must return
+    them unchanged.
     """
     c = Fraction(c)
-    a0, a1, a2, a3 = (Fraction(v) for v in jet3)
+    jet3 = tuple(Fraction(v) for v in jet3)
+    a0, a1, a2, a3 = jet3
     if a0 == 0:
         raise PreconditionViolated("alpha(0) must be a unit")
     base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
+    al = _alpha_coeffs(c, jet3, order)
+    d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
+    _ensure(base + d4.integrate_x().integrate_x().integrate_x().integrate_x()
+            == al, "alpha solves its Picard pass")
+    return al
 
-    def step(al):
-        d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
-        return base.truncated(al.order) + (d4.integrate_x().integrate_x()
-                                           .integrate_x().integrate_x())
 
-    return _picard(step, base, 4, "alpha solves its Picard pass")
+def _alpha_coeffs(c, jet3, order):
+    """The alpha-ODE solution with 3-jet ``jet3`` through degree
+    ``order``, solved online, at eff ``order``.
+
+    x = s X and a = a(0) al, for s = 4 den(c)^2 L with L the lcm of the
+    denominators of a^(m)(0)/a(0), turn the ODE into
+    2 al al'''' = -(k^2 (al al'' - al'^2) - 3k (al al''' - al' al'')
+    + al' al''' - 3 al''^2) with k = c^2 s a multiple of 4.  Then al(0)
+    is 1 and every later derivative of al at 0 is an even integer, so
+    the right side halves exactly.  The lists hold N! times the Taylor
+    coefficients of al and its derivatives; coefficient n of the right
+    side needs al through degree n + 3, and fixes al_(n+4).
+    """
+    top = math.factorial(order)
+    ratios = [v / jet3[0] for v in jet3]
+    s = 4 * c.denominator ** 2 * math.lcm(*(v.denominator for v in ratios))
+    k = c.numerator ** 2 * (s // c.denominator ** 2)
+    al = [top // math.factorial(i) * (s ** i * v.numerator // v.denominator)
+          for i, v in enumerate(ratios)][:order + 1]
+    d1, d2, d3, d4 = [], [], [], []
+    for n in range(order - 3):
+        d1.append((n + 1) * al[n + 1])
+        d2.append((n + 1) * (n + 2) * al[n + 2])
+        d3.append((n + 1) * (n + 2) * (n + 3) * al[n + 3])
+        lower = (k * k * (_cauchy(al, d2, n) - _cauchy(d1, d1, n))
+                 - 3 * k * (_cauchy(al, d3, n) - _cauchy(d1, d2, n))
+                 + _cauchy(d1, d3, n) - 3 * _cauchy(d2, d2, n)) // top
+        d4.append(-(lower // 2) - _cauchy(al, d4, n, 1) // top)
+        al.append(d4[n] // ((n + 1) * (n + 2) * (n + 3) * (n + 4)))
+    a0 = jet3[0]
+    return Jet2._new({(i, 0): a0.numerator * w * s ** (order - i)
+                      for i, w in enumerate(al) if w},
+                     a0.denominator * top * s ** order, order, order)
 
 
 def _alpha_ode_lower(c, al):
@@ -342,35 +381,83 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
 def ib_flattening_germ(st):
     """Flattening coordinate change for a structure (A, 0, C, 0), C a unit.
 
-    The reparametrization psi solves
+    The reparametrization psi = x + O(x^3) solves
 
         psi''' = (3/2) psi''^2/psi' + psi' psi'' (C'/C) o psi
-                 - 2 (A C) o psi * psi'^3
+                 - 2 (A C) o psi * psi'^3,
 
-    (Picard iteration from psi = x, one more Taylor coefficient a pass;
-    see ``jets._picard``); the subsequent y-shift removes the B-slot,
-    leaving a structure of the form (0, 0, C2(x), 0).
+    online (J. van der Hoeven, J. Symbolic Comput. 34 (2002)), degree by
+    degree on the integer Taylor data of the rescaled ODE
+    (``_flattening_coeffs``); one Picard pass,
+    psi = x + integral^3 of the right side, at full order must return it
+    unchanged.  The subsequent y-shift removes the B-slot, leaving a
+    structure of the form (0, 0, C2(x), 0).
     """
     order = st.order
     q = st.C.d_dx() / st.C
     m = st.A * st.C
-
-    def step(psi):
-        t = psi.order
-        d1 = psi.d_dx()
-        d2 = d1.d_dx()
-        rhs = ((d2 * d2 / d1).scale(Fraction(3, 2))
-               + d1 * d2 * compose1(q.truncated(t), psi)
-               - (compose1(m.truncated(t), psi) * d1 ** 3).scale(2))
-        return (Jet2.variable("x", t)
-                + rhs.integrate_x().integrate_x().integrate_x())
-
-    psi = _picard(step, Jet2.variable("x", order), 3,
-                  "psi solves its Picard pass")
+    psi = _flattening_coeffs(q, m, order)
+    # The pass keeps degree e + v + 3 of q o psi (window e), which
+    # multiplies psi' psi'' with psi'' vanishing to order v, and e + 3 of
+    # m o psi.
+    v = min((i for (i, _) in psi._num if i > 1), default=order + 2) - 2
+    eff = min(order, q.eff + v + 3, m.eff + 3)
+    if eff < order:
+        psi = psi._window(order, eff)
+    d1 = psi.d_dx()
+    d2 = d1.d_dx()
+    rhs = ((d2 * d2 / d1).scale(Fraction(3, 2))
+           + d1 * d2 * compose1(q, psi)
+           - (compose1(m, psi) * d1 ** 3).scale(2))
+    _ensure(Jet2.variable("x", order)
+            + rhs.integrate_x().integrate_x().integrate_x() == psi,
+            "psi solves its Picard pass")
     c1 = compose1(st.C, psi)
     b1 = psi.d_dx().d_dx() / psi.d_dx()
     phi = (-b1 / c1.scale(2)).integrate_x()
     return DiffeoGerm(psi, Jet2.variable("y", order) + phi)
+
+
+def _flattening_coeffs(q, m, order):
+    """The psi = x + O(x^3) with psi''' = (3/2) psi''^2/psi'
+    + psi' psi'' q(psi) - 2 psi'^3 m(psi) through degree ``order``,
+    solved online, at eff ``order``; as in ``compose1``, only the x-only
+    terms of q and m count.
+
+    x = s X and psi = s P, for s the lcm of the denominators of q and m,
+    turn it into P''' = (3/2) P''^2/P' + P' P'' Q(P) - P'^3 M(P) with
+    integer Q_i = s^(i+1) q_i and M_i = 2 s^(i+2) m_i.  Every derivative
+    of P at 0 is an integer and P''^2 has even ones, so with P'(0) = 1
+    the quotient and the halving are exact.  The lists hold N! times the
+    Taylor coefficients; coefficient n of the right side needs P through
+    degree n + 2, and fixes P_(n+3).
+    """
+    top = math.factorial(order)
+    s = math.lcm(q._den, m._den)
+    qs = [(i, n * s ** (i + 1) // q._den) for (i, j), n in q._num.items()
+          if not j]
+    ms = [(i, 2 * n * s ** (i + 2) // m._den) for (i, j), n in m._num.items()
+          if not j]
+    ps = [0, top, 0][:order + 1]
+    pw = [[top] + [0] * order, ps]
+    pw += [[] for _ in range(max((i for i, _ in qs + ms), default=1) - 1)]
+    d1, d2, quo, d12, p2, p3, qc, mc = ([] for _ in range(8))
+    for n in range(order - 2):
+        d1.append((n + 1) * ps[n + 1])
+        d2.append((n + 1) * (n + 2) * ps[n + 2])
+        for i in range(2, len(pw)):
+            pw[i].append(_cauchy(ps, pw[i - 1], n, 1) // top)
+        qc.append(sum([z * pw[i][n] for i, z in qs]))
+        mc.append(sum([z * pw[i][n] for i, z in ms]))
+        quo.append((_cauchy(d2, d2, n) - _cauchy(d1, quo, n, 1)) // top)
+        d12.append(_cauchy(d1, d2, n) // top)
+        p2.append(_cauchy(d1, d1, n) // top)
+        p3.append(_cauchy(d1, p2, n) // top)
+        f = 3 * quo[n] // 2 + (_cauchy(d12, qc, n) - _cauchy(p3, mc, n)) // top
+        ps.append(f // ((n + 1) * (n + 2) * (n + 3)))
+    return Jet2._new({(i, 0): w * s ** (order + 1 - i)
+                      for i, w in enumerate(ps) if w},
+                     top * s ** order, order, order)
 
 
 def flat_criteria_checks(env, order=DEFAULT_ORDER):

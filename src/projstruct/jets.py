@@ -64,25 +64,31 @@ degree fixes each once (``_graded_solve``):
   solve of E u, and ``sqrt_series(u)`` is r_0 times the solve of
   (E u)/(2u).
 
-``comp_inverse`` is Newton reversion, doubling the precision each pass.
-Series solutions of ODEs climb a staircase of Picard passes
-(``_picard``): pass t runs at truncation t and fixes the degree-t
-coefficient, and a last pass at full order must return its input.  See
-R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
-power series", J. ACM 25 (1978).
+``comp_inverse`` is Newton reversion, doubling the precision each pass
+(R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
+power series", J. ACM 25 (1978)).  The series solutions of the ODEs
+(``geodesic_solve``, ``alpha_ode_solve``, ``ib_flattening_germ``) are
+online, or relaxed, recurrences (J. van der Hoeven, "Relax, but don't be
+too lazy", J. Symbolic Comput. 34 (2002)): each coefficient is fixed
+once, degree by degree, from the lower ones, through products whose
+coefficient n is a ``_cauchy`` sum of terms already known.  Each solver
+rescales x and the solution so that the ODE has integer coefficients;
+then every derivative at 0 is an integer, and the lists hold N! times
+the Taylor coefficients (N the order), so a product coefficient is an
+exact ``// N!`` of such a sum.  One Picard pass of the ODE at full order
+must then return the result unchanged: that pass certifies it.
 """
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import (
     NonSquareConstant,
     NonUnitDivisor,
     NonZeroConstantTerm,
     NotInvertible,
-    _ensure,
 )
 
 DEFAULT_ORDER = 12
@@ -159,6 +165,12 @@ def _graded_solve(tail, start, eff, divide=None):
             for ke, t in pushes:
                 acc[k + ke] += t * w
     return out
+
+
+def _cauchy(f, g, n, lo=0):
+    """sum f_a g_(n-a) over lo <= a <= n: coefficient n of the product of
+    two series held as coefficient lists, from the terms known so far."""
+    return sum(map(mul, f[lo:n + 1], g[n - lo::-1])) if lo <= n else 0
 
 
 def as_coeff(value):
@@ -598,22 +610,6 @@ def comp_inverse(u):
                                  w, zero)
         v = w - (uw - x) / dw
     return v
-
-
-def _picard(step, y, first, what):
-    """The fixed point of a Picard pass ``step``, climbing one degree a pass.
-
-    ``step`` takes an iterate right through degree t - 1, where t is its
-    order, and returns one of order t right through degree t.  The passes
-    run at truncations first, first + 1, ..., ``y.order``, so each costs
-    only what its degree needs; one more pass at full order must return
-    its input (``what`` names that check).
-    """
-    order = y.order
-    for t in range(min(first, order), order + 1):
-        y = step(y._window(t, y.eff))
-    _ensure(step(y) == y, what)
-    return y
 
 
 # -- analytic series ----------------------------------------------------------

@@ -10,6 +10,7 @@ slope is exactly the condition preserved by arbitrary coordinate
 changes, which is what :func:`pullback` implements.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .errors import (
     NotInvertible,
     _ensure,
 )
-from .jets import (Jet2, _is_unit, _picard, _substitute_all, comp_inverse,
+from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, comp_inverse,
                    compose1, exp_series)
 from .slopes import SlopePoly
 
@@ -323,24 +324,68 @@ def _all_along(fs, curve):
 def geodesic_solve(st, y0, p0, order=None):
     """The geodesic through (0, y0) with slope p0, as an x-only jet.
 
-    Picard iteration on y = y0 + p0 x + integral^2 of the right-hand
-    side; each pass fixes one more Taylor coefficient, so pass t runs at
-    truncation t (see ``jets._picard``).  The passes solve for y - y0
-    against the structure recentred at height y0 once, because
-    recentring a truncated structure would change its low terms.
+    The coefficients of y - y0 are solved online (J. van der Hoeven,
+    J. Symbolic Comput. 34 (2002)), degree by degree on the integer
+    Taylor data of the rescaled ODE (``_geodesic_coeffs``), against the
+    structure recentred at height y0 once, because recentring a
+    truncated structure would change its low terms.  The result keeps
+    the window of the Picard pass y -> p0 x + integral^2 of the
+    right-hand side, and that one pass at full order must return it
+    unchanged.
     """
     order = st.order if order is None else min(order, st.order)
-    y0 = Fraction(y0)
+    y0, p0 = Fraction(y0), Fraction(p0)
     recentred = st.truncated(order).map(lambda f: f.shift_y(y0))
-    base = Jet2.variable("x", order).scale(Fraction(p0))
+    base = Jet2.variable("x", order).scale(p0)
+    y = _geodesic_coeffs(recentred, p0, order)
+    # The pass keeps degree 2 + e + k v of the slot of window e that
+    # multiplies y'^k, where v is the order to which y' vanishes.
+    v = min((i for (i, _) in y._num), default=order + 1) - 1
+    eff = min(order, *(2 + f.eff + k * v for k, f in enumerate(recentred)))
+    if eff < order:
+        y = y._window(order, eff)
+    rhs = _rhs_along(recentred, y)
+    _ensure(base + rhs.integrate_x().integrate_x() == y,
+            "the geodesic solves its Picard pass")
+    return y + Jet2.constant(y0, order)
 
-    def step(y):
-        t = y.order
-        rhs = _rhs_along(recentred.truncated(t), y)
-        return base.truncated(t) + rhs.integrate_x().integrate_x()
 
-    return (_picard(step, base, 2, "the geodesic solves its Picard pass")
-            + Jet2.constant(y0, order))
+def _geodesic_coeffs(st, p0, order):
+    """The geodesic y(0) = 0, y'(0) = p0 of the rational structure ``st``
+    through degree ``order``, solved online, at eff ``order``.
+
+    With delta the lcm of the slot denominators and b the denominator of
+    p0, x = s X and y = R Y for s = delta b^2, R = delta b turn
+    y'' = sum_k S_k(x, y) y'^k into Y'' = sum_k G_k Y'^k with
+    G_k = sum z X^i Y^j and integer z = S_k,ij s^(i+2-k) R^(j+k-1).  The
+    lists hold N! times the Taylor coefficients of Y, Y' = P, the powers
+    Y^j and P^k and the G_k.  Coefficient n of each needs Y only through
+    degree n + 1, and Y_(n+2) = (sum_k G_k P^k)_n / ((n+1)(n+2)).
+    """
+    top = math.factorial(order)
+    den = math.lcm(*(f._den for f in st))
+    s, r = den * p0.denominator ** 2, den * p0.denominator
+    terms = [[(i, j, n * s ** (i + 2) * r ** (j + k) // (f._den * s ** k * r))
+              for (i, j), n in f._num.items()] for k, f in enumerate(st)]
+    ys = [0, top * p0.numerator][:order + 1]
+    ypow = [[top] + [0] * order, ys]
+    ypow += [[] for _ in range(max((j for t in terms for _, j, _ in t),
+                                   default=1) - 1)]
+    ppow = [None, [], [], []]
+    gs = [[], [], [], []]
+    for n in range(order - 1):
+        ppow[1].append((n + 1) * ys[n + 1])
+        for k in (2, 3):
+            ppow[k].append(_cauchy(ppow[1], ppow[k - 1], n) // top)
+        for j in range(2, len(ypow)):
+            ypow[j].append(_cauchy(ys, ypow[j - 1], n, 1) // top)
+        for g, t in zip(gs, terms):
+            g.append(sum([z * ypow[j][n - i] for i, j, z in t if i <= n]))
+        f = gs[0][n] * top + sum(_cauchy(gs[k], ppow[k], n) for k in (1, 2, 3))
+        ys.append(f // (top * (n + 1) * (n + 2)))
+    return Jet2._new({(i, 0): w * r * s ** (order - i)
+                      for i, w in enumerate(ys) if w},
+                     top * s ** order, order, order)
 
 
 def geodesic_residual(st, curve):

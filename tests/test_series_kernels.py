@@ -1,21 +1,37 @@
-"""The one-pass series kernels against the fixed-point loops they replace.
+"""The one-pass series kernels against the iterations they replace.
 
-Each reference below is the iteration the package used before: Newton
+Each reference below is an iteration the package used before: Newton
 for ``inverse`` and ``sqrt_series``, the power sum for ``exp_series``,
 Picard iteration for ``comp_inverse``, ``geodesic_solve`` and the
 normal-form ODE solvers, each run at full order until it stops
 changing.  The references fail loudly instead of stopping at a cap.  The
 kernels must return a result ``==`` the reference: same ``order``, same
 ``eff``, same coefficients.
+
+The three ODE solvers (``geodesic_solve``, ``alpha_ode_solve`` and
+``ib_flattening_germ``) fix their coefficients online, degree by degree,
+on integers (J. van der Hoeven, "Relax, but don't be too lazy",
+J. Symbolic Comput. 34 (2002)), and certify them with one Picard pass
+at full order.  Their second reference is the Picard staircase they
+replaced, in which pass t runs at truncation t and fixes the degree-t
+coefficient; it is checked on every call of a registry pass and on the
+deep-jets inputs of the benchmark, at orders 12 to 20.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import projstruct
+from projstruct import cases, run_all, structures
 from projstruct.cases import _alpha_ode_lower, alpha_ode_solve, ib_flattening_germ
 from projstruct.duals import EPS, DualRational
+from projstruct.errors import (DegenerateJacobian, NonUnitDivisor,
+                               PreconditionViolated, ProjstructError)
 from projstruct.jets import (
     Jet2,
     comp_inverse,
@@ -250,3 +266,263 @@ def test_ib_flattening_psi_matches_picard(stq, c0):
     stq = ProjectiveStructure(stq.A, zero, stq.C - stq.C.constant_term + c0,
                               zero)
     assert ib_flattening_germ(stq).u == reference_flattening_psi(stq)
+
+
+# --- the Picard staircase the ODE solvers climbed before ------------------------
+
+
+def staircase(step, y, first):
+    order = y.order
+    for t in range(min(first, order), order + 1):
+        y = step(y._window(t, y.eff))
+    assert step(y) == y
+    return y
+
+
+def staircase_geodesic(stq, y0, p0, order=None):
+    order = stq.order if order is None else min(order, stq.order)
+    y0 = Fraction(y0)
+    recentred = stq.truncated(order).map(lambda f: f.shift_y(y0))
+    base = Jet2.variable("x", order).scale(Fraction(p0))
+
+    def step(y):
+        t = y.order
+        rhs = _rhs_along(recentred.truncated(t), y)
+        return base.truncated(t) + rhs.integrate_x().integrate_x()
+    return staircase(step, base, 2) + Jet2.constant(y0, order)
+
+
+def staircase_alpha(c, jet3, order):
+    c = Fraction(c)
+    a0, a1, a2, a3 = (Fraction(v) for v in jet3)
+    base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
+                            (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
+
+    def step(al):
+        d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
+        return base.truncated(al.order) + (d4.integrate_x().integrate_x()
+                                           .integrate_x().integrate_x())
+    return staircase(step, base, 4)
+
+
+def staircase_flattening_psi(stq):
+    q = stq.C.d_dx() / stq.C
+    m = stq.A * stq.C
+
+    def step(psi):
+        t = psi.order
+        d1 = psi.d_dx()
+        d2 = d1.d_dx()
+        rhs = ((d2 * d2 / d1).scale(Fraction(3, 2))
+               + d1 * d2 * compose1(q.truncated(t), psi)
+               - (compose1(m.truncated(t), psi) * d1 ** 3).scale(2))
+        return (Jet2.variable("x", t)
+                + rhs.integrate_x().integrate_x().integrate_x())
+    return staircase(step, Jet2.variable("x", stq.order), 3)
+
+
+# --- registry scale: every solver call of a pass, and the deep-jets inputs ------
+
+
+@pytest.fixture(scope="module")
+def registry_calls():
+    """The arguments of every ODE solver call of ``run_all(12)``."""
+    calls = {"geodesic_solve": [], "alpha_ode_solve": [],
+             "ib_flattening_germ": []}
+    originals = {name: getattr(cases, name) for name in calls}
+
+    def recording(name):
+        def wrapper(*args):
+            calls[name].append(args)
+            return originals[name](*args)
+        return wrapper
+
+    for name in calls:
+        setattr(cases, name, recording(name))
+    try:
+        run_all(12)
+    finally:
+        for name, original in originals.items():
+            setattr(cases, name, original)
+    return calls
+
+
+def test_a_registry_pass_calls_each_ode_solver_as_counted(registry_calls):
+    assert {name: len(args) for name, args in registry_calls.items()} == {
+        "geodesic_solve": 17, "alpha_ode_solve": 6, "ib_flattening_germ": 3}
+    assert {args[2] for args in registry_calls["alpha_ode_solve"]} == {12, 15}
+
+
+def test_registry_geodesics_match_the_staircase(registry_calls):
+    for args in registry_calls["geodesic_solve"]:
+        assert geodesic_solve(*args) == staircase_geodesic(*args)
+
+
+def test_registry_alpha_solutions_match_the_staircase(registry_calls):
+    for args in registry_calls["alpha_ode_solve"]:
+        assert alpha_ode_solve(*args) == staircase_alpha(*args)
+
+
+def test_registry_flattening_germs_match_the_staircase(registry_calls):
+    for (stq,) in registry_calls["ib_flattening_germ"]:
+        assert ib_flattening_germ(stq).u == staircase_flattening_psi(stq)
+
+
+def bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_deep_jets_geodesics_match_the_staircase(seed):
+    workloads = bench_workloads()
+    for order in workloads.DEEP_ORDERS:
+        inp = workloads.deep_inputs(projstruct, seed, 0, order)
+        stq, p0 = inp["st"], inp["p0"]
+        assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, 0, p0)
+
+
+# --- the certificate: one full-order Picard pass, and it bites ------------------
+
+
+def sample_structure(order):
+    x = Jet2.variable("x", order)
+    y = Jet2.variable("y", order)
+    one = Jet2.constant(1, order)
+    return ProjectiveStructure(x * y + one, y.scale(2) - x, x * x + y,
+                               one.scale(Fraction(1, 3)) + x)
+
+
+def ib_structure(order):
+    x = Jet2.variable("x", order)
+    return ProjectiveStructure(Jet2.constant(1, order) + x * x,
+                               Jet2.zero(order), exp_series(x),
+                               Jet2.zero(order))
+
+
+def count_calls(monkeypatch, module, name):
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_solver_runs_one_full_order_picard_pass(monkeypatch):
+    rhs = count_calls(monkeypatch, structures, "_rhs_along")
+    geodesic_solve(sample_structure(12), 0, Fraction(1, 2))
+    assert [args[1].order for args in rhs] == [12]
+    lower = count_calls(monkeypatch, cases, "_alpha_ode_lower")
+    alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12)
+    assert [args[1].order for args in lower] == [12]
+    # q o psi and m o psi in the pass, then C o psi for the y-shift
+    composed = count_calls(monkeypatch, cases, "compose1")
+    ib_flattening_germ(ib_structure(12))
+    assert [args[1].order for args in composed] == [12, 12, 12]
+
+
+def one_wrong_coefficient(kernel):
+    def wrong(*args):
+        jet = kernel(*args)
+        return jet + Jet2.monomial(jet.eff, 0, Fraction(1, 7), jet.order)
+    return wrong
+
+
+@pytest.mark.parametrize("module, kernel, solve, what", [
+    (structures, "_geodesic_coeffs",
+     lambda: geodesic_solve(sample_structure(12), 0, Fraction(1, 2)),
+     "the geodesic solves its Picard pass"),
+    (cases, "_alpha_coeffs",
+     lambda: alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12),
+     "alpha solves its Picard pass"),
+    (cases, "_flattening_coeffs",
+     lambda: ib_flattening_germ(ib_structure(12)),
+     "psi solves its Picard pass"),
+])
+def test_a_wrong_online_coefficient_fails_the_certificate(
+        monkeypatch, module, kernel, solve, what):
+    solve()
+    monkeypatch.setattr(module, kernel,
+                        one_wrong_coefficient(getattr(module, kernel)))
+    with pytest.raises(ProjstructError, match=what):
+        solve()
+
+
+# --- edge windows ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_low_orders_match_the_staircase(order):
+    stq = sample_structure(order)
+    for y0, p0 in ((0, Fraction(1, 2)), (0, 0), (Fraction(-2, 3), 3)):
+        assert (geodesic_solve(stq, y0, p0)
+                == staircase_geodesic(stq, y0, p0))
+    jet3 = (Fraction(-3, 2), 1, Fraction(2, 5), -1)
+    assert alpha_ode_solve(3, jet3, order) == staircase_alpha(3, jet3, order)
+    stb = ib_structure(order)
+    if order == 0:   # psi' has no known constant term to divide by
+        with pytest.raises(NonUnitDivisor):
+            ib_flattening_germ(stb)
+    elif order == 1:   # the y-shift phi is known at no degree
+        with pytest.raises(DegenerateJacobian):
+            ib_flattening_germ(stb)
+    else:
+        assert ib_flattening_germ(stb).u == staircase_flattening_psi(stb)
+
+
+def test_bad_orders_and_a_vanishing_alpha_are_refused():
+    with pytest.raises(ValueError):
+        geodesic_solve(sample_structure(4), 0, 1, -1)
+    with pytest.raises(ValueError):
+        alpha_ode_solve(1, (1, 0, 0, 0), -1)
+    with pytest.raises(PreconditionViolated):
+        alpha_ode_solve(1, (0, 1, 1, 1), 12)
+
+
+def test_a_slope_with_a_large_denominator_matches_the_staircase():
+    stq = sample_structure(12)
+    p0 = Fraction(-7, 10 ** 12 + 39)
+    assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, 0, p0)
+
+
+@pytest.mark.parametrize("effs, p0", [
+    ((9, 3, 9, 9), Fraction(1, 2)),     # window 3 + 2 through B y'
+    ((9, 3, 9, 9), 0),                  # y' = O(x): 3 + 2 + 1
+    ((9, 9, 1, 9), 0),                  # C y'^2: 1 + 2 + 2
+    ((9, 9, 9, 0), 0),                  # D y'^3: 0 + 2 + 3
+    ((4, 9, 9, 9), Fraction(1, 2)),     # A alone: 4 + 2
+])
+def test_structure_windows_below_the_order_match_the_staircase(effs, p0):
+    stq = ProjectiveStructure(*(f._window(9, e)
+                                for f, e in zip(sample_structure(9), effs)))
+    got = geodesic_solve(stq, 0, p0)
+    assert got.eff < 9
+    assert got == staircase_geodesic(stq, 0, p0)
+
+
+@pytest.mark.parametrize("eff_a, eff_c", [(3, 9), (9, 2), (2, 1)])
+def test_flattening_windows_below_the_order_match_the_staircase(eff_a, eff_c):
+    stb = ib_structure(9)
+    stb = ProjectiveStructure(stb.A._window(9, eff_a), stb.B,
+                              stb.C._window(9, eff_c), stb.D)
+    got = ib_flattening_germ(stb).u
+    assert got.eff < 9
+    assert got == staircase_flattening_psi(stb)
+
+
+def test_a_recentred_geodesic_keeps_its_answer():
+    # The terms above x^0 are not all determined by the origin jets of
+    # A = y^6; the window of a recentred jet is an open item of its own.
+    zero = Jet2.zero(6)
+    stq = ProjectiveStructure(Jet2.monomial(0, 6, 1, 6), zero, zero, zero)
+    want = Jet2.from_terms({(0, 0): 1, (2, 0): Fraction(1, 2),
+                            (4, 0): Fraction(1, 4), (6, 0): Fraction(7, 40)}, 6)
+    assert geodesic_solve(stq, 1, 0) == want
+    assert want.eff == 6
+    assert staircase_geodesic(stq, 1, 0) == want
