@@ -394,6 +394,8 @@ def ib_flattening_germ(st):
     structure of the form (0, 0, C2(x), 0).
     """
     order = st.order
+    if order < 2:
+        raise ValueError("ib_flattening_germ needs order >= 2, got %d" % order)
     q = st.C.d_dx() / st.C
     m = st.A * st.C
     psi = _flattening_coeffs(q, m, order)

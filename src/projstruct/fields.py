@@ -12,13 +12,16 @@ coefficient.  The dual-number pullback is the oracle for this in the
 tests, so the convention is pinned mechanically rather than by a
 formula transcription.
 
-Both exact linear solves read their integer equations from one closed
-form of the residual's terms, which are bilinear in (field, structure):
+``residual`` and both exact linear solves read one closed form of the
+residual's terms, ``_TERMS``, which are bilinear in (field, structure):
+``residual`` sums each slot's terms in one ``_sum_of_products``,
 ``symmetry_dim`` solves for polynomial fields, ``invariant_structures``
-for polynomial structures.  ``residual`` is the oracle for that table.
-Its structure-free part, each unknown's terms, is cached per order next
-to the constant symbol S_d and built on first use, so a call pays only
-for the terms of its own structure or fields.
+for polynomial structures.  The oracles for that table are the
+dual-number pullback and, in the tests, the residual as the slope
+polynomial products it was computed as before.  The structure-free part
+of a solve, each unknown's terms, is cached per order next to the
+constant symbol S_d and built on first use, so a call pays only for the
+terms of its own structure or fields.
 ``_graded_kernel`` solves both one residual degree at a time on primitive
 integer vectors, and past degree 0 ``symmetry_dim`` only the
 compatibility rows of S_d.
@@ -33,8 +36,7 @@ from math import gcd, lcm, perm
 from operator import mul
 from types import MappingProxyType
 
-from .errors import _ensure
-from .jets import Jet2
+from .jets import Jet2, _sum_of_products
 from .linalg import _int_row, _reduce, nullspace, rank, solve_affine
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure
@@ -78,24 +80,20 @@ def residual(field, st):
     """Lie derivative of the structure along the field, as a slope cubic.
 
     Zero (to the effective order) exactly when ``field`` is an
-    infinitesimal symmetry of ``st``.
+    infinitesimal symmetry of ``st``.  Slot k sums its ``_TERMS`` in one
+    ``_sum_of_products``, each derivative formed once.
     """
-    a, b = field.a, field.b
-    ax, ay = a.d_dx(), a.d_dy()
-    bx, by = b.d_dx(), b.d_dy()
-    f = st.slope_poly()
-    # first prolongation of the flow acting on the slope
-    eta = SlopePoly([bx, by - ax, -ay])
-    # variation of the denominator weight
-    lead = SlopePoly([by - 2 * ax, -3 * ay])
-    out = (f.map(lambda c: c.d_dx()).scale(a)
-           + f.map(lambda c: c.d_dy()).scale(b)
-           + eta * SlopePoly([st.B, 2 * st.C, 3 * st.D]) - lead * f)
-    _ensure(out.coeff(4).is_zero(), "slope degree 4 cancels")
-    # second prolongation: the structure-independent part
-    inhom = SlopePoly([bx.d_dx(), 2 * bx.d_dy() - ax.d_dx(),
-                       by.d_dy() - 2 * ax.d_dy(), -ay.d_dy()])
-    return SlopePoly([out.coeff(k) for k in range(4)]) - inhom
+    jets = ({(0, 0, 0): field.a, (1, 0, 0): field.b},
+            {(s, 0, 0): jet for s, jet in
+             enumerate((*st, Jet2.constant(1, st.order)))})
+    for known, keys in zip(jets, _DERIVATIVES):
+        for s, dx, dy in keys:
+            known[s, dx, dy] = (known[s, dx - 1, dy].d_dx() if dx
+                                else known[s, 0, dy - 1].d_dy())
+    fj, sj = jets
+    return SlopePoly([_sum_of_products([(c, fj[f], sj[s])
+                                        for c, f, s in terms])
+                      for terms in _SLOTS])
 
 
 def is_symmetry(field, st):
@@ -258,6 +256,14 @@ _TERMS = tuple(
     for f, slots in enumerate(_RESIDUAL) for k, text in enumerate(slots)
     for sign, c, fd, s, sd in re.findall(
         r"([+-]?) ?(\d*) ?[ab]_?(\w*) ?([A-D]?)_?(\w*)", text))
+
+# The terms (c, field factor, structure factor) of each slot k, and the
+# derivatives (slot, dx, dy) they read of the field and of the structure,
+# each after the one it is taken from.
+_SLOTS = tuple(tuple((c, f, s) for j, c, f, s in _TERMS if j == k)
+               for k in range(4))
+_DERIVATIVES = [sorted({t[side] for t in _TERMS if t[side][1:] != (0, 0)},
+                       key=sum) for side in (2, 3)]
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,8 @@ flat list over the result's exponent box: h rows by w columns, where h
 and w exceed the largest x- and y-exponent a kept product can have.  The
 box is never sized by the working order, so a product of two short jets
 costs the same at order 400 as at order 20.  A one-term factor is a
-shifted scale of the other.
+shifted scale of the other.  ``_sum_of_products`` sums many products
+c f g in one such box over one denominator and reduces once.
 
 The series kernels end by construction; none iterates to a fixed point
 under a cap.  A coefficient of degree d of a quotient and of the Euler
@@ -362,23 +363,7 @@ class Jet2:
                     if not p == 0:
                         out[(i + i0, j + j0)] = p
             return Jet2._new(out, den, order, eff)
-        # The sums go into a flat list over the result's exponent box, h
-        # rows by w columns, never sized by the working order.  Key (i, j)
-        # packs to i*w + j, which is additive on every kept product since
-        # its i stays below h and its j below w.  The smaller factor is
-        # sorted by degree, so each term of the other takes a prefix of it.
-        h = min(eff, max(a)[0] + max(b)[0]) + 1
-        w = min(eff, max(map(_j, a)) + max(map(_j, b))) + 1
-        keys = sorted(b, key=sum)
-        degrees = [i + j for (i, j) in keys]
-        right = [(i * w + j, b[(i, j)]) for (i, j) in keys]
-        acc = [0] * (h * w)
-        for (i, j), c1 in a.items():
-            k1 = i * w + j
-            for k2, c2 in right[:bisect_right(degrees, eff - i - j)]:
-                acc[k1 + k2] += c1 * c2
-        return Jet2._new({divmod(k, w): c for k, c in enumerate(acc) if c},
-                         den, order, eff)
+        return Jet2._new(_box_sum([(1, a, b)], eff), den, order, eff)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -498,6 +483,51 @@ class Jet2:
         order = self.order if order is None else min(order, self.order)
         eff = self.eff if eff is None else min(eff, self.eff)
         return self._window(order, eff)
+
+
+def _box_sum(products, eff):
+    """The numerators of sum s a b over ``products`` (s, a, b) of numerator
+    dicts, through degree ``eff``, in a flat list over the exponent box of
+    the result, h rows by w columns, never sized by the working order.  Key
+    (i, j) packs to i*w + j, additive on every kept product since its i
+    stays below h and its j below w.  Of each pair, the factor with fewer
+    terms is sorted by degree; each term of the other takes a prefix."""
+    h = w = 0
+    for _, a, b in products:
+        h = max(h, max(a)[0] + max(b)[0])
+        w = max(w, max(map(_j, a)) + max(map(_j, b)))
+    h, w = min(eff, h) + 1, min(eff, w) + 1
+    acc = [0] * (h * w)
+    for s, a, b in products:
+        if len(a) < len(b):
+            a, b = b, a
+        keys = sorted(b, key=sum)
+        degrees = [i + j for (i, j) in keys]
+        right = [(i * w + j, s * b[(i, j)]) for (i, j) in keys]
+        for (i, j), c1 in a.items():
+            k1 = i * w + j
+            for k2, c2 in right[:bisect_right(degrees, eff - i - j)]:
+                acc[k1 + k2] += c1 * c2
+    return {divmod(k, w): c for k, c in enumerate(acc) if c}
+
+
+def _sum_of_products(terms):
+    """sum c f g over ``terms`` (c, f, g), c rational and f, g jets.
+
+    Each product keeps the window ``c * f * g`` has, min(order, f.eff +
+    val g, g.eff + val f), and the sum the least of these.  All products
+    share one ``_box_sum`` over the lcm of their denominators, then one
+    ``_canonical`` (delayed reduction: J.-G. Dumas, P. Giorgi and
+    C. Pernet, ACM TOMS 35 (2008))."""
+    order = min(min(f.order, g.order) for _, f, g in terms)
+    eff = min(order, *[min(f.eff + g._val_bound(), g.eff + f._val_bound())
+                       for _, f, g in terms])
+    live = [(c, c.denominator * f._den * g._den, f._num, g._num)
+            for c, f, g in terms if f._num and g._num]
+    den = math.lcm(*[d for _, d, _, _ in live])
+    return Jet2._new(_box_sum([(c.numerator * (den // d), a, b)
+                               for c, d, a, b in live], eff), den, order, eff)
+
 
 # -- composition ------------------------------------------------------------
 

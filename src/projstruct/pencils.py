@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
-from .jets import Jet2, _is_unit
+from .jets import Jet2, _is_unit, _sum_of_products
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure, _all_along, swap_axes
 
@@ -222,7 +222,8 @@ def lie_derivative_form(field, fol):
     The result is returned as a plain pair of jets (it need not define a
     foliation: it can vanish).
     """
-    p, q = fol.P, fol.Q
-    a, b = field.a, field.b
-    return (field.apply(p) + p * a.d_dx() + q * b.d_dx(),
-            field.apply(q) + p * a.d_dy() + q * b.d_dy())
+    p, q, a, b = fol.P, fol.Q, field.a, field.b
+    return tuple(_sum_of_products([(1, a, w.d_dx()), (1, b, w.d_dy()),
+                                   (1, p, u), (1, q, v)])
+                 for w, u, v in ((p, a.d_dx(), b.d_dx()),
+                                 (q, a.d_dy(), b.d_dy())))

@@ -30,9 +30,6 @@ class SlopePoly:
             return self.coeffs[k]
         return Jet2.zero(self.coeffs[0].order)
 
-    def map(self, fn):
-        return SlopePoly([fn(c) for c in self.coeffs])
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return SlopePoly([self.coeff(k) + other.coeff(k) for k in range(n)])

@@ -20,8 +20,8 @@ from .errors import (
     NotInvertible,
     _ensure,
 )
-from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, comp_inverse,
-                   compose1, exp_series)
+from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
+                   comp_inverse, compose1, exp_series)
 from .slopes import SlopePoly
 
 
@@ -59,9 +59,6 @@ class ProjectiveStructure:
 
     def truncated(self, order=None, eff=None):
         return self.map(lambda f: f.truncated(order, eff))
-
-    def slope_poly(self):
-        return SlopePoly(list(self))
 
     @classmethod
     def zero(cls, order):
@@ -202,15 +199,17 @@ class LiouvillePair:
 
 def liouville(st):
     """The obstruction pair (L1, L2); both vanish iff linearizable."""
-    a, b, c, d = st.A, st.B, st.C, st.D
-    ax, ay = a.d_dx(), a.d_dy()
-    by, cx = b.d_dy(), c.d_dx()
-    l1 = (2 * b.d_dx().d_dy() - c.d_dx().d_dx() - 3 * ay.d_dy()
-          - 6 * a * d.d_dx() - 3 * ax * d + 3 * (a * c).d_dy()
-          + b * cx - 2 * b * by)
-    l2 = (2 * cx.d_dy() - by.d_dy() - 3 * d.d_dx().d_dx()
-          + 6 * ay * d + 3 * a * d.d_dy() - 3 * (b * d).d_dx()
-          - by * c + 2 * c * cx)
+    a, b, c, d = st
+    ax, ay, by, cx = a.d_dx(), a.d_dy(), b.d_dy(), c.d_dx()
+    one = Jet2.constant(1, st.order)
+    l1 = _sum_of_products([
+        (2, b.d_dx().d_dy(), one), (-1, cx.d_dx(), one), (-3, ay.d_dy(), one),
+        (-6, a, d.d_dx()), (-3, ax, d), (3, (a * c).d_dy(), one), (1, b, cx),
+        (-2, b, by)])
+    l2 = _sum_of_products([
+        (2, cx.d_dy(), one), (-1, by.d_dy(), one), (-3, d.d_dx().d_dx(), one),
+        (6, ay, d), (3, a, d.d_dy()), (-3, (b * d).d_dx(), one), (-1, by, c),
+        (2, c, cx)])
     return LiouvillePair(l1, l2)
 
 

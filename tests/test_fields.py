@@ -27,6 +27,7 @@ from projstruct.fields import (
 )
 from projstruct.jets import Jet2
 from projstruct.linalg import nullspace, rank, solve_affine
+from projstruct.slopes import SlopePoly
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
 from conftest import PROP_ORDER, jets, structures
@@ -64,6 +65,36 @@ def re_part(jet):
                            jet.order, jet.eff)
 
 
+def reference_residual(field, st):
+    """The residual as four ``SlopePoly`` products, the form ``residual``
+    had before it summed ``_TERMS``.  The closed-form tests read this one,
+    so the table is never checked against itself."""
+    a, b = field.a, field.b
+    ax, ay = a.d_dx(), a.d_dy()
+    bx, by = b.d_dx(), b.d_dy()
+    f = SlopePoly(list(st))
+    # first prolongation of the flow acting on the slope
+    eta = SlopePoly([bx, by - ax, -ay])
+    # variation of the denominator weight
+    lead = SlopePoly([by - 2 * ax, -3 * ay])
+    out = (SlopePoly([c.d_dx() for c in st]).scale(a)
+           + SlopePoly([c.d_dy() for c in st]).scale(b)
+           + eta * SlopePoly([st.B, 2 * st.C, 3 * st.D]) - lead * f)
+    assert out.coeff(4).is_zero()   # slope degree 4 cancels
+    # second prolongation: the structure-independent part
+    inhom = SlopePoly([bx.d_dx(), 2 * bx.d_dy() - ax.d_dx(),
+                       by.d_dy() - 2 * ax.d_dy(), -ay.d_dy()])
+    return SlopePoly([out.coeff(k) for k in range(4)]) - inhom
+
+
+def assert_same_residual(got, want):
+    # slot by slot: the same order, eff, numerators and denominator
+    assert len(got.coeffs) == len(want.coeffs) == 4
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert (g.order, g.eff, g._num, g._den) \
+            == (w.order, w.eff, w._num, w._den)
+
+
 # --- the sign convention, pinned by the dual-number pullback ------------------
 
 
@@ -79,6 +110,85 @@ def test_residual_is_first_order_pullback(a, b, stq):
     for k, (orig, new) in enumerate(zip(stq, moved)):
         assert re_part(new).agree(orig)
         assert eps_part(new).agree(res.coeff(k))
+
+
+@settings(deadline=None, max_examples=60)
+@given(jets(max_terms=3), jets(max_terms=3), structures(max_terms=4),
+       hs.integers(-1, PROP_ORDER), hs.integers(-1, PROP_ORDER))
+def test_residual_is_the_reference_in_its_window(a, b, stq, ef, es):
+    # the two agree exactly on their common window, and have the same
+    # window when the structure is known as far as the field
+    field = VectorField(a.truncated(eff=ef), b.truncated(eff=ef))
+    stq = stq.truncated(eff=es)
+    got, want = residual(field, stq), reference_residual(field, stq)
+    for g, w in zip(got.coeffs, want.coeffs):
+        e = min(g.eff, w.eff)
+        assert g.truncated(eff=e) == w.truncated(eff=e)
+    if stq.eff >= ef:
+        assert_same_residual(got, want)
+
+
+def test_a_structure_known_less_far_than_the_field_can_move_a_window():
+    # Both windows are sound, and they differ only when the structure is
+    # known to a lower degree than the field.  Slot 0 of the reference
+    # groups (b_y - 2 a_x) A, which vanishes to a higher order than a_x A
+    # here, so the reference keeps one more degree.
+    unknown = ProjectiveStructure.zero(6).truncated(eff=-1)
+    field = VectorField(jexp("2*x*y - 2*x^3", 6).truncated(eff=3),
+                        jexp("2*y^2 + x^3", 6).truncated(eff=3))
+    got, want = residual(field, unknown), reference_residual(field, unknown)
+    assert (got.coeff(0).eff, want.coeff(0).eff) == (0, 1)
+    # Slot 1 of the reference holds (b_y - a_x) B - (b_y - 2 a_x) B, whose
+    # b_y B terms cancel in _TERMS, so the closed form keeps one more.
+    field = VectorField(Jet2.zero(6), jexp("2*y - x^2*y^2", 6))
+    got, want = residual(field, unknown), reference_residual(field, unknown)
+    assert (got.coeff(1).eff, want.coeff(1).eff) == (0, -1)
+
+
+@pytest.fixture(scope="module")
+def registry_residuals():
+    """Each ``residual`` call of ``run_all(12)`` and ``run_all(8)``: its
+    arguments and the jets it built (``Jet2._new`` calls)."""
+    calls, built = [], [0]
+    make = Jet2._new.__func__
+
+    def counting(cls, *args):
+        built[0] += 1
+        return make(cls, *args)
+
+    def recording(field, st):
+        before = built[0]
+        out = residual(field, st)
+        calls.append((field, st, built[0] - before))
+        return out
+
+    passes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet2, "_new", classmethod(counting))
+        for module in (sys.modules["projstruct.fields"], cases):
+            mp.setattr(module, "residual", recording)
+        for order in (12, 8):
+            before, start = built[0], len(calls)
+            cases.run_all(order=order)
+            passes[order] = (len(calls) - start, built[0] - before)
+    return calls, passes
+
+
+def test_residual_is_the_reference_on_every_registry_call(registry_residuals):
+    calls, passes = registry_residuals
+    assert {order: n for order, (n, _) in passes.items()} == {12: 77, 8: 77}
+    for field, st, _ in calls:
+        assert_same_residual(residual(field, st),
+                             reference_residual(field, st))
+
+
+def test_a_registry_pass_keeps_its_jet_traffic(registry_residuals):
+    # the jets built per residual call (its 18 derivatives and 4 slots;
+    # 103 as SlopePoly products) and per pass, so per-product overhead
+    # cannot come back unseen
+    calls, passes = registry_residuals
+    assert {n for *_, n in calls} == {22}
+    assert passes == {12: (77, 13377), 8: (77, 13121)}
 
 
 def test_residual_of_x_translation_shifts_coefficients():
@@ -172,7 +282,7 @@ def monomial_field(slot, i, j, order):
 
 def reference_dim(stq, n):
     """The order-n count solved on its own, column by column from
-    ``residual``: the polynomial fields of degree <= n, the residual
+    ``reference_residual``: the polynomial fields of degree <= n, the residual
     coefficients of degree <= n - 2, the kernel projected to 2-jets."""
     monos = [(i, d - i) for d in range(n + 1) for i in range(d, -1, -1)]
     keys = [(k, p, d - p) for k in range(4) for d in range(n - 1)
@@ -180,7 +290,8 @@ def reference_dim(stq, n):
     columns = []
     for slot in range(2):
         for (i, j) in monos:
-            res = residual(monomial_field(slot, i, j, n), stq.truncated(n))
+            res = reference_residual(monomial_field(slot, i, j, n),
+                                     stq.truncated(n))
             columns.append([res.coeff(k).coeff(p, q) for k, p, q in keys])
     basis = nullspace([list(row) for row in zip(*columns)], len(columns))
     proj = [c for c, (i, j) in enumerate(monos + monos) if i + j <= 2]
@@ -389,10 +500,10 @@ def test_a_registry_pass_keeps_its_solve_traffic(monkeypatch):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_constant_symbol_is_injective_with_its_cokernel(d):
-    # S_d, column by column from ``residual``: the fields of degree d + 2
-    # against the zero structure, read at residual degree d
+    # S_d, column by column from ``reference_residual``: the fields of
+    # degree d + 2 against the zero structure, read at residual degree d
     flat = ProjectiveStructure.zero(d + 2)
-    cols = [residual(monomial_field(f, i, d + 2 - i, d + 2), flat)
+    cols = [reference_residual(monomial_field(f, i, d + 2 - i, d + 2), flat)
             for i in range(d + 3) for f in range(2)]
     symbol = [[col.coeff(k).coeff(p, d - p) for col in cols]
               for k in range(4) for p in range(d + 1)]
@@ -419,7 +530,7 @@ def test_closed_form_columns_are_scaled_residuals(stq, order):
     degrees = [i + j for (_, i, j) in columns]
     assert degrees == sorted(degrees, reverse=True)
     for (slot, i, j), col in columns.items():
-        res = residual(monomial_field(slot, i, j, stq.order), stq)
+        res = reference_residual(monomial_field(slot, i, j, stq.order), stq)
         for k in range(4):
             for d in range(order - 1):
                 for p in range(d + 1):
@@ -496,10 +607,11 @@ def test_structure_columns_are_scaled_residuals(a, b, degree):
     (scale,), columns = _columns(1, degree, [(a, b)])
     monos = structure_monomials(degree)
     assert len(columns) == 4 * len(monos) + 1
-    base = residual(field, ProjectiveStructure.zero(a.order))
+    base = reference_residual(field, ProjectiveStructure.zero(a.order))
     # the unknowns slot by slot, then the residual of the zero structure,
     # whose negation is the right-hand side of invariant_structures
-    wants = [residual(field, monomial_structure(slot, i, j, a.order)) - base
+    wants = [reference_residual(field, monomial_structure(slot, i, j, a.order))
+             - base
              for slot in range(4) for (i, j) in monos] + [base]
     for col, want in zip(columns, wants):
         assert len(col) == degree
@@ -514,13 +626,14 @@ def test_structure_columns_are_scaled_residuals(a, b, degree):
 
 def reference_invariant_structures(fields, degree):
     """The affine system built one basis structure at a time from
-    ``residual``."""
+    ``reference_residual``."""
     order = min(f.order for f in fields)
     monos = structure_monomials(degree)
     rows, rhs = [], []
     for field in fields:
-        base = residual(field, ProjectiveStructure.zero(order))
-        cols = [residual(field, monomial_structure(slot, i, j, order)) - base
+        base = reference_residual(field, ProjectiveStructure.zero(order))
+        cols = [reference_residual(field, monomial_structure(slot, i, j, order))
+                - base
                 for slot in range(4) for (i, j) in monos]
         for k in range(4):
             for (p, q) in structure_monomials(degree - 1):

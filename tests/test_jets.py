@@ -17,6 +17,7 @@ from projstruct.errors import (
 )
 from projstruct.jets import (
     Jet2,
+    _sum_of_products,
     comp_inverse,
     compose1,
     exp_series,
@@ -472,6 +473,54 @@ def test_a_short_product_does_not_pay_for_the_working_order():
     assert best(400) / best(20) < 5
     p = Jet2.from_terms({(0, 0): 1, (5, 0): 1}, 400)
     assert (p * p).coeffs == _ref_mul(p.coeffs, p.coeffs, 400)
+
+
+# --- sums of products ------------------------------------------------------
+
+
+def naive_sum_of_products(terms):
+    """sum c f g as ``Jet2`` products, scales and sums, one at a time."""
+    out = None
+    for c, f, g in terms:
+        p = (f * g).scale(c)
+        out = p if out is None else out + p
+    return out
+
+
+_SUM_FACTORS = st.one_of(product_factors(), dual_jets())
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(small_fractions, _SUM_FACTORS, _SUM_FACTORS),
+                min_size=1, max_size=4))
+@example([(1, Jet2.zero(5), Jet2.variable("x", 5))])
+@example([(Fraction(-1, 2), Jet2({(0, 0): 3, (1, 2): 1}, 7, 2),
+           Jet2.zero(7, 1))])
+@example([(2, Jet2({(0, 1): 1}, 6), Jet2({(1, 0): Fraction(1, 3)}, 6)),
+          (-2, Jet2({(1, 0): Fraction(1, 3)}, 6), Jet2({(0, 1): 1}, 6))])
+@example([(1, Jet2({(0, 1): EPS}, 4), Jet2({(1, 0): EPS, (0, 0): 1}, 4)),
+          (3, Jet2({(0, 0): Fraction(1, 2)}, 4), Jet2({(2, 1): 5}, 4, 2))])
+def test_sum_of_products_is_the_naive_sum(terms):
+    # over int, Fraction and dual coefficients, with empty and one-term
+    # factors and short windows: the same order, eff and values as adding
+    # the products one by one, in the one stored form
+    got, want = _sum_of_products(terms), naive_sum_of_products(terms)
+    assert (got.order, got.eff, got.coeffs) == (want.order, want.eff,
+                                                want.coeffs)
+    assert got == want
+    assert_stored_form(got)
+
+
+def test_a_short_sum_of_products_does_not_pay_for_the_working_order():
+    # the sums live in the box of the factors' exponents, as a product's
+    # do: two 3-term products cost about as much at order 400 as at 12
+    def best(order):
+        u = Jet2({(0, 0): 1, (1, 0): 2, (0, 1): 3}, order)
+        v = Jet2({(0, 0): 2, (2, 0): Fraction(1, 3), (0, 1): -1}, order)
+        terms = [(1, u, v), (Fraction(-1, 2), v, v)]
+        return min(timeit.repeat(lambda: _sum_of_products(terms),
+                                 number=2000, repeat=5))
+    assert best(400) / best(12) < 5
 
 
 @given(jets(), jets())

@@ -30,8 +30,7 @@ import projstruct
 from projstruct import cases, run_all, structures
 from projstruct.cases import _alpha_ode_lower, alpha_ode_solve, ib_flattening_germ
 from projstruct.duals import EPS, DualRational
-from projstruct.errors import (DegenerateJacobian, NonUnitDivisor,
-                               PreconditionViolated, ProjstructError)
+from projstruct.errors import PreconditionViolated, ProjstructError
 from projstruct.jets import (
     Jet2,
     comp_inverse,
@@ -466,11 +465,10 @@ def test_low_orders_match_the_staircase(order):
     jet3 = (Fraction(-3, 2), 1, Fraction(2, 5), -1)
     assert alpha_ode_solve(3, jet3, order) == staircase_alpha(3, jet3, order)
     stb = ib_structure(order)
-    if order == 0:   # psi' has no known constant term to divide by
-        with pytest.raises(NonUnitDivisor):
-            ib_flattening_germ(stb)
-    elif order == 1:   # the y-shift phi is known at no degree
-        with pytest.raises(DegenerateJacobian):
+    if order < 2:   # the order is refused before any division
+        with pytest.raises(ValueError,
+                           match="^ib_flattening_germ needs order >= 2, got %d$"
+                           % order):
             ib_flattening_germ(stb)
     else:
         assert ib_flattening_germ(stb).u == staircase_flattening_psi(stb)
