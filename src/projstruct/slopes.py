@@ -1,10 +1,9 @@
 """Polynomials in the slope variable p = y' with 2-jet coefficients.
 
-Everything a projective structure produces along the way — the cubic
-right-hand side A + Bp + Cp^2 + Dp^3, prolongations of vector fields,
-transformed equations before degree bookkeeping — is a polynomial in p
-whose coefficients are germs in (x, y).  This thin wrapper keeps that
-arithmetic readable.
+The residual of a vector field on a structure is returned as one, a
+cubic in p, and ``structure_from_pencil`` multiplies two to form its
+right-hand side.  ``pullback`` and ``residual`` sum their coefficients
+through ``jets._sum_of_products`` instead.
 """
 
 from .jets import Jet2
@@ -30,26 +29,17 @@ class SlopePoly:
             return self.coeffs[k]
         return Jet2.zero(self.coeffs[0].order)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SlopePoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
     def __sub__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return SlopePoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, SlopePoly):
-            order = min(c.order for c in self.coeffs + other.coeffs)
-            out = [Jet2.zero(order) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return SlopePoly(out)
-        return self.scale(other)
-
-    def scale(self, jet_or_scalar):
-        return SlopePoly([c * jet_or_scalar for c in self.coeffs])
+        order = min(c.order for c in self.coeffs + other.coeffs)
+        out = [Jet2.zero(order) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return SlopePoly(out)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)

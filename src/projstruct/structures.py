@@ -22,7 +22,6 @@ from .errors import (
 )
 from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
                    comp_inverse, compose1, exp_series)
-from .slopes import SlopePoly
 
 
 @dataclass(frozen=True)
@@ -108,24 +107,36 @@ def pullback(germ, st):
     pullback(g2, pullback(g1, st))``.
     """
     u, v = germ.u, germ.v
-    ux, uy = u.d_dx(), u.d_dy()
-    vx, vy = v.d_dx(), v.d_dy()
-    dn = SlopePoly([ux, uy])                       # dX/dx as a slope poly
-    nn = SlopePoly([vx, vy])                       # dY/dx
-    q2 = SlopePoly([ux.d_dx(), 2 * ux.d_dy(), uy.d_dy()])
-    p2 = SlopePoly([vx.d_dx(), 2 * vx.d_dy(), vy.d_dy()])
-    jac = ux * vy - uy * vx
+    ux, uy, vx, vy = u.d_dx(), u.d_dy(), v.d_dx(), v.d_dy()
+    jac = _sum_of_products([(1, ux, vy), (-1, uy, vx)])
     if not _is_unit(jac.constant_term):
         raise DegenerateJacobian("Jacobian vanishes at the origin")
-    a, b, c, d = _substitute_all(st, u, v)
-    dn2 = dn * dn
-    dn3 = dn2 * dn
-    nn2 = nn * nn
-    nn3 = nn2 * nn
-    total = (dn3.scale(a) + (nn * dn2).scale(b) + (nn2 * dn).scale(c)
-             + nn3.scale(d) - (p2 * dn - nn * q2))
-    _ensure(total.degree <= 3, "pullback stays cubic in the slope")
-    return ProjectiveStructure(*(total.coeff(k) / jac for k in range(4)))
+    # With slope p, dX/dx = dn = ux + uy p and dY/dx = nn = vx + vy p.  Slot
+    # k is the p^k coefficient of a dn^3 + b dn^2 nn + c dn nn^2 + d nn^3
+    # - (p2 dn - nn q2), for p2 and q2 the second total derivatives of v
+    # and u (p2 carries its minus sign in its weights); each coefficient of
+    # a cubic and each slot is one kernel sum.
+    dn, nn = [(1, ux), (1, uy)], [(1, vx), (1, vy)]
+    dn2, nn2 = ([(1, f * f), (2, f * g), (1, g * g)]
+                for f, g in ((ux, uy), (vx, vy)))
+    q2 = [(1, ux.d_dx()), (2, ux.d_dy()), (1, uy.d_dy())]
+    p2 = [(-1, vx.d_dx()), (-2, vx.d_dy()), (-1, vy.d_dy())]
+    slots = [f + g for f, g in zip(_slope_terms(p2, dn), _slope_terms(nn, q2))]
+    for s, sq, lin in zip(_substitute_all(st, u, v), (dn2, dn2, nn2, nn2),
+                          (dn, nn, dn, nn)):
+        for slot, terms in zip(slots, _slope_terms(sq, lin)):
+            slot.append((1, _sum_of_products(terms), s))
+    return ProjectiveStructure(*(_sum_of_products(t) / jac for t in slots))
+
+
+def _slope_terms(f, g):
+    """The kernel terms of each slope coefficient of f g, for polynomials
+    in p given as lists of (weight, jet) coefficients."""
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, (s, a) in enumerate(f):
+        for j, (t, b) in enumerate(g):
+            out[i + j].append((s * t, a, b))
+    return out
 
 
 # --- closed-form transformation laws ---------------------------------------
@@ -154,14 +165,15 @@ def apply_y_shift(st, phi):
         raise NotInvertible("shift must be x-only and fix 0")
     x = Jet2.variable("x", phi.order)
     y = Jet2.variable("y", phi.order)
+    one = Jet2.constant(1, phi.order)
     dph = phi.d_dx()
     dph2 = dph * dph
     ta, tb, tc, td = _substitute_all(st, x, y + phi)
-    a = ta + tb * dph + tc * dph2 + td * (dph2 * dph) - dph.d_dx()
-    b = tb + 2 * tc * dph + 3 * td * dph2
-    c = tc + 3 * td * dph
-    d = td
-    return ProjectiveStructure(a, b, c, d)
+    a = _sum_of_products([(1, ta, one), (1, tb, dph), (1, tc, dph2),
+                          (1, td, dph2 * dph), (-1, dph.d_dx(), one)])
+    b = _sum_of_products([(1, tb, one), (2, tc, dph), (3, td, dph2)])
+    c = _sum_of_products([(1, tc, one), (3, td, dph)])
+    return ProjectiveStructure(a, b, c, td)
 
 
 def apply_y_scale(st, a0):

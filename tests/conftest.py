@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +11,57 @@ from projstruct.jets import Jet2
 # Property tests run at a modest order: the order-N algebra exercises the
 # same code paths as order 12 while keeping the suite fast.
 PROP_ORDER = 6
+
+
+@pytest.fixture(scope="session")
+def registry_traffic():
+    """Each ``residual`` and ``pullback`` call of ``run_all(12)`` and
+    ``run_all(8)``: its arguments and the jets it built (``Jet2._new``
+    calls; for ``pullback``, those outside ``_substitute_all``), and per
+    pass the number of calls of each and the jets built in all."""
+    from projstruct import cases, fields, structures
+
+    calls = {"residual": [], "pullback": []}
+    built, substituted = [0], [0]
+    make = Jet2._new.__func__
+    substitute_all = structures._substitute_all
+
+    def counting(cls, *args):
+        built[0] += 1
+        return make(cls, *args)
+
+    def substituting(*args):
+        before = built[0]
+        out = substitute_all(*args)
+        substituted[0] += built[0] - before
+        return out
+
+    def recording(name, fn):
+        def wrapper(*args):
+            before, sub = built[0], substituted[0]
+            out = fn(*args)
+            calls[name].append(
+                (*args, built[0] - before - (substituted[0] - sub)))
+            return out
+        return wrapper
+
+    passes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet2, "_new", classmethod(counting))
+        mp.setattr(structures, "_substitute_all", substituting)
+        residual = recording("residual", fields.residual)
+        for module in (fields, cases):
+            mp.setattr(module, "residual", residual)
+        mp.setattr(cases, "pullback", recording("pullback",
+                                                structures.pullback))
+        for order in (12, 8):
+            before = built[0]
+            start = {name: len(c) for name, c in calls.items()}
+            cases.run_all(order=order)
+            passes[order] = {name: len(c) - start[name]
+                             for name, c in calls.items()}
+            passes[order]["jets"] = built[0] - before
+    return calls, passes
 
 
 @pytest.fixture(scope="session")
@@ -126,3 +179,29 @@ def dense_jets(draw, orders=(16, 20), unit_constant=False):
     if unit_constant:
         coeffs[(0, 0)] = draw(nonzero_fractions)
     return Jet2.from_terms(coeffs, order)
+
+
+def slope_sum(*polys):
+    """The sum of ``SlopePoly``s, slot by slot, for the test references:
+    the package itself no longer adds them."""
+    from projstruct.slopes import SlopePoly
+
+    n = max(len(f.coeffs) for f in polys)
+    return SlopePoly([sum((f.coeff(k) for f in polys[1:]), polys[0].coeff(k))
+                      for k in range(n)])
+
+
+def slope_times(poly, jet):
+    """Each coefficient of a ``SlopePoly`` times one jet."""
+    from projstruct.slopes import SlopePoly
+
+    return SlopePoly([c * jet for c in poly.coeffs])
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path: the seeded benchmark inputs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

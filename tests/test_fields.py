@@ -30,7 +30,7 @@ from projstruct.linalg import nullspace, rank, solve_affine
 from projstruct.slopes import SlopePoly
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
-from conftest import PROP_ORDER, jets, structures
+from conftest import PROP_ORDER, jets, slope_sum, slope_times, structures
 
 N = 8
 
@@ -77,9 +77,9 @@ def reference_residual(field, st):
     eta = SlopePoly([bx, by - ax, -ay])
     # variation of the denominator weight
     lead = SlopePoly([by - 2 * ax, -3 * ay])
-    out = (SlopePoly([c.d_dx() for c in st]).scale(a)
-           + SlopePoly([c.d_dy() for c in st]).scale(b)
-           + eta * SlopePoly([st.B, 2 * st.C, 3 * st.D]) - lead * f)
+    out = slope_sum(slope_times(SlopePoly([c.d_dx() for c in st]), a),
+                    slope_times(SlopePoly([c.d_dy() for c in st]), b),
+                    eta * SlopePoly([st.B, 2 * st.C, 3 * st.D])) - lead * f
     assert out.coeff(4).is_zero()   # slope degree 4 cancels
     # second prolongation: the structure-independent part
     inhom = SlopePoly([bx.d_dx(), 2 * bx.d_dy() - ax.d_dx(),
@@ -145,50 +145,24 @@ def test_a_structure_known_less_far_than_the_field_can_move_a_window():
     assert (got.coeff(1).eff, want.coeff(1).eff) == (0, -1)
 
 
-@pytest.fixture(scope="module")
-def registry_residuals():
-    """Each ``residual`` call of ``run_all(12)`` and ``run_all(8)``: its
-    arguments and the jets it built (``Jet2._new`` calls)."""
-    calls, built = [], [0]
-    make = Jet2._new.__func__
-
-    def counting(cls, *args):
-        built[0] += 1
-        return make(cls, *args)
-
-    def recording(field, st):
-        before = built[0]
-        out = residual(field, st)
-        calls.append((field, st, built[0] - before))
-        return out
-
-    passes = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Jet2, "_new", classmethod(counting))
-        for module in (sys.modules["projstruct.fields"], cases):
-            mp.setattr(module, "residual", recording)
-        for order in (12, 8):
-            before, start = built[0], len(calls)
-            cases.run_all(order=order)
-            passes[order] = (len(calls) - start, built[0] - before)
-    return calls, passes
-
-
-def test_residual_is_the_reference_on_every_registry_call(registry_residuals):
-    calls, passes = registry_residuals
-    assert {order: n for order, (n, _) in passes.items()} == {12: 77, 8: 77}
-    for field, st, _ in calls:
+def test_residual_is_the_reference_on_every_registry_call(registry_traffic):
+    calls, passes = registry_traffic
+    assert {order: p["residual"] for order, p in passes.items()} \
+        == {12: 77, 8: 77}
+    for field, st, _ in calls["residual"]:
         assert_same_residual(residual(field, st),
                              reference_residual(field, st))
 
 
-def test_a_registry_pass_keeps_its_jet_traffic(registry_residuals):
+def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # the jets built per residual call (its 18 derivatives and 4 slots;
     # 103 as SlopePoly products) and per pass, so per-product overhead
-    # cannot come back unseen
-    calls, passes = registry_residuals
-    assert {n for *_, n in calls} == {22}
-    assert passes == {12: (77, 13377), 8: (77, 13121)}
+    # cannot come back unseen; the per-call pin of pullback is in
+    # test_structures.py
+    calls, passes = registry_traffic
+    assert {n for *_, n in calls["residual"]} == {22}
+    assert {order: p["jets"] for order, p in passes.items()} \
+        == {12: 12294, 8: 12038}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

@@ -18,9 +18,7 @@ coefficient; it is checked on every call of a registry pass and on the
 deep-jets inputs of the benchmark, at orders 12 to 20.
 """
 
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +38,7 @@ from projstruct.jets import (
 )
 from projstruct.structures import ProjectiveStructure, _rhs_along, geodesic_solve
 
-from conftest import nonzero_fractions, small_fractions
+from conftest import bench_workloads, nonzero_fractions, small_fractions
 
 
 def fixed_point(step, start, passes):
@@ -365,14 +363,6 @@ def test_registry_alpha_solutions_match_the_staircase(registry_calls):
 def test_registry_flattening_germs_match_the_staircase(registry_calls):
     for (stq,) in registry_calls["ib_flattening_germ"]:
         assert ib_flattening_germ(stq).u == staircase_flattening_psi(stq)
-
-
-def bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projstruct
+from projstruct.duals import DualRational
 from projstruct.errors import DegenerateJacobian, NotInNormalForm
-from projstruct.jets import Jet2, comp_inverse, compose1, exp_series
+from projstruct.jets import (Jet2, _is_unit, _substitute_all, comp_inverse,
+                             compose1, exp_series)
+from projstruct.slopes import SlopePoly
 from projstruct.structures import (
     DiffeoGerm,
     ProjectiveStructure,
@@ -26,9 +30,13 @@ from projstruct.structures import (
 
 from conftest import (
     PROP_ORDER,
+    _strip_linear,
+    bench_workloads,
     diffeo_germs,
     jets,
     nonzero_fractions,
+    slope_sum,
+    slope_times,
     structures,
     univariate_germs,
 )
@@ -48,6 +56,109 @@ def jexp(text, order=N):
 
 
 # --- pullback ----------------------------------------------------------------
+
+
+def reference_pullback(germ, stq):
+    """``pullback`` as ``SlopePoly`` products and sums, the form it had
+    before it summed each coefficient through ``_sum_of_products``."""
+    u, v = germ.u, germ.v
+    ux, uy = u.d_dx(), u.d_dy()
+    vx, vy = v.d_dx(), v.d_dy()
+    dn = SlopePoly([ux, uy])                       # dX/dx as a slope poly
+    nn = SlopePoly([vx, vy])                       # dY/dx
+    q2 = SlopePoly([ux.d_dx(), 2 * ux.d_dy(), uy.d_dy()])
+    p2 = SlopePoly([vx.d_dx(), 2 * vx.d_dy(), vy.d_dy()])
+    jac = ux * vy - uy * vx
+    if not _is_unit(jac.constant_term):
+        raise DegenerateJacobian("Jacobian vanishes at the origin")
+    a, b, c, d = _substitute_all(stq, u, v)
+    dn2 = dn * dn
+    dn3 = dn2 * dn
+    nn2 = nn * nn
+    nn3 = nn2 * nn
+    total = (slope_sum(slope_times(dn3, a), slope_times(nn * dn2, b),
+                       slope_times(nn2 * dn, c), slope_times(nn3, d))
+             - (p2 * dn - nn * q2))
+    assert total.degree <= 3   # pullback stays cubic in the slope
+    return ProjectiveStructure(*(total.coeff(k) / jac for k in range(4)))
+
+
+def assert_same_structure(got, want):
+    # slot by slot: the same order, eff, numerators and denominator
+    for g, w in zip(got, want):
+        assert (g.order, g.eff, g._num, g._den) \
+            == (w.order, w.eff, w._num, w._den)
+
+
+def test_pullback_is_the_reference_on_every_registry_call(registry_traffic):
+    calls, passes = registry_traffic
+    assert {order: p["pullback"] for order, p in passes.items()} \
+        == {12: 9, 8: 9}
+    for germ, stq, _ in calls["pullback"]:
+        assert_same_structure(pullback(germ, stq),
+                              reference_pullback(germ, stq))
+
+
+def test_a_pullback_call_keeps_its_jet_traffic(registry_traffic):
+    # outside _substitute_all a call builds 41 jets: 4 first and 6 second
+    # derivatives, the Jacobian, 6 squares, 16 cubic coefficients, 4 slots
+    # and 4 quotients (152 as SlopePoly products)
+    calls, _ = registry_traffic
+    assert {n for *_, n in calls["pullback"]} == {41}
+
+
+def test_deep_jets_pullbacks_are_the_reference():
+    workloads = bench_workloads()
+    calls = []
+
+    def recording(germ, stq):
+        calls.append((germ, stq))
+        return pullback(germ, stq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projstruct, "pullback", recording)
+        for order in (16, 20):
+            for op in workloads.deep_round(projstruct, 1, 0, order):
+                assert op.gate(op.call())
+    assert len(calls) == 10
+    for germ, stq in calls:
+        assert_same_structure(pullback(germ, stq),
+                              reference_pullback(germ, stq))
+
+
+@st.composite
+def windowed_pullbacks(draw):
+    """A germ and a structure of orders 2 to PROP_ORDER, often different,
+    each jet cut to a random window: a germ component keeps at least its
+    linear part, a structure slot loses up to its top three degrees."""
+    order = draw(st.integers(2, PROP_ORDER))
+    germ = draw(diffeo_germs(order))
+    # low-degree tails give the second derivatives something to carry
+    tails = [_strip_linear(draw(jets(order=order, zero_constant=True,
+                                     max_degree=3))) for _ in range(2)]
+    germ = DiffeoGerm(*((f + t).truncated(eff=draw(st.integers(1, order)))
+                        for f, t in zip((germ.u, germ.v), tails)))
+    order = draw(st.integers(2, PROP_ORDER))
+    stq = draw(structures(order=order, max_terms=4))
+    return germ, ProjectiveStructure(
+        *(f.truncated(eff=draw(st.integers(order - 3, order))) for f in stq))
+
+
+@settings(deadline=None, max_examples=60)
+@given(windowed_pullbacks())
+def test_pullback_is_the_reference_in_short_windows(inputs):
+    assert_same_structure(pullback(*inputs), reference_pullback(*inputs))
+
+
+@settings(deadline=None, max_examples=30)
+@given(jets(max_terms=3), jets(max_terms=3), structures())
+def test_pullback_is_the_reference_over_the_duals(a, b, stq):
+    # the germ (x + eps a, y + eps b) of the residual's sign oracle
+    def moved(name, jet):
+        return Jet2.variable(name, jet.order) + Jet2.from_terms(
+            {k: DualRational(0, c) for k, c in jet.coeffs.items()}, jet.order)
+    germ = DiffeoGerm(moved("x", a), moved("y", b))
+    assert_same_structure(pullback(germ, stq), reference_pullback(germ, stq))
 
 
 def test_pullback_along_identity():
