@@ -94,15 +94,14 @@ def _symmetry_check(name, field, st, detail=""):
     return failed(name, slope_leading_term(res), detail)
 
 
-def _agree_check(name, got, want, detail="", slots="ABCD"):
-    """Pass when ``got`` and ``want`` agree in each named jet slot.
+def _agree_check(name, got, want, detail=""):
+    """Pass when the records ``got`` and ``want`` agree in each jet slot.
 
     A failure reports the leading term of the first slot that differs,
-    and names that slot when there is no ``detail``.  The default slots
-    are a structure's; a field has "ab", a Liouville pair ("L1", "L2").
+    and names that slot when there is no ``detail``.
     """
-    for slot in slots:
-        diff = getattr(got, slot) - getattr(want, slot)
+    for slot, g, w in zip(got.__dataclass_fields__, got, want):
+        diff = g - w
         if not diff.is_zero():
             return failed(name, leading_term(diff),
                           detail or ("%s-slot differs" % slot))
@@ -308,7 +307,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
         "stabilized:symmetry:v", v, st,
         "v = 2(1+x) d_dx + (y + beta0) d_dy"))
     checks.append(_agree_check("stabilized:bracket:[d_dy,v]=d_dy",
-                               lie_bracket(X, v), X, slots="ab"))
+                               lie_bracket(X, v), X))
     checks.append(_dim_check("stabilized:symmetry-dimension",
                              _dim_structure(order, env, *stab, st=st), 2))
 
@@ -339,7 +338,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_symmetry_check("exponential:symmetry:d_dy", X, pi))
     cv = VectorField(vexp.a.scale(c), vexp.b.scale(c))
     checks.append(_agree_check("exponential:bracket:[d_dy,v]=c*v",
-                               lie_bracket(X, vexp), cv, slots="ab"))
+                               lie_bracket(X, vexp), cv))
     A, B = pi.A, pi.B
     Bp = B.d_dx()
     denom = B + Jet2.constant(c * c, order)
@@ -372,7 +371,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
                                   "v = -d_dx + (y + ib_c) d_dy"))
     checks.append(_symmetry_check("exp-C:symmetry:d_dy", X, stb))
     checks.append(_agree_check("exp-C:bracket:[d_dy,v]=d_dy",
-                               lie_bracket(X, vb), X, slots="ab"))
+                               lie_bracket(X, vb), X))
     checks.append(_dim_check("exp-C:symmetry-dimension",
                              _dim_structure(order, env, *expc, st=stb), 2))
     return checks
@@ -587,9 +586,9 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
     Y = _field(w, *_FIELDS["d_dx+y*d_dy"])
     Z = _field(w, "y + c1 * exp(x)", "y^2/2 + c2 * exp(2*x)", env)
     checks = [
-        _agree_check("bracket:[X,Y]=X", lie_bracket(X, Y), X, slots="ab"),
-        _agree_check("bracket:[X,Z]=Y", lie_bracket(X, Z), Y, slots="ab"),
-        _agree_check("bracket:[Y,Z]=Z", lie_bracket(Y, Z), Z, slots="ab"),
+        _agree_check("bracket:[X,Y]=X", lie_bracket(X, Y), X),
+        _agree_check("bracket:[X,Z]=Y", lie_bracket(X, Z), Y),
+        _agree_check("bracket:[Y,Z]=Z", lie_bracket(Y, Z), Z),
     ]
     inv = invariant_structures([X, Y, Z], degree=6)
     if not inv.consistent:
@@ -674,8 +673,7 @@ class _AlgebraEntry:
         checks = [_symmetry_check("symmetry:" + name, field, st)
                   for name, field in zip(self.fields, fields)]
         checks += [_agree_check("bracket:" + label,
-                                lie_bracket(fields[i], fields[j]), fields[k],
-                                slots="ab")
+                                lie_bracket(fields[i], fields[j]), fields[k])
                    for label, i, j, k in self.brackets]
         checks += self.extra(env, order, st, fields, wide)
         if self.dim is not None:
@@ -729,7 +727,7 @@ _ZERO_ROW = ("0", "0")
 def _thm31_ia_extra(env, order, st, fields, wide):
     want = LiouvillePair(st.A.d_dx().scale(-3), st.B.d_dx().scale(-3))
     checks = [_agree_check("liouville-map", liouville(st), want,
-                           "(L1, L2) = (-3A', -3B')", ("L1", "L2"))]
+                           "(L1, L2) = (-3A', -3B')")]
     for lam in (Fraction(2), Fraction(1, 3)):
         germ = DiffeoGerm(Jet2.variable("x", order).scale(lam * lam),
                           Jet2.variable("y", order).scale(lam))
@@ -753,8 +751,7 @@ def _thm31_ib_extra(env, order, st, fields, wide):
     want = LiouvillePair(-st.C, expand("exp(2*x)", None, order).scale(2))
     return [
         _agree_check("liouville-computed", pair, want,
-                     "the computed pair is (-e^x, 2 e^{2x}) for every A",
-                     ("L1", "L2")),
+                     "the computed pair is (-e^x, 2 e^{2x}) for every A"),
         CheckResult(
             "liouville-as-displayed", INCONSISTENT, leading_term(pair.L1),
             "displayed pairs (0, 2 e^{2x}) and (-e^{-x}, -2 e^{-2x}) "

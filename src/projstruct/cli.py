@@ -42,7 +42,7 @@ import configparser
 
 from .cases import run_all, run_case
 from .errors import ProjstructError, UnknownCase
-from .expressions import expand
+from .expressions import COORDS, FUNCTIONS, expand
 from .fields import VectorField, residual, symmetry_dim
 from .jets import DEFAULT_ORDER, format_jet
 from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
@@ -107,6 +107,9 @@ def load_document(path):
     params = {}
     if parser.has_section("params"):
         for key, value in parser.items("params"):
+            if key in COORDS + FUNCTIONS:
+                raise DocumentError("[params] %s names a coordinate or a "
+                                    "built-in function" % key)
             value = _unquote(value)
             _rational(value, "[params] " + key)
             params[key] = value

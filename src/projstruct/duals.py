@@ -74,18 +74,6 @@ class DualRational:
             return NotImplemented
         return other * self._inverse()
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = DualRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def _inverse(self):
         if self.re == 0:
             raise ZeroDivisionError("dual number with nilpotent real part")

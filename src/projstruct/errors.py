@@ -70,7 +70,7 @@ class DegenerateWedge(ProjstructError):
 # --- verification driver -------------------------------------------------
 
 class UnknownCase(ProjstructError):
-    """verify() was asked for a case id that is not registered."""
+    """``run_case`` or ``verify-paper --case`` got an unregistered case id."""
 
 
 class PreconditionViolated(ProjstructError):

@@ -39,35 +39,17 @@ from types import MappingProxyType
 from .jets import Jet2, _sum_of_products
 from .linalg import _int_row, _reduce, nullspace, rank, solve_affine
 from .slopes import SlopePoly
-from .structures import ProjectiveStructure
+from .structures import ProjectiveStructure, _JetRecord
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_JetRecord):
     a: Jet2  # coefficient of d/dx
     b: Jet2  # coefficient of d/dy
-
-    def __post_init__(self):
-        if self.a.order != self.b.order:
-            raise ValueError("field components must share one order")
-
-    @property
-    def order(self):
-        return self.a.order
 
     def apply(self, g):
         """The derivation: v(g) = a g_x + b g_y."""
         return self.a * g.d_dx() + self.b * g.d_dy()
-
-    def agree(self, other):
-        return self.a.agree(other.a) and self.b.agree(other.b)
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    @classmethod
-    def zero(cls, order):
-        return cls(Jet2.zero(order), Jet2.zero(order))
 
 
 def lie_bracket(v, w):

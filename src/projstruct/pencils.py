@@ -31,7 +31,8 @@ from fractions import Fraction
 from .errors import DegenerateWedge, VerticalAtOrigin
 from .jets import Jet2, _is_unit, _sum_of_products
 from .slopes import SlopePoly
-from .structures import ProjectiveStructure, _all_along, swap_axes
+from .structures import (ProjectiveStructure, _JetRecord, _all_along,
+                         swap_axes)
 
 
 class _Infinity:
@@ -52,24 +53,16 @@ INF = _Infinity()
 
 
 @dataclass(frozen=True)
-class Foliation:
+class Foliation(_JetRecord):
     """The foliation with tangent 1-form P dx + Q dy."""
 
     P: Jet2
     Q: Jet2
 
     def __post_init__(self):
-        if self.P.order != self.Q.order:
-            raise ValueError("form components must share one order")
+        super().__post_init__()
         if not (_is_unit(self.P.constant_term) or _is_unit(self.Q.constant_term)):
             raise ValueError("form vanishes at the origin")
-
-    @property
-    def order(self):
-        return self.P.order
-
-    def agree(self, other):
-        return self.P.agree(other.P) and self.Q.agree(other.Q)
 
     def is_vertical_at_origin(self):
         return not _is_unit(self.Q.constant_term)
@@ -134,30 +127,25 @@ def is_geodesic(fol, st):
     what N cannot.
     """
     fol, st = _upright(fol, st)
-    p, q = fol.P, fol.Q
+    p, q = fol
     num = _cleared_residual(fol, st)
     if num.is_zero():
         if num.eff >= min(min(p.eff, q.eff + p._val_bound()) - 1, st.A.eff):
             return True
-    elif num._val_bound() < min(f.eff for f in (p, q, *st)):
+    elif num._val_bound() < min(fol.eff, st.eff):
         return False
     return foliation_residual(fol, st).is_zero()
 
 
 @dataclass(frozen=True)
-class Pencil:
+class Pencil(_JetRecord):
     omega0: Foliation
     omega_inf: Foliation
 
     def __post_init__(self):
-        if self.omega0.order != self.omega_inf.order:
-            raise ValueError("pencil generators must share one order")
+        super().__post_init__()
         if not _is_unit(self.wedge().constant_term):
             raise DegenerateWedge("generators proportional at the origin")
-
-    @property
-    def order(self):
-        return self.omega0.order
 
     def wedge(self):
         """Coefficient of dx ^ dy in omega0 ^ omega_inf."""
@@ -186,8 +174,7 @@ def structure_from_pencil(pencil):
     and eliminating z yields a right-hand side that is automatically
     cubic in p, divided by the pencil wedge.
     """
-    p0, q0 = pencil.omega0.P, pencil.omega0.Q
-    pi, qi = pencil.omega_inf.P, pencil.omega_inf.Q
+    (p0, q0), (pi, qi) = pencil
     r = SlopePoly([p0, q0])
     s = SlopePoly([pi, qi])
     # total x-derivative of R(x, y, p) holding the f-term apart:
@@ -207,8 +194,7 @@ def member_value_along(pencil, curve):
     omega_inf pairing does not vanish.
     """
     yp = curve.d_dx()
-    p0, q0, pi, qi = _all_along((pencil.omega0.P, pencil.omega0.Q,
-                                 pencil.omega_inf.P, pencil.omega_inf.Q), curve)
+    p0, q0, pi, qi = _all_along((*pencil.omega0, *pencil.omega_inf), curve)
     r = p0 + q0 * yp
     s = pi + qi * yp
     return -r / s

@@ -24,34 +24,39 @@ from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
                    comp_inverse, compose1, exp_series)
 
 
-@dataclass(frozen=True)
-class ProjectiveStructure:
-    A: Jet2
-    B: Jet2
-    C: Jet2
-    D: Jet2
+class _JetRecord:
+    """A frozen dataclass whose fields are parts of one order: jets, or
+    records of jets.
+
+    Iterating a record yields its parts in field order; ``order``,
+    ``eff``, ``agree`` and the rest act part by part.
+    """
 
     def __post_init__(self):
         orders = {f.order for f in self}
         if len(orders) != 1:
-            raise ValueError("coefficient jets must share one order, got %s" % orders)
+            raise ValueError("%s parts must share one order, got %s"
+                             % (type(self).__name__, orders))
 
     def __iter__(self):
-        return iter((self.A, self.B, self.C, self.D))
+        return map(self.__getattribute__, self.__dataclass_fields__)
 
     @property
     def order(self):
-        return self.A.order
+        return next(iter(self)).order
 
     @property
     def eff(self):
         return min(f.eff for f in self)
 
     def map(self, fn):
-        return ProjectiveStructure(*(fn(f) for f in self))
+        return type(self)(*map(fn, self))
 
     def agree(self, other):
         return all(a.agree(b) for a, b in zip(self, other))
+
+    def is_zero(self):
+        return all(f.is_zero() for f in self)
 
     def is_x_only(self):
         return all(f.is_x_only() for f in self)
@@ -61,21 +66,27 @@ class ProjectiveStructure:
 
     @classmethod
     def zero(cls, order):
-        z = Jet2.zero(order)
-        return cls(z, z, z, z)
+        return cls(*[Jet2.zero(order)] * len(cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
-class DiffeoGerm:
+class ProjectiveStructure(_JetRecord):
+    A: Jet2
+    B: Jet2
+    C: Jet2
+    D: Jet2
+
+
+@dataclass(frozen=True)
+class DiffeoGerm(_JetRecord):
     """A coordinate change germ fixing the origin, (x, y) -> (u, v)."""
 
     u: Jet2
     v: Jet2
 
     def __post_init__(self):
-        if self.u.order != self.v.order:
-            raise ValueError("germ components must share one order")
-        for g in (self.u, self.v):
+        super().__post_init__()
+        for g in self:
             c = g.constant_term
             if not c * c == 0:
                 raise DegenerateJacobian("germ does not fix the origin")
@@ -84,17 +95,13 @@ class DiffeoGerm:
         if not _is_unit(j0):
             raise DegenerateJacobian("linear part is singular at the origin")
 
-    @property
-    def order(self):
-        return self.u.order
-
     @classmethod
     def identity(cls, order):
         return cls(Jet2.variable("x", order), Jet2.variable("y", order))
 
     def compose(self, inner):
         """self after inner: (self . inner)(q) = self(inner(q))."""
-        return DiffeoGerm(*_substitute_all((self.u, self.v), inner.u, inner.v))
+        return DiffeoGerm(*_substitute_all(self, *inner))
 
 
 def pullback(germ, st):
@@ -201,12 +208,9 @@ def swap_axes(st):
 
 
 @dataclass(frozen=True)
-class LiouvillePair:
+class LiouvillePair(_JetRecord):
     L1: Jet2
     L2: Jet2
-
-    def is_zero(self):
-        return self.L1.is_zero() and self.L2.is_zero()
 
 
 def liouville(st):

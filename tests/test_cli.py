@@ -15,6 +15,7 @@ import pytest
 
 from projstruct import cli, structures
 from projstruct.cli import DocumentError, dispatch, load_document
+from projstruct.expressions import COORDS, FUNCTIONS
 
 TRIVIAL_DOC = """\
 [global]
@@ -108,6 +109,24 @@ def test_document_orders_below_two_exit_3(write, capsys, command, order):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "order must be at least 2, got %s" % order in captured.err
+
+
+_SHADOWING = '[params]\n%s = 2\n\n[structure]\nA = "x + exp(y) + sqrt(1 + x)"\n'
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('[field ]\na = "0"\nb = "1"\n',
+     "field section needs a name: [field NAME]"),
+    ('A = "x"\n', "File contains no section headers")] + [
+    (_SHADOWING % key, "[params] %s names a coordinate or a built-in function"
+     % key) for key in COORDS + FUNCTIONS],
+    ids=["unnamed-field", "no-section-header",
+         *("params-" + key for key in COORDS + FUNCTIONS)])
+def test_malformed_documents_exit_3(write, capsys, doc, message):
+    assert dispatch(["pullback", write(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_document_values_may_be_quoted_or_bare(write):
@@ -250,6 +269,17 @@ def test_geodesic_rejects_a_bad_member_label(write, capsys):
     assert dispatch(["geodesic", write(PENCIL_DOC), "--z", "sideways"]) == 3
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--psi", "1+x", "reparametrization must be x-only and fix 0"),
+    ("--phi", "y", "shift must be x-only and fix 0"),
+    ("--scale", "0", "scale factor must be nonzero")],
+    ids=["psi-moves-the-origin", "phi-depends-on-y", "zero-scale"])
+def test_pullback_refuses_a_bad_transformation(write, capsys, flag, value,
+                                               message):
+    assert dispatch(["pullback", write(TRIVIAL_DOC), flag, value]) == 3
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("command,flag", [("geodesic", "--z"),
                                           ("pullback", "--scale")])
 def test_rational_flags_name_themselves(write, capsys, command, flag):
@@ -304,10 +334,12 @@ def test_usage_errors_exit_2(write, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("order", ["0", "1"])
-def test_verify_paper_rejects_orders_below_two(order, capsys):
+@pytest.mark.parametrize("order,message", [
+    ("0", "at least 2, got 0"), ("1", "at least 2, got 1"),
+    ("abc", "not an integer: 'abc'")], ids=["0", "1", "abc"])
+def test_verify_paper_rejects_orders_below_two(order, message, capsys):
     assert dispatch(["verify-paper", "--order", order]) == 2
-    assert "at least 2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -404,3 +436,18 @@ def test_the_parser_is_built_once_and_not_at_import(write, capsys):
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "0\n"
+
+
+def test_main_exits_with_the_dispatch_code(write):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "projstruct.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+
+    valid = run("invariants", write(TRIVIAL_DOC))
+    assert (valid.returncode, valid.stdout) == (0, "L1 = -3\nL2 = 0\n")
+    unknown = run("frobnicate")
+    assert unknown.returncode == 2
+    assert "invalid choice: 'frobnicate'" in unknown.stderr

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 import projstruct
 from projstruct.duals import DualRational
 from projstruct.errors import DegenerateJacobian, NotInNormalForm
+from projstruct.fields import VectorField
 from projstruct.jets import (Jet2, _is_unit, _substitute_all, comp_inverse,
                              compose1, exp_series)
+from projstruct.pencils import Foliation, Pencil
 from projstruct.slopes import SlopePoly
 from projstruct.structures import (
     DiffeoGerm,
+    LiouvillePair,
     ProjectiveStructure,
     apply_x_reparam,
     apply_y_scale,
@@ -53,6 +56,28 @@ def S(a, b, c, d, order=N):
 def jexp(text, order=N):
     from projstruct.expressions import expand
     return expand(text, None, order)
+
+
+# --- records -----------------------------------------------------------------
+
+# Valid parts of each record at a given order.
+_RECORD_PARTS = {
+    ProjectiveStructure: lambda n: [Jet2.zero(n)] * 4,
+    DiffeoGerm: lambda n: [Jet2.variable("x", n), Jet2.variable("y", n)],
+    LiouvillePair: lambda n: [Jet2.zero(n)] * 2,
+    VectorField: lambda n: [Jet2.zero(n)] * 2,
+    Foliation: lambda n: [Jet2.constant(1, n), Jet2.zero(n)],
+    Pencil: lambda n: [Foliation(Jet2.constant(1, n), Jet2.zero(n)),
+                       Foliation(Jet2.zero(n), Jet2.constant(1, n))],
+}
+
+
+@pytest.mark.parametrize("record", _RECORD_PARTS, ids=lambda r: r.__name__)
+def test_record_parts_of_two_orders_are_refused(record):
+    parts = _RECORD_PARTS[record]
+    assert record(*parts(4)).order == 4
+    with pytest.raises(ValueError, match="parts must share one order"):
+        record(*parts(3)[:1], *parts(4)[1:])
 
 
 # --- pullback ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from projstruct.expressions import expand
 from projstruct.jets import Jet2
 from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
                                 render_json, render_text)
-from projstruct.structures import ProjectiveStructure, pullback
+from projstruct.structures import LiouvillePair, ProjectiveStructure, pullback
 from projstruct import cases, fields
 from projstruct.cases import _FIELDS, _AlgebraEntry, _PencilEntry
 from projstruct import (
@@ -254,6 +254,22 @@ def test_render_json_is_deterministic_and_schema_stable():
         for check in obj["checks"]:
             assert set(check) == {"name", "verdict", "residual_leading_term"}
             assert check["verdict"] in (PASS, FAIL, INCONSISTENT, RECORDED)
+
+
+@pytest.mark.parametrize("record,slot", [
+    (ProjectiveStructure, "C"), (fields.VectorField, "b"),
+    (LiouvillePair, "L2")], ids=lambda r: getattr(r, "__name__", r))
+def test_agree_check_names_the_first_differing_slot(record, slot):
+    names = list(record.__dataclass_fields__)
+    want = record.zero(4)
+    # the named slot and every later one differ
+    got = record(*(Jet2.variable("x", 4) if i >= names.index(slot)
+                   else Jet2.zero(4) for i in range(len(names))))
+    assert cases._agree_check("c", got, got) == cases.passed("c")
+    result = cases._agree_check("c", got, want)
+    assert (result.verdict, result.residual_leading_term, result.detail) == (
+        FAIL, "1 * x", "%s-slot differs" % slot)
+    assert cases._agree_check("c", got, want, "why").detail == "why"
 
 
 # --- standalone operations ------------------------------------------------------
