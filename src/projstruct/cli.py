@@ -26,9 +26,10 @@ Input files are INI documents::
 
 Sections other than ``[global]`` are optional (each subcommand states
 what it needs); missing ``[structure]`` keys default to ``"0"``.
-Expression values may be double-quoted; ``[params]`` values are
-rationals ``p/q``.  Exit codes: 0 success / property holds, 1 property
-fails, 2 usage error, 3 parse or math error.
+Expression values may be double-quoted; a ``[params]`` key is an
+identifier, and its value any exact rational that ``Fraction`` reads
+(``2/3``, ``1.5``, ``-1e3``).  Exit codes: 0 success / property holds,
+1 property fails, 2 usage error, 3 parse or math error.
 """
 
 import argparse
@@ -41,8 +42,8 @@ from functools import cache
 import configparser
 
 from .cases import run_all, run_case
-from .errors import ProjstructError, UnknownCase
-from .expressions import COORDS, FUNCTIONS, expand
+from .errors import ExprSyntaxError, ProjstructError, UnknownCase
+from .expressions import COORDS, FUNCTIONS, Param, expand, parse
 from .fields import VectorField, residual, symmetry_dim
 from .jets import DEFAULT_ORDER, format_jet
 from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
@@ -64,7 +65,7 @@ class InputDocument:
     structure: object          # ProjectiveStructure or None
     fields: dict               # name -> VectorField
     pencil: object             # Pencil or None
-    params: dict               # name -> rational text
+    params: dict               # name -> Fraction, as Fraction() read it
 
 
 def _rational(text, name):
@@ -74,6 +75,14 @@ def _rational(text, name):
     except (ValueError, ZeroDivisionError):
         raise DocumentError("%s must be a rational p/q, got %r"
                             % (name, text)) from None
+
+
+def _is_identifier(key):
+    """Does the expression grammar read ``key`` as one parameter name?"""
+    try:
+        return parse(key) == Param(key)
+    except (ExprSyntaxError, ValueError):  # int() refuses some digits
+        return False
 
 
 def _unquote(text):
@@ -110,9 +119,10 @@ def load_document(path):
             if key in COORDS + FUNCTIONS:
                 raise DocumentError("[params] %s names a coordinate or a "
                                     "built-in function" % key)
-            value = _unquote(value)
-            _rational(value, "[params] " + key)
-            params[key] = value
+            if not _is_identifier(key):
+                raise DocumentError("[params] %s is not an identifier that "
+                                    "an expression can name" % key)
+            params[key] = _rational(_unquote(value), "[params] " + key)
 
     env = dict(params)
 

@@ -18,7 +18,14 @@ root, so the base's constant term must be a rational square.
 
 :func:`expand` turns an expression into a :class:`~projstruct.jets.Jet2`
 at a chosen order.  Environment values may themselves be expressions
-(function-valued parameters), which are expanded recursively.
+(function-valued parameters), which are expanded recursively.  It takes
+one pass over the tree, and holds each polynomial sub-tree as one sparse
+coefficient dict over one denominator, truncated at the order: literals,
+coordinates, parameters bound to rationals, negation, ``+ -`` and ``*``
+chains, ``/`` by a nonzero constant and nonnegative integer powers.  A
+``Jet2`` is built only at the root and where the tree meets a node that
+needs series arithmetic: ``exp``, ``sqrt``, a negative or half-integer
+power, or a quotient by a non-constant.
 
 Trees are made of :class:`Lit`, :class:`Var`, :class:`Param`, :class:`Neg`,
 :class:`Chain` (one whole run of ``+ -`` or of ``* /``, as read), :class:`Pow`
@@ -29,6 +36,7 @@ chain and around each negative or non-integer literal; ``parse(to_text(e))``
 rebuilds ``e``.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,23 +291,76 @@ def expand(e, env=None, order=None):
     syntax trees.  Function-valued parameters are expanded recursively;
     reference cycles raise :class:`UnboundParameter`, and a tree nested
     too deeply to expand raises :class:`ExprSyntaxError` (at offset 0).
+
+    One pass: polynomial sub-trees stay coefficient dicts truncated at
+    ``order``, and a jet is built only at the root and where the tree
+    meets a series node (see the module docstring).  A polynomial text
+    builds exactly one jet.
     """
     order = DEFAULT_ORDER if order is None else order
     if isinstance(e, str):
         e = parse(e)
+    if order < 0:
+        raise ValueError("jet order must be >= 0")
     env = {} if env is None else env
     try:
-        return _expand(e, env, order, frozenset())
+        return _jet(_expand(e, env, order, frozenset()), order)
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply to expand",
                               0) from None
 
 
+# A polynomial is a pair (num, den): nonzero int numerators keyed (i, j),
+# none of degree above the working order, over one nonzero int den.
+
+def _jet(v, order):
+    """``v`` as a jet: a polynomial becomes one, a jet stays as it is."""
+    return v if isinstance(v, Jet2) else Jet2._new(*v, order, order)
+
+
+def _constant(q):
+    return ({(0, 0): q.numerator}, q.denominator) if q else ({}, 1)
+
+
+def _mul(p, q, order):
+    """The product of two polynomials, truncated at ``order``."""
+    (a, da), (b, db) = p, q
+    out = {}
+    for (i, j), c in a.items():
+        for (k, m), d in b.items():
+            if i + j + k + m <= order:
+                key = (i + k, j + m)
+                out[key] = out.get(key, 0) + c * d
+    return {k: n for k, n in out.items() if n}, da * db
+
+
+def _apply(op, a, b, order):
+    """``a op b``; a polynomial unless a side is a jet or ``/`` divides by
+    a non-constant, which jet arithmetic takes (and may refuse)."""
+    if isinstance(a, Jet2) or isinstance(b, Jet2) or op == "/" and not (
+            len(b[0]) == 1 and (0, 0) in b[0]):
+        return _APPLY[op](_jet(a, order), _jet(b, order))
+    (na, da), (nb, db) = a, b
+    if op == "*":
+        return _mul(a, b, order)
+    if op == "/":
+        return {k: n * db for k, n in na.items()}, da * nb[(0, 0)]
+    den = math.lcm(da, db)
+    sb = den // db if op == "+" else -(den // db)
+    out = {k: n * (den // da) for k, n in na.items()}
+    for k, n in nb.items():
+        out[k] = out.get(k, 0) + n * sb
+    return {k: n for k, n in out.items() if n}, den
+
+
 def _expand(e, env, order, active):
+    """``e`` as a polynomial, or as a jet once it holds a series node."""
     if isinstance(e, Lit):
-        return Jet2.constant(e.value, order)
+        return _constant(e.value)
     if isinstance(e, Var):
-        return Jet2.variable(e.name, order)
+        if e.name not in COORDS:
+            return Jet2.variable(e.name, order)  # raises ValueError
+        return ({(1, 0) if e.name == "x" else (0, 1): 1} if order else {}), 1
     if isinstance(e, Param):
         if e.name in active:
             raise UnboundParameter("parameter %r refers to itself" % e.name)
@@ -307,20 +368,29 @@ def _expand(e, env, order, active):
             raise UnboundParameter("parameter %r is not bound" % e.name)
         value = env[e.name]
         if isinstance(value, (int, Fraction)):
-            return Jet2.constant(value, order)
+            return _constant(value)
         if isinstance(value, str):
             value = parse(value)
         return _expand(value, env, order, active | {e.name})
     if isinstance(e, Neg):
-        return -_expand(e.arg, env, order, active)
+        v = _expand(e.arg, env, order, active)
+        return -v if isinstance(v, Jet2) else (
+            {k: -n for k, n in v[0].items()}, v[1])
     if isinstance(e, Chain):
         acc = _expand(e.first, env, order, active)
         for op, x in e.rest:
-            acc = _APPLY[op](acc, _expand(x, env, order, active))
+            acc = _apply(op, acc, _expand(x, env, order, active), order)
         return acc
     if isinstance(e, Pow):
         base = _expand(e.base, env, order, active)
         num, den = e.exponent.numerator, e.exponent.denominator
+        if den == 1 and num >= 0 and not isinstance(base, Jet2):
+            acc = ({(0, 0): 1}, 1)
+            for bit in bin(num)[2:]:  # binary powering, high bit first
+                acc = _mul(acc, acc, order)
+                acc = _mul(acc, base, order) if bit == "1" else acc
+            return acc
+        base = _jet(base, order)
         if den == 1:
             return base ** num
         if den == 2:
@@ -329,7 +399,7 @@ def _expand(e, env, order, active):
             "exponent %s has denominator %d (only 1 and 2 are supported)"
             % (e.exponent, den))
     if isinstance(e, Call):
-        arg = _expand(e.arg, env, order, active)
+        arg = _jet(_expand(e.arg, env, order, active), order)
         if e.func == "exp":
             return exp_series(arg)
         return sqrt_series(arg)

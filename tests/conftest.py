@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -62,6 +63,62 @@ def registry_traffic():
                              for name, c in calls.items()}
             passes[order]["jets"] = built[0] - before
     return calls, passes
+
+
+@contextlib.contextmanager
+def counting_jets():
+    """Count the jets built in the block, ``Jet2._new`` and ``Jet2.__init__``
+    calls alike, in the one-item list it yields."""
+    built = [0]
+    make, init = Jet2._new.__func__, Jet2.__init__
+
+    def counting_new(cls, *args):
+        built[0] += 1
+        return make(cls, *args)
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Jet2, "_new", classmethod(counting_new))
+        mp.setattr(Jet2, "__init__", counting_init)
+        yield built
+
+
+@pytest.fixture(scope="session")
+def document_traffic(tmp_path_factory):
+    """The ``documents`` benchmark workload of seeds 1-3, rounds 0-9, run
+    through ``cli.dispatch``: the (text, env, order) of every ``expand``
+    call, and per op the jets that ``load_document`` built (``Jet2._new``
+    and ``Jet2.__init__`` calls)."""
+    import projstruct
+    from projstruct import cli
+
+    workloads = bench_workloads()
+    calls, per_op = [], []
+    expand, load_document = cli.expand, cli.load_document
+
+    def recording(e, env=None, order=None):
+        calls.append((e, None if env is None else dict(env), order))
+        return expand(e, env, order)
+
+    def loading(path):
+        before = built[0]
+        doc = load_document(path)
+        per_op.append(built[0] - before)
+        return doc
+
+    with counting_jets() as built, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "expand", recording)
+        mp.setattr(cli, "load_document", loading)
+        for seed in (1, 2, 3):
+            rounds = workloads.DocumentRounds(
+                projstruct, seed, str(tmp_path_factory.mktemp("documents")))
+            for index in range(10):
+                for op in rounds.round(index):
+                    assert op.gate(op.call())
+    return calls, per_op
 
 
 @pytest.fixture(scope="session")

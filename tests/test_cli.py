@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -119,9 +120,13 @@ _SHADOWING = '[params]\n%s = 2\n\n[structure]\nA = "x + exp(y) + sqrt(1 + x)"\n'
      "field section needs a name: [field NAME]"),
     ('A = "x"\n', "File contains no section headers")] + [
     (_SHADOWING % key, "[params] %s names a coordinate or a built-in function"
-     % key) for key in COORDS + FUNCTIONS],
+     % key) for key in COORDS + FUNCTIONS] + [
+    ('[params]\n%s\n\n[structure]\nA = "1 * x"\n' % line,
+     "[params] %s is not an identifier that an expression can name"
+     % line.split(" = ")[0]) for line in ("1 = 2", "lam-bda = 3")],
     ids=["unnamed-field", "no-section-header",
-         *("params-" + key for key in COORDS + FUNCTIONS)])
+         *("params-" + key for key in COORDS + FUNCTIONS),
+         "params-number", "params-dash"])
 def test_malformed_documents_exit_3(write, capsys, doc, message):
     assert dispatch(["pullback", write(doc)]) == 3
     captured = capsys.readouterr()
@@ -295,6 +300,18 @@ def test_rational_flags_name_themselves(write, capsys, command, flag):
 def test_params_bind_into_expressions(write, capsys):
     assert dispatch(["invariants", write(PARAM_DOC)]) == 0
     assert capsys.readouterr().out.splitlines() == ["L1 = -2", "L2 = 0"]
+
+
+@pytest.mark.parametrize("value,shown", [
+    ("1.5", "3/2"), ("-1e3", "-1000"), ('"2/3"', "2/3")])
+def test_params_take_any_rational_fraction_reads(write, capsys, value, shown):
+    # the value binds as the Fraction it reads, in the document's
+    # expressions and in --psi alike
+    doc = '[params]\nlam = %s\n\n[structure]\nA = "lam * x"\n' % value
+    assert dispatch(["pullback", write(doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "A = %s * x" % shown
+    assert dispatch(["pullback", write(doc), "--psi=x + lam*x^2"]) == 0
+    assert load_document(write(doc)).params == {"lam": Fraction(shown)}
 
 
 def test_unbound_parameter_is_a_math_error(write, capsys):

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counting_jets
+from projstruct import cases
 from projstruct.errors import (ExprSyntaxError, ProjstructError, UnboundParameter,
                                UnsupportedExponent)
 from projstruct.expressions import (
+    _APPLY,
     Call,
     Chain,
     Lit,
@@ -19,7 +22,7 @@ from projstruct.expressions import (
     parse,
     to_text,
 )
-from projstruct.jets import Jet2, exp_series
+from projstruct.jets import DEFAULT_ORDER, Jet2, exp_series, sqrt_series
 
 
 def ex(text, env=None, order=8):
@@ -225,3 +228,201 @@ def test_expand_unbound_and_cyclic_parameters():
 def test_expand_rational_arithmetic_matches_fractions(p, q):
     u = ex("p/q + x", {"p": p, "q": q})
     assert u.coeff(0, 0) == Fraction(p, q)
+
+
+# --- the one-pass expansion against the jet-per-node reference ------------------
+
+
+def reference_expand(e, env=None, order=None):
+    """``expand`` as it was before the one-pass form: every node of the
+    tree becomes a jet, and jet arithmetic combines them."""
+    order = DEFAULT_ORDER if order is None else order
+    if isinstance(e, str):
+        e = parse(e)
+    env = {} if env is None else env
+    try:
+        return _reference(e, env, order, frozenset())
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply to expand",
+                              0) from None
+
+
+def _reference(e, env, order, active):
+    if isinstance(e, Lit):
+        return Jet2.constant(e.value, order)
+    if isinstance(e, Var):
+        return Jet2.variable(e.name, order)
+    if isinstance(e, Param):
+        if e.name in active:
+            raise UnboundParameter("parameter %r refers to itself" % e.name)
+        if e.name not in env:
+            raise UnboundParameter("parameter %r is not bound" % e.name)
+        value = env[e.name]
+        if isinstance(value, (int, Fraction)):
+            return Jet2.constant(value, order)
+        if isinstance(value, str):
+            value = parse(value)
+        return _reference(value, env, order, active | {e.name})
+    if isinstance(e, Neg):
+        return -_reference(e.arg, env, order, active)
+    if isinstance(e, Chain):
+        acc = _reference(e.first, env, order, active)
+        for op, x in e.rest:
+            acc = _APPLY[op](acc, _reference(x, env, order, active))
+        return acc
+    if isinstance(e, Pow):
+        base = _reference(e.base, env, order, active)
+        num, den = e.exponent.numerator, e.exponent.denominator
+        if den == 1:
+            return base ** num
+        if den == 2:
+            return sqrt_series(base) ** num
+        raise UnsupportedExponent(
+            "exponent %s has denominator %d (only 1 and 2 are supported)"
+            % (e.exponent, den))
+    if isinstance(e, Call):
+        arg = _reference(e.arg, env, order, active)
+        if e.func == "exp":
+            return exp_series(arg)
+        return sqrt_series(arg)
+    raise TypeError("not an expression: %r" % (e,))
+
+
+def _outcome(fn, *args):
+    """The jet, or the type and message of what was raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_expands_like_the_reference(e, env, order):
+    got = _outcome(expand, e, env, order)
+    want = _outcome(reference_expand, e, env, order)
+    assert got == want, (e, env, order)
+
+
+def _registry_inputs():
+    calls = []
+
+    def recording(e, env=None, order=None):
+        calls.append((e, None if env is None else dict(env), order))
+        return expand(e, env, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cases, "expand", recording)
+        for order in (12, 6):
+            cases.run_all(order=order)
+    return calls
+
+
+def _distinct(inputs):
+    seen = {}
+    for e, env, _ in inputs:
+        key = (e, frozenset((env or {}).items()))
+        seen.setdefault(key, (e, env))
+    return list(seen.values())
+
+
+RECORDED_ORDERS = (0, 1, 2, 3, 7, 12, 16)
+
+
+def test_registry_inputs_expand_like_the_reference():
+    inputs = _distinct(_registry_inputs())
+    assert len(inputs) > 100
+    for e, env in inputs:
+        for order in RECORDED_ORDERS:
+            assert_expands_like_the_reference(e, env, order)
+
+
+def test_document_inputs_expand_like_the_reference(document_traffic):
+    inputs = _distinct(document_traffic[0])
+    assert len(inputs) > 900
+    for e, env in inputs:
+        for order in RECORDED_ORDERS:
+            assert_expands_like_the_reference(e, env, order)
+
+
+def _jets_built(fn, *args):
+    """The value of ``fn(*args)`` and the jets it built."""
+    with counting_jets() as built:
+        value = fn(*args)
+    return value, built[0]
+
+
+POLYNOMIAL_TEXTS = [
+    "0", "1", "x", "-y", "(-1/2) + (1/2)*x^1 + (2)*x^2 + (1/2)*x^3",
+    "(1 + x - y)^5 / (2/3)", "a*x^2 - b*y + c", "-(x*y - 1)^0 * 7/a",
+    "x^3 * y^4 * x^20", "(x + y)^2 - x^2 - 2*x*y - y^2",
+]
+POLYNOMIAL_ENV = {"a": 3, "b": Fraction(-2, 5), "c": "x - 2*y^2"}
+
+
+@pytest.mark.parametrize("order", [0, 1, 12])
+@pytest.mark.parametrize("text", POLYNOMIAL_TEXTS)
+def test_a_polynomial_text_builds_one_jet(text, order):
+    jet, built = _jets_built(expand, text, POLYNOMIAL_ENV, order)
+    assert built == 1
+    assert jet == reference_expand(text, POLYNOMIAL_ENV, order)
+
+
+def test_document_polynomials_build_one_jet(document_traffic):
+    texts = [(e, env, order) for e, env, order in document_traffic[0]
+             if "exp" not in e and "sqrt" not in e]
+    assert len(texts) > 1000
+    for e, env, order in texts:
+        assert _jets_built(expand, e, env, order)[1] == 1, e
+
+
+def test_load_document_keeps_its_jet_traffic(document_traffic):
+    # 480 documents, seeds 1-3 of the documents workload: only exp,
+    # sqrt and true quotients cost jets beyond one per expression value
+    # (a jet per node built 18885)
+    per_op = document_traffic[1]
+    assert len(per_op) == 480
+    assert sum(per_op) == 4844
+
+
+EDGE_TEXTS = ["x/y", "1/x", "y/(1 + x)", "x/0", "x/(x - x)", "x/(2/3)",
+              "0*exp(x)", "exp(1)", "x^0", "(x - x)^0", "(1 + y)^-1", "x^-1",
+              "(4 + y)^(1/2)", "(x + y)^(-1/2)", "(1 + x)^(1/3)", "-exp(x)",
+              "x*exp(y) - y*exp(x) + 1", "a/b - c*e", "u", "d", "f^3"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_edge_texts_expand_like_the_reference(text, order):
+    assert_expands_like_the_reference(text, _PARAM_ENV, order)
+
+
+_PARAM_ENV = {"a": 3, "b": Fraction(-2, 3), "c": "1 - x*y + b",
+              "d": "x + d", "e": "a*exp(x) - y", "f": parse("y^2 - 1/2"),
+              "z": 0}
+_SERIES_LEAVES = st.sampled_from(
+    ["exp(x)", "exp(y - x^2)", "sqrt(1 + x)", "sqrt(4 - y/3)", "exp(1)",
+     "sqrt(2)", "sqrt(x)", "0*exp(x)", "exp(x)*0", "x/(1 - y)", "1/x",
+     "x/0", "y/z", "(1 + x)^-1", "x^-1", "(4 + y)^(1/2)", "(1 + x)^(1/3)"])
+_ALL_LEAVES = st.one_of(_LEAVES, st.sampled_from(sorted(_PARAM_ENV) + ["u"]),
+                        st.sampled_from(["0", "(0)"]), _SERIES_LEAVES)
+_ALL_EXPONENTS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "(1/2)", "(-1/2)", "(3/2)", "(-2)", "(2/3)"])
+
+
+def _extend_with_calls(inner):
+    def chain(operands):
+        ops = st.lists(st.sampled_from("+-*/"), min_size=len(operands) - 1,
+                       max_size=len(operands) - 1)
+        return ops.map(lambda ops: operands[0] + "".join(
+            " %s %s" % pair for pair in zip(ops, operands[1:])))
+    return st.one_of(st.lists(inner, min_size=1, max_size=8).flatmap(chain),
+                     inner.map("-{}".format), inner.map("({})".format),
+                     st.tuples(inner, _ALL_EXPONENTS).map("%s^%s".__mod__),
+                     inner.map("exp(x*({}))".format),
+                     inner.map("sqrt(1 + y*({}))".format))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.recursive(_ALL_LEAVES, _extend_with_calls, max_leaves=20),
+       st.sampled_from([0, 1, 2, 3, 5]))
+def test_generated_texts_expand_like_the_reference(text, order):
+    assert_expands_like_the_reference(text, _PARAM_ENV, order)
