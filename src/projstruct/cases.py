@@ -57,6 +57,9 @@ from .structures import (DiffeoGerm, LiouvillePair, ProjectiveStructure,
 _DIM_FLOOR = 8
 _INV_FLOOR = 9
 
+# The homogeneous model (0, 1/2, 0, e^{-2x}) with its three symmetries.
+_HOMOGENEOUS = ("0", "1/2", "0", "exp(-2*x)")
+
 
 # --- small builders --------------------------------------------------------
 
@@ -602,7 +605,7 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
                       if dim == 1 else
                       failed("invariant-dimension", str(dim),
                              "expected dimension 1"))
-        model = _structure(w, None, "0", "1/2", "0", "exp(-2*x)")
+        model = _structure(w, None, *_HOMOGENEOUS)
         checks.append(passed("contains-homogeneous-model",
                              "(0, 1/2, 0, e^{-2x}) lies in the family")
                       if inv.contains(model) else
@@ -859,9 +862,9 @@ def _thm41_iii_extra(env, order, st, fields, wide):
 
 
 def _thm41_iv_extra(env, order):
-    pen0 = Pencil.from_jets(*(expand(text, None, order)
-                              for text in ("-exp(2*x)", "-y", "0", "1")))
-    want0 = _structure(order, None, "0", "2", "0", "exp(-2*x)")
+    gamma0, family = {"gamma": "0"}, CASES["thm41.ii.a"].runner
+    pen0 = family.pencil(gamma0, order)
+    want0 = _structure(order, gamma0, *family.quadruple)
     return [_agree_check(
                 "gamma-zero-pencil", structure_from_pencil(pen0), want0,
                 "the gamma = 0 exponential pencil induces the excluded "
@@ -969,7 +972,7 @@ _RECORDS = (
         "thm31.iii",
         "homogeneous model (0, 1/2, 0, e^{-2x}): three-dimensional algebra",
         ({},),
-        _AlgebraEntry(("0", "1/2", "0", "exp(-2*x)"),
+        _AlgebraEntry(_HOMOGENEOUS,
                       ("d_dy", "d_dx+y*d_dy", "y*d_dx+y^2/2*d_dy"),
                       _SL2_BRACKETS, 3)),
     CaseRecord(
@@ -1040,8 +1043,7 @@ _RECORDS = (
         "three-symmetry model: on the nodal cubic, but with no rational "
         "pencil",
         ({},),
-        _AlgebraEntry(("0", "1/2", "0", "exp(-2*x)"), (), (), 3,
-                      _thm41_iii_extra)),
+        _AlgebraEntry(_HOMOGENEOUS, (), (), 3, _thm41_iii_extra)),
     CaseRecord(
         "thm41.iv",
         "coordinate pencil dx, dy for the trivial structure; gamma = 0 "

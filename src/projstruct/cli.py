@@ -81,7 +81,7 @@ def _is_identifier(key):
     """Does the expression grammar read ``key`` as one parameter name?"""
     try:
         return parse(key) == Param(key)
-    except (ExprSyntaxError, ValueError):  # int() refuses some digits
+    except ExprSyntaxError:
         return False
 
 
@@ -155,8 +155,8 @@ def load_document(path):
     return InputDocument(order, structure, fields, pencil, params)
 
 
-def _require(doc, attr, section):
-    value = getattr(doc, attr)
+def _require(doc, section):
+    value = getattr(doc, section)
     if value is None:
         raise DocumentError("this command needs a [%s] section" % section)
     return value
@@ -170,16 +170,14 @@ def _print_structure(st):
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_invariants(args):
-    pair = liouville(_require(load_document(args.file), "structure",
-                              "structure"))
+    pair = liouville(_require(load_document(args.file), "structure"))
     print("L1 = %s" % format_jet(pair.L1))
     print("L2 = %s" % format_jet(pair.L2))
     return 0
 
 
 def _cmd_linearizable(args):
-    pair = liouville(_require(load_document(args.file), "structure",
-                              "structure"))
+    pair = liouville(_require(load_document(args.file), "structure"))
     if pair.is_zero():
         print("linearizable: both Liouville invariants vanish")
         return 0
@@ -191,7 +189,7 @@ def _cmd_linearizable(args):
 
 def _cmd_symcheck(args):
     doc = load_document(args.file)
-    st = _require(doc, "structure", "structure")
+    st = _require(doc, "structure")
     field = doc.fields.get(args.field)
     if field is None:
         raise DocumentError("no [field %s] section in %s"
@@ -211,7 +209,7 @@ def _cmd_symcheck(args):
 
 def _cmd_symdim(args):
     doc = load_document(args.file)
-    st = _require(doc, "structure", "structure")
+    st = _require(doc, "structure")
     # the count solves at field orders (n, n+1), which needs structure
     # jets of order n+1; drop n below the default 7 for short documents
     n = min(7, doc.order - 1)
@@ -231,7 +229,7 @@ def _cmd_symdim(args):
 
 def _cmd_pullback(args):
     doc = load_document(args.file)
-    st = _require(doc, "structure", "structure")
+    st = _require(doc, "structure")
     if args.psi is not None:
         st = apply_x_reparam(st, expand(_unquote(args.psi), doc.params,
                                         doc.order))
@@ -245,14 +243,14 @@ def _cmd_pullback(args):
 
 
 def _cmd_pencil(args):
-    pen = _require(load_document(args.file), "pencil", "pencil")
+    pen = _require(load_document(args.file), "pencil")
     _print_structure(structure_from_pencil(pen))
     return 0
 
 
 def _cmd_geodesic(args):
     doc = load_document(args.file)
-    pen = _require(doc, "pencil", "pencil")
+    pen = _require(doc, "pencil")
     text = args.z.strip().lower()
     z = INF if text in ("inf", "infinity") else _rational(args.z, "--z")
     st = doc.structure

@@ -22,8 +22,9 @@ at a chosen order.  Environment values may themselves be expressions
 one pass over the tree, and holds each polynomial sub-tree as one sparse
 coefficient dict over one denominator, truncated at the order: literals,
 coordinates, parameters bound to rationals, negation, ``+ -`` and ``*``
-chains, ``/`` by a nonzero constant and nonnegative integer powers.  A
-``Jet2`` is built only at the root and where the tree meets a node that
+chains, ``/`` by a nonzero constant and nonnegative integer powers.  Their
+sums and products are the ``jets`` kernels ``_lincomb`` and ``_product``.
+A ``Jet2`` is built only at the root and where the tree meets a node that
 needs series arithmetic: ``exp``, ``sqrt``, a negative or half-integer
 power, or a quotient by a non-constant.
 
@@ -36,13 +37,13 @@ chain and around each negative or non-integer literal; ``parse(to_text(e))``
 rebuilds ``e``.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnboundParameter, UnsupportedExponent
-from .jets import DEFAULT_ORDER, Jet2, exp_series, sqrt_series
+from .jets import (DEFAULT_ORDER, Jet2, _lincomb, _product, exp_series,
+                   sqrt_series)
 
 
 # --- syntax trees -----------------------------------------------------------
@@ -98,9 +99,13 @@ _APPLY = {"+": operator.add, "-": operator.sub,
 # --- tokenizer ----------------------------------------------------------------
 
 _PUNCT = "+-*/^()"
+_DIGITS = "0123456789"
+_IDENT = _DIGITS + "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _tokenize(text):
+    """Tokens (kind, text, offset).  Numbers and names are ASCII: any other
+    character, such as ``²`` or ``٣``, is refused at its offset."""
     tokens = []
     pos = 0
     n = len(text)
@@ -113,17 +118,13 @@ def _tokenize(text):
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _IDENT:
             start = pos
-            while pos < n and text[pos].isdigit():
+            run = _DIGITS if ch in _DIGITS else _IDENT
+            while pos < n and text[pos] in run:
                 pos += 1
-            tokens.append(("int", text[start:pos], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("ident", text[start:pos], start))
+            tokens.append(("int" if run is _DIGITS else "ident",
+                           text[start:pos], start))
             continue
         raise ExprSyntaxError("unexpected character %r" % ch, pos)
     tokens.append(("end", "", n))
@@ -322,18 +323,6 @@ def _constant(q):
     return ({(0, 0): q.numerator}, q.denominator) if q else ({}, 1)
 
 
-def _mul(p, q, order):
-    """The product of two polynomials, truncated at ``order``."""
-    (a, da), (b, db) = p, q
-    out = {}
-    for (i, j), c in a.items():
-        for (k, m), d in b.items():
-            if i + j + k + m <= order:
-                key = (i + k, j + m)
-                out[key] = out.get(key, 0) + c * d
-    return {k: n for k, n in out.items() if n}, da * db
-
-
 def _apply(op, a, b, order):
     """``a op b``; a polynomial unless a side is a jet or ``/`` divides by
     a non-constant, which jet arithmetic takes (and may refuse)."""
@@ -342,15 +331,10 @@ def _apply(op, a, b, order):
         return _APPLY[op](_jet(a, order), _jet(b, order))
     (na, da), (nb, db) = a, b
     if op == "*":
-        return _mul(a, b, order)
+        return _product(na, nb, order), da * db
     if op == "/":
         return {k: n * db for k, n in na.items()}, da * nb[(0, 0)]
-    den = math.lcm(da, db)
-    sb = den // db if op == "+" else -(den // db)
-    out = {k: n * (den // da) for k, n in na.items()}
-    for k, n in nb.items():
-        out[k] = out.get(k, 0) + n * sb
-    return {k: n for k, n in out.items() if n}, den
+    return _lincomb([(1, na, da), (1 if op == "+" else -1, nb, db)], order)
 
 
 def _expand(e, env, order, active):
@@ -387,8 +371,8 @@ def _expand(e, env, order, active):
         if den == 1 and num >= 0 and not isinstance(base, Jet2):
             acc = ({(0, 0): 1}, 1)
             for bit in bin(num)[2:]:  # binary powering, high bit first
-                acc = _mul(acc, acc, order)
-                acc = _mul(acc, base, order) if bit == "1" else acc
+                acc = _apply("*", acc, acc, order)
+                acc = _apply("*", acc, base, order) if bit == "1" else acc
             return acc
         base = _jet(base, order)
         if den == 1:

@@ -38,17 +38,21 @@ at 0, an optional ``is_unit`` attribute).
 A dual jet whose values all have a zero eps-part equals the rational jet
 of their real parts, and hashes as that jet does.
 
-The product is the hot spot of the package.  It visits only the pairs of
-terms whose degrees sum to at most the result's ``eff``: the factor
-with fewer terms is sorted by total degree once, and each term of the
-other takes the prefix of it that fits.  Over the rationals it sums
-plain ``int`` products over the product of the two denominators, into a
-flat list over the result's exponent box: h rows by w columns, where h
-and w exceed the largest x- and y-exponent a kept product can have.  The
-box is never sized by the working order, so a product of two short jets
-costs the same at order 400 as at order 20.  A one-term factor is a
-shifted scale of the other.  ``_sum_of_products`` sums many products
-c f g in one such box over one denominator and reduces once.
+This module is the one place that sums or multiplies numerator dicts,
+through two kernels that ``Jet2`` arithmetic, substitution and the
+polynomial nodes of :mod:`projstruct.expressions` share.  ``_lincomb``
+sums s n / d over the lcm of the d, dropping cancelled terms and those
+above the window.  ``_product`` is the product, the hot spot of the
+package.  It visits only the pairs of terms whose degrees sum to at most
+the result's ``eff``: the factor with fewer terms is sorted by total
+degree once, and each term of the other takes the prefix of it that
+fits.  Over the rationals it sums plain ``int`` products into a flat
+list over the result's exponent box (``_box_sum``): h rows by w columns,
+where h and w exceed the largest x- and y-exponent a kept product can
+have.  The box is never sized by the working order, so a product of two
+short jets costs the same at order 400 as at order 20.  A one-term
+factor is a shifted scale of the other.  ``_sum_of_products`` sums many
+products c f g in one such box over one denominator and reduces once.
 
 The series kernels end by construction; none iterates to a fixed point
 under a cap.  A coefficient of degree d of a quotient and of the Euler
@@ -317,16 +321,10 @@ class Jet2:
 
     def __add__(self, other):
         other = self._lift(other)
-        order = min(self.order, other.order)
         eff = min(self.eff, other.eff)
-        da, db = self._den, other._den
-        den = math.lcm(da, db)
-        sa, sb = den // da, den // db
-        out = {k: n * sa for k, n in self._num.items()}
-        for k, n in other._num.items():
-            out[k] = out[k] + n * sb if k in out else n * sb
-        return Jet2._new({(i, j): n for (i, j), n in out.items()
-                          if n and i + j <= eff}, den, order, eff)
+        return Jet2._new(*_lincomb([(1, self._num, self._den),
+                                    (1, other._num, other._den)], eff),
+                         min(self.order, other.order), eff)
 
     __radd__ = __add__
 
@@ -347,23 +345,8 @@ class Jet2:
         eff = min(order,
                   self.eff + other._val_bound(),
                   other.eff + self._val_bound())
-        a, b, den = self._num, other._num, self._den * other._den
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return Jet2._new({}, 1, order, eff)
-        if len(b) == 1:
-            # a shifted scale of the other factor
-            ((i0, j0), c0), = b.items()
-            lim = eff - i0 - j0
-            out = {}
-            for (i, j), c in a.items():
-                if i + j <= lim:
-                    p = c * c0
-                    if not p == 0:
-                        out[(i + i0, j + j0)] = p
-            return Jet2._new(out, den, order, eff)
-        return Jet2._new(_box_sum([(1, a, b)], eff), den, order, eff)
+        return Jet2._new(_product(self._num, other._num, eff),
+                         self._den * other._den, order, eff)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -485,6 +468,40 @@ class Jet2:
         return self._window(order, eff)
 
 
+def _lincomb(parts, eff):
+    """sum s n / d over ``parts`` (s, n, d), n a numerator dict, as
+    (numerators, denominator) over the lcm of the d: the terms that cancel
+    and those of degree above ``eff`` are dropped."""
+    den = math.lcm(*[d for _, _, d in parts])
+    acc = {}
+    for s, num, d in parts:
+        s *= den // d
+        for k, n in num.items():
+            acc[k] = acc[k] + s * n if k in acc else s * n
+    return {(i, j): n for (i, j), n in acc.items() if n and i + j <= eff}, den
+
+
+def _product(a, b, eff):
+    """The numerators of the product of numerator dicts ``a`` and ``b``
+    through degree ``eff``: empty if a factor is, a shifted scale of the
+    other if one has one term, else one ``_box_sum``."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return {}
+    if len(b) == 1:
+        ((i0, j0), c0), = b.items()
+        lim = eff - i0 - j0
+        out = {}
+        for (i, j), c in a.items():
+            if i + j <= lim:
+                p = c * c0
+                if not p == 0:
+                    out[(i + i0, j + j0)] = p
+        return out
+    return _box_sum([(1, a, b)], eff)
+
+
 def _box_sum(products, eff):
     """The numerators of sum s a b over ``products`` (s, a, b) of numerator
     dicts, through degree ``eff``, in a flat list over the exponent box of
@@ -568,33 +585,19 @@ def _substitute_all(fs, u, v):
     products = {}   # (i, j) -> u^i v^j
     out = []
     for f in fs:
-        acc_eff = order
+        eff = min(f.eff, u.eff, v.eff, order) - drift
         parts = []
-        for (i, j) in f._num:
+        for (i, j), c in f._num.items():
             if i >= len(upow) or j >= len(vpow):
                 continue  # that power is exactly zero to full order
             if (i, j) not in products:
                 products[(i, j)] = upow[i] * vpow[j]
             term = products[(i, j)]
-            acc_eff = min(acc_eff, term.eff)
-            parts.append(((i, j), term))
-        eff = max(min(acc_eff, min(f.eff, u.eff, v.eff, order) - drift), -1)
-        acc, den = _linear_combination(f, parts)
-        out.append(Jet2._new({(i, j): c for (i, j), c in acc.items()
-                              if i + j <= eff and not c == 0}, den, order, eff))
+            eff = min(eff, term.eff)
+            parts.append((c, term._num, f._den * term._den))
+        eff = max(eff, -1)
+        out.append(Jet2._new(*_lincomb(parts, eff), order, eff))
     return out
-
-
-def _linear_combination(f, parts):
-    """sum f_k * t over (k, t) in ``parts``, as (numerators, denominator):
-    the numerators sum over f's denominator times the lcm of the t's."""
-    acc = {}
-    den = math.lcm(*[t._den for _, t in parts])
-    for k, t in parts:
-        s = f._num[k] * (den // t._den)
-        for key, n in t._num.items():
-            acc[key] = acc[key] + s * n if key in acc else s * n
-    return acc, f._den * den
 
 
 def _powers(g, top, order):

@@ -29,6 +29,11 @@ def _int_row(row):
     return [v // g for v in row] if g > 1 else row
 
 
+def _int_rows(rows):
+    """The nonzero rows of a matrix, each scaled by ``_int_row``."""
+    return [row for row in map(_int_row, rows) if any(row)]
+
+
 def _reduce(rows, ncols):
     """In-place fraction-free Gauss-Jordan; returns pivot (row, col) list."""
     pivots = []
@@ -75,8 +80,7 @@ def _free_basis(mat, pivots, ncols):
 
 def nullspace(rows, ncols):
     """Basis of {v : M v = 0} as lists of Fractions (one per free column)."""
-    mat = [_int_row(row) for row in rows]
-    mat = [row for row in mat if any(row)]
+    mat = _int_rows(rows)
     pivots = _reduce(mat, ncols)
     return _free_basis(mat, pivots, ncols)
 
@@ -91,8 +95,7 @@ def solve_affine(rows, rhs):
     if not rows:
         return True, [], []
     ncols = len(rows[0])
-    mat = [_int_row(list(row) + [b]) for row, b in zip(rows, rhs)]
-    mat = [row for row in mat if any(row)]
+    mat = _int_rows(list(row) + [b] for row, b in zip(rows, rhs))
     pivots = _reduce(mat, ncols + 1)
     if any(c == ncols for (_, c) in pivots):
         return False, None, []
@@ -103,8 +106,7 @@ def solve_affine(rows, rhs):
 
 
 def rank(rows, ncols=None):
-    mat = [_int_row(list(row)) for row in rows]
-    mat = [row for row in mat if any(row)]
+    mat = _int_rows(map(list, rows))
     if not mat:
         return 0
     if ncols is None:

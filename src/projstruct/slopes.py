@@ -2,11 +2,13 @@
 
 The residual of a vector field on a structure is returned as one, a
 cubic in p, and ``structure_from_pencil`` multiplies two to form its
-right-hand side.  ``pullback`` and ``residual`` sum their coefficients
-through ``jets._sum_of_products`` instead.
+right-hand side.  ``_slope_terms`` is the one slope-product rule: it
+lists the kernel terms of each coefficient of a product, and both
+``SlopePoly.__mul__`` and ``pullback`` sum them through
+``jets._sum_of_products``.
 """
 
-from .jets import Jet2
+from .jets import Jet2, _sum_of_products
 
 
 class SlopePoly:
@@ -34,15 +36,21 @@ class SlopePoly:
         return SlopePoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __mul__(self, other):
-        order = min(c.order for c in self.coeffs + other.coeffs)
-        out = [Jet2.zero(order) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return SlopePoly(out)
+        return SlopePoly([_sum_of_products(t) for t in _slope_terms(
+            [(1, a) for a in self.coeffs], [(1, b) for b in other.coeffs])])
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
     def __repr__(self):
         return "SlopePoly(%r)" % (self.coeffs,)
+
+
+def _slope_terms(f, g):
+    """The kernel terms of each slope coefficient of f g, for polynomials
+    in p given as lists of (weight, jet) coefficients."""
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, (s, a) in enumerate(f):
+        for j, (t, b) in enumerate(g):
+            out[i + j].append((s * t, a, b))
+    return out

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
                    comp_inverse, compose1, exp_series)
+from .slopes import _slope_terms
 
 
 class _JetRecord:
@@ -134,16 +135,6 @@ def pullback(germ, st):
         for slot, terms in zip(slots, _slope_terms(sq, lin)):
             slot.append((1, _sum_of_products(terms), s))
     return ProjectiveStructure(*(_sum_of_products(t) / jac for t in slots))
-
-
-def _slope_terms(f, g):
-    """The kernel terms of each slope coefficient of f g, for polynomials
-    in p given as lists of (weight, jet) coefficients."""
-    out = [[] for _ in range(len(f) + len(g) - 1)]
-    for i, (s, a) in enumerate(f):
-        for j, (t, b) in enumerate(g):
-            out[i + j].append((s * t, a, b))
-    return out
 
 
 # --- closed-form transformation laws ---------------------------------------

@@ -16,13 +16,14 @@ PROP_ORDER = 6
 
 @pytest.fixture(scope="session")
 def registry_traffic():
-    """Each ``residual`` and ``pullback`` call of ``run_all(12)`` and
-    ``run_all(8)``: its arguments and the jets it built (``Jet2._new``
-    calls; for ``pullback``, those outside ``_substitute_all``), and per
-    pass the number of calls of each and the jets built in all."""
-    from projstruct import cases, fields, structures
+    """Each ``residual``, ``pullback`` and ``structure_from_pencil`` call of
+    ``run_all(12)`` and ``run_all(8)``: its arguments and the jets it built
+    (``Jet2._new`` calls; for ``pullback``, those outside
+    ``_substitute_all``), and per pass the number of calls of each and the
+    jets built in all."""
+    from projstruct import cases, fields, pencils, structures
 
-    calls = {"residual": [], "pullback": []}
+    calls = {"residual": [], "pullback": [], "structure_from_pencil": []}
     built, substituted = [0], [0]
     make = Jet2._new.__func__
     substitute_all = structures._substitute_all
@@ -55,6 +56,8 @@ def registry_traffic():
             mp.setattr(module, "residual", residual)
         mp.setattr(cases, "pullback", recording("pullback",
                                                 structures.pullback))
+        mp.setattr(cases, "structure_from_pencil", recording(
+            "structure_from_pencil", pencils.structure_from_pencil))
         for order in (12, 8):
             before = built[0]
             start = {name: len(c) for name, c in calls.items()}
@@ -236,6 +239,28 @@ def dense_jets(draw, orders=(16, 20), unit_constant=False):
     if unit_constant:
         coeffs[(0, 0)] = draw(nonzero_fractions)
     return Jet2.from_terms(coeffs, order)
+
+
+def assert_same_structure(got, want):
+    # slot by slot: the same order, eff, numerators and denominator
+    for g, w in zip(got, want):
+        assert (g.order, g.eff, g._num, g._den) \
+            == (w.order, w.eff, w._num, w._den)
+
+
+def slope_product(f, g):
+    """The product of two ``SlopePoly``s as a ``Jet2`` sum of ``Jet2``
+    products per slot, each slot of the least order of all coefficients:
+    the form ``SlopePoly.__mul__`` had before it summed each slot through
+    ``_sum_of_products``."""
+    from projstruct.slopes import SlopePoly
+
+    order = min(c.order for c in f.coeffs + g.coeffs)
+    out = [Jet2.zero(order) for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return SlopePoly(out)
 
 
 def slope_sum(*polys):

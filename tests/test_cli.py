@@ -62,7 +62,7 @@ Qinf = "-(x^2 + y)"
 def write(tmp_path):
     def _write(text, name="doc.ini"):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return str(path)
     return _write
 
@@ -123,10 +123,13 @@ _SHADOWING = '[params]\n%s = 2\n\n[structure]\nA = "x + exp(y) + sqrt(1 + x)"\n'
      % key) for key in COORDS + FUNCTIONS] + [
     ('[params]\n%s\n\n[structure]\nA = "1 * x"\n' % line,
      "[params] %s is not an identifier that an expression can name"
-     % line.split(" = ")[0]) for line in ("1 = 2", "lam-bda = 3")],
+     % line.split(" = ")[0])
+    for line in ("1 = 2", "lam-bda = 3", "\u00b2 = 2")] + [
+    ('[structure]\nA = "2\u00b2 * x"\n', "unexpected character")],
     ids=["unnamed-field", "no-section-header",
          *("params-" + key for key in COORDS + FUNCTIONS),
-         "params-number", "params-dash"])
+         "params-number", "params-dash", "params-superscript",
+         "superscript-digit"])
 def test_malformed_documents_exit_3(write, capsys, doc, message):
     assert dispatch(["pullback", write(doc)]) == 3
     captured = capsys.readouterr()

@@ -81,6 +81,15 @@ def test_syntax_errors_carry_offsets():
         parse("(x")
 
 
+@pytest.mark.parametrize("text,offset", [("x + 2\u00b2", 5), ("x\u00b2", 1),
+                                         ("\u0663 + x", 0)])
+def test_only_ascii_digits_and_letters_are_read(text, offset):
+    # a superscript two and an Arabic-Indic three are not numbers or names
+    with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
 def test_nesting_past_the_recursion_limit_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         parse("(" * 300 + "x" + ")" * 300)

@@ -30,7 +30,8 @@ from projstruct.linalg import nullspace, rank, solve_affine
 from projstruct.slopes import SlopePoly
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
-from conftest import PROP_ORDER, jets, slope_sum, slope_times, structures
+from conftest import (PROP_ORDER, jets, slope_product, slope_sum, slope_times,
+                      structures)
 
 N = 8
 
@@ -79,7 +80,8 @@ def reference_residual(field, st):
     lead = SlopePoly([by - 2 * ax, -3 * ay])
     out = slope_sum(slope_times(SlopePoly([c.d_dx() for c in st]), a),
                     slope_times(SlopePoly([c.d_dy() for c in st]), b),
-                    eta * SlopePoly([st.B, 2 * st.C, 3 * st.D])) - lead * f
+                    slope_product(eta, SlopePoly([st.B, 2 * st.C, 3 * st.D])))
+    out = out - slope_product(lead, f)
     assert out.coeff(4).is_zero()   # slope degree 4 cancels
     # second prolongation: the structure-independent part
     inhom = SlopePoly([bx.d_dx(), 2 * bx.d_dy() - ax.d_dx(),
@@ -157,14 +159,15 @@ def test_residual_is_the_reference_on_every_registry_call(registry_traffic):
 def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # the jets built per residual call (its 18 derivatives and 4 slots;
     # 103 as SlopePoly products) and per pass, so per-product overhead
-    # cannot come back unseen; the per-call pin of pullback is in
-    # test_structures.py.  The pass totals count expand's one _new per
-    # expression value, where a lone literal or coordinate used to go
-    # through __init__, which this fixture does not count
+    # cannot come back unseen; the per-call pins of pullback and
+    # structure_from_pencil are in test_structures.py and test_pencils.py.
+    # The pass totals count expand's one _new per expression value, where
+    # a lone literal or coordinate used to go through __init__, which this
+    # fixture does not count
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 12588, 8: 12332}
+        == {12: 12178, 8: 11922}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

@@ -17,6 +17,8 @@ from projstruct.errors import (
 )
 from projstruct.jets import (
     Jet2,
+    _lincomb,
+    _product,
     _sum_of_products,
     comp_inverse,
     compose1,
@@ -31,6 +33,7 @@ from conftest import (
     dense_jets,
     dual_jets,
     jets,
+    nonzero_fractions,
     small_fractions,
     univariate_germs,
 )
@@ -473,6 +476,71 @@ def test_a_short_product_does_not_pay_for_the_working_order():
     assert best(400) / best(20) < 5
     p = Jet2.from_terms({(0, 0): 1, (5, 0): 1}, 400)
     assert (p * p).coeffs == _ref_mul(p.coeffs, p.coeffs, 400)
+
+
+# --- the numerator kernels -------------------------------------------------
+
+_KERNEL_KEYS = [(i, j) for i in range(6) for j in range(6 - i)]
+_KERNEL_VALUES = {
+    "int": st.integers(-9, 9).filter(bool),
+    "fraction": nonzero_fractions,
+    "dual": st.builds(DualRational, small_fractions, small_fractions)
+    .filter(bool),
+}
+_KERNEL_VALUES["mixed"] = st.one_of(*_KERNEL_VALUES.values())
+
+
+def numerators(kind):
+    """Numerator dicts of no, one or up to five nonzero values of a kind."""
+    return st.sampled_from([0, 1, 5]).flatmap(lambda size: st.dictionaries(
+        st.sampled_from(_KERNEL_KEYS), _KERNEL_VALUES[kind], max_size=size))
+
+
+@st.composite
+def lincomb_parts(draw):
+    """(parts, eff) for ``_lincomb``; the parts sometimes cancel in full."""
+    kind = draw(st.sampled_from(sorted(_KERNEL_VALUES)))
+    parts = draw(st.lists(st.tuples(st.integers(-3, 3), numerators(kind),
+                                    st.integers(1, 12)), max_size=4))
+    if draw(st.booleans()):
+        parts += [(-s, num, d) for s, num, d in parts]
+    return parts, draw(st.integers(-1, 8))
+
+
+@settings(deadline=None, max_examples=200)
+@given(lincomb_parts())
+@example(([], 3))
+@example(([(1, {(0, 0): 2}, 3), (-2, {(0, 0): 1}, 3)], 4))
+@example(([(1, {(1, 0): EPS}, 1), (1, {(1, 0): -EPS}, 1)], 2))
+@example(([(2, {(0, 0): 1, (2, 1): 5}, 4)], -1))
+def test_lincomb_is_the_fraction_sum(inputs):
+    parts, eff = inputs
+    num, den = _lincomb(parts, eff)
+    want = {}
+    for s, n, d in parts:
+        for k, c in n.items():
+            want[k] = want.get(k, 0) + s * c * Fraction(1, d)
+    assert den == math.lcm(*[d for _, _, d in parts])
+    assert {k: c * Fraction(1, den) for k, c in num.items()} \
+        == _clean(want, eff)
+    for (i, j), c in num.items():
+        assert i + j <= eff and not c == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(_KERNEL_VALUES)).flatmap(
+    lambda kind: st.tuples(numerators(kind), numerators(kind))),
+    st.integers(-1, 10))
+@example(({}, {(0, 0): 1}), 3)
+@example(({(1, 0): 2}, {(0, 0): 3, (0, 1): Fraction(1, 2)}), 1)
+@example(({(0, 0): EPS, (1, 0): 1}, {(0, 1): EPS}), 4)
+@example(({(0, 0): EPS, (1, 0): EPS}, {(0, 0): EPS, (0, 1): 1}), 4)
+@example(({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (1, 0): -1}), -1)
+def test_product_is_the_fraction_double_loop(factors, eff):
+    a, b = factors
+    got = _product(a, b, eff)
+    assert got == _ref_mul(a, b, eff)
+    assert all(not c == 0 for c in got.values())
 
 
 # --- sums of products ------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import projstruct
 from projstruct.errors import DegenerateWedge, VerticalAtOrigin
 from projstruct.expressions import expand
 from projstruct.fields import VectorField
@@ -23,10 +24,12 @@ from projstruct.pencils import (
     _cleared_residual,
     _upright,
 )
+from projstruct.slopes import SlopePoly
 from projstruct.structures import (ProjectiveStructure, geodesic_solve,
                                    swap_axes)
 
-from conftest import (PROP_ORDER, jets, nonzero_fractions, small_fractions,
+from conftest import (PROP_ORDER, assert_same_structure, bench_workloads,
+                      jets, nonzero_fractions, slope_product, small_fractions,
                       structures)
 
 N = 10
@@ -188,6 +191,103 @@ def test_pencil_members_solve_the_pencil_structure(p0, q1, pi, z):
     stq = structure_from_pencil(pen)
     assert is_geodesic(member(pen, z), stq)
     assert is_geodesic(member(pen, INF), stq)
+
+
+# --- the slope kernel ----------------------------------------------------------
+
+
+def reference_structure_from_pencil(pencil):
+    """``structure_from_pencil`` with the slope products of the reference
+    ``slope_product``, a ``Jet2`` product and sum per term."""
+    (p0, q0), (pi, qi) = pencil
+    dr = SlopePoly([p0.d_dx(), q0.d_dx() + p0.d_dy(), q0.d_dy()])
+    ds = SlopePoly([pi.d_dx(), qi.d_dx() + pi.d_dy(), qi.d_dy()])
+    top = (slope_product(dr, SlopePoly([pi, qi]))
+           - slope_product(SlopePoly([p0, q0]), ds))
+    wedge = pencil.wedge()
+    return ProjectiveStructure(*(top.coeff(k) / wedge for k in range(4)))
+
+
+def test_structure_from_pencil_is_the_reference_on_every_registry_call(
+        registry_traffic):
+    calls, passes = registry_traffic
+    assert {order: p["structure_from_pencil"] for order, p in passes.items()} \
+        == {12: 27, 8: 27}
+    for pen, _ in calls["structure_from_pencil"]:
+        assert_same_structure(structure_from_pencil(pen),
+                              reference_structure_from_pencil(pen))
+
+
+def test_a_structure_from_pencil_call_keeps_its_jet_traffic(registry_traffic):
+    # a call builds 34 jets: 8 derivatives and 2 sums, 4 slots of each
+    # slope product, 8 for the 4 differences (a negation and a sum each),
+    # 4 for the wedge and 4 quotients (50 with a jet per term and per sum)
+    calls, _ = registry_traffic
+    assert {n for *_, n in calls["structure_from_pencil"]} == {34}
+
+
+@pytest.mark.parametrize("order", (16, 20))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_deep_jets_pencils_induce_the_reference(seed, order):
+    workloads = bench_workloads()
+    for index in (0, 1):
+        pen = workloads.deep_inputs(projstruct, seed, index, order)["pencil"]
+        assert_same_structure(structure_from_pencil(pen),
+                              reference_structure_from_pencil(pen))
+
+
+@hs.composite
+def windowed_pencils(draw):
+    """Pencils of orders 2 to PROP_ORDER whose four jets are each cut to a
+    random window that keeps at least the constant term."""
+    order = draw(hs.integers(2, PROP_ORDER))
+    units = [draw(jets(order=order, unit_constant=True)) for _ in range(2)]
+    tails = [draw(jets(order=order, zero_constant=True)) for _ in range(2)]
+    p0, q0, pi, qi = (f.truncated(eff=draw(hs.integers(0, order)))
+                      for f in (units[0], tails[0], tails[1], units[1]))
+    return Pencil.from_jets(p0, q0, pi, qi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(windowed_pencils())
+def test_structure_from_pencil_is_the_reference_in_short_windows(pen):
+    assert_same_structure(structure_from_pencil(pen),
+                          reference_structure_from_pencil(pen))
+
+
+@hs.composite
+def one_order_slope_polys(draw):
+    """Two slope polynomials of degree 0 to 3 whose coefficients share one
+    order and each have a random window."""
+    order = draw(hs.integers(0, PROP_ORDER))
+
+    def poly():
+        return SlopePoly([
+            draw(jets(order=order)).truncated(eff=draw(hs.integers(-1, order)))
+            for _ in range(draw(hs.integers(1, 4)))])
+    return poly(), poly()
+
+
+@settings(deadline=None, max_examples=80)
+@given(one_order_slope_polys())
+def test_slope_products_of_one_order_are_the_reference(factors):
+    f, g = factors
+    got, want = f * g, slope_product(f, g)
+    assert len(got.coeffs) == len(want.coeffs)
+    assert_same_structure(got.coeffs, want.coeffs)
+
+
+def test_a_slope_product_slot_takes_the_least_order_of_its_own_terms():
+    # The reference gives every slot the least order of all coefficients,
+    # the kernel the least order of the slot's own products.  The two
+    # rules part only for factors of several orders, which no caller
+    # builds: a Pencil's jets, and so their derivatives, share one order.
+    f = SlopePoly([Jet2.variable("x", 4), Jet2.variable("y", 8)])
+    g = SlopePoly([Jet2.constant(1, 8)])
+    assert [c.order for c in (f * g).coeffs] == [4, 8]
+    assert [c.order for c in slope_product(f, g).coeffs] == [4, 4]
+    with pytest.raises(ValueError, match="parts must share one order"):
+        Pencil.from_jets(*f.coeffs, *g.coeffs, Jet2.constant(1, 8))
 
 
 # --- the cleared numerator ---------------------------------------------------

@@ -34,10 +34,12 @@ from projstruct.structures import (
 from conftest import (
     PROP_ORDER,
     _strip_linear,
+    assert_same_structure,
     bench_workloads,
     diffeo_germs,
     jets,
     nonzero_fractions,
+    slope_product,
     slope_sum,
     slope_times,
     structures,
@@ -97,22 +99,17 @@ def reference_pullback(germ, stq):
     if not _is_unit(jac.constant_term):
         raise DegenerateJacobian("Jacobian vanishes at the origin")
     a, b, c, d = _substitute_all(stq, u, v)
-    dn2 = dn * dn
-    dn3 = dn2 * dn
-    nn2 = nn * nn
-    nn3 = nn2 * nn
-    total = (slope_sum(slope_times(dn3, a), slope_times(nn * dn2, b),
-                       slope_times(nn2 * dn, c), slope_times(nn3, d))
-             - (p2 * dn - nn * q2))
+    dn2 = slope_product(dn, dn)
+    dn3 = slope_product(dn2, dn)
+    nn2 = slope_product(nn, nn)
+    nn3 = slope_product(nn2, nn)
+    total = (slope_sum(slope_times(dn3, a),
+                       slope_times(slope_product(nn, dn2), b),
+                       slope_times(slope_product(nn2, dn), c),
+                       slope_times(nn3, d))
+             - (slope_product(p2, dn) - slope_product(nn, q2)))
     assert total.degree <= 3   # pullback stays cubic in the slope
     return ProjectiveStructure(*(total.coeff(k) / jac for k in range(4)))
-
-
-def assert_same_structure(got, want):
-    # slot by slot: the same order, eff, numerators and denominator
-    for g, w in zip(got, want):
-        assert (g.order, g.eff, g._num, g._den) \
-            == (w.order, w.eff, w._num, w._den)
 
 
 def test_pullback_is_the_reference_on_every_registry_call(registry_traffic):
