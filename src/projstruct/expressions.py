@@ -389,26 +389,3 @@ def _expand(e, env, order, active):
         return sqrt_series(arg)
     raise TypeError("not an expression: %r" % (e,))
 
-
-def parameters_of(e):
-    """The set of parameter names mentioned by an expression tree."""
-    if isinstance(e, str):
-        e = parse(e)
-    out = set()
-    _collect_params(e, out)
-    return out
-
-
-def _collect_params(e, out):
-    if isinstance(e, Param):
-        out.add(e.name)
-    elif isinstance(e, Neg):
-        _collect_params(e.arg, out)
-    elif isinstance(e, Chain):
-        _collect_params(e.first, out)
-        for _, x in e.rest:
-            _collect_params(x, out)
-    elif isinstance(e, Pow):
-        _collect_params(e.base, out)
-    elif isinstance(e, Call):
-        _collect_params(e.arg, out)

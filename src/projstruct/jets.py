@@ -52,7 +52,10 @@ where h and w exceed the largest x- and y-exponent a kept product can
 have.  The box is never sized by the working order, so a product of two
 short jets costs the same at order 400 as at order 20.  A one-term
 factor is a shifted scale of the other.  ``_sum_of_products`` sums many
-products c f g in one such box over one denominator and reduces once.
+products c f g in one such box over one denominator and reduces once; it
+forms each slot of ``residual``, ``liouville``, ``pullback``, the slope
+products and ``apply_y_shift``, the six parts of ``is_geodesic``'s cleared
+numerator, ``_rhs_along`` and ``Pencil.wedge``.
 
 The series kernels end by construction; none iterates to a fixed point
 under a cap.  A coefficient of degree d of a quotient and of the Euler
@@ -319,11 +322,12 @@ class Jet2:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, s=1):
+        """self + s other in one ``_lincomb``; ``__sub__`` passes s = -1."""
         other = self._lift(other)
         eff = min(self.eff, other.eff)
         return Jet2._new(*_lincomb([(1, self._num, self._den),
-                                    (1, other._num, other._den)], eff),
+                                    (s, other._num, other._den)], eff),
                          min(self.order, other.order), eff)
 
     __radd__ = __add__
@@ -333,7 +337,7 @@ class Jet2:
                          self.order, self.eff)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return self._lift(other) - self
@@ -528,17 +532,26 @@ def _box_sum(products, eff):
     return {divmod(k, w): c for k, c in enumerate(acc) if c}
 
 
-def _sum_of_products(terms):
-    """sum c f g over ``terms`` (c, f, g), c rational and f, g jets.
-
-    Each product keeps the window ``c * f * g`` has, min(order, f.eff +
-    val g, g.eff + val f), and the sum the least of these.  All products
-    share one ``_box_sum`` over the lcm of their denominators, then one
-    ``_canonical`` (delayed reduction: J.-G. Dumas, P. Giorgi and
-    C. Pernet, ACM TOMS 35 (2008))."""
+def _sum_window(terms):
+    """(order, eff) of sum c f g over ``terms`` (c, f, g): each product
+    keeps the window ``c * f * g`` has, min(order, f.eff + val g, g.eff +
+    val f), and the sum the least of these."""
     order = min(min(f.order, g.order) for _, f, g in terms)
-    eff = min(order, *[min(f.eff + g._val_bound(), g.eff + f._val_bound())
-                       for _, f, g in terms])
+    return order, min(order, *[min(f.eff + g._val_bound(),
+                                   g.eff + f._val_bound())
+                               for _, f, g in terms])
+
+
+def _sum_of_products(terms, cap=None):
+    """sum c f g over ``terms`` (c, f, g), c rational and f, g jets, in
+    the window of ``_sum_window``, lowered to ``cap`` when one is given.
+
+    All products share one ``_box_sum`` over the lcm of their
+    denominators, then one ``_canonical`` (delayed reduction:
+    J.-G. Dumas, P. Giorgi and C. Pernet, ACM TOMS 35 (2008))."""
+    order, eff = _sum_window(terms)
+    if cap is not None:
+        eff = min(eff, cap)
     live = [(c, c.denominator * f._den * g._den, f._num, g._num)
             for c, f, g in terms if f._num and g._num]
     den = math.lcm(*[d for _, d, _, _ in live])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
-from .jets import Jet2, _is_unit, _sum_of_products
+from .jets import Jet2, _is_unit, _sum_of_products, _sum_window
 from .slopes import SlopePoly
 from .structures import (ProjectiveStructure, _JetRecord, _all_along,
                          swap_axes)
@@ -110,13 +110,18 @@ def _cleared_residual(fol, st):
     N = P (P_y Q - P Q_y) - Q (P_x Q - P Q_x)
         - (((A Q - B P) Q + C P^2) Q - D P^3),
 
-    evaluated as Q (P (P_y + B Q - C P) - Q (P_x + A Q))
-    + P (Q Q_x - P (Q_y - D P)), which multiplies each structure slot
-    once, by P or Q.
+    evaluated as Q (P X1 - Q X2) + P (Q Q_x - P Z) with X1 = P_y + B Q
+    - C P, X2 = P_x + A Q and Z = Q_y - D P, which multiplies each
+    structure slot once, by P or Q.  Each of the six is one kernel sum.
     """
     p, q, (a, b, c, d) = fol.P, fol.Q, st
-    return (q * (p * (p.d_dy() + b * q - c * p) - q * (p.d_dx() + a * q))
-            + p * (q * q.d_dx() - p * (q.d_dy() - d * p)))
+    one = Jet2.constant(1, p.order)
+    x1 = _sum_of_products([(1, p.d_dy(), one), (1, b, q), (-1, c, p)])
+    x2 = _sum_of_products([(1, p.d_dx(), one), (1, a, q)])
+    z = _sum_of_products([(1, q.d_dy(), one), (-1, d, p)])
+    i = _sum_of_products([(1, p, x1), (-1, q, x2)])
+    w = _sum_of_products([(1, q, q.d_dx()), (-1, p, z)])
+    return _sum_of_products([(1, q, i), (1, p, w)])
 
 
 def is_geodesic(fol, st):
@@ -144,13 +149,18 @@ class Pencil(_JetRecord):
 
     def __post_init__(self):
         super().__post_init__()
-        if not _is_unit(self.wedge().constant_term):
+        # the constant term of wedge(), read from the four constant terms
+        # where the window of the wedge keeps it
+        (p0, q0), (pi, qi) = self
+        if (_sum_window([(1, p0, qi), (-1, q0, pi)])[1] < 0
+                or not _is_unit(p0.constant_term * qi.constant_term
+                                - q0.constant_term * pi.constant_term)):
             raise DegenerateWedge("generators proportional at the origin")
 
     def wedge(self):
         """Coefficient of dx ^ dy in omega0 ^ omega_inf."""
-        return (self.omega0.P * self.omega_inf.Q
-                - self.omega0.Q * self.omega_inf.P)
+        (p0, q0), (pi, qi) = self
+        return _sum_of_products([(1, p0, qi), (-1, q0, pi)])
 
     @classmethod
     def from_jets(cls, p0, q0, p_inf, q_inf):

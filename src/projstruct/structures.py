@@ -21,7 +21,7 @@ from .errors import (
     _ensure,
 )
 from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
-                   comp_inverse, compose1, exp_series)
+                   _sum_window, comp_inverse, compose1, exp_series)
 from .slopes import _slope_terms
 
 
@@ -120,21 +120,48 @@ def pullback(germ, st):
     if not _is_unit(jac.constant_term):
         raise DegenerateJacobian("Jacobian vanishes at the origin")
     # With slope p, dX/dx = dn = ux + uy p and dY/dx = nn = vx + vy p.  Slot
-    # k is the p^k coefficient of a dn^3 + b dn^2 nn + c dn nn^2 + d nn^3
+    # k is the p^k coefficient of dn^2 (a dn + b nn) + nn^2 (c dn + d nn)
     # - (p2 dn - nn q2), for p2 and q2 the second total derivatives of v
     # and u (p2 carries its minus sign in its weights); each coefficient of
-    # a cubic and each slot is one kernel sum.
+    # the two linear factors and each slot is one kernel sum.  A slot keeps
+    # the window that summing a dn^3 + b dn^2 nn + c dn nn^2 + d nn^3 by its
+    # 16 cubic coefficients gives (``_cubic_windows``), and a, b, c or d,
+    # when known less far, is read at full window in the linear factors:
+    # its unknown terms cancel from the slot through that window.
     dn, nn = [(1, ux), (1, uy)], [(1, vx), (1, vy)]
     dn2, nn2 = ([(1, f * f), (2, f * g), (1, g * g)]
                 for f, g in ((ux, uy), (vx, vy)))
     q2 = [(1, ux.d_dx()), (2, ux.d_dy()), (1, uy.d_dy())]
     p2 = [(-1, vx.d_dx()), (-2, vx.d_dy()), (-1, vy.d_dy())]
-    slots = [f + g for f, g in zip(_slope_terms(p2, dn), _slope_terms(nn, q2))]
-    for s, sq, lin in zip(_substitute_all(st, u, v), (dn2, dn2, nn2, nn2),
-                          (dn, nn, dn, nn)):
-        for slot, terms in zip(slots, _slope_terms(sq, lin)):
-            slot.append((1, _sum_of_products(terms), s))
-    return ProjectiveStructure(*(_sum_of_products(t) / jac for t in slots))
+    sts = _substitute_all(st, u, v)
+    rest = [f + g for f, g in zip(_slope_terms(p2, dn), _slope_terms(nn, q2))]
+    cubic = zip(*(_slope_terms(sq, f) for sq, f in
+                  zip((dn2, dn2, nn2, nn2), (dn, nn, dn, nn))))
+    effs = _cubic_windows(sts, cubic, rest)
+    a, b, c, d = (s if s.eff >= max(effs) else s._window(s.order, s.order)
+                  for s in sts)
+    lin = [[(1, _sum_of_products([(1, s, f), (1, t, g)])) for f, g in
+            ((ux, vx), (uy, vy))] for s, t in ((a, b), (c, d))]
+    return ProjectiveStructure(*(
+        _sum_of_products(f + g + r, eff) / jac for f, g, r, eff in zip(
+            _slope_terms(dn2, lin[0]), _slope_terms(nn2, lin[1]), rest, effs)))
+
+
+def _cubic_windows(sts, cubic, rest):
+    """For each slot k, the window of the kernel sum of ``rest[k]`` and of
+    C_s s over the slots s of ``sts``, where C_s is the kernel sum of its
+    terms in ``cubic[k]``.  A C_s is formed only for a slot s known less
+    far than the bound so far: only its valuation can then lower it."""
+    vals = [s._val_bound() for s in sts]
+    out = []
+    for coeffs, terms in zip(cubic, rest):
+        bound = min(sts[0].order, _sum_window(terms)[1],
+                    *(_sum_window(t)[1] + val for t, val in zip(coeffs, vals)))
+        for s, t in zip(sts, coeffs):
+            if s.eff < bound:
+                bound = min(bound, s.eff + _sum_of_products(t)._val_bound())
+        out.append(bound)
+    return out
 
 
 # --- closed-form transformation laws ---------------------------------------
@@ -404,4 +431,5 @@ def _rhs_along(st, curve):
     yp = curve.d_dx()
     yp2 = yp * yp
     a, b, c, d = _all_along(tuple(st), curve)
-    return a + b * yp + c * yp2 + d * (yp2 * yp)
+    return _sum_of_products([(1, a, Jet2.constant(1, a.order)), (1, b, yp),
+                             (1, c, yp2), (1, d, yp2 * yp)])

@@ -16,14 +16,16 @@ PROP_ORDER = 6
 
 @pytest.fixture(scope="session")
 def registry_traffic():
-    """Each ``residual``, ``pullback`` and ``structure_from_pencil`` call of
-    ``run_all(12)`` and ``run_all(8)``: its arguments and the jets it built
-    (``Jet2._new`` calls; for ``pullback``, those outside
-    ``_substitute_all``), and per pass the number of calls of each and the
-    jets built in all."""
+    """Each ``residual``, ``pullback``, ``structure_from_pencil``,
+    ``is_geodesic``, ``_rhs_along`` and ``Jet2.__sub__`` call of
+    ``run_all(12)`` and
+    ``run_all(8)``: its arguments and the jets it built (``Jet2._new``
+    calls outside ``_substitute_all``), and per pass the number of calls
+    of each and the jets built in all."""
     from projstruct import cases, fields, pencils, structures
 
-    calls = {"residual": [], "pullback": [], "structure_from_pencil": []}
+    calls = {"residual": [], "pullback": [], "structure_from_pencil": [],
+             "is_geodesic": [], "rhs_along": [], "sub": []}
     built, substituted = [0], [0]
     make = Jet2._new.__func__
     substitute_all = structures._substitute_all
@@ -58,6 +60,11 @@ def registry_traffic():
                                                 structures.pullback))
         mp.setattr(cases, "structure_from_pencil", recording(
             "structure_from_pencil", pencils.structure_from_pencil))
+        mp.setattr(cases, "is_geodesic", recording("is_geodesic",
+                                                   pencils.is_geodesic))
+        mp.setattr(structures, "_rhs_along", recording(
+            "rhs_along", structures._rhs_along))
+        mp.setattr(Jet2, "__sub__", recording("sub", Jet2.__sub__))
         for order in (12, 8):
             before = built[0]
             start = {name: len(c) for name, c in calls.items()}
@@ -66,6 +73,40 @@ def registry_traffic():
                              for name, c in calls.items()}
             passes[order]["jets"] = built[0] - before
     return calls, passes
+
+
+@pytest.fixture(scope="session")
+def deep_traffic():
+    """The arguments of each ``pullback``, ``is_geodesic`` and ``_rhs_along``
+    call, and the pencil of each round, of the ``deep-jets`` benchmark
+    workload: seeds 1-3, round 0, orders 16 and 20."""
+    import projstruct
+    from projstruct import structures
+
+    workloads = bench_workloads()
+    calls = {"pullback": [], "is_geodesic": [], "rhs_along": [],
+             "pencil": []}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projstruct, "pullback",
+                   recording("pullback", projstruct.pullback))
+        mp.setattr(projstruct, "is_geodesic",
+                   recording("is_geodesic", projstruct.is_geodesic))
+        mp.setattr(structures, "_rhs_along",
+                   recording("rhs_along", structures._rhs_along))
+        for seed in (1, 2, 3):
+            for order in (16, 20):
+                for op in workloads.deep_round(projstruct, seed, 0, order):
+                    assert op.gate(op.call())
+                calls["pencil"].append(workloads.deep_inputs(
+                    projstruct, seed, 0, order)["pencil"])
+    return calls
 
 
 @contextlib.contextmanager
@@ -172,6 +213,22 @@ def dual_jets(draw, order=PROP_ORDER, **kwargs):
                 order, draw(st.integers(-1, order)))
 
 
+def rational_or_dual_jets(order=PROP_ORDER, **kwargs):
+    """A rational jet from ``jets`` or, one time in three, a dual one from
+    ``dual_jets``, which has a random window."""
+    return st.one_of(jets(order=order, **kwargs), jets(order=order, **kwargs),
+                     dual_jets(order=order, **kwargs))
+
+
+@st.composite
+def cut_windows(draw, parts):
+    """The jets ``parts``, up to two of them cut to a random window, empty
+    ones included: the other jets keep theirs, so the result has terms."""
+    cut = draw(st.sets(st.integers(0, len(parts) - 1), max_size=2))
+    return [f.truncated(eff=draw(st.integers(-1, f.order))) if k in cut
+            else f for k, f in enumerate(parts)]
+
+
 def univariate_germs(order=PROP_ORDER):
     """x-only jets of the form c1*x + ... with invertible linear part."""
     @st.composite
@@ -241,11 +298,38 @@ def dense_jets(draw, orders=(16, 20), unit_constant=False):
     return Jet2.from_terms(coeffs, order)
 
 
+def stored_form(jet):
+    """(order, eff, numerators, denominator) of a jet.  A dual jet whose
+    values all have a zero eps part is read in the rational form it equals
+    and hashes as: a kernel sum in which the eps parts cancel may keep its
+    real values as duals over 1."""
+    num = jet._num
+    if jet._den == 1 and all(getattr(n, "ep", 0) == 0 for n in num.values()):
+        jet = Jet2({k: getattr(n, "re", n) for k, n in num.items()},
+                   jet.order, jet.eff)
+    return jet.order, jet.eff, jet._num, jet._den
+
+
+def assert_same_jets(got, want):
+    # jet by jet: the same order, eff, numerators and denominator, in
+    # the one stored form of ``stored_form``
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert stored_form(g) == stored_form(w)
+
+
 def assert_same_structure(got, want):
     # slot by slot: the same order, eff, numerators and denominator
     for g, w in zip(got, want):
         assert (g.order, g.eff, g._num, g._den) \
             == (w.order, w.eff, w._num, w._den)
+
+
+def reference_sub(f, g):
+    """f - g as two jets, a negation and a sum: the form ``Jet2.__sub__``
+    had before it was one ``_lincomb``."""
+    return f + (-f._lift(g))
 
 
 def slope_product(f, g):

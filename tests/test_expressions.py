@@ -18,7 +18,6 @@ from projstruct.expressions import (
     Pow,
     Var,
     expand,
-    parameters_of,
     parse,
     to_text,
 )
@@ -59,7 +58,6 @@ def test_call_and_params():
     assert isinstance(e, Chain)
     assert isinstance(e.first, Call)
     assert e.rest == (("*", Param("alpha")),)
-    assert parameters_of("a*x + b/c") == {"a", "b", "c"}
 
 
 def test_fractional_exponent_literal():
@@ -136,7 +134,6 @@ def test_a_flat_chain_of_any_length_is_one_node(op):
     tree = parse(text)
     assert isinstance(tree, Chain) and len(tree.rest) == 10 ** 4
     assert parse(to_text(tree)) == tree
-    assert parameters_of(tree) == {"a"}
     value = {"+": 1 + 10 ** 4, "-": 1 - 10 ** 4, "*": 1, "/": 1}[op]
     assert expand(tree, {"a": 1}, order=2) == expand(str(value), order=2)
 
@@ -386,10 +383,11 @@ def test_document_polynomials_build_one_jet(document_traffic):
 def test_load_document_keeps_its_jet_traffic(document_traffic):
     # 480 documents, seeds 1-3 of the documents workload: only exp,
     # sqrt and true quotients cost jets beyond one per expression value
-    # (a jet per node built 18885)
+    # (a jet per node built 18885, and 4844 while a Pencil built its
+    # wedge jet, four jets, and a difference of jets built two)
     per_op = document_traffic[1]
     assert len(per_op) == 480
-    assert sum(per_op) == 4844
+    assert sum(per_op) == 3990
 
 
 EDGE_TEXTS = ["x/y", "1/x", "y/(1 + x)", "x/0", "x/(x - x)", "x/(2/3)",

@@ -159,15 +159,18 @@ def test_residual_is_the_reference_on_every_registry_call(registry_traffic):
 def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # the jets built per residual call (its 18 derivatives and 4 slots;
     # 103 as SlopePoly products) and per pass, so per-product overhead
-    # cannot come back unseen; the per-call pins of pullback and
-    # structure_from_pencil are in test_structures.py and test_pencils.py.
-    # The pass totals count expand's one _new per expression value, where
-    # a lone literal or coordinate used to go through __init__, which this
-    # fixture does not count
+    # cannot come back unseen; the per-call pins of pullback,
+    # structure_from_pencil, is_geodesic and _rhs_along are in
+    # test_structures.py and test_pencils.py.  The pass totals count
+    # expand's one _new per expression value, where a lone literal or
+    # coordinate used to go through __init__, which this fixture does not
+    # count.  They were 12178 and 11922 while a difference of jets built a
+    # negation and a sum, and the cleared residual, the wedge, the cubic
+    # of pullback and _rhs_along built a jet per operator
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 12178, 8: 11922}
+        == {12: 9813, 8: 9557}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

@@ -30,10 +30,12 @@ from projstruct.jets import (
 
 from conftest import (
     PROP_ORDER,
+    assert_same_structure,
     dense_jets,
     dual_jets,
     jets,
     nonzero_fractions,
+    reference_sub,
     small_fractions,
     univariate_germs,
 )
@@ -812,6 +814,31 @@ def test_add_eff_is_min():
     u = J({(1, 0): 1}, eff=5)
     v = J({(0, 1): 1}, eff=7)
     assert (u + v).eff == 5
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, PROP_ORDER).flatmap(lambda n: _rational_or_dual(order=n)),
+       st.integers(0, PROP_ORDER).flatmap(lambda n: _rational_or_dual(order=n)),
+       st.integers(-1, PROP_ORDER), st.integers(-1, PROP_ORDER),
+       small_fractions)
+@example(Jet2.zero(6, -1), Jet2.variable("x", 4), -1, 4, Fraction(0))
+@example(X + EPS, X, 8, 8, Fraction(1))
+def test_sub_is_the_reference(u, v, eu, ev, c):
+    # over int, Fraction and dual coefficients, at two orders, with empty
+    # windows and full cancellation, and against scalars on either side
+    u, v = u.truncated(eff=eu), v.truncated(eff=ev)
+    for f, g in ((u, v), (v, u), (u, u), (u, c), (u, 3)):
+        assert_same_structure([f - g], [reference_sub(f, g)])
+    assert_same_structure([c - u],
+                          [reference_sub(Jet2.constant(c, u.order), u)])
+
+
+def test_sub_is_the_reference_on_every_registry_call(registry_traffic):
+    calls, _ = registry_traffic
+    assert len(calls["sub"]) > 1000
+    for f, g, n in calls["sub"]:
+        assert n == 1
+        assert_same_structure([f - g], [reference_sub(f, g)])
 
 
 # --- dual coefficients --------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import projstruct
 from projstruct.errors import DegenerateWedge, VerticalAtOrigin
 from projstruct.expressions import expand
 from projstruct.fields import VectorField
-from projstruct.jets import Jet2
+from projstruct.jets import Jet2, _is_unit
 from projstruct import pencils
 from projstruct.pencils import (
     INF,
@@ -28,9 +29,10 @@ from projstruct.slopes import SlopePoly
 from projstruct.structures import (ProjectiveStructure, geodesic_solve,
                                    swap_axes)
 
-from conftest import (PROP_ORDER, assert_same_structure, bench_workloads,
-                      jets, nonzero_fractions, slope_product, small_fractions,
-                      structures)
+from conftest import (PROP_ORDER, assert_same_jets, assert_same_structure,
+                      bench_workloads, cut_windows, jets, nonzero_fractions,
+                      rational_or_dual_jets, reference_sub, slope_product,
+                      small_fractions, structures)
 
 N = 10
 
@@ -120,6 +122,71 @@ def test_proportional_generators_are_rejected():
         Pencil(F("1", "2"), F("1 + x", "2 + x^2"))
 
 
+def reference_wedge(pencil):
+    """``Pencil.wedge`` as two products, a negation and a sum."""
+    (p0, q0), (pi, qi) = pencil
+    return reference_sub(p0 * qi, q0 * pi)
+
+
+def _accepted(p0, q0, pi, qi):
+    try:
+        Pencil.from_jets(p0, q0, pi, qi)
+    except DegenerateWedge as err:
+        assert str(err) == "generators proportional at the origin"
+        return False
+    return True
+
+
+# (p0, q0, p_inf, q_inf) as (constant term, eff); a constant of eff -1 is
+# not kept, and every jet also carries the term x
+_SHORT_PENCILS = [
+    ((1, 0), (0, 0), (0, 0), (1, 0)),
+    ((1, 0), (2, 0), (1, 0), (2, 0)),
+    ((2, 0), (3, 0), (1, 0), (1, 0)),
+    ((1, 0), (0, -1), (0, 0), (1, 0)),
+    ((1, 0), (0, -1), (1, 0), (1, 0)),
+    ((1, 0), (0, -1), (0, -1), (1, 0)),
+    ((0, -1), (1, 0), (1, 0), (0, 0)),
+    ((0, 0), (1, 0), (1, 0), (0, -1)),
+]
+
+
+@pytest.mark.parametrize("parts", _SHORT_PENCILS)
+def test_a_pencil_of_short_windows_is_judged_by_its_wedge(parts):
+    # accepted exactly when the wedge jet has a unit constant term, which
+    # an empty window against a constant term leaves unknown
+    p0, q0, pi, qi = (Jet2.from_terms({(0, 0): c, (1, 0): 1}, 4, eff)
+                      for c, eff in parts)
+    assert _accepted(p0, q0, pi, qi) \
+        == _is_unit(reference_wedge(((p0, q0), (pi, qi))).constant_term)
+
+
+_PENCIL_JETS = rational_or_dual_jets(max_degree=2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(hs.lists(_PENCIL_JETS, min_size=4, max_size=4),
+       hs.lists(hs.integers(-1, 2), min_size=4, max_size=4))
+def test_pencils_are_refused_as_their_wedge_jet_decides(parts, windows):
+    p0, q0, pi, qi = (f.truncated(eff=e) for f, e in zip(parts, windows))
+    try:
+        Foliation(p0, q0), Foliation(pi, qi)
+    except ValueError:
+        return
+    assert _accepted(p0, q0, pi, qi) \
+        == _is_unit(reference_wedge(((p0, q0), (pi, qi))).constant_term)
+
+
+@settings(deadline=None, max_examples=100)
+@given(hs.lists(_PENCIL_JETS, min_size=4, max_size=4),
+       hs.lists(hs.integers(-1, PROP_ORDER), min_size=4, max_size=4))
+def test_wedge_is_the_reference_in_short_windows(parts, windows):
+    # any four jets, empty ones included: wedge reads only the two pairs
+    p0, q0, pi, qi = (f.truncated(eff=e) for f, e in zip(parts, windows))
+    pairs = ((p0, q0), (pi, qi))
+    assert_same_jets([Pencil.wedge(pairs)], [reference_wedge(pairs)])
+
+
 def test_structure_from_graph_pencil():
     # members y' = z solved by lines: the trivial structure
     pen = Pencil(F("1", "0"), F("0", "1"))
@@ -204,7 +271,7 @@ def reference_structure_from_pencil(pencil):
     ds = SlopePoly([pi.d_dx(), qi.d_dx() + pi.d_dy(), qi.d_dy()])
     top = (slope_product(dr, SlopePoly([pi, qi]))
            - slope_product(SlopePoly([p0, q0]), ds))
-    wedge = pencil.wedge()
+    wedge = reference_wedge(pencil)
     return ProjectiveStructure(*(top.coeff(k) / wedge for k in range(4)))
 
 
@@ -216,14 +283,16 @@ def test_structure_from_pencil_is_the_reference_on_every_registry_call(
     for pen, _ in calls["structure_from_pencil"]:
         assert_same_structure(structure_from_pencil(pen),
                               reference_structure_from_pencil(pen))
+        assert_same_structure([pen.wedge()], [reference_wedge(pen)])
 
 
 def test_a_structure_from_pencil_call_keeps_its_jet_traffic(registry_traffic):
-    # a call builds 34 jets: 8 derivatives and 2 sums, 4 slots of each
-    # slope product, 8 for the 4 differences (a negation and a sum each),
-    # 4 for the wedge and 4 quotients (50 with a jet per term and per sum)
+    # a call builds 27 jets: 8 derivatives and 2 sums, 4 slots of each
+    # slope product, 4 differences, the wedge and 4 quotients (34 with a
+    # negation per difference and 4 jets for the wedge, 50 with a jet per
+    # term and per sum)
     calls, _ = registry_traffic
-    assert {n for *_, n in calls["structure_from_pencil"]} == {34}
+    assert {n for *_, n in calls["structure_from_pencil"]} == {27}
 
 
 @pytest.mark.parametrize("order", (16, 20))
@@ -234,6 +303,7 @@ def test_deep_jets_pencils_induce_the_reference(seed, order):
         pen = workloads.deep_inputs(projstruct, seed, index, order)["pencil"]
         assert_same_structure(structure_from_pencil(pen),
                               reference_structure_from_pencil(pen))
+        assert_same_structure([pen.wedge()], [reference_wedge(pen)])
 
 
 @hs.composite
@@ -291,6 +361,72 @@ def test_a_slope_product_slot_takes_the_least_order_of_its_own_terms():
 
 
 # --- the cleared numerator ---------------------------------------------------
+
+
+def reference_cleared_residual(fol, st):
+    """``_cleared_residual`` as nested ``Jet2`` products, sums and
+    two-jet differences, the form it had before each of its six parts was
+    one kernel sum."""
+    p, q, (a, b, c, d) = fol.P, fol.Q, st
+    return (q * reference_sub(p * reference_sub(p.d_dy() + b * q, c * p),
+                              q * (p.d_dx() + a * q))
+            + p * reference_sub(q * q.d_dx(),
+                                p * reference_sub(q.d_dy(), d * p)))
+
+
+def test_cleared_residual_is_the_reference_on_every_registry_call(
+        registry_traffic):
+    calls, passes = registry_traffic
+    assert {order: p["is_geodesic"] for order, p in passes.items()} \
+        == {12: 85, 8: 85}
+    for fol, st, _ in calls["is_geodesic"]:
+        up = _upright(fol, st)
+        assert_same_structure([_cleared_residual(*up)],
+                              [reference_cleared_residual(*up)])
+
+
+def test_an_is_geodesic_call_keeps_its_jet_traffic(registry_traffic):
+    # an upright member costs 10 jets: 4 derivatives and the 6 kernel sums
+    # of the cleared numerator (25 with a jet per operator); a member
+    # vertical at the origin 10 more for the exchanged axes
+    calls, _ = registry_traffic
+    assert Counter(n for *_, n in calls["is_geodesic"]) \
+        == {10: 140, 20: 30}
+
+
+def test_deep_jets_members_clear_the_reference_residual(deep_traffic):
+    assert len(deep_traffic["is_geodesic"]) == 12
+    for fol, st in deep_traffic["is_geodesic"]:
+        up = _upright(fol, st)
+        assert_same_structure([_cleared_residual(*up)],
+                              [reference_cleared_residual(*up)])
+
+
+@hs.composite
+def windowed_members(draw):
+    """A foliation and a structure of orders 1 to PROP_ORDER over the
+    rationals or the duals, some jets cut to a random window, empty ones
+    included: the numerator needs no unit Q, so P or Q may be empty."""
+    order = draw(hs.integers(1, PROP_ORDER))
+    unit = draw(rational_or_dual_jets(order, unit_constant=True))
+    if not _is_unit(unit.constant_term):
+        unit = Jet2.constant(1, order)
+    parts = [unit, draw(rational_or_dual_jets(order))]
+    if draw(hs.booleans()):
+        parts.reverse()
+    order = draw(hs.integers(1, PROP_ORDER))
+    parts += [draw(rational_or_dual_jets(order)) for _ in range(4)]
+    p, q, *slots = draw(cut_windows(parts))
+    if not (_is_unit(p.constant_term) or _is_unit(q.constant_term)):
+        p, q = parts[:2]
+    return Foliation(p, q), ProjectiveStructure(*slots)
+
+
+@settings(deadline=None, max_examples=100)
+@given(windowed_members())
+def test_cleared_residual_is_the_reference_in_short_windows(case):
+    assert_same_jets([_cleared_residual(*case)],
+                     [reference_cleared_residual(*case)])
 
 
 def _window(eff, jet):

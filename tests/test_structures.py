@@ -1,15 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import projstruct
-from projstruct.duals import DualRational
+from projstruct.duals import EPS, DualRational
 from projstruct.errors import DegenerateJacobian, NotInNormalForm
 from projstruct.fields import VectorField
-from projstruct.jets import (Jet2, _is_unit, _substitute_all, comp_inverse,
-                             compose1, exp_series)
+from projstruct.jets import (Jet2, _is_unit, _substitute_all, _sum_of_products,
+                             comp_inverse, compose1, exp_series)
 from projstruct.pencils import Foliation, Pencil
 from projstruct.slopes import SlopePoly
 from projstruct.structures import (
@@ -29,16 +28,20 @@ from projstruct.structures import (
     normalize_ib,
     pullback,
     swap_axes,
+    _all_along,
+    _rhs_along,
 )
 
 from conftest import (
     PROP_ORDER,
     _strip_linear,
+    assert_same_jets,
     assert_same_structure,
-    bench_workloads,
+    cut_windows,
     diffeo_germs,
     jets,
     nonzero_fractions,
+    rational_or_dual_jets,
     slope_product,
     slope_sum,
     slope_times,
@@ -122,27 +125,19 @@ def test_pullback_is_the_reference_on_every_registry_call(registry_traffic):
 
 
 def test_a_pullback_call_keeps_its_jet_traffic(registry_traffic):
-    # outside _substitute_all a call builds 41 jets: 4 first and 6 second
-    # derivatives, the Jacobian, 6 squares, 16 cubic coefficients, 4 slots
-    # and 4 quotients (152 as SlopePoly products)
+    # outside _substitute_all a call builds 29 jets: 4 first and 6 second
+    # derivatives, the Jacobian, 6 squares, the 4 coefficients of the
+    # linear factors a dn + b nn and c dn + d nn, 4 slots and 4 quotients
+    # (41 with the 16 cubic coefficients, 152 as SlopePoly products).  No
+    # registry structure is known less far than its pullback's slots, so
+    # no call forms a cubic coefficient
     calls, _ = registry_traffic
-    assert {n for *_, n in calls["pullback"]} == {41}
+    assert {n for *_, n in calls["pullback"]} == {29}
 
 
-def test_deep_jets_pullbacks_are_the_reference():
-    workloads = bench_workloads()
-    calls = []
-
-    def recording(germ, stq):
-        calls.append((germ, stq))
-        return pullback(germ, stq)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(projstruct, "pullback", recording)
-        for order in (16, 20):
-            for op in workloads.deep_round(projstruct, 1, 0, order):
-                assert op.gate(op.call())
-    assert len(calls) == 10
+def test_deep_jets_pullbacks_are_the_reference(deep_traffic):
+    calls = deep_traffic["pullback"]
+    assert len(calls) == 30
     for germ, stq in calls:
         assert_same_structure(pullback(germ, stq),
                               reference_pullback(germ, stq))
@@ -181,6 +176,69 @@ def test_pullback_is_the_reference_over_the_duals(a, b, stq):
             {k: DualRational(0, c) for k, c in jet.coeffs.items()}, jet.order)
     germ = DiffeoGerm(moved("x", a), moved("y", b))
     assert_same_structure(pullback(germ, stq), reference_pullback(germ, stq))
+
+
+def _moved(name, jet):
+    """The coordinate ``name`` plus eps times ``jet``, over the duals."""
+    return Jet2.variable(name, jet.order) + Jet2.from_terms(
+        {k: DualRational(0, c) for k, c in jet.coeffs.items()}, jet.order)
+
+
+@st.composite
+def pullbacks_with_empty_slots(draw):
+    """A germ over the rationals, or (x + eps a, y + eps b) over the duals,
+    and a structure over the rationals or the duals, every slot cut to a
+    random window, empty ones included."""
+    order = draw(st.integers(1, PROP_ORDER))
+    if draw(st.booleans()):
+        germ = draw(diffeo_germs(order))
+    else:
+        a, b = (draw(jets(order=order, max_terms=3)) for _ in range(2))
+        germ = DiffeoGerm(_moved("x", a), _moved("y", b))
+    slots = (draw(rational_or_dual_jets(order)) for _ in range(4))
+    return germ, ProjectiveStructure(
+        *(f.truncated(eff=draw(st.integers(-1, order))) for f in slots))
+
+
+_X6, _Y6 = Jet2.variable("x", 6), Jet2.variable("y", 6)
+_X2, _Y2 = Jet2.variable("x", 2), Jet2.variable("y", 2)
+
+
+@settings(deadline=None, max_examples=80)
+@given(pullbacks_with_empty_slots())
+# The p coefficient of dn nn^2 vanishes for this linear part, so C, known
+# through degree 3, does not bound slot B: its window is 4, as summed by
+# the 16 cubic coefficients; C in the linear factors alone would give 3.
+@example((DiffeoGerm(_X6 + _Y6.scale(2), _Y6 - _X6),
+          ProjectiveStructure(Jet2.constant(1, 6), Jet2.zero(6),
+                              (_X6 * _Y6).truncated(eff=3), Jet2.zero(6))))
+# Over the duals v_x^2 = eps^2 vanishes, which the 16 cubic coefficients
+# see and the linear factors alone do not: slot B keeps degree 0.
+@example((DiffeoGerm(_X2 + EPS, _Y2 + _X2 * EPS),
+          ProjectiveStructure(*(Jet2.zero(2, e) for e in (0, 1, 1, 0)))))
+def test_pullback_is_the_reference_with_empty_slots(inputs):
+    assert_same_jets(pullback(*inputs), reference_pullback(*inputs))
+
+
+def test_pullback_computes_cubic_coefficients_only_for_short_slots(
+        monkeypatch):
+    # a structure known through the working order needs none of the 16
+    # cubic coefficients for its windows; a slot known less far than the
+    # rest of a result slot needs its own coefficient there, one per slot
+    calls = []
+
+    def counting(terms, cap=None):
+        calls.append(cap)
+        return _sum_of_products(terms, cap)
+
+    monkeypatch.setattr("projstruct.structures._sum_of_products", counting)
+    germ = DiffeoGerm(_X6 + _Y6.scale(2), _Y6 - _X6)
+    a, b, c, d = Jet2.constant(1, 6), Jet2.zero(6), _X6 * _Y6, Jet2.zero(6)
+    pullback(germ, ProjectiveStructure(a, b, c, d))
+    assert len(calls) == 9   # the Jacobian, 4 linear factors and 4 slots
+    calls.clear()
+    pullback(germ, ProjectiveStructure(a, b, c.truncated(eff=3), d))
+    assert len(calls) == 9 + 4
 
 
 def test_pullback_along_identity():
@@ -404,6 +462,54 @@ def test_normalize_ib_rejects_flat_C():
 
 
 # --- geodesics ------------------------------------------------------------------------
+
+
+def reference_rhs_along(stq, curve):
+    """``_rhs_along`` as ``Jet2`` products and sums, the form it had
+    before it was one kernel sum."""
+    yp = curve.d_dx()
+    yp2 = yp * yp
+    a, b, c, d = _all_along(tuple(stq), curve)
+    return a + b * yp + c * yp2 + d * (yp2 * yp)
+
+
+def test_rhs_along_is_the_reference_on_every_registry_call(registry_traffic):
+    # a call builds 5 jets outside _substitute_all: y'^2, y'^3, the sum
+    # and its two window shifts of y' (11 with a jet per operator)
+    calls, passes = registry_traffic
+    assert {order: p["rhs_along"] for order, p in passes.items()} \
+        == {12: 17, 8: 17}
+    assert {n for *_, n in calls["rhs_along"]} == {5}
+    for stq, curve, _ in calls["rhs_along"]:
+        assert_same_structure([_rhs_along(stq, curve)],
+                              [reference_rhs_along(stq, curve)])
+
+
+def test_deep_jets_rhs_along_is_the_reference(deep_traffic):
+    calls = deep_traffic["rhs_along"]
+    assert len(calls) == 12
+    for stq, curve in calls:
+        assert_same_structure([_rhs_along(stq, curve)],
+                              [reference_rhs_along(stq, curve)])
+
+
+@st.composite
+def windowed_curves(draw):
+    """A structure over the rationals or the duals and an x-graph curve
+    through (0, y0), of orders 0 to PROP_ORDER, some jets cut to a random
+    window, empty ones included."""
+    order = draw(st.integers(0, PROP_ORDER))
+    slots = [draw(rational_or_dual_jets(order)) for _ in range(4)]
+    order = draw(st.integers(0, PROP_ORDER))
+    *slots, curve = draw(cut_windows(
+        slots + [draw(jets(order=order, x_only=True))]))
+    return ProjectiveStructure(*slots), curve
+
+
+@settings(deadline=None, max_examples=80)
+@given(windowed_curves())
+def test_rhs_along_is_the_reference_in_short_windows(case):
+    assert_same_jets([_rhs_along(*case)], [reference_rhs_along(*case)])
 
 
 def test_geodesics_of_trivial_structure_are_lines():
