@@ -18,10 +18,9 @@ PROP_ORDER = 6
 def registry_traffic():
     """Each ``residual``, ``pullback``, ``structure_from_pencil``,
     ``is_geodesic``, ``_rhs_along`` and ``Jet2.__sub__`` call of
-    ``run_all(12)`` and
-    ``run_all(8)``: its arguments and the jets it built (``Jet2._new``
-    calls outside ``_substitute_all``), and per pass the number of calls
-    of each and the jets built in all."""
+    ``run_all(12)`` and ``run_all(8)``: its arguments and the jets it built
+    (``Jet2._new`` calls outside ``_substitute_all``), and per pass the
+    number of calls of each and the jets built in all."""
     from projstruct import cases, fields, pencils, structures
 
     calls = {"residual": [], "pullback": [], "structure_from_pencil": [],
@@ -78,14 +77,13 @@ def registry_traffic():
 @pytest.fixture(scope="session")
 def deep_traffic():
     """The arguments of each ``pullback``, ``is_geodesic`` and ``_rhs_along``
-    call, and the pencil of each round, of the ``deep-jets`` benchmark
-    workload: seeds 1-3, round 0, orders 16 and 20."""
+    call of the ``deep-jets`` benchmark workload: seeds 1-3, round 0,
+    orders 16 and 20."""
     import projstruct
     from projstruct import structures
 
     workloads = bench_workloads()
-    calls = {"pullback": [], "is_geodesic": [], "rhs_along": [],
-             "pencil": []}
+    calls = {"pullback": [], "is_geodesic": [], "rhs_along": []}
 
     def recording(name, fn):
         def wrapper(*args):
@@ -104,8 +102,6 @@ def deep_traffic():
             for order in (16, 20):
                 for op in workloads.deep_round(projstruct, seed, 0, order):
                     assert op.gate(op.call())
-                calls["pencil"].append(workloads.deep_inputs(
-                    projstruct, seed, 0, order)["pencil"])
     return calls
 
 

@@ -137,8 +137,8 @@ def _accepted(p0, q0, pi, qi):
     return True
 
 
-# (p0, q0, p_inf, q_inf) as (constant term, eff); a constant of eff -1 is
-# not kept, and every jet also carries the term x
+# (p0, q0, p_inf, q_inf) as (constant term, eff); a jet of eff -1 keeps
+# no term
 _SHORT_PENCILS = [
     ((1, 0), (0, 0), (0, 0), (1, 0)),
     ((1, 0), (2, 0), (1, 0), (2, 0)),
@@ -155,7 +155,7 @@ _SHORT_PENCILS = [
 def test_a_pencil_of_short_windows_is_judged_by_its_wedge(parts):
     # accepted exactly when the wedge jet has a unit constant term, which
     # an empty window against a constant term leaves unknown
-    p0, q0, pi, qi = (Jet2.from_terms({(0, 0): c, (1, 0): 1}, 4, eff)
+    p0, q0, pi, qi = (Jet2.from_terms({(0, 0): c}, 4, eff)
                       for c, eff in parts)
     assert _accepted(p0, q0, pi, qi) \
         == _is_unit(reference_wedge(((p0, q0), (pi, qi))).constant_term)
