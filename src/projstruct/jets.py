@@ -28,15 +28,17 @@ works on the numerators and ends with one content gcd; only ``shift_y``
 (run for y0 != 0 alone) builds a ``Fraction`` per term.  ``coeffs``, the
 read-only mapping ``{(i, j): Fraction}``, is built on first use and
 cached, and ``coeff`` returns a ``Fraction`` (0 when the term is absent).
+The valuation that the window rules read per product (``_val_bound``)
+is cached next to it.
 
 Any other coefficients, such as the dual rationals of
 :mod:`projstruct.duals`, are kept as numerators over 1, and ``coeffs``
 reads them as they are.  The integer recurrences hold over Q[eps] once
 the denominator is 1, so the same loops run on them against a minimal
 protocol (ring ops, equality with 0 and a truth value that is false only
-at 0, an optional ``is_unit`` attribute).
-A dual jet whose values all have a zero eps-part equals the rational jet
-of their real parts, and hashes as that jet does.
+at 0, an optional ``is_unit`` attribute).  A dual jet whose values all
+have a zero eps part (``ep``) is stored as the rational jet of their real
+parts (``re``), so dual jets too have one stored form.
 
 This module is the one place that sums or multiplies numerator dicts,
 through two kernels that ``Jet2`` arithmetic, substitution and the
@@ -55,7 +57,10 @@ factor is a shifted scale of the other.  ``_sum_of_products`` sums many
 products c f g in one such box over one denominator and reduces once; it
 forms each slot of ``residual``, ``liouville``, ``pullback``, the slope
 products and ``apply_y_shift``, the six parts of ``is_geodesic``'s cleared
-numerator, ``_rhs_along`` and ``Pencil.wedge``.
+numerator, ``_rhs_along`` and ``Pencil.wedge``.  Substitution
+(``_substitute_all``) builds the powers of u and v once and a product jet
+only for a mixed term x^i y^j of f, shared by every f: a pure power
+reads u^i or v^j itself.
 
 The series kernels end by construction; none iterates to a fixed point
 under a cap.  A coefficient of degree d of a quotient and of the Euler
@@ -118,7 +123,8 @@ def _canonical(num, den):
     Integer numerators lose their content gcd, and ``den`` is made > 0.
     Any other values are divided by ``den`` (a unit, but not always an
     ``int``).  If they are then all rational, they become integers over
-    their lcm; otherwise, as for dual rationals, they stay over 1.
+    their lcm; so do dual values whose eps parts are all zero, read as
+    their real parts.  Otherwise they stay over 1.
     """
     try:
         g = math.gcd(den, *num.values())
@@ -129,7 +135,11 @@ def _canonical(num, den):
         try:
             den = math.lcm(*[v.denominator for v in num.values()])
         except AttributeError:
-            return num, 1
+            if any(getattr(v, "ep", 1) for v in num.values()
+                   if not hasattr(v, "denominator")):
+                return num, 1
+            return _canonical({k: getattr(v, "re", v)
+                               for k, v in num.items()}, 1)
         return {k: v.numerator * (den // v.denominator)
                 for k, v in num.items()}, den
     if den < 0:
@@ -194,7 +204,7 @@ def as_coeff(value):
 
 
 class Jet2:
-    __slots__ = ("order", "eff", "_num", "_den", "_coeffs")
+    __slots__ = ("order", "eff", "_num", "_den", "_coeffs", "_val")
 
     def __init__(self, coeffs, order, eff=None):
         if order < 0:
@@ -203,7 +213,7 @@ class Jet2:
         eff = max(eff, -1)
         clean = {(i, j): c for (i, j), c in coeffs.items()
                  if i + j <= eff and not c == 0}
-        self.order, self.eff, self._coeffs = order, eff, None
+        self.order, self.eff, self._coeffs, self._val = order, eff, None, None
         self._num, self._den = _canonical(clean, 1)
 
     @classmethod
@@ -211,7 +221,7 @@ class Jet2:
         """The jet ``num``/``den``, put in the stored form by ``_canonical``;
         ``num`` holds no zeros and no key of degree above ``eff``."""
         jet = object.__new__(cls)
-        jet.order, jet.eff, jet._coeffs = order, eff, None
+        jet.order, jet.eff, jet._coeffs, jet._val = order, eff, None, None
         jet._num, jet._den = _canonical(num, den)
         return jet
 
@@ -276,8 +286,12 @@ class Jet2:
         return all(j == 0 for (_, j) in self._num)
 
     def _val_bound(self):
-        # least total degree at which this jet can be nonzero
-        return min(map(sum, self._num), default=self.eff + 1)
+        """The least total degree at which this jet can be nonzero, eff + 1
+        when it has no term: computed on first use and cached, as
+        ``coeffs`` is, for the window rules read it per product."""
+        if self._val is None:
+            self._val = min(map(sum, self._num), default=self.eff + 1)
+        return self._val
 
     def agree(self, other):
         """Coefficientwise equality up to the common effective order."""
@@ -291,23 +305,12 @@ class Jet2:
     def __eq__(self, other):
         if not isinstance(other, Jet2):
             return NotImplemented
-        if self.order != other.order or self.eff != other.eff:
-            return False
-        a, b, da, db = self._num, other._num, self._den, other._den
-        if da == db:
-            return a == b
-        # a dual jet (over 1) can equal a rational one
-        return a.keys() == b.keys() and all(a[k] * db == b[k] * da for k in a)
+        return (self.order == other.order and self.eff == other.eff
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        num, den = self._num, self._den
-        if any(type(n) is not int for n in num.values()):
-            # hash as the rational jet of the real parts, which this jet
-            # equals when every eps-part is zero
-            real = Jet2({k: getattr(v, "re", v) for k, v in num.items()},
-                        self.order, self.eff)
-            num, den = real._num, real._den
-        return hash((self.order, self.eff, den, frozenset(num.items())))
+        return hash((self.order, self.eff, self._den,
+                     frozenset(self._num.items())))
 
     def __repr__(self):
         return "Jet2(%s; order=%d, eff=%d)" % (
@@ -578,8 +581,10 @@ def substitute(f, u, v):
 def _substitute_all(fs, u, v):
     """[substitute(f, u, v) for f in fs], for jets f of one order.
 
-    The powers of u and v, and each product u^i v^j, are built once and
-    shared by every f that has a term x^i y^j.
+    The powers of u and v are built once.  A pure power x^i or y^j of f
+    reads u^i or v^j itself, as u^i * 1 would have its window and stored
+    form; each mixed product u^i v^j (i, j >= 1) is built once and shared
+    by every f that has a term x^i y^j.
     """
     fs = tuple(fs)
     drift = 0
@@ -595,7 +600,7 @@ def _substitute_all(fs, u, v):
                    max((i for f in fs for (i, _) in f._num), default=0), order)
     vpow = _powers(v.truncated(order),
                    max((j for f in fs for (_, j) in f._num), default=0), order)
-    products = {}   # (i, j) -> u^i v^j
+    products = {}   # (i, j) -> u^i v^j, for i, j >= 1
     out = []
     for f in fs:
         eff = min(f.eff, u.eff, v.eff, order) - drift
@@ -603,9 +608,12 @@ def _substitute_all(fs, u, v):
         for (i, j), c in f._num.items():
             if i >= len(upow) or j >= len(vpow):
                 continue  # that power is exactly zero to full order
-            if (i, j) not in products:
-                products[(i, j)] = upow[i] * vpow[j]
-            term = products[(i, j)]
+            if i and j:
+                if (i, j) not in products:
+                    products[(i, j)] = upow[i] * vpow[j]
+                term = products[(i, j)]
+            else:
+                term = upow[i] if i else vpow[j]
             eff = min(eff, term.eff)
             parts.append((c, term._num, f._den * term._den))
         eff = max(eff, -1)

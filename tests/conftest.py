@@ -74,16 +74,50 @@ def registry_traffic():
     return calls, passes
 
 
+def recording_substitutions(mp, calls):
+    """Append (fs, u, v, result) of every ``_substitute_all`` call, made
+    from :mod:`projstruct.jets` or :mod:`projstruct.structures`, to
+    ``calls``."""
+    from projstruct import jets, structures
+
+    substitute_all = jets._substitute_all
+
+    def recording(fs, u, v):
+        fs = tuple(fs)
+        out = substitute_all(fs, u, v)
+        calls.append((fs, u, v, out))
+        return out
+
+    for module in (jets, structures):
+        mp.setattr(module, "_substitute_all", recording)
+
+
+@pytest.fixture(scope="session")
+def substitution_traffic():
+    """(fs, u, v, result) of every ``_substitute_all`` call of ``run_all``
+    at orders 12, 8 and 3."""
+    from projstruct import cases
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        recording_substitutions(mp, calls)
+        for order in (12, 8, 3):
+            cases.run_all(order=order)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def deep_traffic():
     """The arguments of each ``pullback``, ``is_geodesic`` and ``_rhs_along``
-    call of the ``deep-jets`` benchmark workload: seeds 1-3, round 0,
-    orders 16 and 20."""
+    call of the ``deep-jets`` benchmark workload (seeds 1-3, round 0,
+    orders 16 and 20), and (fs, u, v, result) of each ``_substitute_all``
+    call."""
     import projstruct
     from projstruct import structures
 
     workloads = bench_workloads()
-    calls = {"pullback": [], "is_geodesic": [], "rhs_along": []}
+    calls = {"pullback": [], "is_geodesic": [], "rhs_along": [],
+             "substitute_all": []}
 
     def recording(name, fn):
         def wrapper(*args):
@@ -92,6 +126,7 @@ def deep_traffic():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
+        recording_substitutions(mp, calls["substitute_all"])
         mp.setattr(projstruct, "pullback",
                    recording("pullback", projstruct.pullback))
         mp.setattr(projstruct, "is_geodesic",
@@ -106,24 +141,42 @@ def deep_traffic():
 
 
 @contextlib.contextmanager
-def counting_jets():
-    """Count the jets built in the block, ``Jet2._new`` and ``Jet2.__init__``
-    calls alike, in the one-item list it yields."""
-    built = [0]
-    make, init = Jet2._new.__func__, Jet2.__init__
+def keeping_jets(init=True):
+    """Keep the jets built in the block, by ``Jet2._new`` and (unless
+    ``init`` is false) ``Jet2.__init__``, in the list it yields."""
+    built = []
+    make, initialise = Jet2._new.__func__, Jet2.__init__
 
-    def counting_new(cls, *args):
-        built[0] += 1
-        return make(cls, *args)
+    def keeping_new(cls, *args):
+        jet = make(cls, *args)
+        built.append(jet)
+        return jet
 
-    def counting_init(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+    def keeping_init(self, *args, **kwargs):
+        initialise(self, *args, **kwargs)
+        built.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Jet2, "_new", classmethod(counting_new))
-        mp.setattr(Jet2, "__init__", counting_init)
+        mp.setattr(Jet2, "_new", classmethod(keeping_new))
+        if init:
+            mp.setattr(Jet2, "__init__", keeping_init)
         yield built
+
+
+@pytest.fixture(scope="session")
+def built_jets():
+    """Every jet built (``Jet2._new`` and ``Jet2.__init__``) in one
+    ``run_all(12)`` pass and one ``deep-jets`` round (seed 1, round 0,
+    orders 16 and 20)."""
+    import projstruct
+
+    workloads = bench_workloads()
+    with keeping_jets() as built:
+        projstruct.run_all(order=12)
+        for order in (16, 20):
+            for op in workloads.deep_round(projstruct, 1, 0, order):
+                assert op.gate(op.call())
+    return built
 
 
 @pytest.fixture(scope="session")
@@ -144,12 +197,12 @@ def document_traffic(tmp_path_factory):
         return expand(e, env, order)
 
     def loading(path):
-        before = built[0]
+        before = len(built)
         doc = load_document(path)
-        per_op.append(built[0] - before)
+        per_op.append(len(built) - before)
         return doc
 
-    with counting_jets() as built, pytest.MonkeyPatch.context() as mp:
+    with keeping_jets() as built, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "expand", recording)
         mp.setattr(cli, "load_document", loading)
         for seed in (1, 2, 3):
@@ -295,20 +348,12 @@ def dense_jets(draw, orders=(16, 20), unit_constant=False):
 
 
 def stored_form(jet):
-    """(order, eff, numerators, denominator) of a jet.  A dual jet whose
-    values all have a zero eps part is read in the rational form it equals
-    and hashes as: a kernel sum in which the eps parts cancel may keep its
-    real values as duals over 1."""
-    num = jet._num
-    if jet._den == 1 and all(getattr(n, "ep", 0) == 0 for n in num.values()):
-        jet = Jet2({k: getattr(n, "re", n) for k, n in num.items()},
-                   jet.order, jet.eff)
+    """(order, eff, numerators, denominator) of a jet."""
     return jet.order, jet.eff, jet._num, jet._den
 
 
 def assert_same_jets(got, want):
-    # jet by jet: the same order, eff, numerators and denominator, in
-    # the one stored form of ``stored_form``
+    # jet by jet: the same order, eff, numerators and denominator
     got, want = list(got), list(want)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -326,6 +371,44 @@ def reference_sub(f, g):
     """f - g as two jets, a negation and a sum: the form ``Jet2.__sub__``
     had before it was one ``_lincomb``."""
     return f + (-f._lift(g))
+
+
+def reference_substitute_all(fs, u, v):
+    """``_substitute_all`` as it was while it built every product u^i v^j,
+    u^i * 1 and 1 * v^j included."""
+    from projstruct.errors import NonZeroConstantTerm
+    from projstruct.jets import _lincomb, _powers
+
+    fs = tuple(fs)
+    drift = 0
+    for g in (u, v):
+        c = g.constant_term
+        if not c * c == 0:
+            raise NonZeroConstantTerm(
+                "substitution point %r is not infinitesimal" % (c,))
+        if not c == 0:
+            drift = 1
+    order = min(u.order, v.order, *(f.order for f in fs))
+    upow = _powers(u.truncated(order),
+                   max((i for f in fs for (i, _) in f._num), default=0), order)
+    vpow = _powers(v.truncated(order),
+                   max((j for f in fs for (_, j) in f._num), default=0), order)
+    products = {}   # (i, j) -> u^i v^j
+    out = []
+    for f in fs:
+        eff = min(f.eff, u.eff, v.eff, order) - drift
+        parts = []
+        for (i, j), c in f._num.items():
+            if i >= len(upow) or j >= len(vpow):
+                continue  # that power is exactly zero to full order
+            if (i, j) not in products:
+                products[(i, j)] = upow[i] * vpow[j]
+            term = products[(i, j)]
+            eff = min(eff, term.eff)
+            parts.append((c, term._num, f._den * term._den))
+        eff = max(eff, -1)
+        out.append(Jet2._new(*_lincomb(parts, eff), order, eff))
+    return out
 
 
 def slope_product(f, g):

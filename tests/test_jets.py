@@ -17,8 +17,10 @@ from projstruct.errors import (
 )
 from projstruct.jets import (
     Jet2,
+    _is_unit,
     _lincomb,
     _product,
+    _substitute_all,
     _sum_of_products,
     comp_inverse,
     compose1,
@@ -30,12 +32,17 @@ from projstruct.jets import (
 
 from conftest import (
     PROP_ORDER,
+    assert_same_jets,
     assert_same_structure,
+    cut_windows,
     dense_jets,
     dual_jets,
     jets,
+    keeping_jets,
     nonzero_fractions,
+    rational_or_dual_jets,
     reference_sub,
+    reference_substitute_all,
     small_fractions,
     univariate_germs,
 )
@@ -336,11 +343,18 @@ def test_equal_jets_hash_alike_however_built():
 
 
 def test_real_dual_jets_hash_as_their_rational_form():
+    # they are stored in it, as int numerators: the one stored form holds
+    # for dual jets too
     dual = Jet2({(0, 0): DualRational(1)}, 3)
     assert dual == Jet2.constant(1, 3)
     assert hash(dual) == hash(Jet2.constant(1, 3))
     assert len({dual, Jet2.constant(1, 3)}) == 1
     half = Jet2({(0, 0): DualRational(Fraction(1, 2)), (1, 1): Fraction(-3, 4)}, 5)
+    cancelled = Jet2({(0, 0): 1 + EPS}, 3) - Jet2({(0, 0): EPS}, 3)
+    for jet, num, den in [(dual, {(0, 0): 1}, 1), (cancelled, {(0, 0): 1}, 1),
+                          (half, {(0, 0): 2, (1, 1): -3}, 4)]:
+        assert (jet._num, jet._den) == (num, den)
+        assert all(type(n) is int for n in jet._num.values())
     assert hash(half) == hash(J({(0, 0): Fraction(1, 2), (1, 1): Fraction(-3, 4)}, 5))
     for c in (1, Fraction(-2, 3)):
         assert DualRational(c) == c and hash(DualRational(c)) == hash(c)
@@ -714,6 +728,79 @@ def test_substitute_at_dual_point_differentiates():
         assert c.ep == fx.coeff(i, j)
 
 
+def test_substitution_is_the_reference_on_every_registry_call(
+        substitution_traffic):
+    assert len(substitution_traffic) == 279
+    for fs, u, v, out in substitution_traffic:
+        assert_same_jets(out, reference_substitute_all(fs, u, v))
+
+
+def test_deep_jets_substitutions_are_the_reference(deep_traffic):
+    calls = deep_traffic["substitute_all"]
+    assert len(calls) == 120
+    for fs, u, v, out in calls:
+        assert_same_jets(out, reference_substitute_all(fs, u, v))
+
+
+_SHAPES = {"pure": lambda i, j: not (i and j), "mixed": lambda i, j: i and j,
+           "none": lambda i, j: False, "any": lambda i, j: True}
+
+
+@st.composite
+def substitution_inputs(draw):
+    """(fs, u, v): one to three jets f with only pure powers, only mixed
+    terms, no terms or any, and u, v with a zero or nilpotent dual
+    constant term, or exactly zero; windows short at random."""
+    order = draw(st.integers(1, PROP_ORDER))
+    fs = []
+    for f in draw(st.lists(rational_or_dual_jets(order=order, max_terms=6),
+                           min_size=1, max_size=3)):
+        keep = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+        fs.append(Jet2({k: c for k, c in f.coeffs.items() if keep(*k)},
+                       f.order, f.eff))
+    inner = []
+    for _ in range(2):
+        g = draw(st.one_of(st.just(Jet2.zero(order)), rational_or_dual_jets(
+            order=order, zero_constant=True)))
+        e = draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+        inner.append(g + e * EPS if e else g)
+    *fs, u, v = draw(cut_windows([*fs, *inner]))
+    return fs, u, v
+
+
+@settings(deadline=None, max_examples=40)
+@given(substitution_inputs())
+@example(([Jet2({(0, 0): 1, (2, 0): 3, (0, 3): -1}, 6, 4)],
+          Jet2.variable("x", 6) + EPS, Jet2.zero(6)))
+@example(([Jet2({(1, 1): 2, (2, 1): 1}, 5), Jet2.zero(5, -1)],
+          Jet2.variable("y", 5).truncated(eff=2), Jet2.variable("x", 5)))
+def test_substitution_is_the_reference(inputs):
+    # pure powers read u^i and v^j as they are; the reference builds
+    # u^i * 1 and 1 * v^j: the same order, eff, numerators and denominator
+    fs, u, v = inputs
+    assert_same_jets(_substitute_all(fs, u, v),
+                     reference_substitute_all(fs, u, v))
+
+
+def test_substitution_builds_product_jets_for_mixed_terms_only():
+    # Jet2._new calls at order 12.  A substitution builds the windows of u
+    # and v, their powers, one jet per mixed term and its results, and
+    # comp_inverse adds the windows, differences and quotients of its
+    # three Newton steps.  With a product per pure power too, the three
+    # were 28, 78 and 19
+    x, y = Jet2.variable("x", 12), Jet2.variable("y", 12)
+    dense = Jet2({(i, 0): i + 1 for i in range(13)}, 12)    # 13 terms
+    germ = Jet2({(i, 0): i for i in range(1, 13)}, 12)
+    cubic = Jet2({(i, j): 1 for i in range(4) for j in range(4 - i)}, 12)
+    u, v = x + y * y, y + x * y
+    for run, built in [(lambda: compose1(dense, germ), 15),
+                       (lambda: comp_inverse(germ), 53),
+                       (lambda: substitute(cubic, u, v), 12)]:
+        with keeping_jets(init=False) as kept:
+            run()
+        assert len(kept) == built
+
+
 # --- compositional inverse --------------------------------------------------
 
 
@@ -808,6 +895,40 @@ def test_mul_eff_uses_valuations():
     u = Jet2.monomial(2, 0, 1, 8).d_dx()   # eff 7
     v = Jet2.monomial(3, 0, 1, 8)          # valuation 3
     assert (u * v).eff == 8
+
+
+def assert_valuation(jet):
+    # the cached valuation, on the first read and on the second
+    want = min(map(sum, jet._num), default=jet.eff + 1)
+    assert jet._val_bound() == want
+    assert jet._val_bound() == want
+
+
+def test_every_jet_of_a_registry_pass_and_a_deep_round_reads_its_valuation(
+        built_jets):
+    assert len(built_jets) > 10000
+    for jet in built_jets:
+        assert_valuation(jet)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_or_dual_jets(), rational_or_dual_jets(zero_constant=True),
+       st.integers(0, PROP_ORDER + 2), st.integers(-1, PROP_ORDER + 2))
+@example(Jet2.zero(6, -1), Jet2.zero(6), 6, 4)
+@example(Jet2.monomial(3, 0, 1, 6), Jet2.variable("y", 6), 6, 1)
+def test_the_cached_valuation_is_the_least_degree(u, v, order, eff):
+    # the valuations of u and v are read before anything is derived from
+    # them, so a result that carried one over would be seen
+    for f in (u, v):
+        assert_valuation(f)
+    derived = [u._window(order, eff), u.truncated(eff=eff),
+               v._window(order, eff), u + v, u - v, u * v, -u, u.scale(3),
+               u.d_dx(), u.d_dy(), u.integrate_x(), u.swap_vars(),
+               substitute(u, v, v)]
+    if _is_unit(u.constant_term):
+        derived.append(v / u)
+    for f in derived:
+        assert_valuation(f)
 
 
 def test_add_eff_is_min():

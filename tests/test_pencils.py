@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import projstruct
+from projstruct.duals import EPS
 from projstruct.errors import DegenerateWedge, VerticalAtOrigin
 from projstruct.expressions import expand
 from projstruct.fields import VectorField
@@ -185,6 +186,16 @@ def test_wedge_is_the_reference_in_short_windows(parts, windows):
     p0, q0, pi, qi = (f.truncated(eff=e) for f, e in zip(parts, windows))
     pairs = ((p0, q0), (pi, qi))
     assert_same_jets([Pencil.wedge(pairs)], [reference_wedge(pairs)])
+
+
+def test_a_real_wedge_of_dual_generators_is_stored_as_a_rational_jet():
+    # 1/2 * 1 - eps * eps at eff 0: the kernel and the two-product form
+    # both store it as the rational jet 1 over 2
+    half, one = Jet2.constant(Fraction(1, 2), 4), Jet2.constant(1, 4)
+    eps = Jet2({(0, 0): EPS}, 4, 0)
+    pairs = ((half, eps), (eps, one))
+    for w in (Pencil.wedge(pairs), reference_wedge(pairs)):
+        assert (w.order, w.eff, w._num, w._den) == (4, 0, {(0, 0): 1}, 2)
 
 
 def test_structure_from_graph_pencil():
