@@ -24,8 +24,11 @@ Input files are INI documents::
     Pinf = "0"
     Qinf = "1"
 
-Sections other than ``[global]`` are optional (each subcommand states
-what it needs); missing ``[structure]`` keys default to ``"0"``.
+``_read_ini`` reads them in one pass, in the dialect of ``configparser``'s
+defaults (see its docstring); a ``;`` after a value is part of the value,
+not a comment.  Sections other than ``[global]`` are optional
+(each subcommand states what it needs); missing ``[structure]`` keys
+default to ``"0"``.
 Expression values may be double-quoted; a ``[params]`` key is an
 identifier, and its value any exact rational that ``Fraction`` reads
 (``2/3``, ``1.5``, ``-1e3``).  Exit codes: 0 success / property holds,
@@ -33,13 +36,12 @@ identifier, and its value any exact rational that ``Fraction`` reads
 """
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
-
-import configparser
 
 from .cases import run_all, run_case
 from .errors import ExprSyntaxError, ProjstructError, UnknownCase
@@ -55,6 +57,10 @@ from .structures import (ProjectiveStructure, apply_x_reparam, apply_y_shift,
 
 class DocumentError(ProjstructError):
     """An input document or flag is missing a section/key or holds a bad value."""
+
+
+_HEADER = re.compile(r"\[(?P<header>.+)\]")     # configparser's SECTCRE
+_OPTION = re.compile(r"(.*?)\s*[=:]\s*(.*)")     # ... and its OPTCRE
 
 
 @dataclass(frozen=True)
@@ -92,20 +98,72 @@ def _unquote(text):
     return text
 
 
+def _read_ini(lines):
+    """``{section: {key: value}}`` of an INI document's lines.
+
+    The dialect is configparser's default, without interpolation and with
+    case kept: ``[name]`` headers, ``key = value`` or ``key: value`` lines,
+    full-line ``#`` and ``;`` comments (a ``;`` after a value is part of
+    it), and continuation lines indented deeper than their key, blank
+    lines inside a value included.  ``[DEFAULT]`` keys are merged into
+    every section, whose own keys win.  A repeated section or key, a line
+    without a delimiter or key, and text before the first header are
+    DocumentErrors naming the line.
+    """
+    sections, defaults = {}, {}
+    current = key = None
+    indent = 0
+    for number, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            if not text and key:
+                current[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            current[key].append(text)
+            continue
+        indent, key = depth, None
+        match = _HEADER.match(text)
+        if match:
+            name = match["header"]
+            if name == "DEFAULT":
+                current = defaults
+            elif name in sections:
+                raise DocumentError("line %d: section [%s] repeats"
+                                    % (number, name))
+            else:
+                current = sections[name] = {}
+        elif current is None:
+            raise DocumentError("File contains no section headers "
+                                "(line %d: %r)" % (number, text))
+        else:
+            match = _OPTION.match(text)
+            if match is None or not match[1]:
+                raise DocumentError("line %d: expected key = value, got %r"
+                                    % (number, text))
+            key = match[1]
+            if key in current:
+                raise DocumentError("line %d: key %s repeats" % (number, key))
+            current[key] = [match[2]]
+    defaults = {k: "\n".join(v).rstrip() for k, v in defaults.items()}
+    return {name: {**defaults,
+                   **{k: "\n".join(v).rstrip() for k, v in keys.items()}}
+            for name, keys in sections.items()}
+
+
 def load_document(path):
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
+            sections = _read_ini(handle)
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror))
-    except configparser.Error as exc:
-        raise DocumentError("bad document %s: %s" % (path, exc))
+    except DocumentError as exc:
+        raise DocumentError("bad document %s: %s" % (path, exc)) from None
 
     order = DEFAULT_ORDER
-    if parser.has_section("global") and parser.has_option("global", "order"):
-        text = parser.get("global", "order")
+    text = sections.get("global", {}).get("order")
+    if text is not None:
         try:
             order = int(text)
         except ValueError:
@@ -114,8 +172,8 @@ def load_document(path):
             raise DocumentError("order must be at least 2, got %d" % order)
 
     params = {}
-    if parser.has_section("params"):
-        for key, value in parser.items("params"):
+    if "params" in sections:
+        for key, value in sections["params"].items():
             if key in COORDS + FUNCTIONS:
                 raise DocumentError("[params] %s names a coordinate or a "
                                     "built-in function" % key)
@@ -127,19 +185,20 @@ def load_document(path):
     env = dict(params)
 
     def jet(section, key, default=None):
-        if parser.has_option(section, key):
-            return expand(_unquote(parser.get(section, key)), env, order)
+        text = sections[section].get(key)
+        if text is not None:
+            return expand(_unquote(text), env, order)
         if default is None:
             raise DocumentError("[%s] is missing the key %s" % (section, key))
         return expand(default, env, order)
 
     structure = None
-    if parser.has_section("structure"):
+    if "structure" in sections:
         structure = ProjectiveStructure(*(jet("structure", k, "0")
                                           for k in "ABCD"))
 
     fields = {}
-    for section in parser.sections():
+    for section in sections:
         if section.startswith("field "):
             name = section[len("field "):].strip()
             if not name:
@@ -147,7 +206,7 @@ def load_document(path):
             fields[name] = VectorField(jet(section, "a"), jet(section, "b"))
 
     pencil = None
-    if parser.has_section("pencil"):
+    if "pencil" in sections:
         pencil = Pencil(Foliation(jet("pencil", "P0"), jet("pencil", "Q0")),
                         Foliation(jet("pencil", "Pinf"),
                                   jet("pencil", "Qinf")))

@@ -622,10 +622,14 @@ def _substitute_all(fs, u, v):
 
 
 def _powers(g, top, order):
-    """[g^0, g^1, ..] up to exponent ``top``, stopping once exactly zero."""
+    """[g^0, g^1, ..] up to exponent ``top``, stopping once exactly zero.
+
+    g^1 is ``g`` itself, which is read at ``order``: 1 * g would have its
+    order, window and stored form.
+    """
     out = [Jet2.constant(1, order)]
-    for _ in range(top):
-        nxt = out[-1] * g
+    for k in range(top):
+        nxt = out[-1] * g if k else g
         if nxt.is_zero() and nxt.eff == order:
             break
         out.append(nxt)

@@ -373,11 +373,22 @@ def reference_sub(f, g):
     return f + (-f._lift(g))
 
 
+def reference_powers(g, top, order):
+    """``jets._powers`` as it was while it built g^1 as the product 1 * g."""
+    out = [Jet2.constant(1, order)]
+    for _ in range(top):
+        nxt = out[-1] * g
+        if nxt.is_zero() and nxt.eff == order:
+            break
+        out.append(nxt)
+    return out
+
+
 def reference_substitute_all(fs, u, v):
     """``_substitute_all`` as it was while it built every product u^i v^j,
-    u^i * 1 and 1 * v^j included."""
+    u^i * 1, 1 * v^j and the first powers 1 * u and 1 * v included."""
     from projstruct.errors import NonZeroConstantTerm
-    from projstruct.jets import _lincomb, _powers
+    from projstruct.jets import _lincomb
 
     fs = tuple(fs)
     drift = 0
@@ -389,10 +400,12 @@ def reference_substitute_all(fs, u, v):
         if not c == 0:
             drift = 1
     order = min(u.order, v.order, *(f.order for f in fs))
-    upow = _powers(u.truncated(order),
-                   max((i for f in fs for (i, _) in f._num), default=0), order)
-    vpow = _powers(v.truncated(order),
-                   max((j for f in fs for (_, j) in f._num), default=0), order)
+    upow = reference_powers(
+        u.truncated(order), max((i for f in fs for (i, _) in f._num),
+                                default=0), order)
+    vpow = reference_powers(
+        v.truncated(order), max((j for f in fs for (_, j) in f._num),
+                                default=0), order)
     products = {}   # (i, j) -> u^i v^j
     out = []
     for f in fs:
@@ -409,6 +422,81 @@ def reference_substitute_all(fs, u, v):
         eff = max(eff, -1)
         out.append(Jet2._new(*_lincomb(parts, eff), order, eff))
     return out
+
+
+def reference_load_document(path):
+    """``cli.load_document`` as it was while it read documents with
+    ``configparser``."""
+    import configparser
+
+    from projstruct.cli import (DocumentError, InputDocument, _is_identifier,
+                                _rational, _unquote)
+    from projstruct.expressions import COORDS, FUNCTIONS, expand
+    from projstruct.fields import VectorField
+    from projstruct.jets import DEFAULT_ORDER
+    from projstruct.pencils import Foliation, Pencil
+    from projstruct.structures import ProjectiveStructure
+
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        raise DocumentError("cannot read %s: %s" % (path, exc.strerror))
+    except configparser.Error as exc:
+        raise DocumentError("bad document %s: %s" % (path, exc))
+
+    order = DEFAULT_ORDER
+    if parser.has_section("global") and parser.has_option("global", "order"):
+        text = parser.get("global", "order")
+        try:
+            order = int(text)
+        except ValueError:
+            raise DocumentError("order must be an integer, got %r" % text)
+        if order < 2:
+            raise DocumentError("order must be at least 2, got %d" % order)
+
+    params = {}
+    if parser.has_section("params"):
+        for key, value in parser.items("params"):
+            if key in COORDS + FUNCTIONS:
+                raise DocumentError("[params] %s names a coordinate or a "
+                                    "built-in function" % key)
+            if not _is_identifier(key):
+                raise DocumentError("[params] %s is not an identifier that "
+                                    "an expression can name" % key)
+            params[key] = _rational(_unquote(value), "[params] " + key)
+
+    env = dict(params)
+
+    def jet(section, key, default=None):
+        if parser.has_option(section, key):
+            return expand(_unquote(parser.get(section, key)), env, order)
+        if default is None:
+            raise DocumentError("[%s] is missing the key %s" % (section, key))
+        return expand(default, env, order)
+
+    structure = None
+    if parser.has_section("structure"):
+        structure = ProjectiveStructure(*(jet("structure", k, "0")
+                                          for k in "ABCD"))
+
+    fields = {}
+    for section in parser.sections():
+        if section.startswith("field "):
+            name = section[len("field "):].strip()
+            if not name:
+                raise DocumentError("field section needs a name: [field NAME]")
+            fields[name] = VectorField(jet(section, "a"), jet(section, "b"))
+
+    pencil = None
+    if parser.has_section("pencil"):
+        pencil = Pencil(Foliation(jet("pencil", "P0"), jet("pencil", "Q0")),
+                        Foliation(jet("pencil", "Pinf"),
+                                  jet("pencil", "Qinf")))
+
+    return InputDocument(order, structure, fields, pencil, params)
 
 
 def slope_product(f, g):

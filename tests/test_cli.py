@@ -6,17 +6,24 @@ taxonomy (0 holds / 1 negative / 2 usage / 3 parse-math) and the
 byte-determinism of the JSON report mode.
 """
 
+import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projstruct import cli, structures
-from projstruct.cli import DocumentError, dispatch, load_document
+from projstruct.cli import DocumentError, _read_ini, dispatch, load_document
 from projstruct.expressions import COORDS, FUNCTIONS
+
+from conftest import bench_workloads, reference_load_document
 
 TRIVIAL_DOC = """\
 [global]
@@ -118,7 +125,12 @@ _SHADOWING = '[params]\n%s = 2\n\n[structure]\nA = "x + exp(y) + sqrt(1 + x)"\n'
 @pytest.mark.parametrize("doc,message", [
     ('[field ]\na = "0"\nb = "1"\n',
      "field section needs a name: [field NAME]"),
-    ('A = "x"\n', "File contains no section headers")] + [
+    ('A = "x"\n', "File contains no section headers"),
+    ('[structure]\nA = "x"\n\n[structure]\nD = "1"\n',
+     "line 4: section [structure] repeats"),
+    ('[structure]\nA = "x"\nA = "y"\n', "line 3: key A repeats"),
+    ('[structure]\nA "x"\n', "line 2: expected key = value"),
+    ('[structure]\n = "x"\n', "line 2: expected key = value")] + [
     (_SHADOWING % key, "[params] %s names a coordinate or a built-in function"
      % key) for key in COORDS + FUNCTIONS] + [
     ('[params]\n%s\n\n[structure]\nA = "1 * x"\n' % line,
@@ -126,7 +138,8 @@ _SHADOWING = '[params]\n%s = 2\n\n[structure]\nA = "x + exp(y) + sqrt(1 + x)"\n'
      % line.split(" = ")[0])
     for line in ("1 = 2", "lam-bda = 3", "\u00b2 = 2")] + [
     ('[structure]\nA = "2\u00b2 * x"\n', "unexpected character")],
-    ids=["unnamed-field", "no-section-header",
+    ids=["unnamed-field", "no-section-header", "repeated-section",
+         "repeated-key", "no-delimiter", "empty-key",
          *("params-" + key for key in COORDS + FUNCTIONS),
          "params-number", "params-dash", "params-superscript",
          "superscript-digit"])
@@ -135,6 +148,110 @@ def test_malformed_documents_exit_3(write, capsys, doc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_reader_errors_name_the_file(write, capsys):
+    path = write("[structure]\nA\n")
+    assert dispatch(["invariants", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: bad document %s: line 2: expected key = value, got 'A'\n"
+        % path)
+
+
+# line kinds of INI documents; keys and section names recur, so repeated
+# sections and keys come up, and a key line first is text before a header
+_INI_LINES = (
+    "[a]", "[b]", "  [a]", "[DEFAULT]", "[x]y]", "[]", "[a] tail",
+    "[field V]", "k = v", "k: v", "a = b = c", "k =", "b:c = 1", "  k = w",
+    "k = v ; kept", "  more", "    deeper", "\tcontinued", "", "   ",
+    "# note", "; note", "  # indented note", "novalue", "= 3", ": 3")
+
+
+def _read_with_configparser(lines):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        parser.read_file(lines)
+    except configparser.Error:
+        return None
+    return [(name, list(parser.items(name))) for name in parser.sections()]
+
+
+def _read_with_reader(lines):
+    try:
+        sections = _read_ini(lines)
+    except DocumentError:
+        return None
+    return [(name, list(keys.items())) for name, keys in sections.items()]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(_INI_LINES), max_size=8),
+       st.booleans())
+@example(False, ["[DEFAULT]", "k = 0", "m = 1", "[s]", "m = a", " b", "",
+                 "    c", "", "# note", "[t]"], True)
+def test_the_reader_reads_what_configparser_reads(header_first, kinds,
+                                                  last_newline):
+    # the same sections and keys in the same order, or both refuse; most
+    # documents with text before a header refuse, so half start with one
+    lines = [kind + "\n" for kind in ["[s]"] * header_first + kinds]
+    if lines and not last_newline:
+        lines[-1] = lines[-1][:-1]
+    assert _read_with_reader(lines) == _read_with_configparser(lines)
+
+
+def test_benchmark_documents_load_as_with_configparser(tmp_path):
+    import projstruct
+
+    workloads = bench_workloads()
+    rounds = workloads.DocumentRounds(projstruct, 1, str(tmp_path))
+    for index in range(60):
+        rounds.round(index)
+    paths = sorted(tmp_path.glob("*.ini"))
+    assert len(paths) == 60 * len(workloads.DOCUMENT_ROUND)
+    for path in paths:
+        assert load_document(path) == reference_load_document(path)
+
+
+def _readme_block(heading, fence):
+    """The first ``fence`` code block after ``heading`` in the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    opening = "```%s\n" % fence
+    start = text.index(opening, text.index("\n%s\n" % heading)) + len(opening)
+    return text[start:text.index("```\n", start)]
+
+
+@pytest.mark.parametrize("argv,code,shown", [
+    (["invariants"], 0, ["L1 = -2", "L2 = 0"]),
+    (["linearizable"], 1, []),
+    (["symdim"], 0, ["dimension 1 (stabilized at field orders 7/8)"]),
+    (["symcheck", "--field", "VERT"], 0, []),
+    (["pencil"], 0, ["C = 2 * x", "D = 1"]),
+    (["geodesic", "--z", "inf"], 1, [])],
+    ids=["invariants", "linearizable", "symdim", "symcheck", "pencil",
+         "geodesic"])
+def test_the_readme_input_document_runs(write, capsys, argv, code, shown):
+    path = write(_readme_block("### Input documents", "ini"))
+    assert dispatch([argv[0], path, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert set(shown) <= set(captured.out.splitlines())
+
+
+def test_the_readme_transcript_runs(write, capsys):
+    # "$ cat doc.ini" shows the document, each "$ projstruct ..." its output
+    cat, *runs = re.split(r"^\$ ", _readme_block("### Examples", "sh"),
+                          flags=re.M)[1:]
+    command, _, document = cat.partition("\n")
+    assert command == "cat doc.ini" and len(runs) == 3
+    path = write(document)
+    for run in runs:
+        command, _, shown = run.partition("\n")
+        program, *argv = command.split()
+        assert program == "projstruct"
+        assert dispatch([path if a == "doc.ini" else a for a in argv]) == 0
+        assert capsys.readouterr().out == shown
 
 
 def test_document_values_may_be_quoted_or_bare(write):
@@ -456,6 +573,17 @@ def test_the_parser_is_built_once_and_not_at_import(write, capsys):
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "0\n"
+
+
+def test_reading_a_document_does_not_import_configparser(write):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, projstruct.cli as cli; "
+             "code = cli.dispatch(['invariants', sys.argv[1]]); "
+             "print(code, 'configparser' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, write(TRIVIAL_DOC)],
+                         check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_main_exits_with_the_dispatch_code(write):

@@ -784,18 +784,19 @@ def test_substitution_is_the_reference(inputs):
 
 def test_substitution_builds_product_jets_for_mixed_terms_only():
     # Jet2._new calls at order 12.  A substitution builds the windows of u
-    # and v, their powers, one jet per mixed term and its results, and
-    # comp_inverse adds the windows, differences and quotients of its
-    # three Newton steps.  With a product per pure power too, the three
-    # were 28, 78 and 19
+    # and v, their powers from the square on, one jet per mixed term and
+    # its results, and comp_inverse adds the windows, differences and
+    # quotients of its three Newton steps.  With a product per pure power
+    # too, the three were 28, 78 and 19; with the first powers built as
+    # 1 * u and 1 * v, 15, 53 and 12
     x, y = Jet2.variable("x", 12), Jet2.variable("y", 12)
     dense = Jet2({(i, 0): i + 1 for i in range(13)}, 12)    # 13 terms
     germ = Jet2({(i, 0): i for i in range(1, 13)}, 12)
     cubic = Jet2({(i, j): 1 for i in range(4) for j in range(4 - i)}, 12)
     u, v = x + y * y, y + x * y
-    for run, built in [(lambda: compose1(dense, germ), 15),
-                       (lambda: comp_inverse(germ), 53),
-                       (lambda: substitute(cubic, u, v), 12)]:
+    for run, built in [(lambda: compose1(dense, germ), 14),
+                       (lambda: comp_inverse(germ), 50),
+                       (lambda: substitute(cubic, u, v), 10)]:
         with keeping_jets(init=False) as kept:
             run()
         assert len(kept) == built
