@@ -131,8 +131,6 @@ _SLOPE_CANDIDATES = (Fraction(1, 5), Fraction(1, 2), Fraction(2),
 
 
 def _first_integral_check(pen, st):
-    # The geodesic through the origin keeps every substitution exact at
-    # jet level (a nonzero base point would shift truncated series).
     qi = pen.omega_inf.Q.constant_term
     pi = pen.omega_inf.P.constant_term
     p0 = next(p for p in _SLOPE_CANDIDATES if pi + qi * p != 0)

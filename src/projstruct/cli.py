@@ -154,10 +154,13 @@ def _read_ini(lines):
 
 def load_document(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             sections = _read_ini(handle)
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise DocumentError("bad document %s: not UTF-8 text (%s)"
+                            % (path, exc.reason)) from None
     except DocumentError as exc:
         raise DocumentError("bad document %s: %s" % (path, exc)) from None
 

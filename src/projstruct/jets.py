@@ -24,8 +24,7 @@ over one denominator ``_den``, an ``int > 0``.  Rational coefficients
 (``int`` or ``Fraction``, anything with ``numerator``/``denominator``)
 become ``int`` numerators with gcd(_den, *_num.values()) == 1.  That form
 is canonical, so ``==`` and ``hash`` read it directly.  Every operation
-works on the numerators and ends with one content gcd; only ``shift_y``
-(run for y0 != 0 alone) builds a ``Fraction`` per term.  ``coeffs``, the
+works on the numerators and ends with one content gcd.  ``coeffs``, the
 read-only mapping ``{(i, j): Fraction}``, is built on first use and
 cached, and ``coeff`` returns a ``Fraction`` (0 when the term is absent).
 The valuation that the window rules read per product (``_val_bound``)
@@ -448,25 +447,6 @@ class Jet2:
         """The jet of F(y, x)."""
         return Jet2._new({(j, i): c for (i, j), c in self._num.items()},
                          self._den, self.order, self.eff)
-
-    def shift_y(self, y0):
-        """Recenter in y: the jet of F(x, y + y0).
-
-        Treats the stored coefficients as an exact polynomial, so this
-        is only meaningful for jets whose truncation error is understood
-        by the caller (it is used to evaluate coefficients along curves
-        through (0, y0) with y0 exact).
-        """
-        y0 = as_coeff(y0)
-        if y0 == 0:
-            return self
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            for k in range(j + 1):
-                key = (i, k)
-                term = c * math.comb(j, k) * y0 ** (j - k)
-                out[key] = out[key] + term if key in out else term
-        return Jet2(out, self.order, self.eff)
 
     def truncated(self, order=None, eff=None):
         """A copy with lowered bounds (never raises either bound)."""

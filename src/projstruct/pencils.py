@@ -200,7 +200,8 @@ def member_value_along(pencil, curve):
     """The z-value of the pencil member tangent to an x-graph curve.
 
     For a geodesic of ``structure_from_pencil`` this jet is constant.
-    The curve must pass through the origin with a slope at which the
+    The curve must pass through the origin (a nonzero rational constant
+    term raises ``NonZeroConstantTerm``) with a slope at which the
     omega_inf pairing does not vanish.
     """
     yp = curve.d_dx()

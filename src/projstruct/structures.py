@@ -340,47 +340,52 @@ def normalize_ib(st):
 def eval_along(f, curve):
     """The univariate jet of x -> f(x, curve(x)).
 
-    ``curve`` is an x-only jet; its constant term is the exact starting
-    height, handled by polynomial recentering (see ``Jet2.shift_y``).
+    ``curve`` is an x-only jet through the origin, where ``f`` is a germ:
+    a nonzero rational constant term raises ``NonZeroConstantTerm``.
     """
     return _all_along((f,), curve)[0]
 
 
 def _all_along(fs, curve):
     """[eval_along(f, curve) for f in fs], for jets f of one order."""
-    y0 = curve.constant_term
     x = Jet2.variable("x", min(fs[0].order, curve.order))
-    return _substitute_all((f.shift_y(y0) for f in fs), x,
-                           curve - Jet2.constant(y0, curve.order))
+    return _substitute_all(fs, x, curve)
 
 
 def geodesic_solve(st, y0, p0, order=None):
-    """The geodesic through (0, y0) with slope p0, as an x-only jet.
+    """The geodesic through the origin with slope p0, as an x-only jet.
 
-    The coefficients of y - y0 are solved online (J. van der Hoeven,
+    A height y0 other than 0 raises ``ValueError``: the coefficient jets
+    are germs at the origin, and at another height they would be read as
+    exact polynomials, with terms above their window taken for zero.  To
+    follow the geodesic through (0, y0), expand the coefficients with y
+    replaced by y + y0 and solve at height 0.
+
+    The coefficients of y are solved online (J. van der Hoeven,
     J. Symbolic Comput. 34 (2002)), degree by degree on the integer
-    Taylor data of the rescaled ODE (``_geodesic_coeffs``), against the
-    structure recentred at height y0 once, because recentring a
-    truncated structure would change its low terms.  The result keeps
-    the window of the Picard pass y -> p0 x + integral^2 of the
+    Taylor data of the rescaled ODE (``_geodesic_coeffs``).  The result
+    keeps the window of the Picard pass y -> p0 x + integral^2 of the
     right-hand side, and that one pass at full order must return it
     unchanged.
     """
+    if y0 != 0:
+        raise ValueError("geodesic_solve starts at the origin, got height %s"
+                         % (y0,))
     order = st.order if order is None else min(order, st.order)
-    y0, p0 = Fraction(y0), Fraction(p0)
-    recentred = st.truncated(order).map(lambda f: f.shift_y(y0))
+    p0 = Fraction(p0)
+    cut = st.truncated(order)
     base = Jet2.variable("x", order).scale(p0)
-    y = _geodesic_coeffs(recentred, p0, order)
+    y = _geodesic_coeffs(cut, p0, order)
     # The pass keeps degree 2 + e + k v of the slot of window e that
     # multiplies y'^k, where v is the order to which y' vanishes.
     v = min((i for (i, _) in y._num), default=order + 1) - 1
-    eff = min(order, *(2 + f.eff + k * v for k, f in enumerate(recentred)))
+    eff = min(order, *(2 + f.eff + k * v for k, f in enumerate(cut)))
     if eff < order:
         y = y._window(order, eff)
-    rhs = _rhs_along(recentred, y)
+    rhs = _rhs_along(cut, y)
     _ensure(base + rhs.integrate_x().integrate_x() == y,
             "the geodesic solves its Picard pass")
-    return y + Jet2.constant(y0, order)
+    return y
 
 
 def _geodesic_coeffs(st, p0, order):

@@ -243,7 +243,8 @@ def jets(draw, order=PROP_ORDER, max_terms=4, x_only=False, zero_constant=False,
     keys = _keys(order, x_only=x_only, max_degree=max_degree)
     if zero_constant:
         keys = [k for k in keys if k != (0, 0)]
-    chosen = draw(st.lists(st.sampled_from(keys), max_size=max_terms))
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=max_terms)) \
+        if keys else []
     coeffs = {}
     for key in chosen:
         coeffs[key] = draw(small_fractions)
@@ -276,6 +277,38 @@ def cut_windows(draw, parts):
     cut = draw(st.sets(st.integers(0, len(parts) - 1), max_size=2))
     return [f.truncated(eff=draw(st.integers(-1, f.order))) if k in cut
             else f for k, f in enumerate(parts)]
+
+
+@st.composite
+def windowed(draw, order, x_only=False, low=0, min_eff=0, constant=None):
+    """A jet at ``order`` with eff in [min_eff, order], sparse or dense."""
+    eff = draw(st.integers(min(min_eff, order), order))
+    keys = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)
+            if i + j >= low and not (x_only and j)]
+    if keys and not draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    coeffs = {k: draw(small_fractions) for k in keys}
+    if constant is not None:
+        coeffs[(0, 0)] = draw(constant)
+    return Jet2(coeffs, order, eff)
+
+
+@st.composite
+def redrawn(draw, f, x_only=False):
+    """``f`` with random terms above its ``eff`` (in x alone if ``x_only``)
+    and its window widened to its order: a germ that ``f`` cannot tell
+    apart from the one it stands for."""
+    keys = [(i, j) for i in range(f.order + 1) for j in range(f.order + 1 - i)
+            if i + j > f.eff and not (x_only and j)]
+    return Jet2({**f.coeffs, **{k: draw(small_fractions) for k in keys}},
+                f.order)
+
+
+def assert_window_holds(got, full):
+    """``full``, the result on redrawn inputs, has every coefficient of
+    ``got`` through ``got.eff``, and that window is not empty."""
+    assert 0 <= got.eff <= full.eff
+    assert full.truncated(eff=got.eff) == got
 
 
 def univariate_germs(order=PROP_ORDER):

@@ -158,6 +158,24 @@ def test_reader_errors_name_the_file(write, capsys):
         % path)
 
 
+def test_a_document_that_is_not_utf8_exits_3_naming_the_file(tmp_path,
+                                                              capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes('[structure]\nA = "x" ; \u00e9\n'.encode("latin-1"))
+    assert dispatch(["invariants", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad document %s: not UTF-8 text "
+                            "(invalid continuation byte)\n" % path)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_document(write, tmp_path):
+    path = tmp_path / "bom.ini"
+    path.write_text(TRIVIAL_DOC, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf[global]")
+    assert load_document(str(path)) == load_document(write(TRIVIAL_DOC))
+
+
 # line kinds of INI documents; keys and section names recur, so repeated
 # sections and keys come up, and a key line first is text before a header
 _INI_LINES = (
@@ -252,6 +270,10 @@ def test_the_readme_transcript_runs(write, capsys):
         assert program == "projstruct"
         assert dispatch([path if a == "doc.ini" else a for a in argv]) == 0
         assert capsys.readouterr().out == shown
+
+
+def test_the_readme_library_block_runs():
+    exec(_readme_block("## Library", "python"), {})
 
 
 def test_document_values_may_be_quoted_or_bare(write):

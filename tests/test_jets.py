@@ -665,22 +665,6 @@ def test_swap_vars_is_an_involution():
     assert u.swap_vars().coeff(1, 2) == 3
 
 
-def test_shift_y_recenter():
-    u = Y * Y
-    s = u.shift_y(Fraction(1, 2))
-    assert s.coeff(0, 0) == Fraction(1, 4)
-    assert s.coeff(0, 1) == 1
-    assert s.coeff(0, 2) == 1
-
-
-@given(jets(max_degree=3), jets(max_degree=3), small_fractions)
-def test_shift_y_is_a_ring_map_on_exact_polynomials(u, v, y0):
-    # shift_y reads the stored coefficients as an exact polynomial, so
-    # the product must not overflow the truncation order here
-    assert (u * v).shift_y(y0).agree(u.shift_y(y0) * v.shift_y(y0))
-    assert (u + v).shift_y(y0).agree(u.shift_y(y0) + v.shift_y(y0))
-
-
 # --- substitution ----------------------------------------------------------
 
 

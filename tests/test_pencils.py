@@ -2,12 +2,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 import projstruct
 from projstruct.duals import EPS
-from projstruct.errors import DegenerateWedge, VerticalAtOrigin
+from projstruct.errors import (DegenerateWedge, NonZeroConstantTerm,
+                               VerticalAtOrigin)
 from projstruct.expressions import expand
 from projstruct.fields import VectorField
 from projstruct.jets import Jet2, _is_unit
@@ -31,9 +32,10 @@ from projstruct.structures import (ProjectiveStructure, geodesic_solve,
                                    swap_axes)
 
 from conftest import (PROP_ORDER, assert_same_jets, assert_same_structure,
-                      bench_workloads, cut_windows, jets, nonzero_fractions,
-                      rational_or_dual_jets, reference_sub, slope_product,
-                      small_fractions, structures)
+                      assert_window_holds, bench_workloads, cut_windows, jets,
+                      nonzero_fractions, rational_or_dual_jets, redrawn,
+                      reference_sub, slope_product, small_fractions,
+                      structures, windowed)
 
 N = 10
 
@@ -249,13 +251,41 @@ def test_member_value_is_a_first_integral():
     pen = Pencil(F("exp(x) * (y + exp(x))", "-(y + 2*exp(x))"),
                  F("-exp(x)", "1"))
     stq = structure_from_pencil(pen)
-    curve = geodesic_solve(stq, Fraction(1, 3), Fraction(1, 5))
+    curve = geodesic_solve(stq, 0, Fraction(1, 5))
     z = member_value_along(pen, curve)
     assert (z - Jet2.constant(z.constant_term, z.order)).is_zero()
     # and a non-geodesic curve is not inside a single member
     bent = curve + Jet2.monomial(2, 0, Fraction(1, 7), curve.order)
     zb = member_value_along(pen, bent)
     assert not (zb - Jet2.constant(zb.constant_term, zb.order)).is_zero()
+    # nor is a curve off the origin read at all
+    with pytest.raises(NonZeroConstantTerm):
+        member_value_along(pen, curve + Fraction(1, 3))
+
+
+@hs.composite
+def pencils_and_curves(draw):
+    """A pencil with windows of at least 0 and a curve through the origin
+    with a window of at least 1, at a slope where the omega_inf pairing
+    does not vanish, of orders 1 to PROP_ORDER."""
+    order = draw(hs.integers(1, PROP_ORDER))
+    p0, q0, pi, qi = (draw(windowed(order, constant=nonzero_fractions))
+                      for _ in range(4))
+    curve = draw(windowed(order, x_only=True, low=1, min_eff=1))
+    c = [f.constant_term for f in (p0, q0, pi, qi)]
+    assume(c[0] * c[3] != c[1] * c[2] and c[2] + c[3] * curve.coeff(1, 0))
+    return Pencil.from_jets(p0, q0, pi, qi), curve
+
+
+@settings(deadline=None, max_examples=50)
+@given(hs.data(), pencils_and_curves())
+def test_member_value_keeps_its_window_when_the_inputs_are_redrawn(data,
+                                                                  case):
+    pen, curve = case
+    full = (pen.map(lambda fol: fol.map(lambda f: data.draw(redrawn(f)))),
+            data.draw(redrawn(curve, x_only=True)))
+    assert_window_holds(member_value_along(pen, curve),
+                        member_value_along(*full))
 
 
 @settings(max_examples=25, deadline=None)

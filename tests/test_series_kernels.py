@@ -38,7 +38,14 @@ from projstruct.jets import (
 )
 from projstruct.structures import ProjectiveStructure, _rhs_along, geodesic_solve
 
-from conftest import bench_workloads, nonzero_fractions, small_fractions
+from conftest import (
+    assert_window_holds,
+    bench_workloads,
+    nonzero_fractions,
+    redrawn,
+    small_fractions,
+    windowed,
+)
 
 
 def fixed_point(step, start, passes):
@@ -82,9 +89,9 @@ def reference_comp_inverse(u):
                        x.scale(1 / u1), u.order + 3)
 
 
-def reference_geodesic(stq, y0, p0):
+def reference_geodesic(stq, p0):
     order = stq.order
-    base = Jet2.constant(y0, order) + Jet2.variable("x", order).scale(p0)
+    base = Jet2.variable("x", order).scale(p0)
     return fixed_point(
         lambda y: base + _rhs_along(stq, y).integrate_x().integrate_x(),
         base, order + 3)
@@ -118,20 +125,6 @@ def reference_flattening_psi(stq):
 
 
 # --- inputs: sparse or dense, with a window that may end below the order ----
-
-
-@st.composite
-def windowed(draw, order, x_only=False, low=0, min_eff=0, constant=None):
-    """A jet at ``order`` with eff in [min_eff, order], sparse or dense."""
-    eff = draw(st.integers(min(min_eff, order), order))
-    keys = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)
-            if i + j >= low and not (x_only and j)]
-    if keys and not draw(st.booleans()):
-        keys = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
-    coeffs = {k: draw(small_fractions) for k in keys}
-    if constant is not None:
-        coeffs[(0, 0)] = draw(constant)
-    return Jet2(coeffs, order, eff)
 
 
 orders = st.integers(0, 7)
@@ -232,18 +225,33 @@ def test_comp_inverse_over_duals_matches_picard():
 
 
 @settings(deadline=None, max_examples=30)
-@given(structures_at(), nonzero_fractions, small_fractions)
-def test_geodesic_solve_matches_picard(stq, y0, p0):
-    assert geodesic_solve(stq, y0, p0) == reference_geodesic(stq, y0, p0)
+@given(structures_at(), small_fractions)
+def test_geodesic_solve_matches_picard(stq, p0):
+    assert geodesic_solve(stq, 0, p0) == reference_geodesic(stq, p0)
 
 
 @settings(deadline=None, max_examples=30)
-@given(structures_at(), nonzero_fractions, small_fractions,
-       st.integers(0, 6))
-def test_geodesic_solve_at_a_lower_order_matches_picard(stq, y0, p0, order):
+@given(structures_at(), small_fractions, st.integers(0, 6))
+def test_geodesic_solve_at_a_lower_order_matches_picard(stq, p0, order):
     order = min(order, stq.order)
-    assert (geodesic_solve(stq, y0, p0, order)
-            == reference_geodesic(stq.truncated(order), y0, p0))
+    assert (geodesic_solve(stq, 0, p0, order)
+            == reference_geodesic(stq.truncated(order), p0))
+
+
+@settings(deadline=None, max_examples=30)
+@given(structures_at(), nonzero_fractions, small_fractions)
+def test_geodesic_solve_refuses_a_nonzero_height(stq, y0, p0):
+    with pytest.raises(ValueError, match="starts at the origin"):
+        geodesic_solve(stq, y0, p0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), structures_at(), small_fractions)
+def test_geodesic_solve_keeps_its_window_when_the_structure_is_redrawn(
+        data, stq, p0):
+    full = stq.map(lambda f: data.draw(redrawn(f)))
+    assert_window_holds(geodesic_solve(stq, 0, p0),
+                        geodesic_solve(full, 0, p0))
 
 
 @settings(deadline=None, max_examples=30)
@@ -276,17 +284,16 @@ def staircase(step, y, first):
     return y
 
 
-def staircase_geodesic(stq, y0, p0, order=None):
+def staircase_geodesic(stq, p0, order=None):
     order = stq.order if order is None else min(order, stq.order)
-    y0 = Fraction(y0)
-    recentred = stq.truncated(order).map(lambda f: f.shift_y(y0))
+    cut = stq.truncated(order)
     base = Jet2.variable("x", order).scale(Fraction(p0))
 
     def step(y):
         t = y.order
-        rhs = _rhs_along(recentred.truncated(t), y)
+        rhs = _rhs_along(cut.truncated(t), y)
         return base.truncated(t) + rhs.integrate_x().integrate_x()
-    return staircase(step, base, 2) + Jet2.constant(y0, order)
+    return staircase(step, base, 2)
 
 
 def staircase_alpha(c, jet3, order):
@@ -351,8 +358,9 @@ def test_a_registry_pass_calls_each_ode_solver_as_counted(registry_calls):
 
 
 def test_registry_geodesics_match_the_staircase(registry_calls):
-    for args in registry_calls["geodesic_solve"]:
-        assert geodesic_solve(*args) == staircase_geodesic(*args)
+    for stq, y0, p0 in registry_calls["geodesic_solve"]:
+        assert y0 == 0
+        assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, p0)
 
 
 def test_registry_alpha_solutions_match_the_staircase(registry_calls):
@@ -371,7 +379,7 @@ def test_deep_jets_geodesics_match_the_staircase(seed):
     for order in workloads.DEEP_ORDERS:
         inp = workloads.deep_inputs(projstruct, seed, 0, order)
         stq, p0 = inp["st"], inp["p0"]
-        assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, 0, p0)
+        assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, p0)
 
 
 # --- the certificate: one full-order Picard pass, and it bites ------------------
@@ -449,9 +457,8 @@ def test_a_wrong_online_coefficient_fails_the_certificate(
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_low_orders_match_the_staircase(order):
     stq = sample_structure(order)
-    for y0, p0 in ((0, Fraction(1, 2)), (0, 0), (Fraction(-2, 3), 3)):
-        assert (geodesic_solve(stq, y0, p0)
-                == staircase_geodesic(stq, y0, p0))
+    for p0 in (Fraction(1, 2), 0, 3):
+        assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, p0)
     jet3 = (Fraction(-3, 2), 1, Fraction(2, 5), -1)
     assert alpha_ode_solve(3, jet3, order) == staircase_alpha(3, jet3, order)
     stb = ib_structure(order)
@@ -476,7 +483,7 @@ def test_bad_orders_and_a_vanishing_alpha_are_refused():
 def test_a_slope_with_a_large_denominator_matches_the_staircase():
     stq = sample_structure(12)
     p0 = Fraction(-7, 10 ** 12 + 39)
-    assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, 0, p0)
+    assert geodesic_solve(stq, 0, p0) == staircase_geodesic(stq, p0)
 
 
 @pytest.mark.parametrize("effs, p0", [
@@ -491,7 +498,7 @@ def test_structure_windows_below_the_order_match_the_staircase(effs, p0):
                                 for f, e in zip(sample_structure(9), effs)))
     got = geodesic_solve(stq, 0, p0)
     assert got.eff < 9
-    assert got == staircase_geodesic(stq, 0, p0)
+    assert got == staircase_geodesic(stq, p0)
 
 
 @pytest.mark.parametrize("eff_a, eff_c", [(3, 9), (9, 2), (2, 1)])
@@ -504,13 +511,17 @@ def test_flattening_windows_below_the_order_match_the_staircase(eff_a, eff_c):
     assert got == staircase_flattening_psi(stb)
 
 
-def test_a_recentred_geodesic_keeps_its_answer():
-    # The terms above x^0 are not all determined by the origin jets of
-    # A = y^6; the window of a recentred jet is an open item of its own.
+def test_a_geodesic_off_the_origin_is_refused(monkeypatch):
+    # Read as exact polynomials, the order-6 jets of A = y^6 gave the
+    # geodesic through (0, 1) as 1 + x^2/2 + x^4/4 + 7 x^6/40 at eff 6,
+    # and the order-5 jets gave 1; the height is refused before any work.
+    solves = count_calls(monkeypatch, structures, "_geodesic_coeffs")
     zero = Jet2.zero(6)
     stq = ProjectiveStructure(Jet2.monomial(0, 6, 1, 6), zero, zero, zero)
-    want = Jet2.from_terms({(0, 0): 1, (2, 0): Fraction(1, 2),
-                            (4, 0): Fraction(1, 4), (6, 0): Fraction(7, 40)}, 6)
-    assert geodesic_solve(stq, 1, 0) == want
-    assert want.eff == 6
-    assert staircase_geodesic(stq, 1, 0) == want
+    for y0 in (1, Fraction(-2, 3)):
+        with pytest.raises(ValueError,
+                           match="^geodesic_solve starts at the origin, "
+                           "got height %s$" % y0):
+            geodesic_solve(stq, y0, 0)
+    assert solves == []
+    assert geodesic_solve(stq, 0, 0) == Jet2.zero(6)

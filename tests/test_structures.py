@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projstruct.duals import EPS, DualRational
-from projstruct.errors import DegenerateJacobian, NotInNormalForm
+from projstruct.errors import (DegenerateJacobian, NonZeroConstantTerm,
+                               NotInNormalForm)
 from projstruct.fields import VectorField
 from projstruct.jets import (Jet2, _is_unit, _substitute_all, _sum_of_products,
                              comp_inverse, compose1, exp_series)
@@ -37,16 +38,19 @@ from conftest import (
     _strip_linear,
     assert_same_jets,
     assert_same_structure,
+    assert_window_holds,
     cut_windows,
     diffeo_germs,
     jets,
     nonzero_fractions,
     rational_or_dual_jets,
+    redrawn,
     slope_product,
     slope_sum,
     slope_times,
     structures,
     univariate_germs,
+    windowed,
 )
 
 N = 10
@@ -474,12 +478,13 @@ def reference_rhs_along(stq, curve):
 
 
 def test_rhs_along_is_the_reference_on_every_registry_call(registry_traffic):
-    # a call builds 5 jets outside _substitute_all: y'^2, y'^3, the sum
-    # and its two window shifts of y' (11 with a jet per operator)
+    # a call builds 4 jets outside _substitute_all: y', y'^2, y'^3 and
+    # the sum (5 while it recentred the curve at its constant term, 11
+    # with a jet per operator)
     calls, passes = registry_traffic
     assert {order: p["rhs_along"] for order, p in passes.items()} \
         == {12: 17, 8: 17}
-    assert {n for *_, n in calls["rhs_along"]} == {5}
+    assert {n for *_, n in calls["rhs_along"]} == {4}
     for stq, curve, _ in calls["rhs_along"]:
         assert_same_structure([_rhs_along(stq, curve)],
                               [reference_rhs_along(stq, curve)])
@@ -496,13 +501,13 @@ def test_deep_jets_rhs_along_is_the_reference(deep_traffic):
 @st.composite
 def windowed_curves(draw):
     """A structure over the rationals or the duals and an x-graph curve
-    through (0, y0), of orders 0 to PROP_ORDER, some jets cut to a random
-    window, empty ones included."""
+    through the origin, of orders 0 to PROP_ORDER, some jets cut to a
+    random window, empty ones included."""
     order = draw(st.integers(0, PROP_ORDER))
     slots = [draw(rational_or_dual_jets(order)) for _ in range(4)]
     order = draw(st.integers(0, PROP_ORDER))
     *slots, curve = draw(cut_windows(
-        slots + [draw(jets(order=order, x_only=True))]))
+        slots + [draw(jets(order=order, x_only=True, zero_constant=True))]))
     return ProjectiveStructure(*slots), curve
 
 
@@ -512,19 +517,48 @@ def test_rhs_along_is_the_reference_in_short_windows(case):
     assert_same_jets([_rhs_along(*case)], [reference_rhs_along(*case)])
 
 
+def test_a_curve_off_the_origin_is_refused():
+    stq = S("x*y + 1", "2*y - x", "x^2 + y", "1/3 + x")
+    curve = jexp("1/2 - 3*x")
+    with pytest.raises(NonZeroConstantTerm):
+        _rhs_along(stq, curve)
+    with pytest.raises(NonZeroConstantTerm):
+        eval_along(Jet2.variable("y", N), curve)
+
+
+@st.composite
+def short_curves(draw):
+    """A rational structure with windows of at least 0 and a curve through
+    the origin with a window of at least 1, of orders 1 to PROP_ORDER."""
+    order = draw(st.integers(1, PROP_ORDER))
+    stq = ProjectiveStructure(*(draw(windowed(order)) for _ in range(4)))
+    return stq, draw(windowed(order, x_only=True, low=1, min_eff=1))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data(), short_curves())
+def test_rhs_along_keeps_its_window_when_the_inputs_are_redrawn(data, case):
+    stq, curve = case
+    full = (stq.map(lambda f: data.draw(redrawn(f))),
+            data.draw(redrawn(curve, x_only=True)))
+    assert_window_holds(_rhs_along(stq, curve), _rhs_along(*full))
+    assert_window_holds(eval_along(stq.A, curve),
+                        eval_along(full[0].A, full[1]))
+
+
 def test_geodesics_of_trivial_structure_are_lines():
     flat = ProjectiveStructure.zero(N)
-    curve = geodesic_solve(flat, Fraction(1, 2), Fraction(-3))
-    assert curve.agree(jexp("1/2 - 3*x"))
+    curve = geodesic_solve(flat, 0, Fraction(-3))
+    assert curve.agree(jexp("-3*x"))
 
 
-def test_geodesic_of_y_driven_equation_is_cosh():
-    # y'' = y with y(0) = 1, y'(0) = 0
+def test_geodesic_of_y_driven_equation_is_sinh():
+    # y'' = y with y(0) = 0, y'(0) = 1
     stq = ProjectiveStructure(Jet2.variable("y", N), Jet2.zero(N),
                               Jet2.zero(N), Jet2.zero(N))
-    curve = geodesic_solve(stq, 1, 0)
+    curve = geodesic_solve(stq, 0, 1)
     for k in range(N + 1):
-        expected = Fraction(1, __import__("math").factorial(k)) if k % 2 == 0 else 0
+        expected = Fraction(1, __import__("math").factorial(k)) if k % 2 else 0
         assert curve.coeff(k, 0) == expected
 
 
