@@ -32,7 +32,6 @@ not depend on the report order.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InadmissibleParameters, NonSquareConstant,
@@ -46,6 +45,7 @@ from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
                       structure_from_pencil)
+from .records import Record
 from .reports import (INCONSISTENT, CaseReport, CheckResult, failed,
                       leading_term, passed, recorded, slope_leading_term,
                       zero_check)
@@ -103,7 +103,7 @@ def _agree_check(name, got, want, detail=""):
     A failure reports the leading term of the first slot that differs,
     and names that slot when there is no ``detail``.
     """
-    for slot, g, w in zip(got.__dataclass_fields__, got, want):
+    for slot, g, w in zip(got._fields, got, want):
         diff = g - w
         if not diff.is_zero():
             return failed(name, leading_term(diff),
@@ -649,8 +649,7 @@ def _no_extra(*_):
     return []
 
 
-@dataclass(frozen=True)
-class _AlgebraEntry:
+class _AlgebraEntry(Record):
     """One symmetry-algebra case as data; calling it runs the case.
 
     The structure ``quadruple`` is expression text in the sample's
@@ -682,8 +681,7 @@ class _AlgebraEntry:
         return checks
 
 
-@dataclass(frozen=True)
-class _PencilEntry:
+class _PencilEntry(Record):
     """One flat-pencil case as data; calling it runs the case.
 
     Pencil ``forms`` (P0, Q0, Pinf, Qinf), induced ``quadruple`` and
@@ -910,8 +908,7 @@ def _remark_pi0_extra(env, order, st, fields, wide):
 
 # --- the registry ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(Record):
     """One catalog entry: id, title, sanctioned samples and a runner.
 
     ``samples`` is a tuple of parameter environments (string values);

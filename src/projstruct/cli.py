@@ -38,8 +38,6 @@ identifier, and its value any exact rational that ``Fraction`` reads
 import argparse
 import re
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 
@@ -50,6 +48,7 @@ from .fields import VectorField, residual, symmetry_dim
 from .jets import DEFAULT_ORDER, format_jet
 from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
     structure_from_pencil
+from .records import Record
 from .reports import FAIL, render_json, render_text
 from .structures import (ProjectiveStructure, apply_x_reparam, apply_y_shift,
                          apply_y_scale, liouville)
@@ -63,8 +62,7 @@ _HEADER = re.compile(r"\[(?P<header>.+)\]")     # configparser's SECTCRE
 _OPTION = re.compile(r"(.*?)\s*[=:]\s*(.*)")     # ... and its OPTCRE
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     """One parsed input file; jets are expanded at ``order``."""
 
     order: int
@@ -338,6 +336,8 @@ def _working_order(text):
 
 
 def _utc_stamp():
+    # imported here: only ``verify-paper --timestamps`` reads the clock
+    from datetime import datetime, timezone
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 

@@ -38,52 +38,45 @@ rebuilds ``e``.
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnboundParameter, UnsupportedExponent
 from .jets import (DEFAULT_ORDER, Jet2, _lincomb, _product, exp_series,
                    sqrt_series)
+from .records import Record
 
 
 # --- syntax trees -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str  # "x" or "y"
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: object
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """``first op1 x1 op2 x2 ...``, evaluated left to right; the ops are
     all from ``+ -`` or all from ``* /``."""
     first: object
     rest: tuple  # ((op, operand), ...)
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: object
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     func: str  # "exp" or "sqrt"
     arg: object
 

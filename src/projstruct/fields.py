@@ -29,7 +29,6 @@ compatibility rows of S_d.
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
@@ -38,11 +37,11 @@ from types import MappingProxyType
 
 from .jets import Jet2, _sum_of_products
 from .linalg import _int_row, _reduce, nullspace, rank, solve_affine
+from .records import Record
 from .slopes import SlopePoly
 from .structures import ProjectiveStructure, _JetRecord
 
 
-@dataclass(frozen=True)
 class VectorField(_JetRecord):
     a: Jet2  # coefficient of d/dx
     b: Jet2  # coefficient of d/dy
@@ -90,8 +89,7 @@ def _monomials(degree):
             for i in range(total, -1, -1)]
 
 
-@dataclass(frozen=True)
-class SymmetryDimensions:
+class SymmetryDimensions(Record):
     """Dimension of the symmetry algebra seen through 2-jets of fields,
     at two consecutive orders.  When both agree the count has stabilized
     (all structures analyzed here stabilize by the default orders).
@@ -326,8 +324,7 @@ def _columns(side, order, blocks):
     return scales, columns
 
 
-@dataclass(frozen=True)
-class InvariantStructures:
+class InvariantStructures(Record):
     """Affine space of structures preserved by a set of fields.
 
     ``particular`` and ``basis`` hold polynomial coefficient quadruples

@@ -25,7 +25,6 @@ known through degree e - 1), an empty N with ``eff >= U`` means "geodesic"
 ``eff`` by the ``Jet2`` rules), and otherwise the residual decides.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
@@ -52,7 +51,6 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
 class Foliation(_JetRecord):
     """The foliation with tangent 1-form P dx + Q dy."""
 
@@ -142,7 +140,6 @@ def is_geodesic(fol, st):
     return foliation_residual(fol, st).is_zero()
 
 
-@dataclass(frozen=True)
 class Pencil(_JetRecord):
     omega0: Foliation
     omega_inf: Foliation

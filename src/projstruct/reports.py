@@ -16,9 +16,9 @@ measured values) lives only in the text rendering.
 """
 
 import json
-from dataclasses import dataclass
 
 from .jets import Jet2, format_jet
+from .records import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -42,16 +42,14 @@ def slope_leading_term(poly):
     return "0"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     verdict: str
     residual_leading_term: str = "0"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     case: str
     title: str
     params: dict

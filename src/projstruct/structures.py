@@ -11,7 +11,6 @@ changes, which is what :func:`pullback` implements.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -22,12 +21,13 @@ from .errors import (
 )
 from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
                    _sum_window, comp_inverse, compose1, exp_series)
+from .records import Record
 from .slopes import _slope_terms
 
 
-class _JetRecord:
-    """A frozen dataclass whose fields are parts of one order: jets, or
-    records of jets.
+class _JetRecord(Record):
+    """A record whose fields are parts of one order: jets, or records of
+    jets.
 
     Iterating a record yields its parts in field order; ``order``,
     ``eff``, ``agree`` and the rest act part by part.
@@ -39,12 +39,9 @@ class _JetRecord:
             raise ValueError("%s parts must share one order, got %s"
                              % (type(self).__name__, orders))
 
-    def __iter__(self):
-        return map(self.__getattribute__, self.__dataclass_fields__)
-
     @property
     def order(self):
-        return next(iter(self)).order
+        return self[0].order
 
     @property
     def eff(self):
@@ -67,10 +64,9 @@ class _JetRecord:
 
     @classmethod
     def zero(cls, order):
-        return cls(*[Jet2.zero(order)] * len(cls.__dataclass_fields__))
+        return cls(*[Jet2.zero(order)] * len(cls._fields))
 
 
-@dataclass(frozen=True)
 class ProjectiveStructure(_JetRecord):
     A: Jet2
     B: Jet2
@@ -78,7 +74,6 @@ class ProjectiveStructure(_JetRecord):
     D: Jet2
 
 
-@dataclass(frozen=True)
 class DiffeoGerm(_JetRecord):
     """A coordinate change germ fixing the origin, (x, y) -> (u, v)."""
 
@@ -225,7 +220,6 @@ def swap_axes(st):
 # --- invariants -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LiouvillePair(_JetRecord):
     L1: Jet2
     L2: Jet2
