@@ -7,10 +7,16 @@ A projective structure is given here by the second-order ODE
 through its coefficient 2-jets.  The package computes the classical
 linearizability invariants, infinitesimal symmetries, normal forms and
 flat (pencil-defined) models, all over exact rational arithmetic.
+
+Every name of ``__all__`` is public here.  Those of the verification
+registry (``cases``), its reports (``reports``) and the dual numbers
+(``duals``) resolve on first use, so a document command never loads the
+registry; ``dir()`` and ``from projstruct import *`` list them all.
 """
 
+from importlib import import_module
+
 from .jets import DEFAULT_ORDER, Jet2, comp_inverse, exp_series, format_jet, sqrt_series, substitute
-from .duals import EPS, DualRational
 from .expressions import expand
 from .slopes import SlopePoly
 from .structures import (
@@ -51,19 +57,16 @@ from .pencils import (
     slope,
     structure_from_pencil,
 )
-from .reports import CaseReport, CheckResult, render_json, render_text
-from .cases import (
-    CASES,
-    affine_family_checks,
-    alpha_ode_solve,
-    cubic_curve_residual,
-    exotic_sl2_check,
-    flat_criteria_checks,
-    ib_flattening_germ,
-    list_cases,
-    run_all,
-    run_case,
-)
+
+# name -> home module, imported by ``__getattr__`` when the name is first read
+_LAZY = {name: module for module, names in (
+    ("duals", ("EPS", "DualRational")),
+    ("reports", ("CaseReport", "CheckResult", "render_json", "render_text")),
+    ("cases", ("CASES", "affine_family_checks", "alpha_ode_solve",
+               "cubic_curve_residual", "exotic_sl2_check",
+               "flat_criteria_checks", "ib_flattening_germ", "list_cases",
+               "run_all", "run_case")),
+) for name in names}
 
 __version__ = "0.1.0"
 
@@ -127,3 +130,17 @@ __all__ = [
     "run_case",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

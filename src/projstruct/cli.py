@@ -41,7 +41,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .cases import run_all, run_case
 from .errors import ExprSyntaxError, ProjstructError, UnknownCase
 from .expressions import COORDS, FUNCTIONS, Param, expand, parse
 from .fields import VectorField, residual, symmetry_dim
@@ -49,7 +48,6 @@ from .jets import DEFAULT_ORDER, format_jet
 from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
     structure_from_pencil
 from .records import Record
-from .reports import FAIL, render_json, render_text
 from .structures import (ProjectiveStructure, apply_x_reparam, apply_y_shift,
                          apply_y_scale, liouville)
 
@@ -200,8 +198,9 @@ def load_document(path):
 
     fields = {}
     for section in sections:
-        if section.startswith("field "):
-            name = section[len("field "):].strip()
+        kind, _, name = section.partition(" ")
+        if kind == "field":
+            name = name.strip()
             if not name:
                 raise DocumentError("field section needs a name: [field NAME]")
             fields[name] = VectorField(jet(section, "a"), jet(section, "b"))
@@ -342,6 +341,9 @@ def _utc_stamp():
 
 
 def _cmd_verify(args):
+    # imported here: only ``verify-paper`` reads the registry and its reports
+    from .cases import run_all, run_case
+    from .reports import FAIL, render_json, render_text
     if args.case is not None:
         reports = run_case(args.case, None, args.order)
     else:

@@ -6,6 +6,7 @@ taxonomy (0 holds / 1 negative / 2 usage / 3 parse-math) and the
 byte-determinism of the JSON report mode.
 """
 
+import ast
 import configparser
 import json
 import os
@@ -148,6 +149,17 @@ def test_malformed_documents_exit_3(write, capsys, doc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_a_nameless_field_section_is_refused(write, capsys):
+    # a bare [field] header is no field section at all without a name;
+    # skipping it would leave "no [field VERT] section" as the only clue
+    path = write(TRIVIAL_DOC.replace("[field VERT]", "[field]"))
+    assert dispatch(["symcheck", path, "--field", "VERT"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: field section needs a name: "
+                            "[field NAME]\n")
 
 
 def test_reader_errors_name_the_file(write, capsys):
@@ -599,21 +611,37 @@ def test_the_parser_is_built_once_and_not_at_import(write, capsys):
 
 def test_reading_a_document_does_not_import_configparser(write):
     """Nor the modules a cold start need not pay for: ``dataclasses`` (and
-    the ``inspect`` it pulls in) and ``datetime``, which only
-    ``verify-paper --timestamps`` reads.  A site ``.pth`` may load some of
-    them at startup, so the probe counts only what the import and one
-    command add."""
+    the ``inspect`` it pulls in), ``datetime``, which only
+    ``verify-paper --timestamps`` reads, and the registry, its reports,
+    the dual numbers and ``json``, which only ``verify-paper`` reads.  A
+    site ``.pth`` may load some of them at startup, so the probe counts
+    only what the import and each command add."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    doc, pencil = write(TRIVIAL_DOC), write(PENCIL_DOC, "pencil.ini")
+    commands = [["invariants", doc], ["linearizable", doc],
+                ["symcheck", doc, "--field", "VERT"], ["symdim", doc],
+                ["pullback", doc, "--psi", "x + x^2"], ["pencil", pencil],
+                ["geodesic", pencil, "--z", "0"],
+                ["verify-paper", "--case", "sec3.aff"]]
     probe = ("import sys; before = set(sys.modules); "
-             "import projstruct.cli as cli; "
-             "code = cli.dispatch(['invariants', sys.argv[1]]); "
-             "added = set(sys.modules) - before; "
-             "print(code, sorted(added & {'configparser', 'dataclasses', "
-             "'inspect', 'datetime'}))")
-    out = subprocess.run([sys.executable, "-c", probe, write(TRIVIAL_DOC)],
-                         check=True, capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.splitlines()[-1] == "0 []"
+             "import projstruct.cli as cli\n"
+             "for argv in %r:\n"
+             "    code = cli.dispatch(argv)\n"
+             "    added = set(sys.modules) - before\n"
+             "    print([argv[0], code, sorted(added & {'configparser', "
+             "'dataclasses', 'inspect', 'datetime', 'json', "
+             "'projstruct.cases', 'projstruct.reports', "
+             "'projstruct.duals'})], file=sys.stderr)" % commands)
+    err = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stderr
+    *documents, verify = map(ast.literal_eval, err.splitlines())
+    assert documents == [["invariants", 0, []], ["linearizable", 1, []],
+                         ["symcheck", 0, []], ["symdim", 0, []],
+                         ["pullback", 0, []], ["pencil", 0, []],
+                         ["geodesic", 0, []]]
+    assert verify[:2] == ["verify-paper", 0]
+    assert {"projstruct.cases", "projstruct.reports"} <= set(verify[2])
 
 
 def test_main_exits_with_the_dispatch_code(write):
