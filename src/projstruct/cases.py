@@ -14,7 +14,9 @@ with its named symmetry fields, bracket table and symmetry dimension.
 Every field is named once, with its formula, in ``_FIELDS``.  What
 differs between cases stays code: each row's ``extra`` checks, and the
 batteries ``affine_family_checks``, ``flat_criteria_checks`` and
-``exotic_sl2_check``.
+``exotic_sl2_check``.  Every formula is expression text, parsed once
+per process; each identity the paper displays is a row (name, text,
+detail) whose text must vanish with its jets bound by name.
 
 Statements that fail mechanically are reported with the
 ``paper-inconsistent`` verdict together with the computed value — never
@@ -26,21 +28,23 @@ command; rendering lives in :mod:`projstruct.reports`.
 Working-order note: dimension counts and invariant-structure solves
 need jets of a minimum order to cut their linear systems (8 and 9
 respectively); :func:`_dim_structure` (for every dimension check) and
-``exotic_sl2_check`` build those jets at ``max(order, floor)`` (the
-``sec3.aff`` exponential member three orders higher) so that verdicts do
-not depend on the report order.
+``exotic_sl2_check`` build those jets at ``max(order, floor)`` so that
+verdicts do not depend on the report order.  The ``sec3.aff`` exponential
+sub-battery and ``flat_criteria_checks`` work three orders higher, which
+their formulas spend (a''' in A; the normalization and B'), so that no
+identity holds on an empty window.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 from .errors import (InadmissibleParameters, NonSquareConstant,
                      PreconditionViolated, UnknownCase, _ensure)
-from .expressions import expand
+from .expressions import expand, parse
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
-from .jets import (DEFAULT_ORDER, Jet2, _cauchy, compose1, exp_series,
-                   sqrt_series)
+from .jets import DEFAULT_ORDER, Jet2, _cauchy, compose1
 from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
@@ -67,9 +71,15 @@ def _frac(env, key):
     return Fraction(env[key])
 
 
-def _structure(order, env, a, b, c, d):
-    return ProjectiveStructure(expand(a, env, order), expand(b, env, order),
-                               expand(c, env, order), expand(d, env, order))
+_parsed = functools.cache(parse)  # each text of this module, once
+
+
+def _jet(text, env, order):
+    return expand(_parsed(text), env, order)
+
+
+def _structure(order, env, *texts):
+    return ProjectiveStructure(*(_jet(t, env, order) for t in texts))
 
 
 def _dim_structure(order, env, *texts, st=None):
@@ -81,7 +91,7 @@ def _dim_structure(order, env, *texts, st=None):
 
 
 def _field(order, a, b, env=None):
-    return VectorField(expand(a, env, order), expand(b, env, order))
+    return VectorField(_jet(a, env, order), _jet(b, env, order))
 
 
 def _nodal_cubic(a, b):
@@ -89,6 +99,12 @@ def _nodal_cubic(a, b):
 
 
 # --- shared check builders --------------------------------------------------
+
+def _identity_check(row, env, order):
+    """Pass when the text of ``row`` (name, text, detail) vanishes."""
+    name, text, detail = row
+    return zero_check(name, _jet(text, env, order), detail)
+
 
 def _symmetry_check(name, field, st, detail=""):
     res = residual(field, st)
@@ -285,6 +301,26 @@ def _alpha_ode_residual(c, al):
     return _alpha_ode_lower(c, al) + (al * d4).scale(2)
 
 
+# The exponential member (A, B, 0, 1) of a solution alpha of the quartic
+# ODE, and the relations the paper displays for it.
+_EXPONENTIAL_MEMBER = (
+    "(d_dx(d_dx(d_dx(alpha))) - c^4*d_dx(alpha))/(4*c^3*alpha)",
+    "-(3*d_dx(d_dx(alpha)) + c^4*alpha)/(4*c^2*alpha)", "0", "1")
+_EXPONENTIAL_IDENTITIES = (
+    ("exponential:A-prime-relation",
+     "6*(B + c^2)*d_dx(A) - (27*c*A^2 + 9*A*d_dx(B)"
+     " - 3*c*(B + c^2)*d_dx(B) + c*(4*B + c^2)*(B + c^2)^2)",
+     "6 (B + c^2) A' equals the stated polynomial in (A, B, B')"),
+    ("exponential:B-second-relation",
+     "6*(B + c^2)*d_dx(d_dx(B)) + 27*c*A*(c*A - d_dx(B)) - 12*d_dx(B)^2"
+     " - 9*c^2*(B + c^2)*d_dx(B) + c^2*(4*B + c^2)*(B + c^2)^2",
+     "6 (B + c^2) B'' equals the stated polynomial in (A, B, B')"),
+    ("exponential:alpha-log-derivative",
+     "d_dx(alpha)*(B + c^2) + (3*c*A + d_dx(B))*alpha",
+     "alpha'/alpha = -(3 c A + B')/(B + c^2)"),
+)
+
+
 def affine_family_checks(env, order=DEFAULT_ORDER):
     """Re-derive the two-parameter families with a 2-dimensional algebra.
 
@@ -317,53 +353,28 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
 
     def exponential_member(n):
         al = alpha_ode_solve(c, a_jet3, n)
-        d1 = al.d_dx()
-        A = ((d1.d_dx().d_dx() - d1.scale(c ** 4)) / al
-             ).scale(Fraction(1, 4) / c ** 3)
-        B = (-(d1.d_dx().scale(3) + al.scale(c ** 4)) / al
-             ).scale(Fraction(1, 4) / c ** 2)
-        pi = ProjectiveStructure(A, B, Jet2.zero(n), Jet2.constant(1, n))
-        return al, pi
+        return al, _structure(n, {"alpha": al, "c": c}, *_EXPONENTIAL_MEMBER)
 
-    al, pi = exponential_member(order)
-    d1 = al.d_dx()
+    n = order + 3  # the member's A spends three orders on alpha'''
+    al, pi = exponential_member(n)
+    bound = {"alpha": al, "c": c, "A": pi.A, "B": pi.B}
+    Xn = _field(n, *_FIELDS["d_dy"])
     checks.append(zero_check("exponential:ode-residual",
                              _alpha_ode_residual(c, al),
                              "the Picard solution satisfies the quartic ODE"))
-    beta = (d1 - al.scale(c * c)).scale(Fraction(1, 2) / c)
-    ecy = exp_series(Jet2.variable("y", order).scale(c))
-    vexp = VectorField(ecy * al, ecy * beta)
+    vexp = _field(n, "exp(c*y)*alpha",
+                  "exp(c*y)*(d_dx(alpha) - c^2*alpha)/(2*c)", bound)
     checks.append(_symmetry_check(
         "exponential:symmetry:v", vexp, pi,
         "v = e^{cy}(alpha d_dx + beta d_dy), beta = (alpha' - c^2 alpha)/(2c)"))
-    checks.append(_symmetry_check("exponential:symmetry:d_dy", X, pi))
+    checks.append(_symmetry_check("exponential:symmetry:d_dy", Xn, pi))
     cv = VectorField(vexp.a.scale(c), vexp.b.scale(c))
     checks.append(_agree_check("exponential:bracket:[d_dy,v]=c*v",
-                               lie_bracket(X, vexp), cv))
-    A, B = pi.A, pi.B
-    Bp = B.d_dx()
-    denom = B + Jet2.constant(c * c, order)
-    fourB = B.scale(4) + Jet2.constant(c * c, order)
-    rhs_a = ((A * A).scale(27 * c) + A * Bp.scale(9)
-             - denom * Bp.scale(3 * c) + (fourB * denom * denom).scale(c))
-    checks.append(zero_check(
-        "exponential:A-prime-relation", A.d_dx() * denom.scale(6) - rhs_a,
-        "6 (B + c^2) A' equals the stated polynomial in (A, B, B')"))
-    rhs_b = ((A * (A.scale(c) - Bp)).scale(27 * c) - (Bp * Bp).scale(12)
-             - denom * Bp.scale(9 * c * c)
-             + (fourB * denom * denom).scale(c * c))
-    checks.append(zero_check(
-        "exponential:B-second-relation", Bp.d_dx() * denom.scale(6) + rhs_b,
-        "6 (B + c^2) B'' equals the stated polynomial in (A, B, B')"))
-    checks.append(zero_check(
-        "exponential:alpha-log-derivative",
-        d1 * denom + (A.scale(3 * c) + Bp) * al,
-        "alpha'/alpha = -(3 c A + B')/(B + c^2)"))
-    # A = (a''' - c^4 a')/(4 c^3 a) spends three effective orders on the
-    # third derivative, so the dimension count needs jets three higher.
-    checks.append(_dim_check("exponential:symmetry-dimension",
-                             exponential_member(max(order, _DIM_FLOOR) + 3)[1],
-                             2))
+                               lie_bracket(Xn, vexp), cv))
+    checks += [_identity_check(row, bound, n)
+               for row in _EXPONENTIAL_IDENTITIES]
+    wide = exponential_member(_DIM_FLOOR + 3)[1] if order < _DIM_FLOOR else pi
+    checks.append(_dim_check("exponential:symmetry-dimension", wide, 2))
 
     expc = ("ib_alpha0 * exp(-x)", "0", "exp(x)", "0")
     stb = _structure(order, env, *expc)
@@ -462,6 +473,29 @@ def _flattening_coeffs(q, m, order):
                      top * s ** order, order, order)
 
 
+# The D-unit pencil families normalized to (A, B, 0, 1), u = g' o psi for
+# the first; its squared identity as stated has the coefficient 3, not 27.
+_IA1_IDENTITIES = (
+    ("ia1:normalized-B", "B + (u^2 - u + 1)/3",
+     "B = -(u^2 - u + 1)/3 with u = g' o psi"),
+    ("ia1:normalized-A", "A - d_dx(u)/3 - (u + 1)*(2*u - 1)*(u - 2)/27",
+     "A = u'/3 + (u+1)(2u-1)(u-2)/27 with u = g' o psi"),
+    ("ia1:squared-identity-as-stated",
+     "3*(4*B + 1)*A^2 + (4*B^2 + 5*B - 3*d_dx(B) + 1)^2",
+     "3 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2"),
+    ("ia1:squared-identity-corrected",
+     "27*(4*B + 1)*A^2 + (4*B^2 + 5*B - 3*d_dx(B) + 1)^2",
+     "27 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2 = 0"),
+)
+_IA2_IDENTITIES = (
+    ("ia2:normalized-B", "B + d_dx(g)^2/3", "B = -g'^2/3 after normalization"),
+    ("ia2:normalized-A", "A - 2*d_dx(g)^3/27 - d_dx(d_dx(g))/3",
+     "A = 2 g'^3/27 + g''/3 after normalization"),
+    ("ia2:squared-identity", "108*B*A^2 + (4*B^2 - 3*d_dx(B))^2",
+     "108 B A^2 + (4B^2 - 3B')^2 = 0"),
+)
+
+
 def flat_criteria_checks(env, order=DEFAULT_ORDER):
     """Squared first-order flatness identities after normalization.
 
@@ -476,93 +510,62 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
     why = _adm_remark_flat(env, order)
     if why:
         raise InadmissibleParameters(why)
-    checks = []
-    zero, one = Jet2.zero(order), Jet2.constant(1, order)
-    two = Jet2.constant(2, order)
+    # The squared identities spend three orders: B' and the normalization.
+    order += 3
 
     env1 = {"g": env["g1"]}
-    g = expand("g", env1, order)
     pen = CASES["thm41.i.a.1"].runner.pencil(env1, order)
     nf, germ = normalize_D1(structure_from_pencil(pen))
-    A, B = nf.A, nf.B
-    u = compose1(g.d_dx(), germ.u)
-    checks.append(zero_check(
-        "ia1:normalized-B", B + (u * u - u + one).scale(Fraction(1, 3)),
-        "B = -(u^2 - u + 1)/3 with u = g' o psi"))
-    checks.append(zero_check(
-        "ia1:normalized-A",
-        A - u.d_dx().scale(Fraction(1, 3))
-        - ((u + one) * (u.scale(2) - one) * (u - two)).scale(Fraction(1, 27)),
-        "A = u'/3 + (u+1)(2u-1)(u-2)/27 with u = g' o psi"))
-    S = (B * B).scale(4) + B.scale(5) - B.d_dx().scale(3) + one
-    fourB1 = B.scale(4) + one
-    stated = (fourB1 * A * A).scale(3) + S * S
-    if stated.is_zero():
-        checks.append(passed(
-            "ia1:squared-identity-as-stated",
-            "3 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2 = 0 at this sample"))
-    else:
-        checks.append(CheckResult(
-            "ia1:squared-identity-as-stated", INCONSISTENT,
-            leading_term(stated),
-            "3 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2 does not vanish; "
-            "the leading coefficient must be 27"))
-    checks.append(zero_check(
-        "ia1:squared-identity-corrected", (fourB1 * A * A).scale(27) + S * S,
-        "27 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2 = 0"))
+    bound = {"A": nf.A, "B": nf.B,
+             "u": compose1(_jet("d_dx(g)", env1, order), germ.u)}
+    rows = _IA1_IDENTITIES
+    checks = [_identity_check(row, bound, order) for row in rows[:2]]
+    name, text, shown = rows[2]
+    stated = _jet(text, bound, order)
+    checks.append(passed(name, shown + " = 0 at this sample")
+                  if stated.is_zero() else CheckResult(
+                      name, INCONSISTENT, leading_term(stated), shown +
+                      " does not vanish; the leading coefficient must be 27"))
+    checks.append(_identity_check(rows[3], bound, order))
     try:
-        root = sqrt_series(fourB1.scale(-3))
+        root = _jet("sqrt(-3*(4*B + 1))", bound, order)
     except NonSquareConstant:
         checks.append(recorded("ia1:root-reconstruction",
                                "identity verified, root not rational"))
     else:
-        ok = False
-        for sign in (1, -1):
-            fp = (one + root.scale(sign)).scale(Fraction(1, 2))
-            rel = fp - ((one + fp) * (one + fp)).scale(Fraction(1, 3)) - B
-            ok = ok or rel.is_zero()
+        ok = any(_jet("f - (1 + f)^2/3 - B",
+                      {"B": nf.B, "r": root, "f": _parsed(f)}, order).is_zero()
+                 for f in ("(1 + r)/2", "(1 - r)/2"))
         checks.append(passed(
             "ia1:root-reconstruction",
             "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")
             if ok else failed("ia1:root-reconstruction"))
 
     env2 = {"g": env["g2"]}
-    g2 = expand("g", env2, order)
     pen2 = CASES["thm41.i.a.2"].runner.pencil(env2, order)
     nf2, _ = normalize_D1(structure_from_pencil(pen2))
-    A2, B2 = nf2.A, nf2.B
-    gp = g2.d_dx()
-    checks.append(zero_check(
-        "ia2:normalized-B", B2 + (gp * gp).scale(Fraction(1, 3)),
-        "B = -g'^2/3 after normalization"))
-    checks.append(zero_check(
-        "ia2:normalized-A",
-        A2 - (gp ** 3).scale(Fraction(2, 27)) - gp.d_dx().scale(Fraction(1, 3)),
-        "A = 2 g'^3/27 + g''/3 after normalization"))
-    S2 = (B2 * B2).scale(4) - B2.d_dx().scale(3)
-    checks.append(zero_check("ia2:squared-identity",
-                             (B2 * A2 * A2).scale(108) + S2 * S2,
-                             "108 B A^2 + (4B^2 - 3B')^2 = 0"))
+    bound2 = {"A": nf2.A, "B": nf2.B, "g": env["g2"]}
+    checks += [_identity_check(row, bound2, order) for row in _IA2_IDENTITIES]
     try:
-        root2 = sqrt_series(B2.scale(-3))
+        root2 = _jet("sqrt(-3*B)", bound2, order)
     except NonSquareConstant:
         checks.append(recorded("ia2:root-reconstruction",
                                "identity verified, root not rational"))
     else:
+        gp = _jet("d_dx(g)", env2, order)
         ok = root2.agree(gp) or root2.agree(-gp)
         checks.append(passed("ia2:root-reconstruction", "sqrt(-3B) = +- g'")
                       if ok else failed("ia2:root-reconstruction",
                                         leading_term(root2 - gp)))
 
-    ab = expand("a", {"a": env["a_ib"]}, order)
-    stc = ProjectiveStructure(ab, zero, exp_series(Jet2.variable("x", order)),
-                              zero)
+    stc = _structure(order, env, "a_ib", "0", "exp(x)", "0")
     flat = pullback(ib_flattening_germ(stc), stc)
     off = next((j for j in (flat.A, flat.B, flat.D) if not j.is_zero()), None)
     checks.append(passed(
         "ib:reduction-to-C-only",
         "the psi''' equation and a y-shift empty the A, B, D slots")
         if off is None else failed("ib:reduction-to-C-only", leading_term(off)))
+    zero, one = Jet2.zero(order), Jet2.constant(1, order)
     pen3 = Pencil(Foliation(one, flat.C.integrate_x()), Foliation(zero, one))
     checks.append(_agree_check(
         "ib:pencil-roundtrip", structure_from_pencil(pen3), flat,
@@ -685,8 +688,7 @@ class _PencilEntry(Record):
     """One flat-pencil case as data; calling it runs the case.
 
     Pencil ``forms`` (P0, Q0, Pinf, Qinf), induced ``quadruple`` and
-    Lie-factor rows are expression text in the sample's environment; a
-    quadruple slot needing g' is a function of the expanded ``g``.
+    Lie-factor rows are expression text in the sample's environment.
     ``symmetries`` rows (name, row0, row_inf) name their field in
     ``_FIELDS``; ``extra`` gives the checks that follow
     :func:`_pencil_battery`.
@@ -698,20 +700,15 @@ class _PencilEntry(Record):
     extra: object = _no_extra
 
     def pencil(self, env, order):
-        return Pencil.from_jets(*(expand(t, env, order) for t in self.forms))
+        return Pencil.from_jets(*(_jet(t, env, order) for t in self.forms))
 
     def __call__(self, env, order):
-        def jet(slot):
-            if callable(slot):
-                return slot(expand("g", env, order))
-            return expand(slot, env, order)
-
         def row(texts):
-            return tuple(expand(t, env, order).constant_term for t in texts)
+            return tuple(_jet(t, env, order).constant_term for t in texts)
 
         syms = [(name, _field(order, *_FIELDS[name]), (row(r0), row(ri)))
                 for name, r0, ri in self.symmetries]
-        want = ProjectiveStructure(*map(jet, self.quadruple))
+        want = _structure(order, env, *self.quadruple)
         return (_pencil_battery(self.pencil(env, order), want, syms)
                 + self.extra(env, order))
 
@@ -728,8 +725,8 @@ def _thm31_ia_extra(env, order, st, fields, wide):
     checks = [_agree_check("liouville-map", liouville(st), want,
                            "(L1, L2) = (-3A', -3B')")]
     for lam in (Fraction(2), Fraction(1, 3)):
-        germ = DiffeoGerm(Jet2.variable("x", order).scale(lam * lam),
-                          Jet2.variable("y", order).scale(lam))
+        germ = DiffeoGerm(*(_jet(t, {"lam": lam}, order)
+                            for t in ("lam^2*x", "lam*y")))
         checks.append(_agree_check(
             "scaling-action:lambda=%s" % lam, pullback(germ, st),
             c_star_action(lam, st),
@@ -738,8 +735,7 @@ def _thm31_ia_extra(env, order, st, fields, wide):
 
 
 def _adm_thm31_ib(env, order):
-    prod = expand("A", env, order) * expand("exp(x)", None, order)
-    if prod.d_dx().is_zero():
+    if _jet("d_dx(A*exp(x))", env, order).is_zero():
         return ("A e^x is constant, so the structure gains a second "
                 "symmetry (exponential family)")
     return None
@@ -747,7 +743,7 @@ def _adm_thm31_ib(env, order):
 
 def _thm31_ib_extra(env, order, st, fields, wide):
     pair = liouville(st)
-    want = LiouvillePair(-st.C, expand("exp(2*x)", None, order).scale(2))
+    want = LiouvillePair(-st.C, _jet("2*exp(2*x)", None, order))
     return [
         _agree_check("liouville-computed", pair, want,
                      "the computed pair is (-e^x, 2 e^{2x}) for every A"),
@@ -881,7 +877,7 @@ def _adm_sec3_aff(env, order):
 
 
 def _adm_remark_flat(env, order):
-    if expand("g", {"g": env["g1"]}, order).constant_term == 0:
+    if _jet("g1", env, order).constant_term == 0:
         return "g(0) = 0 makes the induced D-slot vanish at the origin"
     return None
 
@@ -983,21 +979,21 @@ _RECORDS = (
         "pencil e^y(dx + g dy), dy inducing (0, 0, 1 + g', g)",
         ({"g": "1"}, {"g": "1 + x"}, {"g": "2 - x/2 + x^2"}),
         _PencilEntry(("exp(y)", "g*exp(y)", "0", "1"),
-                     ("0", "0", lambda g: 1 + g.d_dx(), "g"),
+                     ("0", "0", "1 + d_dx(g)", "g"),
                      (("d_dy", ("1", "0"), _ZERO_ROW),))),
     CaseRecord(
         "thm41.i.a.2",
         "pencil -(dx + (g + y) dy), dy inducing (0, 0, g', 1)",
         ({"g": "x"}, {"g": "1 + x"}, {"g": "x^2/2 - x"}),
         _PencilEntry(("-1", "-(g + y)", "0", "1"),
-                     ("0", "0", lambda g: g.d_dx(), "1"),
+                     ("0", "0", "d_dx(g)", "1"),
                      (("d_dy", ("0", "-1"), _ZERO_ROW),))),
     CaseRecord(
         "thm41.i.b",
         "pencil dx + g dy, dy inducing (0, 0, g', 0)",
         ({"g": "x^2"}, {"g": "x"}, {"g": "1 + x"}),
         _PencilEntry(("1", "g", "0", "1"),
-                     ("0", "0", lambda g: g.d_dx(), "0"),
+                     ("0", "0", "d_dx(g)", "0"),
                      (("d_dy", _ZERO_ROW, _ZERO_ROW),))),
     CaseRecord(
         "thm41.ii.a",

@@ -12,21 +12,23 @@ then ``* /``, then ``+ -``; all binary operators associate left)::
 
 ``x`` and ``y`` are the coordinates; every other identifier is either a
 parameter (looked up in an environment at expansion time) or one of the
-built-in calls ``exp`` and ``sqrt``.  Exponents are rational literals
-with denominator 1 or 2; half-integer powers go through the square
-root, so the base's constant term must be a rational square.
+built-in calls ``exp``, ``sqrt`` and the jet derivatives ``d_dx``, ``d_dy``
+(one degree of window less).  Exponents are rational literals with
+denominator 1 or 2; half-integer powers go through the square root, so
+the base's constant term must be a rational square.
 
 :func:`expand` turns an expression into a :class:`~projstruct.jets.Jet2`
 at a chosen order.  Environment values may themselves be expressions
-(function-valued parameters), which are expanded recursively.  It takes
-one pass over the tree, and holds each polynomial sub-tree as one sparse
-coefficient dict over one denominator, truncated at the order: literals,
-coordinates, parameters bound to rationals, negation, ``+ -`` and ``*``
-chains, ``/`` by a nonzero constant and nonnegative integer powers.  Their
-sums and products are the ``jets`` kernels ``_lincomb`` and ``_product``.
-A ``Jet2`` is built only at the root and where the tree meets a node that
-needs series arithmetic: ``exp``, ``sqrt``, a negative or half-integer
-power, or a quotient by a non-constant.
+(function-valued parameters), which are expanded recursively, or jets,
+which are read as they are.  It takes one pass over the tree, and holds
+each polynomial sub-tree as one sparse coefficient dict over one
+denominator, truncated at the order: literals, coordinates, parameters
+bound to rationals, negation, ``+ -`` and ``*`` chains, ``/`` by a nonzero
+constant and nonnegative integer powers.  Their sums and products are the
+``jets`` kernels ``_lincomb`` and ``_product``.  A ``Jet2`` is built only
+at the root and where the tree meets a node that needs series arithmetic:
+``exp``, ``sqrt``, a derivative, a negative or half-integer power, or a
+quotient by a non-constant.
 
 Trees are made of :class:`Lit`, :class:`Var`, :class:`Param`, :class:`Neg`,
 :class:`Chain` (one whole run of ``+ -`` or of ``* /``, as read), :class:`Pow`
@@ -77,11 +79,11 @@ class Pow(Record):
 
 
 class Call(Record):
-    func: str  # "exp" or "sqrt"
+    func: str  # one of FUNCTIONS
     arg: object
 
 
-FUNCTIONS = ("exp", "sqrt")
+FUNCTIONS = ("exp", "sqrt", "d_dx", "d_dy")
 COORDS = ("x", "y")
 _SUM = ("+", "-")
 _PRODUCT = ("*", "/")
@@ -281,8 +283,8 @@ def to_text(e):
 def expand(e, env=None, order=None):
     """Expand an expression (or expression text) into a 2-jet.
 
-    ``env`` maps parameter names to Fractions, ints, expression text, or
-    syntax trees.  Function-valued parameters are expanded recursively;
+    ``env`` maps names to Fractions, ints, jets (read as they are), text
+    or syntax trees.  Function-valued parameters are expanded recursively;
     reference cycles raise :class:`UnboundParameter`, and a tree nested
     too deeply to expand raises :class:`ExprSyntaxError` (at offset 0).
 
@@ -344,6 +346,8 @@ def _expand(e, env, order, active):
         if e.name not in env:
             raise UnboundParameter("parameter %r is not bound" % e.name)
         value = env[e.name]
+        if isinstance(value, Jet2):
+            return value
         if isinstance(value, (int, Fraction)):
             return _constant(value)
         if isinstance(value, str):
@@ -377,8 +381,8 @@ def _expand(e, env, order, active):
             % (e.exponent, den))
     if isinstance(e, Call):
         arg = _jet(_expand(e.arg, env, order, active), order)
-        if e.func == "exp":
-            return exp_series(arg)
-        return sqrt_series(arg)
+        if e.func in ("d_dx", "d_dy"):
+            return getattr(arg, e.func)()  # Jet2.d_dx or Jet2.d_dy
+        return exp_series(arg) if e.func == "exp" else sqrt_series(arg)
     raise TypeError("not an expression: %r" % (e,))
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from projstruct import cli, structures
 from projstruct.cli import DocumentError, _read_ini, dispatch, load_document
-from projstruct.expressions import COORDS, FUNCTIONS
+from projstruct.expressions import COORDS, FUNCTIONS, expand
 
 from conftest import bench_workloads, reference_load_document
 
@@ -86,6 +86,12 @@ def test_load_document_defaults(write):
     assert doc.structure.D.is_zero()
     assert doc.fields == {}
     assert doc.pencil is None
+
+
+def test_load_document_reads_derivatives(write):
+    doc = load_document(write('[structure]\nA = "d_dx(exp(x*y))"\n'))
+    assert doc.structure.A \
+        == expand("y*exp(x*y)", None, 12).truncated(eff=11)
 
 
 def test_load_document_reads_params_fields_and_pencil(write):

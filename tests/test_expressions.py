@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keeping_jets
+from conftest import assert_window_holds, keeping_jets, redrawn, windowed
 from projstruct import cases
 from projstruct.errors import (ExprSyntaxError, ProjstructError, UnboundParameter,
                                UnsupportedExponent)
@@ -230,6 +230,37 @@ def test_expand_unbound_and_cyclic_parameters():
         ex("a", {"a": "1 + a"})
 
 
+def test_a_derivative_loses_one_degree_of_window():
+    # even on a polynomial, d_dx and d_dy are the jet derivatives
+    assert expand("d_dx(x^2)", None, 4) == Jet2.monomial(1, 0, 2, 4, eff=3)
+    assert expand("d_dy(x*y^2)", None, 4) == Jet2.monomial(1, 1, 2, 4, eff=3)
+    assert expand("d_dx(d_dx(x^3))", None, 4) == Jet2.monomial(1, 0, 6, 4,
+                                                               eff=2)
+
+
+def test_a_name_bound_to_a_jet_is_that_jet():
+    jet = Jet2.from_terms({(0, 0): 1, (2, 1): Fraction(1, 3)}, 10, eff=5)
+    assert expand("A", {"A": jet}, 12) is jet
+    assert expand("d_dx(A) - 2*A", {"A": jet}, 12) \
+        == jet.d_dx() - jet.scale(2)
+
+
+_JET_TEXTS = ["d_dx(a)", "d_dy(b)", "d_dx(a*b) - d_dy(a)",
+              "a*d_dx(b)^2 + x*d_dy(d_dx(a))", "exp(x*d_dy(a)) - b",
+              "d_dx(a)/(1 + x*b)", "d_dy(a^2 - y*b)/(2 + x)"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), st.sampled_from(_JET_TEXTS), st.integers(3, 8))
+def test_expand_keeps_its_window_when_bound_jets_are_redrawn(data, text,
+                                                             order):
+    a, b = (data.draw(windowed(order, min_eff=2)) for _ in range(2))
+    got = expand(text, {"a": a, "b": b}, order)
+    full = expand(text, {"a": data.draw(redrawn(a)),
+                         "b": data.draw(redrawn(b))}, order)
+    assert_window_holds(got, full)
+
+
 @given(st.integers(-8, 8), st.integers(1, 8))
 def test_expand_rational_arithmetic_matches_fractions(p, q):
     u = ex("p/q + x", {"p": p, "q": q})
@@ -264,6 +295,8 @@ def _reference(e, env, order, active):
         if e.name not in env:
             raise UnboundParameter("parameter %r is not bound" % e.name)
         value = env[e.name]
+        if isinstance(value, Jet2):
+            return value
         if isinstance(value, (int, Fraction)):
             return Jet2.constant(value, order)
         if isinstance(value, str):
@@ -290,7 +323,9 @@ def _reference(e, env, order, active):
         arg = _reference(e.arg, env, order, active)
         if e.func == "exp":
             return exp_series(arg)
-        return sqrt_series(arg)
+        if e.func == "sqrt":
+            return sqrt_series(arg)
+        return arg.d_dx() if e.func == "d_dx" else arg.d_dy()
     raise TypeError("not an expression: %r" % (e,))
 
 

@@ -714,7 +714,9 @@ def test_substitute_at_dual_point_differentiates():
 
 def test_substitution_is_the_reference_on_every_registry_call(
         substitution_traffic):
-    assert len(substitution_traffic) == 279
+    # 279 while remark.flat ran at --order 3 itself (33 calls there, 39
+    # at its working order 6)
+    assert len(substitution_traffic) == 285
     for fs, u, v, out in substitution_traffic:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
 

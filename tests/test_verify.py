@@ -17,7 +17,7 @@ from projstruct.errors import (
     PreconditionViolated,
     UnknownCase,
 )
-from projstruct.expressions import expand
+from projstruct.expressions import expand, parse
 from projstruct.jets import Jet2
 from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
                                 render_json, render_text)
@@ -438,3 +438,155 @@ def test_members_geodesic_failure_reports_the_residual_leading_term(
     monkeypatch.setattr(cases, "structure_from_pencil", bent)
     check = members_geodesic_check()
     assert (check.verdict, check.residual_leading_term) == (FAIL, "-1 * y^2")
+
+
+# --- the catalogue's identity rows against their hand-written bodies ------------
+
+
+def _exponential_reference(env, order):
+    # the exponential relations as jet arithmetic, before they were text
+    A, B, c, al = env["A"], env["B"], env["c"], env["alpha"]
+    d1 = al.d_dx()
+    Bp = B.d_dx()
+    denom = B + Jet2.constant(c * c, order)
+    fourB = B.scale(4) + Jet2.constant(c * c, order)
+    rhs_a = ((A * A).scale(27 * c) + A * Bp.scale(9)
+             - denom * Bp.scale(3 * c) + (fourB * denom * denom).scale(c))
+    rhs_b = ((A * (A.scale(c) - Bp)).scale(27 * c) - (Bp * Bp).scale(12)
+             - denom * Bp.scale(9 * c * c)
+             + (fourB * denom * denom).scale(c * c))
+    return {
+        "exponential:A-prime-relation": A.d_dx() * denom.scale(6) - rhs_a,
+        "exponential:B-second-relation": Bp.d_dx() * denom.scale(6) + rhs_b,
+        "exponential:alpha-log-derivative":
+            d1 * denom + (A.scale(3 * c) + Bp) * al,
+    }
+
+
+def _ia1_reference(env, order):
+    A, B, u = env["A"], env["B"], env["u"]
+    one, two = Jet2.constant(1, order), Jet2.constant(2, order)
+    S = (B * B).scale(4) + B.scale(5) - B.d_dx().scale(3) + one
+    fourB1 = B.scale(4) + one
+    return {
+        "ia1:normalized-B": B + (u * u - u + one).scale(Fraction(1, 3)),
+        "ia1:normalized-A":
+            A - u.d_dx().scale(Fraction(1, 3))
+            - ((u + one) * (u.scale(2) - one) * (u - two)
+               ).scale(Fraction(1, 27)),
+        "ia1:squared-identity-as-stated": (fourB1 * A * A).scale(3) + S * S,
+        "ia1:squared-identity-corrected": (fourB1 * A * A).scale(27) + S * S,
+    }
+
+
+def _ia2_reference(env, order):
+    A2, B2 = env["A"], env["B"]
+    gp = expand("g", env, order).d_dx()
+    S2 = (B2 * B2).scale(4) - B2.d_dx().scale(3)
+    return {
+        "ia2:normalized-B": B2 + (gp * gp).scale(Fraction(1, 3)),
+        "ia2:normalized-A":
+            A2 - (gp ** 3).scale(Fraction(2, 27))
+            - gp.d_dx().scale(Fraction(1, 3)),
+        "ia2:squared-identity": (B2 * A2 * A2).scale(108) + S2 * S2,
+    }
+
+
+def _member_reference(env, order):
+    # the exponential member's (A, B) slots as jet arithmetic
+    al, c = env["alpha"], env["c"]
+    d1 = al.d_dx()
+    A = ((d1.d_dx().d_dx() - d1.scale(c ** 4)) / al
+         ).scale(Fraction(1, 4) / c ** 3)
+    B = (-(d1.d_dx().scale(3) + al.scale(c ** 4)) / al
+         ).scale(Fraction(1, 4) / c ** 2)
+    return A, B
+
+
+_REFERENCES = {"exponential": _exponential_reference, "ia1": _ia1_reference,
+               "ia2": _ia2_reference}
+_ROWS = (cases._EXPONENTIAL_IDENTITIES + cases._IA1_IDENTITIES
+         + cases._IA2_IDENTITIES)
+
+
+@pytest.fixture(scope="module")
+def catalogue_expansions():
+    """(tree, env, order, jet) of every ``expand`` call that ``sec3.aff``
+    and ``remark.flat`` make at orders 12, 8, 6 and 3, on every sample."""
+    calls = []
+
+    def recording(e, env=None, order=None):
+        jet = expand(e, env, order)
+        calls.append((e, env, order, jet))
+        return jet
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cases, "expand", recording)
+        for order in (12, 8, 6, 3):
+            run_case("sec3.aff", order=order)
+            run_case("remark.flat", order=order)
+    return calls
+
+
+def test_the_references_hold_exactly_the_rows(catalogue_expansions):
+    rows = {parse(text): name for name, text, _ in _ROWS}
+    assert len(rows) == 10
+    names = set()
+    for e, env, order, _ in catalogue_expansions:
+        if e in rows:
+            names |= set(_REFERENCES[rows[e].split(":")[0]](env, order))
+    assert names == set(rows.values())
+
+
+@pytest.mark.parametrize("row", _ROWS, ids=[name for name, _, _ in _ROWS])
+def test_identity_row_expands_to_its_hand_written_body(catalogue_expansions,
+                                                       row):
+    name, text, _ = row
+    tree = parse(text)
+    seen = [(env, order, jet) for e, env, order, jet in catalogue_expansions
+            if e == tree]
+    # three samples at each of four orders
+    assert len(seen) == 12
+    for env, order, jet in seen:
+        bodies = _REFERENCES[name.split(":")[0]](env, order)
+        assert name in bodies, "no reference body for %s" % name
+        assert jet == bodies[name]
+
+
+def test_exponential_member_expands_to_its_hand_written_body(
+        catalogue_expansions):
+    trees = [parse(text) for text in cases._EXPONENTIAL_MEMBER[:2]]
+    seen = 0
+    for e, env, order, jet in catalogue_expansions:
+        if e in trees:
+            seen += 1
+            assert jet == _member_reference(env, order)[trees.index(e)]
+    # A and B for three samples at four orders, and again at the
+    # dimension floor below order 8
+    assert seen == 2 * 3 * (4 + 2)
+
+
+def test_sec3_aff_at_order_3_decides_on_a_window(monkeypatch):
+    # at --order 3 the exponential identities and the Picard residual
+    # once passed on eff -1 and two symmetry residuals on eff -1: nothing
+    # was checked; the sub-battery now works three orders higher
+    windows = []
+    zero_check, residual = cases.zero_check, cases.residual
+
+    def checking(name, jet, detail=""):
+        windows.append((name, jet.eff))
+        return zero_check(name, jet, detail)
+
+    def solving(field, st):
+        res = residual(field, st)
+        windows.append(("residual", min(c.eff for c in res.coeffs)))
+        return res
+
+    monkeypatch.setattr(cases, "zero_check", checking)
+    monkeypatch.setattr(cases, "residual", solving)
+    reports = run_case("sec3.aff", order=3)
+    assert all(report.verdict == PASS for report in reports)
+    assert {name for name, _ in windows} == {
+        "residual", "exponential:ode-residual",
+        *(name for name, _, _ in cases._EXPONENTIAL_IDENTITIES)}
+    assert min(eff for _, eff in windows) >= 1
