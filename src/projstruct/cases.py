@@ -16,7 +16,10 @@ differs between cases stays code: each row's ``extra`` checks, and the
 batteries ``affine_family_checks``, ``flat_criteria_checks`` and
 ``exotic_sl2_check``.  Every formula is expression text, parsed once
 per process; each identity the paper displays is a row (name, text,
-detail) whose text must vanish with its jets bound by name.
+detail) whose text must vanish with its jets bound by name.  Every
+"vanishes" of a check is one :func:`~projstruct.reports.zero_check` on
+the parts of its statement, failing on the first that does not vanish
+(its leading term; the check's detail, else "<slot>-slot differs").
 
 Statements that fail mechanically are reported with the
 ``paper-inconsistent`` verdict together with the computed value — never
@@ -50,9 +53,8 @@ from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
                       structure_from_pencil)
 from .records import Record
-from .reports import (INCONSISTENT, CaseReport, CheckResult, failed,
-                      leading_term, passed, recorded, slope_leading_term,
-                      zero_check)
+from .reports import (INCONSISTENT, PASS, CaseReport, CheckResult, failed,
+                      leading_term, passed, recorded, zero_check)
 from .structures import (DiffeoGerm, LiouvillePair, ProjectiveStructure,
                          c_star_action, geodesic_solve, is_linearizable,
                          liouville, normalize_D1, pullback)
@@ -107,24 +109,13 @@ def _identity_check(row, env, order):
 
 
 def _symmetry_check(name, field, st, detail=""):
-    res = residual(field, st)
-    if res.is_zero():
-        return passed(name, detail)
-    return failed(name, slope_leading_term(res), detail)
+    return zero_check(name, residual(field, st).coeffs, detail)
 
 
 def _agree_check(name, got, want, detail=""):
-    """Pass when the records ``got`` and ``want`` agree in each jet slot.
-
-    A failure reports the leading term of the first slot that differs,
-    and names that slot when there is no ``detail``.
-    """
-    for slot, g, w in zip(got._fields, got, want):
-        diff = g - w
-        if not diff.is_zero():
-            return failed(name, leading_term(diff),
-                          detail or ("%s-slot differs" % slot))
-    return passed(name, detail)
+    """Pass when the records ``got`` and ``want`` agree in each jet slot."""
+    return zero_check(name, (g - w for g, w in zip(got, want)), detail,
+                      got._fields)
 
 
 def _dim_check(name, st, expected, detail=""):
@@ -152,9 +143,8 @@ def _first_integral_check(pen, st):
     p0 = next(p for p in _SLOPE_CANDIDATES if pi + qi * p != 0)
     curve = geodesic_solve(st, Fraction(0), p0)
     z = member_value_along(pen, curve)
-    dev = z - Jet2.constant(z.constant_term, z.order)
     return zero_check(
-        "first-integral", dev,
+        "first-integral", z - Jet2.constant(z.constant_term, z.order),
         "z = %s stays constant along the geodesic y(0) = 0, y'(0) = %s"
         % (z.constant_term, p0))
 
@@ -166,13 +156,12 @@ def _lie_factor_check(name, field, pen, row0, rowi):
         dp, dq = lie_derivative_form(field, fol)
         ep = pen.omega0.P.scale(c0) + pen.omega_inf.P.scale(ci)
         eq = pen.omega0.Q.scale(c0) + pen.omega_inf.Q.scale(ci)
-        for got, want in ((dp, ep), (dq, eq)):
-            diff = got - want
-            if not diff.is_zero():
-                return failed(name, leading_term(diff),
-                              "L_v %s != %s*omega_0 + %s*omega_inf"
-                              % (tag, c0, ci))
-        parts.append("L_v %s = %s*omega_0 + %s*omega_inf" % (tag, c0, ci))
+        factor = "%s*omega_0 + %s*omega_inf" % (c0, ci)
+        check = zero_check(name, (dp - ep, dq - eq),
+                           "L_v %s != %s" % (tag, factor))
+        if check.verdict != PASS:
+            return check
+        parts.append("L_v %s = %s" % (tag, factor))
     return passed(name, "; ".join(parts))
 
 
@@ -560,11 +549,9 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
 
     stc = _structure(order, env, "a_ib", "0", "exp(x)", "0")
     flat = pullback(ib_flattening_germ(stc), stc)
-    off = next((j for j in (flat.A, flat.B, flat.D) if not j.is_zero()), None)
-    checks.append(passed(
-        "ib:reduction-to-C-only",
-        "the psi''' equation and a y-shift empty the A, B, D slots")
-        if off is None else failed("ib:reduction-to-C-only", leading_term(off)))
+    checks.append(zero_check(
+        "ib:reduction-to-C-only", (flat.A, flat.B, flat.D),
+        "the psi''' equation and a y-shift empty the A, B, D slots"))
     zero, one = Jet2.zero(order), Jet2.constant(1, order)
     pen3 = Pencil(Foliation(one, flat.C.integrate_x()), Foliation(zero, one))
     checks.append(_agree_check(
@@ -618,14 +605,11 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
                       failed("invariant-dimension", str(dim),
                              "expected an isolated invariant structure"))
         if dim == 0:
-            pair = liouville(ProjectiveStructure(*inv.particular))
-            bad = pair.L1 if not pair.L1.is_zero() else pair.L2
-            checks.append(passed(
+            checks.append(zero_check(
                 "unique-structure-linearizable",
+                liouville(ProjectiveStructure(*inv.particular)),
                 "the single preserved structure is flat; the twisted "
-                "triple realizes no new geometry")
-                if pair.is_zero() else
-                failed("unique-structure-linearizable", leading_term(bad)))
+                "triple realizes no new geometry"))
     return checks
 
 
@@ -861,9 +845,8 @@ def _thm41_iv_extra(env, order):
                 "gamma-zero-pencil", structure_from_pencil(pen0), want0,
                 "the gamma = 0 exponential pencil induces the excluded "
                 "(0, 2) member"),
-            passed("excluded-member-flat",
-                   "(0, 2, 0, e^{-2x}) has a vanishing obstruction pair")
-            if is_linearizable(want0) else failed("excluded-member-flat")]
+            zero_check("excluded-member-flat", liouville(want0),
+                       "(0, 2, 0, e^{-2x}) has a vanishing obstruction pair")]
 
 
 def _adm_sec3_aff(env, order):

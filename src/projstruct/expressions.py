@@ -291,7 +291,8 @@ def expand(e, env=None, order=None):
     One pass: polynomial sub-trees stay coefficient dicts truncated at
     ``order``, and a jet is built only at the root and where the tree
     meets a series node (see the module docstring).  A polynomial text
-    builds exactly one jet.
+    builds exactly one jet.  A name bound to a jet of a higher order can
+    leave a result above ``order``; the root cuts it to ``order``.
     """
     order = DEFAULT_ORDER if order is None else order
     if isinstance(e, str):
@@ -300,10 +301,11 @@ def expand(e, env=None, order=None):
         raise ValueError("jet order must be >= 0")
     env = {} if env is None else env
     try:
-        return _jet(_expand(e, env, order, frozenset()), order)
+        out = _jet(_expand(e, env, order, frozenset()), order)
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply to expand",
                               0) from None
+    return out.truncated(order) if out.order > order else out
 
 
 # A polynomial is a pair (num, den): nonzero int numerators keyed (i, j),
@@ -318,16 +320,29 @@ def _constant(q):
     return ({(0, 0): q.numerator}, q.denominator) if q else ({}, 1)
 
 
+def _scalar(v):
+    """The value of ``v`` when it is a nonzero constant polynomial."""
+    if not isinstance(v, Jet2) and len(v[0]) == 1 and (0, 0) in v[0]:
+        return Fraction(v[0][(0, 0)], v[1])
+
+
 def _apply(op, a, b, order):
     """``a op b``; a polynomial unless a side is a jet or ``/`` divides by
-    a non-constant, which jet arithmetic takes (and may refuse)."""
-    if isinstance(a, Jet2) or isinstance(b, Jet2) or op == "/" and not (
-            len(b[0]) == 1 and (0, 0) in b[0]):
+    a non-constant, which jet arithmetic takes (and may refuse).  A jet
+    times or over a nonzero constant is scaled; a zero factor keeps the
+    product, whose window widens to the order."""
+    if isinstance(a, Jet2) or isinstance(b, Jet2):
+        if op in _PRODUCT and isinstance(a, Jet2) and (c := _scalar(b)):
+            return a.scale(c if op == "*" else 1 / c)
+        if op == "*" and (c := _scalar(a)):
+            return b.scale(c)
         return _APPLY[op](_jet(a, order), _jet(b, order))
     (na, da), (nb, db) = a, b
     if op == "*":
         return _product(na, nb, order), da * db
     if op == "/":
+        if len(nb) != 1 or (0, 0) not in nb:
+            return _jet(a, order) / _jet(b, order)
         return {k: n * db for k, n in na.items()}, da * nb[(0, 0)]
     return _lincomb([(1, na, da), (1 if op == "+" else -1, nb, db)], order)
 

@@ -34,14 +34,6 @@ def leading_term(jet):
     return format_jet(Jet2.monomial(i, j, jet.coeff(i, j), jet.order))
 
 
-def slope_leading_term(poly):
-    """Leading term of the first nonzero slot of a slope polynomial."""
-    for k in range(poly.degree + 1):
-        if not poly.coeff(k).is_zero():
-            return leading_term(poly.coeff(k))
-    return "0"
-
-
 class CheckResult(Record):
     name: str
     verdict: str
@@ -85,11 +77,20 @@ def recorded(name, detail=""):
     return CheckResult(name, RECORDED, "0", detail)
 
 
-def zero_check(name, jet, detail=""):
-    """Pass iff the jet vanishes; otherwise report its leading term."""
-    if jet.is_zero():
-        return passed(name, detail)
-    return failed(name, leading_term(jet), detail)
+def zero_check(name, jets, detail="", slots=None):
+    """The registry's one vanishing test: pass when every part vanishes.
+
+    ``jets`` is one ``Jet2`` or the parts of one statement, in order (a
+    record, a residual's ``coeffs``, a generator).  A failure reports the
+    leading term of the first part that does not vanish, with ``detail``
+    or, when that is empty, "<slot>-slot differs" named from ``slots``.
+    """
+    for k, jet in enumerate((jets,) if isinstance(jets, Jet2) else jets):
+        if not jet.is_zero():
+            if slots and not detail:
+                detail = "%s-slot differs" % slots[k]
+            return failed(name, leading_term(jet), detail)
+    return passed(name, detail)
 
 
 def render_json(reports, generated_at=None):

@@ -245,6 +245,34 @@ def test_a_name_bound_to_a_jet_is_that_jet():
         == jet.d_dx() - jet.scale(2)
 
 
+def test_a_jet_of_a_higher_order_is_cut_to_the_order():
+    # a bare name is cut at the root, as a sum over it always was
+    jet = Jet2.from_terms({(0, 0): 1, (1, 0): 2, (2, 2): 5, (4, 1): 3}, 15)
+    env = {"A": jet}
+    for order in (0, 3, 4):
+        got = expand("A", env, order)
+        assert got == jet.truncated(order) == expand("A + 0", env, order)
+        assert (got.order, got.eff) == (order, order)
+    assert expand("-A/3", env, 3) == expand("-A/3 + 0", env, 3)
+    assert expand("A", env, 15) is jet
+
+
+def test_a_jet_times_a_constant_is_scaled():
+    jet = Jet2.from_terms({(0, 0): 1, (2, 1): Fraction(1, 3)}, 10, eff=5)
+    env = {"A": jet, "k": Fraction(-3, 4)}
+    # one jet per scaling, where a constant jet and a product made two
+    for text, factor, jets_built in (
+            ("2*A", 2, 1), ("A*k", Fraction(-3, 4), 1),
+            ("A/(2/3)", Fraction(3, 2), 1),
+            ("(k - 1)*A/7", Fraction(-1, 4), 2)):
+        got, built = _jets_built(expand, text, env, 12)
+        assert got == jet.scale(factor), text
+        assert built == jets_built, text
+    # a zero factor keeps the product: its window widens to the order
+    assert expand("0*A", env, 12) == Jet2.zero(10)
+    assert expand("(k - k)*A", env, 12) == Jet2.zero(10)
+
+
 _JET_TEXTS = ["d_dx(a)", "d_dy(b)", "d_dx(a*b) - d_dy(a)",
               "a*d_dx(b)^2 + x*d_dy(d_dx(a))", "exp(x*d_dy(a)) - b",
               "d_dx(a)/(1 + x*b)", "d_dy(a^2 - y*b)/(2 + x)"]
@@ -418,11 +446,12 @@ def test_document_polynomials_build_one_jet(document_traffic):
 def test_load_document_keeps_its_jet_traffic(document_traffic):
     # 480 documents, seeds 1-3 of the documents workload: only exp,
     # sqrt and true quotients cost jets beyond one per expression value
-    # (a jet per node built 18885, and 4844 while a Pencil built its
-    # wedge jet, four jets, and a difference of jets built two)
+    # (a jet per node built 18885, 4844 while a Pencil built its wedge
+    # jet, four jets, and a difference of jets built two, and 3990 while
+    # a jet times or over a constant built a constant jet and a product)
     per_op = document_traffic[1]
     assert len(per_op) == 480
-    assert sum(per_op) == 3990
+    assert sum(per_op) == 3762
 
 
 EDGE_TEXTS = ["x/y", "1/x", "y/(1 + x)", "x/0", "x/(x - x)", "x/(2/3)",

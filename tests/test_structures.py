@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projstruct.duals import EPS, DualRational
@@ -9,7 +9,7 @@ from projstruct.errors import (DegenerateJacobian, NonZeroConstantTerm,
                                NotInNormalForm)
 from projstruct.fields import VectorField
 from projstruct.jets import (Jet2, _is_unit, _substitute_all, _sum_of_products,
-                             comp_inverse, compose1, exp_series)
+                             comp_inverse, compose1, exp_series, substitute)
 from projstruct.pencils import Foliation, Pencil
 from projstruct.slopes import SlopePoly
 from projstruct.structures import (
@@ -366,6 +366,40 @@ def test_nonlinearizable_stays_nonlinearizable(germ):
                               exp_series(Jet2.variable("x", germ.order)),
                               stq.D)
     assert not is_linearizable(pullback(germ, stq))
+
+
+@st.composite
+def general_germs(draw, order=8):
+    """Germs (u, v) whose every first and second derivative is nonzero at
+    the origin, u_y and v_x included, with a sparse tail above."""
+    parts = []
+    for _ in range(2):
+        tail = draw(jets(order=order, max_terms=2))
+        terms = {k: c for k, c in tail.coeffs.items() if sum(k) > 2}
+        for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            terms[k] = draw(nonzero_fractions)
+        parts.append(Jet2.from_terms(terms, order))
+    u, v = parts
+    assume(u.coeff(1, 0) * v.coeff(0, 1) != u.coeff(0, 1) * v.coeff(1, 0))
+    return DiffeoGerm(u, v)
+
+
+@settings(deadline=None, max_examples=20)
+@given(general_germs(), structures(order=8))
+def test_liouville_pair_is_a_relative_invariant(germ, stq):
+    """Liouville's law: for g = (u, v) with Jacobian J,
+    L1' = J (L1 o g u_x + L2 o g v_x) and L2' = J (L1 o g u_y + L2 o g v_y)
+    (R. Liouville, J. Ecole Polytechnique 59, 1889), through the common
+    window, which must not be empty."""
+    u, v = germ
+    ux, uy, vx, vy = u.d_dx(), u.d_dy(), v.d_dx(), v.d_dy()
+    jac = ux * vy - uy * vx
+    l1, l2 = (substitute(f, u, v) for f in liouville(stq))
+    got = liouville(pullback(germ, stq))
+    want = (jac * (l1 * ux + l2 * vx), jac * (l1 * uy + l2 * vy))
+    for lhs, rhs in zip(got, want):
+        assert min(lhs.eff, rhs.eff) >= 0
+        assert lhs.agree(rhs)
 
 
 # --- swap ------------------------------------------------------------------------

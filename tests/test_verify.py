@@ -569,13 +569,15 @@ def test_exponential_member_expands_to_its_hand_written_body(
 def test_sec3_aff_at_order_3_decides_on_a_window(monkeypatch):
     # at --order 3 the exponential identities and the Picard residual
     # once passed on eff -1 and two symmetry residuals on eff -1: nothing
-    # was checked; the sub-battery now works three orders higher
+    # was checked; the sub-battery now works three orders higher.  A
+    # check's window is the least eff of its parts.
     windows = []
     zero_check, residual = cases.zero_check, cases.residual
 
-    def checking(name, jet, detail=""):
-        windows.append((name, jet.eff))
-        return zero_check(name, jet, detail)
+    def checking(name, jets, detail="", slots=None):
+        jets = (jets,) if isinstance(jets, Jet2) else tuple(jets)
+        windows.append((name, min(jet.eff for jet in jets)))
+        return zero_check(name, jets, detail, slots)
 
     def solving(field, st):
         res = residual(field, st)
@@ -588,5 +590,39 @@ def test_sec3_aff_at_order_3_decides_on_a_window(monkeypatch):
     assert all(report.verdict == PASS for report in reports)
     assert {name for name, _ in windows} == {
         "residual", "exponential:ode-residual",
-        *(name for name, _, _ in cases._EXPONENTIAL_IDENTITIES)}
+        *(name for name, _, _ in cases._EXPONENTIAL_IDENTITIES),
+        *("%s:symmetry:%s" % (part, field)
+          for part in ("stabilized", "exponential", "exp-C")
+          for field in ("d_dy", "v")),
+        "stabilized:bracket:[d_dy,v]=d_dy", "exponential:bracket:[d_dy,v]=c*v",
+        "exp-C:bracket:[d_dy,v]=d_dy"}
     assert min(eff for _, eff in windows) >= 1
+
+
+def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
+    # every "this vanishes" of the registry is decided by zero_check: the
+    # window a verdict rests on is the least eff of its parts, and no pass
+    # may rest on eff 0 or -1, one coefficient checked or none
+    seen = []
+    zero_check = cases.zero_check
+
+    def checking(name, jets, detail="", slots=None):
+        jets = (jets,) if isinstance(jets, Jet2) else tuple(jets)
+        check = zero_check(name, jets, detail, slots)
+        seen.append((name, min(jet.eff for jet in jets), check.verdict))
+        return check
+
+    monkeypatch.setattr(cases, "zero_check", checking)
+    least = {}
+    for order in (12, 6, 3):
+        seen.clear()
+        run_all(order=order)
+        passes = [(name, eff) for name, eff, verdict in seen
+                  if verdict == PASS]
+        assert len(passes) == len(seen) == 249
+        assert all(eff >= 1 for _, eff in passes)
+        least[order] = min(eff for _, eff in passes)
+        if order == 12:
+            assert {name for name, eff in passes if eff == least[12]} \
+                == {"unique-structure-linearizable"}
+    assert least == {12: 4, 6: 4, 3: 1}
