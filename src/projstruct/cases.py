@@ -220,10 +220,10 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
     with prescribed 3-jet ``jet3 = (a(0), a'(0), a''(0), a'''(0))``;
     a(0) must be a unit.  The coefficients are solved online (J. van der
     Hoeven, J. Symbolic Comput. 34 (2002)), degree by degree on the
-    integer Taylor data of the rescaled ODE (``_alpha_coeffs``), and one
-    Picard pass of the integrated form,
-    a = (3-jet) + integral^4 of -lower(a)/(2a), at full order must return
-    them unchanged.
+    integer Taylor data of the rescaled ODE (``_alpha_coeffs``).  The
+    solver returns its Picard pass of the integrated form,
+    a = (3-jet) + integral^4 of -lower(a)/(2a), once the online
+    coefficients agree with it, so the window follows the jet rules.
     """
     c = Fraction(c)
     jet3 = tuple(Fraction(v) for v in jet3)
@@ -232,11 +232,11 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
         raise PreconditionViolated("alpha(0) must be a unit")
     base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
-    al = _alpha_coeffs(c, jet3, order)
-    d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
-    _ensure(base + d4.integrate_x().integrate_x().integrate_x().integrate_x()
-            == al, "alpha solves its Picard pass")
-    return al
+    online = _alpha_coeffs(c, jet3, order)
+    d4 = -(_alpha_ode_lower(c, online) / online.scale(2))
+    passed = base + d4.integrate_x().integrate_x().integrate_x().integrate_x()
+    _ensure(passed.agree(online), "alpha solves its Picard pass")
+    return passed
 
 
 def _alpha_coeffs(c, jet3, order):
@@ -388,32 +388,26 @@ def ib_flattening_germ(st):
 
     online (J. van der Hoeven, J. Symbolic Comput. 34 (2002)), degree by
     degree on the integer Taylor data of the rescaled ODE
-    (``_flattening_coeffs``); one Picard pass,
-    psi = x + integral^3 of the right side, at full order must return it
-    unchanged.  The subsequent y-shift removes the B-slot, leaving a
-    structure of the form (0, 0, C2(x), 0).
+    (``_flattening_coeffs``).  The solver takes its Picard pass,
+    psi = x + integral^3 of the right side, once the online coefficients
+    agree with it, so the window follows the jet rules.  The subsequent
+    y-shift removes the B-slot, leaving a structure of the form
+    (0, 0, C2(x), 0).
     """
     order = st.order
     if order < 2:
         raise ValueError("ib_flattening_germ needs order >= 2, got %d" % order)
     q = st.C.d_dx() / st.C
     m = st.A * st.C
-    psi = _flattening_coeffs(q, m, order)
-    # The pass keeps degree e + v + 3 of q o psi (window e), which
-    # multiplies psi' psi'' with psi'' vanishing to order v, and e + 3 of
-    # m o psi.
-    v = min((i for (i, _) in psi._num if i > 1), default=order + 2) - 2
-    eff = min(order, q.eff + v + 3, m.eff + 3)
-    if eff < order:
-        psi = psi._window(order, eff)
-    d1 = psi.d_dx()
+    online = _flattening_coeffs(q, m, order)
+    d1 = online.d_dx()
     d2 = d1.d_dx()
     rhs = ((d2 * d2 / d1).scale(Fraction(3, 2))
-           + d1 * d2 * compose1(q, psi)
-           - (compose1(m, psi) * d1 ** 3).scale(2))
-    _ensure(Jet2.variable("x", order)
-            + rhs.integrate_x().integrate_x().integrate_x() == psi,
-            "psi solves its Picard pass")
+           + d1 * d2 * compose1(q, online)
+           - (compose1(m, online) * d1 ** 3).scale(2))
+    psi = (Jet2.variable("x", order)
+           + rhs.integrate_x().integrate_x().integrate_x())
+    _ensure(psi.agree(online), "psi solves its Picard pass")
     c1 = compose1(st.C, psi)
     b1 = psi.d_dx().d_dx() / psi.d_dx()
     phi = (-b1 / c1.scale(2)).integrate_x()

@@ -87,8 +87,10 @@ coefficient n is a ``_cauchy`` sum of terms already known.  Each solver
 rescales x and the solution so that the ODE has integer coefficients;
 then every derivative at 0 is an integer, and the lists hold N! times
 the Taylor coefficients (N the order), so a product coefficient is an
-exact ``// N!`` of such a sum.  One Picard pass of the ODE at full order
-must then return the result unchanged: that pass certifies it.
+exact ``// N!`` of such a sum.  Each solver then runs one Picard pass of
+the ODE at full order along the online jet, and returns that pass once
+the online coefficients agree with it, so the window follows the jet
+rules of the pass and no formula of its own.
 """
 
 import math

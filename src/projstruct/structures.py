@@ -346,40 +346,32 @@ def _all_along(fs, curve):
     return _substitute_all(fs, x, curve)
 
 
-def geodesic_solve(st, y0, p0, order=None):
+def geodesic_solve(st, y0, p0):
     """The geodesic through the origin with slope p0, as an x-only jet.
 
     A height y0 other than 0 raises ``ValueError``: the coefficient jets
     are germs at the origin, and at another height they would be read as
     exact polynomials, with terms above their window taken for zero.  To
     follow the geodesic through (0, y0), expand the coefficients with y
-    replaced by y + y0 and solve at height 0.
+    replaced by y + y0 and solve at height 0.  For a lower order, pass
+    ``st.truncated(order)``.
 
     The coefficients of y are solved online (J. van der Hoeven,
     J. Symbolic Comput. 34 (2002)), degree by degree on the integer
-    Taylor data of the rescaled ODE (``_geodesic_coeffs``).  The result
-    keeps the window of the Picard pass y -> p0 x + integral^2 of the
-    right-hand side, and that one pass at full order must return it
-    unchanged.
+    Taylor data of the rescaled ODE (``_geodesic_coeffs``).  The solver
+    returns its Picard pass y -> p0 x + integral^2 of the right-hand side
+    along them, once the online coefficients agree with it, so the window
+    follows the jet rules.
     """
     if y0 != 0:
         raise ValueError("geodesic_solve starts at the origin, got height %s"
                          % (y0,))
-    order = st.order if order is None else min(order, st.order)
     p0 = Fraction(p0)
-    cut = st.truncated(order)
-    base = Jet2.variable("x", order).scale(p0)
-    y = _geodesic_coeffs(cut, p0, order)
-    # The pass keeps degree 2 + e + k v of the slot of window e that
-    # multiplies y'^k, where v is the order to which y' vanishes.
-    v = min((i for (i, _) in y._num), default=order + 1) - 1
-    eff = min(order, *(2 + f.eff + k * v for k, f in enumerate(cut)))
-    if eff < order:
-        y = y._window(order, eff)
-    rhs = _rhs_along(cut, y)
-    _ensure(base + rhs.integrate_x().integrate_x() == y,
-            "the geodesic solves its Picard pass")
-    return y
+    online = _geodesic_coeffs(st, p0, st.order)
+    passed = (Jet2.variable("x", st.order).scale(p0)
+              + _rhs_along(st, online).integrate_x().integrate_x())
+    _ensure(passed.agree(online), "the geodesic solves its Picard pass")
+    return passed
 
 
 def _geodesic_coeffs(st, p0, order):

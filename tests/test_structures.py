@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from projstruct.duals import EPS, DualRational
 from projstruct.errors import (DegenerateJacobian, NonZeroConstantTerm,
                                NotInNormalForm)
-from projstruct.fields import VectorField
+from projstruct.cases import CASES, _structure
+from projstruct.fields import VectorField, symmetry_dim
 from projstruct.jets import (Jet2, _is_unit, _substitute_all, _sum_of_products,
                              comp_inverse, compose1, exp_series, substitute)
 from projstruct.pencils import Foliation, Pencil
@@ -400,6 +401,22 @@ def test_liouville_pair_is_a_relative_invariant(germ, stq):
     for lhs, rhs in zip(got, want):
         assert min(lhs.eff, rhs.eff) >= 0
         assert lhs.agree(rhs)
+
+
+@pytest.mark.parametrize("case_id, dim", [
+    ("thm31.iii", 3), ("thm31.iv", 8), ("thm31.ii.b", 2), ("thm41.iv", 8),
+    ("thm31.i.b", 1)])
+@settings(deadline=None, max_examples=5)
+@given(germ=general_germs(order=14))
+def test_symmetry_dimension_is_a_point_invariant(case_id, dim, germ):
+    """The symmetry algebra of a structure and of its pullback through a
+    general germ (u_y, v_x and every second derivative nonzero) have the
+    same dimension, that of the catalogue row."""
+    record = CASES[case_id]
+    stq = _structure(14, record.samples[0], *record.runner.quadruple)
+    dims = symmetry_dim(stq)
+    assert (dims.stabilized, dims.value) == (True, dim)
+    assert symmetry_dim(pullback(germ, stq)) == dims
 
 
 # --- swap ------------------------------------------------------------------------

@@ -600,9 +600,14 @@ def test_sec3_aff_at_order_3_decides_on_a_window(monkeypatch):
 
 
 def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
-    # every "this vanishes" of the registry is decided by zero_check: the
+    # zero_check decides the registry's "this vanishes" verdicts: the
     # window a verdict rests on is the least eff of its parts, and no pass
-    # may rest on eff 0 or -1, one coefficient checked or none
+    # may rest on eff 0 or -1, one coefficient checked or none.  Six
+    # decisions on a zero still bypass it: the ia1 and ia2 root
+    # reconstructions (is_zero, agree), the ia1 squared identity as stated
+    # (is_zero), the thm31.i.b refusal of a constant A e^x, and the
+    # not-linearizable checks of thm31.i.b and remark.pi0, which fail on
+    # a vanishing pair
     seen = []
     zero_check = cases.zero_check
 
