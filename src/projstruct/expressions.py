@@ -8,14 +8,16 @@ then ``* /``, then ``+ -``; all binary operators associate left)::
     unary   := "-" unary | power
     power   := atom ("^" exponent)*
     atom    := INT | IDENT | IDENT "(" expr ")" | "(" expr ")"
-    exponent:= INT | "-" INT | "(" ["-"] INT ["/" INT] ")"
+    exponent:= ["-"] atom      (one that reads as a rational literal)
 
 ``x`` and ``y`` are the coordinates; every other identifier is either a
 parameter (looked up in an environment at expansion time) or one of the
 built-in calls ``exp``, ``sqrt`` and the jet derivatives ``d_dx``, ``d_dy``
-(one degree of window less).  Exponents are rational literals with
-denominator 1 or 2; half-integer powers go through the square root, so
-the base's constant term must be a rational square.
+(one degree of window less).  An exponent is the grammar's own rational
+literal: an integer, or a parenthesized constant that the product chain
+folds, such as ``(-3/2)``.  Powers take denominators 1 and 2; half-integer
+powers go through the square root, so the base's constant term must be a
+rational square.
 
 :func:`expand` turns an expression into a :class:`~projstruct.jets.Jet2`
 at a chosen order.  Environment values may themselves be expressions
@@ -189,30 +191,16 @@ class _Parser:
         return base
 
     def exponent(self):
-        tok = self.peek()
-        if tok[0] == "int":
+        """An optional ``-`` and one atom that reads as a rational literal:
+        ``2``, ``-1``, ``(-3/2)``; ``chain`` folds the literal."""
+        offset = self.peek()[2]
+        negate = self.peek()[0] == "-"
+        if negate:
             self.advance()
-            return Fraction(int(tok[1]))
-        if tok[0] == "-":
-            self.advance()
-            num = self.expect("int")
-            return Fraction(-int(num[1]))
-        if tok[0] == "(":
-            self.advance()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.advance()
-                sign = -1
-            num = self.expect("int")
-            den = 1
-            if self.peek()[0] == "/":
-                self.advance()
-                den = int(self.expect("int")[1])
-                if den == 0:
-                    raise ExprSyntaxError("zero denominator in exponent", num[2])
-            self.expect(")")
-            return Fraction(sign * int(num[1]), den)
-        raise ExprSyntaxError("expected a rational exponent", tok[2])
+        e = self.atom()
+        if not isinstance(e, Lit):
+            raise ExprSyntaxError("expected a rational exponent", offset)
+        return -e.value if negate else e.value
 
     def atom(self):
         tok = self.advance()

@@ -406,6 +406,17 @@ def reference_sub(f, g):
     return f + (-f._lift(g))
 
 
+def alpha_ode_lower(c, al):
+    """The quartic alpha-ODE without its 2 a a'''' term, as the jet
+    arithmetic that ``cases`` held before the ODE was text."""
+    d1 = al.d_dx()
+    d2 = d1.d_dx()
+    d3 = d2.d_dx()
+    return ((al * d2 - d1 * d1).scale(c ** 4)
+            - (al * d3 - d1 * d2).scale(3 * c * c)
+            + d1 * d3 - (d2 * d2).scale(3))
+
+
 def reference_powers(g, top, order):
     """``jets._powers`` as it was while it built g^1 as the product 1 * g."""
     out = [Jet2.constant(1, order)]

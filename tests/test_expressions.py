@@ -65,6 +65,38 @@ def test_fractional_exponent_literal():
     assert e == Pow(Chain(Lit(Fraction(1)), (("+", Var("x")),)), Fraction(-3, 2))
 
 
+@pytest.mark.parametrize("exponent, value", [
+    ("3", 3), ("-3", -3), ("(3)", 3), ("(-3)", -3),
+    ("(3/2)", Fraction(3, 2)), ("(-3/2)", Fraction(-3, 2)),
+    ("(6/4)", Fraction(3, 2)), ("(0)", 0),
+    # read since the exponent is an atom that folds to a literal
+    ("-(3/2)", Fraction(-3, 2)), ("-(-3/2)", Fraction(3, 2)),
+    ("((2))", 2), ("(2*3)", 6), ("(1/2/3)", Fraction(1, 6))])
+def test_an_exponent_is_a_rational_literal(exponent, value):
+    assert parse("x^" + exponent) == Pow(Var("x"), Fraction(value))
+
+
+def test_powers_associate_left_and_an_exponent_is_one_atom():
+    # -1 is the exponent of x, and 0 that of x^-1; the exponent does not
+    # read the unary minus of -1^0
+    assert parse("x^-1^0") == Pow(Pow(Var("x"), Fraction(-1)), Fraction(0))
+    assert parse("x^2^3") == Pow(Pow(Var("x"), Fraction(2)), Fraction(3))
+    assert parse("2*x^-1*y") == Chain(
+        Lit(Fraction(2)), (("*", Pow(Var("x"), Fraction(-1))),
+                           ("*", Var("y"))))
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("x^y", 2), ("x ^ -y", 4), ("x^(1 + x)", 2), ("x^(2^2)", 2),
+    ("x^exp(1)", 2), ("x^(y)", 2), ("x^(1 + 1)", 2)])
+def test_an_exponent_that_is_no_literal_is_refused_at_its_start(text,
+                                                                offset):
+    with pytest.raises(ExprSyntaxError,
+                       match="expected a rational exponent") as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
 def test_syntax_errors_carry_offsets():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x + ")

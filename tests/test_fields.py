@@ -177,11 +177,14 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # remark.flat ran at the report order rather than three orders above;
     # then 9463 and 9323 while a text multiplied a jet by a constant jet
     # instead of scaling it; then 9272 and 9132 while each of the 17
-    # geodesic solves cut the structure's four slots to its order
+    # geodesic solves cut the structure's four slots to its order; then
+    # 9204 and 9064 while the quartic alpha-ODE was hand-written jet
+    # arithmetic, which built alpha's derivatives once and reused them,
+    # where its text re-derives them in each term (28 jets per sample)
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 9204, 8: 9064}
+        == {12: 9288, 8: 9148}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

@@ -33,6 +33,7 @@ from projstruct.jets import (
 from conftest import (
     PROP_ORDER,
     assert_same_jets,
+    assert_window_holds,
     assert_same_structure,
     cut_windows,
     dense_jets,
@@ -41,10 +42,12 @@ from conftest import (
     keeping_jets,
     nonzero_fractions,
     rational_or_dual_jets,
+    redrawn,
     reference_sub,
     reference_substitute_all,
     small_fractions,
     univariate_germs,
+    windowed,
 )
 
 
@@ -947,6 +950,53 @@ def test_sub_is_the_reference_on_every_registry_call(registry_traffic):
     for f, g, n in calls["sub"]:
         assert n == 1
         assert_same_structure([f - g], [reference_sub(f, g)])
+
+
+# --- window honesty: terms above an input's eff never reach the result's ------
+#
+# Every other window rests on these kernels.  Each property redraws the
+# terms of the inputs above their eff and asserts that no coefficient of
+# the result through its eff moves (``conftest.assert_window_holds``).
+
+window_orders = st.integers(1, PROP_ORDER)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), window_orders)
+def test_a_product_keeps_its_window_when_the_factors_are_redrawn(data, order):
+    u, v = (data.draw(windowed(order, low=data.draw(st.integers(0, 2))))
+            for _ in range(2))
+    assert_window_holds(u * v, data.draw(redrawn(u)) * data.draw(redrawn(v)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), window_orders, st.lists(small_fractions, min_size=1,
+                                          max_size=3))
+def test_a_sum_of_products_keeps_its_window_when_the_factors_are_redrawn(
+        data, order, weights):
+    terms = [(c, data.draw(windowed(order, low=data.draw(st.integers(0, 2)))),
+              data.draw(windowed(order))) for c in weights]
+    full = [(c, data.draw(redrawn(f)), data.draw(redrawn(g)))
+            for c, f, g in terms]
+    assert_window_holds(_sum_of_products(terms), _sum_of_products(full))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), window_orders)
+def test_a_quotient_keeps_its_window_when_its_terms_are_redrawn(data, order):
+    a = data.draw(windowed(order, low=data.draw(st.integers(0, 2))))
+    b = data.draw(windowed(order, constant=nonzero_fractions))
+    assert_window_holds(a / b, data.draw(redrawn(a)) / data.draw(redrawn(b)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), window_orders)
+def test_a_substitution_keeps_its_window_when_its_terms_are_redrawn(data,
+                                                                     order):
+    f = data.draw(windowed(order))
+    u, v = (data.draw(windowed(order, low=1, min_eff=1)) for _ in range(2))
+    assert_window_holds(substitute(f, u, v),
+                        substitute(*(data.draw(redrawn(g)) for g in (f, u, v))))
 
 
 # --- dual coefficients --------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package namespace: its public names and when their modules load."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -143,3 +144,22 @@ def test_a_traced_run_restores_every_module_binding(tmp_path):
     doc.write_text('[structure]\nA = "x"\nD = "1"\n', encoding="utf-8")
     out = fresh(TRACED_RUN % (BENCH, os.path.dirname(SRC)), str(doc))
     assert out.splitlines()[-2:] == ["pass 0 True True []", "True 1"]
+
+
+def imported_roots(path):
+    """The top-level name of each absolute import in the module at
+    ``path``; a relative import names a module of the package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    modules = sorted(Path(projstruct.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    foreign = {(path.name, root) for path in modules
+               for root in imported_roots(path)
+               if root != "projstruct" and root not in sys.stdlib_module_names}
+    assert foreign == set()

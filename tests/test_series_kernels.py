@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import projstruct
 from projstruct import cases, run_all, structures
-from projstruct.cases import _alpha_ode_lower, alpha_ode_solve, ib_flattening_germ
+from projstruct.cases import alpha_ode_solve, ib_flattening_germ
 from projstruct.duals import EPS, DualRational
 from projstruct.errors import PreconditionViolated, ProjstructError
 from projstruct.jets import (
@@ -41,6 +41,7 @@ from projstruct.jets import (
 from projstruct.structures import ProjectiveStructure, _rhs_along, geodesic_solve
 
 from conftest import (
+    alpha_ode_lower,
     assert_window_holds,
     bench_workloads,
     nonzero_fractions,
@@ -105,7 +106,7 @@ def reference_alpha(c, jet3, order):
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
 
     def step(al):
-        d4 = -(_alpha_ode_lower(Fraction(c), al) / al.scale(2))
+        d4 = -(alpha_ode_lower(Fraction(c), al) / al.scale(2))
         return base + (d4.integrate_x().integrate_x()
                        .integrate_x().integrate_x())
     return fixed_point(step, base, order + 3)
@@ -311,7 +312,7 @@ def staircase_alpha(c, jet3, order):
                             (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
 
     def step(al):
-        d4 = -(_alpha_ode_lower(c, al) / al.scale(2))
+        d4 = -(alpha_ode_lower(c, al) / al.scale(2))
         return base.truncated(al.order) + (d4.integrate_x().integrate_x()
                                            .integrate_x().integrate_x())
     return staircase(step, base, 4)
@@ -425,9 +426,11 @@ def test_each_solver_runs_one_full_order_picard_pass(monkeypatch):
     rhs = count_calls(monkeypatch, structures, "_rhs_along")
     geodesic_solve(sample_structure(12), 0, Fraction(1, 2))
     assert [args[1].order for args in rhs] == [12]
-    lower = count_calls(monkeypatch, cases, "_alpha_ode_lower")
+    # the pass is one expansion of the ODE's text
+    expanded = count_calls(monkeypatch, cases, "expand")
     alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12)
-    assert [args[1].order for args in lower] == [12]
+    assert [(args[1]["alpha"].order, args[2]) for args in expanded] \
+        == [(12, 12)]
     # q o psi and m o psi in the pass, then C o psi for the y-shift
     composed = count_calls(monkeypatch, cases, "compose1")
     ib_flattening_germ(ib_structure(12))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from projstruct.duals import EPS, DualRational
 from projstruct.errors import (DegenerateJacobian, NonZeroConstantTerm,
                                NotInNormalForm)
-from projstruct.cases import CASES, _structure
-from projstruct.fields import VectorField, symmetry_dim
+from projstruct.cases import _FIELDS, CASES, _field, _structure
+from projstruct.fields import VectorField, residual, symmetry_dim
 from projstruct.jets import (Jet2, _is_unit, _substitute_all, _sum_of_products,
                              comp_inverse, compose1, exp_series, substitute)
 from projstruct.pencils import Foliation, Pencil
@@ -417,6 +417,30 @@ def test_symmetry_dimension_is_a_point_invariant(case_id, dim, germ):
     dims = symmetry_dim(stq)
     assert (dims.stabilized, dims.value) == (True, dim)
     assert symmetry_dim(pullback(germ, stq)) == dims
+
+
+@pytest.mark.parametrize("case_id", ["thm31.iii", "thm31.ii.b"])
+@settings(deadline=None, max_examples=4)
+@given(germ=general_germs(order=10))
+def test_named_symmetries_transport_to_the_pullback(case_id, germ):
+    """The transport law: a symmetry w of st gives the symmetry
+    (Dg)^{-1} (w o g) of pullback(g, st), for g = (u, v) general (u_y,
+    v_x and every second derivative nonzero); its residual vanishes
+    through a window that is not empty.  Each named field of the row, on
+    each of its samples."""
+    record = CASES[case_id]
+    u, v = germ
+    ux, uy, vx, vy = u.d_dx(), u.d_dy(), v.d_dx(), v.d_dy()
+    jac = ux * vy - uy * vx
+    for env in record.samples:
+        back = pullback(germ, _structure(10, env, *record.runner.quadruple))
+        for name in record.runner.fields:
+            a, b = (substitute(f, u, v) for f in _field(10, *_FIELDS[name]))
+            moved = VectorField((vy * a - uy * b) / jac,
+                                (ux * b - vx * a) / jac)
+            res = residual(moved, back)
+            assert min(f.eff for f in res.coeffs) >= 0
+            assert res.is_zero(), (env, name)
 
 
 # --- swap ------------------------------------------------------------------------

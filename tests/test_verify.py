@@ -37,6 +37,8 @@ from projstruct import (
     run_case,
 )
 
+from conftest import alpha_ode_lower
+
 # The classified normal forms and the pencil catalogue carry these ids as
 # their external contract; the remaining entries cover the affine family,
 # the exotic algebra scan, the homogeneous cubic model and the flatness
@@ -444,7 +446,8 @@ def test_members_geodesic_failure_reports_the_residual_leading_term(
 
 
 def _exponential_reference(env, order):
-    # the exponential relations as jet arithmetic, before they were text
+    # the quartic ODE and the exponential relations as jet arithmetic,
+    # before they were text
     A, B, c, al = env["A"], env["B"], env["c"], env["alpha"]
     d1 = al.d_dx()
     Bp = B.d_dx()
@@ -455,7 +458,10 @@ def _exponential_reference(env, order):
     rhs_b = ((A * (A.scale(c) - Bp)).scale(27 * c) - (Bp * Bp).scale(12)
              - denom * Bp.scale(9 * c * c)
              + (fourB * denom * denom).scale(c * c))
+    d4 = d1.d_dx().d_dx().d_dx()
     return {
+        "exponential:ode-residual":
+            alpha_ode_lower(c, al) + (al * d4).scale(2),
         "exponential:A-prime-relation": A.d_dx() * denom.scale(6) - rhs_a,
         "exponential:B-second-relation": Bp.d_dx() * denom.scale(6) + rhs_b,
         "exponential:alpha-log-derivative":
@@ -505,8 +511,8 @@ def _member_reference(env, order):
 
 _REFERENCES = {"exponential": _exponential_reference, "ia1": _ia1_reference,
                "ia2": _ia2_reference}
-_ROWS = (cases._EXPONENTIAL_IDENTITIES + cases._IA1_IDENTITIES
-         + cases._IA2_IDENTITIES)
+_ROWS = ((cases._ALPHA_ODE_ROW,) + cases._EXPONENTIAL_IDENTITIES
+         + cases._IA1_IDENTITIES + cases._IA2_IDENTITIES)
 
 
 @pytest.fixture(scope="module")
@@ -530,7 +536,7 @@ def catalogue_expansions():
 
 def test_the_references_hold_exactly_the_rows(catalogue_expansions):
     rows = {parse(text): name for name, text, _ in _ROWS}
-    assert len(rows) == 10
+    assert len(rows) == 11
     names = set()
     for e, env, order, _ in catalogue_expansions:
         if e in rows:
