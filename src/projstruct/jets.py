@@ -69,7 +69,7 @@ degree fixes each once (``_graded_solve``):
 - ``a / b``: q_k = (a_k - sum_(e != 0) b_e q_(k-e)) / b_0, on integer
   numerators over the one denominator da c^(eff+1), c the constant
   numerator of b, with no inverse jet and no product; ``inverse`` is
-  ``1 / b``;
+  ``1 / b``, and ``_quotients`` divides several in one bit-packed pass;
 - ``_euler_solve(g)``: the f with f_0 = 1 and E f = f g, for the Euler
   operator E = x d/dx + y d/dy; at degree d, d f_k = sum_e g_e f_(k-e),
   on integer numerators over eff! den^eff.  ``exp_series(u)`` is the
@@ -96,6 +96,7 @@ rules of the pass and no formula of its own.
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 
 from .errors import (
@@ -373,11 +374,10 @@ class Jet2:
             raise TypeError("jet powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        out = Jet2.constant(1, self.order)
-        base = self
+        out, base = (None if n else Jet2.constant(1, self.order)), self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
@@ -389,38 +389,13 @@ class Jet2:
         return Jet2.constant(1, self.order) / self
 
     def __truediv__(self, other):
-        """self / other; a jet divisor needs a unit constant term.
-
-        One graded pass, with no inverse and no product.  With a = A/da,
-        b = B/db (integer numerators) and c = B_00, the integers
-        Z_k = c^(d+1) (A/B)_k at degree d obey
-        Z_k = c^d A_k - sum_e c^(deg e - 1) B_e Z_(k-e); then (a/b)_k is
-        db Z_k c^(eff-d) over the one denominator da c^(eff+1).  Over the
-        dual numbers c is a dual unit, and ``_canonical`` divides by that
-        denominator.  The window is the one a * (1/b) has.
-        """
+        """self / other; a jet divisor needs a unit constant term."""
         if not isinstance(other, Jet2):
             c = as_coeff(other)
             if not _is_unit(c):
                 raise NonUnitDivisor("scalar %r is not invertible" % (c,))
             return self.scale(Fraction(1) / c)
-        c = other._num.get((0, 0), 0)
-        if not _is_unit(c):
-            raise NonUnitDivisor("constant term %r is not invertible" % (c,))
-        order = min(self.order, other.order)
-        eff = min(order, self.eff, other.eff + self._val_bound())
-        cpow = [1]
-        for _ in range(eff + 1):
-            cpow.append(cpow[-1] * c)
-        tail = {(i, j): -n * cpow[i + j - 1]
-                for (i, j), n in other._num.items() if 0 < i + j <= eff}
-        start = {(i, j): n * cpow[i + j]
-                 for (i, j), n in self._num.items() if i + j <= eff}
-        scaled = _graded_solve(tail, start, eff)
-        db = other._den
-        return Jet2._new({(i, j): db * n * cpow[eff - i - j]
-                          for (i, j), n in scaled.items()},
-                         self._den * cpow[eff + 1], order, eff)
+        return _quotients((self,), other)[0]
 
     def __rtruediv__(self, other):
         return self.inverse().scale(other)
@@ -542,6 +517,67 @@ def _sum_of_products(terms, cap=None):
     den = math.lcm(*[d for _, d, _, _ in live])
     return Jet2._new(_box_sum([(c.numerator * (den // d), a, b)
                                for c, d, a, b in live], eff), den, order, eff)
+
+
+def _quotients(nums, b):
+    """[a / b for a in nums], for a jet ``b`` with a unit constant term.
+
+    One graded pass, with no inverse and no product.  With a = A/da,
+    b = B/db (integer numerators) and c = B_00, the integers
+    Z_k = c^(d+1) (A/B)_k at degree d obey
+    Z_k = c^d A_k - sum_e c^(deg e - 1) B_e Z_(k-e); then (a/b)_k is
+    db Z_k c^(eff-d) over the one denominator da c^(eff+1), in the window
+    a * (1/b) has.  Over the dual numbers c is a dual unit, ``_canonical``
+    divides by that denominator, and each a runs its own pass.
+
+    Several integer numerators share one pass to the largest eff, the r-th
+    Z at bit offset r S of one int (J.-G. Dumas, L. Fousse and B. Salvy,
+    J. Symbolic Comput. 46 (2011)); the pass is exact and linear, so only
+    the final values must fit.  With s_d the sum of |start| over the slots
+    and keys of degree d, and t_e that of |tail| over degree e,
+    u_d = s_d + sum_(e=1..d) t_e u_(d-e) bounds sum_(deg k = d) |Z_k| in
+    every slot; S is two bits past max u_d.  Slot r is ((P + B) >> rS) &
+    (2^S - 1) - 2^(S-1), for B = sum_r 2^(S-1) 2^(rS), through its eff.
+    """
+    c = b._num.get((0, 0), 0)
+    if not _is_unit(c):
+        raise NonUnitDivisor("constant term %r is not invertible" % (c,))
+    orders = [min(a.order, b.order) for a in nums]
+    effs = [min(order, a.eff, b.eff + a._val_bound())
+            for a, order in zip(nums, orders)]
+    top = max(effs)
+    cpow = list(accumulate(repeat(c, top + 1), mul, initial=1))
+    tail = {(i, j): -n * cpow[i + j - 1]
+            for (i, j), n in b._num.items() if 0 < i + j <= top}
+    starts = [{(i, j): n * cpow[i + j]
+               for (i, j), n in a._num.items() if i + j <= eff}
+              for a, eff in zip(nums, effs)]
+    if len(nums) == 1 or not all(type(n) is int for f in (b, *nums)
+                                 for n in f._num.values()):
+        solved = [_graded_solve(tail, s, eff) for s, eff in zip(starts, effs)]
+    else:
+        u, t = [0] * (top + 1), [0] * (top + 1)
+        for sums, terms in [(u, start) for start in starts] + [(t, tail)]:
+            for (i, j), n in terms.items():
+                sums[i + j] += abs(n)
+        for d in range(top + 1):  # s_d becomes u_d
+            u[d] += sum(map(mul, t[1:d + 1], reversed(u[:d])))
+        width = max(u, default=0).bit_length() + 2
+        packed = dict(starts[0])
+        for r, start in enumerate(starts[1:], 1):
+            for k, n in start.items():
+                packed[k] = packed.get(k, 0) + (n << (r * width))
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        bias = sum(half << (r * width) for r in range(len(nums)))
+        out = [(k, w + bias) for k, w in _graded_solve(tail, packed, top).items()]
+        solved = [{(i, j): z for (i, j), w in out if i + j <= eff
+                   and (z := ((w >> (r * width)) & mask) - half)}
+                  for r, eff in enumerate(effs)]
+    db = b._den
+    return [Jet2._new({(i, j): db * n * cpow[eff - i - j]
+                       for (i, j), n in z.items()},
+                      a._den * cpow[eff + 1], order, eff)
+            for a, order, eff, z in zip(nums, orders, effs, solved)]
 
 
 # -- composition ------------------------------------------------------------

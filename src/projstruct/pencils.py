@@ -28,7 +28,7 @@ known through degree e - 1), an empty N with ``eff >= U`` means "geodesic"
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
-from .jets import Jet2, _is_unit, _sum_of_products, _sum_window
+from .jets import Jet2, _is_unit, _quotients, _sum_of_products, _sum_window
 from .slopes import SlopePoly
 from .structures import (ProjectiveStructure, _JetRecord, _all_along,
                          swap_axes)
@@ -190,7 +190,7 @@ def structure_from_pencil(pencil):
     ds = SlopePoly([pi.d_dx(), qi.d_dx() + pi.d_dy(), qi.d_dy()])
     top = dr * s - r * ds
     wedge = pencil.wedge()
-    return ProjectiveStructure(*(top.coeff(k) / wedge for k in range(4)))
+    return ProjectiveStructure(*_quotients(top.coeffs, wedge))
 
 
 def member_value_along(pencil, curve):

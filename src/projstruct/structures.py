@@ -19,8 +19,8 @@ from .errors import (
     NotInvertible,
     _ensure,
 )
-from .jets import (Jet2, _cauchy, _is_unit, _substitute_all, _sum_of_products,
-                   _sum_window, comp_inverse, compose1, exp_series)
+from .jets import (Jet2, _cauchy, _is_unit, _quotients, _substitute_all,
+                   _sum_of_products, _sum_window, comp_inverse, compose1)
 from .records import Record
 from .slopes import _slope_terms
 
@@ -137,9 +137,9 @@ def pullback(germ, st):
                   for s in sts)
     lin = [[(1, _sum_of_products([(1, s, f), (1, t, g)])) for f, g in
             ((ux, vx), (uy, vy))] for s, t in ((a, b), (c, d))]
-    return ProjectiveStructure(*(
-        _sum_of_products(f + g + r, eff) / jac for f, g, r, eff in zip(
-            _slope_terms(dn2, lin[0]), _slope_terms(nn2, lin[1]), rest, effs)))
+    slots = [_sum_of_products(f + g + r, eff) for f, g, r, eff in zip(
+        _slope_terms(dn2, lin[0]), _slope_terms(nn2, lin[1]), rest, effs)]
+    return ProjectiveStructure(*_quotients(slots, jac))
 
 
 def _cubic_windows(sts, cubic, rest):
@@ -175,8 +175,8 @@ def apply_x_reparam(st, psi):
         raise NotInvertible("reparametrization slope vanishes at 0")
     y = Jet2.variable("y", psi.order)
     ta, tb, tc, td = _substitute_all(st, psi, y)
-    return ProjectiveStructure(ta * dps * dps, tb * dps + dps.d_dx() / dps,
-                               tc, td / dps)
+    shift, td = _quotients((dps.d_dx(), td), dps)
+    return ProjectiveStructure(ta * dps * dps, tb * dps + shift, tc, td)
 
 
 def apply_y_shift(st, phi):
@@ -290,42 +290,6 @@ def normalize_D1(st):
                                  Jet2.constant(1, st.order))
     germ = DiffeoGerm(psi, Jet2.variable("y", st.order) + phi)
     return result, germ
-
-
-def normalize_ib(st):
-    """Bring an x-only structure with D = 0, C(0) != 0, C'(0) != 0 to
-    the exponential model (A*(x), 0, exp(x), 0).
-
-    Returns ``(normalized, germ, scale)`` where ``germ`` is the combined
-    coordinate change (psi(x), scale*(y + phi(x))) and
-    ``pullback(germ, st)`` equals the normalized structure.
-    """
-    if not st.is_x_only():
-        raise NotInNormalForm("normalization needs x-only coefficients")
-    if not st.D.is_zero():
-        raise NotInNormalForm("D must vanish identically")
-    c0 = st.C.constant_term
-    if not _is_unit(c0):
-        raise NotInNormalForm("C must not vanish at the origin")
-    if not _is_unit(st.C.coeff(1, 0)):
-        raise NotInNormalForm("C' must not vanish at the origin")
-    a0 = 1 / c0
-    st1 = apply_y_scale(st, a0)
-    expm1 = exp_series(Jet2.variable("x", st.order)) - 1
-    growth = comp_inverse(st1.C - 1)
-    psi = compose1(growth, expm1)
-    st2 = apply_x_reparam(st1, psi)
-    canonical_c = exp_series(Jet2.variable("x", st.order))
-    _ensure(st2.C.agree(canonical_c), "C becomes exp(x)")
-    phi = (-st2.B / (2 * st2.C)).integrate_x()
-    st3 = apply_y_shift(st2, phi)
-    _ensure(st3.B.is_zero(), "B is removed")
-    _ensure(st3.D.is_zero(), "D stays zero")
-    result = ProjectiveStructure(st3.A, Jet2.zero(st.order), canonical_c,
-                                 Jet2.zero(st.order))
-    y = Jet2.variable("y", st.order)
-    germ = DiffeoGerm(psi, (y + phi).scale(a0))
-    return result, germ, a0
 
 
 # --- geodesics ----------------------------------------------------------------

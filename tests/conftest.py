@@ -140,6 +140,52 @@ def deep_traffic():
     return calls
 
 
+@pytest.fixture(scope="session")
+def quotient_traffic(tmp_path_factory):
+    """The ``jets._graded_solve`` calls of one ``run_all(12)`` pass and of
+    each ``deep-jets`` round of seeds 1-3, rounds 0-1 (orders 16 and 20),
+    and (nums, b, result) of every ``_quotients`` call of several
+    numerators there and in the ``documents`` workload of seeds 1-3,
+    rounds 0-9."""
+    import projstruct.cli  # the documents dispatch through it
+    from projstruct import jets, pencils, structures
+
+    workloads = bench_workloads()
+    solves, counts, groups = [0], {}, []
+    graded_solve, quotients = jets._graded_solve, jets._quotients
+
+    def counting(*args):
+        solves[0] += 1
+        return graded_solve(*args)
+
+    def recording(nums, b):
+        out = quotients(nums, b)
+        if len(nums) > 1:
+            groups.append((tuple(nums), b, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_graded_solve", counting)
+        for module in (jets, structures, pencils):
+            mp.setattr(module, "_quotients", recording)
+        projstruct.run_all(order=12)
+        counts["registry"] = solves[0]
+        for seed in (1, 2, 3):
+            for index in (0, 1):
+                solves[0] = 0
+                for order in (16, 20):
+                    for op in workloads.deep_round(projstruct, seed, index,
+                                                   order):
+                        assert op.gate(op.call())
+                counts[("deep-jets", seed, index)] = solves[0]
+            rounds = workloads.DocumentRounds(
+                projstruct, seed, str(tmp_path_factory.mktemp("documents")))
+            for index in range(10):
+                for op in rounds.round(index):
+                    assert op.gate(op.call())
+    return counts, groups
+
+
 @contextlib.contextmanager
 def keeping_jets(init=True):
     """Keep the jets built in the block, by ``Jet2._new`` and (unless
@@ -291,6 +337,18 @@ def windowed(draw, order, x_only=False, low=0, min_eff=0, constant=None):
     if constant is not None:
         coeffs[(0, 0)] = draw(constant)
     return Jet2(coeffs, order, eff)
+
+
+@st.composite
+def windowed_or_dual(draw, order, **kwargs):
+    """A ``windowed`` jet or, one time in three, that jet plus eps times
+    another drawn alike, in the first one's window."""
+    f = draw(windowed(order, **kwargs))
+    if draw(st.integers(0, 2)):
+        return f
+    g = draw(windowed(order, **kwargs))
+    return Jet2({k: DualRational(f.coeff(*k), g.coeff(*k))
+                 for k in f.coeffs.keys() | g.coeffs.keys()}, order, f.eff)
 
 
 @st.composite

@@ -20,6 +20,7 @@ from projstruct.jets import (
     _is_unit,
     _lincomb,
     _product,
+    _quotients,
     _substitute_all,
     _sum_of_products,
     comp_inverse,
@@ -48,6 +49,7 @@ from conftest import (
     small_fractions,
     univariate_germs,
     windowed,
+    windowed_or_dual,
 )
 
 
@@ -467,6 +469,88 @@ def test_non_unit_divisors_keep_their_message():
         with pytest.raises(NonUnitDivisor) as err:
             divisor.inverse()
         assert str(err.value) == "constant term %s is not invertible" % shown
+
+
+# --- several numerators over one divisor -------------------------------------
+
+_WIDE_INTS = st.integers(-2 ** 256, 2 ** 256)
+_WIDE = st.one_of(_WIDE_INTS, st.builds(Fraction, _WIDE_INTS,
+                                        st.integers(1, 2 ** 64)))
+
+
+@st.composite
+def wide_jets(draw, dual=False, constant=None):
+    """A jet of order 0 to 8 with coefficients up to 2^256, dense or sparse,
+    of valuation 0 to 3, at a random window, empty ones included; over the
+    duals when ``dual``; with a constant term drawn from ``constant`` when
+    given."""
+    order = draw(st.integers(0, 8))
+    low = 0 if constant is not None else draw(st.integers(0, 3))
+    keys = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)
+            if i + j >= low]
+    if keys and draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
+    value = st.builds(DualRational, _WIDE, _WIDE) if dual else _WIDE
+    coeffs = {k: draw(value) for k in keys}
+    if constant is not None:
+        coeffs[(0, 0)] = draw(constant)
+    return Jet2(coeffs, order, draw(st.integers(-1, order)))
+
+
+@st.composite
+def quotient_groups(draw):
+    """(nums, b): one to five numerators and a divisor with a constant term
+    of any sign and size, all over the rationals or, one time in three,
+    each over the rationals or the duals."""
+    mixed = draw(st.integers(0, 2)) == 0
+
+    def jet(**kwargs):
+        return draw(wide_jets(dual=mixed and draw(st.booleans()), **kwargs))
+
+    b = jet(constant=_WIDE.filter(bool))
+    return [jet() for _ in range(draw(st.integers(1, 5)))], b
+
+
+_X3 = Jet2.variable("x", 3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(quotient_groups())
+# a negative constant term above 1 and wide values: the slots carry signs
+@example(([Jet2({(0, 0): 2 ** 200, (1, 0): -3}, 3), _X3,
+           Jet2({(0, 1): -(2 ** 255)}, 5, 2)],
+          Jet2({(0, 0): -7, (1, 0): 2 ** 130, (0, 1): -1}, 3, 2)))
+# one numerator with an empty window beside one without
+@example(([_X3.truncated(eff=-1), _X3], Jet2({(0, 0): 3}, 3)))
+def test_quotients_are_the_quotients_one_by_one(group):
+    nums, b = group
+    try:
+        want = [a / b for a in nums]
+    except NonUnitDivisor as err:
+        with pytest.raises(NonUnitDivisor) as got:
+            _quotients(nums, b)
+        assert str(got.value) == str(err)
+        return
+    assert _quotients(nums, b) == want
+
+
+def test_workload_quotient_groups_are_the_quotients_one_by_one(
+        quotient_traffic):
+    # every group of several numerators in run_all(12), deep-jets seeds
+    # 1-3 rounds 0-1 and documents seeds 1-3 rounds 0-9
+    _, groups = quotient_traffic
+    assert len(groups) > 100
+    for nums, b, got in groups:
+        assert got == [a / b for a in nums]
+
+
+def test_a_registry_pass_and_a_deep_round_keep_their_graded_solves(
+        quotient_traffic):
+    # pullback, structure_from_pencil and apply_x_reparam each divide in
+    # one graded solve; four (two) solves a call would move these counts
+    solves, _ = quotient_traffic
+    assert solves["registry"] == 234
+    assert {solves[("deep-jets", seed, 0)] for seed in (1, 2, 3)} == {40}
 
 
 @settings(deadline=None, max_examples=30)
@@ -987,6 +1071,13 @@ def test_a_quotient_keeps_its_window_when_its_terms_are_redrawn(data, order):
     a = data.draw(windowed(order, low=data.draw(st.integers(0, 2))))
     b = data.draw(windowed(order, constant=nonzero_fractions))
     assert_window_holds(a / b, data.draw(redrawn(a)) / data.draw(redrawn(b)))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data(), window_orders)
+def test_an_inverse_keeps_its_window_when_its_terms_are_redrawn(data, order):
+    b = data.draw(windowed_or_dual(order, constant=nonzero_fractions))
+    assert_window_holds(b.inverse(), data.draw(redrawn(b)).inverse())
 
 
 @settings(deadline=None, max_examples=30)

@@ -35,7 +35,7 @@ from conftest import (PROP_ORDER, assert_same_jets, assert_same_structure,
                       assert_window_holds, bench_workloads, cut_windows, jets,
                       nonzero_fractions, rational_or_dual_jets, redrawn,
                       reference_sub, slope_product, small_fractions,
-                      structures, windowed)
+                      structures, windowed, windowed_or_dual)
 
 N = 10
 
@@ -286,6 +286,29 @@ def test_member_value_keeps_its_window_when_the_inputs_are_redrawn(data,
             data.draw(redrawn(curve, x_only=True)))
     assert_window_holds(member_value_along(pen, curve),
                         member_value_along(*full))
+
+
+@hs.composite
+def short_pencils(draw):
+    """A pencil over the rationals or the duals, of orders 1 to PROP_ORDER,
+    each jet known through degree 1 at least, with a unit wedge."""
+    order = draw(hs.integers(1, PROP_ORDER))
+    p0, q0, pi, qi = (draw(windowed_or_dual(order, min_eff=1,
+                                            constant=nonzero_fractions))
+                      for _ in range(4))
+    assume(_is_unit(p0.constant_term * qi.constant_term
+                    - q0.constant_term * pi.constant_term))
+    return Pencil.from_jets(p0, q0, pi, qi)
+
+
+@settings(deadline=None, max_examples=15)
+@given(hs.data(), short_pencils())
+def test_structure_from_pencil_keeps_its_window_when_the_pencil_is_redrawn(
+        data, pen):
+    full = pen.map(lambda fol: fol.map(lambda f: data.draw(redrawn(f))))
+    for got, want in zip(structure_from_pencil(pen),
+                         structure_from_pencil(full)):
+        assert_window_holds(got, want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,9 +9,10 @@ from projstruct.errors import (DegenerateJacobian, NonZeroConstantTerm,
                                NotInNormalForm)
 from projstruct.cases import _FIELDS, CASES, _field, _structure
 from projstruct.fields import VectorField, residual, symmetry_dim
-from projstruct.jets import (Jet2, _is_unit, _substitute_all, _sum_of_products,
-                             comp_inverse, compose1, exp_series, substitute)
-from projstruct.pencils import Foliation, Pencil
+from projstruct.jets import (Jet2, _graded_solve, _is_unit, _substitute_all,
+                             _sum_of_products, comp_inverse, compose1,
+                             exp_series, substitute)
+from projstruct.pencils import Foliation, Pencil, structure_from_pencil
 from projstruct.slopes import SlopePoly
 from projstruct.structures import (
     DiffeoGerm,
@@ -27,7 +28,6 @@ from projstruct.structures import (
     is_linearizable,
     liouville,
     normalize_D1,
-    normalize_ib,
     pullback,
     swap_axes,
     _all_along,
@@ -52,6 +52,7 @@ from conftest import (
     structures,
     univariate_germs,
     windowed,
+    windowed_or_dual,
 )
 
 N = 10
@@ -315,6 +316,71 @@ def test_y_scale_matches_pullback(a0, stq):
     assert apply_y_scale(stq, a0).agree(pullback(germ, stq))
 
 
+# --- window honesty of the laws that divide -------------------------------------
+
+
+@st.composite
+def short_germs(draw, order):
+    """A germ of ``order`` known through degree 2 at least: a unimodular
+    linear part plus a rational tail, or (x + eps a, y + eps b) for a and b
+    vanishing at the origin."""
+    if draw(st.booleans()):
+        u, v = (draw(windowed(order, low=1, min_eff=2)) for _ in range(2))
+        return DiffeoGerm(*(_strip_linear(f) + lin for f, lin in (
+            (u, Jet2.from_terms({(1, 0): 1, (0, 1): 2}, order)),
+            (v, Jet2.from_terms({(1, 0): 1, (0, 1): 3}, order)))))
+    a, b = (draw(windowed(order, low=1, min_eff=2)) for _ in range(2))
+    return DiffeoGerm(*(Jet2.variable(name, order) + f.scale(EPS)
+                        for name, f in (("x", a), ("y", b))))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data(), st.integers(2, PROP_ORDER))
+def test_pullback_keeps_its_window_when_the_inputs_are_redrawn(data, order):
+    germ = data.draw(short_germs(order))
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order))
+                                for _ in range(4)))
+    full = (germ.map(lambda f: data.draw(redrawn(f))),
+            stq.map(lambda f: data.draw(redrawn(f))))
+    for got, want in zip(pullback(germ, stq), pullback(*full)):
+        assert_window_holds(got, want)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data(), st.integers(2, PROP_ORDER))
+def test_x_reparam_keeps_its_window_when_the_inputs_are_redrawn(data, order):
+    psi = data.draw(windowed_or_dual(order, x_only=True, low=2, min_eff=2)) \
+        + Jet2.monomial(1, 0, data.draw(nonzero_fractions), order)
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order))
+                                for _ in range(4)))
+    full = (stq.map(lambda f: data.draw(redrawn(f))),
+            data.draw(redrawn(psi, x_only=True)))
+    for got, want in zip(apply_x_reparam(stq, psi), apply_x_reparam(*full)):
+        assert_window_holds(got, want)
+
+
+def test_each_law_divides_in_one_graded_solve(monkeypatch):
+    # pullback and structure_from_pencil divide four slots, apply_x_reparam
+    # two, in one packed pass (jets._quotients)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _graded_solve(*args)
+
+    monkeypatch.setattr("projstruct.jets._graded_solve", counting)
+    stq = S("x*y + 1", "2*y - x", "x^2 + y", "1/3 + x")
+    pen = Pencil.from_jets(jexp("1 + x*y"), jexp("y^2"), jexp("x"),
+                           jexp("2 - y"))
+    for call in (lambda: pullback(DiffeoGerm(jexp("x + y^2"),
+                                             jexp("y - x^3 + x*y")), stq),
+                 lambda: structure_from_pencil(pen),
+                 lambda: apply_x_reparam(stq, jexp("2*x + x^3"))):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
 def test_x_reparam_law_values():
     # (x, y) -> (psi(x), y) turns D by 1/psi' and feeds the Schwarz-like
     # correction into B
@@ -507,37 +573,6 @@ def test_normalize_D1_roundtrip(a, b, c, d0):
 def test_normalize_D1_rejects_vanishing_D():
     with pytest.raises(NotInNormalForm):
         normalize_D1(S("0", "0", "1", "x"))
-
-
-def test_normalize_ib_example():
-    stq = S("0", "0", "1 + x", "0")
-    out, germ, scale = normalize_ib(stq)
-    assert scale == 1
-    assert out.A.agree(jexp("-3/4 * exp(-x)", order=N))
-    assert out.B.is_zero()
-    assert out.C.agree(jexp("exp(x)"))
-    assert out.D.is_zero()
-    assert pullback(germ, stq).agree(out)
-
-
-@settings(deadline=None, max_examples=10)
-@given(jets(x_only=True, order=8, max_terms=2), nonzero_fractions, nonzero_fractions)
-def test_normalize_ib_roundtrip(a, c0, c1):
-    order = 8
-    cjet = (Jet2.constant(c0, order) + Jet2.monomial(1, 0, c1, order)
-            + Jet2.monomial(2, 0, Fraction(1, 2), order))
-    stq = ProjectiveStructure(a, Jet2.monomial(1, 0, 1, order), cjet,
-                              Jet2.zero(order))
-    out, germ, scale = normalize_ib(stq)
-    assert scale == 1 / c0
-    assert out.B.is_zero() and out.D.is_zero()
-    assert out.C.agree(exp_series(Jet2.variable("x", order)))
-    assert pullback(germ, stq).agree(out)
-
-
-def test_normalize_ib_rejects_flat_C():
-    with pytest.raises(NotInNormalForm):
-        normalize_ib(S("0", "0", "1", "0"))
 
 
 # --- geodesics ------------------------------------------------------------------------
