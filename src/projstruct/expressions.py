@@ -36,9 +36,7 @@ Trees are made of :class:`Lit`, :class:`Var`, :class:`Param`, :class:`Neg`,
 :class:`Chain` (one whole run of ``+ -`` or of ``* /``, as read), :class:`Pow`
 and :class:`Call`.  So a tree is as deep as its text is nested, whatever the
 length of its sums and products: only nesting meets the recursion limit, and
-:func:`parse` rejects it.  :func:`to_text` prints one pair of parentheses per
-chain and around each negative or non-integer literal; ``parse(to_text(e))``
-rebuilds ``e``.
+:func:`parse` rejects it.
 """
 
 import operator
@@ -237,32 +235,6 @@ def parse(text):
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply",
                               parser.tokens[parser.pos - 1][2]) from None
-
-
-# --- printing ----------------------------------------------------------------------
-
-
-def _rational_text(q):
-    """``q`` as an atom: bare if a nonnegative integer, else in parentheses."""
-    return str(q) if q.denominator == 1 and q >= 0 else "(%s)" % q
-
-
-def to_text(e):
-    """Fully parenthesized form; ``parse(to_text(e))`` rebuilds ``e``."""
-    if isinstance(e, Lit):
-        return _rational_text(e.value)
-    if isinstance(e, Var) or isinstance(e, Param):
-        return e.name
-    if isinstance(e, Neg):
-        return "(-%s)" % to_text(e.arg)
-    if isinstance(e, Chain):
-        return "(%s)" % " ".join([to_text(e.first)] + [
-            "%s %s" % (op, to_text(x)) for op, x in e.rest])
-    if isinstance(e, Pow):
-        return "%s^%s" % (to_text(e.base), _rational_text(e.exponent))
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.func, to_text(e.arg))
-    raise TypeError("not an expression: %r" % (e,))
 
 
 # --- expansion into jets --------------------------------------------------------------

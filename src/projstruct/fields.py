@@ -165,7 +165,7 @@ def _graded_kernel(steps, blocks=1, one=None, L=1):
             sols = [[P * L * e for e in c] + (
                 [-sum(map(mul, w, c)) for w in ER[:len(new)]] if live
                 else [0] * len(new))
-                for c in map(_int_row, nullspace(ER[len(new):], nb))]
+                for c in nullspace(ER[len(new):], nb)]
         else:
             for k, col in enumerate(new, nb):
                 for r, e in col[d].items():

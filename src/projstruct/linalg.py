@@ -12,6 +12,9 @@ side included.  Asymptotics do not matter; exactness and predictability do.
 Pivots are taken column by column, so the column order is the caller's
 lever: it decides which columns become free (one kernel vector each)
 and how much the entries grow on the way.
+
+Kernel vectors are primitive ``int`` vectors, positive on their own free
+column; ``Fraction``s appear only in inputs and in particular solutions.
 """
 
 from fractions import Fraction
@@ -64,22 +67,21 @@ def _reduce(rows, ncols):
 
 
 def _free_basis(mat, pivots, ncols):
-    """One kernel vector per non-pivot column of a reduced matrix."""
+    """Per non-pivot column of a reduced matrix, the primitive integer
+    kernel vector that is positive on that column."""
     pivot_cols = {c for (_, c) in pivots}
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [0] * ncols
+        vec[fc] = scale = lcm(*(mat[r][c] for r, c in pivots if mat[r][fc]))
         for (r, c) in pivots:
-            vec[c] = Fraction(-mat[r][fc], mat[r][c])
-        basis.append(vec)
+            vec[c] = -mat[r][fc] * (scale // mat[r][c])
+        basis.append(_int_row(vec))
     return basis
 
 
 def nullspace(rows, ncols):
-    """Basis of {v : M v = 0} as lists of Fractions (one per free column)."""
+    """Basis of {v : M v = 0}, one primitive ``int`` vector per free column."""
     mat = _int_rows(rows)
     pivots = _reduce(mat, ncols)
     return _free_basis(mat, pivots, ncols)
@@ -90,19 +92,19 @@ def solve_affine(rows, rhs):
 
     Returns ``(consistent, particular, basis)`` where ``particular`` has
     free coordinates set to zero and ``basis`` spans the homogeneous
-    solutions.  On inconsistency returns ``(False, None, [])``.
+    solutions.  On inconsistency, a pivot in the last column of
+    [M | -rhs], returns ``(False, None, [])``; else that column's kernel
+    vector w gives the particular w[:n] / w[n].
     """
     if not rows:
         return True, [], []
-    ncols = len(rows[0])
-    mat = _int_rows(list(row) + [b] for row, b in zip(rows, rhs))
-    pivots = _reduce(mat, ncols + 1)
-    if any(c == ncols for (_, c) in pivots):
+    n = len(rows[0])
+    mat = _int_rows(list(row) + [-b] for row, b in zip(rows, rhs))
+    pivots = _reduce(mat, n + 1)
+    if pivots and pivots[-1][1] == n:
         return False, None, []
-    particular = [Fraction(0)] * ncols
-    for (r, c) in pivots:
-        particular[c] = Fraction(mat[r][ncols], mat[r][c])
-    return True, particular, _free_basis(mat, pivots, ncols)
+    *basis, w = _free_basis(mat, pivots, n + 1)
+    return True, [Fraction(v, w[n]) for v in w[:n]], [v[:n] for v in basis]
 
 
 def rank(rows, ncols=None):

@@ -175,8 +175,8 @@ def apply_x_reparam(st, psi):
         raise NotInvertible("reparametrization slope vanishes at 0")
     y = Jet2.variable("y", psi.order)
     ta, tb, tc, td = _substitute_all(st, psi, y)
-    shift, td = _quotients((dps.d_dx(), td), dps)
-    return ProjectiveStructure(ta * dps * dps, tb * dps + shift, tc, td)
+    return ProjectiveStructure(ta * dps * dps, tb * dps + dps.d_dx() / dps,
+                               tc, td / dps)
 
 
 def apply_y_shift(st, phi):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from projstruct.duals import DualRational
@@ -351,6 +352,13 @@ def windowed_or_dual(draw, order, **kwargs):
                  for k in f.coeffs.keys() | g.coeffs.keys()}, order, f.eff)
 
 
+# The settings of every property that draws through ``redrawn``: no shrink
+# phase, since shrinking those draws ran for minutes (and hundreds of MB)
+# on a failing example; each test sets its own ``max_examples``.
+REDRAWN = settings(deadline=None,
+                   phases=[phase for phase in Phase if phase is not Phase.shrink])
+
+
 @st.composite
 def redrawn(draw, f, x_only=False):
     """``f`` with random terms above its ``eff`` (in x alone if ``x_only``)
@@ -599,6 +607,48 @@ def reference_load_document(path):
                                   jet("pencil", "Qinf")))
 
     return InputDocument(order, structure, fields, pencil, params)
+
+
+def _reference_free_basis(mat, pivots, ncols):
+    vecs = []
+    pivot_cols = {c for (_, c) in pivots}
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for (r, c) in pivots:
+            vec[c] = Fraction(-mat[r][fc], mat[r][c])
+        vecs.append(vec)
+    return vecs
+
+
+def reference_nullspace(rows, ncols):
+    """``linalg.nullspace`` as it was while it returned ``Fraction`` vectors,
+    1 on their own free column."""
+    from projstruct.linalg import _int_rows, _reduce
+
+    mat = _int_rows(rows)
+    pivots = _reduce(mat, ncols)
+    return _reference_free_basis(mat, pivots, ncols)
+
+
+def reference_solve_affine(rows, rhs):
+    """``linalg.solve_affine`` as it was while it solved for its particular
+    row by row and returned its basis as ``reference_nullspace`` does."""
+    from projstruct.linalg import _int_rows, _reduce
+
+    if not rows:
+        return True, [], []
+    ncols = len(rows[0])
+    mat = _int_rows(list(row) + [b] for row, b in zip(rows, rhs))
+    pivots = _reduce(mat, ncols + 1)
+    if any(c == ncols for (_, c) in pivots):
+        return False, None, []
+    particular = [Fraction(0)] * ncols
+    for (r, c) in pivots:
+        particular[c] = Fraction(mat[r][ncols], mat[r][c])
+    return True, particular, _reference_free_basis(mat, pivots, ncols)
 
 
 def slope_product(f, g):

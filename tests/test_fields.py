@@ -26,12 +26,13 @@ from projstruct.fields import (
     symmetry_dim,
 )
 from projstruct.jets import Jet2
-from projstruct.linalg import nullspace, rank, solve_affine
+from projstruct.linalg import _int_row, nullspace, rank, solve_affine
 from projstruct.slopes import SlopePoly
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
-from conftest import (PROP_ORDER, jets, slope_product, slope_sum, slope_times,
-                      structures)
+from conftest import (PROP_ORDER, REDRAWN, jets, redrawn, reference_nullspace,
+                      reference_solve_affine, slope_product, slope_sum,
+                      slope_times, structures)
 
 N = 8
 
@@ -346,6 +347,33 @@ def test_symmetry_dim_rejects_orders_below_two(order):
         symmetry_dim(S("x", "0", "0", "1"), order)
 
 
+@hs.composite
+def short_jets(draw, order, min_eff, max_degree):
+    """A jet of at most one term, of degree <= ``max_degree``, known through
+    ``min_eff`` or a random eff up to ``order``: sparse structures and
+    fields keep some symmetry for a redraw to break."""
+    eff = hs.one_of(hs.just(min_eff), hs.integers(min_eff, order))
+    return draw(jets(order=order, max_terms=1, max_degree=max_degree)
+                ).truncated(eff=draw(eff))
+
+
+@settings(REDRAWN, max_examples=50)
+@given(hs.data(), hs.integers(2, 5))
+def test_symmetry_dim_keeps_its_answer_when_the_structure_is_redrawn(data,
+                                                                     n):
+    # a count that is reported reads nothing above the structure's eff;
+    # one slot in two examples may be known too briefly to count at all
+    order, least = n + 3, data.draw(hs.sampled_from([n - 1, n + 1]))
+    stq = ProjectiveStructure(*(data.draw(short_jets(order, least, 2))
+                                for _ in range(4)))
+    try:
+        got = symmetry_dim(stq, n)
+    except ValueError:
+        assert stq.eff < n + 1
+        return
+    assert symmetry_dim(stq.map(lambda f: data.draw(redrawn(f))), n) == got
+
+
 def test_symmetry_dim_grows_the_kernel_in_small_systems(monkeypatch):
     heights = []
 
@@ -494,6 +522,53 @@ def test_a_registry_pass_keeps_its_solve_traffic(monkeypatch):
     cases.run_all(order=12)
     assert traffic == {"nullspace": (189, 3824), "rank": (57, 1824),
                        "solve_affine": (24, 21936)}
+
+
+def test_registry_kernels_are_the_reference_kernels_as_primitive_integers(
+        monkeypatch):
+    # every nullspace and solve_affine call that fields makes in run_all(12)
+    # and run_all(8), against the Fraction-valued solves they replaced
+    calls = []
+
+    def recording(solve):
+        def wrapper(rows, arg):
+            rows = [list(r) for r in rows]
+            got = solve(rows, arg)
+            calls.append((solve, rows, arg, got))
+            return got
+        return wrapper
+
+    for solve in (nullspace, solve_affine):
+        monkeypatch.setattr("projstruct.fields." + solve.__name__,
+                            recording(solve))
+    for order in (12, 8):
+        cases.run_all(order=order)
+    assert {call[0] for call in calls} == {nullspace, solve_affine}
+    for solve, rows, arg, got in calls:
+        if solve is nullspace:
+            assert got == [_int_row(v) for v in reference_nullspace(rows, arg)]
+            continue
+        consistent, particular, basis = reference_solve_affine(rows, arg)
+        assert got == (consistent, particular,
+                       [_int_row(v) for v in basis])
+
+
+def test_a_registry_pass_normalises_few_fraction_rows(monkeypatch):
+    # the kernels reach fields as primitive integers, so only the 19
+    # affine particulars that _grow scales and the 11 Fraction rows that
+    # rank receives in run_all(12) go through _int_row with Fraction
+    # entries (872 while nullspace returned Fractions)
+    rows = []
+    int_row = linalg._int_row
+
+    def counting(row):
+        rows.append(any(isinstance(v, Fraction) for v in row))
+        return int_row(row)
+
+    monkeypatch.setattr(linalg, "_int_row", counting)
+    monkeypatch.setattr("projstruct.fields._int_row", counting)
+    cases.run_all(order=12)
+    assert sum(rows) == 30
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -648,7 +723,15 @@ def reference_invariant_structures(fields, degree):
             for s in range(4)))
 
     return InvariantStructures(True, degree, structure(particular),
-                               tuple(structure(v) for v in basis))
+                               tuple(structure(unit_on_free_column(v))
+                                     for v in basis))
+
+
+def unit_on_free_column(vec):
+    """A ``solve_affine`` kernel vector scaled to 1 on its free column, its
+    last nonzero entry (pivots are taken column by column)."""
+    last = next(e for e in reversed(vec) if e)
+    return [Fraction(e, last) for e in vec]
 
 
 @hs.composite
@@ -697,7 +780,8 @@ def one_shot_invariant_structures(fields, degree):
             for s in range(4)))
 
     return InvariantStructures(True, degree, structure(particular),
-                               tuple(structure(v) for v in basis))
+                               tuple(structure(unit_on_free_column(v))
+                                     for v in basis))
 
 
 @pytest.mark.parametrize("c1,c2,dim", [(0, 0, 1), (1, 1, 0)])
@@ -719,6 +803,26 @@ def test_contains_refuses_a_structure_known_below_the_degree():
                   model.truncated(eff=5)):
         with pytest.raises(ValueError, match="need eff >= 6$"):
             inv.contains(short)
+
+
+@settings(REDRAWN, max_examples=50)
+@given(hs.data(), hs.integers(1, 3), hs.integers(1, 2))
+def test_invariant_structures_keep_their_answer_when_the_fields_are_redrawn(
+        data, degree, count):
+    # an affine family that is reported reads nothing above the fields'
+    # eff; in half the examples a field may be known too briefly to solve
+    order = degree + 5
+    least = data.draw(hs.sampled_from([degree, degree + 3]))
+    fields = [VectorField(*(data.draw(short_jets(order, least, 3))
+                            for _ in range(2)))
+              for _ in range(count)]
+    try:
+        got = invariant_structures(fields, degree)
+    except ValueError:
+        assert min(f.eff for f in fields) < degree + 3
+        return
+    full = [f.map(lambda g: data.draw(redrawn(g))) for f in fields]
+    assert invariant_structures(full, degree) == got
 
 
 def test_invariant_structures_solves_one_degree_at_a_time(monkeypatch):

@@ -31,11 +31,12 @@ from projstruct.slopes import SlopePoly
 from projstruct.structures import (ProjectiveStructure, geodesic_solve,
                                    swap_axes)
 
-from conftest import (PROP_ORDER, assert_same_jets, assert_same_structure,
-                      assert_window_holds, bench_workloads, cut_windows, jets,
-                      nonzero_fractions, rational_or_dual_jets, redrawn,
-                      reference_sub, slope_product, small_fractions,
-                      structures, windowed, windowed_or_dual)
+from conftest import (PROP_ORDER, REDRAWN, assert_same_jets,
+                      assert_same_structure, assert_window_holds,
+                      bench_workloads, cut_windows, jets, nonzero_fractions,
+                      rational_or_dual_jets, redrawn, reference_sub,
+                      slope_product, small_fractions, structures, windowed,
+                      windowed_or_dual)
 
 N = 10
 
@@ -277,7 +278,7 @@ def pencils_and_curves(draw):
     return Pencil.from_jets(p0, q0, pi, qi), curve
 
 
-@settings(deadline=None, max_examples=50)
+@settings(REDRAWN, max_examples=50)
 @given(hs.data(), pencils_and_curves())
 def test_member_value_keeps_its_window_when_the_inputs_are_redrawn(data,
                                                                   case):
@@ -301,7 +302,7 @@ def short_pencils(draw):
     return Pencil.from_jets(p0, q0, pi, qi)
 
 
-@settings(deadline=None, max_examples=15)
+@settings(REDRAWN, max_examples=15)
 @given(hs.data(), short_pencils())
 def test_structure_from_pencil_keeps_its_window_when_the_pencil_is_redrawn(
         data, pen):

@@ -41,6 +41,7 @@ from projstruct.jets import (
 from projstruct.structures import ProjectiveStructure, _rhs_along, geodesic_solve
 
 from conftest import (
+    REDRAWN,
     alpha_ode_lower,
     assert_window_holds,
     bench_workloads,
@@ -242,7 +243,7 @@ def test_geodesic_solve_refuses_a_nonzero_height(stq, y0, p0):
         geodesic_solve(stq, y0, p0)
 
 
-@settings(deadline=None, max_examples=30)
+@settings(REDRAWN, max_examples=30)
 @given(st.data(), structures_at(), small_fractions)
 def test_geodesic_solve_keeps_its_window_when_the_structure_is_redrawn(
         data, stq, p0):
@@ -270,7 +271,7 @@ def test_ib_flattening_psi_matches_picard(stq, c0):
     assert ib_flattening_germ(stq).u == reference_flattening_psi(stq)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(REDRAWN, max_examples=40)
 @given(st.data(), windowed(9, x_only=True),
        windowed(9, x_only=True, constant=nonzero_fractions))
 def test_ib_flattening_germ_keeps_its_window_when_the_structure_is_redrawn(
