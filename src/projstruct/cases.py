@@ -43,11 +43,13 @@ import math
 from fractions import Fraction
 
 from .errors import (InadmissibleParameters, NonSquareConstant,
-                     PreconditionViolated, UnknownCase, _ensure)
+                     NonUnitDivisor, PreconditionViolated, UnknownCase,
+                     _ensure)
 from .expressions import expand, parse
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
-from .jets import DEFAULT_ORDER, Jet2, _cauchy, compose1
+from .jets import (DEFAULT_ORDER, Jet2, _cauchy, _is_unit, comp_inverse,
+                   compose1)
 from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
@@ -379,77 +381,35 @@ def ib_flattening_germ(st):
 
     The reparametrization psi = x + O(x^3) solves
 
-        psi''' = (3/2) psi''^2/psi' + psi' psi'' (C'/C) o psi
-                 - 2 (A C) o psi * psi'^3,
+        psi''' = (3/2) psi''^2/psi' + psi' psi'' q(psi) - 2 m(psi) psi'^3,
 
-    online (J. van der Hoeven, J. Symbolic Comput. 34 (2002)), degree by
-    degree on the integer Taylor data of the rescaled ODE
-    (``_flattening_coeffs``).  The solver takes its Picard pass,
-    psi = x + integral^3 of the right side, once the online coefficients
-    agree with it, so the window follows the jet rules.  The subsequent
-    y-shift removes the B-slot, leaving a structure of the form
-    (0, 0, C2(x), 0).
+    q = C'/C and m = A C: for the Schwarzian S, S(psi) = psi'' q(psi)
+    - 2 m(psi) psi'^2.  As S(chi o psi) = S(chi)(psi) psi'^2 + S(psi), the
+    inverse chi of psi has S(chi) = q chi''/chi' + 2m, and chi' = v^-2
+    (S(chi) = -2 v''/v) makes that linear: (v'/C)' = -A v, v(0) = 1,
+    v'(0) = 0 (V. Ovsienko and S. Tabachnikov, *Projective Differential
+    Geometry Old and New*, CUP 2005, ch. 1).  v is summed as the Neumann
+    series 1 + int C int (-A v) through its first term that vanishes
+    within its window, and psi reverts chi = int v^-2.  Only the x-only
+    parts of A and C count.  A y-shift then removes the B-slot, leaving a
+    structure of the form (0, 0, C2(x), 0).
     """
     order = st.order
     if order < 2:
         raise ValueError("ib_flattening_germ needs order >= 2, got %d" % order)
-    q = st.C.d_dx() / st.C
-    m = st.A * st.C
-    online = _flattening_coeffs(q, m, order)
-    d1 = online.d_dx()
-    d2 = d1.d_dx()
-    rhs = ((d2 * d2 / d1).scale(Fraction(3, 2))
-           + d1 * d2 * compose1(q, online)
-           - (compose1(m, online) * d1 ** 3).scale(2))
-    psi = (Jet2.variable("x", order)
-           + rhs.integrate_x().integrate_x().integrate_x())
-    _ensure(psi.agree(online), "psi solves its Picard pass")
-    c1 = compose1(st.C, psi)
+    a, c = (Jet2._new({(i, 0): n for (i, j), n in f._num.items() if not j},
+                      f._den, f.order, f.eff) for f in (-st.A, st.C))
+    if not _is_unit(c0 := c.constant_term):
+        raise NonUnitDivisor("constant term %r is not invertible" % (c0,))
+    v = term = Jet2.constant(1, order)
+    while not term.is_zero():
+        term = (c * (a * term).integrate_x()).integrate_x()
+        v = v + term
+    psi = comp_inverse((v * v).inverse().integrate_x())
+    c1 = compose1(c, psi)
     b1 = psi.d_dx().d_dx() / psi.d_dx()
     phi = (-b1 / c1.scale(2)).integrate_x()
     return DiffeoGerm(psi, Jet2.variable("y", order) + phi)
-
-
-def _flattening_coeffs(q, m, order):
-    """The psi = x + O(x^3) with psi''' = (3/2) psi''^2/psi'
-    + psi' psi'' q(psi) - 2 psi'^3 m(psi) through degree ``order``,
-    solved online, at eff ``order``; as in ``compose1``, only the x-only
-    terms of q and m count.
-
-    x = s X and psi = s P, for s the lcm of the denominators of q and m,
-    turn it into P''' = (3/2) P''^2/P' + P' P'' Q(P) - P'^3 M(P) with
-    integer Q_i = s^(i+1) q_i and M_i = 2 s^(i+2) m_i.  Every derivative
-    of P at 0 is an integer and P''^2 has even ones, so with P'(0) = 1
-    the quotient and the halving are exact.  The lists hold N! times the
-    Taylor coefficients; coefficient n of the right side needs P through
-    degree n + 2, and fixes P_(n+3).
-    """
-    top = math.factorial(order)
-    s = math.lcm(q._den, m._den)
-    qs = [(i, n * s ** (i + 1) // q._den) for (i, j), n in q._num.items()
-          if not j]
-    ms = [(i, 2 * n * s ** (i + 2) // m._den) for (i, j), n in m._num.items()
-          if not j]
-    ps = [0, top, 0][:order + 1]
-    pw = [[top] + [0] * order, ps]
-    pw += [[] for _ in range(max((i for i, _ in qs + ms), default=1) - 1)]
-    d1, d2, quo, d12, p2, p3, qc, mc = ([] for _ in range(8))
-    for n in range(order - 2):
-        d1.append((n + 1) * ps[n + 1])
-        d2.append((n + 1) * (n + 2) * ps[n + 2])
-        for i in range(2, len(pw)):
-            pw[i].append(_cauchy(ps, pw[i - 1], n, 1) // top)
-        qc.append(sum([z * pw[i][n] for i, z in qs]))
-        mc.append(sum([z * pw[i][n] for i, z in ms]))
-        quo.append((_cauchy(d2, d2, n) - _cauchy(d1, quo, n, 1)) // top)
-        d12.append(_cauchy(d1, d2, n) // top)
-        p2.append(_cauchy(d1, d1, n) // top)
-        p3.append(_cauchy(d1, p2, n) // top)
-        f = 3 * quo[n] // 2 + (_cauchy(d12, qc, n) - _cauchy(p3, mc, n)) // top
-        ps.append(f // ((n + 1) * (n + 2) * (n + 3)))
-    return Jet2._new({(i, 0): w * s ** (order + 1 - i)
-                      for i, w in enumerate(ps) if w},
-                     top * s ** order, order, order)
 
 
 # The D-unit pencil families normalized to (A, B, 0, 1), u = g' o psi for

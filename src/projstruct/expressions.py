@@ -341,8 +341,8 @@ def _expand(e, env, order, active):
         base = _expand(e.base, env, order, active)
         num, den = e.exponent.numerator, e.exponent.denominator
         if den == 1 and num >= 0 and not isinstance(base, Jet2):
-            acc = ({(0, 0): 1}, 1)
-            for bit in bin(num)[2:]:  # binary powering, high bit first
+            acc = base if num else ({(0, 0): 1}, 1)
+            for bit in bin(num)[3:]:  # binary powering after the high bit
                 acc = _apply("*", acc, acc, order)
                 acc = _apply("*", acc, base, order) if bit == "1" else acc
             return acc

@@ -548,9 +548,12 @@ def test_workload_quotient_groups_are_the_quotients_one_by_one(
 def test_a_registry_pass_and_a_deep_round_keep_their_graded_solves(
         quotient_traffic):
     # pullback and structure_from_pencil each divide in one graded solve,
-    # apply_x_reparam in two; four solves a call would move these counts
+    # apply_x_reparam in two; four solves a call would move these counts.
+    # 240 while each of the 3 flattening germs divided by C and by psi'
+    # in its Picard pass, where it now inverts v^2 and divides in the 3
+    # Newton steps of its reversion
     solves, _ = quotient_traffic
-    assert solves["registry"] == 240
+    assert solves["registry"] == 246
     assert {solves[("deep-jets", seed, 0)] for seed in (1, 2, 3)} == {42}
 
 
@@ -803,8 +806,10 @@ def test_substitute_at_dual_point_differentiates():
 def test_substitution_is_the_reference_on_every_registry_call(
         substitution_traffic):
     # 279 while remark.flat ran at --order 3 itself (33 calls there, 39
-    # at its working order 6)
-    assert len(substitution_traffic) == 285
+    # at its working order 6); 285 while each flattening germ composed
+    # q, m and C with psi, where it now substitutes in each Newton step of
+    # its reversion (3 at orders 15 and 11, 2 at 6) and composes C alone
+    assert len(substitution_traffic) == 291
     for fs, u, v, out in substitution_traffic:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
 
@@ -1089,6 +1094,26 @@ def test_a_substitution_keeps_its_window_when_its_terms_are_redrawn(data,
     u, v = (data.draw(windowed(order, low=1, min_eff=1)) for _ in range(2))
     assert_window_holds(substitute(f, u, v),
                         substitute(*(data.draw(redrawn(g)) for g in (f, u, v))))
+
+
+@settings(REDRAWN, max_examples=30)
+@given(st.data(), window_orders)
+def test_a_composition_keeps_its_window_when_its_terms_are_redrawn(data,
+                                                                    order):
+    f = data.draw(windowed(order, x_only=True))
+    g = data.draw(windowed(order, x_only=True, low=1, min_eff=1))
+    assert_window_holds(compose1(f, g), compose1(
+        *(data.draw(redrawn(h, x_only=True)) for h in (f, g))))
+
+
+@settings(REDRAWN, max_examples=30)
+@given(st.data(), window_orders, nonzero_fractions)
+def test_a_reversion_keeps_its_window_when_its_terms_are_redrawn(data, order,
+                                                                  u1):
+    u = (Jet2.monomial(1, 0, u1, order)
+         + data.draw(windowed(order, x_only=True, low=2, min_eff=1)))
+    assert_window_holds(comp_inverse(u),
+                        comp_inverse(data.draw(redrawn(u, x_only=True))))
 
 
 # --- dual coefficients --------------------------------------------------------

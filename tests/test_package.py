@@ -163,3 +163,35 @@ def test_the_package_imports_only_the_standard_library_and_itself():
                for root in imported_roots(path)
                if root != "projstruct" and root not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+# the functions of ``math`` that stay in the integers
+EXACT_MATH = {"gcd", "lcm", "factorial", "isqrt", "perm"}
+
+
+def inexact_uses(path):
+    """(line, what) for each float or complex literal, each name ``float``
+    or ``complex``, and each ``math`` name outside ``EXACT_MATH`` in the
+    module at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and type(node.value) in (float,
+                                                                   complex):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            yield node.lineno, node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "math"
+              and node.attr not in EXACT_MATH):
+            yield node.lineno, "math." + node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from ((node.lineno, "math." + alias.name)
+                        for alias in node.names
+                        if alias.name not in EXACT_MATH)
+
+
+def test_the_package_computes_without_floats():
+    modules = sorted(Path(projstruct.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = {(path.name, *use) for path in modules
+             for use in inexact_uses(path)}
+    assert found == set()

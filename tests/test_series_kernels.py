@@ -8,13 +8,15 @@ changing.  The references fail loudly instead of stopping at a cap.  The
 kernels must return a result ``==`` the reference: same ``order``, same
 ``eff``, same coefficients.
 
-The three ODE solvers (``geodesic_solve``, ``alpha_ode_solve`` and
-``ib_flattening_germ``) fix their coefficients online, degree by degree,
-on integers (J. van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34 (2002)), and run one Picard pass at full order
-along them.  Each returns that pass once the online coefficients agree
-with it, so the window follows the jet rules.  Their second reference
-is the Picard staircase they replaced, in which pass t runs at
+The two online ODE solvers (``geodesic_solve`` and ``alpha_ode_solve``)
+fix their coefficients degree by degree, on integers (J. van der Hoeven,
+"Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002)), and run
+one Picard pass at full order along them.  Each returns that pass once
+the online coefficients agree with it, so the window follows the jet
+rules.  ``ib_flattening_germ`` solves the linear form of its
+third-order ODE instead, so the Picard iteration of that ODE here is an
+independent oracle for it.  The second reference of all three is the
+Picard staircase the solvers replaced, in which pass t runs at
 truncation t and fixes the degree-t coefficient; it is checked on every
 call of a registry pass and on the deep-jets inputs of the benchmark,
 at orders 12 to 20.
@@ -30,7 +32,8 @@ import projstruct
 from projstruct import cases, run_all, structures
 from projstruct.cases import alpha_ode_solve, ib_flattening_germ
 from projstruct.duals import EPS, DualRational
-from projstruct.errors import PreconditionViolated, ProjstructError
+from projstruct.errors import (NonUnitDivisor, PreconditionViolated,
+                               ProjstructError)
 from projstruct.jets import (
     Jet2,
     comp_inverse,
@@ -166,6 +169,19 @@ def structures_at(draw, x_only=False, low=0):
                                  for _ in range(4)))
 
 
+def ib_of(a, c):
+    zero = Jet2.zero(a.order)
+    return ProjectiveStructure(a, zero, c, zero)
+
+
+@st.composite
+def ib_slots(draw, x_only=st.booleans()):
+    """(A, C) of a structure (A, 0, C, 0) with C a unit, in windows."""
+    order, x_only = draw(st.integers(2, 9)), draw(x_only)
+    return (draw(windowed(order, x_only=x_only)),
+            draw(windowed(order, x_only=x_only, constant=nonzero_fractions)))
+
+
 # --- the kernels ----------------------------------------------------------------
 
 
@@ -283,6 +299,34 @@ def test_ib_flattening_germ_keeps_its_window_when_the_structure_is_redrawn(
         data.draw(redrawn(c, x_only=True)), zero))
     assert_window_holds(germ.u, full.u)
     assert_window_holds(germ.v, full.v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ib_slots())
+# the Picard solution reads C'/C and A C in y as well: eff 7, not 10
+@example((Jet2({(0, 1): Fraction(-3, 2)}, 10),
+          Jet2({(0, 0): Fraction(-1, 4)}, 10, 3)))
+def test_ib_flattening_psi_is_the_picard_solution_through_its_window(slots):
+    # the linear route may know more than the third-order ODE's Picard
+    # solution, never less, and agrees with it through that solution's eff
+    assert_window_holds(reference_flattening_psi(ib_of(*slots)),
+                        ib_flattening_germ(ib_of(*slots)).u)
+
+
+@settings(deadline=None, max_examples=30)
+@given(ib_slots(x_only=st.just(False)))
+def test_a_bivariate_structure_gives_the_germ_of_its_x_only_parts(slots):
+    at_y0 = [Jet2({k: v for k, v in f.coeffs.items() if not k[1]},
+                  f.order, f.eff) for f in slots]
+    assert (ib_flattening_germ(ib_of(*slots))
+            == ib_flattening_germ(ib_of(*at_y0)))
+
+
+def test_ib_flattening_germ_refuses_a_c_vanishing_at_the_origin():
+    x, y = Jet2.variable("x", 6), Jet2.variable("y", 6)
+    with pytest.raises(NonUnitDivisor,
+                       match="^constant term 0 is not invertible$"):
+        ib_flattening_germ(ib_of(Jet2.constant(1, 6), x * x + y))
 
 
 # --- the Picard staircase the ODE solvers climbed before ------------------------
@@ -432,10 +476,16 @@ def test_each_solver_runs_one_full_order_picard_pass(monkeypatch):
     alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12)
     assert [(args[1]["alpha"].order, args[2]) for args in expanded] \
         == [(12, 12)]
-    # q o psi and m o psi in the pass, then C o psi for the y-shift
+
+
+def test_the_flattening_germ_reverts_once_and_composes_once(monkeypatch):
+    # no Picard pass: psi reverts chi = int v^-2, then C o psi is the one
+    # composition, for the y-shift
+    reverted = count_calls(monkeypatch, cases, "comp_inverse")
     composed = count_calls(monkeypatch, cases, "compose1")
     ib_flattening_germ(ib_structure(12))
-    assert [args[1].order for args in composed] == [12, 12, 12]
+    assert [args[0].order for args in reverted] == [12]
+    assert [args[1].order for args in composed] == [12]
 
 
 def one_wrong_coefficient(kernel):
@@ -452,9 +502,6 @@ def one_wrong_coefficient(kernel):
     (cases, "_alpha_coeffs",
      lambda: alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12),
      "alpha solves its Picard pass"),
-    (cases, "_flattening_coeffs",
-     lambda: ib_flattening_germ(ib_structure(12)),
-     "psi solves its Picard pass"),
 ])
 def test_a_wrong_online_coefficient_fails_the_certificate(
         monkeypatch, module, kernel, solve, what):
