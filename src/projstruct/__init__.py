@@ -8,128 +8,55 @@ through its coefficient 2-jets.  The package computes the classical
 linearizability invariants, infinitesimal symmetries, normal forms and
 flat (pencil-defined) models, all over exact rational arithmetic.
 
-Every name of ``__all__`` is public here.  Those of the verification
-registry (``cases``), its reports (``reports``) and the dual numbers
-(``duals``) resolve on first use, so a document command never loads the
+Every name of ``__all__`` is its home module's object, listed once in
+``_PUBLIC``.  The modules of ``_ON_FIRST_USE`` (the verification registry
+``cases``, its ``reports`` and the dual numbers ``duals``) load on the
+first read of one of their names, so a document command never loads the
 registry; ``dir()`` and ``from projstruct import *`` list them all.
 """
 
 from importlib import import_module
 
-from .jets import DEFAULT_ORDER, Jet2, comp_inverse, exp_series, format_jet, sqrt_series, substitute
-from .expressions import expand
-from .slopes import SlopePoly
-from .structures import (
-    DiffeoGerm,
-    LiouvillePair,
-    ProjectiveStructure,
-    apply_x_reparam,
-    apply_y_scale,
-    apply_y_shift,
-    c_star_action,
-    eval_along,
-    geodesic_solve,
-    is_linearizable,
-    liouville,
-    normalize_D1,
-    pullback,
-    swap_axes,
-)
-from .fields import (
-    InvariantStructures,
-    SymmetryDimensions,
-    VectorField,
-    invariant_structures,
-    is_symmetry,
-    lie_bracket,
-    residual,
-    symmetry_dim,
-)
-from .pencils import (
-    INF,
-    Foliation,
-    Pencil,
-    foliation_residual,
-    is_geodesic,
-    lie_derivative_form,
-    member,
-    member_value_along,
-    slope,
-    structure_from_pencil,
-)
+_PUBLIC = {
+    "jets": ("DEFAULT_ORDER", "Jet2", "comp_inverse", "exp_series",
+             "format_jet", "sqrt_series", "substitute"),
+    "duals": ("EPS", "DualRational"),
+    "expressions": ("expand",),
+    "slopes": ("SlopePoly",),
+    "structures": ("DiffeoGerm", "LiouvillePair", "ProjectiveStructure",
+                   "apply_x_reparam", "apply_y_scale", "apply_y_shift",
+                   "c_star_action", "eval_along", "geodesic_solve",
+                   "is_linearizable", "liouville", "normalize_D1", "pullback",
+                   "swap_axes"),
+    "fields": ("InvariantStructures", "SymmetryDimensions", "VectorField",
+               "invariant_structures", "is_symmetry", "lie_bracket",
+               "residual", "symmetry_dim"),
+    "pencils": ("INF", "Foliation", "Pencil", "foliation_residual",
+                "is_geodesic", "lie_derivative_form", "member",
+                "member_value_along", "slope", "structure_from_pencil"),
+    "reports": ("CaseReport", "CheckResult", "render_json", "render_text"),
+    "cases": ("CASES", "affine_family_checks", "alpha_ode_solve",
+              "cubic_curve_residual", "exotic_sl2_check",
+              "flat_criteria_checks", "ib_flattening_germ", "list_cases",
+              "run_all", "run_case"),
+}
+_ON_FIRST_USE = ("duals", "reports", "cases")
 
 # name -> home module, imported by ``__getattr__`` when the name is first read
-_LAZY = {name: module for module, names in (
-    ("duals", ("EPS", "DualRational")),
-    ("reports", ("CaseReport", "CheckResult", "render_json", "render_text")),
-    ("cases", ("CASES", "affine_family_checks", "alpha_ode_solve",
-               "cubic_curve_residual", "exotic_sl2_check",
-               "flat_criteria_checks", "ib_flattening_germ", "list_cases",
-               "run_all", "run_case")),
-) for name in names}
+_LAZY = {name: module for module in _ON_FIRST_USE for name in _PUBLIC[module]}
+
+for _module, _names in _PUBLIC.items():
+    if _module not in _ON_FIRST_USE:
+        _home = import_module("." + _module, __name__)
+        globals().update((name, getattr(_home, name)) for name in _names)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "Jet2",
-    "comp_inverse",
-    "exp_series",
-    "format_jet",
-    "sqrt_series",
-    "substitute",
-    "EPS",
-    "DualRational",
-    "expand",
-    "SlopePoly",
-    "DiffeoGerm",
-    "LiouvillePair",
-    "ProjectiveStructure",
-    "apply_x_reparam",
-    "apply_y_scale",
-    "apply_y_shift",
-    "c_star_action",
-    "eval_along",
-    "geodesic_solve",
-    "is_linearizable",
-    "liouville",
-    "normalize_D1",
-    "pullback",
-    "swap_axes",
-    "InvariantStructures",
-    "SymmetryDimensions",
-    "VectorField",
-    "invariant_structures",
-    "is_symmetry",
-    "lie_bracket",
-    "residual",
-    "symmetry_dim",
-    "INF",
-    "Foliation",
-    "Pencil",
-    "foliation_residual",
-    "is_geodesic",
-    "lie_derivative_form",
-    "member",
-    "member_value_along",
-    "slope",
-    "structure_from_pencil",
-    "CaseReport",
-    "CheckResult",
-    "render_json",
-    "render_text",
-    "CASES",
-    "affine_family_checks",
-    "alpha_ode_solve",
-    "cubic_curve_residual",
-    "exotic_sl2_check",
-    "flat_criteria_checks",
-    "ib_flattening_germ",
-    "list_cases",
-    "run_all",
-    "run_case",
-    "__version__",
-]
+__all__ = [name for names in _PUBLIC.values() for name in names] + [
+    "__version__"]
+
+# the table lives on as ``__all__`` and ``_LAZY``
+del _PUBLIC, _ON_FIRST_USE, _module, _names, _home
 
 
 def __getattr__(name):

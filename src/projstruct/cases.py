@@ -28,14 +28,14 @@ silently corrected; measurements carrying no asserted expectation use
 ``remark.*``) are the stable vocabulary of the ``verify-paper``
 command; rendering lives in :mod:`projstruct.reports`.
 
-Working-order note: dimension counts and invariant-structure solves
-need jets of a minimum order to cut their linear systems (8 and 9
-respectively); :func:`_dim_structure` (for every dimension check) and
-``exotic_sl2_check`` build those jets at ``max(order, floor)`` so that
-verdicts do not depend on the report order.  The ``sec3.aff`` exponential
-sub-battery and ``flat_criteria_checks`` work three orders higher, which
-their formulas spend (a''' in A; the normalization and B'), so that no
-identity holds on an empty window.
+Working-order note: dimension counts and invariant-structure solves run
+on jets of floor orders 8 and 9, above the degree 7 that each reads (the
+order-7 count and the degree-6 solve); :func:`_dim_structure` (for every
+dimension check) and ``exotic_sl2_check`` build those jets at
+``max(order, floor)`` so that verdicts do not depend on the report order.
+The ``sec3.aff`` exponential sub-battery and ``flat_criteria_checks`` work
+three orders higher, which their formulas spend (a''' in A; the
+normalization and B'), so that no identity holds on an empty window.
 """
 
 import functools
@@ -61,7 +61,7 @@ from .structures import (DiffeoGerm, LiouvillePair, ProjectiveStructure,
                          c_star_action, geodesic_solve, is_linearizable,
                          liouville, normalize_D1, pullback)
 
-# Minimum jet orders for the two linear-algebra solves (see module note).
+# Jet orders for the two linear-algebra solves (see module note).
 _DIM_FLOOR = 8
 _INV_FLOOR = 9
 
@@ -118,6 +118,13 @@ def _agree_check(name, got, want, detail=""):
     """Pass when the records ``got`` and ``want`` agree in each jet slot."""
     return zero_check(name, (g - w for g, w in zip(got, want)), detail,
                       got._fields)
+
+
+def _bracket_checks(fields, brackets):
+    """One check per ``brackets`` row (label, i, j, k): [F_i, F_j] = F_k."""
+    return [_agree_check("bracket:" + label,
+                         lie_bracket(fields[i], fields[j]), fields[k])
+            for label, i, j, k in brackets]
 
 
 def _dim_check(name, st, expected, detail=""):
@@ -526,11 +533,7 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
     X = _field(w, *_FIELDS["d_dy"])
     Y = _field(w, *_FIELDS["d_dx+y*d_dy"])
     Z = _field(w, "y + c1 * exp(x)", "y^2/2 + c2 * exp(2*x)", env)
-    checks = [
-        _agree_check("bracket:[X,Y]=X", lie_bracket(X, Y), X),
-        _agree_check("bracket:[X,Z]=Y", lie_bracket(X, Z), Y),
-        _agree_check("bracket:[Y,Z]=Z", lie_bracket(Y, Z), Z),
-    ]
+    checks = _bracket_checks([X, Y, Z], _SL2_BRACKETS)
     inv = invariant_structures([X, Y, Z], degree=6)
     if not inv.consistent:
         checks.append(failed("invariant-dimension", "0",
@@ -609,9 +612,7 @@ class _AlgebraEntry(Record):
         fields = [_field(order, *_FIELDS[name]) for name in self.fields]
         checks = [_symmetry_check("symmetry:" + name, field, st)
                   for name, field in zip(self.fields, fields)]
-        checks += [_agree_check("bracket:" + label,
-                                lie_bracket(fields[i], fields[j]), fields[k])
-                   for label, i, j, k in self.brackets]
+        checks += _bracket_checks(fields, self.brackets)
         checks += self.extra(env, order, st, fields, wide)
         if self.dim is not None:
             checks.append(_dim_check("symmetry-dimension", wide, self.dim))

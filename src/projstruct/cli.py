@@ -269,8 +269,8 @@ def _cmd_symcheck(args):
 def _cmd_symdim(args):
     doc = load_document(args.file)
     st = _require(doc, "structure")
-    # the count solves at field orders (n, n+1), which needs structure
-    # jets of order n+1; drop n below the default 7 for short documents
+    # the count solves at field orders (n, n+1); drop n below the default
+    # 7 for short documents
     n = min(7, doc.order - 1)
     if n < 2:
         raise DocumentError("symdim needs a [global] order of at least 3, "

@@ -116,14 +116,14 @@ def symmetry_dim(st, order=7):
     unknowns (the twelve 2-jet fields first) and the residual rows of degree
     <= m - 2.  A field of degree e joins ``_graded_kernel`` at step
     max(e - 2, 0), past step 0 through L S_d (``_symbol``) alone, so only
-    the 2 d - 2 compatibility rows C_d X K are solved there.
+    the 2 d - 2 compatibility rows C_d X K are solved there.  Those rows
+    read the structure through degree ``order``: it must be known that far.
     """
     n = order
     if n < 2:
         raise ValueError("symmetry_dim needs order >= 2, got %d" % n)
-    for m in (n, n + 1):
-        if st.order < m or st.eff < m:
-            raise ValueError("structure jets too short for order %d" % m)
+    if st.eff < n:  # eff <= order
+        raise ValueError("structure jets too short: need eff >= %d" % n)
     (L,), columns = _columns(0, n + 1, [(*st, Jet2.constant(1, n + 1))])
     steps = [[] for _ in range(n)]
     for (_, i, j), col in zip(_plan(0, n + 1)[0], columns):
@@ -374,8 +374,9 @@ def invariant_structures(fields, degree):
 
     The residual is affine in the structure; equating its coefficients
     to zero through total degree ``degree - 1`` gives an exact affine
-    system.  Field jets must be known (``order`` and ``eff``) through
-    degree ``degree + 3`` so every equated coefficient is trustworthy.
+    system.  Those rows take at most two derivatives of a field, so they
+    read the fields through degree ``degree + 1``, and field jets must be
+    known (``eff``) that far.
     The equations are the integer ``_columns``, one block per field, with
     the residual of the zero structure as the constant column.  A structure
     monomial of degree e reaches only rows of degree e - 1 or more: it
@@ -386,9 +387,8 @@ def invariant_structures(fields, degree):
                          % degree)
     if not fields:
         raise ValueError("need at least one field")
-    if min(min(f.a.eff, f.b.eff) for f in fields) < degree + 3:  # eff <= order
-        raise ValueError("field jets too short: need order and eff >= %d"
-                         % (degree + 3))
+    if min(min(f.a.eff, f.b.eff) for f in fields) < degree + 1:  # eff <= order
+        raise ValueError("field jets too short: need eff >= %d" % (degree + 1))
     joins = [max(i + j - 1, 0) for i, j in _monomials(degree)] * 4
     n = len(joins)
     cols = _columns(1, degree, [(f.a, f.b) for f in fields])[1]

@@ -30,9 +30,10 @@ from projstruct.linalg import _int_row, nullspace, rank, solve_affine
 from projstruct.slopes import SlopePoly
 from projstruct.structures import DiffeoGerm, ProjectiveStructure, pullback
 
-from conftest import (PROP_ORDER, REDRAWN, jets, redrawn, reference_nullspace,
-                      reference_solve_affine, slope_product, slope_sum,
-                      slope_times, structures)
+from conftest import (PROP_ORDER, REDRAWN, assert_window_holds, jets,
+                      redrawn, reference_nullspace, reference_solve_affine,
+                      slope_product, slope_sum, slope_times, structures,
+                      windowed_or_dual)
 
 N = 8
 
@@ -148,6 +149,25 @@ def test_a_structure_known_less_far_than_the_field_can_move_a_window():
     assert (got.coeff(1).eff, want.coeff(1).eff) == (0, -1)
 
 
+def windowed_fields(order, min_eff):
+    return hs.builds(VectorField, *(windowed_or_dual(order, min_eff=min_eff)
+                                    for _ in range(2)))
+
+
+@settings(REDRAWN, max_examples=15)
+@given(hs.data(), hs.integers(2, PROP_ORDER))
+def test_residual_keeps_its_window_when_the_inputs_are_redrawn(data, order):
+    # a field known through degree 2 at least and a structure through 1
+    # leave every slot a window
+    field = data.draw(windowed_fields(order, 2))
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order, min_eff=1))
+                                for _ in range(4)))
+    full = (field.map(lambda f: data.draw(redrawn(f))),
+            stq.map(lambda f: data.draw(redrawn(f))))
+    for got, want in zip(residual(field, stq).coeffs, residual(*full).coeffs):
+        assert_window_holds(got, want)
+
+
 def test_residual_is_the_reference_on_every_registry_call(registry_traffic):
     calls, passes = registry_traffic
     assert {order: p["residual"] for order, p in passes.items()} \
@@ -260,6 +280,15 @@ def test_bracket_is_antisymmetric_and_jacobi(a1, b1, a2, b2, a3, b3):
     assert total.agree(zero)
 
 
+@settings(REDRAWN, max_examples=15)
+@given(hs.data(), hs.integers(1, PROP_ORDER))
+def test_a_bracket_keeps_its_window_when_the_fields_are_redrawn(data, order):
+    v, w = (data.draw(windowed_fields(order, 1)) for _ in range(2))
+    full = [f.map(lambda g: data.draw(redrawn(g))) for f in (v, w)]
+    for got, want in zip(lie_bracket(v, w), lie_bracket(*full)):
+        assert_window_holds(got, want)
+
+
 # --- symmetry dimensions ------------------------------------------------------------
 
 
@@ -331,15 +360,42 @@ def test_symmetry_dim_matches_per_order_solves_on_examples(texts, n, dims):
     assert dims == (reference_dim(stq, n), reference_dim(stq, n + 1))
 
 
-def test_symmetry_dim_refuses_short_jets_order_first():
-    with pytest.raises(ValueError, match="too short for order 8$"):
-        symmetry_dim(S("x", "0", "0", "1", order=7))
-    with pytest.raises(ValueError, match="too short for order 7$"):
-        symmetry_dim(S("x", "0", "0", "1", order=6))
+def test_symmetry_dim_reads_the_structure_through_its_order():
+    # the order-(n + 1) system reads the structure through degree n: A = x,
+    # D = 1 known through eff 7 gives the count it gives through eff 9
+    full = S("x", "0", "0", "1", order=9)
+    got = symmetry_dim(full)
+    assert (got.dim_low, got.dim_high) == (1, 1)
+    for short in (full.map(lambda f: f.truncated(eff=7)),
+                  S("x", "0", "0", "1", order=7)):
+        assert symmetry_dim(short) == got
     # the window counts, not only the nominal order
-    short = S("x", "0", "0", "1", order=9).map(lambda f: f.truncated(eff=7))
-    with pytest.raises(ValueError, match="too short for order 8$"):
-        symmetry_dim(short)
+    for short in (full.map(lambda f: f.truncated(eff=6)),
+                  S("x", "0", "0", "1", order=6)):
+        with pytest.raises(ValueError, match="need eff >= 7$"):
+            symmetry_dim(short)
+
+
+def test_symmetry_dim_needs_the_structure_through_degree_n_and_no_further():
+    # at n = 7, 26 of the 32 one-term structures of degree 7 move the count
+    # off the flat one, though they agree with it through degree 6, and no
+    # one-term structure of degree 8 moves it: eff 7 is needed and enough
+    flat = symmetry_dim(ProjectiveStructure.zero(9))
+    assert (flat.dim_low, flat.dim_high) == (8, 8)
+    moved = 0
+    for slot in range(4):
+        for i in range(8):
+            st = monomial_structure(slot, i, 7 - i, 9)
+            if symmetry_dim(st) != flat:
+                moved += 1
+                with pytest.raises(ValueError, match="need eff >= 7$"):
+                    symmetry_dim(st.map(lambda f: f.truncated(eff=6)))
+        for i in range(9):
+            st = monomial_structure(slot, i, 8 - i, 9)
+            assert symmetry_dim(st) == flat
+            assert symmetry_dim(st.map(lambda f: f.truncated(eff=7))) == flat
+    assert moved == 26
+    assert symmetry_dim(monomial_structure(2, 7, 0, 9)).dim_high == 7
 
 
 @pytest.mark.parametrize("order", [1, 0, -1])
@@ -366,13 +422,13 @@ def test_symmetry_dim_keeps_its_answer_when_the_structure_is_redrawn(data,
                                                                      n):
     # a count that is reported reads nothing above the structure's eff;
     # one slot in two examples may be known too briefly to count at all
-    order, least = n + 3, data.draw(hs.sampled_from([n - 1, n + 1]))
+    order, least = n + 3, data.draw(hs.sampled_from([n - 1, n]))
     stq = ProjectiveStructure(*(data.draw(short_jets(order, least, 2))
                                 for _ in range(4)))
     try:
         got = symmetry_dim(stq, n)
     except ValueError:
-        assert stq.eff < n + 1
+        assert stq.eff < n
         return
     assert symmetry_dim(stq.map(lambda f: data.draw(redrawn(f))), n) == got
 
@@ -655,7 +711,7 @@ def test_invariant_structures_rejects_degrees_below_one(degree):
 
 
 def test_invariant_structures_refuses_a_short_window():
-    # the nominal order suffices (7 = degree + 3), but coefficients past
+    # the nominal order suffices (7 >= degree + 1), but coefficients past
     # eff = 2 would be read as zero and give a wrong, confident space
     v = VectorField(jexp("1 + x^3", order=7), Jet2.variable("y", 7))
     assert invariant_structures([v], degree=4).consistent
@@ -815,17 +871,40 @@ def test_invariant_structures_keep_their_answer_when_the_fields_are_redrawn(
     # an affine family that is reported reads nothing above the fields'
     # eff; in half the examples a field may be known too briefly to solve
     order = degree + 5
-    least = data.draw(hs.sampled_from([degree, degree + 3]))
+    least = data.draw(hs.sampled_from([degree, degree + 1]))
     fields = [VectorField(*(data.draw(short_jets(order, least, 3))
                             for _ in range(2)))
               for _ in range(count)]
     try:
         got = invariant_structures(fields, degree)
     except ValueError:
-        assert min(f.eff for f in fields) < degree + 3
+        assert min(f.eff for f in fields) < degree + 1
         return
     full = [f.map(lambda g: data.draw(redrawn(g))) for f in fields]
     assert invariant_structures(full, degree) == got
+
+
+def test_invariant_structures_need_the_fields_through_degree_plus_one():
+    # each of the 14 one-term changes of degree 6 to a component of d_dy
+    # moves the degree-5 family of (d_dy, d_dx + y d_dy), and none of the
+    # 16 of degree 7 does: field eff 6 is needed and enough
+    X, Y = F("0", "1", 9), F("1", "y", 9)
+    family = invariant_structures([X, Y], 5)
+    assert family.dimension == 4
+    for degree in (6, 7):
+        for i in range(degree + 1):
+            for k in range(2):
+                term = Jet2.monomial(i, degree - i, 1, 9)
+                Xm = VectorField(*(f + term if c == k else f
+                                   for c, f in enumerate(X)))
+                cut = Xm.map(lambda f: f.truncated(eff=degree - 1))
+                if degree == 6:
+                    assert invariant_structures([Xm, Y], 5) != family
+                    with pytest.raises(ValueError, match="need eff >= 6$"):
+                        invariant_structures([cut, Y], 5)
+                else:
+                    assert invariant_structures([Xm, Y], 5) == family
+                    assert invariant_structures([cut, Y], 5) == family
 
 
 def test_invariant_structures_solves_one_degree_at_a_time(monkeypatch):

@@ -1116,6 +1116,16 @@ def test_a_reversion_keeps_its_window_when_its_terms_are_redrawn(data, order,
                         comp_inverse(data.draw(redrawn(u, x_only=True))))
 
 
+@settings(REDRAWN, max_examples=30)
+@given(st.data(), window_orders)
+def test_a_sum_and_a_difference_keep_their_window_when_the_terms_are_redrawn(
+        data, order):
+    f, g = (data.draw(windowed_or_dual(order)) for _ in range(2))
+    rf, rg = (data.draw(redrawn(h)) for h in (f, g))
+    assert_window_holds(f + g, rf + rg)
+    assert_window_holds(f - g, rf - rg)
+
+
 # --- dual coefficients --------------------------------------------------------
 
 

@@ -66,12 +66,19 @@ def test_an_unknown_name_is_the_standard_attribute_error():
     assert not hasattr(projstruct, "CheckResults")
 
 
+# what ``import projstruct`` loads: the benchmark's tracer rebinds only
+# the modules loaded when it installs, so none of these may turn lazy
+EAGER = ["errors", "expressions", "fields", "jets", "linalg", "pencils",
+         "records", "slopes", "structures"]
+
+
 def test_a_cold_package_lists_and_binds_its_lazy_names():
     # in-process the lazy modules are long loaded; a fresh interpreter
     # shows what the first read of each name does
     out = fresh(
         "import pickle, sys\n"
         "import projstruct\n"
+        "print(sorted(m for m in sys.modules if m.startswith('projstruct.')))\n"
         "lazy = ['projstruct.' + m for m in ('cases', 'reports', 'duals')]\n"
         "print(sorted(m for m in lazy if m in sys.modules))\n"
         "print(set(projstruct.__all__) <= set(dir(projstruct)))\n"
@@ -87,7 +94,7 @@ def test_a_cold_package_lists_and_binds_its_lazy_names():
         "copy = pickle.loads(pickle.dumps(report))\n"
         "print(copy == report and type(copy) is projstruct.CaseReport)\n")
     assert out.splitlines() == [
-        "[]", "True", "[]", "True",
+        str(["projstruct." + m for m in EAGER]), "[]", "True", "[]", "True",
         "['projstruct.cases', 'projstruct.duals', 'projstruct.reports']",
         "True", "True"]
 
@@ -163,6 +170,28 @@ def test_the_package_imports_only_the_standard_library_and_itself():
                for root in imported_roots(path)
                if root != "projstruct" and root not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def unread_imports(path):
+    """(line, name) for each name that an import in the module at ``path``
+    binds and that the module never reads: a re-export."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_no_module_imports_a_name_that_it_never_reads():
+    modules = sorted(Path(projstruct.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = {(path.name, *use) for path in modules
+             for use in unread_imports(path)}
+    assert found == set()
 
 
 # the functions of ``math`` that stay in the integers

@@ -289,6 +289,21 @@ def test_member_value_keeps_its_window_when_the_inputs_are_redrawn(data,
                         member_value_along(*full))
 
 
+@settings(REDRAWN, max_examples=15)
+@given(hs.data(), hs.integers(1, PROP_ORDER))
+def test_lie_derivative_form_keeps_its_window_when_the_inputs_are_redrawn(
+        data, order):
+    field = VectorField(*(data.draw(windowed_or_dual(order, min_eff=1))
+                          for _ in range(2)))
+    fol = Foliation(data.draw(windowed_or_dual(order, min_eff=1,
+                                               constant=nonzero_fractions)),
+                    data.draw(windowed_or_dual(order, min_eff=1)))
+    full = [r.map(lambda f: data.draw(redrawn(f))) for r in (field, fol)]
+    for got, want in zip(lie_derivative_form(field, fol),
+                         lie_derivative_form(*full)):
+        assert_window_holds(got, want)
+
+
 @hs.composite
 def short_pencils(draw):
     """A pencil over the rationals or the duals, of orders 1 to PROP_ORDER,

@@ -360,6 +360,17 @@ def test_x_reparam_keeps_its_window_when_the_inputs_are_redrawn(data, order):
         assert_window_holds(got, want)
 
 
+@settings(REDRAWN, max_examples=20)
+@given(st.data(), st.integers(2, PROP_ORDER))
+def test_liouville_keeps_its_window_when_the_structure_is_redrawn(data,
+                                                                  order):
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order, min_eff=2))
+                                for _ in range(4)))
+    full = stq.map(lambda f: data.draw(redrawn(f)))
+    for got, want in zip(liouville(stq), liouville(full)):
+        assert_window_holds(got, want)
+
+
 def test_each_law_divides_in_one_graded_solve(monkeypatch):
     # pullback and structure_from_pencil divide four slots in one packed
     # pass (jets._quotients); apply_x_reparam divides its two quotients
