@@ -39,17 +39,15 @@ normalization and B'), so that no identity holds on an empty window.
 """
 
 import functools
-import math
 from fractions import Fraction
 
 from .errors import (InadmissibleParameters, NonSquareConstant,
-                     NonUnitDivisor, PreconditionViolated, UnknownCase,
-                     _ensure)
+                     NonUnitDivisor, PreconditionViolated, UnknownCase)
 from .expressions import expand, parse
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
-from .jets import (DEFAULT_ORDER, Jet2, _cauchy, _is_unit, comp_inverse,
-                   compose1)
+from .jets import (DEFAULT_ORDER, Jet2, _is_unit, comp_inverse, compose1,
+                   exp_series)
 from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
@@ -217,18 +215,15 @@ def cubic_curve_residual(gamma):
     return _nodal_cubic(g * (2 * g * g - 1), 2 - 3 * g * g)
 
 
-# The quartic alpha-ODE, written once: less its 2 a a'''' term for the
-# Picard pass of alpha_ode_solve, and whole as the exponential
-# sub-battery's first identity row.
-_ALPHA_ODE_LOWER = (
+# The quartic alpha-ODE: the exponential sub-battery's first identity row.
+_ALPHA_ODE_ROW = (
+    "exponential:ode-residual",
     "c^4*(alpha*d_dx(d_dx(alpha)) - d_dx(alpha)^2)"
     " - 3*c^2*(alpha*d_dx(d_dx(d_dx(alpha)))"
     " - d_dx(alpha)*d_dx(d_dx(alpha)))"
     " + d_dx(alpha)*d_dx(d_dx(d_dx(alpha)))"
-    " - 3*d_dx(d_dx(alpha))^2")
-_ALPHA_ODE_ROW = (
-    "exponential:ode-residual",
-    _ALPHA_ODE_LOWER + " + 2*alpha*d_dx(d_dx(d_dx(d_dx(alpha))))",
+    " - 3*d_dx(d_dx(alpha))^2"
+    " + 2*alpha*d_dx(d_dx(d_dx(d_dx(alpha))))",
     "the Picard solution satisfies the quartic ODE")
 
 
@@ -239,62 +234,35 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
             + 2 a a'''' + a' a''' - 3 a''^2 = 0
 
     with prescribed 3-jet ``jet3 = (a(0), a'(0), a''(0), a'''(0))``;
-    a(0) must be a unit.  The coefficients are solved online (J. van der
-    Hoeven, J. Symbolic Comput. 34 (2002)), degree by degree on the
-    integer Taylor data of the rescaled ODE (``_alpha_coeffs``).  The
-    solver returns its Picard pass of the integrated form,
-    a = (3-jet) + integral^4 of -(``_ALPHA_ODE_LOWER``)/(2a), once the
-    online coefficients agree with it, so the window follows the jet
-    rules.
+    a(0) must be a unit.  The solution is closed form: for every cubic Q,
+    a = e^(c^2 x/3) Q(z)^(-2/3) with z' = Q(z) solves the ODE, so
+    (ln a)' = c^2/3 - (2/3) Q'(z).  z straightens the exponential
+    symmetry: e^{cy}(alpha d_dx + beta d_dy) is e^{cY} d_dz for
+    Y = y + h(x), h' = -(u - c^2)/(2c) and u = a'/a.  The 3-jet gives
+    u0, u1, u2, the values at 0 of u, u' and u'', and Q = 1 + q1 z
+    + q2 z^2 + q3 z^3 has q1 = (c^2 - 3 u0)/2, q2 = -3 u1/4 and
+    q3 = -(3 u2/2 + 2 q1 q2)/6.  So z reverts the integral of 1/Q, and
+    a = a(0) exp of the integral of c^2/3 - (2/3) Q'(z).  The form comes
+    from two Darboux polynomials of the ODE with one cofactor (M. Prelle
+    and M. Singer, Trans. AMS 279 (1983)).
     """
     c = Fraction(c)
-    jet3 = tuple(Fraction(v) for v in jet3)
-    a0, a1, a2, a3 = jet3
+    a0, a1, a2, a3 = (Fraction(v) for v in jet3)
     if a0 == 0:
         raise PreconditionViolated("alpha(0) must be a unit")
-    base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
-                            (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
-    online = _alpha_coeffs(c, jet3, order)
-    d4 = _jet("-(%s)/(2*alpha)" % _ALPHA_ODE_LOWER,
-              {"alpha": online, "c": c}, order)
-    passed = base + d4.integrate_x().integrate_x().integrate_x().integrate_x()
-    _ensure(passed.agree(online), "alpha solves its Picard pass")
-    return passed
-
-
-def _alpha_coeffs(c, jet3, order):
-    """The alpha-ODE solution with 3-jet ``jet3`` through degree
-    ``order``, solved online, at eff ``order``.
-
-    x = s X and a = a(0) al, for s = 4 den(c)^2 L with L the lcm of the
-    denominators of a^(m)(0)/a(0), turn the ODE into
-    2 al al'''' = -(k^2 (al al'' - al'^2) - 3k (al al''' - al' al'')
-    + al' al''' - 3 al''^2) with k = c^2 s a multiple of 4.  Then al(0)
-    is 1 and every later derivative of al at 0 is an even integer, so
-    the right side halves exactly.  The lists hold N! times the Taylor
-    coefficients of al and its derivatives; coefficient n of the right
-    side needs al through degree n + 3, and fixes al_(n+4).
-    """
-    top = math.factorial(order)
-    ratios = [v / jet3[0] for v in jet3]
-    s = 4 * c.denominator ** 2 * math.lcm(*(v.denominator for v in ratios))
-    k = c.numerator ** 2 * (s // c.denominator ** 2)
-    al = [top // math.factorial(i) * (s ** i * v.numerator // v.denominator)
-          for i, v in enumerate(ratios)][:order + 1]
-    d1, d2, d3, d4 = [], [], [], []
-    for n in range(order - 3):
-        d1.append((n + 1) * al[n + 1])
-        d2.append((n + 1) * (n + 2) * al[n + 2])
-        d3.append((n + 1) * (n + 2) * (n + 3) * al[n + 3])
-        lower = (k * k * (_cauchy(al, d2, n) - _cauchy(d1, d1, n))
-                 - 3 * k * (_cauchy(al, d3, n) - _cauchy(d1, d2, n))
-                 + _cauchy(d1, d3, n) - 3 * _cauchy(d2, d2, n)) // top
-        d4.append(-(lower // 2) - _cauchy(al, d4, n, 1) // top)
-        al.append(d4[n] // ((n + 1) * (n + 2) * (n + 3) * (n + 4)))
-    a0 = jet3[0]
-    return Jet2._new({(i, 0): a0.numerator * w * s ** (order - i)
-                      for i, w in enumerate(al) if w},
-                     a0.denominator * top * s ** order, order, order)
+    u0 = a1 / a0
+    u1 = a2 / a0 - u0 * u0
+    u2 = a3 / a0 - 3 * u0 * u1 - u0 ** 3
+    q1 = (c * c - 3 * u0) / 2
+    q2 = -3 * u1 / 4
+    q3 = -(3 * u2 / 2 + 2 * q1 * q2) / 6
+    n = max(order, 1)  # at order 0, z has no linear term to revert
+    q = Jet2.from_terms({(0, 0): 1, (1, 0): q1, (2, 0): q2, (3, 0): q3}, n)
+    z = comp_inverse(q.inverse().integrate_x())
+    log_a = (compose1(q.d_dx(), z).scale(Fraction(-2, 3))
+             + c * c / 3).integrate_x()
+    # a(0) at the working order refuses a negative one, and cuts order 1 to 0
+    return Jet2.constant(a0, order) * exp_series(log_a)
 
 
 # The exponential member (A, B, 0, 1) of a solution alpha of the quartic

@@ -78,19 +78,20 @@ degree fixes each once (``_graded_solve``):
 
 ``comp_inverse`` is Newton reversion, doubling the precision each pass
 (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
-power series", J. ACM 25 (1978)).  ``geodesic_solve`` and
-``alpha_ode_solve`` solve their nonlinear ODEs online, or relaxed
-(J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
-34 (2002)): each coefficient is fixed once, degree by degree, from the
-lower ones, through products whose coefficient n is a ``_cauchy`` sum of
-terms already known.  Each rescales x and the solution so that the ODE
-has integer coefficients; then every derivative at 0 is an integer, and
-the lists hold N! times the Taylor coefficients (N the order), so a
-product coefficient is an exact ``// N!`` of such a sum.  Each then runs
-one Picard pass of the ODE at full order along the online jet and
-returns it once the online coefficients agree, so the window follows
-the jet rules of the pass.  The ODE of ``ib_flattening_germ`` is linear
-for the inverse germ, and jet operations alone solve it.
+power series", J. ACM 25 (1978)).  ``geodesic_solve`` solves its
+nonlinear ODE online, or relaxed (J. van der Hoeven, "Relax, but don't
+be too lazy", J. Symbolic Comput. 34 (2002)): each coefficient is fixed
+once, degree by degree, from the lower ones, through products whose
+coefficient n is a ``_cauchy`` sum of terms already known.  It rescales
+x and the solution so that the ODE has integer coefficients; then every
+derivative at 0 is an integer, and the lists hold N! times the Taylor
+coefficients (N the order), so a product coefficient is an exact
+``// N!`` of such a sum.  It then runs one Picard pass of the ODE at
+full order along the online jet and returns it once the online
+coefficients agree, so the window follows the jet rules of the pass.
+The ODE of ``ib_flattening_germ`` is linear for the inverse germ, and
+the quartic of ``alpha_ode_solve`` has a closed form: jet operations
+alone solve both.
 """
 
 import math

@@ -551,9 +551,12 @@ def test_a_registry_pass_and_a_deep_round_keep_their_graded_solves(
     # apply_x_reparam in two; four solves a call would move these counts.
     # 240 while each of the 3 flattening germs divided by C and by psi'
     # in its Picard pass, where it now inverts v^2 and divides in the 3
-    # Newton steps of its reversion
+    # Newton steps of its reversion; 246 while each of the 3 alpha-ODE
+    # solves divided once in its Picard pass, where it now inverts Q,
+    # divides in the 3 Newton steps of its reversion and takes one
+    # exp_series, itself one graded solve
     solves, _ = quotient_traffic
-    assert solves["registry"] == 246
+    assert solves["registry"] == 258
     assert {solves[("deep-jets", seed, 0)] for seed in (1, 2, 3)} == {42}
 
 
@@ -808,8 +811,11 @@ def test_substitution_is_the_reference_on_every_registry_call(
     # 279 while remark.flat ran at --order 3 itself (33 calls there, 39
     # at its working order 6); 285 while each flattening germ composed
     # q, m and C with psi, where it now substitutes in each Newton step of
-    # its reversion (3 at orders 15 and 11, 2 at 6) and composes C alone
-    assert len(substitution_traffic) == 291
+    # its reversion (3 at orders 15 and 11, 2 at 6) and composes C alone;
+    # 291 while alpha_ode_solve solved online, where it now substitutes in
+    # each Newton step of its reversion and composes Q' once (12 solves,
+    # at orders 15, 11 and 6)
+    assert len(substitution_traffic) == 336
     for fs, u, v, out in substitution_traffic:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
 

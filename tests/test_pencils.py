@@ -100,6 +100,22 @@ def test_vertical_foliation_residual_is_the_swapped_one(p, q, stq):
     assert is_geodesic(fol, stq) == res.is_zero()
 
 
+@settings(REDRAWN, max_examples=20)
+@given(hs.data(), hs.integers(1, PROP_ORDER), hs.booleans())
+def test_foliation_residual_keeps_its_window_when_the_inputs_are_redrawn(
+        data, order, vertical):
+    # a vertical foliation (Q(0) = 0) takes the swapped route
+    p, q = (data.draw(windowed_or_dual(order, min_eff=1,
+                                       constant=nonzero_fractions))
+            for _ in range(2))
+    fol = Foliation(p, q - q.constant_term if vertical else q)
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order))
+                                for _ in range(4)))
+    full = [r.map(lambda f: data.draw(redrawn(f))) for r in (fol, stq)]
+    assert_window_holds(foliation_residual(fol, stq),
+                        foliation_residual(*full))
+
+
 def test_parabolas_fail_against_the_trivial_structure():
     # leaves of dy - 2x dx are y = x^2 + c; residual s_x + s s_y = 2
     fol = F("-2*x", "1")

@@ -8,21 +8,24 @@ changing.  The references fail loudly instead of stopping at a cap.  The
 kernels must return a result ``==`` the reference: same ``order``, same
 ``eff``, same coefficients.
 
-The two online ODE solvers (``geodesic_solve`` and ``alpha_ode_solve``)
-fix their coefficients degree by degree, on integers (J. van der Hoeven,
-"Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002)), and run
-one Picard pass at full order along them.  Each returns that pass once
-the online coefficients agree with it, so the window follows the jet
-rules.  ``ib_flattening_germ`` solves the linear form of its
-third-order ODE instead, so the Picard iteration of that ODE here is an
-independent oracle for it.  The second reference of all three is the
-Picard staircase the solvers replaced, in which pass t runs at
-truncation t and fixes the degree-t coefficient; it is checked on every
-call of a registry pass and on the deep-jets inputs of the benchmark,
-at orders 12 to 20.
+The online ODE solver ``geodesic_solve`` fixes its coefficients degree
+by degree, on integers (J. van der Hoeven, "Relax, but don't be too
+lazy", J. Symbolic Comput. 34 (2002)), and runs one Picard pass at full
+order along them.  It returns that pass once the online coefficients
+agree with it, so the window follows the jet rules.
+``ib_flattening_germ`` solves the linear form of its third-order ODE,
+and ``alpha_ode_solve`` the closed form of the quartic alpha-ODE, so the
+Picard iteration of each ODE here is an independent oracle for them;
+since ``alpha_ode_solve`` no longer checks itself, a property also
+passes the ODE's registry row on its result.  The second reference of
+all three is the Picard staircase the solvers replaced, in which pass t
+runs at truncation t and fixes the degree-t coefficient; it is checked
+on every call of a registry pass and on the deep-jets inputs of the
+benchmark, at orders 12 to 20.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +44,7 @@ from projstruct.jets import (
     exp_series,
     sqrt_series,
 )
+from projstruct.reports import PASS
 from projstruct.structures import ProjectiveStructure, _rhs_along, geodesic_solve
 
 from conftest import (
@@ -52,6 +56,7 @@ from conftest import (
     redrawn,
     small_fractions,
     windowed,
+    windowed_or_dual,
 )
 
 
@@ -228,6 +233,20 @@ def test_exp_series_over_duals_matches_the_power_sum():
     assert exp_series(u) == reference_exp(u)
 
 
+@settings(REDRAWN, max_examples=30)
+@given(st.data(), st.integers(1, 7))
+def test_exp_series_keeps_its_window_when_its_argument_is_redrawn(data,
+                                                                  order):
+    u = data.draw(windowed_or_dual(order, low=1))
+    assert_window_holds(exp_series(u), exp_series(data.draw(redrawn(u))))
+
+
+@settings(REDRAWN, max_examples=30)
+@given(st.data(), squares())
+def test_sqrt_series_keeps_its_window_when_its_argument_is_redrawn(data, u):
+    assert_window_holds(sqrt_series(u), sqrt_series(data.draw(redrawn(u))))
+
+
 @settings(deadline=None)
 @given(reversible())
 @example(Jet2.from_terms({(1, 0): 1, (2, 0): 1}, 7, 7))
@@ -268,14 +287,34 @@ def test_geodesic_solve_keeps_its_window_when_the_structure_is_redrawn(
                         geodesic_solve(full, 0, p0))
 
 
+alpha_jets = st.tuples(nonzero_fractions, small_fractions, small_fractions,
+                       small_fractions)
+
+
 @settings(deadline=None, max_examples=30)
-@given(st.sampled_from([1, 2, -1, Fraction(1, 2)]),
-       st.tuples(nonzero_fractions, small_fractions, small_fractions,
-                 small_fractions),
-       st.integers(0, 9))
+@given(st.sampled_from([0, 1, 2, -1, Fraction(1, 2)]), alpha_jets,
+       st.integers(0, 12))
+# a(0) = -3/2 is negative and no rational square: alpha is a(0) times an
+# exponential, and no root of a(0) is taken
+@example(0, (Fraction(-3, 2), 1, Fraction(-1, 3), 2), 12)
 def test_alpha_ode_solve_matches_picard(c, jet3, order):
     assert (alpha_ode_solve(c, jet3, order)
             == reference_alpha(c, jet3, order))
+
+
+@settings(deadline=None, max_examples=20)
+@given(small_fractions, alpha_jets, st.integers(4, 16))
+@example(0, (Fraction(2), Fraction(1, 2), -1, Fraction(1, 3)), 16)
+def test_alpha_ode_solve_passes_the_ode_row_with_its_three_jet(c, jet3,
+                                                                order):
+    # the certificate the solver ran before: the registry's row of the
+    # quartic vanishes on the result, and the result keeps its 3-jet
+    al = alpha_ode_solve(c, jet3, order)
+    assert cases._identity_check(cases._ALPHA_ODE_ROW,
+                                 {"alpha": al, "c": Fraction(c)},
+                                 order).verdict == PASS
+    assert (al.order, al.eff) == (order, order)
+    assert [al.coeff(k, 0) * factorial(k) for k in range(4)] == list(jet3)
 
 
 @settings(deadline=None, max_examples=30)
@@ -471,11 +510,18 @@ def test_each_solver_runs_one_full_order_picard_pass(monkeypatch):
     rhs = count_calls(monkeypatch, structures, "_rhs_along")
     geodesic_solve(sample_structure(12), 0, Fraction(1, 2))
     assert [args[1].order for args in rhs] == [12]
-    # the pass is one expansion of the ODE's text
+
+
+def test_the_alpha_solve_reverts_once_and_exponentiates_once(monkeypatch):
+    # no Picard pass of the ODE's text: z reverts int 1/Q, and alpha is
+    # a(0) times the exponential of int c^2/3 - (2/3) Q'(z)
+    reverted = count_calls(monkeypatch, cases, "comp_inverse")
+    exponentiated = count_calls(monkeypatch, cases, "exp_series")
     expanded = count_calls(monkeypatch, cases, "expand")
     alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12)
-    assert [(args[1]["alpha"].order, args[2]) for args in expanded] \
-        == [(12, 12)]
+    assert [args[0].order for args in reverted] == [12]
+    assert [args[0].order for args in exponentiated] == [12]
+    assert expanded == []
 
 
 def test_the_flattening_germ_reverts_once_and_composes_once(monkeypatch):
@@ -499,9 +545,6 @@ def one_wrong_coefficient(kernel):
     (structures, "_geodesic_coeffs",
      lambda: geodesic_solve(sample_structure(12), 0, Fraction(1, 2)),
      "the geodesic solves its Picard pass"),
-    (cases, "_alpha_coeffs",
-     lambda: alpha_ode_solve(2, (1, Fraction(1, 3), -1, 2), 12),
-     "alpha solves its Picard pass"),
 ])
 def test_a_wrong_online_coefficient_fails_the_certificate(
         monkeypatch, module, kernel, solve, what):

@@ -371,6 +371,44 @@ def test_liouville_keeps_its_window_when_the_structure_is_redrawn(data,
         assert_window_holds(got, want)
 
 
+@settings(REDRAWN, max_examples=15)
+@given(st.data(), st.integers(2, PROP_ORDER))
+def test_a_y_shift_keeps_its_window_when_the_inputs_are_redrawn(data, order):
+    phi = data.draw(windowed_or_dual(order, x_only=True, low=1, min_eff=2))
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order))
+                                for _ in range(4)))
+    full = (stq.map(lambda f: data.draw(redrawn(f))),
+            data.draw(redrawn(phi, x_only=True)))
+    for got, want in zip(apply_y_shift(stq, phi), apply_y_shift(*full)):
+        assert_window_holds(got, want)
+
+
+@settings(REDRAWN, max_examples=15)
+@given(st.data(), st.integers(1, PROP_ORDER), nonzero_fractions)
+def test_a_y_scale_keeps_its_window_when_the_structure_is_redrawn(data, order,
+                                                                  a0):
+    stq = ProjectiveStructure(*(data.draw(windowed_or_dual(order))
+                                for _ in range(4)))
+    full = stq.map(lambda f: data.draw(redrawn(f)))
+    for got, want in zip(apply_y_scale(stq, a0), apply_y_scale(full, a0)):
+        assert_window_holds(got, want)
+
+
+@settings(REDRAWN, max_examples=15)
+@given(st.data(), st.integers(3, PROP_ORDER))
+def test_normalize_D1_keeps_its_window_when_the_structure_is_redrawn(data,
+                                                                     order):
+    slots = [data.draw(windowed_or_dual(order, x_only=True, min_eff=3))
+             for _ in range(3)]
+    slots.append(data.draw(windowed_or_dual(order, x_only=True, min_eff=3,
+                                            constant=nonzero_fractions)))
+    stq = ProjectiveStructure(*slots)
+    full = stq.map(lambda f: data.draw(redrawn(f, x_only=True)))
+    (out, germ), (out_full, germ_full) = normalize_D1(stq), normalize_D1(full)
+    for got, want in zip((*out, *germ), (*out_full, *germ_full)):
+        assert_window_holds(got, want)
+
+
 def test_each_law_divides_in_one_graded_solve(monkeypatch):
     # pullback and structure_from_pencil divide four slots in one packed
     # pass (jets._quotients); apply_x_reparam divides its two quotients
