@@ -15,8 +15,6 @@ first read of one of their names, so a document command never loads the
 registry; ``dir()`` and ``from projstruct import *`` list them all.
 """
 
-from importlib import import_module
-
 _PUBLIC = {
     "jets": ("DEFAULT_ORDER", "Jet2", "comp_inverse", "exp_series",
              "format_jet", "sqrt_series", "substitute"),
@@ -47,7 +45,7 @@ _LAZY = {name: module for module in _ON_FIRST_USE for name in _PUBLIC[module]}
 
 for _module, _names in _PUBLIC.items():
     if _module not in _ON_FIRST_USE:
-        _home = import_module("." + _module, __name__)
+        _home = __import__(_module, globals(), level=1)
         globals().update((name, getattr(_home, name)) for name in _names)
 
 __version__ = "0.1.0"
@@ -64,7 +62,7 @@ def __getattr__(name):
     if module is None:
         raise AttributeError("module %r has no attribute %r"
                              % (__name__, name))
-    value = getattr(import_module("." + module, __name__), name)
+    value = getattr(__import__(module, globals(), level=1), name)
     globals()[name] = value
     return value
 

@@ -17,9 +17,8 @@ batteries ``affine_family_checks``, ``flat_criteria_checks`` and
 ``exotic_sl2_check``.  Every formula is expression text, parsed once
 per process; each identity the paper displays is a row (name, text,
 detail) whose text must vanish with its jets bound by name.  Every
-"vanishes" of a check is one :func:`~projstruct.reports.zero_check` on
-the parts of its statement, failing on the first that does not vanish
-(its leading term; the check's detail, else "<slot>-slot differs").
+"vanishes", in ``is_linearizable`` and ``is_geodesic`` too, is one
+``jets.first_nonzero``; counts, ranks and rational ``==`` are not.
 
 Statements that fail mechanically are reported with the
 ``paper-inconsistent`` verdict together with the computed value — never
@@ -47,7 +46,7 @@ from .expressions import expand, parse
 from .fields import (VectorField, invariant_structures, lie_bracket, residual,
                      symmetry_dim)
 from .jets import (DEFAULT_ORDER, Jet2, _is_unit, comp_inverse, compose1,
-                   exp_series)
+                   exp_series, first_nonzero)
 from .linalg import rank
 from .pencils import (INF, Foliation, Pencil, foliation_residual, is_geodesic,
                       lie_derivative_form, member, member_value_along,
@@ -435,10 +434,10 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
     rows = _IA1_IDENTITIES
     checks = [_identity_check(row, bound, order) for row in rows[:2]]
     name, text, shown = rows[2]
-    stated = _jet(text, bound, order)
+    stated = first_nonzero(_jet(text, bound, order))
     checks.append(passed(name, shown + " = 0 at this sample")
-                  if stated.is_zero() else CheckResult(
-                      name, INCONSISTENT, leading_term(stated), shown +
+                  if stated is None else CheckResult(
+                      name, INCONSISTENT, leading_term(stated[1]), shown +
                       " does not vanish; the leading coefficient must be 27"))
     checks.append(_identity_check(rows[3], bound, order))
     try:
@@ -447,9 +446,9 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
         checks.append(recorded("ia1:root-reconstruction",
                                "identity verified, root not rational"))
     else:
-        ok = any(_jet("f - (1 + f)^2/3 - B",
-                      {"B": nf.B, "r": root, "f": _parsed(f)}, order).is_zero()
-                 for f in ("(1 + r)/2", "(1 - r)/2"))
+        ok = any(first_nonzero(_jet(
+            "f - (1 + f)^2/3 - B", {"B": nf.B, "r": root, "f": _parsed(f)},
+            order)) is None for f in ("(1 + r)/2", "(1 - r)/2"))
         checks.append(passed(
             "ia1:root-reconstruction",
             "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")
@@ -467,10 +466,10 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
                                "identity verified, root not rational"))
     else:
         gp = _jet("d_dx(g)", env2, order)
-        ok = root2.agree(gp) or root2.agree(-gp)
+        miss = first_nonzero(root2 - gp) and first_nonzero(root2 + gp)
         checks.append(passed("ia2:root-reconstruction", "sqrt(-3B) = +- g'")
-                      if ok else failed("ia2:root-reconstruction",
-                                        leading_term(root2 - gp)))
+                      if miss is None else failed("ia2:root-reconstruction",
+                                                  leading_term(root2 - gp)))
 
     stc = _structure(order, env, "a_ib", "0", "exp(x)", "0")
     flat = pullback(ib_flattening_germ(stc), stc)
@@ -638,7 +637,7 @@ def _thm31_ia_extra(env, order, st, fields, wide):
 
 
 def _adm_thm31_ib(env, order):
-    if _jet("d_dx(A*exp(x))", env, order).is_zero():
+    if first_nonzero(_jet("d_dx(A*exp(x))", env, order)) is None:
         return ("A e^x is constant, so the structure gains a second "
                 "symmetry (exponential family)")
     return None
@@ -657,7 +656,7 @@ def _thm31_ib_extra(env, order, st, fields, wide):
             "(-e^x, 2 e^{2x})"),
         passed("not-linearizable",
                "the pair never vanishes, so no member is flat")
-        if not pair.is_zero() else failed("not-linearizable")]
+        if first_nonzero(pair) is not None else failed("not-linearizable")]
 
 
 def _adm_thm31_iia(env, order):

@@ -44,7 +44,7 @@ from functools import cache
 from .errors import ExprSyntaxError, ProjstructError, UnknownCase
 from .expressions import COORDS, FUNCTIONS, Param, expand, parse
 from .fields import VectorField, residual, symmetry_dim
-from .jets import DEFAULT_ORDER, format_jet
+from .jets import DEFAULT_ORDER, first_nonzero, format_jet
 from .pencils import INF, Foliation, Pencil, is_geodesic, member, \
     structure_from_pencil
 from .records import Record
@@ -237,12 +237,11 @@ def _cmd_invariants(args):
 
 def _cmd_linearizable(args):
     pair = liouville(_require(load_document(args.file), "structure"))
-    if pair.is_zero():
+    if (witness := first_nonzero(pair)) is None:
         print("linearizable: both Liouville invariants vanish")
         return 0
-    witness = "L1" if not pair.L1.is_zero() else "L2"
-    print("not linearizable: %s = %s" % (witness,
-                                         format_jet(getattr(pair, witness))))
+    k, jet = witness
+    print("not linearizable: %s = %s" % (pair._fields[k], format_jet(jet)))
     return 1
 
 
@@ -254,15 +253,15 @@ def _cmd_symcheck(args):
         raise DocumentError("no [field %s] section in %s"
                             % (args.field, args.file))
     res = residual(field, st)
-    if res.is_zero():
+    if (witness := first_nonzero(res.coeffs)) is None:
         # report the degree the zero rests on, not just the working order
         print("symmetry: the determining equations vanish through degree %d"
               " (working order %d)"
               % (min(c.eff for c in res.coeffs), doc.order))
         return 0
-    k = next(k for k in range(res.degree + 1) if not res.coeff(k).is_zero())
+    k, jet = witness
     print("not a symmetry: p^%d determining equation has residual %s"
-          % (k, format_jet(res.coeff(k))))
+          % (k, format_jet(jet)))
     return 1
 
 

@@ -35,7 +35,7 @@ from math import gcd, lcm, perm
 from operator import mul
 from types import MappingProxyType
 
-from .jets import Jet2, _sum_of_products
+from .jets import Jet2, _sum_of_products, first_nonzero
 from .linalg import _int_row, _reduce, nullspace, rank, solve_affine
 from .records import Record
 from .slopes import SlopePoly
@@ -78,7 +78,7 @@ def residual(field, st):
 
 
 def is_symmetry(field, st):
-    return residual(field, st).is_zero()
+    return first_nonzero(residual(field, st).coeffs) is None
 
 
 # --- linear solves ------------------------------------------------------------

@@ -14,9 +14,9 @@ bound.  Two bounds are tracked:
     ``order``), and binary operations propagate the weaker bound.
 
 Equality of germs is therefore always a statement "up to the common
-effective order"; use :meth:`Jet2.agree` / :meth:`Jet2.is_zero` for
-mathematical comparisons.  ``==`` is strict structural equality (same
-order, same eff, same coefficients) and is mainly useful in tests.
+effective order" (:meth:`Jet2.agree`), and every verdict that a germ
+vanishes is one :func:`first_nonzero`.  ``==`` is strict structural
+equality (same order, same eff, same coefficients), mainly for tests.
 
 Every jet is stored in one form, as FLINT's ``fmpq_poly`` is: ``_num``
 maps (i, j) to a nonzero numerator, with no key of degree above ``eff``,
@@ -431,6 +431,18 @@ class Jet2:
         order = self.order if order is None else min(order, self.order)
         eff = self.eff if eff is None else min(eff, self.eff)
         return self._window(order, eff)
+
+
+def first_nonzero(parts):
+    """The one vanishing decision behind every verdict of the package:
+    ``None`` when every part vanishes, else ``(k, part)`` for the first
+    part that does not.  ``parts`` is one ``Jet2`` or the parts of one
+    statement, in order (a record, a residual's ``coeffs``, a generator).
+    """
+    for k, part in enumerate((parts,) if isinstance(parts, Jet2) else parts):
+        if not part.is_zero():
+            return k, part
+    return None
 
 
 def _lincomb(parts, eff):

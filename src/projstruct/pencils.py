@@ -28,7 +28,8 @@ known through degree e - 1), an empty N with ``eff >= U`` means "geodesic"
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
-from .jets import Jet2, _is_unit, _quotients, _sum_of_products, _sum_window
+from .jets import (Jet2, _is_unit, _quotients, _sum_of_products, _sum_window,
+                   first_nonzero)
 from .slopes import SlopePoly
 from .structures import (ProjectiveStructure, _JetRecord, _all_along,
                          swap_axes)
@@ -132,12 +133,12 @@ def is_geodesic(fol, st):
     fol, st = _upright(fol, st)
     p, q = fol
     num = _cleared_residual(fol, st)
-    if num.is_zero():
+    if first_nonzero(num) is None:
         if num.eff >= min(min(p.eff, q.eff + p._val_bound()) - 1, st.A.eff):
             return True
     elif num._val_bound() < min(fol.eff, st.eff):
         return False
-    return foliation_residual(fol, st).is_zero()
+    return first_nonzero(foliation_residual(fol, st)) is None
 
 
 class Pencil(_JetRecord):

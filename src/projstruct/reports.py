@@ -3,7 +3,7 @@
 A check is one verified statement; a case report bundles the checks run
 for one catalog entry at one parameter sample.  Verdicts:
 
-* ``pass`` — the statement holds exactly at the working order.
+* ``pass`` — the statement holds on its window, the least eff of its parts.
 * ``fail`` — it does not.
 * ``paper-inconsistent`` — the computation succeeds but contradicts the
   recorded claim; the computed value is reported.
@@ -17,7 +17,7 @@ measured values) lives only in the text rendering.
 
 import json
 
-from .jets import Jet2, format_jet
+from .jets import Jet2, first_nonzero, format_jet
 from .records import Record
 
 PASS = "pass"
@@ -78,19 +78,18 @@ def recorded(name, detail=""):
 
 
 def zero_check(name, jets, detail="", slots=None):
-    """The registry's one vanishing test: pass when every part vanishes.
+    """:func:`~projstruct.jets.first_nonzero` of ``jets`` as a check.
 
-    ``jets`` is one ``Jet2`` or the parts of one statement, in order (a
-    record, a residual's ``coeffs``, a generator).  A failure reports the
-    leading term of the first part that does not vanish, with ``detail``
-    or, when that is empty, "<slot>-slot differs" named from ``slots``.
+    A failure reports the leading term of the first part that does not
+    vanish, with ``detail`` or, when that is empty, "<slot>-slot differs"
+    named from ``slots``.
     """
-    for k, jet in enumerate((jets,) if isinstance(jets, Jet2) else jets):
-        if not jet.is_zero():
-            if slots and not detail:
-                detail = "%s-slot differs" % slots[k]
-            return failed(name, leading_term(jet), detail)
-    return passed(name, detail)
+    if (witness := first_nonzero(jets)) is None:
+        return passed(name, detail)
+    k, jet = witness
+    if slots and not detail:
+        detail = "%s-slot differs" % slots[k]
+    return failed(name, leading_term(jet), detail)
 
 
 def render_json(reports, generated_at=None):

@@ -8,7 +8,7 @@ lists the kernel terms of each coefficient of a product, and both
 ``jets._sum_of_products``.
 """
 
-from .jets import Jet2, _sum_of_products
+from .jets import Jet2, _sum_of_products, first_nonzero
 
 
 class SlopePoly:
@@ -40,7 +40,7 @@ class SlopePoly:
             [(1, a) for a in self.coeffs], [(1, b) for b in other.coeffs])])
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return first_nonzero(self.coeffs) is None
 
     def __repr__(self):
         return "SlopePoly(%r)" % (self.coeffs,)

@@ -20,7 +20,8 @@ from .errors import (
     _ensure,
 )
 from .jets import (Jet2, _cauchy, _is_unit, _quotients, _substitute_all,
-                   _sum_of_products, _sum_window, comp_inverse, compose1)
+                   _sum_of_products, _sum_window, comp_inverse, compose1,
+                   first_nonzero)
 from .records import Record
 from .slopes import _slope_terms
 
@@ -54,7 +55,7 @@ class _JetRecord(Record):
         return all(a.agree(b) for a, b in zip(self, other))
 
     def is_zero(self):
-        return all(f.is_zero() for f in self)
+        return first_nonzero(self) is None
 
     def is_x_only(self):
         return all(f.is_x_only() for f in self)
@@ -242,7 +243,7 @@ def liouville(st):
 
 
 def is_linearizable(st):
-    return liouville(st).is_zero()
+    return first_nonzero(liouville(st)) is None
 
 
 def c_star_action(lam, st):

@@ -269,7 +269,18 @@ def reports12():
     return run_all(order=12)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-nonzero_fractions = small_fractions.filter(lambda q: q != 0)
+
+
+@st.composite
+def _nonzero_fractions(draw):
+    """The nonzero values of ``small_fractions``: a denominator d <= 6, a
+    sign and a numerator 1 <= n <= 4 d, so that no draw is discarded."""
+    d = draw(st.integers(1, 6))
+    sign = draw(st.sampled_from((1, -1)))
+    return Fraction(sign * draw(st.integers(1, 4 * d)), d)
+
+
+nonzero_fractions = _nonzero_fractions()
 
 
 def _keys(order, x_only=False, max_degree=None):

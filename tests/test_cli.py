@@ -312,8 +312,13 @@ def test_invariants_worked_example(write, capsys):
 
 
 def test_linearizable_negative_names_a_witness(write, capsys):
-    assert dispatch(["linearizable", write(TRIVIAL_DOC)]) == 1
-    assert capsys.readouterr().out == "not linearizable: L1 = -3\n"
+    # the witness is the first invariant that does not vanish
+    for name, doc, line in [
+            ("l1.ini", TRIVIAL_DOC, "not linearizable: L1 = -3"),
+            ("l2.ini", '[structure]\nD = "x^2"\n',
+             "not linearizable: L2 = -6")]:
+        assert dispatch(["linearizable", write(doc, name)]) == 1
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_linearizable_positive(write, capsys):
@@ -368,6 +373,13 @@ def test_symcheck_rejects_a_non_symmetry(write, capsys):
     assert dispatch(["symcheck", write(TRIVIAL_DOC), "--field", "TILT"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("not a symmetry: p^")
+    # the residual named is that of the first slope power p^k that does
+    # not vanish; x^3 d_dx leaves p^0 and p^1 residuals of 0 and 6 x
+    doc = '[structure]\nA = "0"\n\n[field CUBE]\na = "x^3"\nb = "0"\n'
+    assert dispatch(["symcheck", write(doc, "cube.ini"),
+                     "--field", "CUBE"]) == 1
+    assert capsys.readouterr().out == (
+        "not a symmetry: p^1 determining equation has residual 6 * x\n")
 
 
 def test_symcheck_unknown_field_is_a_document_error(write, capsys):

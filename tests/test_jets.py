@@ -26,10 +26,12 @@ from projstruct.jets import (
     comp_inverse,
     compose1,
     exp_series,
+    first_nonzero,
     format_jet,
     sqrt_series,
     substitute,
 )
+from projstruct.structures import ProjectiveStructure
 
 from conftest import (
     PROP_ORDER,
@@ -83,6 +85,22 @@ def test_strict_equality_sees_eff():
     v = J({(1, 0): 1}, eff=3)
     assert u != v
     assert u.agree(v)
+
+
+def _reference_first_nonzero(parts):
+    return next(((k, j) for k, j in enumerate(parts) if not j.is_zero()),
+                None)
+
+
+@given(st.lists(st.one_of(rational_or_dual_jets(), st.just(Jet2.zero(
+    PROP_ORDER))), min_size=4, max_size=4).flatmap(cut_windows))
+def test_first_nonzero_is_the_first_part_that_does_not_vanish(parts):
+    # one jet, a record, a residual-like list and a generator
+    record = ProjectiveStructure(*parts)
+    assert first_nonzero(parts[0]) == _reference_first_nonzero(parts[:1])
+    assert first_nonzero(record) == _reference_first_nonzero(record)
+    assert first_nonzero(parts[1:]) == _reference_first_nonzero(parts[1:])
+    assert first_nonzero(iter(parts)) == _reference_first_nonzero(parts)
 
 
 # --- arithmetic -----------------------------------------------------------

@@ -99,6 +99,18 @@ def test_a_cold_package_lists_and_binds_its_lazy_names():
         "True", "True"]
 
 
+def test_the_import_timer_sees_each_module_it_loads():
+    # the package binds its modules through __import__, which -X importtime
+    # reports; importlib.import_module bypasses the timer
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import projstruct; projstruct.CASES"], check=True,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC)).stderr
+    rows = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()}
+    assert {"projstruct." + m for m in [*EAGER, "cases", "reports"]} <= rows
+
+
 # The benchmark's tracer rebinds each target at every module that holds it
 # and restores those bindings afterwards; a module first imported while the
 # wrappers are installed would bind a wrapper and keep it.  This follows
@@ -224,3 +236,46 @@ def test_the_package_computes_without_floats():
     found = {(path.name, *use) for path in modules
              for use in inexact_uses(path)}
     assert found == set()
+
+
+# Every verdict that a jet vanishes is jets.first_nonzero.  A jet is tested
+# for zero (``.is_zero()``) or compared (``.agree(...)``) only here: the
+# decider, loop stops and degenerate inputs, guards that raise
+# (``_ensure`` and ``c_star_action``'s input check) and the record
+# protocol.  (module, function, method), once per call.
+ZERO_TESTS = sorted([
+    ("jets.py", "first_nonzero", "is_zero"),         # the decider
+    ("jets.py", "_powers", "is_zero"),               # stops at an exact 0
+    ("jets.py", "sqrt_series", "is_zero"),           # the root of 0
+    ("cases.py", "ib_flattening_germ", "is_zero"),   # the Neumann series
+    ("structures.py", "c_star_action", "is_zero"),   # raises on bad input
+    ("structures.py", "c_star_action", "agree"),
+    ("structures.py", "normalize_D1", "agree"),      # in _ensure
+    ("structures.py", "normalize_D1", "is_zero"),
+    ("structures.py", "geodesic_solve", "agree"),
+    ("structures.py", "agree", "agree"),             # _JetRecord.agree
+])
+
+
+def zero_tests(path):
+    """(module, function, method) for each call of a method ``is_zero``
+    or ``agree`` in the module at ``path``, by its innermost function."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("is_zero", "agree")):
+                yield path.name, where, child.func.attr
+            yield from visit(child, where)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def test_every_vanishing_verdict_goes_through_the_decider():
+    modules = sorted(Path(projstruct.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = sorted(site for path in modules for site in zero_tests(path))
+    assert found == ZERO_TESTS

@@ -8,6 +8,8 @@ algebra scan).
 
 import hashlib
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,11 @@ from projstruct.errors import (
     UnknownCase,
 )
 from projstruct.expressions import expand, parse
-from projstruct.jets import Jet2
+from projstruct.jets import Jet2, first_nonzero
 from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
                                 render_json, render_text)
 from projstruct.structures import LiouvillePair, ProjectiveStructure, pullback
-from projstruct import cases, fields
+from projstruct import cases, fields, pencils, reports, structures
 from projstruct.cases import _FIELDS, _AlgebraEntry, _PencilEntry
 from projstruct import (
     CASES,
@@ -606,31 +608,41 @@ def test_sec3_aff_at_order_3_decides_on_a_window(monkeypatch):
 
 
 def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
-    # zero_check decides the registry's "this vanishes" verdicts: the
-    # window a verdict rests on is the least eff of its parts, and no pass
-    # may rest on eff 0 or -1, one coefficient checked or none.  Six
-    # decisions on a zero still bypass it: the ia1 and ia2 root
-    # reconstructions (is_zero, agree), the ia1 squared identity as stated
-    # (is_zero), the thm31.i.b refusal of a constant A e^x, and the
-    # not-linearizable checks of thm31.i.b and remark.pi0, which fail on
-    # a vanishing pair
+    # jets.first_nonzero decides every "this vanishes" of a pass, through
+    # the bindings of cases and reports and of the predicates they call
+    # (is_linearizable, is_geodesic).  The window a verdict rests on is
+    # the least eff of its parts, and no zero_check pass may rest on eff 0
+    # or -1, one coefficient checked or none.  Outside zero_check, the
+    # flat criteria decide the ia1 identity as stated (3, all nonzero) and
+    # 7 root candidates, thm31.i.b its admissibility and its pair (3 each),
+    # remark.pi0 its pair (1), and the pencil batteries decide 85 cleared
+    # geodesic numerators.
     seen = []
-    zero_check = cases.zero_check
 
-    def checking(name, jets, detail="", slots=None):
-        jets = (jets,) if isinstance(jets, Jet2) else tuple(jets)
-        check = zero_check(name, jets, detail, slots)
-        seen.append((name, min(jet.eff for jet in jets), check.verdict))
-        return check
+    def deciding(parts):
+        parts = (parts,) if isinstance(parts, Jet2) else tuple(parts)
+        witness = first_nonzero(parts)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):   # a generator's
+            frame = frame.f_back
+        who = frame.f_code.co_name
+        name = frame.f_locals["name"] if who == "zero_check" else who
+        seen.append((who, name, min(p.eff for p in parts), witness is None))
+        return witness
 
-    monkeypatch.setattr(cases, "zero_check", checking)
+    for module in (cases, reports, structures, pencils):
+        monkeypatch.setattr(module, "first_nonzero", deciding)
     least = {}
     for order in (12, 6, 3):
         seen.clear()
         run_all(order=order)
-        passes = [(name, eff) for name, eff, verdict in seen
-                  if verdict == PASS]
-        assert len(passes) == len(seen) == 249
+        assert Counter((who, vanishes) for who, _, _, vanishes in seen) == {
+            ("zero_check", True): 249, ("is_geodesic", True): 85,
+            ("flat_criteria_checks", True): 6,
+            ("flat_criteria_checks", False): 4, ("_adm_thm31_ib", False): 3,
+            ("_thm31_ib_extra", False): 3, ("is_linearizable", False): 1}
+        passes = [(name, eff) for who, name, eff, vanishes in seen
+                  if who == "zero_check"]
         assert all(eff >= 1 for _, eff in passes)
         least[order] = min(eff for _, eff in passes)
         if order == 12:
