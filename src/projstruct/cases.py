@@ -446,9 +446,9 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
         checks.append(recorded("ia1:root-reconstruction",
                                "identity verified, root not rational"))
     else:
-        ok = any(first_nonzero(_jet(
-            "f - (1 + f)^2/3 - B", {"B": nf.B, "r": root, "f": _parsed(f)},
-            order)) is None for f in ("(1 + r)/2", "(1 - r)/2"))
+        ur = {"u": bound["u"], "r": root}
+        ok = any(first_nonzero(_jet(text, ur, order)) is None
+                 for text in ("u - (1 + r)/2", "u - (1 - r)/2"))
         checks.append(passed(
             "ia1:root-reconstruction",
             "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")

@@ -268,13 +268,12 @@ def _cmd_symcheck(args):
 def _cmd_symdim(args):
     doc = load_document(args.file)
     st = _require(doc, "structure")
-    # the count solves at field orders (n, n+1); drop n below the default
-    # 7 for short documents
-    n = min(7, doc.order - 1)
-    if n < 2:
+    # the count solves at field orders (n, n+1) and reads the structure
+    # through degree n; drop n below the default 7 for short documents
+    if doc.order < 3:
         raise DocumentError("symdim needs a [global] order of at least 3, "
                             "got %d" % doc.order)
-    dims = symmetry_dim(st, order=n)
+    dims = symmetry_dim(st, order=min(7, st.eff))
     if dims.stabilized:
         print("dimension %d (stabilized at field orders %d/%d)"
               % (dims.value, dims.low_order, dims.high_order))

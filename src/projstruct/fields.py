@@ -19,21 +19,17 @@ residual's terms, ``_TERMS``, which are bilinear in (field, structure):
 for polynomial structures.  The oracles for that table are the
 dual-number pullback and, in the tests, the residual as the slope
 polynomial products it was computed as before.  The structure-free part
-of a solve, each unknown's terms, is cached per order next to the
-constant symbol S_d and built on first use, so a call pays only for the
-terms of its own structure or fields.
-``_graded_kernel`` solves both one residual degree at a time on primitive
-integer vectors, and past degree 0 ``symmetry_dim`` only the
-compatibility rows of S_d.
+of a solve, the read plan ``_reads``, is cached per (side, order) next to
+the constant symbol S_d and built on first use.  ``_graded_kernel``
+solves both one residual degree d at a time on sparse primitive integer
+vectors, past degree 0 ``symmetry_dim`` only the compatibility rows of
+S_d, and ``_former`` forms each step's rows from its live basis alone.
 """
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
-from operator import mul
-from types import MappingProxyType
 
 from .jets import Jet2, _sum_of_products, first_nonzero
 from .linalg import _int_row, _reduce, nullspace, rank, solve_affine
@@ -124,77 +120,72 @@ def symmetry_dim(st, order=7):
         raise ValueError("symmetry_dim needs order >= 2, got %d" % n)
     if st.eff < n:  # eff <= order
         raise ValueError("structure jets too short: need eff >= %d" % n)
-    (L,), columns = _columns(0, n + 1, [(*st, Jet2.constant(1, n + 1))])
-    steps = [[] for _ in range(n)]
-    for (_, i, j), col in zip(_plan(0, n + 1)[0], columns):
-        steps[max(i + j - 2, 0)].append(col)
-    dims = [rank([v[:12] for v in K], 12)
-            for d, K in enumerate(_graded_kernel(steps, L=L)) if d >= n - 2]
+    (L,), rows = _former(0, n + 1, [(*st, Jet2.constant(1, n + 1))])
+    kernels = _graded_kernel(rows, _reads(0, n + 1)[1], L=L)
+    dims = [rank([[v.get(u, 0) for u in range(12)] for v in K], 12)
+            for d, K in enumerate(kernels) if d >= n - 2]
     return SymmetryDimensions(n, n + 1, *dims)
 
 
-def _graded_kernel(steps, blocks=1, one=None, L=1):
+def _graded_kernel(rows, joins, one=False, L=1):
     """Solve a graded integer system one row degree d at a time.
 
-    ``steps[d]`` lists the ``_columns`` (of ``blocks`` blocks) that join
-    at step d.  With X and Y the rows of degree d on the joined and the new
-    columns, the kernel K grows to the (K c, w) with X K c + Y w = 0:
-    ``nullspace`` on [X K | Y], or on C_d X K past step 0 without ``one``
-    (Y = L S_d, P L w = -W_d X K c).  A constant column ``one`` joins first
-    as p = (1), and ``solve_affine([X K | Y], -X p)`` grows both.  Yields
-    each step's primitive integer vectors, or [] once one is inconsistent.
+    ``joins[d]`` unknowns join at step d, numbered after the ones before,
+    and ``rows(basis, d)`` forms the rows of degree d of the basis vectors.
+    With X and Y the rows of degree d on the joined and the new unknowns,
+    the kernel K grows to the (K c, w) with X K c + Y w = 0: ``nullspace``
+    on [X K | Y], the new unknowns joining as unit vectors, or on C_d X K
+    past step 0 without ``one`` (Y = L S_d, P L w = -W_d X K c).  With
+    ``one`` a constant unknown 0 joins first as p = (1), and
+    ``solve_affine([X K | Y], -X p)`` grows both.  Yields each step's
+    primitive integer vectors as {unknown: nonzero entry}, or [] once one
+    is inconsistent.
     """
-    seen, basis = ([], []) if one is None else ([one], [[1]])
-    for d, new in enumerate(steps):
-        nb, symbol = len(basis), one is None and d
-        ext = [[0] * (nb if symbol else nb + len(new))
-               for _ in range(4 * (d + 1) * blocks)]
-        for col, coeffs in zip(seen, zip(*basis)):
-            if col[d]:
-                nonzero = [(b, w) for b, w in enumerate(coeffs) if w]
-                for r, e in col[d].items():
-                    row = ext[r]
-                    for b, w in nonzero:
-                        row[b] += e * w
+    basis, width = ([{0: 1}], 1) if one else ([], 0)
+    for d, m in enumerate(joins):
+        new, width = range(width, width + m), width + m
+        symbol = not one and d
+        if not symbol:
+            basis = basis + [{u: 1} for u in new]
+        ext, nb = rows(basis, d), len(basis)
         if symbol:
             P, E = _symbol(d)
-            live = {r for r, row in enumerate(ext) if any(row)}
-            ER = [[sum(t) for t in zip([0] * nb, *(
-                [v * e for e in ext[r]] for r, v in row if r in live))]
-                for row in E] if live else [[0] * nb] * len(E)
-            sols = [[P * L * e for e in c] + (
-                [-sum(map(mul, w, c)) for w in ER[:len(new)]] if live
-                else [0] * len(new))
-                for c in nullspace(ER[len(new):], nb)]
+            live = {r: row for r, row in enumerate(ext) if any(row)}
+            ER = []
+            for row in E:  # E X K on the rows that X K reaches
+                part = None
+                for r, v in row:
+                    if r in live:
+                        part = ([v * e for e in live[r]] if part is None else
+                                [a + v * e for a, e in zip(part, live[r])])
+                ER.append(part or [0] * nb)
+            # each basis vector times P L, extended by -W X K to degree d + 2
+            basis = [{**{u: P * L * x for u, x in b.items()},
+                      **{u: -e for u, e in zip(new, w) if e}}
+                     for b, w in zip(basis, zip(*ER[:m]))]
+            sols = nullspace(ER[m:], nb)
+        elif one:
+            consistent, p, sols = solve_affine([row[1:] for row in ext],
+                                               [-row[0] for row in ext])
+            if not consistent:
+                yield []
+                return
+            sols = [_int_row([1] + p)] + [[0] + s for s in sols]
         else:
-            for k, col in enumerate(new, nb):
-                for r, e in col[d].items():
-                    ext[r][k] = e
-            if one is None:
-                sols = nullspace(ext, nb + len(new))
-            else:
-                consistent, p, sols = solve_affine([row[1:] for row in ext],
-                                                   [-row[0] for row in ext])
-                if not consistent:
-                    yield []
-                    return
-                sols = [[1] + p] + [[0] + s for s in sols]
-        basis = [_grow(s, basis, len(seen)) for s in sols]
-        seen += new
+            sols = nullspace(ext, nb)
+        basis = [_grow(s, basis) for s in sols]
         yield basis
 
 
-def _grow(s, basis, width):
-    """The primitive integer vector along sum_b s_b basis_b (``width``
-    long), then s past the basis; a unit s reuses its basis vector."""
-    nb, nz = len(basis), [b for b, a in enumerate(s) if a]
-    if len(nz) == 1 and nz[0] < nb:
-        v = basis[nz[0]]
-        return ((v if s[nz[0]] > 0 else [-e for e in v])
-                + [0] * (len(s) - nb))
-    s = _int_row(s)
-    return _int_row([sum(c) for c in zip([0] * width, *(
-        [a * e for e in v] for a, v in zip(s, basis) if a))] + s[nb:])
+def _grow(s, basis):
+    """The primitive integer vector sum_b s_b basis_b, as {unknown: entry}."""
+    v = {}
+    for a, b in zip(s, basis):
+        if a:
+            for u, x in b.items():
+                v[u] = v.get(u, 0) + a * x
+    g = gcd(*v.values())
+    return {u: x // g for u, x in v.items() if x}
 
 
 @lru_cache(maxsize=None)
@@ -247,81 +238,91 @@ _DERIVATIVES = [sorted({t[side] for t in _TERMS if t[side][1:] != (0, 0)},
 
 
 @lru_cache(maxsize=None)
-def _plan(side, order):
+def _reads(side, order):
     """The structure-free part of a determining system, built once.
 
     The unknowns are x^i y^j through degree ``order`` in the factor
-    ``side`` of ``_TERMS``: a field component (0, by descending degree) or
-    a structure slot (1, slot by slot, then the "1" of the zero structure).
-    Returns them as (slot, i, j) and, per known factor, the terms (column,
-    k, w, si, si + sj) of nonzero w = c (i)_dx (j)_dy: w x^si y^sj times
-    that factor in slot k, through row degree order - 2 + side.
+    ``side`` of ``_TERMS``: a field component (0) or a structure slot after
+    the "1" of the zero structure (1), in the order they join
+    ``_graded_kernel``, at step max(i + j - 2 + side, 0).  Returns them as
+    (slot, i, j), how many join at each step, and per known factor and
+    shift sh <= order - 2 + side the reads (u, k, w, si) in the order of u:
+    unknown u adds w x^si y^(sh - si) times that factor to slot k, nonzero
+    w = c (i)_dx (j)_dy for sh = i + j - dx - dy.
     """
     top = order - 2 + side
-    if side:
-        unknowns = [(s, i, j) for s in range(4)
-                    for i, j in _monomials(order)] + [(4, 0, 0)]
-    else:
-        unknowns = [(f, i, j) for i, j in reversed(_monomials(order))
+    if side:   # slot by slot
+        unknowns = [(s, i, j) for s in range(4) for i, j in _monomials(order)]
+    else:      # by descending degree
+        unknowns = [(f, i, j) for i, j in _monomials(order)[::-1]
                     for f in range(2)]
-    terms = {}
-    for col, (u, i, j) in enumerate(unknowns):
+    steps = [max(i + j - 2 + side, 0) for _, i, j in unknowns]
+    unknowns = [(4, 0, 0)] * side + sorted(
+        unknowns, key=lambda u: max(u[1] + u[2] - 2 + side, 0))
+    reads = {}
+    for q, (u, i, j) in enumerate(unknowns):
         for k, c, *parts in _TERMS:
             (slot, dx, dy), known = parts[side], parts[1 - side]
-            w = c * perm(i, dx) * perm(j, dy)
-            if slot == u and w and i + j - dx - dy <= top:
-                terms.setdefault(known, []).append(
-                    (col, k, w, i - dx, i + j - dx - dy))
-    return tuple(unknowns), tuple((kn, tuple(t)) for kn, t in terms.items())
+            w, sh = c * perm(i, dx) * perm(j, dy), i + j - dx - dy
+            if slot == u and w and sh <= top:
+                reads.setdefault(known, [[] for _ in range(top + 1)])[
+                    sh].append((q, k, w, i - dx))
+    return (tuple(unknowns), tuple(map(steps.count, range(top + 1))),
+            tuple((known, tuple(map(tuple, by_shift)))
+                  for known, by_shift in reads.items()))
 
 
-_EMPTY = MappingProxyType({})   # the part of a degree a column misses
-
-
-def _columns(side, order, blocks):
-    """The columns of ``_plan(side, order)``, a block of rows per tuple of
-    known jets in ``blocks``.  Returns ``(scales, columns)``: per block the
+def _former(side, order, blocks):
+    """The row former of ``_reads(side, order)``, a block of rows per tuple
+    of known jets in ``blocks``.  Returns ``(scales, rows)``: per block the
     lcm L of the denominators of its terms of degree <= order - 1 + 2 side,
-    and per unknown a list over row degree d <= top = order - 2 + side of
-    {row: value}, no value zero, with L times the x^p y^(d - p) coefficient
-    of residual slot k of block f in row (4 f + k) (d + 1) + p.  Each known
-    derivative is sorted by degree once; a term takes the prefix that fits.
+    and ``rows(basis, d)``, the degree-d rows of the vectors {unknown:
+    entry} of ``basis``: L times the x^p y^(d - p) coefficient of residual
+    slot k of block f in row (4 f + k) (d + 1) + p, a column per vector.
+    Each known derivative is sorted by degree once per call.
     """
-    unknowns, plan = _plan(side, order)
     top = order - 2 + side
-    columns = [[_EMPTY] * (top + 1) for _ in unknowns]
-    scales, made = [], []
-    for f, jets in enumerate(blocks):
+    unknowns, _, reads = _reads(side, order)
+    scales, knowns = [], []
+    for jets in blocks:
         kept = [{(i, j): n for (i, j), n in jet._num.items()
                  if i + j <= top + 1 + side} for jet in jets]
         L = lcm(*(jet._den // gcd(jet._den, *num.values())  # less the content
                   for jet, num in zip(jets, kept)))
         scales.append(L)
-        for (s, dx, dy), terms in plan:
+        known = []
+        for (s, dx, dy), plan in reads:
             by_degree, den = {}, jets[s]._den
             for (i, j), n in kept[s].items():
                 if i >= dx and j >= dy:
                     by_degree.setdefault(i + j - dx - dy, []).append(
                         (i - dx, perm(i, dx) * perm(j, dy) * n * L // den))
-            if not by_degree:
-                continue
-            degrees = sorted(by_degree)
-            groups = [(t, by_degree[t]) for t in degrees]
-            for c, k, w, si, sh in terms:
-                col, k = columns[c], 4 * f + k
-                for t, group in groups[:bisect_right(degrees, top - sh)]:
-                    part = col[t + sh]
-                    if part is _EMPTY:
-                        part = col[t + sh] = {}
-                        made.append(part)
-                    base = k * (t + sh + 1) + si
-                    for p, v in group:
-                        part[base + p] = part.get(base + p, 0) + w * v
-    for part in made:
-        if not all(part.values()):
-            for r in [r for r, e in part.items() if not e]:
-                del part[r]
-    return scales, columns
+            if by_degree:
+                known.append((plan, sorted(by_degree.items())))
+        knowns.append(known)
+
+    def rows(basis, d):
+        cols = [()] * len(unknowns)   # per unknown, its (vector, entry)
+        for b, v in enumerate(basis):
+            for u, x in v.items():
+                cols[u] += ((b, x),)
+        ext = [[0] * len(basis) for _ in range(4 * (d + 1) * len(knowns))]
+        for f, known in enumerate(knowns):
+            for plan, groups in known:
+                for t, terms in groups:
+                    if t > d:
+                        break
+                    for u, k, w, si in plan[d - t]:
+                        col = cols[u]
+                        if col:
+                            base = (4 * f + k) * (d + 1) + si
+                            for p, v in terms:
+                                row, wv = ext[base + p], w * v
+                                for b, x in col:
+                                    row[b] += wv * x
+        return ext
+
+    return scales, rows
 
 
 class InvariantStructures(Record):
@@ -377,10 +378,10 @@ def invariant_structures(fields, degree):
     system.  Those rows take at most two derivatives of a field, so they
     read the fields through degree ``degree + 1``, and field jets must be
     known (``eff``) that far.
-    The equations are the integer ``_columns``, one block per field, with
-    the residual of the zero structure as the constant column.  A structure
-    monomial of degree e reaches only rows of degree e - 1 or more: it
-    joins ``_graded_kernel`` at step max(e - 1, 0).
+    The equations are the integer rows of ``_former``, one block per
+    field, with the residual of the zero structure as the constant column.
+    A structure monomial of degree e reaches only rows of degree e - 1 or
+    more: it joins ``_graded_kernel`` at step max(e - 1, 0).
     """
     if degree < 1:
         raise ValueError("invariant_structures needs degree >= 1, got %d"
@@ -389,19 +390,18 @@ def invariant_structures(fields, degree):
         raise ValueError("need at least one field")
     if min(min(f.a.eff, f.b.eff) for f in fields) < degree + 1:  # eff <= order
         raise ValueError("field jets too short: need eff >= %d" % (degree + 1))
-    joins = [max(i + j - 1, 0) for i, j in _monomials(degree)] * 4
-    n = len(joins)
-    cols = _columns(1, degree, [(f.a, f.b) for f in fields])[1]
-    by_join = sorted(range(n), key=joins.__getitem__)
-    *_, basis = _graded_kernel([[cols[c] for c in by_join if joins[c] == d]
-                                for d in range(degree)], len(fields), cols[n])
+    unknowns, joins, _ = _reads(1, degree)
+    *_, basis = _graded_kernel(
+        _former(1, degree, [(f.a, f.b) for f in fields])[1], joins, one=True)
     if not basis:
         return InvariantStructures(False, degree, None, ())
-    # Reduced in reversed column order, the pivots are the constant column
+    # Reduced in reversed column order (slot by slot as ``_monomials``
+    # lists them, the constant last), the pivots are the constant column
     # and the free columns of solve_affine on the whole system, so this
     # gives its particular solution (zero on the free columns) and basis.
-    rev = sorted(range(n + 1), key=([n] + by_join).__getitem__, reverse=True)
-    rows = [[v[k] for k in rev] for v in basis]
+    rev = sorted(range(len(unknowns)), reverse=True, key=lambda q: (
+        unknowns[q][0], sum(unknowns[q][1:]), -unknowns[q][1]))
+    rows = [[v.get(q, 0) for q in rev] for v in basis]
     sts = [_devectorize([Fraction(e, rows[r][c]) for e in rows[r][:0:-1]],
-                        degree) for r, c in reversed(_reduce(rows, n + 1))]
+                        degree) for r, c in reversed(_reduce(rows, len(rev)))]
     return InvariantStructures(True, degree, sts[-1], tuple(sts[:-1]))

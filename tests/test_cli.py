@@ -399,6 +399,33 @@ def test_symdim_trivial_structure_has_the_full_algebra(write, capsys):
     assert capsys.readouterr().out.startswith("dimension 8 ")
 
 
+PI0_DOC = ("[structure]\nA = \"-y^3\"\nB = \"3*x*y^2\"\n"
+           "C = \"-3*x^2*y\"\nD = \"x^3\"\n")
+
+
+@pytest.mark.parametrize("order,out", [
+    (3, "dimensions 8/6 at field orders 3/4 (not stabilized)"),
+    (4, "dimensions 6/5 at field orders 4/5 (not stabilized)"),
+    (6, "dimension 3 (stabilized at field orders 6/7)")])
+def test_symdim_counts_as_far_as_the_structure_is_known(write, capsys, order,
+                                                        out):
+    # remark.pi0's y'' = (x y' - y)^3 has a 3-dimensional algebra; the
+    # count at field orders (n, n + 1) reads the structure through degree
+    # n, so a document at order m counts at n = min(7, m), never at the
+    # m - 1 whose stabilized "dimension 8" at order 3 was wrong
+    doc = write("[global]\norder = %d\n\n" % order + PI0_DOC)
+    assert dispatch(["symdim", doc]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
+def test_symdim_never_reports_eight_for_a_three_dimensional_algebra(write,
+                                                                    capsys):
+    for order in range(3, 13):
+        assert dispatch(["symdim", write("[global]\norder = %d\n\n"
+                                         % order + PI0_DOC)]) == 0
+        assert "dimension 8" not in capsys.readouterr().out
+
+
 def test_symdim_needs_enough_working_order(write, capsys):
     doc = "[global]\norder = 2\n\n[structure]\nA = \"x\"\n"
     assert dispatch(["symdim", write(doc)]) == 3

@@ -3,6 +3,7 @@ from fractions import Fraction
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -15,9 +16,9 @@ from projstruct.expressions import expand
 from projstruct.fields import (
     InvariantStructures,
     VectorField,
-    _columns,
+    _former,
     _graded_kernel,
-    _plan,
+    _reads,
     _symbol,
     invariant_structures,
     is_symmetry,
@@ -214,11 +215,14 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # root reconstruction compared sqrt(-3B) with g' and -g' through agree,
     # which built only -g', and that for one sample of three: the
     # differences root -+ g' that first_nonzero decides are one jet more
-    # per remark.flat sample
+    # per remark.flat sample; then 9445 and 9268 while the ia1 root
+    # reconstruction expanded f - (1 + f)^2/3 - B for f = (1 + r)/2, true of
+    # either sign by construction: u - (1 +- r)/2, which compares the root
+    # with u = g' o psi, is 16 jets fewer per pass for its 5 candidates
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 9445, 8: 9268}
+        == {12: 9429, 8: 9252}
 
 
 def test_residual_of_x_translation_shifts_coefficients():
@@ -456,35 +460,27 @@ def test_symmetry_dim_grows_the_kernel_in_small_systems(monkeypatch):
     assert heights == [4, 0, 2, 4, 6, 8, 10]
 
 
-def monomial_columns(stq, order):
-    """``(L, columns)``: the ``_columns`` of the fields of degree <= order,
-    keyed by (slot, i, j) in plan order, as ``symmetry_dim`` builds them."""
-    (L,), columns = _columns(0, order, [(*stq, Jet2.constant(1, order))])
-    return L, dict(zip(_plan(0, order)[0], columns))
+def symmetry_kernels(stq, n, check=None):
+    """The steps of symmetry_dim(stq, n), solved as it solves them; each
+    step's rows also go to ``check(ext, basis, d, L)``."""
+    (L,), rows = _former(0, n + 1, [(*stq, Jet2.constant(1, n + 1))])
 
-
-def entry(col, k, p, q):
-    """The x^p y^q coefficient of slot k in a one-block ``_columns``
-    column."""
-    return col[p + q].get(k * (p + q + 1) + p, 0)
-
-
-def symmetry_steps(stq, n):
-    # the steps of symmetry_dim(stq, n), built as it builds them
-    L, columns = monomial_columns(stq, n + 1)
-    steps = [[col for (_, i, j), col in columns.items()
-              if max(i + j, 2) == d + 2] for d in range(n)]
-    return L, steps
+    def checked(basis, d):
+        ext = rows(basis, d)
+        if check:
+            check(ext, basis, d, L)
+        return ext
+    return list(_graded_kernel(checked, _reads(0, n + 1)[1], L=L))
 
 
 def assert_two_jets_fix_every_kernel(stq, n):
-    # each kernel vector is fixed by its 2-jet part (the first twelve
-    # entries), so the rank that symmetry_dim reports is the kernel's size
-    L, steps = symmetry_steps(stq, n)
-    kernels = list(_graded_kernel(steps, L=L))
+    # each kernel vector is fixed by its 2-jet part (unknowns 0 to 11),
+    # so the rank that symmetry_dim reports is the kernel's size
+    kernels = symmetry_kernels(stq, n)
     assert len(kernels) == n
     for K in kernels:
-        assert rank([v[:12] for v in K], 12) == len(K)
+        assert rank([[v.get(u, 0) for u in range(12)] for v in K], 12) \
+            == len(K)
 
 
 @settings(deadline=None, max_examples=25)
@@ -507,31 +503,38 @@ def test_two_jets_fix_every_kernel_step_of_the_registry(monkeypatch):
         assert_two_jets_fix_every_kernel(stq, n)
 
 
-def assert_primitive_steps(steps, kernels, one=None):
-    # no column keeps a zero entry, and every step's kernel vectors are
-    # integers with no common factor
-    for col in [one or []] + [col for step in steps for col in step]:
-        assert all(e != 0 for part in col for e in part.values())
+def assert_primitive_steps(kernels):
+    # every step's kernel vectors are {unknown: entry} with nonzero
+    # integer entries and no common factor
     for K in kernels:
         for v in K:
-            assert all(type(e) is int for e in v) and gcd(*v) == 1
+            assert v and all(type(e) is int and e != 0 for e in v.values())
+            assert gcd(*v.values()) == 1
+
+
+def assert_integer_rows(ext, *_):
+    assert all(type(e) is int for row in ext for e in row)
 
 
 @settings(deadline=None, max_examples=25)
 @given(order_and_structure())
 def test_graded_kernel_steps_are_primitive_integer_vectors(case):
     n, stq = case
-    L, steps = symmetry_steps(stq, n)
-    assert_primitive_steps(steps, _graded_kernel(steps, L=L))
+    assert_primitive_steps(symmetry_kernels(stq, n, assert_integer_rows))
 
 
 def test_graded_kernel_steps_of_the_registry_are_primitive(monkeypatch):
     solves = []
 
-    def checking(steps, blocks=1, one=None, L=1):
-        solves.append(one is not None)
-        kernels = list(_graded_kernel(steps, blocks, one, L))
-        assert_primitive_steps(steps, kernels, one)
+    def checking(rows, joins, one=False, L=1):
+        solves.append(one)
+
+        def checked(basis, d):
+            ext = rows(basis, d)
+            assert_integer_rows(ext, basis, d, L)
+            return ext
+        kernels = list(_graded_kernel(checked, joins, one, L))
+        assert_primitive_steps(kernels)
         yield from kernels
 
     monkeypatch.setattr("projstruct.fields._graded_kernel", checking)
@@ -545,21 +548,59 @@ def tuples_all_the_way(obj):
         not isinstance(obj, tuple) or all(map(tuples_all_the_way, obj)))
 
 
-def test_the_plan_is_built_on_first_use_once_per_order():
+def test_the_read_plan_is_built_on_first_use_once_per_order():
     src = os.path.dirname(os.path.dirname(cases.__file__))
     probe = ("import projstruct, projstruct.cli; "
-             "print(projstruct.fields._plan.cache_info().currsize)")
+             "print(projstruct.fields._reads.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "0\n"
-    _plan.cache_clear()
+    _reads.cache_clear()
     assert symmetry_dim(S("x", "0", "0", "1"), 6).value == 1
     assert symmetry_dim(S("0", "0", "exp(-x)", "0"), 6).value == 2
-    assert _plan.cache_info().currsize == 1
+    assert _reads.cache_info().currsize == 1
     # a later call reads the same plan, which no caller can change
-    assert tuples_all_the_way(_plan(0, 7))
-    assert tuples_all_the_way(_plan(1, 6))
+    assert tuples_all_the_way(_reads(0, 7))
+    assert tuples_all_the_way(_reads(1, 6))
+
+
+def former_traffic(side, order, blocks, basis, d):
+    """The multiply-adds one call of a ``_former`` row function makes: per
+    read of ``_reads`` at shift d - t, one per term of degree t of its
+    known derivative and basis vector with an entry on its unknown, the
+    count the former's innermost loop makes."""
+    top = order - 2 + side
+    live = Counter(u for v in basis for u in v)
+    count = 0
+    for jets in blocks:
+        for (s, dx, dy), plan in _reads(side, order)[2]:
+            degrees = Counter(i + j - dx - dy for i, j in jets[s].coeffs
+                              if i >= dx and j >= dy
+                              and i + j <= top + 1 + side)
+            count += sum(n * live[u] for t, n in degrees.items() if t <= d
+                         for u, *_ in plan[d - t])
+    return count
+
+
+def test_a_registry_pass_keeps_its_former_traffic(monkeypatch):
+    # the row entries (multiply-adds) that the former makes in one
+    # run_all(order=12), per solve: no row that the solve never reads,
+    # such as a new field's symbol row, can come back unseen
+    traffic = [0, 0]
+
+    def counting(side, order, blocks):
+        scales, rows = _former(side, order, blocks)
+
+        def counted(basis, d):
+            traffic[side] += former_traffic(side, order, blocks, basis, d)
+            return rows(basis, d)
+        return scales, counted
+
+    monkeypatch.setattr("projstruct.fields._former", counting)
+    cases.run_all(order=12)
+    # symmetry_dim, then invariant_structures
+    assert traffic == [11025, 1407]
 
 
 def test_a_registry_pass_keeps_its_solve_traffic(monkeypatch):
@@ -621,10 +662,11 @@ def test_registry_kernels_are_the_reference_kernels_as_primitive_integers(
 
 
 def test_a_registry_pass_normalises_few_fraction_rows(monkeypatch):
-    # the kernels reach fields as primitive integers, so only the 19
-    # affine particulars that _grow scales and the 11 Fraction rows that
-    # rank receives in run_all(12) go through _int_row with Fraction
-    # entries (872 while nullspace returned Fractions)
+    # the kernels reach fields as primitive integers, so only the 24
+    # affine particulars that _graded_kernel scales and the 11 Fraction
+    # rows that rank receives in run_all(12) go through _int_row with
+    # Fraction entries (30 while the five zero particulars reused their
+    # basis vector unscaled, 872 while nullspace returned Fractions)
     rows = []
     int_row = linalg._int_row
 
@@ -635,7 +677,7 @@ def test_a_registry_pass_normalises_few_fraction_rows(monkeypatch):
     monkeypatch.setattr(linalg, "_int_row", counting)
     monkeypatch.setattr("projstruct.fields._int_row", counting)
     cases.run_all(order=12)
-    assert sum(rows) == 30
+    assert sum(rows) == 35
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -662,25 +704,69 @@ def test_constant_symbol_is_injective_with_its_cokernel(d):
         == [[scale * (i == j) for j in range(n)] for i in range(n)]
 
 
+def degree_rows(res, d):
+    """The degree-d coefficients of a residual, in the former's row order
+    (slot k, then x^p y^(d - p))."""
+    return [res.coeff(k).coeff(p, d - p) for k in range(4)
+            for p in range(d + 1)]
+
+
+def unit_columns(rows, unknowns, d):
+    """The former's degree-d rows with every unknown a unit column: the
+    table of every unknown's rows, which the solves never build."""
+    ext = rows([{u: 1} for u in range(len(unknowns))], d)
+    assert all(type(e) is int for row in ext for e in row)
+    return list(zip(*ext))
+
+
 @settings(deadline=None, max_examples=30)
 @given(structures(max_terms=4), hs.integers(2, PROP_ORDER))
-def test_closed_form_columns_are_scaled_residuals(stq, order):
-    scale, columns = monomial_columns(stq, order)
-    assert len(columns) == (order + 1) * (order + 2)
-    degrees = [i + j for (_, i, j) in columns]
-    assert degrees == sorted(degrees, reverse=True)
-    for (slot, i, j), col in columns.items():
-        res = reference_residual(monomial_field(slot, i, j, stq.order), stq)
-        for k in range(4):
-            for d in range(order - 1):
-                for p in range(d + 1):
-                    got = entry(col, k, p, d - p)
-                    assert isinstance(got, int)
-                    assert Fraction(got, scale) == res.coeff(k).coeff(p, d - p)
-        # through degree order - 2, each degree d on its 4 (d + 1) rows
-        assert len(col) == order - 1
-        assert all(0 <= r < 4 * (d + 1) for d, part in enumerate(col)
-                   for r in part)
+def test_the_former_forms_scaled_residual_rows(stq, order):
+    unknowns, joins, _ = _reads(0, order)
+    assert len(unknowns) == (order + 1) * (order + 2)
+    steps = [max(i + j - 2, 0) for _, i, j in unknowns]
+    assert steps == sorted(steps)
+    assert list(joins) == [steps.count(d) for d in range(order - 1)]
+    (scale,), rows = _former(0, order, [(*stq, Jet2.constant(1, order))])
+    res = [reference_residual(monomial_field(slot, i, j, stq.order), stq)
+           for slot, i, j in unknowns]
+    # through degree order - 2, each degree d on its 4 (d + 1) rows
+    for d in range(order - 1):
+        cols = unit_columns(rows, unknowns, d)
+        assert len(cols) == len(unknowns)
+        for col, r in zip(cols, res):
+            assert [Fraction(e, scale) for e in col] == degree_rows(r, d)
+
+
+def basis_field(v, unknowns, order):
+    """The field sum_u v_u x^i y^j d/dx (f = 0) or d/dy (f = 1) over the
+    unknowns u = (f, i, j) of ``_reads(0, ...)``."""
+    parts = [{}, {}]
+    for u, e in v.items():
+        f, i, j = unknowns[u]
+        parts[f][i, j] = e
+    return VectorField(*(Jet2.from_terms(t, order) for t in parts))
+
+
+@settings(deadline=None, max_examples=20)
+@given(order_and_structure())
+def test_each_steps_rows_are_scaled_residuals_of_its_basis_fields(case):
+    # symmetry_dim's rows X K at step d: L times the degree-d residual of
+    # each basis field (at step 0, of each new field as a unit vector)
+    n, stq = case
+    unknowns, steps = _reads(0, n + 1)[0], []
+
+    def check(ext, basis, d, L):
+        assert len(ext) == 4 * (d + 1)
+        assert all(len(row) == len(basis) for row in ext)
+        for c, v in enumerate(basis):
+            res = reference_residual(basis_field(v, unknowns, stq.order), stq)
+            assert [row[c] for row in ext] \
+                == [L * e for e in degree_rows(res, d)]
+        steps.append(d)
+
+    symmetry_kernels(stq, n, check)
+    assert steps == list(range(n))
 
 
 # --- invariant structures -----------------------------------------------------------
@@ -742,26 +828,82 @@ def structure_monomials(degree):
 
 @settings(deadline=None, max_examples=30)
 @given(jets(max_terms=4), jets(max_terms=4), hs.integers(1, PROP_ORDER - 3))
-def test_structure_columns_are_scaled_residuals(a, b, degree):
+def test_the_former_forms_scaled_structure_rows(a, b, degree):
     field = VectorField(a, b)
-    (scale,), columns = _columns(1, degree, [(a, b)])
+    unknowns, joins, _ = _reads(1, degree)
     monos = structure_monomials(degree)
-    assert len(columns) == 4 * len(monos) + 1
+    # the residual of the zero structure first, then slot by slot
+    assert sorted(unknowns) == [(slot, i, j) for slot in range(4)
+                                for i, j in sorted(monos)] + [(4, 0, 0)]
+    assert unknowns[0] == (4, 0, 0)
+    steps = [max(i + j - 1, 0) for _, i, j in unknowns[1:]]
+    assert steps == sorted(steps)
+    assert list(joins) == [steps.count(d) for d in range(degree)]
+    (scale,), rows = _former(1, degree, [(a, b)])
     base = reference_residual(field, ProjectiveStructure.zero(a.order))
-    # the unknowns slot by slot, then the residual of the zero structure,
-    # whose negation is the right-hand side of invariant_structures
-    wants = [reference_residual(field, monomial_structure(slot, i, j, a.order))
-             - base
-             for slot in range(4) for (i, j) in monos] + [base]
-    for col, want in zip(columns, wants):
-        assert len(col) == degree
-        assert all(0 <= r < 4 * (d + 1) for d, part in enumerate(col)
-                   for r in part)
-        for k in range(4):
-            for (p, q) in structure_monomials(degree - 1):
-                got = entry(col, k, p, q)
-                assert isinstance(got, int)
-                assert Fraction(got, scale) == want.coeff(k).coeff(p, q)
+    # the residual of the zero structure, whose negation is the right-hand
+    # side of invariant_structures, then each monomial's linear part
+    wants = [base] + [reference_residual(
+        field, monomial_structure(slot, i, j, a.order)) - base
+        for slot, i, j in unknowns[1:]]
+    for d in range(degree):
+        for col, want in zip(unit_columns(rows, unknowns, d), wants):
+            assert [Fraction(e, scale) for e in col] == degree_rows(want, d)
+
+
+def basis_structure(v, unknowns, order):
+    """The structure sum_u v_u x^i y^j in slot s over the unknowns
+    u = (s, i, j) of ``_reads(1, ...)``, and the entry of the constant."""
+    slots = [{} for _ in range(4)]
+    for u, e in v.items():
+        s, i, j = unknowns[u]
+        if s < 4:
+            slots[s][i, j] = e
+    return (ProjectiveStructure(*(Jet2.from_terms(t, order) for t in slots)),
+            v.get(0, 0))
+
+
+@hs.composite
+def fields_and_degree(draw):
+    degree = draw(hs.integers(1, 4))
+    order = degree + 3
+    fields = [VectorField(draw(jets(order=order, max_terms=3)),
+                          draw(jets(order=order, max_terms=3)))
+              for _ in range(draw(hs.integers(1, 3)))]
+    return fields, degree
+
+
+@settings(deadline=None, max_examples=20)
+@given(fields_and_degree())
+def test_each_steps_rows_are_scaled_residuals_of_its_basis_structures(case):
+    # invariant_structures' rows at step d, per field f: L_f times the
+    # degree-d residual of each basis structure, less (1 - the constant's
+    # entry) times the residual of the zero structure
+    vfs, degree = case
+    order = vfs[0].a.order
+    unknowns, joins, _ = _reads(1, degree)
+    scales, rows = _former(1, degree, [(v.a, v.b) for v in vfs])
+    bases = [reference_residual(v, ProjectiveStructure.zero(order))
+             for v in vfs]
+    steps = []
+
+    def checked(basis, d):
+        ext = rows(basis, d)
+        h = 4 * (d + 1)
+        assert len(ext) == h * len(vfs)
+        for c, v in enumerate(basis):
+            st, one = basis_structure(v, unknowns, order)
+            for f, (field, base, L) in enumerate(zip(vfs, bases, scales)):
+                res = reference_residual(field, st)
+                assert [row[c] for row in ext[h * f:h * (f + 1)]] == [
+                    L * (e + (one - 1) * z) for e, z in
+                    zip(degree_rows(res, d), degree_rows(base, d))]
+        steps.append(d)
+        return ext
+
+    for _ in _graded_kernel(checked, joins, one=True):
+        pass
+    assert steps == list(range(len(steps))) and steps
 
 
 def reference_invariant_structures(fields, degree):
@@ -801,16 +943,6 @@ def unit_on_free_column(vec):
     return [Fraction(e, last) for e in vec]
 
 
-@hs.composite
-def fields_and_degree(draw):
-    degree = draw(hs.integers(1, 4))
-    order = degree + 3
-    fields = [VectorField(draw(jets(order=order, max_terms=3)),
-                          draw(jets(order=order, max_terms=3)))
-              for _ in range(draw(hs.integers(1, 3)))]
-    return fields, degree
-
-
 @settings(deadline=None, max_examples=25)
 @given(fields_and_degree())
 def test_invariant_structures_matches_the_per_basis_reference(case):
@@ -826,17 +958,20 @@ def sl2_triple(c1, c2, order=9):
 
 
 def one_shot_invariant_structures(fields, degree):
-    """Every field's ``_columns`` rows stacked into one ``solve_affine``,
-    the whole system at once."""
+    """Every field's rows of every degree, each unknown a unit column in
+    slot order and the constant last, in one ``solve_affine``: the whole
+    system at once."""
     monos = structure_monomials(degree)
+    unknowns = _reads(1, degree)[0]
+    order = [unknowns.index((slot, i, j)) for slot in range(4)
+             for i, j in monos] + [unknowns.index((4, 0, 0))]
     rows, rhs = [], []
-    for field in fields:
-        columns = _columns(1, degree, [(field.a, field.b)])[1]
-        for k in range(4):
-            for (p, q) in structure_monomials(degree - 1):
-                row = [entry(col, k, p, q) for col in columns]
-                rows.append(row[:-1])
-                rhs.append(-row[-1])
+    form = _former(1, degree, [(field.a, field.b) for field in fields])[1]
+    for d in range(degree):
+        for row in form([{u: 1} for u in range(len(unknowns))], d):
+            row = [row[c] for c in order]
+            rows.append(row[:-1])
+            rhs.append(-row[-1])
     consistent, particular, basis = solve_affine(rows, rhs)
     if not consistent:
         return InvariantStructures(False, degree, None, ())

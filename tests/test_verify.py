@@ -385,6 +385,29 @@ def test_flat_criteria_flags_the_stated_identity_generically():
     assert byname["ia2:squared-identity"].verdict == PASS
 
 
+@pytest.mark.parametrize("moved", ["root", "u"])
+def test_flat_criteria_root_reconstruction_fails_off_the_root(monkeypatch,
+                                                               moved):
+    # the ia1 root r must give u = g' o psi as (1 + r)/2 or (1 - r)/2: with
+    # x added to r, or to u, neither sign vanishes.  Moving u alone passed
+    # while the check compared f - (1 + f)^2/3 with B for f = (1 +- r)/2,
+    # which the square root makes hold whatever u is.
+    def plus_x(jet):
+        return jet + Jet2.variable("x", jet.order)
+
+    expand_jet, compose1 = cases._jet, cases.compose1
+    if moved == "root":
+        monkeypatch.setattr(cases, "_jet", lambda text, env, order: (
+            plus_x if text == "sqrt(-3*(4*B + 1))" else lambda j: j)(
+                expand_jet(text, env, order)))
+    else:
+        monkeypatch.setattr(cases, "compose1",
+                            lambda f, g: plus_x(compose1(f, g)))
+    checks = flat_criteria_checks({"g1": "1", "g2": "x", "a_ib": "0"}, order=8)
+    assert {c.name: c.verdict for c in checks}["ia1:root-reconstruction"] \
+        == FAIL
+
+
 def test_ib_flattening_germ_reduces_to_a_pure_quadratic_slot():
     order = 10
     st = ProjectiveStructure(jexp("x", order), jexp("0", order),
@@ -614,9 +637,12 @@ def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
     # the least eff of its parts, and no zero_check pass may rest on eff 0
     # or -1, one coefficient checked or none.  Outside zero_check, the
     # flat criteria decide the ia1 identity as stated (3, all nonzero) and
-    # 7 root candidates, thm31.i.b its admissibility and its pair (3 each),
+    # 9 root candidates, thm31.i.b its admissibility and its pair (3 each),
     # remark.pi0 its pair (1), and the pencil batteries decide 85 cleared
-    # geodesic numerators.
+    # geodesic numerators: 353 decisions.  The ia1 roots are compared with
+    # u = g' o psi, which one sign of three samples' roots matches, so two
+    # samples try (1 + r)/2 first in vain (351 decisions while the ia1
+    # candidate checked only what sqrt_series makes true, for both signs).
     seen = []
 
     def deciding(parts):
@@ -639,7 +665,7 @@ def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
         assert Counter((who, vanishes) for who, _, _, vanishes in seen) == {
             ("zero_check", True): 249, ("is_geodesic", True): 85,
             ("flat_criteria_checks", True): 6,
-            ("flat_criteria_checks", False): 4, ("_adm_thm31_ib", False): 3,
+            ("flat_criteria_checks", False): 6, ("_adm_thm31_ib", False): 3,
             ("_thm31_ib_extra", False): 3, ("is_linearizable", False): 1}
         passes = [(name, eff) for who, name, eff, vanishes in seen
                   if who == "zero_check"]
