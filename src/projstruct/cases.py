@@ -13,9 +13,10 @@ Cases that share a shape are data rows of ``_RECORDS``: a
 with its named symmetry fields, bracket table and symmetry dimension.
 Every field is named once, with its formula, in ``_FIELDS``.  What
 differs between cases stays code: each row's ``extra`` checks, and the
-batteries ``affine_family_checks``, ``flat_criteria_checks`` and
-``exotic_sl2_check``.  Every formula is expression text, parsed once
-per process; each identity the paper displays is a row (name, text,
+batteries ``affine_family_checks``, ``flat_criteria_checks`` (a loop over
+two D-unit rows) and ``exotic_sl2_check``; ``_algebra_checks`` builds
+every symmetry and bracket check.  Each formula is expression text, parsed
+once per process; each identity the paper displays is a row (name, text,
 detail) whose text must vanish with its jets bound by name.  Every
 "vanishes", in ``is_linearizable`` and ``is_geodesic`` too, is one
 ``jets.first_nonzero``; counts, ranks and rational ``==`` are not.
@@ -55,8 +56,8 @@ from .records import Record
 from .reports import (INCONSISTENT, PASS, CaseReport, CheckResult, failed,
                       leading_term, passed, recorded, zero_check)
 from .structures import (DiffeoGerm, LiouvillePair, ProjectiveStructure,
-                         c_star_action, geodesic_solve, is_linearizable,
-                         liouville, normalize_D1, pullback)
+                         c_star_action, geodesic_solve, liouville,
+                         normalize_D1, pullback)
 
 # Jet orders for the two linear-algebra solves (see module note).
 _DIM_FLOOR = 8
@@ -102,26 +103,36 @@ def _nodal_cubic(a, b):
 # --- shared check builders --------------------------------------------------
 
 def _identity_check(row, env, order):
-    """Pass when the text of ``row`` (name, text, detail) vanishes."""
-    name, text, detail = row
-    return zero_check(name, _jet(text, env, order), detail)
+    """Pass when the text of ``row`` (name, text, detail) vanishes.  A row
+    with a fourth part, a note, is an identity as the paper states it,
+    paper-inconsistent with that note where its text does not vanish."""
+    name, text, detail, *note = row
+    jet = _jet(text, env, order)
+    if not note:
+        return zero_check(name, jet, detail)
+    if (stated := first_nonzero(jet)) is None:
+        return passed(name, detail + " = 0 at this sample")
+    return CheckResult(name, INCONSISTENT, leading_term(stated[1]),
+                       "%s does not vanish; %s" % (detail, *note))
 
 
-def _symmetry_check(name, field, st, detail=""):
-    return zero_check(name, residual(field, st).coeffs, detail)
+def _algebra_checks(st, named, brackets, prefix="", more=()):
+    """``prefix`` + "symmetry:" checks per ``named`` row (name, field[,
+    detail]) of ``st``, then a "bracket:" check per ``brackets`` row (label,
+    i, j, k): [F_i, F_j] = F_k, the F the named fields and then ``more``."""
+    fields = [field for _, field, *_ in named] + list(more)
+    return ([zero_check(prefix + "symmetry:" + name,
+                        residual(field, st).coeffs, *detail)
+             for name, field, *detail in named]
+            + [_agree_check(prefix + "bracket:" + label,
+                            lie_bracket(fields[i], fields[j]), fields[k])
+               for label, i, j, k in brackets])
 
 
 def _agree_check(name, got, want, detail=""):
     """Pass when the records ``got`` and ``want`` agree in each jet slot."""
     return zero_check(name, (g - w for g, w in zip(got, want)), detail,
                       got._fields)
-
-
-def _bracket_checks(fields, brackets):
-    """One check per ``brackets`` row (label, i, j, k): [F_i, F_j] = F_k."""
-    return [_agree_check("bracket:" + label,
-                         lie_bracket(fields[i], fields[j]), fields[k])
-            for label, i, j, k in brackets]
 
 
 def _dim_check(name, st, expected, detail=""):
@@ -141,6 +152,19 @@ def _dim_check(name, st, expected, detail=""):
 _MEMBER_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), INF)
 _SLOPE_CANDIDATES = (Fraction(1, 5), Fraction(1, 2), Fraction(2),
                      Fraction(-1, 3), Fraction(3))
+
+
+def _not_linearizable_check(pair, detail):
+    """Pass when the obstruction ``pair`` does not vanish."""
+    return (passed("not-linearizable", detail)
+            if first_nonzero(pair) is not None else failed("not-linearizable"))
+
+
+def _cubic_point_check(point, detail):
+    """Pass when ``point`` (a, b) lies on the nodal cubic."""
+    value = _nodal_cubic(*point)
+    return (passed("cubic-point", detail) if value == 0
+            else failed("cubic-point", str(value)))
 
 
 def _first_integral_check(pen, st):
@@ -198,7 +222,7 @@ def _pencil_battery(pen, want, symmetries):
     for name, field, (row0, rowi) in symmetries:
         checks.append(_lie_factor_check("pencil-symmetry:%s" % name,
                                         field, pen, row0, rowi))
-        checks.append(_symmetry_check("symmetry:%s" % name, field, st))
+        checks += _algebra_checks(st, [(name, field)], ())
     return checks
 
 
@@ -302,12 +326,9 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     stab = ("gamma0 * (1 + x)^(-3/2)", "delta0 * (1 + x)^(-1)", "0", "1")
     st = _structure(order, env, *stab)
     v = _field(order, "2 * (1 + x)", "y + beta0", env)
-    checks.append(_symmetry_check("stabilized:symmetry:d_dy", X, st))
-    checks.append(_symmetry_check(
-        "stabilized:symmetry:v", v, st,
-        "v = 2(1+x) d_dx + (y + beta0) d_dy"))
-    checks.append(_agree_check("stabilized:bracket:[d_dy,v]=d_dy",
-                               lie_bracket(X, v), X))
+    checks += _algebra_checks(
+        st, (("d_dy", X), ("v", v, "v = 2(1+x) d_dx + (y + beta0) d_dy")),
+        (("[d_dy,v]=d_dy", 0, 1, 0),), "stabilized:")
     checks.append(_dim_check("stabilized:symmetry-dimension",
                              _dim_structure(order, env, *stab, st=st), 2))
 
@@ -325,13 +346,11 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     checks.append(_identity_check(_ALPHA_ODE_ROW, bound, n))
     vexp = _field(n, "exp(c*y)*alpha",
                   "exp(c*y)*(d_dx(alpha) - c^2*alpha)/(2*c)", bound)
-    checks.append(_symmetry_check(
-        "exponential:symmetry:v", vexp, pi,
-        "v = e^{cy}(alpha d_dx + beta d_dy), beta = (alpha' - c^2 alpha)/(2c)"))
-    checks.append(_symmetry_check("exponential:symmetry:d_dy", Xn, pi))
     cv = VectorField(vexp.a.scale(c), vexp.b.scale(c))
-    checks.append(_agree_check("exponential:bracket:[d_dy,v]=c*v",
-                               lie_bracket(Xn, vexp), cv))
+    checks += _algebra_checks(
+        pi, (("v", vexp, "v = e^{cy}(alpha d_dx + beta d_dy), "
+                         "beta = (alpha' - c^2 alpha)/(2c)"), ("d_dy", Xn)),
+        (("[d_dy,v]=c*v", 1, 0, 2),), "exponential:", (cv,))
     checks += [_identity_check(row, bound, n)
                for row in _EXPONENTIAL_IDENTITIES]
     wide = exponential_member(_DIM_FLOOR + 3)[1] if order < _DIM_FLOOR else pi
@@ -340,11 +359,9 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     expc = ("ib_alpha0 * exp(-x)", "0", "exp(x)", "0")
     stb = _structure(order, env, *expc)
     vb = _field(order, "-1", "y + ib_c", env)
-    checks.append(_symmetry_check("exp-C:symmetry:v", vb, stb,
-                                  "v = -d_dx + (y + ib_c) d_dy"))
-    checks.append(_symmetry_check("exp-C:symmetry:d_dy", X, stb))
-    checks.append(_agree_check("exp-C:bracket:[d_dy,v]=d_dy",
-                               lie_bracket(X, vb), X))
+    checks += _algebra_checks(
+        stb, (("v", vb, "v = -d_dx + (y + ib_c) d_dy"), ("d_dy", X)),
+        (("[d_dy,v]=d_dy", 1, 0, 1),), "exp-C:")
     checks.append(_dim_check("exp-C:symmetry-dimension",
                              _dim_structure(order, env, *expc, st=stb), 2))
     return checks
@@ -395,7 +412,8 @@ _IA1_IDENTITIES = (
      "A = u'/3 + (u+1)(2u-1)(u-2)/27 with u = g' o psi"),
     ("ia1:squared-identity-as-stated",
      "3*(4*B + 1)*A^2 + (4*B^2 + 5*B - 3*d_dx(B) + 1)^2",
-     "3 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2"),
+     "3 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2",
+     "the leading coefficient must be 27"),
     ("ia1:squared-identity-corrected",
      "27*(4*B + 1)*A^2 + (4*B^2 + 5*B - 3*d_dx(B) + 1)^2",
      "27 (4B+1) A^2 + (4B^2 + 5B - 3B' + 1)^2 = 0"),
@@ -407,6 +425,29 @@ _IA2_IDENTITIES = (
     ("ia2:squared-identity", "108*B*A^2 + (4*B^2 - 3*d_dx(B))^2",
      "108 B A^2 + (4B^2 - 3B')^2 = 0"),
 )
+# One row per family: the case of its pencil, the sample key of g, whether
+# its texts read u, its identity rows and its root check (``_root_check``).
+_D_UNIT_ROWS = (
+    ("thm41.i.a.1", "g1", True, _IA1_IDENTITIES,
+     ("ia1:root-reconstruction", "sqrt(-3*(4*B + 1))", "2*u - 1",
+      "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")),
+    ("thm41.i.a.2", "g2", False, _IA2_IDENTITIES,
+     ("ia2:root-reconstruction", "sqrt(-3*B)", "d_dx(g)",
+      "sqrt(-3B) = +- g'")),
+)
+
+
+def _root_check(row, env, order):
+    """Pass when root - w or root + w vanishes, for the texts of ``row``
+    (name, root, w, detail); recorded when the root is not rational."""
+    name, root, want, detail = row
+    try:
+        root, want = _jet(root, env, order), _jet(want, env, order)
+    except NonSquareConstant:
+        return recorded(name, "identity verified, root not rational")
+    if first_nonzero(root - want) and first_nonzero(root + want):
+        return failed(name, leading_term(root - want))
+    return passed(name, detail)
 
 
 def flat_criteria_checks(env, order=DEFAULT_ORDER):
@@ -425,51 +466,16 @@ def flat_criteria_checks(env, order=DEFAULT_ORDER):
         raise InadmissibleParameters(why)
     # The squared identities spend three orders: B' and the normalization.
     order += 3
-
-    env1 = {"g": env["g1"]}
-    pen = CASES["thm41.i.a.1"].runner.pencil(env1, order)
-    nf, germ = normalize_D1(structure_from_pencil(pen))
-    bound = {"A": nf.A, "B": nf.B,
-             "u": compose1(_jet("d_dx(g)", env1, order), germ.u)}
-    rows = _IA1_IDENTITIES
-    checks = [_identity_check(row, bound, order) for row in rows[:2]]
-    name, text, shown = rows[2]
-    stated = first_nonzero(_jet(text, bound, order))
-    checks.append(passed(name, shown + " = 0 at this sample")
-                  if stated is None else CheckResult(
-                      name, INCONSISTENT, leading_term(stated[1]), shown +
-                      " does not vanish; the leading coefficient must be 27"))
-    checks.append(_identity_check(rows[3], bound, order))
-    try:
-        root = _jet("sqrt(-3*(4*B + 1))", bound, order)
-    except NonSquareConstant:
-        checks.append(recorded("ia1:root-reconstruction",
-                               "identity verified, root not rational"))
-    else:
-        ur = {"u": bound["u"], "r": root}
-        ok = any(first_nonzero(_jet(text, ur, order)) is None
-                 for text in ("u - (1 + r)/2", "u - (1 - r)/2"))
-        checks.append(passed(
-            "ia1:root-reconstruction",
-            "f' = (1 +- sqrt(-3(4B+1)))/2 satisfies B = f' - (1+f')^2/3")
-            if ok else failed("ia1:root-reconstruction"))
-
-    env2 = {"g": env["g2"]}
-    pen2 = CASES["thm41.i.a.2"].runner.pencil(env2, order)
-    nf2, _ = normalize_D1(structure_from_pencil(pen2))
-    bound2 = {"A": nf2.A, "B": nf2.B, "g": env["g2"]}
-    checks += [_identity_check(row, bound2, order) for row in _IA2_IDENTITIES]
-    try:
-        root2 = _jet("sqrt(-3*B)", bound2, order)
-    except NonSquareConstant:
-        checks.append(recorded("ia2:root-reconstruction",
-                               "identity verified, root not rational"))
-    else:
-        gp = _jet("d_dx(g)", env2, order)
-        miss = first_nonzero(root2 - gp) and first_nonzero(root2 + gp)
-        checks.append(passed("ia2:root-reconstruction", "sqrt(-3B) = +- g'")
-                      if miss is None else failed("ia2:root-reconstruction",
-                                                  leading_term(root2 - gp)))
+    checks = []
+    for case_id, key, reads_u, rows, root_row in _D_UNIT_ROWS:
+        g = {"g": env[key]}
+        pen = CASES[case_id].runner.pencil(g, order)
+        nf, germ = normalize_D1(structure_from_pencil(pen))
+        bound = {**g, "A": nf.A, "B": nf.B}
+        if reads_u:
+            bound["u"] = compose1(_jet("d_dx(g)", g, order), germ.u)
+        checks += [_identity_check(row, bound, order) for row in rows]
+        checks.append(_root_check(root_row, bound, order))
 
     stc = _structure(order, env, "a_ib", "0", "exp(x)", "0")
     flat = pullback(ib_flattening_germ(stc), stc)
@@ -500,36 +506,31 @@ def exotic_sl2_check(c1, c2, order=DEFAULT_ORDER):
     X = _field(w, *_FIELDS["d_dy"])
     Y = _field(w, *_FIELDS["d_dx+y*d_dy"])
     Z = _field(w, "y + c1 * exp(x)", "y^2/2 + c2 * exp(2*x)", env)
-    checks = _bracket_checks([X, Y, Z], _SL2_BRACKETS)
+    checks = _algebra_checks(None, (), _SL2_BRACKETS, more=(X, Y, Z))
     inv = invariant_structures([X, Y, Z], degree=6)
     if not inv.consistent:
         checks.append(failed("invariant-dimension", "0",
                              "no structure is preserved by the triple"))
         return checks
-    dim = inv.dimension
-    if (c1, c2) == (0, 0):
-        checks.append(passed("invariant-dimension",
-                             "a one-parameter family is preserved")
-                      if dim == 1 else
-                      failed("invariant-dimension", str(dim),
-                             "expected dimension 1"))
+    dim, untwisted = inv.dimension, (c1, c2) == (0, 0)
+    want, shown, why = (
+        (1, "a one-parameter family is preserved", "expected dimension 1")
+        if untwisted else (0, "the preserved structure is an isolated point",
+                           "expected an isolated invariant structure"))
+    checks.append(passed("invariant-dimension", shown) if dim == want
+                  else failed("invariant-dimension", str(dim), why))
+    if untwisted:
         model = _structure(w, None, *_HOMOGENEOUS)
         checks.append(passed("contains-homogeneous-model",
                              "(0, 1/2, 0, e^{-2x}) lies in the family")
                       if inv.contains(model) else
                       failed("contains-homogeneous-model"))
-    else:
-        checks.append(passed("invariant-dimension",
-                             "the preserved structure is an isolated point")
-                      if dim == 0 else
-                      failed("invariant-dimension", str(dim),
-                             "expected an isolated invariant structure"))
-        if dim == 0:
-            checks.append(zero_check(
-                "unique-structure-linearizable",
-                liouville(ProjectiveStructure(*inv.particular)),
-                "the single preserved structure is flat; the twisted "
-                "triple realizes no new geometry"))
+    elif dim == 0:
+        checks.append(zero_check(
+            "unique-structure-linearizable",
+            liouville(ProjectiveStructure(*inv.particular)),
+            "the single preserved structure is flat; the twisted "
+            "triple realizes no new geometry"))
     return checks
 
 
@@ -577,9 +578,8 @@ class _AlgebraEntry(Record):
         st = _structure(order, env, *self.quadruple)
         wide = _dim_structure(order, env, *self.quadruple, st=st)
         fields = [_field(order, *_FIELDS[name]) for name in self.fields]
-        checks = [_symmetry_check("symmetry:" + name, field, st)
-                  for name, field in zip(self.fields, fields)]
-        checks += _bracket_checks(fields, self.brackets)
+        checks = _algebra_checks(st, list(zip(self.fields, fields)),
+                                 self.brackets)
         checks += self.extra(env, order, st, fields, wide)
         if self.dim is not None:
             checks.append(_dim_check("symmetry-dimension", wide, self.dim))
@@ -654,9 +654,8 @@ def _thm31_ib_extra(env, order, st, fields, wide):
             "displayed pairs (0, 2 e^{2x}) and (-e^{-x}, -2 e^{-2x}) "
             "disagree with each other and with the computed "
             "(-e^x, 2 e^{2x})"),
-        passed("not-linearizable",
-               "the pair never vanishes, so no member is flat")
-        if first_nonzero(pair) is not None else failed("not-linearizable")]
+        _not_linearizable_check(
+            pair, "the pair never vanishes, so no member is flat")]
 
 
 def _adm_thm31_iia(env, order):
@@ -721,11 +720,9 @@ def _adm_thm41_iia(env, order):
 
 def _thm41_iia_extra(env, order):
     gm = _frac(env, "gamma")
-    value = cubic_curve_residual(gm)
-    return [passed("cubic-point",
-                   "(a, b) = (%s, %s) lies on the nodal curve"
-                   % (gm * (2 * gm * gm - 1), 2 - 3 * gm * gm))
-            if value == 0 else failed("cubic-point", str(value)),
+    point = gm * (2 * gm * gm - 1), 2 - 3 * gm * gm
+    return [_cubic_point_check(
+                point, "(a, b) = (%s, %s) lies on the nodal curve" % point),
             _cubic_identity_check()]
 
 
@@ -737,13 +734,11 @@ def _adm_thm41_iib1(env, order):
 
 
 def _thm41_iii_extra(env, order, st, fields, wide):
-    value = _nodal_cubic(Fraction(0), Fraction(1, 2))
     family = CASES["thm31.ii.a"].runner.quadruple
     return [
-        passed("cubic-point",
-               "the limit values (a, b) = (0, 1/2) satisfy the nodal "
-               "cubic equation")
-        if value == 0 else failed("cubic-point", str(value)),
+        _cubic_point_check((Fraction(0), Fraction(1, 2)),
+                           "the limit values (a, b) = (0, 1/2) satisfy the "
+                           "nodal cubic equation"),
         _agree_check(
             "limit-structure", st,
             _structure(order, {"alpha": "0", "beta": "1/2"}, *family),
@@ -795,8 +790,8 @@ def _remark_pi0_extra(env, order, st, fields, wide):
         passed("algebra-singular-at-origin",
                "all three fields vanish at the origin")
         if vanish else failed("algebra-singular-at-origin"),
-        passed("not-linearizable", "the obstruction pair is nonzero")
-        if not is_linearizable(st) else failed("not-linearizable"),
+        _not_linearizable_check(liouville(st),
+                                "the obstruction pair is nonzero"),
         _dim_check("symmetry-dimension", wide, 3),
         _dim_check("symmetry-dimension-shifted",
                    _dim_structure(order, None, *shifted), 3,

@@ -14,11 +14,19 @@ from fractions import Fraction
 
 
 def _coerce(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError("dual parts must be rational, got %r" % (value,))
+
+
+def _dual_operand(method):
+    """``method`` with its operand read by ``as_dual``, or NotImplemented."""
+    def binary(self, other):
+        other = as_dual(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return method(self, other)
+    return binary
 
 
 class DualRational:
@@ -30,30 +38,22 @@ class DualRational:
 
     # -- ring structure ----------------------------------------------
 
+    @_dual_operand
     def __add__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return DualRational(self.re + other.re, self.ep + other.ep)
 
     __radd__ = __add__
 
+    @_dual_operand
     def __sub__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return DualRational(self.re - other.re, self.ep - other.ep)
 
+    @_dual_operand
     def __rsub__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_dual_operand
     def __mul__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return DualRational(self.re * other.re,
                             self.re * other.ep + self.ep * other.re)
 
@@ -62,16 +62,12 @@ class DualRational:
     def __neg__(self):
         return DualRational(-self.re, -self.ep)
 
+    @_dual_operand
     def __truediv__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other._inverse()
 
+    @_dual_operand
     def __rtruediv__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other * self._inverse()
 
     def _inverse(self):
@@ -86,10 +82,8 @@ class DualRational:
     def is_unit(self):
         return self.re != 0
 
+    @_dual_operand
     def __eq__(self, other):
-        other = as_dual(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.re == other.re and self.ep == other.ep
 
     def __hash__(self):

@@ -14,9 +14,9 @@ bound.  Two bounds are tracked:
     ``order``), and binary operations propagate the weaker bound.
 
 Equality of germs is therefore always a statement "up to the common
-effective order" (:meth:`Jet2.agree`), and every verdict that a germ
-vanishes is one :func:`first_nonzero`.  ``==`` is strict structural
-equality (same order, same eff, same coefficients), mainly for tests.
+effective order" (:meth:`Jet2.agree`, a vanishing difference), and every
+verdict that a germ vanishes is one :func:`first_nonzero`.  ``==`` is
+strict structural equality (same order, eff and terms), mainly for tests.
 
 Every jet is stored in one form, as FLINT's ``fmpq_poly`` is: ``_num``
 maps (i, j) to a nonzero numerator, with no key of degree above ``eff``,
@@ -210,12 +210,20 @@ class Jet2:
     __slots__ = ("order", "eff", "_num", "_den", "_coeffs", "_val")
 
     def __init__(self, coeffs, order, eff=None):
+        """``coeffs`` maps pairs (i, j) of ints >= 0 to values that
+        ``as_coeff`` reads; terms of degree above ``eff`` are dropped."""
         if order < 0:
             raise ValueError("jet order must be >= 0")
         eff = order if eff is None else min(eff, order)
         eff = max(eff, -1)
-        clean = {(i, j): c for (i, j), c in coeffs.items()
-                 if i + j <= eff and not c == 0}
+        clean = {}
+        for k, c in coeffs.items():
+            if not (type(k) is tuple and len(k) == 2
+                    and all(type(e) is int and e >= 0 for e in k)):
+                raise ValueError("bad jet key %r, not a pair of ints >= 0"
+                                 % (k,))
+            if not (c := as_coeff(c)) == 0 and sum(k) <= eff:
+                clean[k] = c
         self.order, self.eff, self._coeffs, self._val = order, eff, None, None
         self._num, self._den = _canonical(clean, 1)
 
@@ -242,7 +250,7 @@ class Jet2:
 
     @classmethod
     def constant(cls, value, order, eff=None):
-        return cls({(0, 0): as_coeff(value)}, order, eff)
+        return cls({(0, 0): value}, order, eff)
 
     @classmethod
     def variable(cls, name, order):
@@ -254,11 +262,11 @@ class Jet2:
 
     @classmethod
     def monomial(cls, i, j, value, order, eff=None):
-        return cls({(i, j): as_coeff(value)}, order, eff)
+        return cls({(i, j): value}, order, eff)
 
     @classmethod
     def from_terms(cls, terms, order, eff=None):
-        return cls({k: as_coeff(v) for k, v in terms.items()}, order, eff)
+        return cls(terms, order, eff)
 
     # -- basic queries ----------------------------------------------------
 
@@ -298,12 +306,7 @@ class Jet2:
 
     def agree(self, other):
         """Coefficientwise equality up to the common effective order."""
-        other = self._lift(other)
-        e = min(self.eff, other.eff)
-        a, b = self._num, other._num
-        keys = [(i, j) for (i, j) in a.keys() | b.keys() if i + j <= e]
-        da, db = self._den, other._den
-        return all(a.get(k, 0) * db == b.get(k, 0) * da for k in keys)
+        return first_nonzero(self - other) is None
 
     def __eq__(self, other):
         if not isinstance(other, Jet2):
@@ -427,7 +430,9 @@ class Jet2:
                          self._den, self.order, self.eff)
 
     def truncated(self, order=None, eff=None):
-        """A copy with lowered bounds (never raises either bound)."""
+        """A copy with lowered bounds (never raises either bound), order >= 0."""
+        if order is not None and order < 0:
+            raise ValueError("jet order must be >= 0")
         order = self.order if order is None else min(order, self.order)
         eff = self.eff if eff is None else min(eff, self.eff)
         return self._window(order, eff)

@@ -32,7 +32,7 @@ from .jets import (Jet2, _is_unit, _quotients, _sum_of_products, _sum_window,
                    first_nonzero)
 from .slopes import SlopePoly
 from .structures import (ProjectiveStructure, _JetRecord, _all_along,
-                         swap_axes)
+                         _slope_cubic, swap_axes)
 
 
 class _Infinity:
@@ -97,9 +97,7 @@ def foliation_residual(fol, st):
     """
     fol, st = _upright(fol, st)
     s = slope(fol)
-    s2 = s * s
-    rhs = st.A + st.B * s + st.C * s2 + st.D * (s2 * s)
-    return s.d_dx() + s * s.d_dy() - rhs
+    return s.d_dx() + s * s.d_dy() - _slope_cubic(*st, s)
 
 
 def _cleared_residual(fol, st):

@@ -384,8 +384,11 @@ def geodesic_residual(st, curve):
 
 def _rhs_along(st, curve):
     """A + B y' + C y'^2 + D y'^3 along the curve."""
-    yp = curve.d_dx()
-    yp2 = yp * yp
-    a, b, c, d = _all_along(tuple(st), curve)
-    return _sum_of_products([(1, a, Jet2.constant(1, a.order)), (1, b, yp),
-                             (1, c, yp2), (1, d, yp2 * yp)])
+    return _slope_cubic(*_all_along(tuple(st), curve), curve.d_dx())
+
+
+def _slope_cubic(a, b, c, d, p):
+    """a + b p + c p^2 + d p^3 for jets a, b, c, d and p: one kernel sum."""
+    p2 = p * p
+    return _sum_of_products([(1, a, Jet2.constant(1, a.order)), (1, b, p),
+                             (1, c, p2), (1, d, p2 * p)])

@@ -18,14 +18,16 @@ PROP_ORDER = 6
 @pytest.fixture(scope="session")
 def registry_traffic():
     """Each ``residual``, ``pullback``, ``structure_from_pencil``,
-    ``is_geodesic``, ``_rhs_along`` and ``Jet2.__sub__`` call of
-    ``run_all(12)`` and ``run_all(8)``: its arguments and the jets it built
-    (``Jet2._new`` calls outside ``_substitute_all``), and per pass the
-    number of calls of each and the jets built in all."""
+    ``is_geodesic``, ``_rhs_along``, ``Jet2.__sub__``, ``Jet2.agree`` and
+    ``cases._root_check`` call of ``run_all(12)`` and ``run_all(8)``: its
+    arguments and the jets it built (``Jet2._new`` calls outside
+    ``_substitute_all``), and per pass the number of calls of each and the
+    jets built in all."""
     from projstruct import cases, fields, pencils, structures
 
     calls = {"residual": [], "pullback": [], "structure_from_pencil": [],
-             "is_geodesic": [], "rhs_along": [], "sub": []}
+             "is_geodesic": [], "rhs_along": [], "sub": [], "agree": [],
+             "root_check": []}
     built, substituted = [0], [0]
     make = Jet2._new.__func__
     substitute_all = structures._substitute_all
@@ -65,6 +67,9 @@ def registry_traffic():
         mp.setattr(structures, "_rhs_along", recording(
             "rhs_along", structures._rhs_along))
         mp.setattr(Jet2, "__sub__", recording("sub", Jet2.__sub__))
+        mp.setattr(Jet2, "agree", recording("agree", Jet2.agree))
+        mp.setattr(cases, "_root_check", recording("root_check",
+                                                   cases._root_check))
         for order in (12, 8):
             before = built[0]
             start = {name: len(c) for name, c in calls.items()}
@@ -109,16 +114,16 @@ def substitution_traffic():
 
 @pytest.fixture(scope="session")
 def deep_traffic():
-    """The arguments of each ``pullback``, ``is_geodesic`` and ``_rhs_along``
-    call of the ``deep-jets`` benchmark workload (seeds 1-3, round 0,
-    orders 16 and 20), and (fs, u, v, result) of each ``_substitute_all``
-    call."""
+    """The arguments of each ``pullback``, ``is_geodesic``, ``_rhs_along``
+    and ``Jet2.agree`` call of the ``deep-jets`` benchmark workload (seeds
+    1-3, round 0, orders 16 and 20), and (fs, u, v, result) of each
+    ``_substitute_all`` call."""
     import projstruct
     from projstruct import structures
 
     workloads = bench_workloads()
     calls = {"pullback": [], "is_geodesic": [], "rhs_along": [],
-             "substitute_all": []}
+             "agree": [], "substitute_all": []}
 
     def recording(name, fn):
         def wrapper(*args):
@@ -134,6 +139,7 @@ def deep_traffic():
                    recording("is_geodesic", projstruct.is_geodesic))
         mp.setattr(structures, "_rhs_along",
                    recording("rhs_along", structures._rhs_along))
+        mp.setattr(Jet2, "agree", recording("agree", Jet2.agree))
         for seed in (1, 2, 3):
             for order in (16, 20):
                 for op in workloads.deep_round(projstruct, seed, 0, order):
@@ -475,6 +481,17 @@ def assert_same_structure(got, want):
     for g, w in zip(got, want):
         assert (g.order, g.eff, g._num, g._den) \
             == (w.order, w.eff, w._num, w._den)
+
+
+def reference_agree(f, g):
+    """``Jet2.agree`` as it was before it read the difference through
+    ``first_nonzero``: numerators cross-multiplied by the other
+    denominator, key by key, through the common eff."""
+    g = f._lift(g)
+    e = min(f.eff, g.eff)
+    a, b = f._num, g._num
+    keys = [(i, j) for (i, j) in a.keys() | b.keys() if i + j <= e]
+    return all(a.get(k, 0) * g._den == b.get(k, 0) * f._den for k in keys)
 
 
 def reference_sub(f, g):

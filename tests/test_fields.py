@@ -218,11 +218,15 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # per remark.flat sample; then 9445 and 9268 while the ia1 root
     # reconstruction expanded f - (1 + f)^2/3 - B for f = (1 + r)/2, true of
     # either sign by construction: u - (1 +- r)/2, which compares the root
-    # with u = g' o psi, is 16 jets fewer per pass for its 5 candidates
+    # with u = g' o psi, is 16 jets fewer per pass for its 5 candidates;
+    # then 9429 and 9252 while Jet2.agree cross-multiplied coefficients:
+    # it now builds the difference jet, 29 per pass (17 geodesic solves, 6
+    # normalize_D1 and 6 c_star_action calls), and the ia1 root check
+    # builds 6 fewer, as 2u - 1 -+ r in place of u - (1 +- r)/2
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 9429, 8: 9252}
+        == {12: 9452, 8: 9275}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

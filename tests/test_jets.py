@@ -2,6 +2,7 @@ import cProfile
 import math
 import pstats
 import timeit
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,7 @@ from conftest import (
     nonzero_fractions,
     rational_or_dual_jets,
     redrawn,
+    reference_agree,
     reference_sub,
     reference_substitute_all,
     small_fractions,
@@ -85,6 +87,90 @@ def test_strict_equality_sees_eff():
     v = J({(1, 0): 1}, eff=3)
     assert u != v
     assert u.agree(v)
+
+
+def test_a_float_coefficient_is_refused():
+    # it once became a float numerator: 0.5 * x, past the "no floats" rule
+    with pytest.raises(TypeError, match="jet coefficient"):
+        Jet2({(0, 0): 0.5}, 3)
+    with pytest.raises(TypeError, match="jet coefficient"):
+        Jet2.from_terms({(2, 0): 1.5}, 1)   # above the window too
+
+
+def test_a_text_coefficient_is_read_as_a_fraction():
+    # it once stayed a str and broke the first sum with a bare TypeError
+    half = Jet2({(0, 0): "1/2"}, 3)
+    assert half + Jet2.constant(1, 3) == Jet2.constant(Fraction(3, 2), 3)
+    assert half == Jet2.from_terms({(0, 0): Fraction(1, 2)}, 3)
+
+
+@pytest.mark.parametrize("key", [(-1, 2), (0, -1), (1, 2, 3), (1,),
+                                 (1.0, 0), (True, 0), "xy", 3])
+def test_a_key_that_is_no_pair_of_naturals_is_refused(key):
+    # (-1, 2) once printed as y^2, and its product with x^2 + y held
+    # x^3 y^3, degree 6 at order 4
+    with pytest.raises(ValueError, match="not a pair of ints >= 0"):
+        Jet2({key: 1, (1, 1): 2}, 4)
+    with pytest.raises(ValueError, match="not a pair of ints >= 0"):
+        Jet2.from_terms({key: 1}, 4)
+
+
+def test_from_terms_is_the_constructor():
+    terms = {(0, 0): 1, (1, 0): "2/3", (0, 1): Fraction(-1, 2), (3, 1): 5}
+    for eff in (None, -1, 2, 7):
+        assert Jet2.from_terms(terms, 6, eff) == Jet2(terms, 6, eff)
+
+
+@pytest.mark.parametrize("order", [-1, -5])
+def test_truncated_refuses_a_negative_order(order):
+    # the cut once made a jet of order -1, and the integral of a jet of
+    # order -5 had eff -5, below the -1 floor of every other path
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        Jet2.variable("x", 4).truncated(order=order)
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        Jet2.zero(3).truncated(order)
+    assert Jet2.zero(3).truncated(0).order == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, PROP_ORDER).flatmap(
+           lambda n: st.tuples(rational_or_dual_jets(order=n),
+                               rational_or_dual_jets(order=n),
+                               st.integers(-1, n), st.integers(-1, n),
+                               st.integers(-1, n))),
+       rational_or_dual_jets(), small_fractions)
+@example((X, X + Jet2.monomial(3, 0, 1, 8), 8, 2, 3), X + EPS, Fraction(0))
+def test_agree_is_the_reference(same_order, other, c):
+    # over int, Fraction and dual coefficients, with windows from -1 to
+    # the order: pairs that differ only above a window, pairs of two
+    # orders, a jet against itself and against scalars
+    u, v, eu, ev, top = same_order
+    u, v = u.truncated(eff=eu), v.truncated(eff=ev)
+    w = u + v.truncated(eff=-1) + Jet2.monomial(top, 0, 1, u.order) \
+        if top >= 0 else u
+    for f, g in ((u, v), (v, u), (u, u), (u, w), (w, u), (u, other),
+                 (other, v), (u, c), (u, 0), (u, u.constant_term)):
+        assert f.agree(g) == reference_agree(f, g)
+
+
+def test_agree_is_the_reference_on_every_registry_call(registry_traffic):
+    # 29 a pass: 17 geodesic solves, 6 normalize_D1 and 6 c_star_action
+    # calls, each building its difference jet
+    calls, passes = registry_traffic
+    assert {order: p["agree"] for order, p in passes.items()} \
+        == {12: 29, 8: 29}
+    assert {n for *_, n in calls["agree"]} == {1}
+    for f, g, _ in calls["agree"]:
+        assert f.agree(g) is reference_agree(f, g) is True
+
+
+def test_deep_jets_agree_is_the_reference(deep_traffic):
+    # the 12 geodesic solves and the workload's own gates
+    calls = deep_traffic["agree"]
+    assert len(calls) == 84
+    assert Counter(f.agree(g) for f, g in calls) == {True: 84}
+    for f, g in calls:
+        assert f.agree(g) == reference_agree(f, g)
 
 
 def _reference_first_nonzero(parts):

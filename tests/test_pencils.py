@@ -116,6 +116,59 @@ def test_foliation_residual_keeps_its_window_when_the_inputs_are_redrawn(
                         foliation_residual(*full))
 
 
+def reference_foliation_residual(fol, st):
+    """``foliation_residual`` as the seven jet operations it chained before
+    its slope cubic was the one kernel sum it shares with ``_rhs_along``."""
+    fol, st = _upright(fol, st)
+    s = slope(fol)
+    s2 = s * s
+    rhs = st.A + st.B * s + st.C * s2 + st.D * (s2 * s)
+    return s.d_dx() + s * s.d_dy() - rhs
+
+
+@hs.composite
+def windowed_foliations(draw):
+    """A foliation and a structure over the rationals or the duals, of
+    orders 0 to PROP_ORDER, each jet cut to a window from -1 (from 0 for
+    the unit of the form) to its order; half of them vertical."""
+    order = draw(hs.integers(0, PROP_ORDER))
+    vertical = draw(hs.booleans())
+    unit = draw(rational_or_dual_jets(order, unit_constant=True))
+    assume(unit.eff >= 0)
+    unit = unit.truncated(eff=draw(hs.integers(0, order)))
+    other, *slots = (
+        f.truncated(eff=draw(hs.integers(-1, order))) for f in
+        [draw(rational_or_dual_jets(order, zero_constant=vertical))]
+        + [draw(rational_or_dual_jets(order)) for _ in range(4)])
+    fol = Foliation(unit, other) if vertical else Foliation(other, unit)
+    return fol, ProjectiveStructure(*slots)
+
+
+@settings(deadline=None, max_examples=100)
+@given(windowed_foliations())
+def test_foliation_residual_is_the_reference_in_short_windows(case):
+    assert_same_jets([foliation_residual(*case)],
+                     [reference_foliation_residual(*case)])
+
+
+def test_foliation_residual_is_the_reference_on_every_registry_member(
+        registry_traffic):
+    # is_geodesic's fallback and every members-geodesic failure detail
+    # read foliation_residual: here on each member a pass decides
+    calls, _ = registry_traffic
+    assert len(calls["is_geodesic"]) == 170
+    for fol, stq, _ in calls["is_geodesic"]:
+        assert_same_jets([foliation_residual(fol, stq)],
+                         [reference_foliation_residual(fol, stq)])
+
+
+def test_deep_jets_foliation_residual_is_the_reference(deep_traffic):
+    assert len(deep_traffic["is_geodesic"]) == 12
+    for fol, stq in deep_traffic["is_geodesic"]:
+        assert_same_jets([foliation_residual(fol, stq)],
+                         [reference_foliation_residual(fol, stq)])
+
+
 def test_parabolas_fail_against_the_trivial_structure():
     # leaves of dy - 2x dx are y = x^2 + c; residual s_x + s s_y = 2
     fol = F("-2*x", "1")

@@ -13,16 +13,20 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projstruct.errors import (
     InadmissibleParameters,
+    NonSquareConstant,
     PreconditionViolated,
     UnknownCase,
 )
 from projstruct.expressions import expand, parse
 from projstruct.jets import Jet2, first_nonzero
-from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED,
-                                render_json, render_text)
+from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED, failed,
+                                leading_term, passed, recorded, render_json,
+                                render_text)
 from projstruct.structures import LiouvillePair, ProjectiveStructure, pullback
 from projstruct import cases, fields, pencils, reports, structures
 from projstruct.cases import _FIELDS, _AlgebraEntry, _PencilEntry
@@ -39,7 +43,7 @@ from projstruct import (
     run_case,
 )
 
-from conftest import alpha_ode_lower
+from conftest import PROP_ORDER, alpha_ode_lower, rational_or_dual_jets
 
 # The classified normal forms and the pencil catalogue carry these ids as
 # their external contract; the remaining entries cover the affine family,
@@ -408,6 +412,85 @@ def test_flat_criteria_root_reconstruction_fails_off_the_root(monkeypatch,
         == FAIL
 
 
+# --- the root checks against their hand-written bodies --------------------------
+
+_IA1_ROOT, _IA2_ROOT = (row[-1] for row in cases._D_UNIT_ROWS)
+
+
+def _reference_ia1_root(u, r, order):
+    # the ia1 check before the two families shared one: u - (1 + r)/2 or
+    # u - (1 - r)/2 vanishes, and a failure shows the residual "0"
+    ok = any(first_nonzero(cases._jet(text, {"u": u, "r": r}, order)) is None
+             for text in ("u - (1 + r)/2", "u - (1 - r)/2"))
+    return passed(_IA1_ROOT[0], _IA1_ROOT[3]) if ok else failed(_IA1_ROOT[0])
+
+
+def _reference_ia2_root(r, g, order):
+    # the ia2 check before the two families shared one
+    gp = cases._jet("d_dx(g)", {"g": g}, order)
+    miss = first_nonzero(r - gp) and first_nonzero(r + gp)
+    return (passed(_IA2_ROOT[0], _IA2_ROOT[3]) if miss is None
+            else failed(_IA2_ROOT[0], leading_term(r - gp)))
+
+
+def _reference_root_check(row, bound, order):
+    ia1 = row is _IA1_ROOT
+    try:
+        r = cases._jet(row[1], bound, order)
+    except NonSquareConstant:
+        return recorded(row[0], "identity verified, root not rational")
+    return (_reference_ia1_root(bound["u"], r, order) if ia1
+            else _reference_ia2_root(r, bound["g"], order))
+
+
+def test_root_checks_are_the_reference_on_every_registry_call(
+        registry_traffic):
+    calls, passes = registry_traffic
+    assert {order: p["root_check"] for order, p in passes.items()} \
+        == {12: 6, 8: 6}
+    for row, bound, order, _ in calls["root_check"]:
+        got = cases._root_check(row, bound, order)
+        assert got.verdict == PASS
+        assert got == _reference_root_check(row, bound, order)
+
+
+@st.composite
+def root_pairs(draw):
+    """(order, f, r): jets over the rationals or the duals at one order,
+    each cut to a window from -1 to the order, and r the root to compare
+    with w = 2f - 1 (ia1) or w = f' (ia2): +-w, +-w plus a term of a
+    random degree, or a jet of its own."""
+    order = draw(st.integers(0, PROP_ORDER))
+    f = draw(rational_or_dual_jets(order))
+    f = f.truncated(eff=draw(st.integers(-1, order)))
+    ia1 = draw(st.booleans())
+    w = f.scale(2) - 1 if ia1 else f.d_dx()
+    kind = draw(st.sampled_from(("root", "near", "own")))
+    r = draw(rational_or_dual_jets(order)) if kind == "own" \
+        else w.scale(draw(st.sampled_from((1, -1))))
+    if kind == "near":
+        d = draw(st.integers(0, order))
+        r = r + Jet2.monomial(d, 0, draw(st.sampled_from((1, -2))), order)
+    return ia1, order, f, r.truncated(eff=draw(st.integers(-1, order)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(root_pairs())
+def test_root_checks_are_the_reference_in_short_windows(case):
+    # the row's root text read as a bound root r, so that any r is drawn
+    ia1, order, f, r = case
+    name, _, want, detail = _IA1_ROOT if ia1 else _IA2_ROOT
+    bound = {"u": f, "r": r} if ia1 else {"g": f, "r": r}
+    got = cases._root_check((name, "r", want, detail), bound, order)
+    ref = (_reference_ia1_root(f, r, order) if ia1
+           else _reference_ia2_root(r, f, order))
+    assert got.verdict == ref.verdict
+    if ref.verdict == PASS or not ia1:
+        assert got == ref
+    else:
+        assert got.residual_leading_term == leading_term(r - (f.scale(2) - 1))
+
+
 def test_ib_flattening_germ_reduces_to_a_pure_quadratic_slot():
     order = 10
     st = ProjectiveStructure(jexp("x", order), jexp("0", order),
@@ -560,7 +643,7 @@ def catalogue_expansions():
 
 
 def test_the_references_hold_exactly_the_rows(catalogue_expansions):
-    rows = {parse(text): name for name, text, _ in _ROWS}
+    rows = {parse(text): name for name, text, *_ in _ROWS}
     assert len(rows) == 11
     names = set()
     for e, env, order, _ in catalogue_expansions:
@@ -569,10 +652,10 @@ def test_the_references_hold_exactly_the_rows(catalogue_expansions):
     assert names == set(rows.values())
 
 
-@pytest.mark.parametrize("row", _ROWS, ids=[name for name, _, _ in _ROWS])
+@pytest.mark.parametrize("row", _ROWS, ids=[name for name, *_ in _ROWS])
 def test_identity_row_expands_to_its_hand_written_body(catalogue_expansions,
                                                        row):
-    name, text, _ = row
+    name, text, *_ = row
     tree = parse(text)
     seen = [(env, order, jet) for e, env, order, jet in catalogue_expansions
             if e == tree]
@@ -636,13 +719,14 @@ def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
     # (is_linearizable, is_geodesic).  The window a verdict rests on is
     # the least eff of its parts, and no zero_check pass may rest on eff 0
     # or -1, one coefficient checked or none.  Outside zero_check, the
-    # flat criteria decide the ia1 identity as stated (3, all nonzero) and
-    # 9 root candidates, thm31.i.b its admissibility and its pair (3 each),
-    # remark.pi0 its pair (1), and the pencil batteries decide 85 cleared
-    # geodesic numerators: 353 decisions.  The ia1 roots are compared with
-    # u = g' o psi, which one sign of three samples' roots matches, so two
-    # samples try (1 + r)/2 first in vain (351 decisions while the ia1
-    # candidate checked only what sqrt_series makes true, for both signs).
+    # identity check decides the ia1 identity as stated (3, all nonzero),
+    # the root check 9 root candidates, thm31.i.b its admissibility (3),
+    # the not-linearizable check the pairs of thm31.i.b and remark.pi0
+    # (4), and the pencil batteries 85 cleared geodesic numerators: 353
+    # decisions.  The ia1 roots are compared with u = g' o psi, which one
+    # sign of three samples' roots matches, so two samples try r - (2u - 1)
+    # first in vain (351 decisions while the ia1 candidate checked only
+    # what sqrt_series makes true, for both signs).
     seen = []
 
     def deciding(parts):
@@ -664,9 +748,9 @@ def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
         run_all(order=order)
         assert Counter((who, vanishes) for who, _, _, vanishes in seen) == {
             ("zero_check", True): 249, ("is_geodesic", True): 85,
-            ("flat_criteria_checks", True): 6,
-            ("flat_criteria_checks", False): 6, ("_adm_thm31_ib", False): 3,
-            ("_thm31_ib_extra", False): 3, ("is_linearizable", False): 1}
+            ("_identity_check", False): 3, ("_root_check", True): 6,
+            ("_root_check", False): 3, ("_adm_thm31_ib", False): 3,
+            ("_not_linearizable_check", False): 4}
         passes = [(name, eff) for who, name, eff, vanishes in seen
                   if who == "zero_check"]
         assert all(eff >= 1 for _, eff in passes)
