@@ -8,14 +8,17 @@ induces the stated cubic equation (with its members geodesic and the
 pencil parameter a first integral), and that the squared first-order
 flatness identities hold after normalization.
 
-Cases that share a shape are data rows of ``_RECORDS``: a
+Cases that share a shape are data rows run by one of two runners: a
 ``_PencilEntry`` holds a flat pencil, an ``_AlgebraEntry`` a structure
-with its named symmetry fields, bracket table and symmetry dimension.
-Every field is named once, with its formula, in ``_FIELDS``.  What
-differs between cases stays code: each row's ``extra`` checks, and the
-batteries ``affine_family_checks``, ``flat_criteria_checks`` (a loop over
-two D-unit rows) and ``exotic_sl2_check``; ``_algebra_checks`` builds
-every symmetry and bracket check.  Each formula is expression text, parsed
+with its symmetry fields, bracket table and symmetry dimension; the
+stabilized and C-unit families of ``sec3.aff`` are two more
+``_AlgebraEntry`` rows.  Every field is named once, with its formula, in
+``_FIELDS``, or written as its own text row where one family reads it.
+What differs between cases stays code: each row's ``extra`` checks, and
+the batteries ``affine_family_checks`` (its exponential family, which
+solves the alpha-ODE), ``flat_criteria_checks`` (a loop over two D-unit
+rows) and ``exotic_sl2_check``; ``_algebra_checks`` builds every
+symmetry and bracket check.  Each formula is expression text, parsed
 once per process; each identity the paper displays is a row (name, text,
 detail) whose text must vanish with its jets bound by name.  Every
 "vanishes", in ``is_linearizable`` and ``is_geodesic`` too, is one
@@ -30,12 +33,14 @@ command; rendering lives in :mod:`projstruct.reports`.
 
 Working-order note: dimension counts and invariant-structure solves run
 on jets of floor orders 8 and 9, above the degree 7 that each reads (the
-order-7 count and the degree-6 solve); :func:`_dim_structure` (for every
-dimension check) and ``exotic_sl2_check`` build those jets at
-``max(order, floor)`` so that verdicts do not depend on the report order.
-The ``sec3.aff`` exponential sub-battery and ``flat_criteria_checks`` work
-three orders higher, which their formulas spend (a''' in A; the
-normalization and B'), so that no identity holds on an empty window.
+order-7 count and the degree-6 solve).  Every structure that a dimension
+check reads (the algebra runner's ``wide``, the exponential family's and
+``remark.pi0``'s recentred one) and ``exotic_sl2_check``'s fields are
+built at ``max(order, floor)`` or above, so that verdicts do not depend on
+the report order.  The ``sec3.aff`` exponential family and
+``flat_criteria_checks`` work three orders higher, which their formulas
+spend (a''' in A; the normalization and B'), so that no identity holds
+on an empty window.
 """
 
 import functools
@@ -82,14 +87,6 @@ def _jet(text, env, order):
 
 def _structure(order, env, *texts):
     return ProjectiveStructure(*(_jet(t, env, order) for t in texts))
-
-
-def _dim_structure(order, env, *texts, st=None):
-    """The structure at the dimension floor; ``st``, the same texts
-    expanded at ``order``, is reused when ``order`` is already there."""
-    if st is not None and order >= _DIM_FLOOR:
-        return st
-    return _structure(max(order, _DIM_FLOOR), env, *texts)
 
 
 def _field(order, a, b, env=None):
@@ -195,47 +192,19 @@ def _lie_factor_check(name, field, pen, row0, rowi):
     return passed(name, "; ".join(parts))
 
 
-def _pencil_battery(pen, want, symmetries):
-    """Checks shared by every pencil entry.
-
-    ``symmetries`` lists (name, field, (row0, row_inf)) where
-    row0 = (a, b) states L_v omega_0 = a*omega_0 + b*omega_inf and
-    row_inf likewise for omega_inf.
-    """
-    checks = []
-    # a Pencil with a wedge that is not a unit is refused at construction
-    checks.append(passed("wedge-unit",
-                         "wedge leading term %s" % leading_term(pen.wedge())))
-    st = structure_from_pencil(pen)
-    checks.append(_agree_check(
-        "derived-structure", st, want,
-        "the pencil induces the listed coefficient quadruple"))
-    bad = [z for z in _MEMBER_SAMPLES if not is_geodesic(member(pen, z), st)]
-    if bad:
-        res = foliation_residual(member(pen, bad[0]), st)
-        checks.append(failed("members-geodesic", leading_term(res),
-                             "failing members z in {%s}"
-                             % ", ".join(str(z) for z in bad)))
-    else:
-        checks.append(passed("members-geodesic", "z in {0, 1, -1, 2, inf}"))
-    checks.append(_first_integral_check(pen, st))
-    for name, field, (row0, rowi) in symmetries:
-        checks.append(_lie_factor_check("pencil-symmetry:%s" % name,
-                                        field, pen, row0, rowi))
-        checks += _algebra_checks(st, [(name, field)], ())
-    return checks
-
-
 # --- standalone verification ops ---------------------------------------------
+
+def _curve_point(gamma):
+    """The nodal curve's point (gamma (2 gamma^2 - 1), 2 - 3 gamma^2)."""
+    return gamma * (2 * gamma * gamma - 1), 2 - 3 * gamma * gamma
+
 
 def cubic_curve_residual(gamma):
     """27 a^2 + 4 b^3 - 12 b^2 + 9 b - 2 at the curve point for ``gamma``.
 
-    The point is (a, b) = (gamma (2 gamma^2 - 1), 2 - 3 gamma^2); the
-    value is identically zero in gamma (a degree-6 identity).
+    The value is identically zero in gamma (a degree-6 identity).
     """
-    g = Fraction(gamma)
-    return _nodal_cubic(g * (2 * g * g - 1), 2 - 3 * g * g)
+    return _nodal_cubic(*_curve_point(Fraction(gamma)))
 
 
 # The quartic alpha-ODE: the exponential sub-battery's first identity row.
@@ -320,18 +289,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
     why = _adm_sec3_aff(env, order)
     if why:
         raise InadmissibleParameters(why)
-    checks = []
-    X = _field(order, *_FIELDS["d_dy"])
-
-    stab = ("gamma0 * (1 + x)^(-3/2)", "delta0 * (1 + x)^(-1)", "0", "1")
-    st = _structure(order, env, *stab)
-    v = _field(order, "2 * (1 + x)", "y + beta0", env)
-    checks += _algebra_checks(
-        st, (("d_dy", X), ("v", v, "v = 2(1+x) d_dx + (y + beta0) d_dy")),
-        (("[d_dy,v]=d_dy", 0, 1, 0),), "stabilized:")
-    checks.append(_dim_check("stabilized:symmetry-dimension",
-                             _dim_structure(order, env, *stab, st=st), 2))
-
+    checks = _STABILIZED_FAMILY(env, order, "stabilized:")
     c = _frac(env, "c")
     a_jet3 = (1, _frac(env, "a1"), _frac(env, "a2"), _frac(env, "a3"))
 
@@ -355,16 +313,7 @@ def affine_family_checks(env, order=DEFAULT_ORDER):
                for row in _EXPONENTIAL_IDENTITIES]
     wide = exponential_member(_DIM_FLOOR + 3)[1] if order < _DIM_FLOOR else pi
     checks.append(_dim_check("exponential:symmetry-dimension", wide, 2))
-
-    expc = ("ib_alpha0 * exp(-x)", "0", "exp(x)", "0")
-    stb = _structure(order, env, *expc)
-    vb = _field(order, "-1", "y + ib_c", env)
-    checks += _algebra_checks(
-        stb, (("v", vb, "v = -d_dx + (y + ib_c) d_dy"), ("d_dy", X)),
-        (("[d_dy,v]=d_dy", 1, 0, 1),), "exp-C:")
-    checks.append(_dim_check("exp-C:symmetry-dimension",
-                             _dim_structure(order, env, *expc, st=stb), 2))
-    return checks
+    return checks + _EXP_C_FAMILY(env, order, "exp-C:")
 
 
 def ib_flattening_germ(st):
@@ -561,11 +510,13 @@ class _AlgebraEntry(Record):
     """One symmetry-algebra case as data; calling it runs the case.
 
     The structure ``quadruple`` is expression text in the sample's
-    environment; ``fields`` names its symmetries in ``_FIELDS``, and each
-    ``brackets`` row (label, i, j, k) states [F_i, F_j] = F_k.  Then come
-    ``extra(env, order, st, fields, wide)``, where ``wide`` is the
+    environment; each of ``fields`` names a symmetry in ``_FIELDS`` or is
+    its own row (name, a, b, detail) of text in that environment, and
+    each ``brackets`` row (label, i, j, k) states [F_i, F_j] = F_k.  Then
+    come ``extra(env, order, st, fields, wide)``, where ``wide`` is the
     structure at the dimension floor, and last the check that the
-    symmetry dimension is ``dim`` (None: ``extra`` states it).
+    symmetry dimension is ``dim`` (None: ``extra`` states it).  The
+    symmetry, bracket and dimension checks are named after ``prefix``.
     """
 
     quadruple: tuple
@@ -574,15 +525,18 @@ class _AlgebraEntry(Record):
     dim: object = None
     extra: object = _no_extra
 
-    def __call__(self, env, order):
+    def __call__(self, env, order, prefix=""):
         st = _structure(order, env, *self.quadruple)
-        wide = _dim_structure(order, env, *self.quadruple, st=st)
-        fields = [_field(order, *_FIELDS[name]) for name in self.fields]
-        checks = _algebra_checks(st, list(zip(self.fields, fields)),
-                                 self.brackets)
-        checks += self.extra(env, order, st, fields, wide)
+        wide = (st if order >= _DIM_FLOOR
+                else _structure(_DIM_FLOOR, env, *self.quadruple))
+        named = [(row, _field(order, *_FIELDS[row])) if isinstance(row, str)
+                 else (row[0], _field(order, row[1], row[2], env), row[3])
+                 for row in self.fields]
+        checks = _algebra_checks(st, named, self.brackets, prefix)
+        checks += self.extra(env, order, st, [f for _, f, *_ in named], wide)
         if self.dim is not None:
-            checks.append(_dim_check("symmetry-dimension", wide, self.dim))
+            checks.append(_dim_check(prefix + "symmetry-dimension", wide,
+                                     self.dim))
         return checks
 
 
@@ -592,8 +546,9 @@ class _PencilEntry(Record):
     Pencil ``forms`` (P0, Q0, Pinf, Qinf), induced ``quadruple`` and
     Lie-factor rows are expression text in the sample's environment.
     ``symmetries`` rows (name, row0, row_inf) name their field in
-    ``_FIELDS``; ``extra`` gives the checks that follow
-    :func:`_pencil_battery`.
+    ``_FIELDS``; row0 = (a, b) states L_v omega_0 = a*omega_0 +
+    b*omega_inf, and row_inf likewise for omega_inf.  The checks every
+    pencil shares come first, then ``extra(env, order)``.
     """
 
     forms: tuple
@@ -608,16 +563,47 @@ class _PencilEntry(Record):
         def row(texts):
             return tuple(_jet(t, env, order).constant_term for t in texts)
 
-        syms = [(name, _field(order, *_FIELDS[name]), (row(r0), row(ri)))
-                for name, r0, ri in self.symmetries]
-        want = _structure(order, env, *self.quadruple)
-        return (_pencil_battery(self.pencil(env, order), want, syms)
-                + self.extra(env, order))
+        pen = self.pencil(env, order)
+        # a Pencil with a wedge that is not a unit is refused at construction
+        checks = [passed("wedge-unit",
+                         "wedge leading term %s" % leading_term(pen.wedge()))]
+        st = structure_from_pencil(pen)
+        checks.append(_agree_check(
+            "derived-structure", st, _structure(order, env, *self.quadruple),
+            "the pencil induces the listed coefficient quadruple"))
+        bad = [z for z in _MEMBER_SAMPLES
+               if not is_geodesic(member(pen, z), st)]
+        if bad:
+            res = foliation_residual(member(pen, bad[0]), st)
+            checks.append(failed("members-geodesic", leading_term(res),
+                                 "failing members z in {%s}"
+                                 % ", ".join(str(z) for z in bad)))
+        else:
+            checks.append(passed("members-geodesic",
+                                 "z in {0, 1, -1, 2, inf}"))
+        checks.append(_first_integral_check(pen, st))
+        for name, r0, ri in self.symmetries:
+            field = _field(order, *_FIELDS[name])
+            checks.append(_lie_factor_check("pencil-symmetry:%s" % name,
+                                            field, pen, row(r0), row(ri)))
+            checks += _algebra_checks(st, [(name, field)], ())
+        return checks + self.extra(env, order)
 
 
 _SL2_BRACKETS = (("[X,Y]=X", 0, 1, 0), ("[X,Z]=Y", 0, 2, 1),
                  ("[Y,Z]=Z", 1, 2, 2))
 _ZERO_ROW = ("0", "0")
+
+# sec3.aff's stabilized and C-unit families (see ``affine_family_checks``).
+_STABILIZED_FAMILY = _AlgebraEntry(
+    ("gamma0 * (1 + x)^(-3/2)", "delta0 * (1 + x)^(-1)", "0", "1"),
+    ("d_dy", ("v", "2 * (1 + x)", "y + beta0",
+              "v = 2(1+x) d_dx + (y + beta0) d_dy")),
+    (("[d_dy,v]=d_dy", 0, 1, 0),), 2)
+_EXP_C_FAMILY = _AlgebraEntry(
+    ("ib_alpha0 * exp(-x)", "0", "exp(x)", "0"),
+    (("v", "-1", "y + ib_c", "v = -d_dx + (y + ib_c) d_dy"), "d_dy"),
+    (("[d_dy,v]=d_dy", 1, 0, 1),), 2)
 
 
 # --- what differs between rows ---------------------------------------------
@@ -719,8 +705,7 @@ def _adm_thm41_iia(env, order):
 
 
 def _thm41_iia_extra(env, order):
-    gm = _frac(env, "gamma")
-    point = gm * (2 * gm * gm - 1), 2 - 3 * gm * gm
+    point = _curve_point(_frac(env, "gamma"))
     return [_cubic_point_check(
                 point, "(a, b) = (%s, %s) lies on the nodal curve" % point),
             _cubic_identity_check()]
@@ -794,7 +779,7 @@ def _remark_pi0_extra(env, order, st, fields, wide):
                                 "the obstruction pair is nonzero"),
         _dim_check("symmetry-dimension", wide, 3),
         _dim_check("symmetry-dimension-shifted",
-                   _dim_structure(order, None, *shifted), 3,
+                   _structure(max(order, _DIM_FLOOR), None, *shifted), 3,
                    "recentered at (0, 1), away from the singular point")]
 
 

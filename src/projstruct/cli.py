@@ -58,6 +58,7 @@ class DocumentError(ProjstructError):
 
 _HEADER = re.compile(r"\[(?P<header>.+)\]")     # configparser's SECTCRE
 _OPTION = re.compile(r"(.*?)\s*[=:]\s*(.*)")     # ... and its OPTCRE
+_KIND = re.compile(r"(\S*)(.*)", re.S)          # a header: kind, the rest
 
 
 class InputDocument(Record):
@@ -198,11 +199,13 @@ def load_document(path):
 
     fields = {}
     for section in sections:
-        kind, _, name = section.partition(" ")
+        kind, name = _KIND.match(section).groups()
         if kind == "field":
             name = name.strip()
             if not name:
                 raise DocumentError("field section needs a name: [field NAME]")
+            if name in fields:
+                raise DocumentError("two sections name the field %s" % name)
             fields[name] = VectorField(jet(section, "a"), jet(section, "b"))
 
     pencil = None

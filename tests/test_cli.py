@@ -168,6 +168,24 @@ def test_a_nameless_field_section_is_refused(write, capsys):
                             "[field NAME]\n")
 
 
+def test_two_sections_that_name_one_field_are_refused(write, capsys):
+    # [field  X] names the field of [field X]; keeping only the later
+    # section would decide symcheck on d_dx, a symmetry of this structure
+    doc = ('[structure]\nA = "1"\n\n[field X]\na = "0"\nb = "1"\n\n'
+           '[field  X]\na = "1"\nb = "0"\n')
+    assert dispatch(["symcheck", write(doc), "--field", "X"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: two sections name the field X\n"
+
+
+def test_any_whitespace_separates_a_field_name(write, capsys):
+    path = write(TRIVIAL_DOC.replace("[field VERT]", "[field\tVERT]"))
+    assert set(load_document(path).fields) == {"VERT", "TILT"}
+    assert dispatch(["symcheck", path, "--field", "VERT"]) == 0
+    assert capsys.readouterr().out.startswith("symmetry: ")
+
+
 def test_reader_errors_name_the_file(write, capsys):
     path = write("[structure]\nA\n")
     assert dispatch(["invariants", path]) == 3

@@ -222,11 +222,14 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # then 9429 and 9252 while Jet2.agree cross-multiplied coefficients:
     # it now builds the difference jet, 29 per pass (17 geodesic solves, 6
     # normalize_D1 and 6 c_star_action calls), and the ia1 root check
-    # builds 6 fewer, as 2u - 1 -+ r in place of u - (1 +- r)/2
+    # builds 6 fewer, as 2u - 1 -+ r in place of u - (1 +- r)/2; then 9452
+    # and 9275 while sec3.aff's stabilized and C-unit families were written
+    # by hand and shared one d_dy: as rows, each expands its own, 2 jets
+    # more per sample
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 9452, 8: 9275}
+        == {12: 9458, 8: 9281}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

@@ -1101,6 +1101,16 @@ def test_every_jet_of_a_registry_pass_and_a_deep_round_reads_its_valuation(
         assert_valuation(jet)
 
 
+def test_every_jet_of_a_registry_pass_and_a_deep_round_stores_ints(
+        built_jets):
+    # the AST guard test_the_package_computes_without_floats sees float
+    # literals and calls, not an int / int made at run time: a float
+    # numerator or denominator would show here
+    for jet in built_jets:
+        assert type(jet._den) is int
+        assert all(type(n) is int for n in jet._num.values())
+
+
 @settings(deadline=None, max_examples=60)
 @given(rational_or_dual_jets(), rational_or_dual_jets(zero_constant=True),
        st.integers(0, PROP_ORDER + 2), st.integers(-1, PROP_ORDER + 2))

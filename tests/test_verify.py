@@ -24,6 +24,7 @@ from projstruct.errors import (
 )
 from projstruct.expressions import expand, parse
 from projstruct.jets import Jet2, first_nonzero
+from projstruct.linalg import rank
 from projstruct.reports import (FAIL, INCONSISTENT, PASS, RECORDED, failed,
                                 leading_term, passed, recorded, render_json,
                                 render_text)
@@ -759,3 +760,54 @@ def test_every_vanishing_verdict_rests_on_a_window(monkeypatch):
             assert {name for name, eff in passes if eff == least[12]} \
                 == {"unique-structure-linearizable"}
     assert least == {12: 4, 6: 4, 3: 1}
+
+
+# --- necessity: the structures each algebra row's fields preserve -----------
+
+# The family each algebra row's fields preserve, as the paper states it: a
+# particular structure and independent directions, in closed form.
+NECESSARY_FAMILIES = {
+    "thm31.ii.a": (("0", "0", "0", "0"),
+                   (("exp(x)", "0", "0", "0"), ("0", "1", "0", "0"),
+                    ("0", "0", "exp(-x)", "0"), ("0", "0", "0", "exp(-2*x)"))),
+    "thm31.iii": (("0", "1/2", "0", "0"), (("0", "0", "0", "exp(-2*x)"),)),
+    "thm31.iv": (("0", "0", "0", "0"), ()),
+}
+
+
+def row_fields(case_id, degree):
+    """The named fields of an algebra row, expanded at degree + 2."""
+    return [fields.VectorField(*(expand(t, None, degree + 2)
+                                 for t in _FIELDS[name]))
+            for name in CASES[case_id].runner.fields]
+
+
+def coefficient_row(st, degree):
+    return [jet.coeff(i, d - i) for jet in st
+            for d in range(degree + 1) for i in range(d + 1)]
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+def test_the_vertical_translation_preserves_every_x_only_structure(degree):
+    # thm31.i.a before it normalizes: d_dy keeps any four functions of x
+    inv = fields.invariant_structures(row_fields("thm31.i.a", degree), degree)
+    assert inv.dimension == 4 * (degree + 1)
+    assert all(jet.is_x_only() for st in inv.basis for jet in st)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("case_id", sorted(NECESSARY_FAMILIES))
+def test_an_algebra_row_preserves_exactly_its_family(case_id, degree):
+    # the computed space has as many directions as the stated family, which
+    # lies in it, so the two agree through the degree
+    particular, directions = NECESSARY_FAMILIES[case_id]
+    inv = fields.invariant_structures(row_fields(case_id, degree), degree)
+    assert inv.dimension == len(directions)
+    base = ProjectiveStructure(*(expand(t, None, degree) for t in particular))
+    assert inv.contains(base)
+    steps = [ProjectiveStructure(*(expand(t, None, degree) for t in texts))
+             for texts in directions]
+    for step in steps:
+        assert inv.contains(ProjectiveStructure(
+            *(p + q for p, q in zip(base, step))))
+    assert rank([coefficient_row(s, degree) for s in steps]) == len(steps)
