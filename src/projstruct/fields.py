@@ -259,12 +259,15 @@ def _reads(side, order):
     steps = [max(i + j - 2 + side, 0) for _, i, j in unknowns]
     unknowns = [(4, 0, 0)] * side + sorted(
         unknowns, key=lambda u: max(u[1] + u[2] - 2 + side, 0))
+    by_slot = {}   # the terms of each slot on this side, in table order
+    for k, c, *parts in _TERMS:
+        (slot, dx, dy), known = parts[side], parts[1 - side]
+        by_slot.setdefault(slot, []).append((k, c, dx, dy, known))
     reads = {}
     for q, (u, i, j) in enumerate(unknowns):
-        for k, c, *parts in _TERMS:
-            (slot, dx, dy), known = parts[side], parts[1 - side]
+        for k, c, dx, dy, known in by_slot.get(u, ()):
             w, sh = c * perm(i, dx) * perm(j, dy), i + j - dx - dy
-            if slot == u and w and sh <= top:
+            if w and sh <= top:
                 reads.setdefault(known, [[] for _ in range(top + 1)])[
                     sh].append((q, k, w, i - dx))
     return (tuple(unknowns), tuple(map(steps.count, range(top + 1))),

@@ -57,9 +57,10 @@ products c f g in one such box over one denominator and reduces once; it
 forms each slot of ``residual``, ``liouville``, ``pullback``, the slope
 products and ``apply_y_shift``, the six parts of ``is_geodesic``'s cleared
 numerator, ``_rhs_along`` and ``Pencil.wedge``.  Substitution
-(``_substitute_all``) builds the powers of u and v once and a product jet
-only for a mixed term x^i y^j of f, shared by every f: a pure power
-reads u^i or v^j itself.
+(``_substitute_all``) builds the powers of u and v once; a pure power of f
+reads u^i or v^j itself, and a mixed term x^i y^j takes the numerators of
+one ``_product`` u^i v^j, formed once and shared by every f, with no jet
+built for it.
 
 The series kernels end by construction; none iterates to a fixed point
 under a cap.  A coefficient of degree d of a quotient and of the Euler
@@ -69,7 +70,9 @@ degree fixes each once (``_graded_solve``):
 - ``a / b``: q_k = (a_k - sum_(e != 0) b_e q_(k-e)) / b_0, on integer
   numerators over the one denominator da c^(eff+1), c the constant
   numerator of b, with no inverse jet and no product; ``inverse`` is
-  ``1 / b``, and ``_quotients`` divides several in one bit-packed pass;
+  ``1 / b``, and ``_quotients`` divides several in one bit-packed pass,
+  or, by a divisor whose only term is c, scales integer numerators with
+  no pass;
 - ``_euler_solve(g)``: the f with f_0 = 1 and E f = f g, for the Euler
   operator E = x d/dx + y d/dy; at degree d, d f_k = sum_e g_e f_(k-e),
   on integer numerators over eff! den^eff.  ``exp_series(u)`` is the
@@ -540,13 +543,14 @@ def _sum_of_products(terms, cap=None):
 def _quotients(nums, b):
     """[a / b for a in nums], for a jet ``b`` with a unit constant term.
 
-    One graded pass, with no inverse and no product.  With a = A/da,
-    b = B/db (integer numerators) and c = B_00, the integers
-    Z_k = c^(d+1) (A/B)_k at degree d obey
-    Z_k = c^d A_k - sum_e c^(deg e - 1) B_e Z_(k-e); then (a/b)_k is
-    db Z_k c^(eff-d) over the one denominator da c^(eff+1), in the window
-    a * (1/b) has.  Over the dual numbers c is a dual unit, ``_canonical``
-    divides by that denominator, and each a runs its own pass.
+    With a = A/da and b = B/db (integer numerators), a divisor whose only
+    term is its constant c scales: a/b is db A over da c, in the window
+    a * (1/b) has.  Any other divisor takes one graded pass, with no
+    inverse and no product: the integers Z_k = c^(d+1) (A/B)_k at degree d
+    obey Z_k = c^d A_k - sum_e c^(deg e - 1) B_e Z_(k-e); then (a/b)_k is
+    db Z_k c^(eff-d) over the one denominator da c^(eff+1).  Over the dual
+    numbers c is a dual unit, ``_canonical`` divides by that denominator,
+    and each a runs its own pass.
 
     Several integer numerators share one pass to the largest eff, the r-th
     Z at bit offset r S of one int (J.-G. Dumas, L. Fousse and B. Salvy,
@@ -555,7 +559,8 @@ def _quotients(nums, b):
     and keys of degree d, and t_e that of |tail| over degree e,
     u_d = s_d + sum_(e=1..d) t_e u_(d-e) bounds sum_(deg k = d) |Z_k| in
     every slot; S is two bits past max u_d.  Slot r is ((P + B) >> rS) &
-    (2^S - 1) - 2^(S-1), for B = sum_r 2^(S-1) 2^(rS), through its eff.
+    (2^S - 1) - 2^(S-1), for B = sum_r 2^(S-1) 2^(rS), through its eff,
+    and each slot's jet is built straight from those words.
     """
     c = b._num.get((0, 0), 0)
     if not _is_unit(c):
@@ -563,6 +568,12 @@ def _quotients(nums, b):
     orders = [min(a.order, b.order) for a in nums]
     effs = [min(order, a.eff, b.eff + a._val_bound())
             for a, order in zip(nums, orders)]
+    db = b._den
+    ints = all(type(n) is int for f in (b, *nums) for n in f._num.values())
+    if ints and len(b._num) == 1:
+        return [Jet2._new({(i, j): db * n for (i, j), n in a._num.items()
+                           if i + j <= eff}, a._den * c, order, eff)
+                for a, order, eff in zip(nums, orders, effs)]
     top = max(effs)
     cpow = list(accumulate(repeat(c, top + 1), mul, initial=1))
     tail = {(i, j): -n * cpow[i + j - 1]
@@ -570,32 +581,31 @@ def _quotients(nums, b):
     starts = [{(i, j): n * cpow[i + j]
                for (i, j), n in a._num.items() if i + j <= eff}
               for a, eff in zip(nums, effs)]
-    if len(nums) == 1 or not all(type(n) is int for f in (b, *nums)
-                                 for n in f._num.values()):
-        solved = [_graded_solve(tail, s, eff) for s, eff in zip(starts, effs)]
-    else:
-        u, t = [0] * (top + 1), [0] * (top + 1)
-        for sums, terms in [(u, start) for start in starts] + [(t, tail)]:
-            for (i, j), n in terms.items():
-                sums[i + j] += abs(n)
-        for d in range(top + 1):  # s_d becomes u_d
-            u[d] += sum(map(mul, t[1:d + 1], reversed(u[:d])))
-        width = max(u, default=0).bit_length() + 2
-        packed = dict(starts[0])
-        for r, start in enumerate(starts[1:], 1):
-            for k, n in start.items():
-                packed[k] = packed.get(k, 0) + (n << (r * width))
-        half, mask = 1 << (width - 1), (1 << width) - 1
-        bias = sum(half << (r * width) for r in range(len(nums)))
-        out = [(k, w + bias) for k, w in _graded_solve(tail, packed, top).items()]
-        solved = [{(i, j): z for (i, j), w in out if i + j <= eff
-                   and (z := ((w >> (r * width)) & mask) - half)}
-                  for r, eff in enumerate(effs)]
-    db = b._den
-    return [Jet2._new({(i, j): db * n * cpow[eff - i - j]
-                       for (i, j), n in z.items()},
+    if len(nums) == 1 or not ints:
+        return [Jet2._new({(i, j): db * n * cpow[eff - i - j] for (i, j), n
+                           in _graded_solve(tail, start, eff).items()},
+                          a._den * cpow[eff + 1], order, eff)
+                for a, order, eff, start in zip(nums, orders, effs, starts)]
+    u, t = [0] * (top + 1), [0] * (top + 1)
+    for sums, terms in [(u, start) for start in starts] + [(t, tail)]:
+        for (i, j), n in terms.items():
+            sums[i + j] += abs(n)
+    for d in range(top + 1):  # s_d becomes u_d
+        u[d] += sum(map(mul, t[1:d + 1], reversed(u[:d])))
+    width = max(u, default=0).bit_length() + 2
+    packed = dict(starts[0])
+    for r, start in enumerate(starts[1:], 1):
+        for k, n in start.items():
+            packed[k] = packed.get(k, 0) + (n << (r * width))
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    bias = sum(half << (r * width) for r in range(len(nums)))
+    words = [(i, j, w + bias)
+             for (i, j), w in _graded_solve(tail, packed, top).items()]
+    return [Jet2._new({(i, j): db * z * cpow[eff - i - j] for i, j, w in words
+                       if i + j <= eff
+                       and (z := ((w >> (r * width)) & mask) - half)},
                       a._den * cpow[eff + 1], order, eff)
-            for a, order, eff, z in zip(nums, orders, effs, solved)]
+            for r, (a, order, eff) in enumerate(zip(nums, orders, effs))]
 
 
 # -- composition ------------------------------------------------------------
@@ -619,8 +629,9 @@ def _substitute_all(fs, u, v):
 
     The powers of u and v are built once.  A pure power x^i or y^j of f
     reads u^i or v^j itself, as u^i * 1 would have its window and stored
-    form; each mixed product u^i v^j (i, j >= 1) is built once and shared
-    by every f that has a term x^i y^j.
+    form; each mixed product u^i v^j (i, j >= 1) is formed once, as the
+    numerators, denominator and window that ``u^i * v^j`` would reduce
+    and store, and shared by every f that has a term x^i y^j.
     """
     fs = tuple(fs)
     drift = 0
@@ -636,7 +647,7 @@ def _substitute_all(fs, u, v):
                    max((i for f in fs for (i, _) in f._num), default=0), order)
     vpow = _powers(v.truncated(order),
                    max((j for f in fs for (_, j) in f._num), default=0), order)
-    products = {}   # (i, j) -> u^i v^j, for i, j >= 1
+    products = {}   # (i, j) -> (num, den, eff) of u^i v^j, for i, j >= 1
     out = []
     for f in fs:
         eff = min(f.eff, u.eff, v.eff, order) - drift
@@ -646,12 +657,17 @@ def _substitute_all(fs, u, v):
                 continue  # that power is exactly zero to full order
             if i and j:
                 if (i, j) not in products:
-                    products[(i, j)] = upow[i] * vpow[j]
-                term = products[(i, j)]
+                    p, q = upow[i], vpow[j]
+                    e = min(order, p.eff + q._val_bound(),
+                            q.eff + p._val_bound())
+                    products[(i, j)] = (_product(p._num, q._num, e),
+                                        p._den * q._den, e)
+                num, den, e = products[(i, j)]
             else:
                 term = upow[i] if i else vpow[j]
-            eff = min(eff, term.eff)
-            parts.append((c, term._num, f._den * term._den))
+                num, den, e = term._num, term._den, term.eff
+            eff = min(eff, e)
+            parts.append((c, num, f._den * den))
         eff = max(eff, -1)
         out.append(Jet2._new(*_lincomb(parts, eff), order, eff))
     return out

@@ -7,7 +7,10 @@ A projective structure (germ at the origin) is the second-order ODE
 identified with its coefficient quadruple of 2-jets.  Graphs of
 solutions are the geodesics.  The right-hand side being cubic in the
 slope is exactly the condition preserved by arbitrary coordinate
-changes, which is what :func:`pullback` implements.
+changes, which is what :func:`pullback` implements.  :func:`liouville`
+gives the obstruction to flatness, each invariant one kernel sum of its
+second derivatives and four products whose partners are linear
+combinations of first derivatives.
 """
 
 import math
@@ -227,19 +230,35 @@ class LiouvillePair(_JetRecord):
 
 
 def liouville(st):
-    """The obstruction pair (L1, L2); both vanish iff linearizable."""
+    """The obstruction pair (L1, L2); both vanish iff linearizable.
+
+    L1 = 2 b_xy - c_xx - 3 a_yy + 3 a (c_y - 2 d_x) - 3 a_x d + 3 a_y c
+    + b (c_x - 2 b_y) and L2 = 2 c_xy - b_yy - 3 d_xx - 3 d (b_x - 2 a_y)
+    + 3 a d_y - 3 b d_x - c (b_y - 2 c_x), each one kernel sum of three
+    second derivatives and four products, a partner g - 2 h one
+    ``__add__``.  The second derivatives cap each at its slots' eff - 2,
+    and grouping adds only windows f.eff + val g >= f.eff, so both keep the
+    windows of the sums written with (a c)_y and (b d)_x.  For the same
+    reason a grouped product whose factor f is empty, 0 in a window of at
+    least f.eff, is left out with its partner.
+    """
     a, b, c, d = st
-    ax, ay, by, cx = a.d_dx(), a.d_dy(), b.d_dy(), c.d_dx()
+    ax, bx, cx, dx = (f.d_dx() for f in st)
+    ay, by, cy, dy = (f.d_dy() for f in st)
     one = Jet2.constant(1, st.order)
     l1 = _sum_of_products([
-        (2, b.d_dx().d_dy(), one), (-1, cx.d_dx(), one), (-3, ay.d_dy(), one),
-        (-6, a, d.d_dx()), (-3, ax, d), (3, (a * c).d_dy(), one), (1, b, cx),
-        (-2, b, by)])
+        (2, bx.d_dy(), one), (-1, cx.d_dx(), one), (-3, ay.d_dy(), one),
+        (-3, ax, d), (3, ay, c)] + _grouped((3, a, cy, dx), (1, b, cx, by)))
     l2 = _sum_of_products([
-        (2, cx.d_dy(), one), (-1, by.d_dy(), one), (-3, d.d_dx().d_dx(), one),
-        (6, ay, d), (3, a, d.d_dy()), (-3, (b * d).d_dx(), one), (-1, by, c),
-        (2, c, cx)])
+        (2, cx.d_dy(), one), (-1, by.d_dy(), one), (-3, dx.d_dx(), one),
+        (3, a, dy), (-3, b, dx)] + _grouped((-3, d, bx, ay), (-1, c, by, cx)))
     return LiouvillePair(l1, l2)
+
+
+def _grouped(*rows):
+    """The kernel terms s f (g - 2 h) of ``rows`` (s, f, g, h), each
+    partner one ``__add__``, less those whose factor f is empty."""
+    return [(s, f, g.__add__(h, -2)) for s, f, g, h in rows if f._num]
 
 
 def is_linearizable(st):

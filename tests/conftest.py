@@ -494,6 +494,27 @@ def reference_agree(f, g):
     return all(a.get(k, 0) * g._den == b.get(k, 0) * f._den for k in keys)
 
 
+def reference_liouville(st):
+    """``structures.liouville`` as it was while it formed ten products, two
+    of them, (a c) and (b d), through their full window before
+    differentiating them."""
+    from projstruct.jets import _sum_of_products
+    from projstruct.structures import LiouvillePair
+
+    a, b, c, d = st
+    ax, ay, by, cx = a.d_dx(), a.d_dy(), b.d_dy(), c.d_dx()
+    one = Jet2.constant(1, st.order)
+    l1 = _sum_of_products([
+        (2, b.d_dx().d_dy(), one), (-1, cx.d_dx(), one), (-3, ay.d_dy(), one),
+        (-6, a, d.d_dx()), (-3, ax, d), (3, (a * c).d_dy(), one), (1, b, cx),
+        (-2, b, by)])
+    l2 = _sum_of_products([
+        (2, cx.d_dy(), one), (-1, by.d_dy(), one), (-3, d.d_dx().d_dx(), one),
+        (6, ay, d), (3, a, d.d_dy()), (-3, (b * d).d_dx(), one), (-1, by, c),
+        (2, c, cx)])
+    return LiouvillePair(l1, l2)
+
+
 def reference_sub(f, g):
     """f - g as two jets, a negation and a sum: the form ``Jet2.__sub__``
     had before it was one ``_lincomb``."""

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from math import gcd
+from math import gcd, perm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,9 @@ from projstruct.fields import (
     InvariantStructures,
     VectorField,
     _former,
+    _TERMS,
     _graded_kernel,
+    _monomials,
     _reads,
     _symbol,
     invariant_structures,
@@ -225,11 +227,14 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # builds 6 fewer, as 2u - 1 -+ r in place of u - (1 +- r)/2; then 9452
     # and 9275 while sec3.aff's stabilized and C-unit families were written
     # by hand and shared one d_dy: as rows, each expands its own, 2 jets
-    # more per sample
+    # more per sample; then 9458 and 9281 while _substitute_all built a jet
+    # for each mixed product u^i v^j and liouville formed (a c) and (b d):
+    # substitution now keeps their numerators, 65 and 41 jets fewer per
+    # pass, and liouville forms no partner for an empty factor, 15 fewer
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 9458, 8: 9281}
+        == {12: 9378, 8: 9225}
 
 
 def test_residual_of_x_translation_shifts_coefficients():
@@ -570,6 +575,39 @@ def test_the_read_plan_is_built_on_first_use_once_per_order():
     # a later call reads the same plan, which no caller can change
     assert tuples_all_the_way(_reads(0, 7))
     assert tuples_all_the_way(_reads(1, 6))
+
+
+def reference_reads(side, order):
+    """``fields._reads`` as it was while it weighed every term of
+    ``_TERMS`` against every unknown before it tested the term's slot."""
+    top = order - 2 + side
+    if side:
+        unknowns = [(s, i, j) for s in range(4) for i, j in _monomials(order)]
+    else:
+        unknowns = [(f, i, j) for i, j in _monomials(order)[::-1]
+                    for f in range(2)]
+    steps = [max(i + j - 2 + side, 0) for _, i, j in unknowns]
+    unknowns = [(4, 0, 0)] * side + sorted(
+        unknowns, key=lambda u: max(u[1] + u[2] - 2 + side, 0))
+    reads = {}
+    for q, (u, i, j) in enumerate(unknowns):
+        for k, c, *parts in _TERMS:
+            (slot, dx, dy), known = parts[side], parts[1 - side]
+            w, sh = c * perm(i, dx) * perm(j, dy), i + j - dx - dy
+            if slot == u and w and sh <= top:
+                reads.setdefault(known, [[] for _ in range(top + 1)])[
+                    sh].append((q, k, w, i - dx))
+    return (tuple(unknowns), tuple(map(steps.count, range(top + 1))),
+            tuple((known, tuple(map(tuple, by_shift)))
+                  for known, by_shift in reads.items()))
+
+
+@pytest.mark.parametrize("side, order", [(0, 8), (1, 9), (0, 9), (1, 5),
+                                         (0, 3)])
+def test_the_read_plan_is_the_reference(side, order):
+    # the terms indexed by their slot give the plan that weighing every
+    # term against every unknown gave, in the same order
+    assert _reads(side, order) == reference_reads(side, order)
 
 
 def former_traffic(side, order, blocks, basis, d):

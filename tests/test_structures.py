@@ -41,12 +41,14 @@ from conftest import (
     assert_same_jets,
     assert_same_structure,
     assert_window_holds,
+    bench_workloads,
     cut_windows,
     diffeo_germs,
     jets,
     nonzero_fractions,
     rational_or_dual_jets,
     redrawn,
+    reference_liouville,
     slope_product,
     slope_sum,
     slope_times,
@@ -467,6 +469,98 @@ def test_liouville_of_exponential_model():
     assert lp.L1.agree(jexp("-exp(x)"))
     assert lp.L2.agree(jexp("2*exp(2*x)"))
     assert not is_linearizable(stq)
+
+
+@st.composite
+def liouville_inputs(draw):
+    """Structures whose four slots differ in eff (-1 up to the order) and
+    in valuation, each x-only or not, sparse or dense, rational or dual.
+    A slot is known to the order two times in three, so that the sum keeps
+    a window long enough to hold its products."""
+    order = draw(st.integers(0, 8) | st.integers(5, 8))
+    return ProjectiveStructure(*(draw(windowed_or_dual(
+        order, x_only=draw(st.booleans()), low=draw(st.integers(0, 2)),
+        min_eff=draw(st.sampled_from((-1, order, order))))) for _ in range(4)))
+
+
+@settings(REDRAWN, max_examples=50)
+@given(liouville_inputs())
+# slots at eff -1, 0 and 1 beside a dense one
+@example(ProjectiveStructure(
+    Jet2({(0, 0): 1, (0, 1): 2}, 6, -1), Jet2({(1, 0): 3}, 6, 0),
+    Jet2({(0, 0): -1, (1, 0): 1, (0, 1): 1}, 6, 1),
+    Jet2({(i, j): i - j + 1 for i in range(7) for j in range(7 - i)}, 6)))
+# x-only a and b with c and d of valuation 2 and 3
+@example(ProjectiveStructure(
+    Jet2({(i, 0): i + 1 for i in range(7)}, 6), Jet2({(1, 0): -2}, 6, 4),
+    Jet2({(2, 0): 1, (1, 1): -3}, 6), Jet2({(0, 3): 5, (2, 1): 1}, 6, 5)))
+# every product live through the window
+@example(ProjectiveStructure(
+    Jet2({(0, 0): 1, (0, 1): 2, (1, 1): -1}, 6),
+    Jet2({(1, 0): 1, (0, 2): 3}, 6),
+    Jet2({(0, 0): -2, (1, 0): 1, (0, 1): 1}, 6),
+    Jet2({(0, 1): 1, (2, 0): Fraction(1, 2)}, 6)))
+# a normal form (A(x), B(x), 0, 1): c is empty and its product left out
+@example(ProjectiveStructure(
+    Jet2({(i, 0): i - 2 for i in range(7)}, 6), Jet2({(1, 0): 3}, 6),
+    Jet2.zero(6), Jet2.constant(1, 6)))
+# an empty a known only to degree 1 beside full slots
+@example(ProjectiveStructure(
+    Jet2.zero(6, 1), Jet2({(0, 1): 1, (2, 0): 2}, 6),
+    Jet2({(0, 0): 1, (1, 1): -1}, 6), Jet2({(0, 2): 3, (1, 0): 1}, 6)))
+# d empty and known to degree 0 under constant a and c: the empty partner
+# c_y - 2 d_x of a still sets L1's window
+@example(ProjectiveStructure(
+    Jet2.constant(1, 6), Jet2({(1, 0): 1}, 6), Jet2.constant(2, 6),
+    Jet2.zero(6, 0)))
+def test_liouville_is_the_reference(stq):
+    # the eight grouped products give the ten-product sum exactly: the same
+    # order, eff, numerators and denominator
+    assert_same_jets(liouville(stq), reference_liouville(stq))
+
+
+def test_liouville_is_the_reference_on_every_registry_call(monkeypatch):
+    from projstruct import cases, run_all, structures
+
+    seen = []
+
+    def recording(stq):
+        out = liouville(stq)
+        seen.append((stq, out))
+        return out
+
+    for module in (cases, structures):
+        monkeypatch.setattr(module, "liouville", recording)
+    run_all(order=12)
+    assert len(seen) == 11
+    for stq, got in seen:
+        assert_same_jets(got, reference_liouville(stq))
+
+
+def test_deep_jets_liouville_is_the_reference(monkeypatch):
+    # the pulled-back flat structures of seeds 1-3, rounds 0-1, orders 16
+    # and 20: dense slots of valuation 0
+    import projstruct
+
+    workloads = bench_workloads()
+    seen = []
+
+    def recording(stq):
+        out = liouville(stq)
+        seen.append((stq, out))
+        return out
+
+    monkeypatch.setattr(projstruct, "liouville", recording)
+    for seed in (1, 2, 3):
+        for index in (0, 1):
+            for order in (16, 20):
+                for op in workloads.deep_round(projstruct, seed, index, order):
+                    assert op.gate(op.call())
+                    if op.kind == "liouville":
+                        break
+    assert len(seen) == 12
+    for stq, got in seen:
+        assert_same_jets(got, reference_liouville(stq))
 
 
 @settings(deadline=None, max_examples=30)

@@ -811,3 +811,16 @@ def test_an_algebra_row_preserves_exactly_its_family(case_id, degree):
         assert inv.contains(ProjectiveStructure(
             *(p + q for p, q in zip(base, step))))
     assert rank([coefficient_row(s, degree) for s in steps]) == len(steps)
+
+
+@pytest.mark.parametrize("dropped", range(8))
+def test_each_of_thm31_iv_fields_is_needed_for_its_independence(dropped):
+    # the family test above still sees y'' = 0 alone once d_dx, d_dy and any
+    # five others remain; the fields-independent check sees any one drop
+    kept = row_fields("thm31.iv", 2)
+    del kept[dropped]
+    assert cases._thm31_iv_extra({}, 12, None, kept, None) == [
+        failed("fields-independent", "7")]
+    assert cases._thm31_iv_extra(
+        {}, 12, None, row_fields("thm31.iv", 2), None) == [
+        passed("fields-independent", "the eight 2-jets have rank 8")]
