@@ -249,7 +249,7 @@ def alpha_ode_solve(c, jet3, order=DEFAULT_ORDER):
     q2 = -3 * u1 / 4
     q3 = -(3 * u2 / 2 + 2 * q1 * q2) / 6
     n = max(order, 1)  # at order 0, z has no linear term to revert
-    q = Jet2.from_terms({(0, 0): 1, (1, 0): q1, (2, 0): q2, (3, 0): q3}, n)
+    q = Jet2({(0, 0): 1, (1, 0): q1, (2, 0): q2, (3, 0): q3}, n)
     z = comp_inverse(q.inverse().integrate_x())
     log_a = (compose1(q.d_dx(), z).scale(Fraction(-2, 3))
              + c * c / 3).integrate_x()

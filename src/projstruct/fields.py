@@ -368,7 +368,7 @@ def _vectorize(st, degree):
 
 def _devectorize(vec, degree):
     monos = _monomials(degree)
-    return ProjectiveStructure(*(Jet2.from_terms(
+    return ProjectiveStructure(*(Jet2(
         dict(zip(monos, vec[s * len(monos):])), degree) for s in range(4)))
 
 

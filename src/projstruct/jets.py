@@ -27,8 +27,8 @@ is canonical, so ``==`` and ``hash`` read it directly.  Every operation
 works on the numerators and ends with one content gcd.  ``coeffs``, the
 read-only mapping ``{(i, j): Fraction}``, is built on first use and
 cached, and ``coeff`` returns a ``Fraction`` (0 when the term is absent).
-The valuation that the window rules read per product (``_val_bound``)
-is cached next to it.
+The valuation that ``_product_window`` and ``_quotient_window`` read
+(``_val_bound``) is cached next to it.
 
 Any other coefficients, such as the dual rationals of
 :mod:`projstruct.duals`, are kept as numerators over 1, and ``coeffs``
@@ -81,20 +81,7 @@ degree fixes each once (``_graded_solve``):
 
 ``comp_inverse`` is Newton reversion, doubling the precision each pass
 (R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
-power series", J. ACM 25 (1978)).  ``geodesic_solve`` solves its
-nonlinear ODE online, or relaxed (J. van der Hoeven, "Relax, but don't
-be too lazy", J. Symbolic Comput. 34 (2002)): each coefficient is fixed
-once, degree by degree, from the lower ones, through products whose
-coefficient n is a ``_cauchy`` sum of terms already known.  It rescales
-x and the solution so that the ODE has integer coefficients; then every
-derivative at 0 is an integer, and the lists hold N! times the Taylor
-coefficients (N the order), so a product coefficient is an exact
-``// N!`` of such a sum.  It then runs one Picard pass of the ODE at
-full order along the online jet and returns it once the online
-coefficients agree, so the window follows the jet rules of the pass.
-The ODE of ``ib_flattening_germ`` is linear for the inverse germ, and
-the quartic of ``alpha_ode_solve`` has a closed form: jet operations
-alone solve both.
+power series", J. ACM 25 (1978)).
 """
 
 import math
@@ -191,12 +178,6 @@ def _graded_solve(tail, start, eff, divide=None):
     return out
 
 
-def _cauchy(f, g, n, lo=0):
-    """sum f_a g_(n-a) over lo <= a <= n: coefficient n of the product of
-    two series held as coefficient lists, from the terms known so far."""
-    return sum(map(mul, f[lo:n + 1], g[n - lo::-1])) if lo <= n else 0
-
-
 def as_coeff(value):
     """Coerce a scalar into a usable coefficient: ``int`` and ``Fraction``
     as they are, text parsed to a ``Fraction``."""
@@ -266,10 +247,6 @@ class Jet2:
     @classmethod
     def monomial(cls, i, j, value, order, eff=None):
         return cls({(i, j): value}, order, eff)
-
-    @classmethod
-    def from_terms(cls, terms, order, eff=None):
-        return cls(terms, order, eff)
 
     # -- basic queries ----------------------------------------------------
 
@@ -357,10 +334,7 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return self.scale(other)
-        order = min(self.order, other.order)
-        eff = min(order,
-                  self.eff + other._val_bound(),
-                  other.eff + self._val_bound())
+        order, eff = _product_window(self, other)
         return Jet2._new(_product(self._num, other._num, eff),
                          self._den * other._den, order, eff)
 
@@ -513,14 +487,25 @@ def _box_sum(products, eff):
     return {divmod(k, w): c for k, c in enumerate(acc) if c}
 
 
+def _product_window(f, g):
+    """(order, eff) of the product f g: the lesser order, and the window
+    min(order, f.eff + val g, g.eff + val f)."""
+    order = min(f.order, g.order)
+    return order, min(order, f.eff + g._val_bound(), g.eff + f._val_bound())
+
+
+def _quotient_window(a, b):
+    """(order, eff) of the quotient a / b, for b with a unit constant term:
+    the lesser order, and the window min(order, a.eff, b.eff + val a)."""
+    order = min(a.order, b.order)
+    return order, min(order, a.eff, b.eff + a._val_bound())
+
+
 def _sum_window(terms):
     """(order, eff) of sum c f g over ``terms`` (c, f, g): each product
-    keeps the window ``c * f * g`` has, min(order, f.eff + val g, g.eff +
-    val f), and the sum the least of these."""
-    order = min(min(f.order, g.order) for _, f, g in terms)
-    return order, min(order, *[min(f.eff + g._val_bound(),
-                                   g.eff + f._val_bound())
-                               for _, f, g in terms])
+    keeps its ``_product_window``, and the sum the least order and eff."""
+    orders, effs = zip(*[_product_window(f, g) for _, f, g in terms])
+    return min(orders), min(effs)
 
 
 def _sum_of_products(terms, cap=None):
@@ -565,9 +550,7 @@ def _quotients(nums, b):
     c = b._num.get((0, 0), 0)
     if not _is_unit(c):
         raise NonUnitDivisor("constant term %r is not invertible" % (c,))
-    orders = [min(a.order, b.order) for a in nums]
-    effs = [min(order, a.eff, b.eff + a._val_bound())
-            for a, order in zip(nums, orders)]
+    orders, effs = zip(*[_quotient_window(a, b) for a in nums])
     db = b._den
     ints = all(type(n) is int for f in (b, *nums) for n in f._num.values())
     if ints and len(b._num) == 1:
@@ -658,8 +641,7 @@ def _substitute_all(fs, u, v):
             if i and j:
                 if (i, j) not in products:
                     p, q = upow[i], vpow[j]
-                    e = min(order, p.eff + q._val_bound(),
-                            q.eff + p._val_bound())
+                    e = _product_window(p, q)[1]
                     products[(i, j)] = (_product(p._num, q._num, e),
                                         p._den * q._den, e)
                 num, den, e = products[(i, j)]

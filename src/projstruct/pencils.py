@@ -21,15 +21,15 @@ which multiplies the structure only by P and Q.  N answers only where
 its window covers the residual's.  With e the least ``eff`` of P, Q and
 A..D, a term of N below degree e means "not geodesic" (the residual is
 known through degree e - 1), an empty N with ``eff >= U`` means "geodesic"
-(U = min(min(P.eff, Q.eff + val P) - 1, A.eff) bounds the residual's
+(U = min(``_quotient_window`` of P/Q - 1, A.eff) bounds the residual's
 ``eff`` by the ``Jet2`` rules), and otherwise the residual decides.
 """
 
 from fractions import Fraction
 
 from .errors import DegenerateWedge, VerticalAtOrigin
-from .jets import (Jet2, _is_unit, _quotients, _sum_of_products, _sum_window,
-                   first_nonzero)
+from .jets import (Jet2, _is_unit, _quotient_window, _quotients,
+                   _sum_of_products, _sum_window, first_nonzero)
 from .slopes import SlopePoly
 from .structures import (ProjectiveStructure, _JetRecord, _all_along,
                          _slope_cubic, swap_axes)
@@ -129,10 +129,9 @@ def is_geodesic(fol, st):
     what N cannot.
     """
     fol, st = _upright(fol, st)
-    p, q = fol
     num = _cleared_residual(fol, st)
     if first_nonzero(num) is None:
-        if num.eff >= min(min(p.eff, q.eff + p._val_bound()) - 1, st.A.eff):
+        if num.eff >= min(_quotient_window(*fol)[1] - 1, st.A.eff):
             return True
     elif num._val_bound() < min(fol.eff, st.eff):
         return False

@@ -22,10 +22,6 @@ class SlopePoly:
             raise ValueError("need at least one coefficient")
         self.coeffs = coeffs
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def coeff(self, k):
         if k < len(self.coeffs):
             return self.coeffs[k]

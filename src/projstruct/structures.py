@@ -11,10 +11,25 @@ changes, which is what :func:`pullback` implements.  :func:`liouville`
 gives the obstruction to flatness, each invariant one kernel sum of its
 second derivatives and four products whose partners are linear
 combinations of first derivatives.
+
+:func:`geodesic_solve` solves its nonlinear ODE online, or relaxed
+(J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
+34 (2002)): each coefficient is fixed once, degree by degree, from the
+lower ones, through products whose coefficient n is a ``_cauchy`` sum
+of terms already known.  It rescales x and the solution so that the ODE
+has integer coefficients; then every derivative at 0 is an integer, and
+the lists hold N! times the Taylor coefficients (N the order), so a
+product coefficient is an exact ``// N!`` of such a sum.  It then runs
+one Picard pass of the ODE at full order along the online jet and
+returns it once the online coefficients agree, so the window follows the
+jet rules of the pass.  The ODE of ``ib_flattening_germ`` is linear for
+the inverse germ, and the quartic of ``alpha_ode_solve`` has a closed
+form: jet operations alone solve both.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DegenerateJacobian,
@@ -22,7 +37,7 @@ from .errors import (
     NotInvertible,
     _ensure,
 )
-from .jets import (Jet2, _cauchy, _is_unit, _quotients, _substitute_all,
+from .jets import (Jet2, _is_unit, _quotients, _substitute_all,
                    _sum_of_products, _sum_window, comp_inverse, compose1,
                    first_nonzero)
 from .records import Record
@@ -95,10 +110,6 @@ class DiffeoGerm(_JetRecord):
         if not _is_unit(j0):
             raise DegenerateJacobian("linear part is singular at the origin")
 
-    @classmethod
-    def identity(cls, order):
-        return cls(Jet2.variable("x", order), Jet2.variable("y", order))
-
     def compose(self, inner):
         """self after inner: (self . inner)(q) = self(inner(q))."""
         return DiffeoGerm(*_substitute_all(self, *inner))
@@ -116,8 +127,6 @@ def pullback(germ, st):
     u, v = germ.u, germ.v
     ux, uy, vx, vy = u.d_dx(), u.d_dy(), v.d_dx(), v.d_dy()
     jac = _sum_of_products([(1, ux, vy), (-1, uy, vx)])
-    if not _is_unit(jac.constant_term):
-        raise DegenerateJacobian("Jacobian vanishes at the origin")
     # With slope p, dX/dx = dn = ux + uy p and dY/dx = nn = vx + vy p.  Slot
     # k is the p^k coefficient of dn^2 (a dn + b nn) + nn^2 (c dn + d nn)
     # - (p2 dn - nn q2), for p2 and q2 the second total derivatives of v
@@ -356,6 +365,12 @@ def geodesic_solve(st, y0, p0):
               + _rhs_along(st, online).integrate_x().integrate_x())
     _ensure(passed.agree(online), "the geodesic solves its Picard pass")
     return passed
+
+
+def _cauchy(f, g, n, lo=0):
+    """sum f_a g_(n-a) over lo <= a <= n: coefficient n of the product of
+    two series held as coefficient lists, from the terms known so far."""
+    return sum(map(mul, f[lo:n + 1], g[n - lo::-1])) if lo <= n else 0
 
 
 def _geodesic_coeffs(st, p0, order):

@@ -314,7 +314,7 @@ def jets(draw, order=PROP_ORDER, max_terms=4, x_only=False, zero_constant=False,
         coeffs[key] = draw(small_fractions)
     if unit_constant:
         coeffs[(0, 0)] = draw(nonzero_fractions)
-    return Jet2.from_terms(coeffs, order)
+    return Jet2(coeffs, order)
 
 
 @st.composite
@@ -420,8 +420,8 @@ def diffeo_germs(order=PROP_ORDER):
             a = d = 1 + abs(b) + abs(c)  # force a unit determinant
         u_tail = draw(jets(order=order, max_terms=2, zero_constant=True))
         v_tail = draw(jets(order=order, max_terms=2, zero_constant=True))
-        lin_u = Jet2.from_terms({(1, 0): a, (0, 1): b}, order)
-        lin_v = Jet2.from_terms({(1, 0): c, (0, 1): d}, order)
+        lin_u = Jet2({(1, 0): a, (0, 1): b}, order)
+        lin_v = Jet2({(1, 0): c, (0, 1): d}, order)
         u = lin_u + _strip_linear(u_tail)
         v = lin_v + _strip_linear(v_tail)
         return DiffeoGerm(u, v)
@@ -429,8 +429,8 @@ def diffeo_germs(order=PROP_ORDER):
 
 
 def _strip_linear(jet):
-    return jet - Jet2.from_terms({(1, 0): jet.coeff(1, 0),
-                                  (0, 1): jet.coeff(0, 1)}, jet.order)
+    return jet - Jet2({(1, 0): jet.coeff(1, 0),
+                       (0, 1): jet.coeff(0, 1)}, jet.order)
 
 
 def structures(order=PROP_ORDER, x_only=False, max_terms=3):
@@ -460,7 +460,7 @@ def dense_jets(draw, orders=(16, 20), unit_constant=False):
     coeffs = {k: draw(small_fractions) for k in keys}
     if unit_constant:
         coeffs[(0, 0)] = draw(nonzero_fractions)
-    return Jet2.from_terms(coeffs, order)
+    return Jet2(coeffs, order)
 
 
 def stored_form(jet):

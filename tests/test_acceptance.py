@@ -61,26 +61,26 @@ def rand_frac(rng, lo=-9, hi=9, den=6):
 
 
 def rand_xpoly(rng, order, deg=5):
-    return Jet2.from_terms({(k, 0): rand_frac(rng) for k in range(deg + 1)},
-                           order)
+    return Jet2({(k, 0): rand_frac(rng) for k in range(deg + 1)},
+                order)
 
 
 def rand_jet(rng, order, top=2):
     terms = {(rng.randint(0, top), rng.randint(0, top)): rand_frac(rng)
              for _ in range(3)}
-    return Jet2.from_terms(terms, order)
+    return Jet2(terms, order)
 
 
 def rand_germ(rng, order):
     a, b, c, d = (rand_frac(rng, -4, 4, 3) for _ in range(4))
     if a * d - b * c == 0:
         a, d = 1 + abs(b), 1 + abs(c)
-    u = Jet2.from_terms({(1, 0): a, (0, 1): b,
-                         (2, 0): rand_frac(rng, -4, 4, 3),
-                         (1, 1): rand_frac(rng, -4, 4, 3)}, order)
-    v = Jet2.from_terms({(1, 0): c, (0, 1): d,
-                         (0, 2): rand_frac(rng, -4, 4, 3),
-                         (2, 1): rand_frac(rng, -4, 4, 3)}, order)
+    u = Jet2({(1, 0): a, (0, 1): b,
+              (2, 0): rand_frac(rng, -4, 4, 3),
+              (1, 1): rand_frac(rng, -4, 4, 3)}, order)
+    v = Jet2({(1, 0): c, (0, 1): d,
+              (0, 2): rand_frac(rng, -4, 4, 3),
+              (2, 1): rand_frac(rng, -4, 4, 3)}, order)
     return DiffeoGerm(u, v)
 
 
@@ -159,7 +159,7 @@ def test_criterion_04_pullback_laws_and_functoriality():
     rng = random.Random(SEED + 2)
     for _ in range(10):
         st = rand_structure(rng, order)
-        psi = Jet2.from_terms(
+        psi = Jet2(
             {(1, 0): rand_frac(rng, -4, 4, 3) or 1,
              (2, 0): rand_frac(rng, -4, 4, 3),
              (3, 0): rand_frac(rng, -4, 4, 3)}, order)
@@ -168,8 +168,8 @@ def test_criterion_04_pullback_laws_and_functoriality():
         assert all(p.agree(q) for p, q in zip(law, general))
     for _ in range(10):
         st = rand_structure(rng, order)
-        phi = Jet2.from_terms({(k, 0): rand_frac(rng, -4, 4, 3)
-                               for k in (1, 2, 3)}, order)
+        phi = Jet2({(k, 0): rand_frac(rng, -4, 4, 3)
+                    for k in (1, 2, 3)}, order)
         law = apply_y_shift(st, phi)
         general = pullback(DiffeoGerm(xv, yv + phi), st)
         assert all(p.agree(q) for p, q in zip(law, general))
@@ -353,8 +353,8 @@ def test_criterion_11_squared_flatness_identities_as_displayed():
 
     # second family: omega_0 = -dx - (g + y) dy, omega_inf = dy
     for _ in range(3):
-        g = Jet2.from_terms({(k, 0): rand_frac(rng, -4, 4, 3)
-                             for k in (1, 2, 3)}, order)
+        g = Jet2({(k, 0): rand_frac(rng, -4, 4, 3)
+                  for k in (1, 2, 3)}, order)
         pen = Pencil(Foliation(-one, -(g + yv)), Foliation(zero, one))
         nf, _ = normalize_D1(structure_from_pencil(pen))
         A, B = nf.A, nf.B
@@ -364,7 +364,7 @@ def test_criterion_11_squared_flatness_identities_as_displayed():
 
     # first family: omega_0 = e^y (dx + g dy), omega_inf = dy
     for _ in range(3):
-        g = Jet2.from_terms(
+        g = Jet2(
             {(0, 0): rand_frac(rng, 1, 6, 3),
              (1, 0): rand_frac(rng, -4, 4, 3),
              (2, 0): rand_frac(rng, -4, 4, 3)}, order)
@@ -442,10 +442,10 @@ def test_criterion_14_dual_number_oracle():
         keys = set(re.coeffs) | set(ep.coeffs)
         terms = {k: DualRational(Fraction(re.coeff(*k)),
                                  Fraction(ep.coeff(*k))) for k in keys}
-        return Jet2.from_terms(terms, re.order, min(re.eff, ep.eff))
+        return Jet2(terms, re.order, min(re.eff, ep.eff))
 
     def part(jet, which):
-        return Jet2.from_terms(
+        return Jet2(
             {k: getattr(as_dual(c), which) for k, c in jet.coeffs.items()},
             jet.order, jet.eff)
 

@@ -283,7 +283,7 @@ def test_a_derivative_loses_one_degree_of_window():
 
 
 def test_a_name_bound_to_a_jet_is_that_jet():
-    jet = Jet2.from_terms({(0, 0): 1, (2, 1): Fraction(1, 3)}, 10, eff=5)
+    jet = Jet2({(0, 0): 1, (2, 1): Fraction(1, 3)}, 10, eff=5)
     assert expand("A", {"A": jet}, 12) is jet
     assert expand("d_dx(A) - 2*A", {"A": jet}, 12) \
         == jet.d_dx() - jet.scale(2)
@@ -291,7 +291,7 @@ def test_a_name_bound_to_a_jet_is_that_jet():
 
 def test_a_jet_of_a_higher_order_is_cut_to_the_order():
     # a bare name is cut at the root, as a sum over it always was
-    jet = Jet2.from_terms({(0, 0): 1, (1, 0): 2, (2, 2): 5, (4, 1): 3}, 15)
+    jet = Jet2({(0, 0): 1, (1, 0): 2, (2, 2): 5, (4, 1): 3}, 15)
     env = {"A": jet}
     for order in (0, 3, 4):
         got = expand("A", env, order)
@@ -302,7 +302,7 @@ def test_a_jet_of_a_higher_order_is_cut_to_the_order():
 
 
 def test_a_jet_times_a_constant_is_scaled():
-    jet = Jet2.from_terms({(0, 0): 1, (2, 1): Fraction(1, 3)}, 10, eff=5)
+    jet = Jet2({(0, 0): 1, (2, 1): Fraction(1, 3)}, 10, eff=5)
     env = {"A": jet, "k": Fraction(-3, 4)}
     # one jet per scaling, where a constant jet and a product made two
     for text, factor, jets_built in (

@@ -58,17 +58,17 @@ def dual_jet(re, ep):
     keys = set(re.coeffs) | set(ep.coeffs)
     terms = {k: DualRational(Fraction(re.coeff(*k)), Fraction(ep.coeff(*k)))
              for k in keys}
-    return Jet2.from_terms(terms, re.order, min(re.eff, ep.eff))
+    return Jet2(terms, re.order, min(re.eff, ep.eff))
 
 
 def eps_part(jet):
-    return Jet2.from_terms({k: as_dual(c).ep for k, c in jet.coeffs.items()},
-                           jet.order, jet.eff)
+    return Jet2({k: as_dual(c).ep for k, c in jet.coeffs.items()},
+                jet.order, jet.eff)
 
 
 def re_part(jet):
-    return Jet2.from_terms({k: as_dual(c).re for k, c in jet.coeffs.items()},
-                           jet.order, jet.eff)
+    return Jet2({k: as_dual(c).re for k, c in jet.coeffs.items()},
+                jet.order, jet.eff)
 
 
 def reference_residual(field, st):
@@ -790,7 +790,7 @@ def basis_field(v, unknowns, order):
     for u, e in v.items():
         f, i, j = unknowns[u]
         parts[f][i, j] = e
-    return VectorField(*(Jet2.from_terms(t, order) for t in parts))
+    return VectorField(*(Jet2(t, order) for t in parts))
 
 
 @settings(deadline=None, max_examples=20)
@@ -904,7 +904,7 @@ def basis_structure(v, unknowns, order):
         s, i, j = unknowns[u]
         if s < 4:
             slots[s][i, j] = e
-    return (ProjectiveStructure(*(Jet2.from_terms(t, order) for t in slots)),
+    return (ProjectiveStructure(*(Jet2(t, order) for t in slots)),
             v.get(0, 0))
 
 
@@ -972,8 +972,8 @@ def reference_invariant_structures(fields, degree):
 
     def structure(vec):
         return ProjectiveStructure(*(
-            Jet2.from_terms({m: vec[s * len(monos) + n]
-                             for n, m in enumerate(monos)}, degree)
+            Jet2({m: vec[s * len(monos) + n]
+                  for n, m in enumerate(monos)}, degree)
             for s in range(4)))
 
     return InvariantStructures(True, degree, structure(particular),
@@ -1023,7 +1023,7 @@ def one_shot_invariant_structures(fields, degree):
 
     def structure(vec):
         return ProjectiveStructure(*(
-            Jet2.from_terms(dict(zip(monos, vec[s * len(monos):])), degree)
+            Jet2(dict(zip(monos, vec[s * len(monos):])), degree)
             for s in range(4)))
 
     return InvariantStructures(True, degree, structure(particular),

@@ -279,3 +279,50 @@ def test_every_vanishing_verdict_goes_through_the_decider():
     assert len(modules) > 10
     found = sorted(site for path in modules for site in zero_tests(path))
     assert found == ZERO_TESTS
+
+
+# A window is f.eff plus the valuation of another factor only in the two
+# rules that state it, a product's and a quotient's, and in
+# ``_cubic_windows``, which adds the valuation of a cubic coefficient to a
+# short slot's eff by itself, on purpose.  (module, function), once per sum.
+WINDOW_SUMS = sorted([
+    ("jets.py", "_product_window"),      # f.eff + val g
+    ("jets.py", "_product_window"),      # g.eff + val f
+    ("jets.py", "_quotient_window"),     # b.eff + val a
+    ("structures.py", "_cubic_windows"),
+])
+
+
+def _is_eff(node):
+    return isinstance(node, ast.Attribute) and node.attr == "eff"
+
+
+def _is_val_bound(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_val_bound")
+
+
+def window_sums(path):
+    """(module, function) for each sum of an ``….eff`` and a
+    ``…._val_bound()`` call in the module at ``path``, by its innermost
+    function."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add)
+                    and any(_is_eff(a) and _is_val_bound(b) for a, b in
+                            ((child.left, child.right),
+                             (child.right, child.left)))):
+                yield path.name, where
+            yield from visit(child, where)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def test_every_window_sum_is_one_of_the_stated_rules():
+    modules = sorted(Path(projstruct.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = sorted(site for path in modules for site in window_sums(path))
+    assert found == WINDOW_SUMS

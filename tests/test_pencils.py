@@ -228,7 +228,7 @@ _SHORT_PENCILS = [
 def test_a_pencil_of_short_windows_is_judged_by_its_wedge(parts):
     # accepted exactly when the wedge jet has a unit constant term, which
     # an empty window against a constant term leaves unknown
-    p0, q0, pi, qi = (Jet2.from_terms({(0, 0): c}, 4, eff)
+    p0, q0, pi, qi = (Jet2({(0, 0): c}, 4, eff)
                       for c, eff in parts)
     assert _accepted(p0, q0, pi, qi) \
         == _is_unit(reference_wedge(((p0, q0), (pi, qi))).constant_term)
@@ -668,9 +668,9 @@ def test_dense_members_are_tested_without_an_inverse(monkeypatch):
     order = 16
 
     def dense(const):   # every monomial of degree <= 3
-        return Jet2.from_terms({(i, j): Fraction(i - 2 * j + 1, 1 + i + j)
-                                for i in range(4) for j in range(4 - i)
-                                if i + j} | {(0, 0): const}, order)
+        return Jet2({(i, j): Fraction(i - 2 * j + 1, 1 + i + j)
+                     for i in range(4) for j in range(4 - i)
+                     if i + j} | {(0, 0): const}, order)
 
     pen = Pencil.from_jets(dense(1), dense(0), dense(0), dense(1))
     stq = structure_from_pencil(pen)

@@ -111,8 +111,8 @@ def reference_geodesic(stq, p0):
 
 def reference_alpha(c, jet3, order):
     a0, a1, a2, a3 = (Fraction(v) for v in jet3)
-    base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
-                            (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
+    base = Jet2({(0, 0): a0, (1, 0): a1,
+                 (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
 
     def step(al):
         d4 = -(alpha_ode_lower(Fraction(c), al) / al.scale(2))
@@ -192,7 +192,7 @@ def ib_slots(draw, x_only=st.booleans()):
 
 @settings(deadline=None, max_examples=50)
 @given(units())
-@example(Jet2.from_terms({(0, 0): 2, (1, 0): 1}, 6, 3))
+@example(Jet2({(0, 0): 2, (1, 0): 1}, 6, 3))
 def test_inverse_matches_newton(u):
     assert u.inverse() == reference_inverse(u)
 
@@ -249,7 +249,7 @@ def test_sqrt_series_keeps_its_window_when_its_argument_is_redrawn(data, u):
 
 @settings(deadline=None)
 @given(reversible())
-@example(Jet2.from_terms({(1, 0): 1, (2, 0): 1}, 7, 7))
+@example(Jet2({(1, 0): 1, (2, 0): 1}, 7, 7))
 def test_comp_inverse_matches_picard(u):
     assert comp_inverse(u) == reference_comp_inverse(u)
 
@@ -392,8 +392,8 @@ def staircase_geodesic(stq, p0):
 def staircase_alpha(c, jet3, order):
     c = Fraction(c)
     a0, a1, a2, a3 = (Fraction(v) for v in jet3)
-    base = Jet2.from_terms({(0, 0): a0, (1, 0): a1,
-                            (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
+    base = Jet2({(0, 0): a0, (1, 0): a1,
+                 (2, 0): a2 / 2, (3, 0): a3 / 6}, order)
 
     def step(al):
         d4 = -(alpha_ode_lower(c, al) / al.scale(2))

@@ -120,7 +120,7 @@ def reference_pullback(germ, stq):
                        slope_times(slope_product(nn2, dn), c),
                        slope_times(nn3, d))
              - (slope_product(p2, dn) - slope_product(nn, q2)))
-    assert total.degree <= 3   # pullback stays cubic in the slope
+    assert len(total.coeffs) <= 4   # pullback stays cubic in the slope
     return ProjectiveStructure(*(total.coeff(k) / jac for k in range(4)))
 
 
@@ -181,7 +181,7 @@ def test_pullback_is_the_reference_in_short_windows(inputs):
 def test_pullback_is_the_reference_over_the_duals(a, b, stq):
     # the germ (x + eps a, y + eps b) of the residual's sign oracle
     def moved(name, jet):
-        return Jet2.variable(name, jet.order) + Jet2.from_terms(
+        return Jet2.variable(name, jet.order) + Jet2(
             {k: DualRational(0, c) for k, c in jet.coeffs.items()}, jet.order)
     germ = DiffeoGerm(moved("x", a), moved("y", b))
     assert_same_structure(pullback(germ, stq), reference_pullback(germ, stq))
@@ -189,7 +189,7 @@ def test_pullback_is_the_reference_over_the_duals(a, b, stq):
 
 def _moved(name, jet):
     """The coordinate ``name`` plus eps times ``jet``, over the duals."""
-    return Jet2.variable(name, jet.order) + Jet2.from_terms(
+    return Jet2.variable(name, jet.order) + Jet2(
         {k: DualRational(0, c) for k, c in jet.coeffs.items()}, jet.order)
 
 
@@ -252,7 +252,8 @@ def test_pullback_computes_cubic_coefficients_only_for_short_slots(
 
 def test_pullback_along_identity():
     stq = S("x*y", "1 + x", "y^2", "3")
-    assert pullback(DiffeoGerm.identity(N), stq).agree(stq)
+    identity = DiffeoGerm(Jet2.variable("x", N), Jet2.variable("y", N))
+    assert pullback(identity, stq).agree(stq)
 
 
 def test_pullback_rejects_singular_linear_part():
@@ -330,8 +331,8 @@ def short_germs(draw, order):
     if draw(st.booleans()):
         u, v = (draw(windowed(order, low=1, min_eff=2)) for _ in range(2))
         return DiffeoGerm(*(_strip_linear(f) + lin for f, lin in (
-            (u, Jet2.from_terms({(1, 0): 1, (0, 1): 2}, order)),
-            (v, Jet2.from_terms({(1, 0): 1, (0, 1): 3}, order)))))
+            (u, Jet2({(1, 0): 1, (0, 1): 2}, order)),
+            (v, Jet2({(1, 0): 1, (0, 1): 3}, order)))))
     a, b = (draw(windowed(order, low=1, min_eff=2)) for _ in range(2))
     return DiffeoGerm(*(Jet2.variable(name, order) + f.scale(EPS)
                         for name, f in (("x", a), ("y", b))))
@@ -592,7 +593,7 @@ def general_germs(draw, order=8):
         terms = {k: c for k, c in tail.coeffs.items() if sum(k) > 2}
         for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
             terms[k] = draw(nonzero_fractions)
-        parts.append(Jet2.from_terms(terms, order))
+        parts.append(Jet2(terms, order))
     u, v = parts
     assume(u.coeff(1, 0) * v.coeff(0, 1) != u.coeff(0, 1) * v.coeff(1, 0))
     return DiffeoGerm(u, v)

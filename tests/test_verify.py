@@ -775,9 +775,10 @@ NECESSARY_FAMILIES = {
 }
 
 
-def row_fields(case_id, degree):
-    """The named fields of an algebra row, expanded at degree + 2."""
-    return [fields.VectorField(*(expand(t, None, degree + 2)
+def row_fields(case_id, degree, shift=lambda text: text):
+    """The named fields of an algebra row, expanded at degree + 2, each
+    text passed through ``shift`` first."""
+    return [fields.VectorField(*(expand(shift(t), None, degree + 2)
                                  for t in _FIELDS[name]))
             for name in CASES[case_id].runner.fields]
 
@@ -824,3 +825,67 @@ def test_each_of_thm31_iv_fields_is_needed_for_its_independence(dropped):
     assert cases._thm31_iv_extra(
         {}, 12, None, row_fields("thm31.iv", 2), None) == [
         passed("fields-independent", "the eight 2-jets have rank 8")]
+
+
+# --- the lower bound: the named fields' 2-jets meet every count --------------
+
+def two_jet_rank(named):
+    """The rank of the 2-jets of the fields ``named``: a lower bound on the
+    dimension of the algebra of any structure that they preserve."""
+    return rank([[part.coeff(i, j) for part in f for (i, j) in cases._JET2_MONOS]
+                 for f in named], 2 * len(cases._JET2_MONOS))
+
+
+@pytest.fixture(scope="module")
+def dimension_counts():
+    """(structure, fields, dimensions) for each ``symmetry_dim`` call of a
+    ``run_all(12)`` pass.  The fields are those of the ``_algebra_checks``
+    call before it, or for ``thm41.iii``, which names none, ``thm31.iii``'s
+    three.  ``remark.pi0``'s count recentred at (0, 1) reads its fields
+    written with y + 1."""
+    log = []
+    algebra_checks, symmetry_dim = cases._algebra_checks, cases.symmetry_dim
+
+    def recording_fields(st, named, *args, **kwargs):
+        log.append((st, [f for _, f, *_ in named]))
+        return algebra_checks(st, named, *args, **kwargs)
+
+    def recording_count(st):
+        dims = symmetry_dim(st)
+        log.append((st, dims))
+        return dims
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cases, "_algebra_checks", recording_fields)
+        mp.setattr(cases, "symmetry_dim", recording_count)
+        run_all(12)
+    counts, named, home = [], None, None
+    for st, got in log:
+        if isinstance(got, list):
+            home, named = st, got
+        elif st is home:
+            counts.append((st, named or row_fields("thm31.iii", 10), got))
+        else:
+            counts.append((st, row_fields(
+                "remark.pi0", 10, lambda t: t.replace("y", "(y + 1)")), got))
+    return counts
+
+
+def test_the_named_fields_reach_every_dimension_count(dimension_counts):
+    # item 2's lower bound meets the upper one on each of the 26 checked
+    # counts and on thm31.ii.a's nodal sample, which is only recorded
+    assert len(dimension_counts) == 27
+    for st, named, dims in dimension_counts:
+        assert all(fields.is_symmetry(f, st) for f in named)
+        assert two_jet_rank(named) == dims.dim_low == dims.dim_high
+    assert Counter(dims.dim_high for _, _, dims in dimension_counts) \
+        == {1: 6, 2: 16, 3: 4, 8: 1}
+
+
+@pytest.mark.parametrize("dropped", range(3))
+def test_each_of_thm31_iii_fields_is_needed_for_its_lower_bound(dropped):
+    named = row_fields("thm31.iii", 10)
+    del named[dropped]
+    st = cases._structure(12, None, *cases._HOMOGENEOUS)
+    assert two_jet_rank(named) == 2
+    assert fields.symmetry_dim(st).dim_high == 3
