@@ -62,10 +62,10 @@ reads u^i or v^j itself, and a mixed term x^i y^j takes the numerators of
 one ``_product`` u^i v^j, formed once and shared by every f, with no jet
 built for it.
 
-The series kernels end by construction; none iterates to a fixed point
-under a cap.  A coefficient of degree d of a quotient and of the Euler
-solve depends only on coefficients of lower degree, so one pass by total
-degree fixes each once (``_graded_solve``):
+The series kernels end by construction; no kernel iterates to a fixed
+point under a cap.  A coefficient of degree d of a quotient and of the
+Euler solve depends only on coefficients of lower degree, so one pass by
+total degree fixes each once (``_graded_solve``):
 
 - ``a / b``: q_k = (a_k - sum_(e != 0) b_e q_(k-e)) / b_0, on integer
   numerators over the one denominator da c^(eff+1), c the constant
@@ -79,9 +79,13 @@ degree fixes each once (``_graded_solve``):
   solve of E u, and ``sqrt_series(u)`` is r_0 times the solve of
   (E u)/(2u).
 
-``comp_inverse`` is Newton reversion, doubling the precision each pass
-(R. P. Brent and H. T. Kung, "Fast algorithms for manipulating formal
-power series", J. ACM 25 (1978)).
+Reversion is one online pass too, in the style of
+``structures.geodesic_solve`` (J. van der Hoeven, "Relax, but don't be
+too lazy", J. Symbolic Comput. 34 (2002)): ``comp_inverse`` is
+Lagrangian reversion by a table of integer powers (D. E. Knuth, TAOCP
+Vol. 2, 4.7, Algorithm L), in which the coefficient of x^n reads only
+those below it, over the one denominator c^(2 eff - 1), c the linear
+numerator of u, with no substitution and no quotient.
 """
 
 import math
@@ -508,18 +512,37 @@ def _sum_window(terms):
     return min(orders), min(effs)
 
 
-def _sum_of_products(terms, cap=None):
-    """sum c f g over ``terms`` (c, f, g), c rational and f, g jets, in
-    the window of ``_sum_window``, lowered to ``cap`` when one is given.
+_ONE = {(0, 0): 1}   # the numerators of 1, the partner of a lone factor
 
-    All products share one ``_box_sum`` over the lcm of their
-    denominators, then one ``_canonical`` (delayed reduction:
-    J.-G. Dumas, P. Giorgi and C. Pernet, ACM TOMS 35 (2008))."""
-    order, eff = _sum_window(terms)
+
+def _sum_of_products(terms, cap=None):
+    """sum c f g over ``terms`` (c, f, g), and c f over terms (c, f), c
+    rational and f, g jets, lowered to ``cap`` when one is given.
+
+    As in ``_sum_window``, each product keeps its ``_product_window`` and
+    the sum the least order and eff.  A lone factor f is f * 1 in its own
+    window (f.order, f.eff), which ``_product_window(f, 1)`` gives whenever
+    the order of 1 is at least f.order.  All products share one
+    ``_box_sum`` over the lcm of their denominators, then one
+    ``_canonical`` (delayed reduction: J.-G. Dumas, P. Giorgi and
+    C. Pernet, ACM TOMS 35 (2008))."""
+    windows, live = [], []
+    for term in terms:
+        c, f = term[0], term[1]
+        if len(term) == 3:
+            g = term[2]
+            windows.append(_product_window(f, g))
+            if f._num and g._num:
+                live.append((c, c.denominator * f._den * g._den, f._num,
+                             g._num))
+        else:
+            windows.append((f.order, f.eff))
+            if f._num:
+                live.append((c, c.denominator * f._den, f._num, _ONE))
+    orders, effs = zip(*windows)
+    order, eff = min(orders), min(effs)
     if cap is not None:
         eff = min(eff, cap)
-    live = [(c, c.denominator * f._den * g._den, f._num, g._num)
-            for c, f, g in terms if f._num and g._num]
     den = math.lcm(*[d for _, d, _, _ in live])
     return Jet2._new(_box_sum([(c.numerator * (den // d), a, b)
                                for c, d, a, b in live], eff), den, order, eff)
@@ -678,9 +701,16 @@ def compose1(f, g):
 def comp_inverse(u):
     """Compositional inverse of a univariate jet u = c1*x + O(x^2).
 
-    Newton reversion v <- v - (u o v - x) / (u' o v): a v right through
-    degree p gives one right through degree 2p + 1, so each pass runs at
-    the next precision of 1, 3, 7, ... up to ``u.eff``.
+    Lagrangian reversion in one online pass on integers.  With
+    u = (1/D) sum U_k x^k and c = U_1, put v = c w(D x / c^2): u(v) = x
+    reads w + sum_(k>=2) U_k c^(k-2) w^k = z, so v_n = D^n W_n / c^(2n-1)
+    with W_1 = 1 and W_n = -sum_(k=2..n) U_k c^(k-2) Q_k[n], where
+    Q_k[n], the z^n coefficient of w^k, is sum_m W_m Q_(k-1)[n-m] and
+    Q_1 = W.  W_n reads only W_m and Q_k[m] for m < n, and U_2..U_n, so
+    v_n reads only u_1..u_n: the result is known wherever u is, in the
+    window (u.order, u.eff), over the one denominator c^(2 eff - 1).
+    Over the dual numbers the same ring operations run, and
+    ``_canonical`` divides by that dual denominator.
     """
     if not u.is_x_only():
         raise NotInvertible("compositional inverse needs an x-only jet")
@@ -689,19 +719,25 @@ def comp_inverse(u):
     u1 = u.coeff(1, 0)
     if not _is_unit(u1):
         raise NotInvertible("linear coefficient %r is not invertible" % (u1,))
-    order, eff = u.order, u.eff
-    x = Jet2.variable("x", order)
-    zero = Jet2.zero(order)
-    du = u.d_dx()
-    v = Jet2({(1, 0): 1 / u1}, order, 1)
-    p = 1
-    while p < eff:
-        p = min(eff, 2 * p + 1)
-        w = v._window(order, p)
-        uw, dw = _substitute_all((u.truncated(eff=p), du.truncated(eff=p)),
-                                 w, zero)
-        v = w - (uw - x) / dw
-    return v
+    eff, num = u.eff, u._num
+    c = num[(1, 0)]
+    cpow = list(accumulate(repeat(c, 2 * eff - 1), mul, initial=1))
+    top = max(i for i, _ in num)   # U_k = 0 above it: no Q_k is needed
+    weight = [0, 0] + [num.get((k, 0), 0) * cpow[k - 2]
+                       for k in range(2, top + 1)]
+    w = [0, 1]                     # W_n, W_0 = 0
+    q = [None, w] + [[0] * k for k in range(2, top + 1)]   # q[k][n] = Q_k[n]
+    for n in range(2, eff + 1):
+        total = 0
+        for k in range(2, min(n, top) + 1):
+            qk = sum(map(mul, w[1:n - k + 2], q[k - 1][n - 1:k - 2:-1]))
+            q[k].append(qk)
+            total += weight[k] * qk
+        w.append(-total)
+    den = u._den
+    return Jet2._new({(n, 0): den ** n * w[n] * cpow[2 * (eff - n)]
+                      for n in range(1, eff + 1) if w[n]},
+                     cpow[2 * eff - 1], u.order, eff)
 
 
 # -- analytic series ----------------------------------------------------------

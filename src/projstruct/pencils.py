@@ -112,10 +112,9 @@ def _cleared_residual(fol, st):
     structure slot once, by P or Q.  Each of the six is one kernel sum.
     """
     p, q, (a, b, c, d) = fol.P, fol.Q, st
-    one = Jet2.constant(1, p.order)
-    x1 = _sum_of_products([(1, p.d_dy(), one), (1, b, q), (-1, c, p)])
-    x2 = _sum_of_products([(1, p.d_dx(), one), (1, a, q)])
-    z = _sum_of_products([(1, q.d_dy(), one), (-1, d, p)])
+    x1 = _sum_of_products([(1, p.d_dy()), (1, b, q), (-1, c, p)])
+    x2 = _sum_of_products([(1, p.d_dx()), (1, a, q)])
+    z = _sum_of_products([(1, q.d_dy()), (-1, d, p)])
     i = _sum_of_products([(1, p, x1), (-1, q, x2)])
     w = _sum_of_products([(1, q, q.d_dx()), (-1, p, z)])
     return _sum_of_products([(1, q, i), (1, p, w)])

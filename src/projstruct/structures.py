@@ -198,14 +198,13 @@ def apply_y_shift(st, phi):
         raise NotInvertible("shift must be x-only and fix 0")
     x = Jet2.variable("x", phi.order)
     y = Jet2.variable("y", phi.order)
-    one = Jet2.constant(1, phi.order)
     dph = phi.d_dx()
     dph2 = dph * dph
     ta, tb, tc, td = _substitute_all(st, x, y + phi)
-    a = _sum_of_products([(1, ta, one), (1, tb, dph), (1, tc, dph2),
-                          (1, td, dph2 * dph), (-1, dph.d_dx(), one)])
-    b = _sum_of_products([(1, tb, one), (2, tc, dph), (3, td, dph2)])
-    c = _sum_of_products([(1, tc, one), (3, td, dph)])
+    a = _sum_of_products([(1, ta), (1, tb, dph), (1, tc, dph2),
+                          (1, td, dph2 * dph), (-1, dph.d_dx())])
+    b = _sum_of_products([(1, tb), (2, tc, dph), (3, td, dph2)])
+    c = _sum_of_products([(1, tc), (3, td, dph)])
     return ProjectiveStructure(a, b, c, td)
 
 
@@ -254,12 +253,11 @@ def liouville(st):
     a, b, c, d = st
     ax, bx, cx, dx = (f.d_dx() for f in st)
     ay, by, cy, dy = (f.d_dy() for f in st)
-    one = Jet2.constant(1, st.order)
     l1 = _sum_of_products([
-        (2, bx.d_dy(), one), (-1, cx.d_dx(), one), (-3, ay.d_dy(), one),
+        (2, bx.d_dy()), (-1, cx.d_dx()), (-3, ay.d_dy()),
         (-3, ax, d), (3, ay, c)] + _grouped((3, a, cy, dx), (1, b, cx, by)))
     l2 = _sum_of_products([
-        (2, cx.d_dy(), one), (-1, by.d_dy(), one), (-3, dx.d_dx(), one),
+        (2, cx.d_dy()), (-1, by.d_dy()), (-3, dx.d_dx()),
         (3, a, dy), (-3, b, dx)] + _grouped((-3, d, bx, ay), (-1, c, by, cx)))
     return LiouvillePair(l1, l2)
 
@@ -424,5 +422,4 @@ def _rhs_along(st, curve):
 def _slope_cubic(a, b, c, d, p):
     """a + b p + c p^2 + d p^3 for jets a, b, c, d and p: one kernel sum."""
     p2 = p * p
-    return _sum_of_products([(1, a, Jet2.constant(1, a.order)), (1, b, p),
-                             (1, c, p2), (1, d, p2 * p)])
+    return _sum_of_products([(1, a), (1, b, p), (1, c, p2), (1, d, p2 * p)])

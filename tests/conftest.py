@@ -193,6 +193,37 @@ def quotient_traffic(tmp_path_factory):
     return counts, groups
 
 
+@pytest.fixture(scope="session")
+def reversion_traffic():
+    """(u, result) of every ``comp_inverse`` call of one ``run_all(12)``
+    pass, under "registry", and of the ``deep-jets`` rounds of seeds 1-3,
+    rounds 0-1 (orders 16 and 20), under "deep-jets"."""
+    import projstruct
+    from projstruct import cases, jets, structures
+
+    workloads = bench_workloads()
+    calls = []
+    comp_inverse = jets.comp_inverse
+
+    def recording(u):
+        v = comp_inverse(u)
+        calls.append((u, v))
+        return v
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (projstruct, cases, structures):
+            mp.setattr(module, "comp_inverse", recording)
+        projstruct.run_all(order=12)
+        registry = len(calls)
+        for seed in (1, 2, 3):
+            for index in (0, 1):
+                for order in (16, 20):
+                    for op in workloads.deep_round(projstruct, seed, index,
+                                                   order):
+                        assert op.gate(op.call())
+    return {"registry": calls[:registry], "deep-jets": calls[registry:]}
+
+
 @contextlib.contextmanager
 def keeping_jets(init=True):
     """Keep the jets built in the block, by ``Jet2._new`` and (unless
@@ -581,6 +612,37 @@ def reference_substitute_all(fs, u, v):
         eff = max(eff, -1)
         out.append(Jet2._new(*_lincomb(parts, eff), order, eff))
     return out
+
+
+def reference_newton_comp_inverse(u):
+    """``jets.comp_inverse`` as it was while it ran Newton reversion
+    v <- v - (u o v - x) / (u' o v) (R. P. Brent and H. T. Kung, J. ACM 25
+    (1978)): a v right through degree p gives one right through degree
+    2p + 1, so each pass runs at the next precision of 1, 3, 7, ... up to
+    ``u.eff``."""
+    from projstruct.errors import NotInvertible
+    from projstruct.jets import _is_unit, _substitute_all
+
+    if not u.is_x_only():
+        raise NotInvertible("compositional inverse needs an x-only jet")
+    if not u.constant_term == 0:
+        raise NotInvertible("series does not vanish at the origin")
+    u1 = u.coeff(1, 0)
+    if not _is_unit(u1):
+        raise NotInvertible("linear coefficient %r is not invertible" % (u1,))
+    order, eff = u.order, u.eff
+    x = Jet2.variable("x", order)
+    zero = Jet2.zero(order)
+    du = u.d_dx()
+    v = Jet2({(1, 0): 1 / u1}, order, 1)
+    p = 1
+    while p < eff:
+        p = min(eff, 2 * p + 1)
+        w = v._window(order, p)
+        uw, dw = _substitute_all((u.truncated(eff=p), du.truncated(eff=p)),
+                                 w, zero)
+        v = w - (uw - x) / dw
+    return v
 
 
 def reference_load_document(path):

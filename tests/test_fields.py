@@ -230,11 +230,15 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # more per sample; then 9458 and 9281 while _substitute_all built a jet
     # for each mixed product u^i v^j and liouville formed (a c) and (b d):
     # substitution now keeps their numerators, 65 and 41 jets fewer per
-    # pass, and liouville forms no partner for an empty factor, 15 fewer
+    # pass, and liouville forms no partner for an empty factor, 15 fewer;
+    # then 9378 and 9225 while comp_inverse ran Newton reversion, whose
+    # steps built windows, differences and quotients: the online
+    # reversion builds its one result, 534 and 502 jets fewer per pass for
+    # its 12 calls
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 9378, 8: 9225}
+        == {12: 8844, 8: 8723}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

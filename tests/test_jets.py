@@ -703,10 +703,12 @@ def test_a_registry_pass_and_a_deep_round_keep_their_graded_solves(
     # solves divided once in its Picard pass, where it now inverts Q,
     # divides in the 3 Newton steps of its reversion and takes one
     # exp_series, itself one graded solve; 258 and 42 while a divisor
-    # with a constant term alone took a graded pass too: it now scales
+    # with a constant term alone took a graded pass too: it now scales;
+    # 209 and 40 while comp_inverse divided in each Newton step of its
+    # reversion: it now divides nowhere
     solves, _ = quotient_traffic
-    assert solves["registry"] == 209
-    assert {solves[("deep-jets", seed, 0)] for seed in (1, 2, 3)} == {40}
+    assert solves["registry"] == 186
+    assert {solves[("deep-jets", seed, 0)] for seed in (1, 2, 3)} == {24}
 
 
 @settings(deadline=None, max_examples=30)
@@ -963,15 +965,19 @@ def test_substitution_is_the_reference_on_every_registry_call(
     # its reversion (3 at orders 15 and 11, 2 at 6) and composes C alone;
     # 291 while alpha_ode_solve solved online, where it now substitutes in
     # each Newton step of its reversion and composes Q' once (12 solves,
-    # at orders 15, 11 and 6)
-    assert len(substitution_traffic) == 336
+    # at orders 15, 11 and 6); 336 while comp_inverse substituted in each
+    # Newton step: it now substitutes nowhere
+    assert len(substitution_traffic) == 231
     for fs, u, v, out in substitution_traffic:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
 
 
 def test_deep_jets_substitutions_are_the_reference(deep_traffic):
+    # 120 while comp_inverse substituted in each Newton step of the
+    # comp_inverse op and of normalize_D1 (four steps each, at orders 16
+    # and 20): it now substitutes nowhere
     calls = deep_traffic["substitute_all"]
-    assert len(calls) == 120
+    assert len(calls) == 72
     for fs, u, v, out in calls:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
 
@@ -1018,19 +1024,20 @@ def test_substitution_is_the_reference(inputs):
 
 def test_substitution_builds_no_jet_for_a_mixed_power():
     # Jet2._new calls at order 12.  A substitution builds the windows of u
-    # and v, their powers from the square on and its results, and
-    # comp_inverse adds the windows, differences and quotients of its three
-    # Newton steps.  With a product per pure power too, the three were 28,
-    # 78 and 19; with the first powers built as 1 * u and 1 * v, 15, 53
-    # and 12; with a jet per mixed power u^i v^j (three for the cubic), 14,
-    # 50 and 10
+    # and v, their powers from the square on and its results; comp_inverse
+    # builds its one result, with no substitution.  With a product per pure
+    # power too, the three were 28, 78 and 19; with the first powers built
+    # as 1 * u and 1 * v, 15, 53 and 12; with a jet per mixed power u^i v^j
+    # (three for the cubic), 14, 50 and 10; 14, 50 and 7 while comp_inverse
+    # substituted into its current inverse in each of three Newton steps
+    # and added their windows, differences and quotients
     x, y = Jet2.variable("x", 12), Jet2.variable("y", 12)
     dense = Jet2({(i, 0): i + 1 for i in range(13)}, 12)    # 13 terms
     germ = Jet2({(i, 0): i for i in range(1, 13)}, 12)
     cubic = Jet2({(i, j): 1 for i in range(4) for j in range(4 - i)}, 12)
     u, v = x + y * y, y + x * y
     for run, built in [(lambda: compose1(dense, germ), 14),
-                       (lambda: comp_inverse(germ), 50),
+                       (lambda: comp_inverse(germ), 1),
                        (lambda: substitute(cubic, u, v), 7)]:
         with keeping_jets(init=False) as kept:
             run()
@@ -1046,6 +1053,21 @@ def test_comp_inverse_catalan_tail():
     expected = {1: 1, 2: -1, 3: 2, 4: -5, 5: 14, 6: -42, 7: 132, 8: -429}
     for k, c in expected.items():
         assert v.coeff(k, 0) == c
+
+
+def test_comp_inverse_neither_substitutes_nor_divides():
+    # one online pass: no substitution, no quotient and no graded solve
+    from projstruct import jets as jets_module
+
+    def refused(*args):
+        raise AssertionError("comp_inverse reached a kernel it must not")
+
+    u = Jet2({(i, 0): Fraction(i, i + 2) for i in range(1, 17)}, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_substitute_all", "_quotients", "_graded_solve"):
+            mp.setattr(jets_module, name, refused)
+        v = comp_inverse(u)
+    assert compose1(u, v).agree(Jet2.variable("x", 16))
 
 
 def test_comp_inverse_requires_unit_slope():

@@ -6,7 +6,10 @@ Picard iteration for ``comp_inverse``, ``geodesic_solve`` and the
 normal-form ODE solvers, each run at full order until it stops
 changing.  The references fail loudly instead of stopping at a cap.  The
 kernels must return a result ``==`` the reference: same ``order``, same
-``eff``, same coefficients.
+``eff``, same coefficients.  ``comp_inverse`` is also held to the Newton
+reversion it replaced (``conftest.reference_newton_comp_inverse``), in
+stored form, on random germs to order 20 and on every call of a registry
+pass and of the deep-jets rounds.
 
 The online ODE solver ``geodesic_solve`` fixes its coefficients degree
 by degree, on integers (J. van der Hoeven, "Relax, but don't be too
@@ -54,7 +57,9 @@ from conftest import (
     bench_workloads,
     nonzero_fractions,
     redrawn,
+    reference_newton_comp_inverse,
     small_fractions,
+    stored_form,
     windowed,
     windowed_or_dual,
 )
@@ -261,6 +266,66 @@ def test_comp_inverse_over_duals_matches_picard():
     v = comp_inverse(u)
     assert v == reference_comp_inverse(u)
     assert compose1(u, v).agree(Jet2.variable("x", 7))
+
+
+@st.composite
+def reversion_germs(draw):
+    """x-only germs c x + ... at orders 1-20 and any eff from 1 up to the
+    order: dense or with at most three terms past the linear one, c of
+    either sign and not always an integer, and, one time in four, dual
+    coefficients among the rational ones."""
+    order = draw(st.integers(1, 20))
+    eff = draw(st.integers(1, order))
+    degrees = range(2, eff + 1)
+    if draw(st.booleans()):
+        keys = list(degrees)
+    else:
+        keys = draw(st.lists(st.sampled_from(degrees), max_size=3,
+                             unique=True)) if degrees else []
+    dual = draw(st.integers(0, 3)) == 0
+
+    def value(draw_from):
+        q = draw(draw_from)
+        if dual and draw(st.booleans()):
+            return DualRational(q, draw(small_fractions))
+        return q
+
+    coeffs = {(k, 0): value(small_fractions) for k in keys}
+    coeffs[(1, 0)] = value(nonzero_fractions)
+    return Jet2(coeffs, order, eff)
+
+
+@settings(deadline=None, max_examples=150)
+@given(reversion_germs())
+@example(Jet2({(k, 0): Fraction((-1) ** k * k, 3) for k in range(1, 21)},
+              20, 17))
+@example(Jet2({(1, 0): DualRational(Fraction(-3, 2), 1), (4, 0): EPS,
+               (9, 0): Fraction(5, 4)}, 12, 12))
+def test_comp_inverse_is_newton_reversion(u):
+    assert stored_form(comp_inverse(u)) \
+        == stored_form(reference_newton_comp_inverse(u))
+
+
+@pytest.mark.parametrize("workload, calls", [("registry", 12),
+                                             ("deep-jets", 24)])
+def test_every_workload_reversion_is_newton_reversion(reversion_traffic,
+                                                      workload, calls):
+    # run_all(12): 3 alpha-ODE solves, 3 flattening germs, 6 normalize_D1;
+    # deep-jets seeds 1-3 rounds 0-1 at orders 16 and 20: the comp_inverse
+    # op and normalize_D1 of each round
+    traffic = reversion_traffic[workload]
+    assert len(traffic) == calls
+    for u, v in traffic:
+        assert stored_form(v) == stored_form(reference_newton_comp_inverse(u))
+
+
+def test_comp_inverse_reverts_x_exp_minus_x_to_the_tree_function():
+    # T(x) = sum n^(n-1)/n! x^n solves T e^(-T) = x, exactly through 40
+    u = Jet2({(k, 0): Fraction((-1) ** (k - 1), factorial(k - 1))
+              for k in range(1, 41)}, 40)
+    assert comp_inverse(u) == Jet2(
+        {(n, 0): Fraction(n ** (n - 1), factorial(n)) for n in range(1, 41)},
+        40)
 
 
 @settings(deadline=None, max_examples=60)
