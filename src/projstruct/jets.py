@@ -52,15 +52,27 @@ list over the result's exponent box (``_box_sum``): h rows by w columns,
 where h and w exceed the largest x- and y-exponent a kept product can
 have.  The box is never sized by the working order, so a product of two
 short jets costs the same at order 400 as at order 20.  A one-term
-factor is a shifted scale of the other.  ``_sum_of_products`` sums many
-products c f g in one such box over one denominator and reduces once; it
-forms each slot of ``residual``, ``liouville``, ``pullback``, the slope
-products and ``apply_y_shift``, the six parts of ``is_geodesic``'s cleared
-numerator, ``_rhs_along`` and ``Pencil.wedge``.  Substitution
-(``_substitute_all``) builds the powers of u and v once; a pure power of f
-reads u^i or v^j itself, and a mixed term x^i y^j takes the numerators of
-one ``_product`` u^i v^j, formed once and shared by every f, with no jet
-built for it.
+factor is a shifted scale of the other.  One scan of each factor's keys
+(``_extent``) sizes the box and picks the path.  A product of integer
+factors with many terms per degree, la lb > 5 ((ta + 1)(tb + 1) + la +
+lb) for la, lb terms of top degree ta, tb (the term pairs the loop visits
+against the slice pairs and terms of the other path), is Kronecker
+substitution by homogeneous slice (``_packed_sums``): one int per total
+degree per factor, one big-integer product per pair of slices under
+``eff``, in signed slots one bit wider than the bound sum |s| max|a|
+max|b| min(la, lb) on a coefficient, so the sum is exact.  Dual values,
+short or sparse factors and two factors with one term per degree (two
+x-only factors: la lb <= (ta + 1)(tb + 1)) are looped.  ``_quotients``
+shares the slot code (``_packing``, ``_slot``).
+
+``_sum_of_products`` sums many products c f g in one such box over one
+denominator and reduces once; it forms each slot of ``residual``,
+``liouville``, ``pullback``, the slope products and ``apply_y_shift``,
+the six parts of ``is_geodesic``'s cleared numerator, ``_rhs_along`` and
+``Pencil.wedge``.  Substitution (``_substitute_all``) builds the powers
+of u and v once; a pure power of f reads u^i or v^j itself, and a mixed
+term x^i y^j takes the numerators of one ``_product`` u^i v^j, formed
+once and shared by every f, with no jet built for it.
 
 The series kernels end by construction; no kernel iterates to a fixed
 point under a cap.  A coefficient of degree d of a quotient and of the
@@ -92,7 +104,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import (
     NonSquareConstant,
@@ -102,8 +114,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER = 12
-
-_j = itemgetter(1)   # the y-exponent of a key (i, j)
 
 
 def _is_unit(c):
@@ -465,20 +475,50 @@ def _product(a, b, eff):
     return _box_sum([(1, a, b)], eff)
 
 
+def _extent(num):
+    """(largest i, largest j, largest i + j) over the keys of ``num``, in
+    one scan."""
+    h = w = top = 0
+    for i, j in num:
+        if i > h:
+            h = i
+        if j > w:
+            w = j
+        if i + j > top:
+            top = i + j
+    return h, w, top
+
+
 def _box_sum(products, eff):
     """The numerators of sum s a b over ``products`` (s, a, b) of numerator
     dicts, through degree ``eff``, in a flat list over the exponent box of
     the result, h rows by w columns, never sized by the working order.  Key
     (i, j) packs to i*w + j, additive on every kept product since its i
-    stays below h and its j below w.  Of each pair, the factor with fewer
-    terms is sorted by degree; each term of the other takes a prefix."""
+    stays below h and its j below w.
+
+    A product of integer factors with many terms per degree (the rule of
+    the module note) takes ``_packed_sums``; any other is looped: of each
+    pair, the factor with fewer terms is sorted by degree, and each term
+    of the other takes the prefix that fits."""
     h = w = 0
-    for _, a, b in products:
-        h = max(h, max(a)[0] + max(b)[0])
-        w = max(w, max(map(_j, a)) + max(map(_j, b)))
+    looped, packed = [], []
+    for s, a, b in products:
+        ha, wa, ta = _extent(a)
+        hb, wb, tb = _extent(b)
+        if ha + hb > h:
+            h = ha + hb
+        if wa + wb > w:
+            w = wa + wb
+        la, lb = len(a), len(b)
+        if (la * lb > 5 * ((ta + 1) * (tb + 1) + la + lb)
+                and {*map(type, a.values()), *map(type, b.values())}
+                == {int}):
+            packed.append((s, a, b, ta + tb))
+        else:
+            looped.append((s, a, b))
     h, w = min(eff, h) + 1, min(eff, w) + 1
     acc = [0] * (h * w)
-    for s, a, b in products:
+    for s, a, b in looped:
         if len(a) < len(b):
             a, b = b, a
         keys = sorted(b, key=sum)
@@ -488,7 +528,72 @@ def _box_sum(products, eff):
             k1 = i * w + j
             for k2, c2 in right[:bisect_right(degrees, eff - i - j)]:
                 acc[k1 + k2] += c1 * c2
+    if packed:
+        _packed_sums(acc, packed, eff, w)
     return {divmod(k, w): c for k, c in enumerate(acc) if c}
+
+
+def _packed_sums(acc, products, eff, w):
+    """Add sum s a b over ``products`` (s, a, b, top degree of a b) into
+    the box ``acc`` of ``_box_sum``, w columns wide, through degree
+    ``eff``, by homogeneous slices (Kronecker substitution, D. Harvey,
+    J. Symbolic Comput. 44 (2009), one total degree at a time).
+
+    Each factor becomes one int per total degree d, sum_j n_(d-j, j)
+    2^(j S); the product of slices of degrees d1 and d2 is one big-integer
+    product, and lands in the int of degree d1 + d2 <= top, top the least
+    of eff and the largest top degree of a product.  A coefficient of the
+    sum is at most B = sum |s| max|a| max|b| min(la, lb) in absolute value,
+    so slots of S = ``_packing(B, ..)`` bits hold it exactly, and slot j of
+    the int of degree d is the coefficient of x^(d-j) y^j.
+    """
+    top = min(eff, max(t for *_, t in products))
+    bound = sum(abs(s) * max(map(abs, a.values())) * max(map(abs, b.values()))
+                * min(len(a), len(b)) for s, a, b, _ in products)
+    width, bias = _packing(bound, min(top + 1, w))
+    sums = [bias] * (top + 1)
+    for s, a, b, _ in products:
+        if len(a) < len(b):
+            a, b = b, a
+        right = [(d, s * q) for d, q in enumerate(_slices(b, width, top)) if q]
+        for d1, p in enumerate(_slices(a, width, top)):
+            if p:
+                for d2, q in right:
+                    if d1 + d2 > top:
+                        break
+                    sums[d1 + d2] += p * q
+    for j in range(min(top + 1, w)):
+        for i, z in enumerate(_slot(sums[j:], width, j)):
+            if z:
+                acc[i * w + j] += z
+
+
+def _slices(num, width, top):
+    """[sum_j n_(d-j, j) 2^(j width) for d in 0..top], the homogeneous
+    slices of the numerator dict ``num`` packed one per int."""
+    out = [0] * (top + 1)
+    for (i, j), n in num.items():
+        if i + j <= top:
+            out[i + j] += n << (j * width)
+    return out
+
+
+def _packing(bound, count):
+    """(S, bias) for ``count`` signed slots of S bits, each holding an
+    integer z with |z| <= ``bound``: S is the bit length of the bound plus
+    a sign bit, and bias = sum_(r < count) 2^(S-1) 2^(r S), so that a word
+    sum_r z_r 2^(r S) plus the bias has every slot z_r + 2^(S-1) in
+    [0, 2^S)."""
+    width = bound.bit_length() + 1
+    return width, ((1 << (width - 1)) * ((1 << (count * width)) - 1)
+                   // ((1 << width) - 1))
+
+
+def _slot(words, width, r):
+    """[z_r of each word], for words sum_r z_r 2^(r S) plus the bias of
+    ``_packing``: z_r = ((word >> r S) & (2^S - 1)) - 2^(S-1)."""
+    half, mask, shift = 1 << (width - 1), (1 << width) - 1, r * width
+    return [((word >> shift) & mask) - half for word in words]
 
 
 def _product_window(f, g):
@@ -566,9 +671,9 @@ def _quotients(nums, b):
     the final values must fit.  With s_d the sum of |start| over the slots
     and keys of degree d, and t_e that of |tail| over degree e,
     u_d = s_d + sum_(e=1..d) t_e u_(d-e) bounds sum_(deg k = d) |Z_k| in
-    every slot; S is two bits past max u_d.  Slot r is ((P + B) >> rS) &
-    (2^S - 1) - 2^(S-1), for B = sum_r 2^(S-1) 2^(rS), through its eff,
-    and each slot's jet is built straight from those words.
+    every slot, so slots of S = ``_packing(max u_d, ..)`` bits hold it.
+    ``_slot`` reads slot r of every word, and each slot's jet is built
+    straight from those values through its eff.
     """
     c = b._num.get((0, 0), 0)
     if not _is_unit(c):
@@ -598,18 +703,16 @@ def _quotients(nums, b):
             sums[i + j] += abs(n)
     for d in range(top + 1):  # s_d becomes u_d
         u[d] += sum(map(mul, t[1:d + 1], reversed(u[:d])))
-    width = max(u, default=0).bit_length() + 2
+    width, bias = _packing(max(u, default=0), len(nums))
     packed = dict(starts[0])
     for r, start in enumerate(starts[1:], 1):
         for k, n in start.items():
             packed[k] = packed.get(k, 0) + (n << (r * width))
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    bias = sum(half << (r * width) for r in range(len(nums)))
-    words = [(i, j, w + bias)
-             for (i, j), w in _graded_solve(tail, packed, top).items()]
-    return [Jet2._new({(i, j): db * z * cpow[eff - i - j] for i, j, w in words
-                       if i + j <= eff
-                       and (z := ((w >> (r * width)) & mask) - half)},
+    solved = _graded_solve(tail, packed, top)
+    words = [w + bias for w in solved.values()]
+    return [Jet2._new({(i, j): db * z * cpow[eff - i - j] for (i, j), z
+                       in zip(solved, _slot(words, width, r))
+                       if z and i + j <= eff},
                       a._den * cpow[eff + 1], order, eff)
             for r, (a, order, eff) in enumerate(zip(nums, orders, effs))]
 

@@ -15,6 +15,34 @@ from projstruct.jets import Jet2
 PROP_ORDER = 6
 
 
+@contextlib.contextmanager
+def packed_box_sums():
+    """Keep (products, eff, result, packed) of each ``jets._box_sum`` call
+    in the block that takes the packed path, ``packed`` the products it
+    hands to ``jets._packed_sums``, in the list it yields; call the kernel
+    as ``jets._box_sum`` to be seen."""
+    from projstruct import jets
+
+    box_sum, packed_sums = jets._box_sum, jets._packed_sums
+    calls, packing = [], []
+
+    def counting(acc, products, eff, w):
+        packing.append(products)
+        return packed_sums(acc, products, eff, w)
+
+    def recording(products, eff):
+        before = len(packing)
+        out = box_sum(products, eff)
+        if len(packing) > before:
+            calls.append((products, eff, out, packing[-1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_packed_sums", counting)
+        mp.setattr(jets, "_box_sum", recording)
+        yield calls
+
+
 @pytest.fixture(scope="session")
 def registry_traffic():
     """Each ``residual``, ``pullback``, ``structure_from_pencil``,
@@ -22,7 +50,8 @@ def registry_traffic():
     ``cases._root_check`` call of ``run_all(12)`` and ``run_all(8)``: its
     arguments and the jets it built (``Jet2._new`` calls outside
     ``_substitute_all``), and per pass the number of calls of each and the
-    jets built in all."""
+    jets built in all; under "packed", each ``_box_sum`` call that takes
+    the packed path, as ``packed_box_sums`` keeps it."""
     from projstruct import cases, fields, pencils, structures
 
     calls = {"residual": [], "pullback": [], "structure_from_pencil": [],
@@ -52,7 +81,8 @@ def registry_traffic():
         return wrapper
 
     passes = {}
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, packed_box_sums() as packed:
+        calls["packed"] = packed
         mp.setattr(Jet2, "_new", classmethod(counting))
         mp.setattr(structures, "_substitute_all", substituting)
         residual = recording("residual", fields.residual)
@@ -116,8 +146,9 @@ def substitution_traffic():
 def deep_traffic():
     """The arguments of each ``pullback``, ``is_geodesic``, ``_rhs_along``
     and ``Jet2.agree`` call of the ``deep-jets`` benchmark workload (seeds
-    1-3, round 0, orders 16 and 20), and (fs, u, v, result) of each
-    ``_substitute_all`` call."""
+    1-3, round 0, orders 16 and 20), (fs, u, v, result) of each
+    ``_substitute_all`` call, and under "packed" each ``_box_sum`` call
+    that takes the packed path, as ``packed_box_sums`` keeps it."""
     import projstruct
     from projstruct import structures
 
@@ -131,7 +162,8 @@ def deep_traffic():
             return fn(*args)
         return wrapper
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, packed_box_sums() as packed:
+        calls["packed"] = packed
         recording_substitutions(mp, calls["substitute_all"])
         mp.setattr(projstruct, "pullback",
                    recording("pullback", projstruct.pullback))

@@ -46,6 +46,7 @@ from conftest import (
     jets,
     keeping_jets,
     nonzero_fractions,
+    packed_box_sums,
     rational_or_dual_jets,
     redrawn,
     reference_agree,
@@ -737,6 +738,127 @@ def test_a_short_product_does_not_pay_for_the_working_order():
     assert best(400) / best(20) < 5
     p = Jet2({(0, 0): 1, (5, 0): 1}, 400)
     assert (p * p).coeffs == _ref_mul(p.coeffs, p.coeffs, 400)
+    # nor do the slices of a packed product: two dense degree-8 jets of
+    # 45 terms each take the packed path, whose ints span the product's
+    # top degree 16, not the working order
+    dense = {(i, j): (3 * i + 5 * j) % 7 - 3 or 1
+             for i in range(9) for j in range(9 - i)}
+
+    def best_dense(order):
+        u = Jet2(dense, order)
+        return min(timeit.repeat(lambda: u * u, number=50, repeat=5))
+    assert best_dense(400) / best_dense(20) < 5
+    q = Jet2(dense, 400)
+    with packed_box_sums() as packed:
+        qq = q * q
+    assert packed and qq.coeffs == _ref_mul(q.coeffs, q.coeffs, 400)
+
+
+def _ref_box_sum(products, eff):
+    """sum s a b over ``products`` (s, a, b) of numerator dicts through
+    degree ``eff``, by the plain double loop of each product."""
+    out = {}
+    for s, a, b in products:
+        for k, c in _ref_mul(a, b, eff).items():
+            out[k] = out.get(k, 0) + s * c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_every_packed_workload_product_is_the_loop_product(
+        registry_traffic, deep_traffic):
+    # the _box_sum calls that take the packed path: none in a registry
+    # pass, whose products are sparse, short or x-only, and 144 in the
+    # deep-jets rounds of seeds 1-3, round 0; each is the plain double
+    # loop, its keys in the box order of the loop kernel
+    calls, passes = registry_traffic
+    assert {order: p["packed"] for order, p in passes.items()} \
+        == {12: 0, 8: 0}
+    assert len(deep_traffic["packed"]) == 144
+    for products, eff, out, _ in calls["packed"] + deep_traffic["packed"]:
+        assert out == _ref_box_sum(products, eff)
+        assert list(out) == sorted(out)
+
+
+_HUGE = 2 ** 2100
+
+
+def _wide(top):
+    """Integers n e + r, n and r in -9..9 and e one of 1, 2^64 and ``top``:
+    up to as wide as ``top``, each drawn from a few bytes."""
+    return st.builds(lambda n, e, r: n * e + r, st.integers(-9, 9),
+                     st.sampled_from([1, 2 ** 64, top]), st.integers(-9, 9))
+
+
+@st.composite
+def packed_products(draw):
+    """(dense, looped, eff) for ``_box_sum``: one or two products that
+    take the packed path, of dense integer factors of top degree 7-10
+    with up to top-degree holes, numerators of either sign up to 2100
+    bits or all one value (where the slot bound is nearest to tight), and
+    weights up to 2^400 as the lcm scaling of ``_sum_of_products`` makes
+    them; up to two looped products (a lone factor against 1, a sparse
+    factor); and eff from -1 to past the top degrees."""
+    def factor():
+        top = draw(st.integers(7, 10))
+        keys = [(i, d - i) for d in range(top + 1) for i in range(d + 1)]
+        holes = draw(st.sets(st.sampled_from(keys), max_size=top))
+        keys = [k for k in keys if k not in holes]
+        if draw(st.booleans()):
+            return dict.fromkeys(keys, draw(st.sampled_from(
+                [1, -1, 7, _HUGE, -_HUGE, _HUGE - 1])))
+        return {k: n or 1 for k, n in zip(keys, draw(st.lists(
+            _wide(_HUGE), min_size=len(keys), max_size=len(keys))))}
+
+    weights = st.one_of(st.sampled_from([1, -1, 3]), _wide(2 ** 400))
+    dense = [(draw(weights), factor(), factor())
+             for _ in range(draw(st.integers(1, 2)))]
+    looped = []
+    if draw(st.booleans()):
+        looped.append((draw(weights), factor(), {(0, 0): 1}))
+    if draw(st.booleans()):
+        looped.append((draw(weights), factor(),
+                       {(0, 0): 2, (1, 1): -_HUGE, (3, 0): 5}))
+    return dense, looped, draw(st.integers(-1, 22))
+
+
+@settings(deadline=None, max_examples=60)
+@given(packed_products())
+def test_packed_products_are_the_double_loop(inputs):
+    # every dense product of two integer factors takes the packed path,
+    # and the sum is the plain double loop, its keys in box order
+    from projstruct import jets as jets_module
+
+    dense, looped, eff = inputs
+    products = dense + looped
+    with packed_box_sums() as calls:
+        out = jets_module._box_sum(products, eff)
+    assert [[p[:3] for p in packed] for *_, packed in calls] == [dense]
+    assert out == _ref_box_sum(products, eff)
+    assert list(out) == sorted(out)
+
+
+def test_a_dense_dual_product_stays_on_the_loop():
+    # criterion 14's path: dual values never take the packed path, and
+    # the product is the one of its real and eps parts over the
+    # rationals, whose dense products do take it
+    def dense(shift):
+        return Jet2({(i, j): (3 * i + 5 * j + shift) % 11 - 5 or 1
+                     for i in range(9) for j in range(9 - i)}, 16)
+
+    a, b, c, d = (dense(k) for k in range(4))
+    u = Jet2({k: DualRational(a.coeff(*k), b.coeff(*k)) for k in a.coeffs},
+             16)
+    v = Jet2({k: DualRational(c.coeff(*k), d.coeff(*k)) for k in c.coeffs},
+             16)
+    with packed_box_sums() as packed:
+        w = u * v
+    assert not packed
+    with packed_box_sums() as packed:
+        re, ep = a * c, a * d + b * c
+    assert len(packed) == 3
+    assert (w.order, w.eff) == (re.order, re.eff) == (ep.order, ep.eff)
+    assert w.coeffs == {k: DualRational(re.coeff(*k), ep.coeff(*k))
+                        for k in set(re.coeffs) | set(ep.coeffs)}
 
 
 # --- the numerator kernels -------------------------------------------------
