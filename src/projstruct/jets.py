@@ -72,7 +72,15 @@ the six parts of ``is_geodesic``'s cleared numerator, ``_rhs_along`` and
 ``Pencil.wedge``.  Substitution (``_substitute_all``) builds the powers
 of u and v once; a pure power of f reads u^i or v^j itself, and a mixed
 term x^i y^j takes the numerators of one ``_product`` u^i v^j, formed
-once and shared by every f, with no jet built for it.
+once and shared by every f, with no jet built for it.  When u and v hold
+terms of degree 1 alone and every numerator is an ``int``, each slice of
+f maps to one slice of the same degree, and ``_substitute_linear`` forms
+it as one int (Kronecker substitution by homogeneous slice again): x -> 1
+and y -> 2^S make u and v two ints X and Y, and the slice of degree d is
+sum F_ij du^(I-i) dv^(J-j) X^i Y^j, one big-integer multiply-add per term
+of f, in signed slots one bit wider than max|F| max_d sum_(i+j=d)
+du^(I-i) dv^(J-j) |u|^i |v|^j, |u| the sum of |a1| and |b1|.  Other germs
+keep the powers: there the slots would widen with |u|^i.
 
 The series kernels end by construction; no kernel iterates to a fixed
 point under a cap.  A coefficient of degree d of a quotient and of the
@@ -680,7 +688,7 @@ def _quotients(nums, b):
         raise NonUnitDivisor("constant term %r is not invertible" % (c,))
     orders, effs = zip(*[_quotient_window(a, b) for a in nums])
     db = b._den
-    ints = all(type(n) is int for f in (b, *nums) for n in f._num.values())
+    ints = all({*map(type, f._num.values())} <= {int} for f in (b, *nums))
     if ints and len(b._num) == 1:
         return [Jet2._new({(i, j): db * n for (i, j), n in a._num.items()
                            if i + j <= eff}, a._den * c, order, eff)
@@ -741,6 +749,13 @@ def _substitute_all(fs, u, v):
     form; each mixed product u^i v^j (i, j >= 1) is formed once, as the
     numerators, denominator and window that ``u^i * v^j`` would reduce
     and store, and shared by every f that has a term x^i y^j.
+
+    When u and v hold terms of degree 1 alone, all with ``int``
+    numerators, and so does every f, ``_substitute_linear`` forms each
+    slice of f(u, v) as one packed int, in slots of a width that its
+    bound makes exact, in the window min(f.eff, u.eff, v.eff, order):
+    that of the powers, each of which is known that far at least.  The
+    path reads nothing but the input jets.
     """
     fs = tuple(fs)
     drift = 0
@@ -752,6 +767,10 @@ def _substitute_all(fs, u, v):
         if not c == 0:
             drift = 1
     order = min(u.order, v.order, *(f.order for f in fs))
+    if all(i + j == 1 and type(n) is int
+           for g in (u, v) for (i, j), n in g._num.items()) and all(
+               {*map(type, f._num.values())} <= {int} for f in fs):
+        return _substitute_linear(fs, u, v, order)
     upow = _powers(u.truncated(order),
                    max((i for f in fs for (i, _) in f._num), default=0), order)
     vpow = _powers(v.truncated(order),
@@ -778,6 +797,71 @@ def _substitute_all(fs, u, v):
             parts.append((c, num, f._den * den))
         eff = max(eff, -1)
         out.append(Jet2._new(*_lincomb(parts, eff), order, eff))
+    return out
+
+
+def _substitute_linear(fs, u, v, order):
+    """[substitute(f, u, v) for f in fs] for u and v with terms of degree 1
+    alone and integer numerators, by homogeneous slice.
+
+    A linear germ maps the slice of degree d of f to one slice of degree d.
+    With u = (a1 x + b1 y)/du and v = (a2 x + b2 y)/dv, x -> 1 and
+    y -> 2^S turn them into X = a1 + b1 2^S and Y = a2 + b2 2^S, so the
+    slice of degree d of f(u, v), over f's denominator times du^I dv^J (I
+    and J the largest exponents of x and y in the kept terms), is the one
+    int sum_(i+j=d) F_ij du^(I-i) dv^(J-j) X^i Y^j, whose slot k holds the
+    coefficient of x^(d-k) y^k.  The weighted products du^(I-i) dv^(J-j)
+    X^i Y^j are formed once and shared by every f.  A coefficient is at
+    most max|F| max_d sum_(i+j=d) du^(I-i) dv^(J-j) |u|^i |v|^j in absolute
+    value, |u| = |a1| + |b1|, so slots of S = ``_packing(that, ..)`` bits
+    hold it.  Every power and mixed product of u and v is known through
+    min(u.eff, v.eff, order) at least, so f(u, v) has the window
+    min(f.eff, u.eff, v.eff, order) that ``_substitute_all`` gives it.
+    """
+    effs = [max(min(f.eff, u.eff, v.eff, order), -1) for f in fs]
+    kept, extents = [], []
+    for f, eff in zip(fs, effs):
+        num, extent = f._num, _extent(f._num)
+        if extent[2] > eff:
+            num = {(i, j): n for (i, j), n in num.items() if i + j <= eff}
+            extent = _extent(num)
+        kept.append(num)
+        extents.append(extent if num else (0, 0, -1))
+    big_i, big_j, top = map(max, zip(*extents))
+    if top < 0:
+        return [Jet2._new({}, 1, order, eff) for eff in effs]
+    (a1, b1), (a2, b2) = ((g._num.get((1, 0), 0), g._num.get((0, 1), 0))
+                          for g in (u, v))
+    du, dv = u._den, v._den
+
+    def weighted(den, base, top):   # [den^(top-i) base^i for i <= top]
+        return [den ** (top - i) * base ** i for i in range(top + 1)]
+
+    wu = weighted(du, abs(a1) + abs(b1), big_i)
+    wv = weighted(dv, abs(a2) + abs(b2), big_j)
+    bound = max(max(map(abs, num.values())) for num in kept if num) * max(
+        sum(wu[i] * wv[d - i] for i in range(max(0, d - big_j),
+                                             min(d, big_i) + 1))
+        for d in range(top + 1))
+    width, bias = _packing(bound, top + 1)
+    xs = weighted(du, a1 + (b1 << width), big_i)
+    ys = weighted(dv, a2 + (b2 << width), big_j)
+    products = {}   # (i, j) -> du^(I-i) dv^(J-j) X^i Y^j
+    out = []
+    for f, eff, num, (_, _, t) in zip(fs, effs, kept, extents):
+        sums = [bias] * (t + 1)
+        for (i, j), n in num.items():
+            p = products.get((i, j))
+            if p is None:
+                p = products[(i, j)] = xs[i] * ys[j]
+            sums[i + j] += n * p
+        out_num = {}
+        for j in range(t + 1):
+            for i, z in enumerate(_slot(sums[j:], width, j)):
+                if z:
+                    out_num[(i, j)] = z
+        out.append(Jet2._new(out_num, f._den * du ** big_i * dv ** big_j,
+                             order, eff))
     return out
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NotInvertible,
     _ensure,
 )
-from .jets import (Jet2, _is_unit, _quotients, _substitute_all,
+from .jets import (Jet2, _is_unit, _lincomb, _quotients, _substitute_all,
                    _sum_of_products, _sum_window, comp_inverse, compose1,
                    first_nonzero)
 from .records import Record
@@ -123,6 +123,14 @@ def pullback(germ, st):
     then the curve traced in source coordinates solves the result.
     Functorially, ``pullback(g1.compose(g2), st) ==
     pullback(g2, pullback(g1, st))``.
+
+    A linear germ over the rationals, whose four first derivatives are
+    integer-numerator constants (a scaling, a shear), has no second
+    derivatives: the slope terms of p2 and q2 vanish, and each of the 16
+    cubic coefficients is a number M_ks.  Each slot is then the constant
+    mix sum_s M_ks s of the substituted slots, one ``_lincomb`` capped at
+    the window ``_cubic_windows`` gives it, so its windows are the grouped
+    path's; the Jacobian divides it as on that path.
     """
     u, v = germ.u, germ.v
     ux, uy, vx, vy = u.d_dx(), u.d_dy(), v.d_dx(), v.d_dy()
@@ -143,15 +151,29 @@ def pullback(germ, st):
     p2 = [(-1, vx.d_dx()), (-2, vx.d_dy()), (-1, vy.d_dy())]
     sts = _substitute_all(st, u, v)
     rest = [f + g for f, g in zip(_slope_terms(p2, dn), _slope_terms(nn, q2))]
-    cubic = zip(*(_slope_terms(sq, f) for sq, f in
-                  zip((dn2, dn2, nn2, nn2), (dn, nn, dn, nn))))
+    cubic = list(zip(*(_slope_terms(sq, f) for sq, f in
+                       zip((dn2, dn2, nn2, nn2), (dn, nn, dn, nn)))))
     effs = _cubic_windows(sts, cubic, rest)
-    a, b, c, d = (s if s.eff >= max(effs) else s._window(s.order, s.order)
-                  for s in sts)
-    lin = [[(1, _sum_of_products([(1, s, f), (1, t, g)])) for f, g in
-            ((ux, vx), (uy, vy))] for s, t in ((a, b), (c, d))]
-    slots = [_sum_of_products(f + g + r, eff) for f, g, r, eff in zip(
-        _slope_terms(dn2, lin[0]), _slope_terms(nn2, lin[1]), rest, effs)]
+    if all(type(n) is int and not (i or j)
+           for g in (ux, uy, vx, vy) for (i, j), n in g._num.items()):
+        # a linear germ: rest vanishes and each cubic coefficient is a
+        # number M_ks, so slot k is the constant mix sum_s M_ks sts[s]
+        slots = []
+        for coeffs, eff in zip(cubic, effs):
+            mix = []
+            for s, terms in zip(sts, coeffs):
+                m = sum(w * f.constant_term * g.constant_term
+                        for w, f, g in terms)
+                if m:
+                    mix.append((m.numerator, s._num, m.denominator * s._den))
+            slots.append(Jet2._new(*_lincomb(mix, eff), sts[0].order, eff))
+    else:
+        a, b, c, d = (s if s.eff >= max(effs)
+                      else s._window(s.order, s.order) for s in sts)
+        lin = [[(1, _sum_of_products([(1, s, f), (1, t, g)])) for f, g in
+                ((ux, vx), (uy, vy))] for s, t in ((a, b), (c, d))]
+        slots = [_sum_of_products(f + g + r, eff) for f, g, r, eff in zip(
+            _slope_terms(dn2, lin[0]), _slope_terms(nn2, lin[1]), rest, effs)]
     return ProjectiveStructure(*_quotients(slots, jac))
 
 

@@ -111,43 +111,56 @@ def registry_traffic():
 
 
 def recording_substitutions(mp, calls):
-    """Append (fs, u, v, result) of every ``_substitute_all`` call, made
-    from :mod:`projstruct.jets` or :mod:`projstruct.structures`, to
-    ``calls``."""
+    """Append (fs, u, v, result, sliced) of every ``_substitute_all`` call,
+    made from :mod:`projstruct.jets` or :mod:`projstruct.structures`, to
+    ``calls``; ``sliced`` says whether it took the slice path of linear
+    u and v (``jets._substitute_linear``)."""
     from projstruct import jets, structures
 
-    substitute_all = jets._substitute_all
+    substitute_all, substitute_linear = (jets._substitute_all,
+                                         jets._substitute_linear)
+    sliced = [0]
+
+    def slicing(*args):
+        sliced[0] += 1
+        return substitute_linear(*args)
 
     def recording(fs, u, v):
         fs = tuple(fs)
+        before = sliced[0]
         out = substitute_all(fs, u, v)
-        calls.append((fs, u, v, out))
+        calls.append((fs, u, v, out, sliced[0] > before))
         return out
 
+    mp.setattr(jets, "_substitute_linear", slicing)
     for module in (jets, structures):
         mp.setattr(module, "_substitute_all", recording)
 
 
 @pytest.fixture(scope="session")
 def substitution_traffic():
-    """(fs, u, v, result) of every ``_substitute_all`` call of ``run_all``
-    at orders 12, 8 and 3."""
+    """{order: [(fs, u, v, result, sliced), ..]}: every ``_substitute_all``
+    call of ``run_all`` at orders 12, 8 and 3, as
+    ``recording_substitutions`` keeps it."""
     from projstruct import cases
 
-    calls = []
+    passes = {}
     with pytest.MonkeyPatch.context() as mp:
-        recording_substitutions(mp, calls)
         for order in (12, 8, 3):
+            passes[order] = []
+            recording_substitutions(mp, passes[order])
             cases.run_all(order=order)
-    return calls
+            mp.undo()
+    return passes
 
 
 @pytest.fixture(scope="session")
 def deep_traffic():
     """The arguments of each ``pullback``, ``is_geodesic``, ``_rhs_along``
     and ``Jet2.agree`` call of the ``deep-jets`` benchmark workload (seeds
-    1-3, round 0, orders 16 and 20), (fs, u, v, result) of each
-    ``_substitute_all`` call, and under "packed" each ``_box_sum`` call
+    1-3, round 0, orders 16 and 20), (fs, u, v, result, sliced) of each
+    ``_substitute_all`` call as ``recording_substitutions`` keeps it, and
+    under "packed" each ``_box_sum`` call
     that takes the packed path, as ``packed_box_sums`` keeps it."""
     import projstruct
     from projstruct import structures

@@ -234,11 +234,15 @@ def test_a_registry_pass_keeps_its_jet_traffic(registry_traffic):
     # then 9378 and 9225 while comp_inverse ran Newton reversion, whose
     # steps built windows, differences and quotients: the online
     # reversion builds its one result, 534 and 502 jets fewer per pass for
-    # its 12 calls
+    # its 12 calls; then 8844 and 8723 while a substitution by a linear
+    # germ built the windows of u and v and the powers from the square on:
+    # the slice path builds its results alone (29 calls per pass), and a
+    # pullback by a linear germ builds no linear factor (6 calls, 4 jets
+    # each), 90 jets fewer per pass at either order
     calls, passes = registry_traffic
     assert {n for *_, n in calls["residual"]} == {22}
     assert {order: p["jets"] for order, p in passes.items()} \
-        == {12: 8844, 8: 8723}
+        == {12: 8754, 8: 8633}
 
 
 def test_residual_of_x_translation_shifts_coefficients():

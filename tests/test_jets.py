@@ -1089,8 +1089,9 @@ def test_substitution_is_the_reference_on_every_registry_call(
     # each Newton step of its reversion and composes Q' once (12 solves,
     # at orders 15, 11 and 6); 336 while comp_inverse substituted in each
     # Newton step: it now substitutes nowhere
-    assert len(substitution_traffic) == 231
-    for fs, u, v, out in substitution_traffic:
+    calls = [c for order in (12, 8, 3) for c in substitution_traffic[order]]
+    assert len(calls) == 231
+    for fs, u, v, out, _ in calls:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
 
 
@@ -1100,8 +1101,30 @@ def test_deep_jets_substitutions_are_the_reference(deep_traffic):
     # and 20): it now substitutes nowhere
     calls = deep_traffic["substitute_all"]
     assert len(calls) == 72
-    for fs, u, v, out in calls:
+    for fs, u, v, out, _ in calls:
         assert_same_jets(out, reference_substitute_all(fs, u, v))
+
+
+def test_workload_substitutions_by_a_linear_germ_take_the_slice_path(
+        substitution_traffic, deep_traffic):
+    # u and v with terms of degree 1 alone and rational f take the slice
+    # path, and only they.  Per run_all(12) pass: thm31.i.a's six
+    # scaling-action pullbacks, the 13 x-only compositions by c x (12 in
+    # c_star_action), normalize_D1's 4 reparametrizations by a linear psi
+    # and 4 shifts by a linear phi, and 2 evaluations along a line.  Per
+    # deep-jets order: the pullback by the linear germ g2 and the two
+    # substitutions into g2, 18 over seeds 1-3, round 0
+    registry = substitution_traffic[12]
+    deep = deep_traffic["substitute_all"]
+    assert sum(c[4] for c in registry) == 29
+    assert sum(c[4] for c in deep) == 18
+    for fs, u, v, out, sliced in registry + deep:
+        linear = all(i + j == 1 and type(n) is int for g in (u, v)
+                     for (i, j), n in g._num.items()) and all(
+            type(n) is int for f in fs for n in f._num.values())
+        assert sliced == linear
+        if sliced:
+            assert_same_jets(out, reference_substitute_all(fs, u, v))
 
 
 _SHAPES = {"pure": lambda i, j: not (i and j), "mixed": lambda i, j: i and j,
@@ -1136,12 +1159,69 @@ def substitution_inputs(draw):
           Jet2.variable("x", 6) + EPS, Jet2.zero(6)))
 @example(([Jet2({(1, 1): 2, (2, 1): 1}, 5), Jet2.zero(5, -1)],
           Jet2.variable("y", 5).truncated(eff=2), Jet2.variable("x", 5)))
+# the same with u and v not linear, which keeps the powers
+@example(([Jet2({(1, 1): 2, (2, 1): 1}, 5), Jet2.zero(5, -1)],
+          Jet2({(0, 1): 1, (0, 2): -1}, 5, 2), Jet2({(1, 0): 1, (3, 0): 2}, 5)))
 def test_substitution_is_the_reference(inputs):
     # pure powers read u^i and v^j as they are; the reference builds
     # u^i * 1 and 1 * v^j: the same order, eff, numerators and denominator
     fs, u, v = inputs
     assert_same_jets(_substitute_all(fs, u, v),
                      reference_substitute_all(fs, u, v))
+
+
+@st.composite
+def linear_substitution_inputs(draw):
+    """(fs, u, v): u and v with terms of degree 1 alone, integer or
+    fractional coefficients, zero at times, each at its own order and eff
+    (1 to that order); one to three f of one order, of each ``_SHAPES``
+    shape, sparse or dense, cut to a window from -1 to the order, with
+    terms above the common order when u or v has a lower one.  One f in
+    three is dual, and one u or v in six has a dual coefficient: those
+    stay on the generic path."""
+    order = draw(st.integers(0, PROP_ORDER))
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(windowed_or_dual(order))
+        keep = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+        fs.append(Jet2({k: c for k, c in f.coeffs.items() if keep(*k)},
+                       order, draw(st.integers(-1, order))))
+    inner = []
+    for _ in range(2):
+        g_order = draw(st.integers(1, PROP_ORDER))
+        coeffs = {k: draw(st.one_of(st.integers(-3, 3), small_fractions))
+                  for k in ((1, 0), (0, 1))}
+        if not draw(st.integers(0, 5)):
+            coeffs[(1, 0)] = DualRational(coeffs[(1, 0)],
+                                          draw(nonzero_fractions))
+        inner.append(Jet2(coeffs, g_order, draw(st.integers(1, g_order))))
+    return fs, *inner
+
+
+@settings(deadline=None, max_examples=80)
+@given(linear_substitution_inputs())
+@example(([Jet2({(1, 0): 1}, 3)], Jet2.variable("x", 3), Jet2.zero(3)))
+@example(([Jet2({(i, j): 1 for i in range(5) for j in range(5 - i)}, 4)],
+          Jet2({(1, 0): -1, (0, 1): -1}, 4), Jet2({(1, 0): 1, (0, 1): -1}, 4)))
+def test_substitution_by_a_linear_germ_is_the_reference(inputs):
+    # the slice path, taken for rational f and u, v with degree-1 terms
+    # alone, gives the generic path's order, eff, numerators and
+    # denominator; the examples fill their slots to the bound exactly
+    from projstruct import jets as jets_module
+
+    fs, u, v = inputs
+    sliced, substitute_linear = [], jets_module._substitute_linear
+
+    def slicing(*args):
+        sliced.append(args)
+        return substitute_linear(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets_module, "_substitute_linear", slicing)
+        got = _substitute_all(fs, u, v)
+    assert_same_jets(got, reference_substitute_all(fs, u, v))
+    assert bool(sliced) == all(type(n) is int for f in (*fs, u, v)
+                               for n in f._num.values())
 
 
 def test_substitution_builds_no_jet_for_a_mixed_power():

@@ -9,9 +9,8 @@ from projstruct.errors import (DegenerateJacobian, NonZeroConstantTerm,
                                NotInNormalForm)
 from projstruct.cases import _FIELDS, CASES, _field, _structure
 from projstruct.fields import VectorField, residual, symmetry_dim
-from projstruct.jets import (Jet2, _graded_solve, _is_unit, _substitute_all,
-                             _sum_of_products, comp_inverse, compose1,
-                             exp_series, substitute)
+from projstruct.jets import (Jet2, _graded_solve, _is_unit, _sum_of_products,
+                             comp_inverse, compose1, exp_series, substitute)
 from projstruct.pencils import Foliation, Pencil, structure_from_pencil
 from projstruct.slopes import SlopePoly
 from projstruct.structures import (
@@ -49,9 +48,11 @@ from conftest import (
     rational_or_dual_jets,
     redrawn,
     reference_liouville,
+    reference_substitute_all,
     slope_product,
     slope_sum,
     slope_times,
+    small_fractions,
     structures,
     univariate_germs,
     windowed,
@@ -99,7 +100,9 @@ def test_record_parts_of_two_orders_are_refused(record):
 
 def reference_pullback(germ, stq):
     """``pullback`` as ``SlopePoly`` products and sums, the form it had
-    before it summed each coefficient through ``_sum_of_products``."""
+    before it summed each coefficient through ``_sum_of_products``, on
+    the substitution of ``reference_substitute_all``, which has no slice
+    path for a linear germ."""
     u, v = germ.u, germ.v
     ux, uy = u.d_dx(), u.d_dy()
     vx, vy = v.d_dx(), v.d_dy()
@@ -110,7 +113,7 @@ def reference_pullback(germ, stq):
     jac = ux * vy - uy * vx
     if not _is_unit(jac.constant_term):
         raise DegenerateJacobian("Jacobian vanishes at the origin")
-    a, b, c, d = _substitute_all(stq, u, v)
+    a, b, c, d = reference_substitute_all(stq, u, v)
     dn2 = slope_product(dn, dn)
     dn3 = slope_product(dn2, dn)
     nn2 = slope_product(nn, nn)
@@ -137,11 +140,14 @@ def test_a_pullback_call_keeps_its_jet_traffic(registry_traffic):
     # outside _substitute_all a call builds 29 jets: 4 first and 6 second
     # derivatives, the Jacobian, 6 squares, the 4 coefficients of the
     # linear factors a dn + b nn and c dn + d nn, 4 slots and 4 quotients
-    # (41 with the 16 cubic coefficients, 152 as SlopePoly products).  No
-    # registry structure is known less far than its pullback's slots, so
-    # no call forms a cubic coefficient
+    # (41 with the 16 cubic coefficients, 152 as SlopePoly products).  A
+    # linear germ, as in thm31.i.a's six scaling-action calls, mixes each
+    # slot from the substituted structure by constants and builds no
+    # linear factor: 25.  No registry structure is known less far than
+    # its pullback's slots, so no call forms a cubic coefficient
     calls, _ = registry_traffic
-    assert {n for *_, n in calls["pullback"]} == {29}
+    assert {n for *_, n in calls["pullback"]} == {25, 29}
+    assert sum(n == 25 for *_, n in calls["pullback"]) == 12   # 2 passes
 
 
 def test_deep_jets_pullbacks_are_the_reference(deep_traffic):
@@ -213,14 +219,27 @@ _X6, _Y6 = Jet2.variable("x", 6), Jet2.variable("y", 6)
 _X2, _Y2 = Jet2.variable("x", 2), Jet2.variable("y", 2)
 
 
+# (x + 2y, y - x), and a germ with that linear part and cubic terms
+_LINEAR6 = DiffeoGerm(_X6 + _Y6.scale(2), _Y6 - _X6)
+_CUBIC6 = DiffeoGerm(_X6 + _Y6.scale(2) + _X6 * _X6 * _X6,
+                     _Y6 - _X6 + _Y6 * _Y6 * _Y6)
+# C = x y, known through the order or through degree 3 alone
+_C_FULL = ProjectiveStructure(Jet2.constant(1, 6), Jet2.zero(6), _X6 * _Y6,
+                              Jet2.zero(6))
+_C_TO_3 = ProjectiveStructure(*_C_FULL[:2], _C_FULL.C.truncated(eff=3),
+                              _C_FULL.D)
+
+
 @settings(deadline=None, max_examples=80)
 @given(pullbacks_with_empty_slots())
-# The p coefficient of dn nn^2 vanishes for this linear part, so C, known
-# through degree 3, does not bound slot B: its window is 4, as summed by
-# the 16 cubic coefficients; C in the linear factors alone would give 3.
-@example((DiffeoGerm(_X6 + _Y6.scale(2), _Y6 - _X6),
-          ProjectiveStructure(Jet2.constant(1, 6), Jet2.zero(6),
-                              (_X6 * _Y6).truncated(eff=3), Jet2.zero(6))))
+# The p coefficient of dn nn^2 vanishes at the origin for this linear part,
+# so C, known through degree 3, does not bound slot B: its window is 4, as
+# summed by the 16 cubic coefficients; C in the linear factors alone would
+# give 3.  The linear germ mixes the slots by constants; the germ with
+# cubic terms takes the grouped path, where the coefficient is a jet of
+# valuation 1.
+@example((_LINEAR6, _C_TO_3))
+@example((_CUBIC6, _C_TO_3))
 # Over the duals v_x^2 = eps^2 vanishes, which the 16 cubic coefficients
 # see and the linear factors alone do not: slot B keeps degree 0.
 @example((DiffeoGerm(_X2 + EPS, _Y2 + _X2 * EPS),
@@ -229,11 +248,9 @@ def test_pullback_is_the_reference_with_empty_slots(inputs):
     assert_same_jets(pullback(*inputs), reference_pullback(*inputs))
 
 
-def test_pullback_computes_cubic_coefficients_only_for_short_slots(
-        monkeypatch):
-    # a structure known through the working order needs none of the 16
-    # cubic coefficients for its windows; a slot known less far than the
-    # rest of a result slot needs its own coefficient there, one per slot
+def _kernel_sums(monkeypatch, germ):
+    """The ``_sum_of_products`` calls of ``pullback(germ, .)`` on C = x y
+    known through the order, and on C known through degree 3 alone."""
     calls = []
 
     def counting(terms, cap=None):
@@ -241,13 +258,72 @@ def test_pullback_computes_cubic_coefficients_only_for_short_slots(
         return _sum_of_products(terms, cap)
 
     monkeypatch.setattr("projstruct.structures._sum_of_products", counting)
-    germ = DiffeoGerm(_X6 + _Y6.scale(2), _Y6 - _X6)
-    a, b, c, d = Jet2.constant(1, 6), Jet2.zero(6), _X6 * _Y6, Jet2.zero(6)
-    pullback(germ, ProjectiveStructure(a, b, c, d))
-    assert len(calls) == 9   # the Jacobian, 4 linear factors and 4 slots
-    calls.clear()
-    pullback(germ, ProjectiveStructure(a, b, c.truncated(eff=3), d))
-    assert len(calls) == 9 + 4
+    pullback(germ, _C_FULL)
+    full = len(calls)
+    pullback(germ, _C_TO_3)
+    return full, len(calls) - full
+
+
+def test_pullback_computes_cubic_coefficients_only_for_short_slots(
+        monkeypatch):
+    # a structure known through the working order needs none of the 16
+    # cubic coefficients for its windows; a slot known less far than the
+    # rest of a result slot needs its own coefficient there, one per slot.
+    # The germ has cubic terms, so it takes the grouped path: the
+    # Jacobian, 4 linear factors and 4 slots
+    assert _kernel_sums(monkeypatch, _CUBIC6) == (9, 9 + 4)
+
+
+def test_a_linear_pullback_computes_cubic_coefficients_only_for_short_slots(
+        monkeypatch):
+    # a linear germ sums the Jacobian alone and mixes each slot by
+    # constants; a short structure slot still takes one cubic coefficient
+    # per result slot for its windows
+    assert _kernel_sums(monkeypatch, _LINEAR6) == (1, 1 + 4)
+
+
+@st.composite
+def linear_pullbacks(draw):
+    """A linear germ over the rationals, integer or fractional
+    coefficients, zero at times, each component at its own eff (1 to the
+    order), and a structure over the rationals or the duals at another
+    order at times, every slot cut to a random window, empty ones
+    included."""
+    order = draw(st.integers(1, PROP_ORDER))
+    a, b, c, d = (draw(st.one_of(st.integers(-3, 3), small_fractions))
+                  for _ in range(4))
+    if a * d - b * c == 0:
+        a = d = 1 + abs(b) + abs(c)   # force a unit determinant
+    germ = DiffeoGerm(*(Jet2({(1, 0): p, (0, 1): q}, order,
+                             draw(st.integers(1, order)))
+                        for p, q in ((a, b), (c, d))))
+    order = draw(st.integers(1, PROP_ORDER))
+    slots = (draw(rational_or_dual_jets(order, max_terms=8))
+             for _ in range(4))
+    return germ, ProjectiveStructure(
+        *(f.truncated(eff=draw(st.integers(-1, order))) for f in slots))
+
+
+@settings(deadline=None, max_examples=80)
+@given(linear_pullbacks())
+@example((_LINEAR6, _C_TO_3))
+def test_a_linear_pullback_is_the_reference(inputs):
+    # a rational linear germ mixes the substituted slots by the constants
+    # of its 16 cubic coefficients, one _lincomb per slot, in the windows
+    # of _cubic_windows: the reference's order, eff and stored terms
+    from projstruct import structures as structures_module
+
+    mixed, lincomb = [], structures_module._lincomb
+
+    def mixing(*args):
+        mixed.append(args)
+        return lincomb(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures_module, "_lincomb", mixing)
+        got = pullback(*inputs)
+    assert len(mixed) == 4
+    assert_same_jets(got, reference_pullback(*inputs))
 
 
 def test_pullback_along_identity():
